@@ -139,6 +139,7 @@ class Network:
         self._n = params.n
         self._queue_push = self._queue.push
         self._trace_on_send = self.trace.on_send
+        self._trace_on_send_many = self.trace.on_send_many
         self._tracing = self.trace.enabled
         #: Pre-bound meter hook for the send paths (None when unmetered).
         self._meter_count_send = None if self.meter is None else self.meter.count_send
@@ -298,10 +299,7 @@ class Network:
             append(message)
         self._queue.push_many(messages)
         if self._tracing:
-            on_send = self._trace_on_send
-            step = self.step_count
-            for message in messages:
-                on_send(step, message)
+            self._trace_on_send_many(self.step_count, messages, kind, root)
         else:
             count_send = self._meter_count_send
             if count_send is not None:
@@ -360,10 +358,7 @@ class Network:
             append(message)
         self._queue.push_many(messages)
         if self._tracing:
-            on_send = self._trace_on_send
-            step = self.step_count
-            for message in messages:
-                on_send(step, message)
+            self._trace_on_send_many(self.step_count, messages, kind, root)
         else:
             count_send = self._meter_count_send
             if count_send is not None:

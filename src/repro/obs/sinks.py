@@ -1,4 +1,4 @@
-"""Streaming trace sinks: per-event consumers attached to an enabled Trace.
+"""Streaming trace sinks: event consumers attached to an enabled Trace.
 
 A sink observes every :class:`~repro.net.tracing.TraceEvent` as it is
 recorded (``Trace.add_sink``), independent of the trace's retention policy --
@@ -6,34 +6,47 @@ a JSONL writer can stream a run whose trace keeps nothing in memory.  Sinks
 must never mutate events or touch simulation state: they are observers, and
 the determinism tests (``tests/obs/test_determinism.py``) lock in that
 attaching one does not change delivery order.
+
+The contract is duck-typed: ``emit(event)`` is required, ``emit_many(events)``
+and ``close()`` are optional.  A sink must not assume one call per event --
+the send events of one broadcast/fan-out arrive as one ``emit_many`` batch.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
-from typing import Any, Deque, List, Optional
+from collections import Counter
+from typing import Any, List, Optional, Sequence
 
-from repro.net.tracing import TraceEvent
+from repro.net.tracing import EventRing, TraceEvent
 from repro.obs.schema import event_to_jsonable
 
 
 class TraceSink:
     """Base class for streaming event consumers.
 
-    Subclasses override :meth:`emit`; :meth:`close` flushes/releases any
-    resources and must be idempotent (the runtime closes sinks after the run,
-    and CLI wrappers may close them again defensively).
+    Subclasses override :meth:`emit`.  :meth:`emit_many` receives a *batch*:
+    the ``send`` events of one fan-out -- non-empty, one kind, one step,
+    receiver order -- and by default loops :meth:`emit`, so a sink that only
+    defines ``emit`` observes the identical event sequence; override it when
+    a batch can be consumed cheaper than event by event.  :meth:`close`
+    flushes/releases any resources and must be idempotent (the runtime closes
+    sinks after the run, and CLI wrappers may close them again defensively).
     """
 
     def emit(self, event: TraceEvent) -> None:
         raise NotImplementedError
 
+    def emit_many(self, events: Sequence[TraceEvent]) -> None:
+        emit = self.emit
+        for event in events:
+            emit(event)
+
     def close(self) -> None:
         """Flush and release resources (default: nothing to do)."""
 
 
-class RingBufferSink(TraceSink):
+class RingBufferSink(EventRing, TraceSink):
     """Keeps the most recent ``capacity`` events plus per-kind totals.
 
     Useful as a post-mortem flight recorder on long runs: total counts stay
@@ -43,20 +56,19 @@ class RingBufferSink(TraceSink):
     def __init__(self, capacity: int = 4096) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self.events: Deque[TraceEvent] = deque(maxlen=capacity)
-        self.events_seen = 0
+        super().__init__(capacity)
         self.counts_by_kind: Counter = Counter()
-
-    @property
-    def events_dropped(self) -> int:
-        """Events evicted from the ring (seen minus retained)."""
-        return self.events_seen - len(self.events)
 
     def emit(self, event: TraceEvent) -> None:
         self.events_seen += 1
         self.counts_by_kind[event.kind] += 1
         self.events.append(event)
+
+    def emit_many(self, events: Sequence[TraceEvent]) -> None:
+        count = len(events)
+        self.events_seen += count
+        self.counts_by_kind[events[0].kind] += count
+        self.events.extend(events)
 
     def tail(self, count: int = 20) -> List[TraceEvent]:
         """The last ``count`` retained events, oldest first."""
@@ -77,15 +89,21 @@ class JsonlSink(TraceSink):
     def __init__(self, path: Any) -> None:
         self.path = path
         self._handle: Optional[Any] = open(path, "w", encoding="utf-8")
+        self._encode = json.JSONEncoder(sort_keys=True, default=repr).encode
         self.events_written = 0
 
     def emit(self, event: TraceEvent) -> None:
+        self.emit_many((event,))
+
+    def emit_many(self, events: Sequence[TraceEvent]) -> None:
         handle = self._handle
         if handle is None:
             raise ValueError(f"JsonlSink({self.path!r}) is closed")
-        json.dump(event_to_jsonable(event), handle, sort_keys=True, default=repr)
-        handle.write("\n")
-        self.events_written += 1
+        encode = self._encode
+        handle.write(
+            "".join([encode(event_to_jsonable(event)) + "\n" for event in events])
+        )
+        self.events_written += len(events)
 
     def close(self) -> None:
         if self._handle is not None:

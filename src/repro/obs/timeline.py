@@ -13,13 +13,17 @@ deterministic delivery-step counter, not wall-clock time.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.tracing import TraceEvent
 from repro.obs.schema import event_to_jsonable
 from repro.obs.sinks import TraceSink
 
 LaneKey = Tuple[int, Tuple[str, ...]]
+
+#: Event kinds that create no lane or mark: they only advance the observed
+#: step horizon, so the live sink path skips their JSON conversion.
+_HORIZON_ONLY = frozenset(("send", "deliver"))
 
 
 class _Lane:
@@ -54,7 +58,21 @@ class TimelineBuilder(TraceSink):
     # Ingestion.
     # ------------------------------------------------------------------
     def emit(self, event: TraceEvent) -> None:
-        self.add(event_to_jsonable(event))
+        if event.kind in _HORIZON_ONLY:
+            self.events_seen += 1
+            if event.step > self.max_step:
+                self.max_step = event.step
+        else:
+            self.add(event_to_jsonable(event))
+
+    def emit_many(self, events: Sequence[TraceEvent]) -> None:
+        # A batch is the send events of one fan-out: one kind, one step.
+        if events[0].kind in _HORIZON_ONLY:
+            self.events_seen += len(events)
+            if events[0].step > self.max_step:
+                self.max_step = events[0].step
+        else:
+            super().emit_many(events)
 
     def add(self, data: Dict[str, Any]) -> None:
         """Ingest one event in its JSON-object form."""

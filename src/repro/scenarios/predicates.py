@@ -59,23 +59,26 @@ def resolve_parties(selector: PartySelector, n: int) -> List[int]:
     :class:`~repro.errors.ExperimentError` on unknown forms or out-of-range
     pids.
     """
-    if isinstance(selector, bool):
-        raise ExperimentError(f"invalid party selector {selector!r}")
-    if isinstance(selector, int):
-        pids = [selector]
-    elif isinstance(selector, (list, tuple)):
-        pids = [int(pid) for pid in selector]
-    elif isinstance(selector, Mapping):
-        pids = _resolve_mapping(selector, n)
-    else:
-        raise ExperimentError(f"invalid party selector {selector!r}")
-    out = sorted(set(pids))
+    out = sorted(set(_selected_pids(selector, n)))
     for pid in out:
         if not 0 <= pid < n:
             raise ExperimentError(
                 f"party selector {selector!r} resolves outside 0..{n - 1}: {pid}"
             )
     return out
+
+
+def _selected_pids(selector: PartySelector, n: int) -> List[int]:
+    """The pids ``selector`` names at ``n`` (unsorted, not yet range-checked)."""
+    if isinstance(selector, bool):
+        raise ExperimentError(f"invalid party selector {selector!r}")
+    if isinstance(selector, int):
+        return [selector]
+    if isinstance(selector, (list, tuple)):
+        return [int(pid) for pid in selector]
+    if isinstance(selector, Mapping):
+        return _resolve_mapping(selector, n)
+    raise ExperimentError(f"invalid party selector {selector!r}")
 
 
 def _resolve_mapping(selector: Mapping[str, Any], n: int) -> List[int]:
@@ -105,9 +108,25 @@ def _resolve_mapping(selector: Mapping[str, Any], n: int) -> List[int]:
     raise ExperimentError(f"unknown party selector form {selector!r}")
 
 
+#: System size selectors are shape-checked at: the smallest one (``t = 1``).
+_SHAPE_CHECK_N = 4
+
+
 def validate_party_selector(selector: PartySelector) -> None:
-    """Shape-check a selector without a concrete ``n`` (spec validation)."""
-    resolve_parties(selector, 1 << 20)
+    """Shape-check a selector without a concrete ``n`` (spec validation).
+
+    The range forms (``first`` / ``last`` / ``half`` / ``every`` /
+    ``last_faulty``) stay inside ``0..n-1`` at every ``n`` by construction,
+    so resolving them at the smallest system size checks their shape;
+    explicit pids only have to be non-negative here -- their upper bound is
+    checked by :func:`resolve_parties` once the scenario meets a concrete
+    ``n``.
+    """
+    for pid in _selected_pids(selector, _SHAPE_CHECK_N):
+        if pid < 0:
+            raise ExperimentError(
+                f"party selector {selector!r} names a negative pid: {pid}"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -165,6 +184,34 @@ def validate_session_pattern(pattern: Any) -> None:
 # ----------------------------------------------------------------------
 # Message predicates (the hostile schedulers' targeting language).
 # ----------------------------------------------------------------------
+def _predicate_parts(
+    spec: Mapping[str, Any], parties: Callable[[PartySelector], Any]
+) -> tuple:
+    """``(senders, receivers, roots, kinds, session_pattern)`` of ``spec``.
+
+    ``parties`` resolves (or merely validates) a party selector; absent keys
+    come back as ``None``.
+    """
+    unknown = set(spec) - {"senders", "receivers", "roots", "kinds", "session"}
+    if unknown:
+        raise ExperimentError(
+            f"unknown message predicate keys: {', '.join(sorted(unknown))}"
+        )
+    senders = parties(spec["senders"]) if "senders" in spec else None
+    receivers = parties(spec["receivers"]) if "receivers" in spec else None
+    roots = frozenset(spec["roots"]) if "roots" in spec else None
+    kinds = frozenset(spec["kinds"]) if "kinds" in spec else None
+    session_pattern = list(spec["session"]) if "session" in spec else None
+    if session_pattern is not None:
+        validate_session_pattern(session_pattern)
+    return senders, receivers, roots, kinds, session_pattern
+
+
+def validate_message_predicate(spec: Mapping[str, Any]) -> None:
+    """Shape-check a message-predicate spec without a concrete ``n``."""
+    _predicate_parts(spec, validate_party_selector)
+
+
 def compile_message_predicate(
     spec: Mapping[str, Any], n: int
 ) -> Callable[[Message], bool]:
@@ -174,22 +221,9 @@ def compile_message_predicate(
     selectors), ``roots`` (top-level protocol names), ``kinds`` (payload kind
     tags), ``session`` (a session pattern).  An empty spec matches everything.
     """
-    unknown = set(spec) - {"senders", "receivers", "roots", "kinds", "session"}
-    if unknown:
-        raise ExperimentError(
-            f"unknown message predicate keys: {', '.join(sorted(unknown))}"
-        )
-    senders = (
-        frozenset(resolve_parties(spec["senders"], n)) if "senders" in spec else None
+    senders, receivers, roots, kinds, session_pattern = _predicate_parts(
+        spec, lambda selector: frozenset(resolve_parties(selector, n))
     )
-    receivers = (
-        frozenset(resolve_parties(spec["receivers"], n)) if "receivers" in spec else None
-    )
-    roots = frozenset(spec["roots"]) if "roots" in spec else None
-    kinds = frozenset(spec["kinds"]) if "kinds" in spec else None
-    session_pattern = list(spec["session"]) if "session" in spec else None
-    if session_pattern is not None:
-        validate_session_pattern(session_pattern)
 
     def predicate(message: Message) -> bool:
         if senders is not None and message.sender not in senders:

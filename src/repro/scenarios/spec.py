@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 from repro.errors import ExperimentError
 from repro.experiments.spec import BehaviorSpec, SchedulerSpec
 from repro.scenarios.predicates import (
-    compile_message_predicate,
+    validate_message_predicate,
     validate_party_selector,
     validate_session_pattern,
 )
@@ -154,8 +154,7 @@ def validate_scheduler_actions(actions: Any, has_event_pid: bool) -> None:
                         f"trigger (an entry fired by session_open/complete)"
                     )
                 probe[key] = [0]
-        # Compile against a huge n: validates keys, selectors and patterns.
-        compile_message_predicate(probe, 1 << 20)
+        validate_message_predicate(probe)
         expires = action.get("expires")
         if expires is not None and int(expires) < 1:
             raise ExperimentError("scheduler action expires must be >= 1 when given")

@@ -24,9 +24,12 @@ def test_default_trace_retains_nothing():
 
 def test_keep_events_true_is_bounded_ring():
     trace = Trace(keep_events=True)
-    assert trace._capacity == DEFAULT_EVENT_CAPACITY
     trace.note(0, "x")
     assert len(trace.events) == 1
+    for step in range(1, DEFAULT_EVENT_CAPACITY + 3):
+        trace.note(step, "x")
+    assert len(trace.events) == DEFAULT_EVENT_CAPACITY
+    assert trace.events_dropped == 3
 
 
 def test_int_capacity_ring_evicts_oldest():
@@ -95,9 +98,10 @@ def test_sink_on_disabled_trace_rejected():
 
 
 def test_sink_restores_record_on_no_retention_trace():
-    """A retention-free trace rebinds record() to a no-op; attaching a sink
-    must restore the real method so events actually flow."""
-    trace = Trace()  # keep_events=False -> record is the shared no-op
+    """A retention-free trace has no consumer path (hooks build no events);
+    attaching a sink must compile one so events actually flow."""
+    trace = Trace()  # keep_events=False -> nothing consumes events
+    trace.note(0, "before")
     sink = trace.add_sink(RingBufferSink())
     trace.note(0, "x")
     assert sink.events_seen == 1

@@ -50,9 +50,33 @@ class TestPartySelectors:
             resolve_parties({"half": "middle"}, 4)
 
     def test_shape_validation_without_n(self):
-        validate_party_selector({"last_faulty": True})
-        with pytest.raises(ExperimentError):
-            validate_party_selector("everyone")
+        for selector in (
+            0, [0, 5], {"pids": [3]}, {"first": 2}, {"last": 99}, {"half": "high"},
+            {"every": 2, "offset": 1}, {"last_faulty": True}, 10**9,
+        ):
+            validate_party_selector(selector)
+        for malformed in (
+            "everyone", True, -1, [0, -2], {"pids": [-1]}, {"every": 0},
+            {"half": "middle"}, {"wat": 1}, {"last_faulty": False},
+        ):
+            with pytest.raises(ExperimentError):
+                validate_party_selector(malformed)
+
+    def test_validating_the_library_allocates_next_to_nothing(self):
+        # Validation is symbolic: it used to resolve every selector against a
+        # million-party system (40 MB transient, a second per import).
+        import tracemalloc
+
+        from repro.scenarios.library import SCENARIOS
+
+        tracemalloc.start()
+        try:
+            for spec in SCENARIOS.values():
+                spec.validate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestSessionPatterns:
