@@ -10,13 +10,13 @@ Two kinds of measurement:
   operating point (and the regression checker reports but never fails them).
 * **The flood pair** -- the `flood-fenwick` scenario (session-starvation
   scheduler holding back all SVSS reconstruction traffic, so thousands of
-  messages pile up in flight) run once on the indexed
-  :class:`~repro.net.queues.TwoClassRandomQueue` fast path and once pinned to
+  messages pile up in flight) run once on the indexed two-class
+  :class:`~repro.net.queues.ClassRankQueue` fast path and once pinned to
   the legacy full-scan queue via :func:`~repro.net.scheduler.force_scan`.
   Delivery order is byte-identical (asserted before timing); the speedup is
   pure queue indexing, measured exactly where the scan path degenerates.
 * **The reactive pairs** -- the director-driven `reactive-rush` scenario on
-  the rank-indexed :class:`~repro.scenarios.schedulers._ReactiveQueue` versus
+  the same rank-indexed queue with three classes versus
   the reference ``choose`` scan (same byte-identical guarantee, asserted
   before timing), plus ``reactive_director_overhead_n32``: the same reactive
   trial raced against the static-scheduler `restart-storm` trial at n=32.

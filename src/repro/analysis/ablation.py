@@ -124,11 +124,6 @@ OPTIMISATION_FACTORS: Tuple[Factor, ...] = (
         ablated={"tuning": {"pause_gc": False}},
     ),
     Factor(
-        "interned_sessions",
-        "network-wide session-tuple interning (vs per-caller allocation)",
-        ablated={"tuning": {"intern_sessions": False}},
-    ),
-    Factor(
         "trace_free",
         "trace hooks disabled, metered group mode (vs full tracing)",
         ablated={"tracing": True},

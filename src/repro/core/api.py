@@ -43,8 +43,6 @@ Corruptions = Optional[Mapping[int, BehaviorFactory]]
 #: * ``pause_gc`` (bool, default True) -- pause the cyclic GC during the run;
 #: * ``group_mode`` (bool | None, default None) -- False forces the flat
 #:   per-message delivery queue even when group batching is possible;
-#: * ``intern_sessions`` (bool, default True) -- False disables network-wide
-#:   session-tuple canonicalisation;
 #: * ``eval_plan`` (``"auto"`` | ``"scalar"``, default auto) -- "scalar"
 #:   forces the plain-int crypto kernels for the whole run.
 #:
@@ -54,7 +52,7 @@ Corruptions = Optional[Mapping[int, BehaviorFactory]]
 #: flat oracles), only wall-clock behaviour changes.
 Tuning = Optional[Mapping[str, Any]]
 
-_TUNING_KEYS = frozenset({"pause_gc", "group_mode", "intern_sessions", "eval_plan"})
+_TUNING_KEYS = frozenset({"pause_gc", "group_mode", "eval_plan"})
 
 #: Default iteration override used when callers do not specify one.  The
 #: paper's CoinFlip runs k = Theta(log(1/epsilon)) SVSS iterations; at
@@ -104,7 +102,6 @@ def _simulation(
         sinks=list(sinks) if sinks else None,
         pause_gc=bool(knobs.get("pause_gc", True)),
         group_mode=knobs.get("group_mode"),
-        intern_sessions=bool(knobs.get("intern_sessions", True)),
         eval_plan=knobs.get("eval_plan"),
     )
     if max_steps is not None:

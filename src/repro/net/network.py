@@ -23,18 +23,26 @@ campaign):
   tuples network-wide, so the per-delivery routing dict lookup compares
   interned keys by identity and child-session tuples are shared across all
   parties instead of re-allocated per process.
-* **Fused run loops** -- :meth:`run` and :meth:`run_until_complete` inline
-  the per-delivery work of :meth:`step` with queue/trace/process lookups
-  hoisted out of the loop, and a dedicated branch for disabled tracing.
+* **Two delivery loops** -- :meth:`run`, :meth:`run_until_complete`,
+  :meth:`run_to_quiescence` and :meth:`step` are thin callers of
+  :meth:`_drive`, the one generic loop: stop check, cap, quiescence, ``pop``,
+  eager ``step_count``, trace hook, ``deliver``, queue-depth sample, director
+  hook -- each hook bound once before the loop and skipped when absent.  Its
+  single specialisation, :meth:`_drive_unmaterialised`, serves runs nothing
+  observes from outside (tracing off, no director, no metrics registry) on a
+  queue holding fan-outs as groups: it delivers ``(entry, receiver)`` pairs
+  without building Message objects.  Which loop runs is read off that
+  state, never chosen by a caller.
 
-All fast paths reproduce the seed's delivery order, traces and outputs
-byte-identically per seed (``tests/net/test_completion.py``).
+Both loops reproduce the seed's delivery order, traces and outputs
+byte-identically per seed (``tests/net/test_completion.py``,
+``tests/net/test_loop_matrix.py``).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.core.config import ProtocolParams
 from repro.errors import SimulationError
@@ -48,6 +56,11 @@ from repro.net.tracing import Trace
 #: protocol in the library at simulation scale, small enough to catch
 #: accidental non-termination in tests.
 DEFAULT_MAX_STEPS = 2_000_000
+
+_CAP_ERROR = "run() exceeded {} deliveries without reaching its stop condition"
+_DEADLOCK_ERROR = (
+    "network is quiescent but the stop condition is not met (protocol deadlock)"
+)
 
 
 class Network:
@@ -65,7 +78,6 @@ class Network:
         metrics: Optional[object] = None,
         sinks: Optional[List[object]] = None,
         group_mode: Optional[bool] = None,
-        intern_sessions: bool = True,
     ) -> None:
         self.params = params
         self.scheduler = scheduler or RandomScheduler()
@@ -100,11 +112,6 @@ class Network:
         self._sessions: Dict[SessionId, SessionId] = (
             session_table if session_table is not None else {}
         )
-        #: Ablation switch: ``False`` makes :meth:`intern_session` a plain
-        #: tuple copy (every caller gets its own allocation, identity-equal
-        #: lookups degrade to value equality) without touching routing
-        #: semantics -- tuples hash and compare by value either way.
-        self._intern_sessions = bool(intern_sessions)
         #: Lazily-built batched crypto plane (see :meth:`crypto_plane`).
         self._crypto_plane = None
         #: How the root protocol was wired, recorded by
@@ -180,8 +187,6 @@ class Network:
     def intern_session(self, session: SessionId) -> SessionId:
         """Return the canonical tuple for ``session`` (allocating it once)."""
         session = tuple(session)
-        if not self._intern_sessions:
-            return session
         return self._sessions.setdefault(session, session)
 
     # ------------------------------------------------------------------
@@ -213,8 +218,9 @@ class Network:
         The director receives ``on_session_open(pid, session)`` when a party
         creates a protocol instance, ``on_complete(pid, session)`` for every
         completion, and -- only when its ``wants_deliveries`` flag is set --
-        ``on_deliver(step, message)`` after each delivery.  Directors that do
-        not need per-delivery callbacks leave the fused fast loops untouched.
+        ``on_deliver(step, message)`` after each delivery, however the
+        network is driven (:meth:`run`, :meth:`run_until_complete`,
+        :meth:`step`).
         """
         self.director = director
         attach = getattr(director, "attach", None)
@@ -266,44 +272,9 @@ class Network:
         dominate the send side of the SVSS-heavy protocols, which makes this
         the hot path of :meth:`Protocol.broadcast`.
         """
-        n = self._n
-        seq = self._next_seq
-        self._next_seq = seq + n
-        kind = payload[0] if payload else None
-        root = session[0] if session else None
-        if self._group_mode:
-            self._queue.push_group(
-                FanoutEntry(sender, session, kind, payload, None, seq, None, root),
-                self._full_fanout_mask,
-                n,
-            )
-            count_send = self._meter_count_send
-            if count_send is not None:
-                # One counter bump for the whole fan-out: FanoutEntry
-                # granularity, not per-copy.
-                count_send(kind, root, n)
-            return
-        new = Message.__new__
-        messages = []
-        append = messages.append
-        for receiver in range(n):
-            message = new(Message)
-            message.sender = sender
-            message.receiver = receiver
-            message.session = session
-            message.payload = payload
-            message.seq = seq
-            message.kind = kind
-            message.root = root
-            seq += 1
-            append(message)
-        self._queue.push_many(messages)
-        if self._tracing:
-            self._trace_on_send_many(self.step_count, messages, kind, root)
-        else:
-            count_send = self._meter_count_send
-            if count_send is not None:
-                count_send(kind, root, n)
+        self._submit_fanout(
+            sender, session, payload[0] if payload else None, payload, None, None
+        )
 
     def submit_fanout(
         self,
@@ -322,6 +293,18 @@ class Network:
         one-entry group form when group mode is on).  ``values`` must not be
         mutated after submission.
         """
+        self._submit_fanout(sender, session, kind, None, values, skip)
+
+    def _submit_fanout(
+        self,
+        sender: int,
+        session: SessionId,
+        kind: Any,
+        payload: Optional[tuple],
+        values: Optional[List],
+        skip: Optional[int],
+    ) -> None:
+        """One receiver-ordered fan-out: ``payload`` shared, or ``values[r]`` each."""
         n = self._n
         seq = self._next_seq
         size = n if skip is None else n - 1
@@ -332,37 +315,38 @@ class Network:
             if skip is not None:
                 mask ^= 1 << skip
             self._queue.push_group(
-                FanoutEntry(sender, session, kind, None, values, seq, skip, root),
+                FanoutEntry(sender, session, kind, payload, values, seq, skip, root),
                 mask,
                 size,
             )
-            count_send = self._meter_count_send
-            if count_send is not None:
-                count_send(kind, root, size)
-            return
-        new = Message.__new__
-        messages = []
-        append = messages.append
-        for receiver in range(n):
-            if receiver == skip:
-                continue
-            message = new(Message)
-            message.sender = sender
-            message.receiver = receiver
-            message.session = session
-            message.payload = (kind, values[receiver])
-            message.seq = seq
-            message.kind = kind
-            message.root = root
-            seq += 1
-            append(message)
-        self._queue.push_many(messages)
-        if self._tracing:
-            self._trace_on_send_many(self.step_count, messages, kind, root)
         else:
-            count_send = self._meter_count_send
-            if count_send is not None:
-                count_send(kind, root, size)
+            new = Message.__new__
+            messages = []
+            append = messages.append
+            for receiver in range(n):
+                if receiver == skip:
+                    continue
+                message = new(Message)
+                message.sender = sender
+                message.receiver = receiver
+                message.session = session
+                message.payload = (
+                    payload if values is None else (kind, values[receiver])
+                )
+                message.seq = seq
+                message.kind = kind
+                message.root = root
+                seq += 1
+                append(message)
+            self._queue.push_many(messages)
+            if self._tracing:
+                self._trace_on_send_many(self.step_count, messages, kind, root)
+                return
+        count_send = self._meter_count_send
+        if count_send is not None:
+            # One counter bump for the whole fan-out: FanoutEntry
+            # granularity, not per-copy.
+            count_send(kind, root, size)
 
     # ------------------------------------------------------------------
     # Stepping.
@@ -374,13 +358,10 @@ class Network:
 
     def step(self) -> bool:
         """Deliver one message.  Returns False when nothing is in flight."""
-        queue = self._queue
-        if not len(queue):
+        if not len(self._queue):
             return False
-        message = queue.pop(self.scheduler_rng, self.step_count)
-        self.step_count += 1
-        self.trace.on_deliver(self.step_count, message)
-        self.processes[message.receiver].deliver(message)
+        stop_at = self.step_count + 1
+        self._drive(None, lambda network: network.step_count >= stop_at, 1)
         return True
 
     def run(
@@ -389,10 +370,6 @@ class Network:
         max_steps: int = DEFAULT_MAX_STEPS,
     ) -> int:
         """Deliver messages until ``until`` holds or the network goes quiet.
-
-        The per-delivery work of :meth:`step` is inlined with attribute
-        lookups hoisted; the delivery order is identical to calling
-        :meth:`step` in a loop.
 
         Args:
             until: stop condition checked before every delivery; ``None``
@@ -409,51 +386,7 @@ class Network:
                 (deadlock -- typically a protocol bug or an impossible fault
                 pattern).
         """
-        director = self.director
-        if director is not None and getattr(director, "wants_deliveries", False):
-            return self._run_observed(until=until, watch=None, max_steps=max_steps)
-        queue = self._queue
-        queue_len = queue.__len__
-        pop = queue.pop
-        rng = self.scheduler_rng
-        processes = self.processes
-        on_deliver = self.trace.on_deliver
-        tracing = self._tracing
-        delivered = 0
-        if until is None:
-            while True:
-                if delivered >= max_steps:
-                    raise SimulationError(
-                        f"run() exceeded {max_steps} deliveries without reaching "
-                        f"its stop condition"
-                    )
-                if not queue_len():
-                    return delivered
-                message = pop(rng, self.step_count)
-                self.step_count = step = self.step_count + 1
-                if tracing:
-                    on_deliver(step, message)
-                processes[message.receiver].deliver(message)
-                delivered += 1
-        while True:
-            if until(self):
-                return delivered
-            if delivered >= max_steps:
-                raise SimulationError(
-                    f"run() exceeded {max_steps} deliveries without reaching "
-                    f"its stop condition"
-                )
-            if not queue_len():
-                raise SimulationError(
-                    "network is quiescent but the stop condition is not met "
-                    "(protocol deadlock)"
-                )
-            message = pop(rng, self.step_count)
-            self.step_count = step = self.step_count + 1
-            if tracing:
-                on_deliver(step, message)
-            processes[message.receiver].deliver(message)
-            delivered += 1
+        return self._drive(None, until, max_steps)
 
     def run_until_complete(
         self, session: SessionId, max_steps: int = DEFAULT_MAX_STEPS
@@ -462,206 +395,129 @@ class Network:
 
         Semantically identical to
         ``run(until=lambda net: net.scan_all_honest_finished(session))`` --
-        same delivery order, same trace, same exceptions -- but the stop
-        condition is a single counter comparison per delivery instead of an
-        O(n) scan over the processes.
-
-        Args:
-            session: the session whose completion ends the run.
-            max_steps: safety cap on deliveries for this call.
-
-        Returns:
-            The number of messages delivered by this call.
-
-        Raises:
-            SimulationError: on exceeding ``max_steps`` or on protocol
-                deadlock, exactly as :meth:`run`.
+        same delivery order, trace, return value and errors -- but the stop
+        condition is one flag read per delivery (flipped by
+        :meth:`record_completion`) instead of an O(n) scan over the processes.
         """
-        session = tuple(session)
-        director = self.director
-        if director is not None and getattr(director, "wants_deliveries", False):
-            return self._run_observed(until=None, watch=session, max_steps=max_steps)
-        if self._obs_on_complete is not None or self._obs_sample_every:
-            # A metrics registry needs an eagerly-maintained step counter
-            # (completion-step histograms) and/or periodic queue-depth
-            # samples: route through the step-accurate instrumented loop.
-            # Delivery order is unchanged -- only bookkeeping differs.
-            return self._run_instrumented(session, max_steps)
-        queue = self._queue
-        queue_len = queue.__len__
-        pop = queue.pop
-        rng = self.scheduler_rng
-        deliver_by_pid = [process.deliver for process in self.processes]
-        delivered = 0
-        # Completion-driven stop: record_completion flips _watch_done the
-        # moment the watched session's counter reaches the honest count, so
-        # the loop condition is a single attribute read per delivery.
-        self._watch_session = session
-        self._watch_done = self._completions.get(session, 0) >= self._honest_n
-        try:
-            if self._tracing:
-                on_deliver = self.trace.on_deliver
-                while not self._watch_done:
-                    if delivered >= max_steps:
-                        raise SimulationError(
-                            f"run() exceeded {max_steps} deliveries without reaching "
-                            f"its stop condition"
-                        )
-                    if not queue_len():
-                        raise SimulationError(
-                            "network is quiescent but the stop condition is not met "
-                            "(protocol deadlock)"
-                        )
-                    message = pop(rng, self.step_count)
-                    self.step_count = step = self.step_count + 1
-                    on_deliver(step, message)
-                    deliver_by_pid[message.receiver](message)
-                    delivered += 1
-                return delivered
-            # Dedicated tracing-off branch: no per-delivery trace call at all.
-            # With no director attached, nothing can observe ``step_count``
-            # mid-delivery (trace hooks are no-ops and queues receive the
-            # step as an argument), so the counter lives in a local and is
-            # written back when the loop exits.  An empty queue surfaces as
-            # the pop's rank draw raising ValueError (``getrandbits(0)``) or
-            # the tail raising IndexError -- both before any state changes --
-            # which turns the per-delivery emptiness check into a zero-cost
-            # (until raised) try/except.
-            if self.director is None:
-                step = self.step_count
-                pop_entry = getattr(queue, "pop_entry", None)
-                if pop_entry is not None:
-                    # Unmaterialised fast path: fan-out copies are delivered
-                    # from their group entry; a Message object is only built
-                    # for behaviours and trace arguments inside deliver_parts.
-                    parts_by_pid = [
-                        process.deliver_parts for process in self.processes
-                    ]
-                    try:
-                        while not self._watch_done:
-                            if delivered >= max_steps:
-                                raise SimulationError(
-                                    f"run() exceeded {max_steps} deliveries "
-                                    f"without reaching its stop condition"
-                                )
-                            try:
-                                entry, bitpos = pop_entry(rng)
-                            except (ValueError, IndexError):
-                                raise SimulationError(
-                                    "network is quiescent but the stop condition "
-                                    "is not met (protocol deadlock)"
-                                ) from None
-                            step += 1
-                            if bitpos < 0:
-                                deliver_by_pid[entry.receiver](entry)
-                            else:
-                                values = entry.values
-                                parts_by_pid[bitpos](
-                                    entry.sender,
-                                    entry.session,
-                                    entry.payload
-                                    if values is None
-                                    else (entry.kind, values[bitpos]),
-                                    entry,
-                                    bitpos,
-                                )
-                            delivered += 1
-                        return delivered
-                    finally:
-                        self.step_count = step
-                try:
-                    while not self._watch_done:
-                        if delivered >= max_steps:
-                            raise SimulationError(
-                                f"run() exceeded {max_steps} deliveries without "
-                                f"reaching its stop condition"
-                            )
-                        try:
-                            message = pop(rng, step)
-                        except (ValueError, IndexError):
-                            raise SimulationError(
-                                "network is quiescent but the stop condition is "
-                                "not met (protocol deadlock)"
-                            ) from None
-                        step += 1
-                        deliver_by_pid[message.receiver](message)
-                        delivered += 1
-                    return delivered
-                finally:
-                    self.step_count = step
-            while not self._watch_done:
-                if delivered >= max_steps:
-                    raise SimulationError(
-                        f"run() exceeded {max_steps} deliveries without reaching "
-                        f"its stop condition"
-                    )
-                if not queue_len():
-                    raise SimulationError(
-                        "network is quiescent but the stop condition is not met "
-                        "(protocol deadlock)"
-                    )
-                message = pop(rng, self.step_count)
-                self.step_count += 1
-                deliver_by_pid[message.receiver](message)
-                delivered += 1
-            return delivered
-        finally:
-            self._watch_session = None
-            self._watch_done = False
+        return self._drive(tuple(session), None, max_steps)
 
     def run_to_quiescence(self, max_steps: int = DEFAULT_MAX_STEPS) -> int:
         """Deliver messages until none remain in flight."""
-        return self.run(until=None, max_steps=max_steps)
+        return self._drive(None, None, max_steps)
 
-    def _run_instrumented(self, watch: SessionId, max_steps: int) -> int:
-        """Metrics-instrumented completion loop (registry attached).
+    def _drive(
+        self,
+        watch: Optional[SessionId],
+        until: Optional[Callable[["Network"], bool]],
+        max_steps: int,
+    ) -> int:
+        """The delivery loop: one scheduler-chosen message per iteration.
 
-        Identical delivery order, stop conditions and errors to
-        :meth:`run_until_complete`; differences are bookkeeping only:
-        ``step_count`` is maintained eagerly so the completion-step hook in
-        :meth:`record_completion` sees accurate steps, and the in-flight
-        queue depth is sampled every ``metrics.queue_depth_every``-th
-        delivery.  Group queues still deliver through their generic ``pop``
-        (which materialises fan-out copies in the same order), so the
-        delivery *sequence* is untouched -- only the lazy-materialisation
-        speed-up is traded for observability.
+        Stops when every honest party completed ``watch``, else when
+        ``until(self)`` holds, else (neither given) when nothing is in
+        flight; returns the number of deliveries made.  ``step_count`` is
+        current whenever a handler or hook can read it.  Per delivery, in
+        order: the trace, the handler, the registry's queue-depth sample
+        (every ``queue_depth_every``-th), and ``director.on_deliver`` for a
+        director that ``wants_deliveries``.
         """
         queue = self._queue
-        queue_len = queue.__len__
-        pop = queue.pop
+        director = self.director
+        if watch is not None:
+            # Completion-driven stop: record_completion flips _watch_done the
+            # moment the watched session's counter reaches the honest count.
+            self._watch_session = watch
+            self._watch_done = self._completions.get(watch, 0) >= self._honest_n
+        try:
+            if (
+                watch is not None
+                and director is None
+                and not self._tracing
+                and self._obs_on_complete is None
+                and not self._obs_sample_every
+                and hasattr(queue, "pop_entry")
+            ):
+                return self._drive_unmaterialised(max_steps)
+            queue_len = queue.__len__
+            pop = queue.pop
+            rng = self.scheduler_rng
+            processes = self.processes
+            trace_deliver = self.trace.on_deliver if self._tracing else None
+            sample_every = self._obs_sample_every
+            on_depth = self.metrics.on_queue_depth if sample_every else None  # type: ignore[union-attr]
+            director_deliver = (
+                director.on_deliver
+                if getattr(director, "wants_deliveries", False)
+                else None
+            )
+            delivered = 0
+            while True:
+                if watch is not None:
+                    if self._watch_done:
+                        return delivered
+                elif until is not None and until(self):
+                    return delivered
+                if delivered >= max_steps:
+                    raise SimulationError(_CAP_ERROR.format(max_steps))
+                if not queue_len():
+                    if watch is None and until is None:
+                        return delivered
+                    raise SimulationError(_DEADLOCK_ERROR)
+                message = pop(rng, self.step_count)
+                self.step_count = step = self.step_count + 1
+                if trace_deliver is not None:
+                    trace_deliver(step, message)
+                processes[message.receiver].deliver(message)
+                delivered += 1
+                if on_depth is not None and delivered % sample_every == 0:
+                    on_depth(step, queue_len())
+                if director_deliver is not None:
+                    director_deliver(step, message)
+        finally:
+            if watch is not None:
+                self._watch_session = None
+                self._watch_done = False
+
+    def _drive_unmaterialised(self, max_steps: int) -> int:
+        """:meth:`_drive` for a watched run that nothing observes from outside."""
+        # With tracing off, no director and no registry, nothing can read
+        # ``step_count`` mid-delivery (trace hooks are no-ops), so the
+        # counter lives in a local and is written back when the loop exits.
+        # Fan-out copies are delivered straight from their group entry; a
+        # Message is only built for behaviours and shun drops inside
+        # ``deliver_parts``.  An empty queue surfaces as the pop raising
+        # IndexError before any state changes, which turns the per-delivery
+        # emptiness check into a zero-cost (until raised) try/except.
+        pop_entry = self._queue.pop_entry
         rng = self.scheduler_rng
         deliver_by_pid = [process.deliver for process in self.processes]
-        on_deliver = self.trace.on_deliver
-        tracing = self._tracing
-        sample_every = self._obs_sample_every
-        on_depth = self.metrics.on_queue_depth if sample_every else None  # type: ignore[union-attr]
+        parts_by_pid = [process.deliver_parts for process in self.processes]
+        step = self.step_count
         delivered = 0
-        self._watch_session = watch
-        self._watch_done = self._completions.get(watch, 0) >= self._honest_n
         try:
             while not self._watch_done:
                 if delivered >= max_steps:
-                    raise SimulationError(
-                        f"run() exceeded {max_steps} deliveries without reaching "
-                        f"its stop condition"
+                    raise SimulationError(_CAP_ERROR.format(max_steps))
+                try:
+                    entry, bitpos = pop_entry(rng)
+                except IndexError:
+                    raise SimulationError(_DEADLOCK_ERROR) from None
+                step += 1
+                if bitpos < 0:
+                    deliver_by_pid[entry.receiver](entry)
+                else:
+                    values = entry.values
+                    parts_by_pid[bitpos](
+                        entry.sender,
+                        entry.session,
+                        entry.payload if values is None else (entry.kind, values[bitpos]),
+                        entry,
+                        bitpos,
                     )
-                if not queue_len():
-                    raise SimulationError(
-                        "network is quiescent but the stop condition is not met "
-                        "(protocol deadlock)"
-                    )
-                message = pop(rng, self.step_count)
-                self.step_count = step = self.step_count + 1
-                if tracing:
-                    on_deliver(step, message)
-                deliver_by_pid[message.receiver](message)
                 delivered += 1
-                if sample_every and delivered % sample_every == 0:
-                    on_depth(step, queue_len())
             return delivered
         finally:
-            self._watch_session = None
-            self._watch_done = False
+            self.step_count = step
 
     def message_stats(self) -> Optional[Dict[str, object]]:
         """Headline message counts, whichever tier collected them.
@@ -679,63 +535,6 @@ class Network:
         if meter is not None:
             return meter.summary(self.step_count)
         return None
-
-    def _run_observed(
-        self,
-        until: Optional[Callable[["Network"], bool]],
-        watch: Optional[SessionId],
-        max_steps: int,
-    ) -> int:
-        """Delivery loop with a per-delivery director callback.
-
-        Used only when the installed director wants delivery events (fault
-        timelines and adaptive rules with step triggers); delivery order, stop
-        conditions and error behaviour are identical to :meth:`run` /
-        :meth:`run_until_complete`, with ``director.on_deliver(step, message)``
-        invoked after each delivery.
-        """
-        queue = self._queue
-        queue_len = queue.__len__
-        pop = queue.pop
-        rng = self.scheduler_rng
-        processes = self.processes
-        trace_on_deliver = self.trace.on_deliver
-        tracing = self._tracing
-        on_deliver = self.director.on_deliver  # type: ignore[union-attr]
-        delivered = 0
-        if watch is not None:
-            self._watch_session = watch
-            self._watch_done = self._completions.get(watch, 0) >= self._honest_n
-        try:
-            while True:
-                if watch is not None:
-                    if self._watch_done:
-                        return delivered
-                elif until is not None and until(self):
-                    return delivered
-                if delivered >= max_steps:
-                    raise SimulationError(
-                        f"run() exceeded {max_steps} deliveries without reaching "
-                        f"its stop condition"
-                    )
-                if not queue_len():
-                    if watch is None and until is None:
-                        return delivered
-                    raise SimulationError(
-                        "network is quiescent but the stop condition is not met "
-                        "(protocol deadlock)"
-                    )
-                message = pop(rng, self.step_count)
-                self.step_count = step = self.step_count + 1
-                if tracing:
-                    trace_on_deliver(step, message)
-                processes[message.receiver].deliver(message)
-                delivered += 1
-                on_deliver(step, message)
-        finally:
-            if watch is not None:
-                self._watch_session = None
-                self._watch_done = False
 
     # ------------------------------------------------------------------
     # Completion and corruption bookkeeping (the O(1) stop-condition state).

@@ -13,18 +13,29 @@ structure instead:
 * :class:`KeyedQueue` -- a binary heap over ``(priority(message), seq)``; the
   targeted policy becomes an O(log m) pop (the priority function must be a
   pure function of the message -- it is evaluated once, at submit time).
-* :class:`SendOrderRandomQueue` -- a Fenwick tree over send slots supporting
-  "deliver the r-th oldest in-flight message" in O(log m).
+* :class:`SendOrderRandomQueue` -- a Fenwick tree over 64-bit words of send
+  slots supporting "deliver the r-th oldest in-flight message" in O(log m),
+  with whole fan-outs queued as one unmaterialised :class:`FanoutEntry`.
+* :class:`ClassRankQueue` -- send-order slots with one Fenwick tree per
+  priority class: "deliver a uniformly random member of the best non-empty
+  class".  The one queue behind the delay and partition schedulers (two
+  classes) and the scenario director's reactive scheduler (three).
 * :class:`ScanQueue` -- the legacy full-scan path, used by any scheduler
-  without an indexed strategy (predicate schedulers, custom subclasses).
+  without an indexed strategy (custom subclasses, non-random base policies)
+  and as the reference the others are tested against.
+
+The two random queues stay apart on purpose: word-packed fan-out groups and
+per-message class slots are different layouts, and one structure serving
+both would branch on its caller at every step.
 
 Every indexed queue reproduces the legacy delivery order *byte-identically*
 for the same seed: FIFO because pending is always scanned in send order,
 keyed because the old scan minimised the same ``(priority, seq)`` tuple, and
 random because ``list.pop(i)`` preserves send order, so "index i into the
-pending list" always meant "the i-th oldest in-flight message" -- exactly the
-rank query the Fenwick tree answers.  ``tests/net/test_queues.py`` locks this
-in by diffing full delivery traces against :func:`force_scan` runs.
+pending list" always meant "the i-th oldest in-flight message" (of a class)
+-- exactly the rank query the Fenwick trees answer.
+``tests/net/test_queues.py`` locks this in by diffing full delivery traces
+against :func:`force_scan` runs.
 """
 
 from __future__ import annotations
@@ -213,16 +224,12 @@ class FanoutEntry:
         message.session = self.session
         values = self.values
         skip = self.skip
-        if values is None:
-            message.payload = self.payload
-            message.seq = self.base_seq + receiver - (
-                1 if skip is not None and receiver > skip else 0
-            )
-        else:
-            message.payload = (self.kind, values[receiver])
-            message.seq = self.base_seq + receiver - (
-                1 if skip is not None and receiver > skip else 0
-            )
+        message.payload = (
+            self.payload if values is None else (self.kind, values[receiver])
+        )
+        message.seq = self.base_seq + receiver - (
+            1 if skip is not None and receiver > skip else 0
+        )
         message.kind = self.kind
         message.root = self.root
         return message
@@ -368,20 +375,7 @@ class SendOrderRandomQueue(DeliveryQueue):
 
     def _enter_list(self) -> None:
         """Switch word index -> list: materialise every live copy in order."""
-        flat: List[Message] = []
-        append = flat.append
-        for position, mask in enumerate(self._words):
-            if not mask:
-                continue
-            entry = self._entries[position]
-            is_packed = type(entry) is list
-            bitpos = 0
-            while mask:
-                if mask & 1:
-                    append(entry[bitpos] if is_packed else entry.materialize(bitpos))
-                mask >>= 1
-                bitpos += 1
-        self._flat = flat
+        self._flat = self.snapshot()
         self._entries = []
         self._words = []
         self._tree = [0] * 17
@@ -596,47 +590,48 @@ class SendOrderRandomQueue(DeliveryQueue):
         return out
 
 
-class TwoClassRandomQueue(DeliveryQueue):
-    """Rank-indexed delivery for delay/partition policies over a random base.
+class ClassRankQueue(DeliveryQueue):
+    """Uniform-random delivery among the best-ranked class of pending messages.
 
-    The scan implementation of :class:`~repro.net.scheduler.DelayScheduler`
-    (and ``PartitionScheduler``) rebuilds the *preferred* sub-list -- the
-    pending messages the predicate does not delay -- on every step, an O(m)
-    pass that dominates exactly the adversarial-flood runs the policy is for.
-    This queue keeps every in-flight message in a send-order slot array with
-    **two** Fenwick trees over it: one counting all live slots, one counting
-    live *preferred* slots.  The predicate is evaluated once per message at
-    submit time (it must be a pure function of the message; every in-tree
-    policy is), after which a pop is:
+    The indexed form of every "prefer some traffic over other traffic"
+    policy with a random base.  ``classify(message)`` names a message's
+    class (``0`` is delivered first, ``classes - 1`` last); a pop draws
+    uniformly among the best non-empty class.  Delay and partition are the
+    two-class case (everything else / starved), the scenario director's
+    :class:`~repro.scenarios.schedulers.ReactiveScheduler` the three-class
+    one (boosted / neutral / delayed).
 
-    * while the policy is active and preferred messages exist -- draw
-      ``rank = randbelow(#preferred)`` and Fenwick-search the preferred tree;
-    * otherwise (nothing preferred, or past ``expires_at``) -- draw a rank
-      over *all* in-flight messages and search the full tree.
+    Messages sit in send-order slots under one Fenwick tree per class.
+    ``classify`` runs once per message, at submit time, so it must be a
+    pure function of the message between version changes (every in-tree
+    policy is).  A pop is one ``randrange``-equivalent draw over the best
+    class plus an O(log m) search, and the ``r``-th live slot of a class is
+    the ``r``-th entry of the sub-list the reference ``choose`` scans build
+    at O(m) per delivery -- hence byte-identical delivery per seed.
 
-    Both branches consume exactly one ``randrange``-equivalent draw over
-    exactly the population the legacy scan drew from, and slots are kept in
-    send order, so delivery is byte-identical to the scan path per seed
-    (``tests/net/test_queues.py`` diffs full traces).  Pops are O(log m)
-    where the scan was O(m) -- past the flood crossover this is the
-    difference between seconds and minutes per trial.
-
-    Tombstones are compacted once they outnumber live messages, keeping
-    memory O(in-flight).
+    A policy that changes over time passes ``version(step)``: when its
+    value differs from the last pop's, every live message is re-classified
+    before the draw -- O(m) per *change* (a delay budget lapsing, a director
+    installing a rule), not per delivery.  Tombstones are compacted once
+    they outnumber live messages, keeping memory O(in-flight).
     """
 
     def __init__(
-        self, prefer: Callable[[Message], bool], expires_at: Optional[int] = None
+        self,
+        classify: Callable[[Message], int],
+        classes: int,
+        version: Optional[Callable[[int], Any]] = None,
     ) -> None:
-        self.prefer = prefer
-        self.expires_at = expires_at
+        self.classify = classify
+        self._version_at = version
+        #: The queue is built with its network, before the first delivery.
+        self._version = None if version is None else version(0)
         self._count = 0
-        self._preferred_count = 0
         self._slots: List[Optional[Message]] = []
-        #: Parallel flags: whether the (live) message in a slot is preferred.
-        self._flags: List[bool] = []
-        self._tree_all: List[int] = [0] * 17
-        self._tree_pref: List[int] = [0] * 17
+        #: Parallel class per slot (stale entries tolerated for tombstones).
+        self._ranks: List[int] = []
+        self._class_counts = [0] * classes
+        self._trees: List[List[int]] = [[0] * 17 for _ in range(classes)]
         self._capacity = 16
         self._randbelow: Optional[Callable[[int], int]] = None
         self._randbelow_rng: Optional[random.Random] = None
@@ -644,105 +639,105 @@ class TwoClassRandomQueue(DeliveryQueue):
     def __len__(self) -> int:
         return self._count
 
-    # -- Fenwick plumbing -------------------------------------------------
-    def _rebuild(self, slots: List[Optional[Message]], flags: List[bool]) -> None:
+    # -- index maintenance ----------------------------------------------
+    def _reindex(self, rerank: bool = False) -> None:
+        """Drop tombstones and rebuild the per-class trees over what is left.
+
+        Live messages keep their send order (and their classes, unless
+        ``rerank`` asks the policy again), so neither compaction nor a
+        re-rank is visible in which message a given draw selects.
+        """
+        slots = [message for message in self._slots if message is not None]
+        if rerank:
+            ranks = list(map(self.classify, slots))
+        else:
+            ranks = [
+                rank
+                for message, rank in zip(self._slots, self._ranks)
+                if message is not None
+            ]
         capacity = 16
         while capacity <= len(slots):
             capacity *= 2
-        tree_all = [0] * (capacity + 1)
-        tree_pref = [0] * (capacity + 1)
-        for index, message in enumerate(slots):
-            if message is None:
-                continue
-            preferred = flags[index]
-            position = index + 1
-            while position <= capacity:
-                tree_all[position] += 1
-                if preferred:
-                    tree_pref[position] += 1
-                position += position & -position
+        class_counts = [0] * len(self._class_counts)
+        trees = [[0] * (capacity + 1) for _ in class_counts]
+        for index, rank in enumerate(ranks):
+            class_counts[rank] += 1
+            trees[rank][index + 1] = 1
+        # O(capacity) Fenwick construction from point values.
+        for tree in trees:
+            for index in range(1, capacity + 1):
+                parent = index + (index & -index)
+                if parent <= capacity:
+                    tree[parent] += tree[index]
         self._slots = slots
-        self._flags = flags
-        self._tree_all = tree_all
-        self._tree_pref = tree_pref
+        self._ranks = ranks
+        self._class_counts = class_counts
+        self._trees = trees
         self._capacity = capacity
 
-    def _compact(self) -> None:
-        alive: List[Optional[Message]] = []
-        alive_flags: List[bool] = []
-        for index, message in enumerate(self._slots):
-            if message is not None:
-                alive.append(message)
-                alive_flags.append(self._flags[index])
-        self._rebuild(alive, alive_flags)
-
-    def _search(self, tree: List[int], rank: int) -> int:
-        """Smallest slot index whose prefix count in ``tree`` is ``rank + 1``."""
-        position = 0
-        remaining = rank + 1
-        bit = 1 << (self._capacity.bit_length() - 1)
-        while bit:
-            candidate = position + bit
-            if candidate <= self._capacity and tree[candidate] < remaining:
-                position = candidate
-                remaining -= tree[candidate]
-            bit >>= 1
-        return position
-
-    # -- queue protocol ---------------------------------------------------
+    # -- queue protocol --------------------------------------------------
     def push(self, message: Message) -> None:
+        if len(self._slots) >= self._capacity:
+            self._reindex()
         index = len(self._slots)
-        if index >= self._capacity:
-            self._rebuild(self._slots, self._flags)
-        preferred = self.prefer(message)
+        rank = self.classify(message)
         self._slots.append(message)
-        self._flags.append(preferred)
+        self._ranks.append(rank)
         self._count += 1
-        if preferred:
-            self._preferred_count += 1
-        tree_all = self._tree_all
-        tree_pref = self._tree_pref
+        self._class_counts[rank] += 1
+        tree = self._trees[rank]
         capacity = self._capacity
         position = index + 1
         while position <= capacity:
-            tree_all[position] += 1
-            if preferred:
-                tree_pref[position] += 1
+            tree[position] += 1
             position += position & -position
 
     def pop(self, rng: random.Random, step: int) -> Message:
         if not self._count:
             # Explicit: _randbelow(0) would spin forever (getrandbits(0) is 0).
             raise IndexError("pop from an empty delivery queue")
+        version_at = self._version_at
+        if version_at is not None:
+            version = version_at(step)
+            if version != self._version:
+                self._version = version
+                self._reindex(rerank=True)
         if rng is not self._randbelow_rng:
             self._randbelow_rng = rng
             self._randbelow = getattr(rng, "_randbelow", rng.randrange)
-        active = self.expires_at is None or step < self.expires_at
-        if active and self._preferred_count:
-            rank = self._randbelow(self._preferred_count)
-            position = self._search(self._tree_pref, rank)
-        else:
-            rank = self._randbelow(self._count)
-            position = self._search(self._tree_all, rank)
-        message = self._slots[position]
-        assert message is not None
-        preferred = self._flags[position]
-        self._slots[position] = None
-        self._count -= 1
-        if preferred:
-            self._preferred_count -= 1
-        tree_all = self._tree_all
-        tree_pref = self._tree_pref
+        class_counts = self._class_counts
+        cls = 0
+        while not class_counts[cls]:
+            cls += 1
+        remaining = self._randbelow(class_counts[cls]) + 1
+        # Fenwick search for the slot holding the class's `remaining`-th live
+        # message.  The root node counts the whole class (>= remaining), so
+        # the descend starts below it, where every candidate is in range.
+        tree = self._trees[cls]
         capacity = self._capacity
+        position = 0
+        bit = capacity >> 1
+        while bit:
+            candidate = position + bit
+            value = tree[candidate]
+            if value < remaining:
+                position = candidate
+                remaining -= value
+            bit >>= 1
+        slots = self._slots
+        message = slots[position]
+        assert message is not None
+        slots[position] = None
+        self._count = count = self._count - 1
+        class_counts[cls] -= 1
         position += 1
         while position <= capacity:
-            tree_all[position] -= 1
-            if preferred:
-                tree_pref[position] -= 1
+            tree[position] -= 1
             position += position & -position
-        if len(self._slots) > 2 * self._count:
-            self._compact()
+        if len(slots) > 2 * count:
+            self._reindex()
         return message
 
     def snapshot(self) -> List[Message]:
-        return [m for m in self._slots if m is not None]
+        return [message for message in self._slots if message is not None]

@@ -159,9 +159,6 @@ class Simulation:
     #: flat per-message path even when the queue could batch; ``None``/``True``
     #: keep the automatic choice (see :class:`~repro.net.network.Network`).
     group_mode: Optional[bool] = None
-    #: Ablation switch for network-wide session interning; ``False`` allocates
-    #: session tuples per caller instead of canonicalising them.
-    intern_sessions: bool = True
     #: Ablation switch for the crypto evaluation plan: ``"scalar"`` runs the
     #: whole simulation under a scoped
     #: :func:`repro.crypto.kernels.plan_mode_override`, forcing the plain-int
@@ -200,7 +197,6 @@ class Simulation:
                 metrics=self.metrics,
                 sinks=self.sinks,
                 group_mode=self.group_mode,
-                intern_sessions=self.intern_sessions,
             )
             for pid, factory in self._corruptions.items():
                 process = self.network.processes[pid]

@@ -26,12 +26,12 @@ from typing import Callable, Iterable, Sequence, Set
 from repro.errors import SchedulingError
 from repro.net.message import Message
 from repro.net.queues import (
+    ClassRankQueue,
     DeliveryQueue,
     FifoQueue,
     KeyedQueue,
     ScanQueue,
     SendOrderRandomQueue,
-    TwoClassRandomQueue,
 )
 
 
@@ -117,7 +117,7 @@ class DelayScheduler(Scheduler):
 
     ``should_delay`` must be a **pure function of the message**: with the
     default random base policy the class runs on an indexed two-class queue
-    (:class:`~repro.net.queues.TwoClassRandomQueue`) that evaluates the
+    (:class:`~repro.net.queues.ClassRankQueue`) that evaluates the
     predicate once, at submit time.  A predicate closing over mutable state
     would be consulted at different times than the legacy per-step scan and
     silently change delivery order; wrap such a scheduler in
@@ -159,11 +159,7 @@ class DelayScheduler(Scheduler):
         # ``should_delay`` is required to be a pure function of the message
         # (see class docstring); the indexed queue evaluates it at submit
         # time and reproduces the scan path's delivery order byte-identically.
-        should_delay = self.should_delay
-        return TwoClassRandomQueue(
-            lambda message: not should_delay(message),
-            expires_at=self.max_delay_steps,
-        )
+        return _starving_queue(self.should_delay, self.max_delay_steps)
 
 
 class PartitionScheduler(Scheduler):
@@ -214,9 +210,30 @@ class PartitionScheduler(Scheduler):
         # ``_crosses`` is a pure function of the message's sender/receiver, so
         # the partition maps onto the indexed two-class queue (expiring at the
         # heal step) with scan-identical delivery order.
-        return TwoClassRandomQueue(
-            lambda message: not self._crosses(message), expires_at=self.duration
-        )
+        return _starving_queue(self._crosses, self.duration)
+
+
+def _starving_queue(
+    starved: Callable[[Message], bool], expires_at: int | None
+) -> DeliveryQueue:
+    """The two-class queue of a starve-while-anything-else-is-pending policy.
+
+    Class 1 holds the messages ``starved`` matches, so they are drawn only
+    when nothing else is pending.  From step ``expires_at`` on everything is
+    class 0: the lapse is one version change, after which a pop is a plain
+    uniform draw over all pending messages -- as in the reference scans.
+    """
+    expired = False
+
+    def classify(message: Message) -> int:
+        return 1 if not expired and starved(message) else 0
+
+    def version(step: int) -> bool:
+        nonlocal expired
+        expired = step >= expires_at
+        return expired
+
+    return ClassRankQueue(classify, 2, None if expires_at is None else version)
 
 
 class TargetedScheduler(Scheduler):

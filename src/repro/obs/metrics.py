@@ -11,9 +11,9 @@ Determinism: every recorded value is a function of the deterministic
 execution (steps, queue depths, cache traffic), never of wall-clock time, and
 :meth:`MetricsRegistry.snapshot` emits keys in sorted order -- two runs of
 the same seed produce byte-identical snapshots.  Attaching a registry never
-changes delivery order; it only selects step-accurate delivery loops (the
-group-mode fast path keeps its delivery *sequence*, the step counter is
-simply maintained eagerly).
+changes delivery order; it only keeps the run on the network's generic
+delivery loop, where the step counter is maintained eagerly (the group-mode
+queue delivers the same *sequence* either way).
 """
 
 from __future__ import annotations
@@ -93,8 +93,7 @@ class MetricsRegistry:
 
     Args:
         queue_depth_every: sample the in-flight queue depth every k-th
-            delivery (0 disables sampling; sampling routes the run through a
-            step-accurate delivery loop).
+            delivery (0 disables sampling).
         completion_steps: record a per-session-root histogram of the step at
             which each party completed each session.
     """

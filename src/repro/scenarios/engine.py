@@ -122,8 +122,8 @@ class ScenarioDirector:
         #: None for actions without a subject party, e.g. scheduler clears).
         self.actions: List[Tuple[int, str, Optional[int], str]] = []
         self.network: Optional[Network] = None
-        #: Whether the network must route deliveries through the observed
-        #: loop (only needed for step triggers).
+        #: Whether the network owes this director an ``on_deliver`` call per
+        #: delivery (only needed for step triggers).
         self.wants_deliveries = bool(
             self._pending_step_rules or self._pending_step_timeline
         )

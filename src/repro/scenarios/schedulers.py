@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.experiments.registry import SCHEDULERS
 from repro.net.message import Message
-from repro.net.queues import DeliveryQueue
+from repro.net.queues import ClassRankQueue, DeliveryQueue
 from repro.net.scheduler import (
     DelayScheduler,
     PartitionScheduler,
@@ -167,7 +167,8 @@ class ReactiveScheduler(Scheduler):
     nothing better is pending (or the rule expires), so runs remain valid
     asynchronous executions.
 
-    ``make_queue`` pins a :class:`_ReactiveQueue`: pending messages are
+    ``make_queue`` pins a three-class
+    :class:`~repro.net.queues.ClassRankQueue`: pending messages are
     ranked once at submit time and kept in per-rank Fenwick trees, so a
     delivery is one draw plus an O(log m) search instead of an O(m * rules)
     rescan; when the rule set changes (installs, clears, expiries --
@@ -197,7 +198,7 @@ class ReactiveScheduler(Scheduler):
         self._next_expiry: Optional[int] = None
 
     def make_queue(self) -> DeliveryQueue:
-        return _ReactiveQueue(self)
+        return ClassRankQueue(self.rank, 3, self.version_at)
 
     # ------------------------------------------------------------------
     def apply_action(
@@ -275,6 +276,11 @@ class ReactiveScheduler(Scheduler):
         self.rules_version += 1
         self._recompute_next_expiry()
 
+    def version_at(self, step: int) -> int:
+        """``rules_version`` once the rules lapsed by ``step`` are dropped."""
+        self.expire(step)
+        return self.rules_version
+
     def rank(self, message: Message) -> int:
         """0 = boosted, 1 = neutral, 2 = delayed (boost beats delay)."""
         for rule in self._boosts:
@@ -300,150 +306,6 @@ class ReactiveScheduler(Scheduler):
             elif rank == best_rank:
                 best.append(index)
         return best[rng.randrange(len(best))]
-
-
-class _ReactiveQueue(DeliveryQueue):
-    """Rank-indexed delivery for :class:`ReactiveScheduler`.
-
-    Send-order slots with one Fenwick tree per rank class (boosted /
-    neutral / delayed).  Ranks are evaluated once per message at submit
-    time; a pop picks the best non-empty class, draws one
-    ``randrange``-equivalent rank and searches that class's tree -- the
-    same single draw over the same population as the reference scan in
-    :meth:`ReactiveScheduler.choose`, hence byte-identical delivery per
-    seed (the ``r``-th live slot of a class in send order is exactly the
-    ``r``-th entry of the scan's ``best`` list).  When the scheduler's
-    effective rule set changes (``rules_version``), every live slot is
-    re-ranked on the next pop -- an O(m) pass per *change*, not per
-    delivery, and scenario directors make at most a handful of changes per
-    run.  Tombstones are compacted once they outnumber live messages.
-    """
-
-    def __init__(self, scheduler: ReactiveScheduler) -> None:
-        self.scheduler = scheduler
-        self._slots: List[Optional[Message]] = []
-        #: Parallel rank per slot (stale entries tolerated for tombstones).
-        self._ranks: List[int] = []
-        self._count = 0
-        self._class_counts = [0, 0, 0]
-        self._trees: List[List[int]] = [[0] * 17, [0] * 17, [0] * 17]
-        self._capacity = 16
-        self._version = scheduler.rules_version
-        self._randbelow: Optional[Callable[[int], int]] = None
-        self._randbelow_rng: Optional[random.Random] = None
-
-    def __len__(self) -> int:
-        return self._count
-
-    # -- index maintenance ----------------------------------------------
-    def _rebuild(self) -> None:
-        """Rebuild trees and class counts from the current slots/ranks."""
-        slots = self._slots
-        ranks = self._ranks
-        capacity = 16
-        while capacity <= len(slots):
-            capacity *= 2
-        trees = [[0] * (capacity + 1) for _ in range(3)]
-        class_counts = [0, 0, 0]
-        for index, message in enumerate(slots):
-            if message is None:
-                continue
-            rank = ranks[index]
-            class_counts[rank] += 1
-            tree = trees[rank]
-            position = index + 1
-            while position <= capacity:
-                tree[position] += 1
-                position += position & -position
-        self._trees = trees
-        self._class_counts = class_counts
-        self._capacity = capacity
-
-    def _drop_tombstones(self) -> None:
-        slots: List[Optional[Message]] = []
-        ranks: List[int] = []
-        for message, rank in zip(self._slots, self._ranks):
-            if message is not None:
-                slots.append(message)
-                ranks.append(rank)
-        self._slots = slots
-        self._ranks = ranks
-
-    def _reflag(self) -> None:
-        """Re-rank every live slot against the scheduler's current rules."""
-        self._drop_tombstones()
-        rank = self.scheduler.rank
-        self._ranks = [rank(message) for message in self._slots]
-        self._rebuild()
-        self._version = self.scheduler.rules_version
-
-    def _search(self, tree: List[int], rank: int) -> int:
-        """Smallest slot index whose prefix count in ``tree`` is ``rank + 1``."""
-        position = 0
-        remaining = rank + 1
-        bit = 1 << (self._capacity.bit_length() - 1)
-        while bit:
-            candidate = position + bit
-            if candidate <= self._capacity and tree[candidate] < remaining:
-                position = candidate
-                remaining -= tree[candidate]
-            bit >>= 1
-        return position
-
-    # -- queue protocol --------------------------------------------------
-    def push(self, message: Message) -> None:
-        index = len(self._slots)
-        if index >= self._capacity:
-            self._rebuild()
-        rank = self.scheduler.rank(message)
-        self._slots.append(message)
-        self._ranks.append(rank)
-        self._count += 1
-        self._class_counts[rank] += 1
-        tree = self._trees[rank]
-        capacity = self._capacity
-        position = index + 1
-        while position <= capacity:
-            tree[position] += 1
-            position += position & -position
-
-    def pop(self, rng: random.Random, step: int) -> Message:
-        if not self._count:
-            raise IndexError("pop from an empty delivery queue")
-        scheduler = self.scheduler
-        scheduler.expire(step)
-        if scheduler.rules_version != self._version:
-            self._reflag()
-        if rng is not self._randbelow_rng:
-            self._randbelow_rng = rng
-            self._randbelow = getattr(rng, "_randbelow", rng.randrange)
-        class_counts = self._class_counts
-        if class_counts[0]:
-            cls = 0
-        elif class_counts[1]:
-            cls = 1
-        else:
-            cls = 2
-        draw = self._randbelow(class_counts[cls])
-        position = self._search(self._trees[cls], draw)
-        message = self._slots[position]
-        assert message is not None
-        self._slots[position] = None
-        self._count -= 1
-        class_counts[cls] -= 1
-        tree = self._trees[cls]
-        capacity = self._capacity
-        position += 1
-        while position <= capacity:
-            tree[position] -= 1
-            position += position & -position
-        if len(self._slots) > 2 * self._count:
-            self._drop_tombstones()
-            self._rebuild()
-        return message
-
-    def snapshot(self) -> List[Message]:
-        return [message for message in self._slots if message is not None]
 
 
 def reactive() -> Scheduler:

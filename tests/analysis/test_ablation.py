@@ -38,12 +38,11 @@ class TestFactorRegistry:
         names = [factor.name for factor in OPTIMISATION_FACTORS]
         assert len(names) == len(set(names))
         # The issue's factor list: EvalPlan, group mode, metering, GC pause,
-        # interned sessions, tracing.
+        # tracing.
         assert set(names) == {
             "eval_plan",
             "group_queue",
             "gc_pause",
-            "interned_sessions",
             "trace_free",
             "metering",
         }

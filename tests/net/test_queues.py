@@ -17,11 +17,11 @@ from repro.core.config import ProtocolParams
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.queues import (
+    ClassRankQueue,
     FifoQueue,
     KeyedQueue,
     ScanQueue,
     SendOrderRandomQueue,
-    TwoClassRandomQueue,
 )
 from repro.net.runtime import Simulation
 from repro.net.scheduler import (
@@ -34,6 +34,7 @@ from repro.net.scheduler import (
 )
 from repro.protocols.acast import ACast
 from repro.protocols.weak_coin import WeakCommonCoin
+from repro.scenarios.schedulers import ReactiveScheduler
 
 
 def _msg(seq, sender=0, receiver=1):
@@ -57,20 +58,44 @@ def _delivery_trace(scheduler, seed, n=7):
     return order, result.outputs
 
 
+def _scripted_reactive(n=7):
+    """A reactive scheduler whose rules change mid-run, as a director's would.
+
+    ``expire(step)`` is the one call both the indexed queue and the reference
+    ``choose`` scan make before every delivery, so the script rides it: a
+    boost installed, a delay that lapses on its own, a clear.
+    """
+    script = [
+        (15, {"op": "boost", "predicate": {"senders": [1, 2]}}),
+        (40, {"op": "delay", "predicate": {"kinds": ["READY"]}, "expires": 90}),
+        (300, {"op": "clear"}),
+    ]
+
+    class Scripted(ReactiveScheduler):
+        def expire(self, step):
+            while script and script[0][0] <= step:
+                self.apply_action(script.pop(0)[1], n, step)
+            super().expire(step)
+
+    return Scripted()
+
+
 SCHEDULER_FACTORIES = {
     "fifo": FIFOScheduler,
     "random": RandomScheduler,
     "targeted": lambda: TargetedScheduler(lambda m: m.receiver),
     "targeted_dynamic": lambda: TargetedScheduler(lambda m: m.receiver, dynamic=True),
     "delay": lambda: DelayScheduler(lambda m: m.sender == 0),
-    # max_delay_steps exercises the TwoClassRandomQueue expiry branch: pops
-    # switch from the preferred tree to the full tree mid-run.
+    # max_delay_steps exercises the ClassRankQueue version change: the lapse
+    # re-ranks every pending message into a single class mid-run.
     "delay_expiring": lambda: DelayScheduler(lambda m: m.sender == 0, max_delay_steps=30),
     "delay_flood": lambda: DelayScheduler(
         lambda m: m.session[-2] == "rec" if len(m.session) >= 2 else False,
         max_delay_steps=200,
     ),
     "partition": lambda: PartitionScheduler([0, 1, 2], [3, 4, 5], duration=40),
+    # The k=3 case: boosted / neutral / delayed, re-ranked on every rule change.
+    "reactive": _scripted_reactive,
 }
 
 
@@ -140,11 +165,12 @@ class TestSchedulerEquivalence:
             TargetedScheduler(lambda m: 0, dynamic=True).make_queue(), ScanQueue
         )
         assert isinstance(
-            DelayScheduler(lambda m: False).make_queue(), TwoClassRandomQueue
+            DelayScheduler(lambda m: False).make_queue(), ClassRankQueue
         )
         assert isinstance(
-            PartitionScheduler([0], [1], 10).make_queue(), TwoClassRandomQueue
+            PartitionScheduler([0], [1], 10).make_queue(), ClassRankQueue
         )
+        assert isinstance(ReactiveScheduler().make_queue(), ClassRankQueue)
         # A non-random base policy falls back to the reference scan path.
         assert isinstance(
             DelayScheduler(lambda m: False, base=FIFOScheduler()).make_queue(),

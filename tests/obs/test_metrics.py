@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core import api
 from repro.obs.metrics import (
     DEPTH_BUCKETS,
@@ -9,6 +11,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
+from repro.scenarios import run_scenario
 
 
 def test_histogram_bucketing_and_aggregates():
@@ -72,6 +75,19 @@ def test_end_to_end_metrics_attached_to_result():
     assert sum(crypto["plan_dispatch"].values()) > 0
     assert "plane_cache" in crypto
     assert crypto["plane_cache"]["row_misses"] >= 0
+
+
+@pytest.mark.parametrize("name", ["late-crash-quorum", "silence-heal"])
+def test_queue_depth_is_sampled_under_a_step_triggered_director(name):
+    """A director with step triggers asks for per-delivery callbacks; the
+    registry's samples and completion steps are taken in that run as in any."""
+    result = run_scenario(
+        name, n=8, seed=1, params={"metrics": True}, tracing=False
+    )
+    histograms = result.metrics["histograms"]
+    assert histograms["queue_depth"]["count"] == result.steps // 64
+    completed = histograms[f"completion_step.{result.session[0]}"]
+    assert 0 < completed["max"] <= result.steps
 
 
 def test_metrics_snapshots_are_deterministic():
