@@ -170,7 +170,6 @@ class Network:
             self._queue, "supports_groups", False
         )
         self._group_mode = groups_possible and group_mode is not False
-        self._full_fanout_mask = (1 << params.n) - 1
         self.processes: List[Process] = [
             Process(
                 pid,
@@ -311,13 +310,8 @@ class Network:
         self._next_seq = seq + size
         root = session[0] if session else None
         if self._group_mode:
-            mask = self._full_fanout_mask
-            if skip is not None:
-                mask ^= 1 << skip
             self._queue.push_group(
-                FanoutEntry(sender, session, kind, payload, values, seq, skip, root),
-                mask,
-                size,
+                FanoutEntry(sender, session, kind, payload, values, seq, skip, root), n
             )
         else:
             new = Message.__new__

@@ -13,9 +13,11 @@ structure instead:
 * :class:`KeyedQueue` -- a binary heap over ``(priority(message), seq)``; the
   targeted policy becomes an O(log m) pop (the priority function must be a
   pure function of the message -- it is evaluated once, at submit time).
-* :class:`SendOrderRandomQueue` -- a Fenwick tree over 64-bit words of send
-  slots supporting "deliver the r-th oldest in-flight message" in O(log m),
-  with whole fan-outs queued as one unmaterialised :class:`FanoutEntry`.
+* :class:`SendOrderRandomQueue` -- send order cut into blocks (plain lists of
+  at most ``_BLOCK`` in-flight copies) under a Fenwick tree over the block
+  lengths: "deliver the r-th oldest in-flight message" is a descend over a
+  few dozen nodes plus one ``list.pop`` memmove, with the copies of a
+  fan-out sharing one unmaterialised :class:`FanoutEntry`.
 * :class:`ClassRankQueue` -- send-order slots with one Fenwick tree per
   priority class: "deliver a uniformly random member of the best non-empty
   class".  The one queue behind the delay and partition schedulers (two
@@ -24,9 +26,9 @@ structure instead:
   without an indexed strategy (custom subclasses, non-random base policies)
   and as the reference the others are tested against.
 
-The two random queues stay apart on purpose: word-packed fan-out groups and
-per-message class slots are different layouts, and one structure serving
-both would branch on its caller at every step.
+The two random queues stay apart for now: ``ClassRankQueue`` re-ranks
+messages between classes in place, which per-message slots under k trees do
+directly; holding k block lists instead is ROADMAP item 2(a).
 
 Every indexed queue reproduces the legacy delivery order *byte-identically*
 for the same seed: FIFO because pending is always scanned in send order,
@@ -44,7 +46,8 @@ import heapq
 import random
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Sequence
+from itertools import chain, repeat
+from typing import Any, Callable, Deque, Iterable, List, Optional, Sequence
 
 from repro.net.message import Message
 
@@ -151,31 +154,6 @@ class KeyedQueue(DeliveryQueue):
         return [entry[2] for entry in sorted(self._heap, key=lambda e: e[1])]
 
 
-try:  # Python >= 3.10: C-speed popcount.
-    _popcount = int.bit_count
-except AttributeError:  # pragma: no cover - older interpreters
-    def _popcount(value: int) -> int:
-        return bin(value).count("1")
-
-
-#: Popcounts of all 16-bit values (bytes: C-speed indexing, 64 KiB).
-_POP16 = bytearray(1 << 16)
-for _value in range(1, 1 << 16):
-    _POP16[_value] = _POP16[_value >> 1] + (_value & 1)
-_POP16 = bytes(_POP16)
-
-#: Bit position of the k-th (1-based) set bit of each byte, flattened as
-#: ``_SEL8[byte * 8 + (k - 1)]``; unused entries stay 0 and are never read.
-_SEL8 = bytearray(256 * 8)
-for _value in range(256):
-    _rank = 0
-    for _bit in range(8):
-        if _value >> _bit & 1:
-            _SEL8[_value * 8 + _rank] = _bit
-            _rank += 1
-_SEL8 = bytes(_SEL8)
-del _value, _rank, _bit
-
 class FanoutEntry:
     """One unmaterialised submit-time fan-out (broadcast or per-receiver values).
 
@@ -235,6 +213,13 @@ class FanoutEntry:
         return message
 
 
+#: Most in-flight copies one block of :class:`SendOrderRandomQueue` holds.
+#: Measured on weak-coin trials at n=32 (~20k in flight) and n=64 (~170k):
+#: 4096-8192 is the flat optimum; from 16384 up the in-block ``list.pop``
+#: memmove costs more than the shorter block index saves.
+_BLOCK = 8192
+
+
 class SendOrderRandomQueue(DeliveryQueue):
     """Rank-indexed uniform-random delivery, byte-identical to the legacy path.
 
@@ -243,57 +228,51 @@ class SendOrderRandomQueue(DeliveryQueue):
     r-th oldest in-flight message".  A swap-pop would be O(1) but delivers a
     *different* (if equally distributed) sequence, breaking seed-for-seed
     reproducibility of every recorded experiment.  So this queue answers the
-    same rank query with a word-indexed structure tuned for the 100k+
-    in-flight depths of n=64 coin trials:
+    same rank query over send order cut into *blocks* -- plain lists of at
+    most ``_BLOCK`` in-flight copies, oldest block first:
 
-    * **one word per fan-out** -- send order is partitioned into 64-bit
-      words, each holding either one :class:`FanoutEntry` (a whole broadcast
-      or ROW/POINT loop, queued in group mode as a single object with a
-      liveness bitmask) or a packed run of individually pushed messages.
-      The delivered copy of a fan-out is materialised only when popped.
-    * **Fenwick over words** -- a counting tree over per-word live counts
-      (64x fewer nodes than one per message) finds the target word in
-      ``O(log(m/64))``; byte-table select (``_POP16``/``_SEL8``) finds the
-      bit inside the word's mask.
-    * **find-and-decrement** -- the descend updates the counts of every node
-      whose range contains the popped message as it passes, which is exactly
-      the point-update path, so a pop walks the tree once, not twice; the
-      rank draw itself is the inlined ``Random._randbelow`` loop (identical
-      getrandbits stream).
+    * **open tail** -- every push lands in the newest block at C speed
+      (``list.append`` / ``list.extend``); once it holds ``_BLOCK`` copies
+      it is sealed and a new tail opened.  A queue that never gets that deep
+      (typical n<=16 trials) is just the tail: one list, ``list.pop(rank)``.
+    * **one slot per copy** -- a slot is either an individually pushed
+      :class:`Message` or, for a fan-out queued in group mode, the pair
+      ``(entry, receiver)`` sharing one :class:`FanoutEntry`; the pair is
+      exactly what :meth:`pop_entry` hands the network's fast loop, and a
+      Message is built from it only if somebody needs one.
+    * **Fenwick over block lengths** -- a counting tree over the sealed
+      blocks only (a few dozen nodes at 100k+ in flight) finds the block in
+      one find-and-decrement descend; a rank past its total is in the tail.
+      The select inside the block is ``list.pop(offset)``, a C memmove of at
+      most ``_BLOCK`` pointers.  The rank draw itself is the inlined
+      ``Random._randbelow`` loop (identical getrandbits stream).
+    * **rebuild** -- whenever a block is sealed or emptied, emptied blocks
+      are dropped and neighbours that fit in one block are joined, which
+      brings the block count back under ``2 * sealed / _BLOCK + 1`` however
+      old blocks have decayed -- the only times it could grow or stick.
 
     Every representation detail is invisible in the delivery order: a pop
     consumes exactly one ``randrange``-equivalent draw and delivers the r-th
     oldest in-flight message with exactly the fields the eager submit path
-    would have given it.  Memory is one entry per fan-out plus one mask per
-    word -- O(sends/64) -- with emptied words dropping their entry (and its
-    payloads) immediately.
+    would have given it.  Memory is one list slot per in-flight copy (plus a
+    2-tuple for a group copy); a popped slot is gone from its list at once,
+    so the payloads of a fan-out are freed with its last live copy.
     """
 
     #: Network checks this before queueing FanoutEntry groups.
     supports_groups = True
 
-    #: In-flight count at which the word index takes over from the flat
-    #: list.  Below it, ``list.pop(rank)`` is a C memmove that beats any
-    #: pure-Python structure (typical n<=16 trials never leave list mode);
-    #: above it the memmove cost crosses the tree's ~log(m/64) descend.
-    _LIST_THRESHOLD = 8192
-
     def __init__(self) -> None:
         self._count = 0
-        #: Flat list of materialised messages (list mode); None in tree mode.
-        self._flat: Optional[List[Message]] = []
-        #: Per word: a list of packed single messages, a FanoutEntry, or
-        #: None once every copy in the word has been delivered.
-        self._entries: List[Any] = []
-        #: Per-word liveness bitmask (bit b = copy for receiver/slot b live).
-        self._words: List[int] = []
-        #: Fenwick tree over live counts per word (1-based).
-        self._tree: List[int] = [0] * 17
-        self._capacity = 16
-        #: The trailing packed-singles word still accepting pushes, if any.
-        self._open: Optional[List[Optional[Message]]] = None
-        #: Fully-delivered words not yet dropped by compaction.
-        self._dead = 0
+        #: The open block: the newest in-flight copies, in send order.
+        self._tail: List[Any] = []
+        #: Sealed blocks, oldest first; none is empty between operations.
+        self._blocks: List[List[Any]] = []
+        #: Fenwick tree over the sealed blocks' lengths (1-based).  Its root
+        #: ``_tree[_capacity]`` is never read: the live total is ``_sealed``.
+        self._tree: List[int] = [0, 0]
+        self._capacity = 1
+        self._sealed = 0
         # Cached rank drawer state for the (single) rng this queue is popped
         # with.  Only a plain random.Random is guaranteed to draw via
         # getrandbits (subclasses overriding random() switch CPython to the
@@ -307,166 +286,78 @@ class SendOrderRandomQueue(DeliveryQueue):
         return self._count
 
     # -- index maintenance ----------------------------------------------
-    def _retree(self, nwords: int) -> None:
-        """Rebuild the Fenwick counts from the word masks (no entry scan)."""
-        capacity = 16
-        while capacity < nwords + 16:
+    def _seal(self) -> None:
+        """Cut full blocks off the front of the tail."""
+        tail = self._tail
+        while len(tail) >= _BLOCK:
+            self._blocks.append(tail[:_BLOCK])
+            del tail[:_BLOCK]
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        """Drop emptied blocks, join small neighbours, recount the tree."""
+        blocks: List[List[Any]] = []
+        for block in self._blocks:
+            if not block:
+                continue
+            if blocks and len(blocks[-1]) + len(block) <= _BLOCK:
+                blocks[-1].extend(block)
+            else:
+                blocks.append(block)
+        capacity = 1
+        while capacity < len(blocks):
             capacity *= 2
-        if capacity.bit_length() & 1 == 0:
-            # Keep log2(capacity) even: the pop descend is unrolled two
-            # levels per iteration and must finish exactly at bit == 1.
-            capacity *= 2
-        words = self._words
         tree = [0] * (capacity + 1)
-        for w, mask in enumerate(words):
-            tree[w + 1] = _popcount(mask)
+        tree[1 : len(blocks) + 1] = map(len, blocks)
         # O(capacity) Fenwick construction from point values.
-        for index in range(1, capacity + 1):
-            parent = index + (index & -index)
-            if parent <= capacity:
-                tree[parent] += tree[index]
+        for index in range(1, capacity):
+            tree[index + (index & -index)] += tree[index]
+        self._blocks = blocks
         self._tree = tree
         self._capacity = capacity
-
-    def _compact(self) -> None:
-        """Drop fully-delivered words, keeping live words in send order.
-
-        Word masks and in-word bit positions are preserved (they encode the
-        receiver mapping of fan-out entries), so compaction only removes
-        whole dead words; under uniform random delivery most words die from
-        old age, which keeps the tree spanning O(live) words.
-        """
-        entries = self._entries
-        words = self._words
-        new_entries: List[Any] = []
-        new_words: List[int] = []
-        append_e = new_entries.append
-        append_w = new_words.append
-        for position, mask in enumerate(words):
-            if mask:
-                append_e(entries[position])
-                append_w(mask)
-        self._entries = new_entries
-        self._words = new_words
-        self._open = None
-        self._dead = 0
-        if self._count <= self._LIST_THRESHOLD // 4:
-            # Small again: the C-speed flat list wins at this depth.
-            self._enter_list()
-            return
-        self._retree(len(new_words))
-
-    def _enter_tree(self) -> None:
-        """Switch list -> word index: pack the flat list into singles words."""
-        flat = self._flat
-        assert flat is not None
-        self._flat = None
-        entries = self._entries = []
-        words = self._words = []
-        self._open = None
-        self._dead = 0
-        for start in range(0, len(flat), 64):
-            chunk = flat[start : start + 64]
-            entries.append(chunk)
-            words.append((1 << len(chunk)) - 1)
-        if entries and len(entries[-1]) < 64:
-            self._open = entries[-1]
-        self._retree(len(words))
-
-    def _enter_list(self) -> None:
-        """Switch word index -> list: materialise every live copy in order."""
-        self._flat = self.snapshot()
-        self._entries = []
-        self._words = []
-        self._tree = [0] * 17
-        self._capacity = 16
-        self._open = None
-        self._dead = 0
+        self._sealed = tree[capacity]
 
     # -- queue protocol --------------------------------------------------
     def push(self, message: Message) -> None:
         self._count += 1
-        flat = self._flat
-        if flat is not None:
-            flat.append(message)
-            if self._count > self._LIST_THRESHOLD:
-                self._enter_tree()
-            return
-        open_word = self._open
-        entries = self._entries
-        if open_word is not None and len(open_word) < 64:
-            bit = len(open_word)
-            open_word.append(message)
-            w = len(entries) - 1
-            self._words[w] |= 1 << bit
-        else:
-            w = len(entries)
-            if w >= self._capacity:
-                self._retree(w + 1)
-            self._open = [message]
-            entries.append(self._open)
-            self._words.append(1)
-        tree = self._tree
-        capacity = self._capacity
-        position = w + 1
-        while position <= capacity:
-            tree[position] += 1
-            position += position & -position
+        tail = self._tail
+        tail.append(message)
+        if len(tail) >= _BLOCK:
+            self._seal()
 
     def push_many(self, messages: Sequence[Message]) -> None:
-        flat = self._flat
-        if flat is not None:
-            flat.extend(messages)
-            self._count += len(messages)
-            if self._count > self._LIST_THRESHOLD:
-                self._enter_tree()
-            return
-        for message in messages:
-            self.push(message)
+        self._count += len(messages)
+        tail = self._tail
+        tail.extend(messages)
+        if len(tail) >= _BLOCK:
+            self._seal()
 
-    def push_group(self, entry: FanoutEntry, mask: int, size: int) -> None:
-        """Queue a whole fan-out as one word (group mode).
+    def push_group(self, entry: FanoutEntry, n: int) -> None:
+        """Queue a whole fan-out to parties ``0..n-1`` (group mode).
 
-        ``mask`` holds one live bit per receiver (the ``skip`` bit already
-        cleared); ``size`` is its popcount.  Rank semantics are identical to
-        pushing the ``size`` materialised copies in receiver order.
+        One ``(entry, receiver)`` slot per receiver, ``entry.skip`` left
+        out; rank semantics are identical to pushing the materialised copies
+        in receiver order.
         """
-        self._count += size
-        flat = self._flat
-        if flat is not None:
-            # List mode: materialise eagerly (cheap at these depths).
-            append = flat.append
-            bitpos = 0
-            while mask:
-                if mask & 1:
-                    append(entry.materialize(bitpos))
-                mask >>= 1
-                bitpos += 1
-            if self._count > self._LIST_THRESHOLD:
-                self._enter_tree()
-            return
-        entries = self._entries
-        w = len(entries)
-        if w >= self._capacity:
-            self._retree(w + 1)
-        self._open = None
-        entries.append(entry)
-        self._words.append(mask)
-        tree = self._tree
-        capacity = self._capacity
-        position = w + 1
-        while position <= capacity:
-            tree[position] += size
-            position += position & -position
+        skip = entry.skip
+        if skip is None:
+            receivers: Iterable[int] = range(n)
+            self._count += n
+        else:
+            receivers = chain(range(skip), range(skip + 1, n))
+            self._count += n - 1
+        tail = self._tail
+        tail.extend(zip(repeat(entry), receivers))
+        if len(tail) >= _BLOCK:
+            self._seal()
 
     def pop_entry(self, rng: random.Random):
         """Remove the next message and return it unmaterialised.
 
-        Returns ``(entry, bitpos)``: for a fan-out word, the
-        :class:`FanoutEntry` and the receiver bit (the caller materialises
-        only if it needs a full :class:`Message`); for a packed-singles word,
-        the stored Message itself and ``-1``.  This is the network fast
-        loop's pop -- the generic :meth:`pop` wraps it.
+        Returns ``(entry, receiver)`` for a copy of a fan-out (the caller
+        materialises only if it needs a full :class:`Message`) and
+        ``(message, -1)`` for an individually pushed Message.  This is the
+        network fast loop's pop -- the generic :meth:`pop` wraps it.
         """
         count = self._count
         if not count:
@@ -489,105 +380,50 @@ class SendOrderRandomQueue(DeliveryQueue):
         else:
             rank = self._randbelow(count)
         self._count = count - 1
-        flat = self._flat
-        if flat is not None:
-            return flat.pop(rank), -1
-        # Find-and-decrement descend: locate the word holding the (rank+1)-th
-        # live copy, decrementing every node whose range contains it.  The
-        # root node covers the whole range, so its branch is unconditional,
-        # and every later candidate satisfies position + bit <= capacity
-        # (position is a sum of distinct powers of two above ``bit``), so the
-        # descend needs no bounds checks; it is unrolled two levels per
-        # iteration (capacity is a power of two >= 16, so the level count is
-        # even after the root).
-        tree = self._tree
-        capacity = self._capacity
-        tree[capacity] -= 1
-        position = 0
-        remaining = rank + 1
-        bit = capacity >> 1
-        while bit:
-            candidate = position + bit
-            value = tree[candidate]
-            if value < remaining:
-                position = candidate
-                remaining -= value
-            else:
-                tree[candidate] = value - 1
-            bit >>= 1
-            candidate = position + bit
-            value = tree[candidate]
-            if value < remaining:
-                position = candidate
-                remaining -= value
-            else:
-                tree[candidate] = value - 1
-            bit >>= 1
-        # Select the `remaining`-th (1-based) set bit of the word's mask via
-        # 16-bit popcount and 8-bit select tables.
-        words = self._words
-        mask = words[position]
-        k = remaining
-        base = 0
-        chunk_src = mask
-        count16 = _POP16[chunk_src & 0xFFFF]
-        while k > count16:
-            k -= count16
-            chunk_src >>= 16
-            base += 16
-            count16 = _POP16[chunk_src & 0xFFFF]
-        chunk = chunk_src & 0xFFFF
-        count8 = _POP16[chunk & 0xFF]
-        if k > count8:
-            bitpos = base + 8 + _SEL8[((chunk >> 8) & 0xFF) * 8 + (k - count8 - 1)]
+        sealed = self._sealed
+        if rank >= sealed:
+            slot = self._tail.pop(rank - sealed)
         else:
-            bitpos = base + _SEL8[(chunk & 0xFF) * 8 + (k - 1)]
-        words[position] = new_mask = mask ^ (1 << bitpos)
-        entries = self._entries
-        entry = entries[position]
-        if type(entry) is list:
-            message = entry[bitpos]
-            entry[bitpos] = None
-            if not new_mask:
-                if entry is self._open:
-                    self._open = None
-                entries[position] = None
-                self._dead = dead = self._dead + 1
-                if dead > 64 and dead * 2 > len(entries):
-                    self._compact()
-            return message, -1
-        if not new_mask:
-            # Word exhausted: drop the entry (frees its payloads) now.
-            entries[position] = None
-            self._dead = dead = self._dead + 1
-            if dead > 64 and dead * 2 > len(entries):
-                self._compact()
-        return entry, bitpos
+            # Find-and-decrement descend: locate the block holding the
+            # rank-th oldest sealed copy, decrementing every node whose range
+            # contains it (the point-update path, so one walk not two).  The
+            # root covers everything (its count is ``_sealed``), and every
+            # later candidate satisfies position + bit <= capacity, so there
+            # are no bounds checks.
+            self._sealed = sealed - 1
+            tree = self._tree
+            position = 0
+            bit = self._capacity >> 1
+            while bit:
+                candidate = position + bit
+                value = tree[candidate]
+                if value <= rank:
+                    position = candidate
+                    rank -= value
+                else:
+                    tree[candidate] = value - 1
+                bit >>= 1
+            block = self._blocks[position]
+            slot = block.pop(rank)
+            if not block:
+                self._rebuild()
+        # ``__class__`` is an attribute read; ``type(slot)`` would be a call.
+        if slot.__class__ is tuple:
+            return slot
+        return slot, -1
 
     def pop(self, rng: random.Random, step: int) -> Message:
-        entry, bitpos = self.pop_entry(rng)
-        if bitpos < 0:
+        entry, receiver = self.pop_entry(rng)
+        if receiver < 0:
             return entry
-        return entry.materialize(bitpos)
+        return entry.materialize(receiver)
 
     def snapshot(self) -> List[Message]:
-        if self._flat is not None:
-            return list(self._flat)
-        out: List[Message] = []
-        for position, mask in enumerate(self._words):
-            if not mask:
-                continue
-            entry = self._entries[position]
-            is_packed = type(entry) is list
-            bitpos = 0
-            while mask:
-                if mask & 1:
-                    out.append(
-                        entry[bitpos] if is_packed else entry.materialize(bitpos)
-                    )
-                mask >>= 1
-                bitpos += 1
-        return out
+        return [
+            slot[0].materialize(slot[1]) if type(slot) is tuple else slot
+            for block in self._blocks + [self._tail]
+            for slot in block
+        ]
 
 
 class ClassRankQueue(DeliveryQueue):

@@ -10,14 +10,17 @@ and fuzz-level checks of each queue against its reference model.
 from __future__ import annotations
 
 import random
+import weakref
 
 import pytest
 
 from repro.core.config import ProtocolParams
+from repro.net import queues
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.queues import (
     ClassRankQueue,
+    FanoutEntry,
     FifoQueue,
     KeyedQueue,
     ScanQueue,
@@ -207,66 +210,99 @@ class TestKeyedQueue:
         assert len(queue) == 0
 
 
+class _SubclassedRandom(random.Random):
+    """A ``Random`` subclass: pops must take the generic ``_randbelow`` path
+    (no inlined getrandbits loop) and still consume the identical stream."""
+
+
+class _WeakFanoutEntry(FanoutEntry):
+    __slots__ = ("__weakref__",)
+
+
+def _fields(message):
+    return (
+        message.sender,
+        message.receiver,
+        message.session,
+        message.payload,
+        message.seq,
+        message.kind,
+        message.root,
+    )
+
+
 class TestSendOrderRandomQueue:
     def test_fuzz_matches_list_model(self, monkeypatch):
-        """Random pushes/pops against the legacy list model: every pop must
+        """Random pushes/pops against the legacy pending list: every pop must
         deliver exactly the message ``pending.pop(randrange(len(pending)))``
-        would have, across word boundaries, partially dead words and
-        list<->tree mode crossings (tiny threshold forces many)."""
-        monkeypatch.setattr(SendOrderRandomQueue, "_LIST_THRESHOLD", 32)
+        would have, across tail->sealed crossings, emptied blocks, rebuilds
+        that join neighbours and tree growth (tiny block size forces many),
+        with ``push_many`` batches that straddle a seal."""
+        monkeypatch.setattr(queues, "_BLOCK", 32)
+        for rng_type in (random.Random, _SubclassedRandom):
+            self._fuzz_against_list_model(rng_type)
+
+    @staticmethod
+    def _fuzz_against_list_model(rng_type):
         queue = SendOrderRandomQueue()
         model = []
         control = random.Random(1)
         seq = 0
-        for _ in range(20000):
-            if model and control.random() < 0.5:
+        blocks = queue._blocks
+        rebuilds = most_blocks = 0
+        for iteration in range(20000):
+            # Drift deep for the first half (many sealed blocks, tree growth),
+            # then drain back through emptied blocks to the bare tail.
+            if model and control.random() < (0.45 if iteration < 10000 else 0.56):
                 draw = control.randrange(1 << 30)
-                fast = queue.pop(random.Random(draw), 0)
+                fast = queue.pop(rng_type(draw), 0)
                 expected = model.pop(random.Random(draw).randrange(len(model)))
                 assert fast is expected
+            elif control.random() < 0.1:
+                batch = [_msg(seq + offset) for offset in range(control.randrange(1, 100))]
+                seq += len(batch)
+                queue.push_many(batch)
+                model.extend(batch)
             else:
                 message = _msg(seq)
                 seq += 1
                 queue.push(message)
                 model.append(message)
             assert len(queue) == len(model)
+            assert all(0 < len(block) <= 32 for block in queue._blocks)
+            if queue._blocks is not blocks:
+                # Rebuilt (a seal or an emptied block): neighbours re-joined.
+                blocks = queue._blocks
+                rebuilds += 1
+                most_blocks = max(most_blocks, len(blocks))
+                assert len(blocks) <= 2 * queue._sealed // 32 + 1
+            if iteration % 500 == 0:
+                assert queue.snapshot() == model
+        assert most_blocks > 16 and rebuilds > 200
         assert queue.snapshot() == model
 
     def test_fuzz_group_pushes_match_eager_pushes(self, monkeypatch):
         """Fan-out group entries deliver byte-identical messages (fields and
-        order) to eagerly materialised per-receiver pushes, across mode
-        crossings on the grouped side."""
-        from repro.net.queues import FanoutEntry
+        order) to eagerly materialised per-receiver pushes, across block
+        seals and rebuilds on the grouped side, for ``skip`` at 0, at n-1,
+        in between and absent."""
+        monkeypatch.setattr(queues, "_BLOCK", 48)
+        for n in (8, 64):
+            self._fuzz_groups_against_eager(n)
 
-        monkeypatch.setattr(SendOrderRandomQueue, "_LIST_THRESHOLD", 48)
+    @staticmethod
+    def _fuzz_groups_against_eager(n):
         grouped = SendOrderRandomQueue()
         eager = SendOrderRandomQueue()
         control = random.Random(7)
-        n = 8
         seq = 0
         live = 0
         for round_index in range(4000):
-            if live and control.random() < 0.55:
+            if live and control.random() < 1 - 0.45 / n ** 0.5:
                 draw = control.randrange(1 << 30)
                 fast = grouped.pop(random.Random(draw), 0)
                 reference = eager.pop(random.Random(draw), 0)
-                assert (
-                    fast.sender,
-                    fast.receiver,
-                    fast.session,
-                    fast.payload,
-                    fast.seq,
-                    fast.kind,
-                    fast.root,
-                ) == (
-                    reference.sender,
-                    reference.receiver,
-                    reference.session,
-                    reference.payload,
-                    reference.seq,
-                    reference.kind,
-                    reference.root,
-                )
+                assert _fields(fast) == _fields(reference)
                 live -= 1
                 continue
             sender = control.randrange(n)
@@ -274,36 +310,71 @@ class TestSendOrderRandomQueue:
             if control.random() < 0.5:
                 # Broadcast: one shared payload for every receiver.
                 payload = ("B", round_index)
-                grouped.push_group(
-                    FanoutEntry(sender, session, "B", payload, None, seq, None, "s"),
-                    (1 << n) - 1,
-                    n,
-                )
-                receivers = range(n)
                 skip = None
                 values = None
+                kind = "B"
             else:
-                # Fan-out with per-receiver values, skipping the sender.
+                # Fan-out with per-receiver values, one receiver skipped.
                 values = [control.randrange(1000) for _ in range(n)]
                 payload = None
-                skip = sender
-                grouped.push_group(
-                    FanoutEntry(sender, session, "P", None, values, seq, skip, "s"),
-                    ((1 << n) - 1) ^ (1 << skip),
-                    n - 1,
-                )
-                receivers = [r for r in range(n) if r != skip]
-            for receiver in receivers:
+                skip = control.choice([0, n - 1, sender])
+                kind = "P"
+            grouped.push_group(
+                FanoutEntry(sender, session, kind, payload, values, seq, skip, "s"), n
+            )
+            for receiver in range(n):
+                if receiver == skip:
+                    continue
                 message = _msg(seq, receiver=receiver)
                 message.sender = sender
                 message.session = session
                 message.payload = payload if values is None else ("P", values[receiver])
-                message.kind = payload[0] if values is None else "P"
+                message.kind = kind
                 message.root = "s"
                 eager.push(message)
                 seq += 1
                 live += 1
             assert len(grouped) == len(eager)
+            if round_index % 400 == 0:
+                assert list(map(_fields, grouped.snapshot())) == list(
+                    map(_fields, eager.snapshot())
+                )
+        assert len(grouped._blocks) > 1
+
+    def test_drained_queue_keeps_nothing(self, monkeypatch):
+        """Payloads are freed with a fan-out's last live copy (no sweep), and
+        a fill-and-drain of 10x the block size ends in the empty state."""
+        monkeypatch.setattr(queues, "_BLOCK", 64)
+        queue = SendOrderRandomQueue()
+        rng = random.Random(5)
+        entries = []
+        for index in range(80):
+            entry = _WeakFanoutEntry(0, ("s",), "B", ("B", index), None, index * 8, None, "s")
+            entries.append(weakref.ref(entry))
+            queue.push_group(entry, 8)
+            del entry
+        assert len(queue) == 640 and len(queue._blocks) == 10
+        while len(queue):
+            assert queue.pop(rng, 0).kind == "B"
+            # Every entry with no copy left in flight is already dead.
+            assert sum(ref() is not None for ref in entries) == len(
+                {id(slot[0]) for block in queue._blocks + [queue._tail] for slot in block}
+            )
+        assert all(ref() is None for ref in entries)
+        assert queue._blocks == [] and queue._tail == []
+        assert queue._tree == [0, 0] and queue._capacity == 1
+
+    def test_empty_pop_raises_before_drawing(self):
+        """The network fast loop detects deadlock by this IndexError, and a
+        draw consumed on the way would shift every later delivery."""
+        queue = SendOrderRandomQueue()
+        rng = random.Random(9)
+        state = rng.getstate()
+        with pytest.raises(IndexError):
+            queue.pop_entry(rng)
+        with pytest.raises(IndexError):
+            queue.pop(rng, 0)
+        assert rng.getstate() == state
 
     @pytest.mark.parametrize("n", [7, 16])
     def test_group_mode_trial_matches_eager_trial(self, n):
