@@ -202,12 +202,23 @@ def build_behavior_factory(spec: BehaviorSpec) -> Callable[..., Any]:
 
 
 def build_scheduler(spec: Optional[SchedulerSpec]) -> Optional[net_scheduler.Scheduler]:
-    """Instantiate the scheduler a :class:`SchedulerSpec` names (or ``None``)."""
+    """Instantiate the scheduler a :class:`SchedulerSpec` names (or ``None``).
+
+    Params the builder cannot take (a missing or misspelt key, a value of
+    the wrong shape) are a spec error, not a crash: campaign validation makes
+    this call before any trial runs.
+    """
     if spec is None:
         return None
     builder = SCHEDULERS.get(spec.scheduler)
     params = SCHEDULERS.normalize(spec.scheduler, spec.params)
-    return builder(**params)
+    try:
+        return builder(**params)
+    except TypeError as exc:
+        raise ExperimentError(
+            f"scheduler {spec.scheduler!r} cannot be built from params "
+            f"{sorted(params)}: {exc}"
+        ) from exc
 
 
 # ----------------------------------------------------------------------

@@ -493,20 +493,20 @@ class Network:
                 if delivered >= max_steps:
                     raise SimulationError(_CAP_ERROR.format(max_steps))
                 try:
-                    entry, bitpos = pop_entry(rng)
+                    entry, receiver = pop_entry(rng)
                 except IndexError:
                     raise SimulationError(_DEADLOCK_ERROR) from None
                 step += 1
-                if bitpos < 0:
+                if receiver < 0:
                     deliver_by_pid[entry.receiver](entry)
                 else:
                     values = entry.values
-                    parts_by_pid[bitpos](
+                    parts_by_pid[receiver](
                         entry.sender,
                         entry.session,
-                        entry.payload if values is None else (entry.kind, values[bitpos]),
+                        entry.payload if values is None else (entry.kind, values[receiver]),
                         entry,
-                        bitpos,
+                        receiver,
                     )
                 delivered += 1
             return delivered

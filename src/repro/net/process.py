@@ -202,17 +202,17 @@ class Process:
                 return
         instance.on_message(message.sender, message.payload)
 
-    def deliver_parts(self, sender: int, session, payload: tuple, entry, bitpos: int) -> None:
+    def deliver_parts(self, sender: int, session, payload: tuple, entry, receiver: int) -> None:
         """Deliver one unmaterialised fan-out copy (the group-mode fast path).
 
-        Semantically identical to building ``entry.materialize(bitpos)`` and
+        Semantically identical to building ``entry.materialize(receiver)`` and
         calling :meth:`deliver`; the Message object is only created for the
         consumers that genuinely need one (an installed behaviour, or the
         trace argument of a shun drop).
         """
         behavior = self.behavior
         if behavior is not None:
-            behavior.on_message(entry.materialize(bitpos))
+            behavior.on_message(entry.materialize(receiver))
             return
         instance = self._protocols_get(session)
         if instance is None or not instance.started:
@@ -230,7 +230,7 @@ class Process:
                 trace = network.trace
                 if trace.enabled:
                     trace.on_drop(
-                        network.step_count, entry.materialize(bitpos), "shunned"
+                        network.step_count, entry.materialize(receiver), "shunned"
                     )
                 else:
                     meter = network.meter

@@ -18,24 +18,20 @@ structure instead:
   lengths: "deliver the r-th oldest in-flight message" is a descend over a
   few dozen nodes plus one ``list.pop`` memmove, with the copies of a
   fan-out sharing one unmaterialised :class:`FanoutEntry`.
-* :class:`ClassRankQueue` -- send-order slots with one Fenwick tree per
-  priority class: "deliver a uniformly random member of the best non-empty
-  class".  The one queue behind the delay and partition schedulers (two
-  classes) and the scenario director's reactive scheduler (three).
+* :class:`ClassRankQueue` -- one :class:`SendOrderRandomQueue` per priority
+  class: "deliver a uniformly random member of the best non-empty class".
+  The one queue behind the delay and partition schedulers (two classes) and
+  the scenario director's reactive scheduler (three).
 * :class:`ScanQueue` -- the legacy full-scan path, used by any scheduler
   without an indexed strategy (custom subclasses, non-random base policies)
   and as the reference the others are tested against.
-
-The two random queues stay apart for now: ``ClassRankQueue`` re-ranks
-messages between classes in place, which per-message slots under k trees do
-directly; holding k block lists instead is ROADMAP item 2(a).
 
 Every indexed queue reproduces the legacy delivery order *byte-identically*
 for the same seed: FIFO because pending is always scanned in send order,
 keyed because the old scan minimised the same ``(priority, seq)`` tuple, and
 random because ``list.pop(i)`` preserves send order, so "index i into the
 pending list" always meant "the i-th oldest in-flight message" (of a class)
--- exactly the rank query the Fenwick trees answer.
+-- exactly the rank query the block lists answer.
 ``tests/net/test_queues.py`` locks this in by diffing full delivery traces
 against :func:`force_scan` runs.
 """
@@ -47,6 +43,7 @@ import random
 from abc import ABC, abstractmethod
 from collections import deque
 from itertools import chain, repeat
+from operator import attrgetter
 from typing import Any, Callable, Deque, Iterable, List, Optional, Sequence
 
 from repro.net.message import Message
@@ -195,7 +192,7 @@ class FanoutEntry:
         self.root = root
 
     def materialize(self, receiver: int) -> Message:
-        """Build the delivered copy for ``receiver`` (each bit pops at most once)."""
+        """Build the delivered copy for ``receiver`` (each copy pops at most once)."""
         message = Message.__new__(Message)
         message.sender = self.sender
         message.receiver = receiver
@@ -437,19 +434,19 @@ class ClassRankQueue(DeliveryQueue):
     :class:`~repro.scenarios.schedulers.ReactiveScheduler` the three-class
     one (boosted / neutral / delayed).
 
-    Messages sit in send-order slots under one Fenwick tree per class.
-    ``classify`` runs once per message, at submit time, so it must be a
-    pure function of the message between version changes (every in-tree
-    policy is).  A pop is one ``randrange``-equivalent draw over the best
-    class plus an O(log m) search, and the ``r``-th live slot of a class is
-    the ``r``-th entry of the sub-list the reference ``choose`` scans build
-    at O(m) per delivery -- hence byte-identical delivery per seed.
+    Each class is one :class:`SendOrderRandomQueue`: a push is ``classify``
+    plus that queue's append, a pop is its one ``randrange``-equivalent draw
+    and ``list.pop`` on the first non-empty class.  The ``r``-th oldest
+    message of a class is the ``r``-th entry of the sub-list the reference
+    ``choose`` scans build at O(m) per delivery -- hence byte-identical
+    delivery per seed.  ``classify`` runs once per message, at submit time,
+    so it must be a pure function of the message between version changes.
 
     A policy that changes over time passes ``version(step)``: when its
-    value differs from the last pop's, every live message is re-classified
-    before the draw -- O(m) per *change* (a delay budget lapsing, a director
-    installing a rule), not per delivery.  Tombstones are compacted once
-    they outnumber live messages, keeping memory O(in-flight).
+    value differs from the last pop's, the classes are merged back into
+    send order (by ``seq``) and dealt out again before the draw -- O(m) per
+    *change* (a delay budget lapsing, a partition healing, a director
+    installing or clearing a rule), not per delivery.
     """
 
     def __init__(
@@ -463,117 +460,40 @@ class ClassRankQueue(DeliveryQueue):
         #: The queue is built with its network, before the first delivery.
         self._version = None if version is None else version(0)
         self._count = 0
-        self._slots: List[Optional[Message]] = []
-        #: Parallel class per slot (stale entries tolerated for tombstones).
-        self._ranks: List[int] = []
-        self._class_counts = [0] * classes
-        self._trees: List[List[int]] = [[0] * 17 for _ in range(classes)]
-        self._capacity = 16
-        self._randbelow: Optional[Callable[[int], int]] = None
-        self._randbelow_rng: Optional[random.Random] = None
+        #: One send-order queue per class, best class first.
+        self._queues = [SendOrderRandomQueue() for _ in range(classes)]
 
     def __len__(self) -> int:
         return self._count
 
-    # -- index maintenance ----------------------------------------------
-    def _reindex(self, rerank: bool = False) -> None:
-        """Drop tombstones and rebuild the per-class trees over what is left.
+    def _rerank(self) -> None:
+        """Ask the policy again: merge the classes by ``seq``, re-partition."""
+        messages = self.snapshot()
+        self._queues = [SendOrderRandomQueue() for _ in self._queues]
+        self._count = 0
+        self.push_many(messages)
 
-        Live messages keep their send order (and their classes, unless
-        ``rerank`` asks the policy again), so neither compaction nor a
-        re-rank is visible in which message a given draw selects.
-        """
-        slots = [message for message in self._slots if message is not None]
-        if rerank:
-            ranks = list(map(self.classify, slots))
-        else:
-            ranks = [
-                rank
-                for message, rank in zip(self._slots, self._ranks)
-                if message is not None
-            ]
-        capacity = 16
-        while capacity <= len(slots):
-            capacity *= 2
-        class_counts = [0] * len(self._class_counts)
-        trees = [[0] * (capacity + 1) for _ in class_counts]
-        for index, rank in enumerate(ranks):
-            class_counts[rank] += 1
-            trees[rank][index + 1] = 1
-        # O(capacity) Fenwick construction from point values.
-        for tree in trees:
-            for index in range(1, capacity + 1):
-                parent = index + (index & -index)
-                if parent <= capacity:
-                    tree[parent] += tree[index]
-        self._slots = slots
-        self._ranks = ranks
-        self._class_counts = class_counts
-        self._trees = trees
-        self._capacity = capacity
-
-    # -- queue protocol --------------------------------------------------
     def push(self, message: Message) -> None:
-        if len(self._slots) >= self._capacity:
-            self._reindex()
-        index = len(self._slots)
-        rank = self.classify(message)
-        self._slots.append(message)
-        self._ranks.append(rank)
         self._count += 1
-        self._class_counts[rank] += 1
-        tree = self._trees[rank]
-        capacity = self._capacity
-        position = index + 1
-        while position <= capacity:
-            tree[position] += 1
-            position += position & -position
+        self._queues[self.classify(message)].push(message)
 
     def pop(self, rng: random.Random, step: int) -> Message:
         if not self._count:
-            # Explicit: _randbelow(0) would spin forever (getrandbits(0) is 0).
+            # Before the version check, so an empty pop changes nothing.
             raise IndexError("pop from an empty delivery queue")
         version_at = self._version_at
         if version_at is not None:
             version = version_at(step)
             if version != self._version:
                 self._version = version
-                self._reindex(rerank=True)
-        if rng is not self._randbelow_rng:
-            self._randbelow_rng = rng
-            self._randbelow = getattr(rng, "_randbelow", rng.randrange)
-        class_counts = self._class_counts
-        cls = 0
-        while not class_counts[cls]:
-            cls += 1
-        remaining = self._randbelow(class_counts[cls]) + 1
-        # Fenwick search for the slot holding the class's `remaining`-th live
-        # message.  The root node counts the whole class (>= remaining), so
-        # the descend starts below it, where every candidate is in range.
-        tree = self._trees[cls]
-        capacity = self._capacity
-        position = 0
-        bit = capacity >> 1
-        while bit:
-            candidate = position + bit
-            value = tree[candidate]
-            if value < remaining:
-                position = candidate
-                remaining -= value
-            bit >>= 1
-        slots = self._slots
-        message = slots[position]
-        assert message is not None
-        slots[position] = None
-        self._count = count = self._count - 1
-        class_counts[cls] -= 1
-        position += 1
-        while position <= capacity:
-            tree[position] -= 1
-            position += position & -position
-        if len(slots) > 2 * count:
-            self._reindex()
-        return message
+                self._rerank()
+        self._count -= 1
+        for queue in self._queues:
+            if queue._count:
+                break
+        return queue.pop_entry(rng)[0]
 
     def snapshot(self) -> List[Message]:
-        return [message for message in self._slots if message is not None]
+        # Each class is already in send order, so the sort is a k-way merge.
+        pending = chain.from_iterable(queue.snapshot() for queue in self._queues)
+        return sorted(pending, key=attrgetter("seq"))

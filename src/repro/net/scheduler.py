@@ -117,7 +117,8 @@ class DelayScheduler(Scheduler):
 
     ``should_delay`` must be a **pure function of the message**: with the
     default random base policy the class runs on an indexed two-class queue
-    (:class:`~repro.net.queues.ClassRankQueue`) that evaluates the
+    (:class:`~repro.net.queues.ClassRankQueue`: one send-order block list
+    for the starved traffic, one for everything else) that evaluates the
     predicate once, at submit time.  A predicate closing over mutable state
     would be consulted at different times than the legacy per-step scan and
     silently change delivery order; wrap such a scheduler in

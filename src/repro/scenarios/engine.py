@@ -30,10 +30,10 @@ from repro.core.config import max_faults
 from repro.errors import ExperimentError
 from repro.experiments.registry import (
     RUNNERS,
-    SCHEDULERS,
     build_behavior_factory,
+    build_scheduler,
 )
-from repro.experiments.spec import BehaviorSpec
+from repro.experiments.spec import BehaviorSpec, SchedulerSpec
 from repro.net.message import Message, SessionId
 from repro.net.network import Network
 from repro.net.runtime import SimulationResult
@@ -452,11 +452,9 @@ class ScenarioRuntime:
         spec = self.spec.scheduler
         if spec is None:
             return None
-        builder = SCHEDULERS.get(spec.scheduler)
-        params = SCHEDULERS.normalize(
-            spec.scheduler, resolve_scheduler_params(spec.params, self.n)
+        return build_scheduler(
+            SchedulerSpec(spec.scheduler, resolve_scheduler_params(spec.params, self.n))
         )
-        return builder(**params)
 
     def build_director(self) -> ScenarioDirector:
         """A fresh director for one trial (directors hold per-trial state)."""

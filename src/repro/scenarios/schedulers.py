@@ -7,7 +7,7 @@ priority rushing -- with the scenario predicate language, so a scenario
 starves "all reconstruction traffic" or partitions "the two halves" without
 naming pids.  All of them ride the existing ``Scheduler`` / ``make_queue``
 machinery, so runs remain deterministic per seed and (where the policy maps
-onto an indexed queue) keep their O(log m) delivery fast path.
+onto an indexed queue) deliver at the random queue's speed.
 
 Every builder takes plain JSON-shaped parameters; party-selector parameters
 are resolved against a concrete ``n`` by
@@ -23,6 +23,7 @@ import json
 import random
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
+from repro.errors import ExperimentError
 from repro.experiments.registry import SCHEDULERS
 from repro.net.message import Message
 from repro.net.queues import ClassRankQueue, DeliveryQueue
@@ -53,6 +54,26 @@ def resolve_scheduler_params(params: Mapping[str, Any], n: int) -> Dict[str, Any
     return resolved
 
 
+def _step_budget(scheduler: str, key: str, value: Any) -> None:
+    """Reject a step budget that is not a non-negative int (``bool`` included)."""
+    if type(value) is not int or value < 0:
+        raise ExperimentError(
+            f"scheduler {scheduler!r}: {key} must be a non-negative integer, "
+            f"got {value!r}"
+        )
+
+
+def _starve(
+    scheduler: str,
+    should_delay: Callable[[Message], bool],
+    max_delay_steps: Optional[int],
+) -> Scheduler:
+    """The delay scheduler behind every starve-this-traffic builder."""
+    if max_delay_steps is not None:
+        _step_budget(scheduler, "max_delay_steps", max_delay_steps)
+    return DelayScheduler(should_delay, max_delay_steps=max_delay_steps)
+
+
 def targeted_delay(
     victims: Optional[Sequence[int]] = None,
     roots: Optional[Sequence[str]] = None,
@@ -79,7 +100,7 @@ def targeted_delay(
             or message.kind in kind_set
         )
 
-    return DelayScheduler(should_delay, max_delay_steps=max_delay_steps)
+    return _starve("targeted_delay", should_delay, max_delay_steps)
 
 
 def session_starvation(
@@ -98,13 +119,20 @@ def session_starvation(
     def should_delay(message: Message) -> bool:
         return match_session(pattern, message.session) is not None
 
-    return DelayScheduler(should_delay, max_delay_steps=max_delay_steps)
+    return _starve("session_starvation", should_delay, max_delay_steps)
 
 
 def partition_heal(
     group_a: Sequence[int], group_b: Sequence[int], duration: int
 ) -> Scheduler:
     """Partition two party groups for ``duration`` deliveries, then heal."""
+    _step_budget("partition_heal", "duration", duration)
+    overlap = set(group_a) & set(group_b)
+    if overlap:
+        raise ExperimentError(
+            f"scheduler 'partition_heal': group_a and group_b share parties "
+            f"{sorted(overlap)}"
+        )
     return PartitionScheduler(group_a, group_b, duration)
 
 
@@ -136,7 +164,7 @@ def message_filter_delay(
     against ``n`` (which must therefore be supplied explicitly in the params).
     """
     compiled = compile_message_predicate(predicate, n)
-    return DelayScheduler(compiled, max_delay_steps=max_delay_steps)
+    return _starve("message_filter_delay", compiled, max_delay_steps)
 
 
 class _PriorityRule:
@@ -169,10 +197,11 @@ class ReactiveScheduler(Scheduler):
 
     ``make_queue`` pins a three-class
     :class:`~repro.net.queues.ClassRankQueue`: pending messages are
-    ranked once at submit time and kept in per-rank Fenwick trees, so a
-    delivery is one draw plus an O(log m) search instead of an O(m * rules)
-    rescan; when the rule set changes (installs, clears, expiries --
-    tracked by ``rules_version``) the queue re-ranks lazily on its next pop.
+    ranked once at submit time and kept in one send-order block list per
+    rank, so a delivery is one draw plus a ``list.pop`` instead of an
+    O(m * rules) rescan; when the rule set changes (installs, clears,
+    expiries -- tracked by ``rules_version``) the queue re-ranks lazily, in
+    one O(m) pass, on its next pop.
     The queue holds materialised messages, which (exactly like tracing)
     also forces the network's eager fan-out path -- group queues holding
     unmaterialised :class:`~repro.net.queues.FanoutEntry`\\ s never engage.

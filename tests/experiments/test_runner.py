@@ -69,6 +69,52 @@ class TestTrialAndCell:
         with pytest.raises(ExperimentError, match="unknown protocol runner"):
             run_campaign(campaign)
 
+    @pytest.mark.parametrize(
+        "scheduler, params, message",
+        [
+            ("rushing", {}, "'rushing'.*'coalition'"),
+            ("targeted_delay", {"victim": [0]}, "'targeted_delay'.*'victim'"),
+            ("targeted_delay", {"victims": 5}, "'targeted_delay'.*not iterable"),
+            (
+                "partition_heal",
+                {"group_a": [0], "group_b": [1], "duration": "x"},
+                "'partition_heal': duration .*'x'",
+            ),
+            (
+                "partition_heal",
+                {"group_a": [0], "group_b": [1], "duration": True},
+                "'partition_heal': duration .*True",
+            ),
+            (
+                "partition_heal",
+                {"group_a": [0, 1], "group_b": [1, 2], "duration": 5},
+                r"'partition_heal': group_a and group_b share parties \[1\]",
+            ),
+            (
+                "targeted_delay",
+                {"victims": [0], "max_delay_steps": "soon"},
+                "'targeted_delay': max_delay_steps .*'soon'",
+            ),
+            (
+                "session_starvation",
+                {"pattern": ["...", "rec", "*"], "max_delay_steps": -1},
+                "'session_starvation': max_delay_steps .*-1",
+            ),
+            (
+                "message_filter_delay",
+                {"predicate": {"kinds": ["READY"]}, "n": 4, "max_delay_steps": 2.5},
+                "'message_filter_delay': max_delay_steps .*2.5",
+            ),
+        ],
+    )
+    def test_bad_scheduler_params_fail_before_running(self, scheduler, params, message):
+        """Hostile-scheduler params fail closed at validation: never a bare
+        TypeError, a silently accepted budget or a cell quarantined only
+        after every chunk burnt its retries."""
+        cell = _acast_cell(scheduler=SchedulerSpec(scheduler, params))
+        with pytest.raises(ExperimentError, match=message):
+            run_campaign(CampaignSpec(name="bad", cells=[cell]))
+
 
 class TestParallelEquality:
     def test_parallel_equals_sequential_statistics(self):

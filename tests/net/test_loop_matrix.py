@@ -78,9 +78,9 @@ def delivered(monkeypatch):
         order.append(message.seq)
         deliver(self, message)
 
-    def recording_deliver_parts(self, sender, session, payload, entry, bitpos):
-        order.append(entry.materialize(bitpos).seq)
-        deliver_parts(self, sender, session, payload, entry, bitpos)
+    def recording_deliver_parts(self, sender, session, payload, entry, receiver):
+        order.append(entry.materialize(receiver).seq)
+        deliver_parts(self, sender, session, payload, entry, receiver)
 
     monkeypatch.setattr(Process, "deliver", recording_deliver)
     monkeypatch.setattr(Process, "deliver_parts", recording_deliver_parts)

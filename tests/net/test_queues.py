@@ -398,6 +398,89 @@ class TestSendOrderRandomQueue:
         assert [m.seq for m in snapshot] == sorted(m.seq for m in snapshot)
 
 
+class TestClassRankQueue:
+    @pytest.mark.parametrize("classes", [2, 3])
+    @pytest.mark.parametrize("block", [8, 64])
+    @pytest.mark.parametrize("rng_type", [random.Random, _SubclassedRandom])
+    def test_fuzz_matches_reclassifying_list_model(
+        self, monkeypatch, classes, block, rng_type
+    ):
+        """Random pushes, pops and policy changes against a flat pending list
+        that re-classifies everything on every pop: each pop must deliver the
+        same message and consume the same rng stream, while the per-class
+        block lists seal, decay, join and rebuild (tiny block size), whole
+        classes sit empty, and version changes move messages between classes."""
+        monkeypatch.setattr(queues, "_BLOCK", block)
+        epoch = 0
+        version_calls = 0
+
+        def classify(message):
+            mode = epoch % 4
+            if mode == 0:
+                return message.seq * 7 // 3 % classes
+            if mode == 1:
+                return classes - 1  # every better class is empty
+            if mode == 2:
+                return message.seq // 5 % classes  # runs of 5 change class together
+            return 0 if message.seq % 11 else classes - 1  # k=3: middle class empty
+
+        def version(step):
+            nonlocal version_calls
+            version_calls += 1
+            return epoch
+
+        def model_pop():
+            ranks = list(map(classify, model))
+            best = min(ranks)
+            members = [m for m, rank in zip(model, ranks) if rank == best]
+            chosen = members[model_rng.randrange(len(members))]
+            model.remove(chosen)
+            return chosen
+
+        queue = ClassRankQueue(classify, classes, version)
+        model = []
+        control = random.Random(classes * 100 + block)
+        fast_rng, model_rng = rng_type(5), random.Random(5)
+        seq = 0
+        most_blocks = reranks = 0
+        for iteration in range(3000):
+            # Drift deep for the first half, then drain back down.
+            if model and control.random() < (0.55 if iteration < 1500 else 0.85):
+                class_queues = queue._queues
+                assert queue.pop(fast_rng, iteration) is model_pop()
+                assert fast_rng.getstate() == model_rng.getstate()
+                reranks += queue._queues is not class_queues
+            elif control.random() < 0.1:
+                batch = [_msg(seq + offset) for offset in range(control.randrange(1, 40))]
+                seq += len(batch)
+                queue.push_many(batch)
+                model.extend(batch)
+            else:
+                message = _msg(seq)
+                seq += 1
+                queue.push(message)
+                model.append(message)
+            if control.random() < 0.01:
+                epoch += 1  # takes effect at the next pop, as a lapsing budget does
+            assert len(queue) == len(model)
+            assert sum(map(len, queue._queues)) == len(model)
+            most_blocks = max(most_blocks, *(len(q._blocks) for q in queue._queues))
+            if iteration % 100 == 0:
+                assert queue.snapshot() == model
+        assert most_blocks > (2 if block == 64 else 16) and reranks > 10
+        while model:
+            assert queue.pop(fast_rng, 3000) is model_pop()
+        assert len(queue) == 0 and queue.snapshot() == []
+        assert all(q._blocks == [] and q._tail == [] for q in queue._queues)
+        # An empty pop raises before it draws, asks for the version or re-ranks.
+        epoch += 1
+        calls, class_queues = version_calls, queue._queues
+        with pytest.raises(IndexError):
+            queue.pop(fast_rng, 3001)
+        assert fast_rng.getstate() == model_rng.getstate()
+        assert version_calls == calls and queue._queues is class_queues
+
+
 class TestNetworkPendingView:
     def test_pending_is_send_order_snapshot(self):
         network = Network(ProtocolParams.for_parties(4), seed=0)
