@@ -18,6 +18,8 @@ import pytest
 from repro.adversary import attacks, behaviors
 from repro.core import api
 from repro.net.scheduler import delay_to_parties
+from repro.protocols.aba import LocalCoinSource, ProtocolCoinSource
+from repro.protocols.weak_coin import WeakCommonCoin
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_trials.json").read_text())
 
@@ -158,3 +160,72 @@ def test_coinflip_with_crash(seed):
 def test_fba(seed):
     result = api.run_fba(4, {0: "a", 1: "b", 2: "a", 3: "b"}, seed=seed)
     _check(f"fba_n4_s{seed}", result, with_shuns=False)
+
+
+# ----------------------------------------------------------------------
+# The agreement plane (BinaryAgreement under CommonSubset / FBA, and every
+# coin source), pinned with tracing on *and* off: the traced run goes through
+# the generic delivery loop, the untraced one through the unmaterialised loop
+# and its inlined route, and both must reproduce one fingerprint.
+def _check_both_loops(key, run):
+    for tracing in (True, False):
+        result = run(tracing=tracing)
+        entry = [
+            result.steps,
+            [[pid, value] for pid, value in sorted(result.outputs.items())],
+            result.message_stats["messages_sent"],
+        ]
+        assert entry == GOLDEN[key], (key, tracing)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fba_n8(seed):
+    """The perf ledger's ``fba_n8`` parameters (eight BAs per CommonSubset)."""
+    bits = {pid: pid % 2 for pid in range(8)}
+    _check_both_loops(
+        f"fba_n8_s{seed}",
+        lambda tracing: api.run_fba(
+            8, bits, seed=seed, coinflip_rounds=1, tracing=tracing
+        ),
+    )
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_aba_with_noise(seed):
+    bits = {pid: pid % 2 for pid in range(6)}
+    _check_both_loops(
+        f"aba_noise_n7_s{seed}",
+        lambda tracing: api.run_aba(
+            7,
+            bits,
+            seed=seed,
+            corruptions={6: behaviors.RandomNoiseBehavior.factory()},
+            tracing=tracing,
+        ),
+    )
+
+
+def test_aba_over_weak_coin():
+    """A protocol coin per round: the ``on_child_complete`` path."""
+    _check_both_loops(
+        "aba_weakcoin_n4_s0",
+        lambda tracing: api.run_aba(
+            4,
+            {0: 0, 1: 1, 2: 1, 3: 0},
+            seed=0,
+            coin_source=ProtocolCoinSource(WeakCommonCoin.factory),
+            tracing=tracing,
+        ),
+    )
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_aba_over_local_coins(seed):
+    """Independent local coins: three to four rounds per party."""
+    bits = {pid: pid % 2 for pid in range(4)}
+    _check_both_loops(
+        f"aba_localcoin_n4_s{seed}",
+        lambda tracing: api.run_aba(
+            4, bits, seed=seed, coin_source=LocalCoinSource(), tracing=tracing
+        ),
+    )
