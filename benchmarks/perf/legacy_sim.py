@@ -257,9 +257,7 @@ def _seed_process_deliver(self, message):
     session = message.session
     instance = self.protocols.get(session)
     if instance is None or not instance.started:
-        self._pending.setdefault(session, []).append(
-            (message.sender, message.payload)
-        )
+        self._pending.setdefault(session, []).append(message)
         return
     if self._is_shunned_for(message.sender, instance):
         self.network.trace.on_drop(self.network.step_count, message, "shunned")

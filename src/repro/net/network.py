@@ -31,8 +31,9 @@ campaign):
   single specialisation, :meth:`_drive_unmaterialised`, serves runs nothing
   observes from outside (tracing off, no director, no metrics registry) on a
   queue holding fan-outs as groups: it delivers ``(entry, receiver)`` pairs
-  without building Message objects.  Which loop runs is read off that
-  state, never chosen by a caller.
+  without building Message objects, straight to the handler of a started
+  instance and through :meth:`Process.deliver_parts` otherwise.  Which loop
+  runs is read off that state, never chosen by a caller.
 
 Both loops reproduce the seed's delivery order, traces and outputs
 byte-identically per seed (``tests/net/test_completion.py``,
@@ -473,7 +474,15 @@ class Network:
                 self._watch_done = False
 
     def _drive_unmaterialised(self, max_steps: int) -> int:
-        """:meth:`_drive` for a watched run that nothing observes from outside."""
+        """:meth:`_drive` for a watched run that nothing observes from outside.
+
+        A fan-out copy is routed here when nothing stands between it and its
+        handler -- the receiver runs no behaviour, shuns nobody, and the
+        session's instance exists and has started: then the handler is called
+        directly.  That is a pre-check, not a second router: every other copy
+        (and any of these, had it been sent there) is handled by
+        :meth:`Process.deliver_parts`, the complete routine.
+        """
         # With tracing off, no director and no registry, nothing can read
         # ``step_count`` mid-delivery (trace hooks are no-ops), so the
         # counter lives in a local and is written back when the loop exits.
@@ -484,8 +493,8 @@ class Network:
         # emptiness check into a zero-cost (until raised) try/except.
         pop_entry = self._queue.pop_entry
         rng = self.scheduler_rng
-        deliver_by_pid = [process.deliver for process in self.processes]
-        parts_by_pid = [process.deliver_parts for process in self.processes]
+        processes = self.processes
+        deliver_by_pid = [process.deliver for process in processes]
         step = self.step_count
         delivered = 0
         try:
@@ -501,13 +510,23 @@ class Network:
                     deliver_by_pid[entry.receiver](entry)
                 else:
                     values = entry.values
-                    parts_by_pid[receiver](
-                        entry.sender,
-                        entry.session,
-                        entry.payload if values is None else (entry.kind, values[receiver]),
-                        entry,
-                        receiver,
+                    payload = (
+                        entry.payload if values is None else (entry.kind, values[receiver])
                     )
+                    session = entry.session
+                    process = processes[receiver]
+                    instance = process._protocols_get(session)
+                    if (
+                        instance is not None
+                        and instance.started
+                        and process.behavior is None
+                        and not process._shunned_from
+                    ):
+                        instance.on_message(entry.sender, payload)
+                    else:
+                        process.deliver_parts(
+                            entry.sender, session, payload, entry, receiver
+                        )
                 delivered += 1
             return delivered
         finally:

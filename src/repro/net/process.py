@@ -14,7 +14,7 @@ protocol tree, decides how to react to deliveries.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.config import ProtocolParams
 from repro.net.message import Message, SessionId
@@ -57,7 +57,12 @@ class Process:
         self.protocols: Dict[SessionId, Protocol] = {}
         #: Bound ``protocols.get``, cached for the per-delivery routing lookup.
         self._protocols_get = self.protocols.get
-        self._pending: Dict[SessionId, List[Tuple[int, tuple]]] = {}
+        #: session -> what arrived before the session's instance started, in
+        #: the shape the queue holds it: a Message, or ``(entry, receiver)``
+        #: for one copy of a fan-out entry.  Kept whole (not just sender and
+        #: payload) so a copy dropped at replay can be reported like any
+        #: other drop.
+        self._pending: Dict[SessionId, List[Any]] = {}
         #: party id -> creation index after which its messages are ignored.
         self._shunned_from: Dict[int, int] = {}
         self._creation_counter = 0
@@ -146,11 +151,29 @@ class Process:
         return instance
 
     def flush_pending(self, instance: Protocol) -> None:
-        """Deliver messages buffered for ``instance`` (called right after start)."""
-        buffered = self._pending.pop(instance.session, [])
-        for sender, payload in buffered:
-            if not self._is_shunned_for(sender, instance):
-                instance.on_message(sender, payload)
+        """Deliver messages buffered for ``instance`` (called right after start).
+
+        The shun rule applies here as it does to a live delivery: a buffered
+        message from a party shunned before ``instance`` was created is
+        dropped, and counted as a ``"shunned"`` drop.
+        """
+        buffered = self._pending.pop(instance.session, None)
+        if not buffered:
+            return
+        on_message = instance.on_message
+        for slot in buffered:
+            if slot.__class__ is tuple:
+                entry, receiver = slot
+                values = entry.values
+                payload = (
+                    entry.payload if values is None else (entry.kind, values[receiver])
+                )
+            else:
+                entry, receiver, payload = slot, -1, slot.payload
+            if self._shunned_from and self._is_shunned_for(entry.sender, instance):
+                self._drop_shunned(entry, receiver)
+            else:
+                on_message(entry.sender, payload)
 
     def protocol(self, session: SessionId) -> Optional[Protocol]:
         """Return the protocol instance for ``session`` if it exists."""
@@ -184,9 +207,7 @@ class Process:
             return
         instance = self._protocols_get(message.session)
         if instance is None or not instance.started:
-            self._pending.setdefault(message.session, []).append(
-                (message.sender, message.payload)
-            )
+            self._pending.setdefault(message.session, []).append(message)
             return
         # Shun check inlined (most runs never shun anyone; skip the dict
         # probe entirely while the shun map is empty).
@@ -194,21 +215,22 @@ class Process:
         if shunned:
             threshold = shunned.get(message.sender)
             if threshold is not None and instance.birth_index >= threshold:
-                network = self.network
-                network.trace.on_drop(network.step_count, message, "shunned")
-                meter = network.meter
-                if meter is not None:
-                    meter.count_drop("shunned")
+                self._drop_shunned(message, -1)
                 return
         instance.on_message(message.sender, message.payload)
 
     def deliver_parts(self, sender: int, session, payload: tuple, entry, receiver: int) -> None:
-        """Deliver one unmaterialised fan-out copy (the group-mode fast path).
+        """Deliver one unmaterialised fan-out copy: the whole routing contract.
 
         Semantically identical to building ``entry.materialize(receiver)`` and
         calling :meth:`deliver`; the Message object is only created for the
         consumers that genuinely need one (an installed behaviour, or the
-        trace argument of a shun drop).
+        trace argument of a shun drop).  Every case is handled here --
+        behaviour, not-yet-started session (buffered), shunned sender
+        (dropped), started instance (handled).  The unmaterialised delivery
+        loop resolves the last and by far most common case itself and calls
+        this for the rest, so nothing may be decided there that is not
+        decided here.
         """
         behavior = self.behavior
         if behavior is not None:
@@ -216,28 +238,36 @@ class Process:
             return
         instance = self._protocols_get(session)
         if instance is None or not instance.started:
-            self._pending.setdefault(session, []).append((sender, payload))
+            self._pending.setdefault(session, []).append((entry, receiver))
             return
         shunned = self._shunned_from
         if shunned:
             threshold = shunned.get(sender)
             if threshold is not None and instance.birth_index >= threshold:
-                # Materialise the dropped copy only if a trace will record it
-                # (this path normally runs with tracing off, where on_drop is
-                # a no-op and the Message would be built just to be thrown
-                # away; step_count may also lag the fast loop's local here).
-                network = self.network
-                trace = network.trace
-                if trace.enabled:
-                    trace.on_drop(
-                        network.step_count, entry.materialize(receiver), "shunned"
-                    )
-                else:
-                    meter = network.meter
-                    if meter is not None:
-                        meter.count_drop("shunned")
+                self._drop_shunned(entry, receiver)
                 return
         instance.on_message(sender, payload)
+
+    def _drop_shunned(self, entry, receiver: int) -> None:
+        """Report one message dropped because its sender is shunned.
+
+        ``entry`` is the Message itself (``receiver < 0``) or the fan-out
+        entry holding the copy for ``receiver``; that copy is materialised
+        only for a trace that records it (``step_count`` may lag the
+        unmaterialised loop's local, but that loop never runs traced).
+        """
+        network = self.network
+        trace = network.trace
+        if trace.enabled:
+            trace.on_drop(
+                network.step_count,
+                entry if receiver < 0 else entry.materialize(receiver),
+                "shunned",
+            )
+        else:
+            meter = network.meter
+            if meter is not None:
+                meter.count_drop("shunned")
 
     # ------------------------------------------------------------------
     # Shunning (Definition 3.2): once party i shuns party j, it accepts j's

@@ -160,8 +160,11 @@ class Protocol:
         process = self.process
         if process.outgoing_mutator is None:
             # Honest fast path: one batched submit for all n copies (same
-            # sequence numbers and queue order as n individual submits).
-            process.network.submit_broadcast(process.pid, self.session, payload)
+            # sequence numbers and queue order as n individual submits) --
+            # ``Network.submit_broadcast`` without its wrapper frame.
+            process.network._submit_fanout(
+                self.pid, self.session, payload[0] if payload else None, payload, None, None
+            )
         else:
             send = process.send
             session = self.session

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.net.message import SessionId
 from repro.net.process import Process
@@ -53,16 +53,22 @@ class OracleCoinSource(CoinSource):
     """A perfect common coin: identical, unbiased and unpredictable-enough bits
     derived from ``(seed, session, round)``.  All parties share the source, so
     they observe the same coin value -- the ideal functionality assumed of the
-    BA substrate."""
+    BA substrate.  For the same reason all ``n`` parties ask for the same bit:
+    it is hashed once per ``(session, round)`` and remembered on the source."""
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
+        self._bits: Dict[Tuple[SessionId, int], int] = {}
 
     def immediate(self, protocol: Protocol, round_index: int) -> Optional[int]:
-        digest = hashlib.sha256(
-            repr((self.seed, tuple(protocol.session), round_index)).encode()
-        ).digest()
-        return digest[0] & 1
+        key = (protocol.session, round_index)
+        bit = self._bits.get(key)
+        if bit is None:
+            digest = hashlib.sha256(
+                repr((self.seed, tuple(protocol.session), round_index)).encode()
+            ).digest()
+            bit = self._bits[key] = digest[0] & 1
+        return bit
 
 
 class LocalCoinSource(CoinSource):
@@ -94,45 +100,56 @@ class ProtocolCoinSource(CoinSource):
 
 
 class _RoundVotes:
-    """Flat per-round vote bookkeeping for one :class:`BinaryAgreement` round.
+    """One round's votes (and coin) at one party: ints and bools only.
 
-    The seed kept six ``defaultdict`` forests keyed by round number (about ten
-    container allocations per BinaryAgreement instance before the first
-    message); one slotted record per round replaces them, so a delivery does a
-    single round lookup and then touches plain attributes.  The incremental
-    AUX counters are carried over unchanged.
+    Who voted is a *bitmask* (bit ``1 << sender``) with a running count
+    beside it, not a set of senders.  A duplicate is one ``&``, a quorum test
+    reads a counter, and a record owns no container: nothing here is a
+    separate allocation, and nothing is left for the cyclic collector to
+    walk (a trial used to end with three live sets per round per party).
+    The masks rely on the sender being an authenticated party id in
+    ``0..n-1`` -- see :class:`BinaryAgreement`.
     """
 
     __slots__ = (
         "bval_sent0",
         "bval_sent1",
-        "bvals0",
-        "bvals1",
+        "bval_mask0",
+        "bval_mask1",
+        "bval_count0",
+        "bval_count1",
         "bin0",
         "bin1",
         "aux_sent",
-        "aux_from",
+        "aux_mask",
         "aux_count0",
         "aux_count1",
+        "coin",
+        "coin_requested",
     )
 
     def __init__(self) -> None:
         #: Whether this party already broadcast BVAL(value) for the round.
         self.bval_sent0 = False
         self.bval_sent1 = False
-        #: Senders supporting each BVAL value.
-        self.bvals0: Set[int] = set()
-        self.bvals1: Set[int] = set()
+        #: Senders supporting each BVAL value, and how many they are.
+        self.bval_mask0 = 0
+        self.bval_mask1 = 0
+        self.bval_count0 = 0
+        self.bval_count1 = 0
         #: Whether each value entered bin_values (an n - t BVAL quorum).
         self.bin0 = False
         self.bin1 = False
         #: Whether this party already broadcast its AUX vote.
         self.aux_sent = False
-        #: Senders whose AUX vote was recorded (first vote wins).
-        self.aux_from: Set[int] = set()
-        #: Incremental per-value AUX sender counts.
+        #: Senders whose AUX vote was recorded (first vote wins), and the
+        #: per-value counts of those votes.
+        self.aux_mask = 0
         self.aux_count0 = 0
         self.aux_count1 = 0
+        #: The round's common coin once known, and whether it was asked for.
+        self.coin: Optional[int] = None
+        self.coin_requested = False
 
 
 class BinaryAgreement(Protocol):
@@ -145,7 +162,32 @@ class BinaryAgreement(Protocol):
 
     The protocol keeps participating after deciding so that slower parties can
     still terminate, as the paper requires of all its sub-protocols.
+
+    All vote state is sender bitmasks plus counters (:class:`_RoundVotes`, and
+    the DONE tallies here), and one message is handled in one frame:
+    :meth:`on_message` validates, records the vote in the round's record and
+    -- only for a message of the current round -- calls :meth:`_advance` with
+    that record.  *Precondition*: ``sender`` is the party id the network
+    authenticated, an int in ``0..n-1``; that is what :class:`Process` hands
+    every handler, and what makes ``1 << sender`` a valid, bounded bit.
+    Payload fields, by contrast, are untrusted and validated here.
     """
+
+    __slots__ = (
+        "coin_source",
+        "est",
+        "round",
+        "decided",
+        "halted",
+        "_rounds",
+        "_votes",
+        "_done_mask0",
+        "_done_mask1",
+        "_done_count0",
+        "_done_count1",
+        "_t1",
+        "_quorum",
+    )
 
     def __init__(
         self, process: Process, session: SessionId, coin_source: CoinSource
@@ -155,22 +197,21 @@ class BinaryAgreement(Protocol):
         self.est: Optional[int] = None
         self.round = 0
         self.decided: Optional[int] = None
-        #: round -> flat vote record (see :class:`_RoundVotes`).
-        self._rounds: Dict[int, _RoundVotes] = {}
-        self._coins: Dict[int, int] = {}
-        self._coin_requested: Set[int] = set()
-        self._dones: Dict[int, Set[int]] = {0: set(), 1: set()}
-        self._done_sent = False
+        #: The record of the current round, also reachable as
+        #: ``_rounds[round]``: the per-message path reads it from here.
+        self._votes = _RoundVotes()
+        #: round -> vote record, for every round a message or this party
+        #: touched (messages run ahead of and behind the local round).
+        self._rounds: Dict[int, _RoundVotes] = {0: self._votes}
+        #: Senders of DONE(value), and how many they are.
+        self._done_mask0 = 0
+        self._done_mask1 = 0
+        self._done_count0 = 0
+        self._done_count1 = 0
         self.halted = False
         # Quorum thresholds, hoisted off the per-message paths.
         self._t1 = self.t + 1
         self._quorum = self.n - self.t
-
-    def _round(self, round_index: int) -> _RoundVotes:
-        votes = self._rounds.get(round_index)
-        if votes is None:
-            votes = self._rounds[round_index] = _RoundVotes()
-        return votes
 
     @classmethod
     def factory(
@@ -185,143 +226,152 @@ class BinaryAgreement(Protocol):
     # ------------------------------------------------------------------
     def on_start(self, value: Any = 0, **_: Any) -> None:
         self.est = 1 if value else 0
-        self.annotate_phase(f"round-{self.round}")
-        self._broadcast_bval(self.round, self.est)
         # Messages (and even whole thresholds) may have been buffered and
         # replayed before start -- for example when this party joins a
         # CommonSubset BA late.  Re-evaluate progress immediately.
-        self._try_advance(self.round)
+        self._advance(self._enter_round(0))
 
     def on_message(self, sender: int, payload: tuple) -> None:
-        # Dispatch ordered by message frequency (BVAL > AUX > DONE); the
-        # branches are mutually exclusive on the kind tag, so the order is
-        # behaviourally irrelevant.
+        # Dispatch ordered by message frequency (BVAL > AUX > DONE).
         if not payload:
             return
         kind = payload[0]
         if kind == "BVAL":
-            if not self.halted and len(payload) == 3:
-                self._on_bval(sender, payload[1], payload[2])
+            is_bval = True
         elif kind == "AUX":
-            if not self.halted and len(payload) == 3:
-                self._on_aux(sender, payload[1], payload[2])
-        elif kind == "DONE" and len(payload) == 2:
-            self._on_done(sender, payload[1])
-
-    def on_child_complete(self, child: Protocol) -> None:
-        # Protocol-based coins complete here; the child key is ("coin", round).
-        for key, instance in self.children.items():
-            if instance is child and isinstance(key, tuple) and key and key[0] == "coin":
-                round_index = key[1]
-                self._coins[round_index] = int(child.output) & 1
-                self._try_advance(round_index)
-                return
-
-    # ------------------------------------------------------------------
-    def _broadcast_bval(self, round_index: int, value: int) -> None:
-        votes = self._round(round_index)
-        if value == 0:
-            if votes.bval_sent0:
-                return
-            votes.bval_sent0 = True
+            is_bval = False
         else:
-            if votes.bval_sent1:
-                return
-            votes.bval_sent1 = True
-        self.broadcast("BVAL", round_index, value)
-
-    def _on_bval(self, sender: int, round_index: Any, value: Any) -> None:
-        if not self._valid_round_value(round_index, value):
+            if kind == "DONE" and len(payload) == 2:
+                self._on_done(sender, payload[1])
             return
-        votes = self._round(round_index)
-        if value == 0:
-            supporters = votes.bvals0
-        else:
-            supporters = votes.bvals1
-        supporters.add(sender)
-        count = len(supporters)
-        if count >= self._t1 and not (
-            votes.bval_sent0 if value == 0 else votes.bval_sent1
-        ):
-            # Amplification: at least one honest party proposed this value.
-            self._broadcast_bval(round_index, value)
-        if count >= self._quorum and not (votes.bin0 if value == 0 else votes.bin1):
+        if self.halted or len(payload) != 3:
+            return
+        round_index = payload[1]
+        value = payload[2]
+        if not (isinstance(round_index, int) and round_index >= 0 and value in (0, 1)):
+            return
+        current = round_index == self.round
+        votes = self._votes if current else self._round(round_index)
+        bit = 1 << sender
+        if is_bval:
+            # A repeated BVAL changes nothing; a new one may cross t + 1
+            # (amplification: at least one honest party proposed the value, so
+            # echo it -- as the canonical int, whatever object the sender
+            # used) and n - t (the value enters bin_values).
             if value == 0:
+                if votes.bval_mask0 & bit:
+                    return
+                votes.bval_mask0 |= bit
+                votes.bval_count0 = count = votes.bval_count0 + 1
+                if count >= self._t1 and not votes.bval_sent0:
+                    votes.bval_sent0 = True
+                    self.broadcast("BVAL", int(round_index), 0)
+                if count < self._quorum or votes.bin0:
+                    return
                 votes.bin0 = True
             else:
+                if votes.bval_mask1 & bit:
+                    return
+                votes.bval_mask1 |= bit
+                votes.bval_count1 = count = votes.bval_count1 + 1
+                if count >= self._t1 and not votes.bval_sent1:
+                    votes.bval_sent1 = True
+                    self.broadcast("BVAL", int(round_index), 1)
+                if count < self._quorum or votes.bin1:
+                    return
                 votes.bin1 = True
-            self._maybe_send_aux(round_index)
-            self._try_advance(round_index)
-
-    def _on_aux(self, sender: int, round_index: Any, value: Any) -> None:
-        if not self._valid_round_value(round_index, value):
-            return
-        votes = self._round(round_index)
-        if sender not in votes.aux_from:
-            votes.aux_from.add(sender)
+        elif not votes.aux_mask & bit:
+            # First AUX vote of a sender wins; later ones are not counted.
+            votes.aux_mask |= bit
             if value == 0:
                 votes.aux_count0 += 1
             else:
                 votes.aux_count1 += 1
-        self._try_advance(round_index)
+        if current:
+            self._advance(votes)
 
-    @staticmethod
-    def _valid_round_value(round_index: Any, value: Any) -> bool:
-        return isinstance(round_index, int) and round_index >= 0 and value in (0, 1)
-
-    def _maybe_send_aux(self, round_index: int) -> None:
-        if round_index != self.round:
-            return
-        votes = self._round(round_index)
-        if votes.aux_sent:
-            return
-        if not (votes.bin0 or votes.bin1) or not self.started:
-            return
-        votes.aux_sent = True
-        value = 0 if votes.bin0 else 1
-        self.broadcast("AUX", round_index, value)
+    def on_child_complete(self, child: Protocol) -> None:
+        # Protocol-based coins complete here; the child key is ("coin", round).
+        key = child.spawn_key
+        if key[0] == "coin":
+            round_index = key[1]
+            votes = self._round(round_index)
+            votes.coin = int(child.output) & 1
+            if round_index == self.round:
+                self._advance(votes)
 
     # ------------------------------------------------------------------
-    def _try_advance(self, round_index: int) -> None:
-        if self.est is None or round_index != self.round:
+    def _round(self, round_index: int) -> _RoundVotes:
+        votes = self._rounds.get(round_index)
+        if votes is None:
+            votes = self._rounds[round_index] = _RoundVotes()
+        return votes
+
+    def _advance(self, votes: _RoundVotes) -> None:
+        """Take the current round -- ``votes`` is its record -- as far as it goes.
+
+        Per round: send AUX once a value is in bin_values; wait for n - t
+        accepted AUX votes (a vote is accepted once its value is in
+        bin_values); get the coin; adopt the new estimate, deciding when the
+        single accepted value equals the coin; enter the next round, whose
+        messages may already be here -- hence the loop.
+        """
+        if self.est is None:
             return
-        self._maybe_send_aux(round_index)
-        votes = self._round(round_index)
-        if not votes.aux_sent:
-            return
-        # An AUX vote is *accepted* once its value entered bin_values.  The
-        # per-value sender counts are maintained incrementally by _on_bval /
-        # _on_aux, so the tally below reads two counters -- equivalent to the
-        # original rebuild of the accepted {sender: value} dict.
-        accepted0 = votes.bin0 and votes.aux_count0 > 0
-        accepted1 = votes.bin1 and votes.aux_count1 > 0
-        total = (votes.aux_count0 if accepted0 else 0) + (
-            votes.aux_count1 if accepted1 else 0
-        )
-        if total < self._quorum:
-            return
-        if round_index not in self._coins:
-            if round_index not in self._coin_requested:
-                self._coin_requested.add(round_index)
-                self._request_coin(round_index)
-            if round_index not in self._coins:
+        quorum = self._quorum
+        while True:
+            if not votes.aux_sent:
+                if not (votes.bin0 or votes.bin1):
+                    return
+                votes.aux_sent = True
+                self.broadcast("AUX", self.round, 0 if votes.bin0 else 1)
+            accepted0 = votes.bin0 and votes.aux_count0 > 0
+            accepted1 = votes.bin1 and votes.aux_count1 > 0
+            total = (votes.aux_count0 if accepted0 else 0) + (
+                votes.aux_count1 if accepted1 else 0
+            )
+            if total < quorum:
                 return
-        coin = self._coins[round_index]
-        if accepted0 != accepted1:
-            value = 0 if accepted0 else 1
-            self.est = value
-            if value == coin and self.decided is None:
-                self._decide(value)
-        else:
-            # Both values accepted (total >= quorum rules out neither).
-            self.est = coin
-        if self.halted:
-            return
-        self.round += 1
-        self.annotate_phase(f"round-{self.round}")
-        self._broadcast_bval(self.round, self.est)
-        # Messages for the new round may already have arrived.
-        self._try_advance(self.round)
+            coin = votes.coin
+            if coin is None:
+                if votes.coin_requested:
+                    return
+                votes.coin_requested = True
+                round_index = self.round
+                self._request_coin(round_index, votes)
+                if self.round != round_index:
+                    # A coin sub-protocol that completed inside spawn()
+                    # re-entered through on_child_complete and has already
+                    # taken this round (and maybe later ones) to the end.
+                    return
+                coin = votes.coin
+                if coin is None:
+                    return
+            if accepted0 != accepted1:
+                self.est = est = 0 if accepted0 else 1
+                if est == coin and self.decided is None:
+                    self._decide(est)
+            else:
+                # Both values accepted (total >= quorum rules out neither).
+                self.est = coin
+            if self.halted:
+                return
+            votes = self._enter_round(self.round + 1)
+
+    def _enter_round(self, round_index: int) -> _RoundVotes:
+        """Make ``round_index`` current and propose the estimate in it."""
+        self.round = round_index
+        self._votes = votes = self._round(round_index)
+        self.annotate_phase(f"round-{round_index}")
+        # Amplification may already have sent this BVAL.
+        if self.est == 0:
+            if not votes.bval_sent0:
+                votes.bval_sent0 = True
+                self.broadcast("BVAL", round_index, 0)
+        elif not votes.bval_sent1:
+            votes.bval_sent1 = True
+            self.broadcast("BVAL", round_index, 1)
+        return votes
 
     # ------------------------------------------------------------------
     # Termination convergence: a decided party announces DONE; t+1 DONE
@@ -331,27 +381,36 @@ class BinaryAgreement(Protocol):
     # without running coin rounds forever.
     # ------------------------------------------------------------------
     def _decide(self, value: int) -> None:
-        if self.decided is None:
-            self.decided = value
-            if not self._done_sent:
-                self._done_sent = True
-                self.broadcast("DONE", value)
-            self.complete(value)
+        """Decide ``value``; callers have checked that nothing is decided yet."""
+        self.decided = value
+        self.broadcast("DONE", value)
+        self.complete(value)
 
     def _on_done(self, sender: int, value: Any) -> None:
         if value not in (0, 1):
             return
-        dones = self._dones[value]
-        dones.add(sender)
-        if len(dones) >= self._t1 and self.decided is None:
+        bit = 1 << sender
+        # ``value`` may be any object equal to 0 or 1 (True, 1.0); what is
+        # decided and re-announced is the plain int.
+        if value == 0:
+            if not self._done_mask0 & bit:
+                self._done_mask0 |= bit
+                self._done_count0 += 1
+            count, value = self._done_count0, 0
+        else:
+            if not self._done_mask1 & bit:
+                self._done_mask1 |= bit
+                self._done_count1 += 1
+            count, value = self._done_count1, 1
+        if count >= self._t1 and self.decided is None:
             self._decide(value)
-        if len(dones) >= self._quorum and self.decided == value:
+        if count >= self._quorum and self.decided == value:
             self.halted = True
 
-    def _request_coin(self, round_index: int) -> None:
+    def _request_coin(self, round_index: int, votes: _RoundVotes) -> None:
         bit = self.coin_source.immediate(self, round_index)
         if bit is not None:
-            self._coins[round_index] = bit
+            votes.coin = bit
             return
         factory = self.coin_source.protocol_factory(self, round_index)
         self.spawn(("coin", round_index), factory)

@@ -88,10 +88,9 @@ class CommonSubset(Protocol):
         return
 
     def on_child_complete(self, child: Protocol) -> None:
-        if not isinstance(child, BinaryAgreement):
-            return
-        index = self._index_of(child)
-        if index is None or index in self.ba_outputs:
+        # The BAs are the children spawned under ("ba", index).
+        kind, index = child.spawn_key
+        if kind != "ba" or index in self.ba_outputs:
             return
         self.ba_outputs[index] = int(child.output)
         if self.ba_outputs[index] == 1:
@@ -101,12 +100,6 @@ class CommonSubset(Protocol):
         self._maybe_complete()
 
     # ------------------------------------------------------------------
-    def _index_of(self, child: Protocol) -> Optional[int]:
-        for key, instance in self.children.items():
-            if instance is child and isinstance(key, tuple) and key[0] == "ba":
-                return key[1]
-        return None
-
     def _maybe_join_with_one(self, index: int) -> None:
         if index in self.joined or self._ones >= self.k:
             return

@@ -8,6 +8,7 @@ from repro.core.config import ProtocolParams
 from repro.errors import ProtocolError, SimulationError
 from repro.net.network import Network
 from repro.net.protocol import Protocol
+from repro.net.queues import FanoutEntry
 from repro.net.scheduler import FIFOScheduler
 
 PARAMS = ProtocolParams.for_parties(4)
@@ -231,6 +232,75 @@ class TestShunning:
         assert old.log
         assert not new.log
         assert network.trace.messages_dropped == 1
+
+    @pytest.mark.parametrize("tracing", [True, False])
+    def test_buffered_message_from_a_shunned_sender_is_a_reported_drop(self, tracing):
+        """The shun rule also applies to what waited for a session to start,
+        and a drop there is counted like a drop at delivery -- whether the
+        copy arrived as a Message or as one receiver of a fan-out entry."""
+        network = Network(PARAMS, seed=0, tracing=tracing, keep_events="all")
+        p0 = network.processes[0]
+        p0.shun(1, ("old",))
+        network.submit(1, 0, ("late",), ("PING",))
+        network.submit(2, 0, ("late",), ("PING",))
+        for message in network.pending:
+            p0.deliver(message)
+        entry = FanoutEntry(1, ("late",), "PING", ("PING",), None, 40, None, "late")
+        p0.deliver_parts(1, ("late",), ("PING",), entry, 0)
+        late = p0.create_protocol(("late",), echo_factory(goal=99))
+        assert network.message_stats()["messages_dropped"] == 0
+        late.start()
+        assert late.log == [(2, ("PING",))]
+        assert network.message_stats()["messages_dropped"] == 2
+        assert network.message_stats()["dropped_by_reason"] == {"shunned": 2}
+        if tracing:
+            drops = [e.detail for e in network.trace.events if e.kind == "drop"]
+            assert [(reason, m.sender, m.receiver, m.seq) for reason, m in drops] == [
+                ("shunned", 1, 0, 0),
+                ("shunned", 1, 0, 40),
+            ]
+
+    @pytest.mark.parametrize(
+        "seed,dropped", [(0, 7), (1, 16), (2, 18), (3, 3), (4, 17), (5, 13)]
+    )
+    def test_every_delivery_is_handled_dropped_or_still_buffered(
+        self, seed, dropped, monkeypatch
+    ):
+        """A weak coin with a row-corrupting party: honest parties shun it and
+        drop what it sends to sessions opened later, much of which arrives
+        before those sessions start.  Trace and meter report the same drops,
+        and with them the deliveries add up."""
+        from repro.adversary.attacks import BadShareBehavior
+        from repro.core import api
+
+        handled = []
+
+        def counting(on_message):
+            def counted(self, sender, payload):
+                handled.append(1)
+                on_message(self, sender, payload)
+
+            return counted
+
+        classes = [Protocol]
+        for cls in classes:
+            classes.extend(cls.__subclasses__())
+            if "on_message" in vars(cls):
+                monkeypatch.setattr(cls, "on_message", counting(cls.on_message))
+
+        for tracing in (True, False):
+            del handled[:]
+            result = api.run_weak_coin(
+                n=7, seed=seed, tracing=tracing,
+                corruptions={2: BadShareBehavior.factory()},
+            )
+            assert result.message_stats["messages_dropped"] == dropped, tracing
+            waiting = sum(
+                len(buffered)
+                for process in result.network.processes
+                for buffered in process._pending.values()
+            )
+            assert result.steps == len(handled) + dropped + waiting, tracing
 
     def test_shun_is_recorded_once(self):
         network = Network(PARAMS, seed=0)

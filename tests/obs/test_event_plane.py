@@ -109,17 +109,17 @@ def test_a_batch_is_the_sends_of_one_fanout():
 def test_batched_fanouts_record_what_a_submit_loop_records(monkeypatch):
     batched = _shunning_weak_coin([], keep_events="all")
 
-    def broadcast_by_submit(self, sender, session, payload):
-        for receiver in range(self.params.n):
-            self.submit(sender, receiver, session, payload)
-
-    def fanout_by_submit(self, sender, session, kind, values, skip=None):
+    # Every fan-out -- submit_broadcast, submit_fanout, Protocol.broadcast --
+    # goes through this one method.
+    def fanout_by_submit(self, sender, session, kind, payload, values, skip):
         for receiver in range(self.params.n):
             if receiver != skip:
-                self.submit(sender, receiver, session, (kind, values[receiver]))
+                self.submit(
+                    sender, receiver, session,
+                    payload if values is None else (kind, values[receiver]),
+                )
 
-    monkeypatch.setattr(Network, "submit_broadcast", broadcast_by_submit)
-    monkeypatch.setattr(Network, "submit_fanout", fanout_by_submit)
+    monkeypatch.setattr(Network, "_submit_fanout", fanout_by_submit)
     looped = _shunning_weak_coin([], keep_events="all")
 
     assert _plain(batched.trace.events) == _plain(looped.trace.events)
