@@ -167,7 +167,7 @@ def test_fba(seed):
 # coin source), pinned with tracing on *and* off: the traced run goes through
 # the generic delivery loop, the untraced one through the unmaterialised loop
 # and its inlined route, and both must reproduce one fingerprint.
-def _check_both_loops(key, run):
+def _check_both_loops(key, run, with_shuns: bool = False):
     for tracing in (True, False):
         result = run(tracing=tracing)
         entry = [
@@ -175,6 +175,8 @@ def _check_both_loops(key, run):
             [[pid, value] for pid, value in sorted(result.outputs.items())],
             result.message_stats["messages_sent"],
         ]
+        if with_shuns:
+            entry.append(result.message_stats["shun_events"])
         assert entry == GOLDEN[key], (key, tracing)
 
 
@@ -228,4 +230,50 @@ def test_aba_over_local_coins(seed):
         lambda tracing: api.run_aba(
             4, bits, seed=seed, coin_source=LocalCoinSource(), tracing=tracing
         ),
+    )
+
+
+# ----------------------------------------------------------------------
+# SVSS under attack at n=25 -- the smallest 3t+1 at or above the plane's
+# vectorisation cutoff (``kernels._NUMPY_MIN_N``), so with numpy these runs go
+# through the matmul / split plans and without it through the scalar oracle.
+# Honestly dealt rows share the plane with withheld-and-recovered, corrupted
+# and rejected ones; shun events are part of the fingerprint.
+def _svss_n25(key, secret, corruptions, **extra):
+    _check_both_loops(
+        key,
+        lambda tracing: api.run_svss(
+            25, secret, seed=int(key[-1]), corruptions=corruptions,
+            tracing=tracing, **extra
+        ),
+        with_shuns=True,
+    )
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_svss_withholding_dealer_n25(seed):
+    _svss_n25(
+        f"svss_withhold_n25_s{seed}",
+        999,
+        {0: attacks.WithholdingDealerBehavior.factory(victims=[3, 4])},
+    )
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_svss_bad_share_n25(seed):
+    _svss_n25(
+        f"svss_badshare_n25_s{seed}", 31337, {2: attacks.BadShareBehavior.factory()}
+    )
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_svss_mixed_corruption_n25_matmul_prime(seed):
+    _svss_n25(
+        f"svss_mixed_n25_p1000003_s{seed}",
+        777,
+        {
+            1: attacks.PointCorruptingBehavior.factory(),
+            5: attacks.BadShareBehavior.factory(),
+        },
+        prime=1_000_003,
     )
