@@ -11,7 +11,7 @@ parties use to validate each other's shares.
 from __future__ import annotations
 
 import random
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto import kernels
 from repro.crypto.field import Field, FieldElement, IntoField
@@ -37,9 +37,9 @@ class SymmetricBivariatePolynomial:
             for j in range(size):
                 if matrix[i][j] != matrix[j][i]:
                     raise InterpolationError("coefficient matrix must be symmetric")
-        self.coefficients: List[List[FieldElement]] = matrix
-        #: Raw-int mirror of the coefficient matrix for the kernel fast paths
-        #: (the object is treated as immutable after construction).
+        self._coefficients: Optional[List[List[FieldElement]]] = matrix
+        #: The raw-int coefficient matrix: what every query and the kernel
+        #: fast paths read (the object is immutable after construction).
         self._ints: List[List[int]] = [[c.value for c in row] for row in matrix]
 
     # Construction ------------------------------------------------------
@@ -51,23 +51,40 @@ class SymmetricBivariatePolynomial:
         rng: random.Random,
         secret: IntoField | None = None,
     ) -> "SymmetricBivariatePolynomial":
-        """A random symmetric bivariate polynomial with ``F(0,0) = secret``."""
+        """A random symmetric bivariate polynomial with ``F(0,0) = secret``.
+
+        One ``rng.randrange(prime)`` per ``(i, j >= i)`` straight into the int
+        matrix: square, reduced and symmetric by construction, so the
+        coercing, checking constructor (for matrices from outside) is skipped.
+        """
         size = degree + 1
-        matrix = [[field.zero() for _ in range(size)] for _ in range(size)]
+        prime = field.prime
+        randrange = rng.randrange
+        ints = [[0] * size for _ in range(size)]
         for i in range(size):
             for j in range(i, size):
-                value = field.random(rng)
-                matrix[i][j] = value
-                matrix[j][i] = value
+                ints[i][j] = ints[j][i] = randrange(prime)
         if secret is not None:
-            matrix[0][0] = field(secret)
-        return cls(field, matrix)
+            ints[0][0] = field.raw(secret)
+        self = cls.__new__(cls)
+        self.field = field
+        self._coefficients = None
+        self._ints = ints
+        return self
 
     # Queries ------------------------------------------------------------
     @property
+    def coefficients(self) -> List[List[FieldElement]]:
+        """The coefficient matrix as field elements (built on first access)."""
+        if self._coefficients is None:
+            field = self.field
+            self._coefficients = [[FieldElement(v, field) for v in row] for row in self._ints]
+        return self._coefficients
+
+    @property
     def degree(self) -> int:
         """Degree bound in each variable."""
-        return len(self.coefficients) - 1
+        return len(self._ints) - 1
 
     @property
     def int_matrix(self) -> List[List[int]]:
@@ -87,7 +104,7 @@ class SymmetricBivariatePolynomial:
     @property
     def secret(self) -> FieldElement:
         """``F(0, 0)``, the embedded secret."""
-        return self.coefficients[0][0]
+        return FieldElement(self._ints[0][0], self.field)
 
     def row(self, index: IntoField) -> Polynomial:
         """The row polynomial ``f_index(y) = F(index, y)`` handed to a party."""
@@ -147,7 +164,7 @@ class SymmetricBivariatePolynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymmetricBivariatePolynomial):
             return NotImplemented
-        return self.field == other.field and self.coefficients == other.coefficients
+        return self.field == other.field and self._ints == other._ints
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"SymmetricBivariatePolynomial(degree={self.degree})"

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from functools import lru_cache
+from math import prod
+from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import DecodingError, FieldError, InterpolationError
@@ -573,19 +575,18 @@ _NUMPY_MIN_N = 24
 #: built under a different override are never reused.
 _PLAN_MODE_OVERRIDE: Optional[str] = None
 
-_MISSING = object()
-
 
 class EvalPlan:
     """Immutable per-``(prime, n)`` evaluation tables, shared process-wide.
 
     Holds the party-point power table ``x^j`` for every ``x in 1..n`` and
     ``j in 0..n-1`` (so row validation and share generation become dot
-    products against precomputed columns) and the inverses of every pairwise
-    point difference.  Party points are the consecutive ints ``1..n``, so all
-    differences ``x_j - x_i`` lie in ``[-n, n]`` and a **single**
-    :func:`batch_inverse` sweep at plan-construction time covers every
-    Lagrange-weight denominator any reconstruction will ever need.
+    products against precomputed columns) and the Lagrange-weight factor
+    table ``weight_rows[i][j] = x_j / (x_j - x_i)`` (1 on the diagonal).
+    Party points are the consecutive ints ``1..n``, so every difference is
+    plus or minus one of ``1..n`` and a **single** :func:`batch_inverse` sweep
+    at plan-construction time covers every denominator any reconstruction
+    will ever need; a subset's weights are then products of table entries.
 
     Three evaluation modes, chosen once per plan:
 
@@ -598,7 +599,7 @@ class EvalPlan:
       or the system is too small for vectorisation to pay.
     """
 
-    __slots__ = ("prime", "n", "points", "mode", "inv_signed", "_pow", "_pow_t", "stats")
+    __slots__ = ("prime", "n", "points", "mode", "weight_rows", "_pow", "_pow_t", "stats")
 
     def __init__(self, prime: int, n: int) -> None:
         self.prime = prime
@@ -625,31 +626,37 @@ class EvalPlan:
         else:
             self._pow = None
             self._pow_t = None
-        # inv_signed[d + n] = (d mod prime)^-1 for d in [-n, n], d != 0: the
-        # single batch_inverse sweep backing every subset-weight denominator.
-        diffs = [d for d in range(-n, n + 1) if d != 0]
-        inverses = batch_inverse(prime, diffs)
-        table = [0] * (2 * n + 1)
-        for d, inv in zip(diffs, inverses):
-            table[d + n] = inv
-        self.inv_signed: List[int] = table
+        # signed[d] = (d mod prime)^-1 for d in [-n, n], d != 0 (negative d
+        # indexes from the end): the single batch_inverse sweep behind every
+        # subset-weight denominator.
+        inverses = batch_inverse(prime, self.points)
+        signed = [0] + inverses + [prime - inv for inv in reversed(inverses)]
+        self.weight_rows: List[List[int]] = [
+            [x * signed[x - x_i] % prime if x != x_i else 1 for x in self.points]
+            for x_i in self.points
+        ]
 
     # -- batched evaluations -------------------------------------------
+    def _times(self, left: Any, right: Any) -> Any:
+        """``left @ right % prime``, exact in int64, on a vectorised plan.
+
+        Both operands hold residues and the inner dimension is at most ``n``:
+        ``"matmul"`` plans fit the whole product, ``"split"`` plans take
+        ``right`` in 16-bit halves (each partial sum is below ``n * 2^47``).
+        """
+        prime = self.prime
+        if self.mode == "matmul":
+            return left @ right % prime
+        return (left @ (right >> 16) % prime * 65536 + left @ (right & 0xFFFF)) % prime
+
     def eval_all_points(self, coeffs: Sequence[int]) -> List[int]:
         """``[f(1), ..., f(n)]`` for one reduced-coefficient polynomial."""
-        mode = self.mode
-        if mode == "scalar":
+        if self.mode == "scalar":
             self.stats["scalar_calls"] += 1
             return eval_at_many(self.prime, coeffs, self.points)
         self.stats["vector_calls"] += 1
-        width = len(coeffs)
-        table = self._pow[:, :width]
-        if mode == "matmul":
-            return (table @ _np.array(coeffs, dtype=_np.int64) % self.prime).tolist()
-        arr = _np.array(coeffs, dtype=_np.int64)
-        return (
-            ((table @ (arr >> 16)) % self.prime * 65536 + table @ (arr & 0xFFFF))
-            % self.prime
+        return self._times(
+            self._pow[:, : len(coeffs)], _np.array(coeffs, dtype=_np.int64)
         ).tolist()
 
     def eval_rows_at_point(
@@ -676,37 +683,43 @@ class EvalPlan:
         matrix = _np.zeros((len(rows), width), dtype=_np.int64)
         for index, row in enumerate(rows):
             matrix[index, : len(row)] = row
-        if self.mode == "matmul":
-            return (matrix @ powers % prime).tolist()
-        return (
-            (((matrix >> 16) @ powers) % prime * 65536 + (matrix & 0xFFFF) @ powers)
-            % prime
-        ).tolist()
+        return self._times(matrix, powers).tolist()
+
+    def bivariate_grid(
+        self, matrix: Sequence[Sequence[int]]
+    ) -> Tuple[List[Tuple[int, ...]], List[List[int]]]:
+        """A dealer's whole sharing: the ``n`` wire rows and the point grid.
+
+        ``rows[i]`` equals ``poly_trim(bivariate_row(prime, matrix, i + 1))``
+        -- the tuple the dealer sends party ``i`` -- and ``evals[i][j]`` is
+        ``F(i + 1, j + 1)``, the list ``eval_all_points(rows[i])`` returns:
+        every value any party ever checks for this dealer.  Two matrix
+        products on a vectorised plan (``powers @ matrix``, then ``@ powers^T``;
+        the second has the same overflow bound as the first).
+        """
+        return self._grid(matrix, True)
 
     def bivariate_rows(self, matrix: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
-        """All ``n`` wire-format rows of a symmetric bivariate coefficient matrix.
+        """The rows half of :meth:`bivariate_grid` (one product, no evals)."""
+        return self._grid(matrix, False)[0]
 
-        ``result[i]`` equals ``poly_trim(bivariate_row(prime, matrix, i + 1))``
-        -- exactly the tuple the dealer previously built row by row -- but the
-        whole grid is one matrix product.
-        """
+    def _grid(
+        self, matrix: Sequence[Sequence[int]], with_evals: bool
+    ) -> Tuple[List[Tuple[int, ...]], Optional[List[List[int]]]]:
         prime = self.prime
+        evals = None
         if self.mode == "scalar":
             self.stats["scalar_calls"] += 1
-            return [
-                poly_trim(bivariate_row(prime, matrix, x)) for x in self.points
-            ]
+            rows = [poly_trim(bivariate_row(prime, matrix, x)) for x in self.points]
+            if with_evals:
+                evals = [eval_at_many(prime, row, self.points) for row in rows]
+            return rows, evals
         self.stats["vector_calls"] += 1
         width = len(matrix)
-        table = self._pow[:, :width]
-        coeffs = _np.array(matrix, dtype=_np.int64)
-        if self.mode == "matmul":
-            grid = table @ coeffs % prime
-        else:
-            grid = (
-                (table @ (coeffs >> 16)) % prime * 65536 + table @ (coeffs & 0xFFFF)
-            ) % prime
-        return [poly_trim(row) for row in grid.tolist()]
+        grid = self._times(self._pow[:, :width], _np.array(matrix, dtype=_np.int64))
+        if with_evals:
+            evals = self._times(grid, self._pow_t[:width]).tolist()
+        return [poly_trim(row) for row in grid.tolist()], evals
 
     def shares_many(self, coeffs_list: Sequence[Sequence[int]]) -> List[List[int]]:
         """Shamir shares at ``1..n`` for many polynomials (one batched product)."""
@@ -721,49 +734,24 @@ class EvalPlan:
         matrix = _np.zeros((len(coeffs_list), width), dtype=_np.int64)
         for index, coeffs in enumerate(coeffs_list):
             matrix[index, : len(coeffs)] = coeffs
-        table = self._pow_t[:width]
-        if self.mode == "matmul":
-            return (matrix @ table % prime).tolist()
-        return (
-            (((matrix >> 16) @ table) % prime * 65536 + (matrix & 0xFFFF) @ table)
-            % prime
-        ).tolist()
+        return self._times(matrix, self._pow_t[:width]).tolist()
 
     # -- reconstruction weights ----------------------------------------
     def subset_weights(self, pids: Sequence[int]) -> Tuple[int, ...]:
         """Lagrange weights at zero for the party subset ``pids`` (0-based).
 
         Byte-identical to ``lagrange_weights_at_zero(prime, xs)`` for
-        ``xs = tuple(pid + 1 for pid in pids)``, but every denominator factor
-        is a lookup into the plan's precomputed difference inverses, so a
-        fixed-set signature costs ``O(k^2)`` multiplications and **zero**
-        modular inversions.
+        ``xs = tuple(pid + 1 for pid in pids)``: member ``i``'s weight is the
+        product of its ``weight_rows`` entries over the subset (the diagonal
+        entry is 1), so a fixed-set signature costs ``k`` table picks and
+        products and **zero** modular inversions.
         """
+        if len(pids) < 2:  # itemgetter of one index returns a bare item
+            return (1,) * len(pids)
         prime = self.prime
-        n = self.n
-        inv_signed = self.inv_signed
-        xs = [pid + 1 for pid in pids]
-        k = len(xs)
-        # Numerators prod_{j != i} x_j via prefix/suffix products.
-        prefix = [1] * (k + 1)
-        for index, x in enumerate(xs):
-            prefix[index + 1] = prefix[index] * x % prime
-        suffix = 1
-        weights = [0] * k
-        for index in range(k - 1, -1, -1):
-            weights[index] = prefix[index] * suffix % prime
-            suffix = suffix * xs[index] % prime
-        # Denominators as products of precomputed difference inverses (two
-        # ranges instead of a skip-self branch per factor).
-        for i in range(k):
-            offset = n - xs[i]
-            acc = weights[i]
-            for j in range(i):
-                acc = acc * inv_signed[xs[j] + offset] % prime
-            for j in range(i + 1, k):
-                acc = acc * inv_signed[xs[j] + offset] % prime
-            weights[i] = acc
-        return tuple(weights)
+        pick = itemgetter(*pids)
+        rows = self.weight_rows
+        return tuple(prod(pick(rows[pid])) % prime for pid in pids)
 
 
 @lru_cache(maxsize=64)
@@ -808,16 +796,25 @@ class CryptoPlane:
 
     One plane serves every party of a simulated network (it is interned on
     the :class:`~repro.net.network.Network` beside the session table), which
-    is what amortises work *across dealers*: a RECROW broadcast by one party
-    reaches ``n`` receivers, and with the plane each of them resolves the row
-    through one dict hit instead of re-validating and re-evaluating it.
+    is what amortises work *across parties*: an honest in-process dealer's
+    whole sharing is computed once (:meth:`deal_rows`) and every row and
+    cross-point any party later checks for that dealer is a lookup; a RECROW
+    broadcast reaches ``n`` receivers that each resolve it through one dict
+    hit.  Everything else -- tampered, Byzantine-dealt, recovered rows --
+    takes the miss path, which validates and evaluates from scratch.
 
-    Caches (all value-keyed, so sharing across parties is semantically
-    invisible):
+    The plane is *simulator* memory, not any party's: a dealt row is in it
+    before it is delivered, so adversary behaviours must never read it.
+    Sharing is semantically invisible because every answer equals the scalar
+    kernel's on the same payload (``tests/crypto/test_eval_plan.py``):
 
     * ``validate_row`` -- wire payload -> reduced trimmed row (or None for a
       malformed/over-degree payload), replacing the per-receiver coefficient
-      scan of ``_validate_row_ints``;
+      scan of ``_validate_row_ints``.  Only canonical rows (tuples of exact
+      ints, reduced and trimmed) are stored, and a stored answer is trusted
+      only for the very object it is stored under: ``(5.0, 7.0) == (5, 7)``
+      and hashes alike, so an equal-but-not-identical payload is validated
+      from scratch;
     * ``row_evals`` -- trimmed row -> its evaluations at every party point,
       computed once per distinct row network-wide (one batched product) and
       turning every POINT/RECROW consistency check into a list index;
@@ -853,16 +850,36 @@ class CryptoPlane:
             "weight_hits": 0,
             "weight_misses": 0,
         }
-        #: Wire payload -> ``(trimmed row, evals at all party points)`` (or
-        #: None for an invalid payload); public so the hottest handlers can
-        #: resolve validation AND cross-point evaluation with one dict get.
-        self.row_cache: Dict[Any, Optional[Tuple[Tuple[int, ...], List[int]]]] = {}
+        #: Canonical row -> ``(that same tuple, evals at all party points)``;
+        #: public so the hottest handlers can resolve validation AND
+        #: cross-point evaluation with one dict get.  A probe is a hit only
+        #: when ``record[0] is payload``.
+        self.row_cache: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], List[int]]] = {}
         #: Trimmed row -> its evaluations at every party point.
         self.eval_cache: Dict[Tuple[int, ...], List[int]] = {}
         #: Fixed reconstruction set -> Lagrange weights at zero.
         self.weight_cache: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
+    def deal_rows(self, matrix: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
+        """An honest dealer's ``n`` wire rows, entered into the caches.
+
+        The dealer's grid product yields every row *and* its evaluations, so
+        each row gets the record :meth:`validate_row_record` would build on
+        first sight (dealt rows are reduced, trimmed and of degree <= t by
+        construction).  A row equal to one already held is returned as the
+        held object, which is what makes its later sightings hits.
+        """
+        rows, evals = self.plan.bivariate_grid(matrix)
+        row_cache, eval_cache = self.row_cache, self.eval_cache
+        for cache in (row_cache, eval_cache):
+            if len(cache) > _PLANE_ROW_CACHE_LIMIT - len(rows):
+                cache.clear()
+        for index, (row, values) in enumerate(zip(rows, evals)):
+            values = eval_cache.setdefault(row, values)
+            rows[index] = row_cache.setdefault(row, (row, values))[0]
+        return rows
+
     def _validate_uncached(self, coefficients: Any) -> Optional[Tuple[int, ...]]:
         if not isinstance(coefficients, (tuple, list)) or not all(
             isinstance(c, int) for c in coefficients
@@ -886,23 +903,29 @@ class CryptoPlane:
         """
         rows = self.row_cache
         try:
-            cached = rows.get(coefficients, _MISSING)
-        except TypeError:
-            # Unhashable payload (e.g. a nested list): validate directly.
-            self.stats["row_misses"] += 1
-            trimmed = self._validate_uncached(coefficients)
-            if trimmed is None:
-                return None
-            return trimmed, self.row_evals(trimmed)
-        if cached is not _MISSING:
+            record = rows.get(coefficients)
+        except TypeError:  # unhashable payload, e.g. a list
+            record = None
+        if record is not None and record[0] is coefficients:
             self.stats["row_hits"] += 1
-            return cached
+            return record
         self.stats["row_misses"] += 1
         trimmed = self._validate_uncached(coefficients)
-        record = None if trimmed is None else (trimmed, self.row_evals(trimmed))
-        if len(rows) >= _PLANE_ROW_CACHE_LIMIT:
-            rows.clear()
-        rows[coefficients] = record
+        if trimmed is None:
+            return None
+        record = rows.get(trimmed)
+        if record is None:
+            if (
+                type(coefficients) is tuple
+                and coefficients == trimmed
+                and all(type(c) is int for c in coefficients)
+            ):
+                # Already canonical: the payload *is* the row, so the same
+                # object seen again (a re-broadcast, a RECROW) hits.
+                trimmed = coefficients
+            if len(rows) >= _PLANE_ROW_CACHE_LIMIT:
+                rows.clear()
+            record = rows[trimmed] = (trimmed, self.row_evals(trimmed))
         return record
 
     def validate_row(self, coefficients: Any) -> Optional[Tuple[int, ...]]:

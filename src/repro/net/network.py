@@ -485,7 +485,8 @@ class Network:
         """
         # With tracing off, no director and no registry, nothing can read
         # ``step_count`` mid-delivery (trace hooks are no-ops), so the
-        # counter lives in a local and is written back when the loop exits.
+        # counter lives in a local -- the loop variable, which also enforces
+        # the cap -- and is written back when the loop exits.
         # Fan-out copies are delivered straight from their group entry; a
         # Message is only built for behaviours and shun drops inside
         # ``deliver_parts``.  An empty queue surfaces as the pop raising
@@ -495,17 +496,16 @@ class Network:
         rng = self.scheduler_rng
         processes = self.processes
         deliver_by_pid = [process.deliver for process in processes]
-        step = self.step_count
-        delivered = 0
+        step = first = self.step_count
         try:
-            while not self._watch_done:
-                if delivered >= max_steps:
-                    raise SimulationError(_CAP_ERROR.format(max_steps))
+            if self._watch_done:
+                return 0
+            for step in range(first + 1, first + max_steps + 1):
                 try:
                     entry, receiver = pop_entry(rng)
                 except IndexError:
+                    step -= 1  # this delivery did not happen
                     raise SimulationError(_DEADLOCK_ERROR) from None
-                step += 1
                 if receiver < 0:
                     deliver_by_pid[entry.receiver](entry)
                 else:
@@ -527,8 +527,9 @@ class Network:
                         process.deliver_parts(
                             entry.sender, session, payload, entry, receiver
                         )
-                delivered += 1
-            return delivered
+                if self._watch_done:
+                    return step - first
+            raise SimulationError(_CAP_ERROR.format(max_steps))
         finally:
             self.step_count = step
 

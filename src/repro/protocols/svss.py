@@ -35,16 +35,24 @@ Hot-path design (SVSS messages dominate every coin/agreement trial):
   evaluated as plain reduced int tuples; a :class:`Polynomial` object is only
   built lazily, once, when a completed :class:`ShareState` needs it.
 * **Network-wide batched crypto plane** -- all instances of a trial share the
-  :class:`~repro.crypto.kernels.CryptoPlane` interned on the network.  A row
-  broadcast by one party is validated once and evaluated at *all* party
-  points once (one exact int64 product on vectorised plans), no matter how
-  many of the n receivers, sessions or dealers touch it; every POINT/RECROW
-  consistency check is then a list index.  The dealer generates all ``n``
-  rows of its bivariate sharing through one grid product, and reconstruction
-  reuses one memoised set of Lagrange weights per fixed-set signature across
-  the ``n`` parallel :class:`SVSSRec` sessions of a coin flip.  The scalar
-  kernels remain the oracle: every plane result is byte-identical
-  (``tests/crypto/test_eval_plan.py``, ``tests/test_golden_trials.py``).
+  :class:`~repro.crypto.kernels.CryptoPlane` interned on the network.  Every
+  value any party checks for one dealer is an entry of the grid
+  ``F(alpha_i, alpha_j)``, so an honest dealer computes it once
+  (``deal_rows``: two matrix products on vectorised plans) and seeds the
+  plane with each row's record; receivers resolve their ROW, every
+  POINT/RECROW consistency check and the RECROW of every peer by lookup.
+  The miss path is for everything else -- tampered, Byzantine-dealt and
+  recovered rows are validated once and evaluated at *all* party points once
+  on first sight -- and an entry only answers for the very payload object it
+  is stored under (an equal tuple of floats is not the row).  The plane is
+  simulator memory, not a party's: a dealt row is in it before it is
+  delivered, so behaviours must never read it.  Reconstruction takes its
+  Lagrange weights from the plan's factor table, memoised per fixed-set
+  signature across the ``n`` parallel :class:`SVSSRec` sessions of a coin
+  flip.  The scalar kernels remain the oracle: every plane answer is
+  byte-identical (``tests/crypto/test_eval_plan.py``,
+  ``tests/protocols/test_svss.py::test_handlers_match_scalar_model``,
+  ``tests/test_golden_trials.py``).
 * **Decode-based row recovery** -- recovering a withheld row used to try
   every ``(t+1)``-subset of vouched points (``C(k, t+1)`` interpolations --
   minutes of work at ``n = 32``).  The fast path interpolates once and
@@ -68,9 +76,6 @@ from repro.errors import DecodingError
 from repro.net.message import SessionId
 from repro.net.process import Process
 from repro.net.protocol import Protocol
-
-
-_MISS = object()
 
 
 def party_point(pid: int) -> int:
@@ -198,13 +203,15 @@ class SVSSShare(Protocol):
         self.secret_polynomial = SymmetricBivariatePolynomial.random(
             self.field, self.t, self.rng, secret=int(self.field(value))
         )
-        # All n wire rows through one grid product (the same trimmed tuples
-        # the per-receiver ``row().to_ints()`` loop used to build).  Seed-era
-        # substitute polynomials (the frozen bench oracles) lack the raw-int
-        # mirror and keep the row-by-row path.
+        # The whole sharing through one grid product: all n wire rows (the
+        # same trimmed tuples the per-receiver ``row().to_ints()`` loop used
+        # to build) and every cross-point, seeded into the plane so no
+        # receiver validates or evaluates an honestly dealt row again.
+        # Seed-era substitute polynomials (the frozen bench oracles) lack the
+        # raw-int matrix and keep the row-by-row path, unseeded.
         matrix = getattr(self.secret_polynomial, "int_matrix", None)
         if matrix is not None:
-            rows = self._plane.plan.bivariate_rows(matrix)
+            rows = self._plane.deal_rows(matrix)
         else:
             rows = [
                 tuple(self.secret_polynomial.row(party_point(receiver)).to_ints())
@@ -372,7 +379,10 @@ class SVSSShare(Protocol):
         candidate = self._recover_from_points(usable)
         if candidate is None:
             return
-        self.row_ints = candidate
+        # A recovered row equal to one the plane holds *is* that row: sent on
+        # as the held object, its RECROW is a lookup at every receiver.
+        held = self._plane.row_cache.get(candidate)
+        self.row_ints = candidate if held is None else held[0]
         self.row_recovered = True
         self._after_row_known()
 
@@ -467,7 +477,6 @@ class SVSSRec(Protocol):
         "field",
         "_plane",
         "_row_cache",
-        "_eval_cache",
         "_t1",
         "share",
         "_own_evals",
@@ -481,11 +490,10 @@ class SVSSRec(Protocol):
         self.field = Field(self.params.prime)
         #: Network-wide batched crypto plane (shared row/eval/weight caches).
         self._plane = plane = process.network.crypto_plane()
-        # Direct references to the plane's shared caches: the RECROW handler
+        # Direct reference to the plane's shared row cache: the RECROW handler
         # is the single hottest protocol path of a coin trial, and the hit
         # case must be one dict probe, not a method-call chain.
         self._row_cache = plane.row_cache
-        self._eval_cache = plane.eval_cache
         self._t1 = self.t + 1
         self.share: Optional[ShareState] = None
         #: Own row evaluated at every party point, indexed by pid.
@@ -519,15 +527,17 @@ class SVSSRec(Protocol):
         raw = payload[1]
         # Inlined plane.validate_row_record hit path: ONE shared-cache probe
         # resolves both validation and the row's cross-point evaluations.
+        # An entry answers only for the object it is stored under -- an equal
+        # payload (a float alias, a tampered copy) is validated from scratch.
         try:
-            record = self._row_cache.get(raw, _MISS)
+            record = self._row_cache.get(raw)
         except TypeError:
-            record = _MISS
-        if record is _MISS:
+            record = None
+        if record is None or record[0] is not raw:
             record = self._plane.validate_row_record(raw)
-        if record is None:
-            self.shun(sender)
-            return
+            if record is None:
+                self.shun(sender)
+                return
         row, evals = record
         received = self.received_rows
         known = received[sender]

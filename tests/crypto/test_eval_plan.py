@@ -11,10 +11,13 @@ equivalence on random inputs across all three plan modes (int64 matmul,
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from repro.crypto import kernels
+from repro.crypto.bivariate import SymmetricBivariatePolynomial
+from repro.crypto.field import Field
 from repro.protocols.svss import _validate_row_ints
 
 #: One prime per plan mode: million-scale (single matmul), the library
@@ -30,6 +33,32 @@ def plans():
         kernels.get_eval_plan(SPLIT_PRIME, 32),
         kernels.get_eval_plan(SMALL_PRIME, 7),
     ]
+
+
+def _symmetric(size, draw):
+    matrix = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            matrix[i][j] = matrix[j][i] = draw(i, j)
+    return matrix
+
+
+def dealer_matrices(plan):
+    """Coefficient matrices an SVSS dealer can hold, degenerate ones included."""
+    rng = random.Random(4)
+    size = (plan.n - 1) // 3 + 1
+    high = size // 2  # coefficients at or above this index are zero
+    return {
+        "random": _symmetric(size, lambda i, j: rng.randrange(plan.prime)),
+        "extreme": _symmetric(size, lambda i, j: plan.prime - 1),
+        "all-zero": _symmetric(size, lambda i, j: 0),
+        # F(x, y) = s: every row is the same one-coefficient tuple.
+        "secret-only": _symmetric(size, lambda i, j: 5 if i == j == 0 else 0),
+        # Rows trim shorter than t + 1.
+        "low-degree": _symmetric(
+            size, lambda i, j: rng.randrange(plan.prime) if j < high else 0
+        ),
+    }
 
 
 class TestPlanModes:
@@ -92,19 +121,68 @@ class TestEvalGridAndShares:
 
     @pytest.mark.parametrize("plan", plans(), ids=lambda p: f"n{p.n}")
     def test_bivariate_rows_match_scalar(self, plan):
-        rng = random.Random(4)
+        points = range(1, plan.n + 1)
+        for kind, matrix in dealer_matrices(plan).items():
+            expected = [
+                kernels.poly_trim(kernels.bivariate_row(plan.prime, matrix, x))
+                for x in points
+            ]
+            rows, evals = plan.bivariate_grid(matrix)
+            assert rows == plan.bivariate_rows(matrix) == expected, kind
+            assert all(type(c) is int for row in rows for c in row), kind
+            assert evals == [
+                kernels.eval_at_many(plan.prime, row, points) for row in rows
+            ], kind
+            if kind == "low-degree":
+                assert max(map(len, rows)) < len(matrix)
+
+    @pytest.mark.parametrize("plan", plans(), ids=lambda p: f"n{p.n}")
+    def test_dealt_records_equal_first_sight_records(self, plan):
+        """``deal_rows`` seeds exactly what the miss path would have built."""
         t = (plan.n - 1) // 3
-        # Random symmetric matrix, as the SVSS dealer builds.
-        size = t + 1
-        matrix = [[0] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(i, size):
-                matrix[i][j] = matrix[j][i] = rng.randrange(plan.prime)
-        expected = [
-            kernels.poly_trim(kernels.bivariate_row(plan.prime, matrix, x))
-            for x in range(1, plan.n + 1)
-        ]
-        assert plan.bivariate_rows(matrix) == expected
+        for kind, matrix in dealer_matrices(plan).items():
+            plane = kernels.CryptoPlane(plan.prime, plan.n, t)
+            rows = plane.deal_rows(matrix)
+            assert rows == plan.bivariate_rows(matrix), kind
+            assert plane.stats["row_misses"] == plane.stats["eval_misses"] == 0
+            for row in rows:
+                seeded = plane.validate_row_record(row)
+                fresh = kernels.CryptoPlane(plan.prime, plan.n, t).validate_row_record(
+                    tuple(list(row))  # an equal copy, seen for the first time
+                )
+                assert seeded == fresh, kind
+                assert seeded[0] is row, kind  # equal rows: one held object
+                assert plane.row_evals(row) == fresh[1], kind
+            # Every sighting above was a lookup, also where rows are equal.
+            assert plane.stats["row_misses"] == plane.stats["eval_misses"] == 0, kind
+            assert plane.stats["row_hits"] == plan.n, kind
+            # A second dealer holding equal rows changes no record.
+            before = {row: plane.row_cache[row] for row in rows}
+            assert plane.deal_rows(matrix) == rows
+            assert all(plane.row_cache[row] is before[row] for row in rows), kind
+
+    @pytest.mark.parametrize("plan", plans(), ids=lambda p: f"n{p.n}")
+    def test_random_dealing_equals_the_checking_constructor(self, plan):
+        """``random`` skips the coercing constructor, not its result or draws."""
+        field = Field(plan.prime)
+        t = (plan.n - 1) // 3
+        for secret in (None, 0, 12345, field(7)):
+            fast_rng, slow_rng = random.Random(13), random.Random(13)
+            fast = SymmetricBivariatePolynomial.random(field, t, fast_rng, secret=secret)
+            matrix = _symmetric(t + 1, lambda i, j: field.random(slow_rng))
+            if secret is not None:
+                matrix[0][0] = field(secret)
+            slow = SymmetricBivariatePolynomial(field, matrix)
+            assert fast_rng.getstate() == slow_rng.getstate()
+            assert fast.int_matrix == slow.int_matrix
+            assert fast == slow and fast.coefficients == slow.coefficients
+            assert fast.secret == slow.secret and fast.degree == slow.degree == t
+            assert all(fast.row(i) == slow.row(i) for i in range(plan.n + 1))
+            assert fast(3, plan.n) == slow(3, plan.n)
+        with pytest.raises(Exception, match="different field"):
+            SymmetricBivariatePolynomial.random(
+                field, t, random.Random(0), secret=Field(101)(3)
+            )
 
     @pytest.mark.parametrize("plan", plans(), ids=lambda p: f"n{p.n}")
     def test_shamir_share_values_many(self, plan):
@@ -172,6 +250,38 @@ class TestValidateRows:
         for value in range(40):
             plane.validate_row((value % SMALL_PRIME,))
         assert len(plane.row_cache) <= 8
+        # Dealing respects the same bound, and the latest deal is held in full.
+        rng = random.Random(11)
+        for _ in range(10):
+            matrix = _symmetric(3, lambda i, j: rng.randrange(SMALL_PRIME))
+            rows = plane.deal_rows(matrix)
+            assert len(plane.row_cache) <= 8 and len(plane.eval_cache) <= 8
+            assert all(plane.row_cache[row][0] is row for row in rows)
+            assert rows == plane.plan.bivariate_rows(matrix)
+
+    @pytest.mark.parametrize("alias", [float, Fraction, bool], ids=lambda a: a.__name__)
+    @pytest.mark.parametrize("valid_first", [True, False], ids=["int-first", "alias-first"])
+    def test_equal_payloads_of_another_type_get_their_own_verdict(self, alias, valid_first):
+        """``(5.0, 7.0) == (5, 7)`` and ``(True,) == (1,)``, hashes included: a
+        value-keyed cache must not let either stand in for the other."""
+        prime, n, t = SMALL_PRIME, 7, 2
+        honest = (1,) if alias is bool else (5, 7)
+        twin = tuple(alias(c) for c in honest)
+        assert twin == honest and hash(twin) == hash(honest)
+        plane = kernels.CryptoPlane(prime, n, t)
+        plane.deal_rows(_symmetric(t + 1, lambda i, j: i + j))  # seeded rows beside
+        order = (honest, twin) if valid_first else (twin, honest)
+        for payload in order + order:
+            expected = _validate_row_ints(prime, t, payload)
+            row = plane.validate_row(payload)
+            assert row == expected, payload
+            if expected is not None:
+                assert all(type(c) is int for c in row), payload
+        # Whatever came first, the plane holds canonical rows only, each
+        # under the very tuple its record names.
+        for key, record in plane.row_cache.items():
+            assert type(key) is tuple and all(type(c) is int for c in key)
+            assert key is record[0]
 
     def test_weight_cache_is_bounded(self, monkeypatch):
         monkeypatch.setattr(kernels, "_PLANE_WEIGHTS_CACHE_LIMIT", 4)
@@ -184,15 +294,20 @@ class TestValidateRows:
 
 
 class TestReconstructionWeights:
-    @pytest.mark.parametrize("prime,n", [(MATMUL_PRIME, 64), (SPLIT_PRIME, 32)])
+    @pytest.mark.parametrize("prime,n", [(MATMUL_PRIME, 64), (SPLIT_PRIME, 32), (SMALL_PRIME, 7)])
     def test_subset_weights_match_lagrange(self, prime, n):
         plan = kernels.get_eval_plan(prime, n)
         rng = random.Random(8)
-        for _ in range(20):
-            k = rng.randrange(1, n // 3 + 2)
-            pids = tuple(sorted(rng.sample(range(n), k)))
+        subsets = [
+            tuple(sorted(rng.sample(range(n), rng.randrange(1, n // 3 + 2))))
+            for _ in range(20)
+        ]
+        subsets += [(), (0,), (n - 1,), tuple(range(n))]  # k = 0, 1, n
+        subsets += [tuple(rng.sample(range(n), n // 3 + 1)) for _ in range(5)]  # unsorted
+        for pids in subsets:
             xs = tuple(pid + 1 for pid in pids)
             assert plan.subset_weights(pids) == kernels.lagrange_weights_at_zero(prime, xs)
+            assert plan.subset_weights(list(pids)) == plan.subset_weights(pids)
 
     def test_reconstruct_at_zero_matches_interpolate(self):
         plane = kernels.CryptoPlane(MATMUL_PRIME, 64, 21)

@@ -28,6 +28,7 @@ from repro.net.scheduler import RandomScheduler, force_scan
 from repro.obs.metrics import MetricsRegistry
 from repro.protocols.aba import OracleCoinSource
 from repro.protocols.fba import FairByzantineAgreement
+from repro.protocols.svss import SVSSRec
 from repro.protocols.weak_coin import WeakCommonCoin
 
 N = 7
@@ -180,6 +181,71 @@ def test_every_cell_hits_the_cap_with_the_same_error(name, delivered):
                 "run() exceeded 60 deliveries without reaching its stop condition"
             )
             assert observed[2] == 60
+        assert observed == reference, cell
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULERS))
+def test_every_cell_agrees_at_the_cap_boundaries(name, delivered):
+    """The cap is an error only while the stop condition is unmet: a run that
+    completes on exactly the ``max_steps``-th delivery returns, one delivery
+    fewer raises, and ``max_steps=0`` raises unless the run is already over."""
+    full = _run(_simulation(SCHEDULERS[name](), True, False, "none"), "watch").steps
+    reference = {}
+    for tracing, registry, director, stop in CELLS:
+        cell = (tracing, registry, director, stop)
+        for case, cap in (("exact", full), ("one-short", full - 1), ("zero", 0)):
+            del delivered[:]
+            sim = _simulation(SCHEDULERS[name](), tracing, registry, director, max_steps=cap)
+            error = None
+            try:
+                result = _run(sim, stop)
+            except SimulationError as raised:
+                error = str(raised)
+            observed = (error, list(delivered), sim.network.step_count)
+            assert observed == reference.setdefault(case, observed), (cell, case)
+            assert sim.network.step_count == len(observed[1]) == cap, (cell, case)
+            if case == "exact":
+                assert error is None and result.steps == full, cell
+                # Already over: no delivery is owed, so no cap can be hit.
+                network = sim.network
+                again = (
+                    network.run_until_complete(SESSION, max_steps=0)
+                    if stop == "watch"
+                    else network.run(
+                        until=lambda net: net.all_honest_finished(SESSION), max_steps=0
+                    )
+                )
+                assert (again, network.step_count) == (0, full), cell
+            else:
+                assert error == (
+                    f"run() exceeded {cap} deliveries without reaching its stop condition"
+                ), (cell, case)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULERS))
+def test_every_cell_counts_the_delivery_whose_handler_raised(name, delivered, monkeypatch):
+    """A handler that raises mid-run leaves ``step_count`` at that delivery."""
+    calls = []
+    on_message = SVSSRec.on_message
+
+    def failing_on_message(self, sender, payload):
+        calls.append(sender)
+        if len(calls) == 40:
+            raise RuntimeError("handler failed")
+        on_message(self, sender, payload)
+
+    monkeypatch.setattr(SVSSRec, "on_message", failing_on_message)
+    reference = None
+    for tracing, registry, director, stop in CELLS:
+        cell = (tracing, registry, director, stop)
+        del delivered[:], calls[:]
+        sim = _simulation(SCHEDULERS[name](), tracing, registry, director)
+        with pytest.raises(RuntimeError, match="handler failed"):
+            _run(sim, stop)
+        observed = (list(delivered), sim.network.step_count)
+        if reference is None:
+            reference = observed
+            assert observed[1] == len(observed[0]) > 40
         assert observed == reference, cell
 
 

@@ -2,20 +2,27 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from repro.adversary import (
     BadShareBehavior,
     CrashBehavior,
+    HonestButMutatingBehavior,
     PointCorruptingBehavior,
     WithholdingDealerBehavior,
 )
 from repro.core import api
 from repro.core.config import ProtocolParams
+from repro.crypto import kernels
 from repro.crypto.field import Field
+from repro.net.message import Message
+from repro.net.network import Network
 from repro.net.runtime import Simulation
 from repro.net.scheduler import FIFOScheduler
-from repro.protocols.svss import SVSSShare, party_point
+from repro.protocols.svss import SVSSRec, SVSSShare, _validate_row_ints, party_point
 
 
 class TestHonestDealer:
@@ -115,8 +122,6 @@ class TestWithholdingDealer:
         assert len(values) == 1
 
     def test_recovered_flag_set(self):
-        from repro.protocols.svss import SVSSRec  # noqa: F401  (documentation import)
-
         sim_result = api.run_svss(
             4,
             50,
@@ -156,8 +161,6 @@ class TestByzantineReconstruction:
         polynomial; the raw-int validation path must do the same or honest
         parties index ``row[0]`` off the end mid-reconstruction.
         """
-        from repro.adversary import HonestButMutatingBehavior
-
         def empty_rows(receiver, session, payload):
             if payload and payload[0] == kind:
                 return receiver, session, (kind, ())
@@ -196,3 +199,427 @@ class TestByzantineReconstruction:
             )
             total += result.trace.total_shun_events()
         assert total < 16
+
+
+# ----------------------------------------------------------------------
+# The plane's value-keyed row cache must not let an equal payload of another
+# type stand in for a validated row: ``(5.0, 7.0) == (5, 7)``, hashes included.
+def _without_row_caching(monkeypatch):
+    """Every row payload validated and evaluated from scratch, nothing held."""
+
+    def validate_row_record(plane, coefficients):
+        row = _validate_row_ints(plane.prime, plane.t, coefficients)
+        if row is None:
+            return None
+        return row, kernels.eval_at_many(plane.prime, row, range(1, plane.n + 1))
+
+    monkeypatch.setattr(kernels.CryptoPlane, "validate_row_record", validate_row_record)
+    monkeypatch.setattr(
+        kernels.CryptoPlane,
+        "deal_rows",
+        lambda plane, matrix: plane.plan.bivariate_rows(matrix),
+        raising=False,
+    )
+
+
+def test_float_alias_of_a_cached_row_is_validated_not_looked_up(monkeypatch):
+    """A party re-sending its own RECROW row as floats is shunned by exactly
+    the receivers that would shun it with no cache at all."""
+
+    def floaty(receiver, session, payload):
+        if payload[0] == "RECROW":
+            payload = ("RECROW", tuple(float(c) for c in payload[1]))
+        return receiver, session, payload
+
+    def shuns():
+        return [
+            api.run_svss(
+                4, 1234, seed=seed,
+                corruptions={3: lambda process: HonestButMutatingBehavior(floaty)},
+            ).trace.shun_events
+            for seed in range(6)
+        ]
+
+    cached = shuns()
+    _without_row_caching(monkeypatch)
+    assert cached == shuns()
+    assert sum(map(len, cached)) > 0
+
+
+# ----------------------------------------------------------------------
+# Differential model.  The handlers answer every row question from the
+# network-wide crypto plane -- seeded by the dealer's grid product, probed by
+# identity, filled on first sight.  The model below keeps no cache and asks
+# the scalar kernels each time (``_validate_row_ints``, ``horner``,
+# ``lagrange_weights_at_zero``); after every delivery the two must agree on
+# what the party sent, whom it shuns and what it holds.
+class _PartyModel:
+    """One party's SVSS-Share and SVSS-Rec, recomputed from scratch each time."""
+
+    def __init__(self, pid, dealer, n, t, prime, probe_rng):
+        self.pid, self.dealer, self.n, self.t, self.prime = pid, dealer, n, t, prime
+        self.quorum = n - t
+        self.probe_rng = probe_rng
+        self.log = []
+        self.shunned = set()
+        # Share.
+        self.row = None
+        self.recovered = False
+        self.points = {}
+        self.ready = set()
+        self.points_sent = self.ready_sent = self.share_done = False
+        # Rec.
+        self.rec_started = self.rec_done = False
+        self.rec_pending = []
+        self.rec_output = None
+        self.received = {}
+        self.validated = {}
+
+    def at(self, row, pid):
+        return kernels.horner(self.prime, row, party_point(pid))
+
+    def shun(self, party):
+        if party != self.pid and party not in self.shunned:
+            self.shunned.add(party)
+            self.log.append(("shun", party))
+
+    def broadcast(self, session, *payload):
+        self.log.extend(("send", r, session, payload) for r in range(self.n))
+
+    # -- SVSS-Share ----------------------------------------------------
+    def deal(self, matrix):
+        for receiver in range(self.n):
+            row = kernels.poly_trim(
+                kernels.bivariate_row(self.prime, matrix, party_point(receiver))
+            )
+            self.log.append(("send", receiver, "share", ("ROW", row)))
+
+    def on_share(self, sender, payload):
+        if not payload:
+            return
+        kind = payload[0]
+        if kind == "POINT" and len(payload) == 2:
+            value = payload[1]
+            if not isinstance(value, int):
+                self.shun(sender)
+            elif sender in self.points:
+                if self.points[sender] != value:
+                    self.shun(sender)
+            else:
+                self.points[sender] = value
+                if self.row is None:
+                    self.maybe_recover()
+                else:
+                    self.maybe_ready()
+        elif kind == "READY" and len(payload) == 1:
+            if not self.share_done:
+                self.ready.add(sender)
+                if self.row is None:
+                    self.maybe_recover()
+                else:
+                    self.maybe_complete()
+        elif kind == "ROW" and len(payload) == 2 and sender == self.dealer:
+            row = _validate_row_ints(self.prime, self.t, payload[1])
+            if row is None:
+                self.shun(sender)
+            elif self.row is None:
+                self.row = row
+                self.row_known()
+            elif row != self.row and not self.recovered:
+                self.shun(sender)
+
+    def row_known(self):
+        self.log.append(("phase", "share", "row"))
+        if not self.points_sent:
+            self.points_sent = True
+            self.log.extend(
+                ("send", r, "share", ("POINT", self.at(self.row, r)))
+                for r in range(self.n)
+                if r != self.pid
+            )
+        self.maybe_ready()
+        self.maybe_complete()
+
+    def maybe_ready(self):
+        # Our own point counts by construction; every stored point that lies
+        # on our row counts once more (its sender included, whoever it is).
+        agreeing = 1 + sum(self.at(self.row, s) == v for s, v in self.points.items())
+        if not self.ready_sent and agreeing >= self.quorum:
+            self.ready_sent = True
+            self.log.append(("phase", "share", "ready"))
+            self.broadcast("share", "READY")
+
+    def maybe_complete(self):
+        if not self.share_done and len(self.ready) >= self.quorum:
+            self.share_done = True
+            self.log.append(("complete", "share", (self.dealer, self.row, self.recovered)))
+
+    def maybe_recover(self):
+        threshold = self.t + 1 if self.dealer in self.shunned else self.quorum
+        usable = {s: v for s, v in sorted(self.points.items()) if s in self.ready}
+        if len(self.ready) < threshold or len(usable) < self.t + 1:
+            return
+        candidate = self.recover(usable)
+        if candidate is not None:
+            self.row, self.recovered = candidate, True
+            self.row_known()
+
+    def recover(self, usable):
+        """The row the exhaustive (t+1)-subset search of the seed returns:
+        maximal agreement with the raw values, at least t+1, first found
+        wins.  A candidate agreeing with more than (k+t)/2 points is the
+        strict maximum whichever subset produced it, so a few seeded probes
+        spare the enumeration where it would not end."""
+        senders = list(usable)
+        k, t = len(senders), self.t
+
+        def candidate(subset):
+            xs = tuple(party_point(senders[i]) for i in subset)
+            ys = [usable[senders[i]] % self.prime for i in subset]
+            row = kernels.poly_trim(kernels.interpolate(self.prime, xs, ys))
+            return row, sum(self.at(row, s) == usable[s] for s in senders)
+
+        for _ in range(64):
+            row, agreement = candidate(sorted(self.probe_rng.sample(range(k), t + 1)))
+            if 2 * agreement > k + t:
+                return row
+        best, best_agreement = None, t
+        for subset in itertools.combinations(range(k), t + 1):
+            row, agreement = candidate(subset)
+            if agreement > best_agreement:
+                best, best_agreement = row, agreement
+        return best
+
+    # -- SVSS-Rec ------------------------------------------------------
+    def rec_start(self):
+        self.rec_started = True
+        self.validated[self.pid] = self.row
+        self.broadcast("rec", "RECROW", self.row)
+        self.maybe_reconstruct()
+        for sender, payload in self.rec_pending:
+            self.on_rec(sender, payload)
+
+    def on_rec(self, sender, payload):
+        if not self.rec_started:
+            self.rec_pending.append((sender, payload))
+            return
+        if not payload or payload[0] != "RECROW" or len(payload) != 2:
+            return
+        row = _validate_row_ints(self.prime, self.t, payload[1])
+        if row is None:
+            self.shun(sender)
+        elif sender in self.received:
+            if self.received[sender] != row:
+                self.shun(sender)
+        else:
+            self.received[sender] = row
+            if sender == self.pid:
+                pass
+            elif self.at(row, self.pid) == self.at(self.row, sender):
+                self.validated[sender] = row
+                self.maybe_reconstruct()
+            else:
+                self.shun(sender)
+
+    def maybe_reconstruct(self):
+        if self.rec_done or len(self.validated) < self.t + 1:
+            return
+        chosen = sorted(self.validated)[: self.t + 1]
+        weights = kernels.lagrange_weights_at_zero(
+            self.prime, tuple(party_point(pid) for pid in chosen)
+        )
+        self.rec_done = True
+        self.rec_output = (
+            sum(w * self.validated[pid][0] for w, pid in zip(weights, chosen)) % self.prime
+        )
+        self.log.append(("complete", "rec", self.rec_output))
+
+
+class _PartyLogs:
+    """Trace sink: per party, what its two instances sent, shunned and output."""
+
+    def __init__(self, n):
+        self.logs = [[] for _ in range(n)]
+        self.sent = []
+
+    def emit(self, event):
+        kind, detail = event.kind, event.detail
+        if kind == "send":
+            self.sent.append(detail)
+            entry = ("send", detail.receiver, detail.session[0], detail.payload)
+        elif kind == "shun":
+            entry = ("shun", detail[0])
+        elif kind == "phase":
+            entry = ("phase", detail[0][0], detail[1])
+        elif kind == "complete":
+            value = detail[1]
+            if detail[0] == ("share",):
+                value = (value.dealer, value.row_ints, value.recovered)
+            entry = ("complete", detail[0][0], value)
+        else:
+            return
+        self.logs[event.party].append(entry)
+
+
+def _odd_row(rng, row, prime, t):
+    """A coefficient payload derived from ``row``: aliases, copies, junk."""
+    row = tuple(row)
+    return rng.choice((
+        row[:],                                   # the object itself
+        tuple(list(row)),                         # an equal copy
+        list(row),                                # a valid non-tuple container
+        row + (0, 0),                             # untrimmed
+        tuple(c + prime for c in row),            # unreduced
+        tuple(c - prime for c in row),            # negative
+        tuple(c + prime * 10**30 for c in row),   # huge
+        tuple(float(c) for c in row),             # float alias: equal, same hash
+        (bool(row[0] % 2),) + row[1:],            # bool: an int, maybe an alias
+        (row[0] + 1,) + row[1:],                  # another polynomial
+        tuple(rng.randrange(prime) for _ in range(rng.randrange(1, t + 2))),
+        row + (0,) * (t + 1 - len(row)) + (1,),   # degree t + 1
+        (),
+        (1, [2], 3),
+        (1, "x"),
+        "row",
+        None,
+        7,
+    ))
+
+
+def _odd_point(rng, value, prime):
+    if not isinstance(value, int):
+        value = 1
+    return rng.choice((
+        value, value, value + 1, value + prime, value - prime,
+        float(value), value == 1, None, "1", (value,),
+    ))
+
+
+def _mutated(rng, message, n, t, prime):
+    """An adversarial relative of an honest message: same slot, other content."""
+    sender, receiver = message.sender, message.receiver
+    session, payload = message.session, message.payload
+    kind = payload[0]
+    roll = rng.random()
+    if roll < 0.15:
+        sender = rng.randrange(n)                  # e.g. a ROW from a non-dealer
+    elif roll < 0.25:
+        receiver = rng.randrange(n)
+    elif roll < 0.30:
+        session = ("rec",) if session == ("share",) else ("share",)
+    if kind in ("ROW", "RECROW"):
+        payload = (kind, _odd_row(rng, payload[1], prime, t))
+    elif kind == "POINT":
+        payload = (kind, _odd_point(rng, payload[1], prime))
+    if rng.random() < 0.08:
+        payload = rng.choice(((), (kind,), payload + (0,), ("NOISE", 1), (None,)))
+    return Message(sender, receiver, session, payload)
+
+
+@pytest.mark.parametrize("n,seeds", [(4, 150), (7, 60), (25, 10)])
+def test_handlers_match_scalar_model(n, seeds):
+    seen = set()
+    for seed in range(seeds):
+        rng = random.Random(f"svss-differential-{n}-{seed}")
+        # n=25 reaches the vectorised plans: split prime and matmul prime in turn.
+        extra = {"prime": 1_000_003} if n == 25 and seed % 2 else {}
+        params = ProtocolParams.for_parties(n, **extra)
+        t, prime = params.t, params.prime
+        dealer = rng.randrange(n)
+        events = _PartyLogs(n)
+        network = Network(params, seed=seed, sinks=[events])
+        processes = network.processes
+        shares = [p.create_protocol(("share",), SVSSShare.factory(dealer)) for p in processes]
+        recs = [p.create_protocol(("rec",), SVSSRec.factory(dealer)) for p in processes]
+        models = [
+            _PartyModel(pid, dealer, n, t, prime, random.Random(f"{n}-{seed}-{pid}"))
+            for pid in range(n)
+        ]
+        for pid in range(n):
+            shares[pid].start(**({"value": rng.randrange(prime)} if pid == dealer else {}))
+        models[dealer].deal(shares[dealer].secret_polynomial.int_matrix)
+        # A faulty dealer: some parties never get their row, or get junk.
+        withheld = set(rng.sample(range(n), rng.choice((0, 0, 1, t))))
+        junk_rate = rng.choice((0.0, 0.1, 0.3))
+        # At n=25 only a few senders lie, so recovery stays decodable.
+        liars = None if n < 25 else set(rng.sample(range(n), 2))
+        rec_due = {}
+        cursor = delivered = 0
+        backlog = []
+        while delivered < 40 * n * n:
+            backlog.extend(events.sent[cursor:])
+            cursor = len(events.sent)
+            for pid, due in list(rec_due.items()):
+                if delivered >= due:
+                    del rec_due[pid]
+                    if models[pid].rec_pending:
+                        seen.add("rec-replayed")
+                    recs[pid].start(share=shares[pid].output)
+                    models[pid].rec_start()
+            if not backlog and not rec_due:
+                break
+            if not backlog:
+                delivered += 1
+                continue
+            honest = backlog.pop(rng.randrange(len(backlog)))
+            roll = rng.random()
+            if honest.kind == "ROW" and honest.receiver in withheld:
+                if rng.random() < 0.5:
+                    continue
+                message = _mutated(rng, honest, n, t, prime)
+            elif roll < junk_rate and (liars is None or honest.sender in liars):
+                message = _mutated(rng, honest, n, t, prime)
+                backlog.append(honest)
+            elif roll > 0.93:
+                message = honest
+                backlog.append(honest)              # delivered again later
+                seen.add("duplicate")
+            else:
+                message = honest
+            delivered += 1
+            pid, model = message.receiver, models[message.receiver]
+            was_done = (model.share_done, model.rec_done)
+            processes[pid].deliver(message)
+            if message.session == ("share",):
+                model.on_share(message.sender, message.payload)
+            else:
+                model.on_rec(message.sender, message.payload)
+            where = (seed, delivered, message.sender, pid, message.session, message.payload)
+            assert events.logs[pid] == model.log, where
+            share, rec = shares[pid], recs[pid]
+            assert set(processes[pid]._shunned_from) == model.shunned, where
+            assert (share.row_ints, share.row_recovered, share.finished) == (
+                model.row, model.recovered, model.share_done
+            ), where
+            assert (rec.finished, rec.output) == (model.rec_done, model.rec_output), where
+            if model.share_done and not was_done[0]:
+                rec_due[pid] = delivered + rng.choice((0, 0, rng.randrange(1, 3 * n)))
+                seen.add("recovered" if model.recovered else "dealt")
+            if was_done[message.session == ("rec",)]:
+                seen.add("after-completion")
+            if message.kind == "POINT" and model.row is None:
+                seen.add("point-before-row")
+            if message.kind == "ROW" and message.sender != dealer:
+                seen.add("row-from-non-dealer")
+            if dealer in model.shunned:
+                seen.add("dealer-shunned")
+            if model.shunned - {dealer}:
+                seen.add("peer-shunned")
+        # Whatever arrived, an honest party's own messages carry canonical
+        # rows and plain ints.
+        for message in events.sent:
+            for part in message.payload[1:]:
+                ints = part if message.kind in ("ROW", "RECROW") else (part,)
+                assert type(ints) is tuple and all(type(c) is int for c in ints), message.payload
+        stats = network.crypto_plane().stats
+        if stats["row_hits"]:
+            seen.add("row-lookup")
+        if stats["row_misses"]:
+            seen.add("row-first-sight")
+        if all(model.rec_done for model in models):
+            seen.add("all-reconstructed")
+    assert seen == {
+        "dealt", "recovered", "duplicate", "after-completion", "point-before-row",
+        "row-from-non-dealer", "dealer-shunned", "peer-shunned", "rec-replayed",
+        "row-lookup", "row-first-sight", "all-reconstructed",
+    }

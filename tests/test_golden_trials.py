@@ -239,12 +239,11 @@ def test_aba_over_local_coins(seed):
 # through the matmul / split plans and without it through the scalar oracle.
 # Honestly dealt rows share the plane with withheld-and-recovered, corrupted
 # and rejected ones; shun events are part of the fingerprint.
-def _svss_n25(key, secret, corruptions, **extra):
+def _svss_n25(name, seed, secret, corruptions, **extra):
     _check_both_loops(
-        key,
+        f"{name}_s{seed}",
         lambda tracing: api.run_svss(
-            25, secret, seed=int(key[-1]), corruptions=corruptions,
-            tracing=tracing, **extra
+            25, secret, seed=seed, corruptions=corruptions, tracing=tracing, **extra
         ),
         with_shuns=True,
     )
@@ -253,7 +252,8 @@ def _svss_n25(key, secret, corruptions, **extra):
 @pytest.mark.parametrize("seed", range(2))
 def test_svss_withholding_dealer_n25(seed):
     _svss_n25(
-        f"svss_withhold_n25_s{seed}",
+        "svss_withhold_n25",
+        seed,
         999,
         {0: attacks.WithholdingDealerBehavior.factory(victims=[3, 4])},
     )
@@ -261,15 +261,14 @@ def test_svss_withholding_dealer_n25(seed):
 
 @pytest.mark.parametrize("seed", range(2))
 def test_svss_bad_share_n25(seed):
-    _svss_n25(
-        f"svss_badshare_n25_s{seed}", 31337, {2: attacks.BadShareBehavior.factory()}
-    )
+    _svss_n25("svss_badshare_n25", seed, 31337, {2: attacks.BadShareBehavior.factory()})
 
 
 @pytest.mark.parametrize("seed", range(2))
 def test_svss_mixed_corruption_n25_matmul_prime(seed):
     _svss_n25(
-        f"svss_mixed_n25_p1000003_s{seed}",
+        "svss_mixed_n25_p1000003",
+        seed,
         777,
         {
             1: attacks.PointCorruptingBehavior.factory(),
