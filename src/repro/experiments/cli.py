@@ -823,7 +823,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--queue-depth", type=int, default=32,
-        help="per-shard queue bound before load-shedding (default: 32)",
+        help="admission bound per shard: requests are shed once "
+             "shards x this many are queued or in flight, pooled over the "
+             "shards (default: 32)",
     )
     serve_parser.add_argument(
         "--timeout", type=float, default=5.0, metavar="S",

@@ -344,12 +344,19 @@ def validate_report(data: Any) -> List[str]:
 #                    "service.errors": int, "service.shed": int,
 #                    "service.retries": int, "service.timeouts": int,
 #                    "service.shard_restarts": int,
-#                    "service.heartbeat_failures": int, ...},
+#                    "service.heartbeat_failures": int,
+#                    "service.warm_hits": int,   (opt)
+#                    "service.spills": int,      (opt)
+#                    ...},
 #       "latency_ms": {<Histogram.to_dict()> + "summary": {...}},
 #       "pending": int,
 #       "uptime_s": float,          (opt)
 #       "requests_per_s": float     (opt)
 #     }
+#
+# ``service.spills`` counts requests dispatched to a shard other than their
+# home slot (``BeaconRequest.shard_slot``): ``spills / ok`` beside
+# ``warm_hits / ok`` says whether shape affinity is holding.
 
 #: Schema tag of the beacon-service metrics payload.
 SERVICE_METRICS_SCHEMA = "repro.service.metrics/v1"

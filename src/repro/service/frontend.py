@@ -6,10 +6,14 @@
 :func:`multiprocessing.connection.wait` -- extended with everything a
 *long-lived* service needs that a run-to-completion campaign does not:
 
-* **routing**: requests land on a shard chosen by
-  :meth:`~repro.service.requests.BeaconRequest.shard_slot`, a stable content
+* **routing**: accepted requests wait in one send-ordered admission queue
+  and are bound to a shard at *dispatch*, not at submit: the head of the
+  queue goes to its home shard
+  (:meth:`~repro.service.requests.BeaconRequest.shard_slot`, a stable content
   hash of (protocol, n, prime), so same-shaped traffic reuses one shard's
-  warm executors;
+  warm executors) if that shard is idle, else to the lowest-numbered idle
+  shard -- FIFO, and no shard idles while a request waits.  An answer is a
+  pure function of the request, so *where* it runs is performance policy;
 * **deadlines and retries**: a request past ``request_timeout_s`` gets its
   shard SIGKILLed and replaced and is re-dispatched up to ``max_retries``
   times after the shared deterministic backoff
@@ -18,9 +22,10 @@
   a shard that misses ``heartbeat_timeout_s`` (or whose pipe reports EOF) is
   killed and replaced.  Warm state is a cache, so a replacement shard is
   merely cold, never wrong;
-* **backpressure**: each shard's queue is bounded by ``queue_depth``;
-  :meth:`submit` answers an over-full queue with a structured ``"shed"``
-  response carrying ``retry_after_s`` instead of queueing unboundedly;
+* **backpressure**: queued plus in-flight requests are bounded by
+  ``shards * queue_depth``, pooled over the shards; :meth:`submit` answers
+  a full service with a structured ``"shed"`` response carrying
+  ``retry_after_s`` instead of queueing unboundedly;
 * **graceful shutdown**: :meth:`stop` drains in-flight work (bounded by
   ``drain_timeout_s``), asks shards to exit, then kills stragglers -- no
   leaked processes, and anything still unfinished surfaces as a structured
@@ -44,8 +49,9 @@ import itertools
 import multiprocessing
 import multiprocessing.connection
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ServiceError
 from repro.experiments.backoff import DEFAULT_BACKOFF_BASE_S, backoff_delay
@@ -100,18 +106,22 @@ class ServicePolicy:
 
 @dataclass
 class _Pending:
-    """One accepted request plus its service-side bookkeeping."""
+    """One accepted request plus its service-side bookkeeping.
+
+    ``slot`` is the shard serving the request, set at each dispatch (None
+    while it has never left the admission queue).
+    """
 
     request: BeaconRequest
     accepted_at: float
-    slot: int
+    slot: Optional[int] = None
 
 
 class _Shard:
-    """One resident shard process: pipe, queue, in-flight state, heartbeat."""
+    """One resident shard process: pipe, in-flight state, heartbeat."""
 
     __slots__ = (
-        "slot", "process", "conn", "queue", "inflight", "deadline",
+        "slot", "process", "conn", "inflight", "deadline",
         "ping_token", "ping_sent_at", "last_seen",
     )
 
@@ -126,7 +136,6 @@ class _Shard:
         child_conn.close()
         self.slot = slot
         self.conn = parent_conn
-        self.queue: List[_Pending] = []
         self.inflight: Optional[_Pending] = None
         self.deadline: Optional[float] = None
         self.ping_token: Optional[int] = None
@@ -138,6 +147,7 @@ class _Shard:
         return self.inflight is not None
 
     def dispatch(self, pending: _Pending, timeout_s: Optional[float]) -> None:
+        pending.slot = self.slot
         self.inflight = pending
         self.deadline = (
             time.monotonic() + timeout_s if timeout_s is not None else None
@@ -176,8 +186,10 @@ class BeaconService:
         )
         self.context = context if context is not None else _service_context()
         self._shards: List[Optional[_Shard]] = [None] * self.policy.shards
+        self._queue: Deque[_Pending] = deque()  # admission queue, send order
         self._delayed: List[Tuple[float, int, _Pending]] = []  # retry heap
         self._responses: Dict[str, BeaconResponse] = {}
+        self._abandoned: Set[str] = set()  # ids whose call() gave up waiting
         self._tickets = itertools.count()
         self._started = False
         self._closed = False
@@ -219,17 +231,20 @@ class BeaconService:
         The replacement rebuilds warm state lazily, on first request -- warm
         executors are a pure cache keyed by request shape, so losing them
         costs latency, never correctness.  Queued (not yet dispatched)
-        requests live front-end-side and simply carry over.
+        requests belong to the service, not to a shard, so nothing carries
+        over.
         """
         shard.kill()
         self._inc("service.shard_restarts")
         fresh = _Shard(shard.slot, self.context)
-        fresh.queue = shard.queue
         self._shards[shard.slot] = fresh
         return fresh
 
     def _live_shards(self) -> List[_Shard]:
         return [shard for shard in self._shards if shard is not None]
+
+    def _busy_count(self) -> int:
+        return sum(shard.busy for shard in self._live_shards())
 
     # ------------------------------------------------------------------
     # Submission
@@ -239,32 +254,37 @@ class BeaconService:
 
         Returns ``None`` when accepted (the response arrives via
         :meth:`poll` / :meth:`take_response`) or a ``"shed"``
-        :class:`BeaconResponse` when the target shard's queue is full --
-        the caller should back off ``retry_after_s`` and resubmit.
+        :class:`BeaconResponse` when the service already holds
+        ``shards * queue_depth`` queued or in-flight requests -- the caller
+        should back off ``retry_after_s`` and resubmit.
         Malformed requests raise :class:`~repro.errors.ServiceError`.
         """
         if not self._started or self._closed:
             raise ServiceError("service is not running (call start())")
         request.validate()
         self._inc("service.requests")
-        slot = request.shard_slot(self.policy.shards)
-        shard = self._shards[slot]
-        assert shard is not None
-        depth = len(shard.queue) + (1 if shard.busy else 0)
-        if depth >= self.policy.queue_depth:
+        depth = len(self._queue) + self._busy_count()
+        if depth >= self.policy.shards * self.policy.queue_depth:
             self._inc("service.shed")
             return BeaconResponse(
                 request_id=request.request_id,
                 status=SHED,
-                shard=slot,
+                shard=request.shard_slot(self.policy.shards),
                 retry_after_s=self.policy.shed_retry_after_s,
             )
-        shard.queue.append(_Pending(request, time.monotonic(), slot))
+        self._queue.append(_Pending(request, time.monotonic()))
         return None
 
     # ------------------------------------------------------------------
     # Completion plumbing
     # ------------------------------------------------------------------
+    def _respond(self, response: BeaconResponse) -> None:
+        """Hold ``response`` for its caller -- unless :meth:`call` gave up."""
+        if response.request_id in self._abandoned:
+            self._abandoned.discard(response.request_id)
+        else:
+            self._responses[response.request_id] = response
+
     def _finish_ok(self, pending: _Pending, payload: Dict[str, Any],
                    warm: bool, shard: _Shard, exec_ms: float) -> None:
         elapsed_ms = (time.monotonic() - pending.accepted_at) * 1000.0
@@ -283,7 +303,7 @@ class BeaconService:
         steps = payload.get("steps")
         if isinstance(steps, int):
             self.metrics.histogram("service.steps").observe(steps)
-        self._responses[pending.request.request_id] = BeaconResponse(
+        self._respond(BeaconResponse(
             request_id=pending.request.request_id,
             status=OK,
             payload=payload,
@@ -291,12 +311,12 @@ class BeaconService:
             attempts=pending.request.attempt + 1,
             warm=warm,
             elapsed_ms=round(elapsed_ms, 3),
-        )
+        ))
 
     def _finish_error(self, pending: _Pending, kind: str, error: str,
                       message: str) -> None:
         self._inc("service.errors")
-        self._responses[pending.request.request_id] = BeaconResponse(
+        self._respond(BeaconResponse(
             request_id=pending.request.request_id,
             status=ERROR,
             error=kind,
@@ -304,7 +324,7 @@ class BeaconService:
             shard=pending.slot,
             attempts=pending.request.attempt + 1,
             elapsed_ms=round((time.monotonic() - pending.accepted_at) * 1000.0, 3),
-        )
+        ))
 
     def _handle_failure(self, pending: _Pending, kind: str, error: str,
                         message: str) -> None:
@@ -326,36 +346,44 @@ class BeaconService:
     def poll(self, timeout_s: float = _POLL_INTERVAL_S) -> int:
         """Run one event-loop cycle; returns the number of responses ready.
 
-        One cycle: promote due retries, dispatch idle shards, wait (up to
+        One cycle: promote due retries, dispatch to idle shards, wait (up to
         ``timeout_s``, shortened to the nearest deadline / heartbeat /
         retry), consume shard replies, sweep deadlines, ping idle shards.
         """
         if not self._started:
             raise ServiceError("service is not running (call start())")
         now = time.monotonic()
+        queue = self._queue
 
-        # Promote due retries back onto their shard queues (front: a retried
-        # request is older than anything queued behind it).
+        # Promote due retries to the front of the queue, oldest first (a
+        # retried request is older than anything queued behind it).
+        due: List[_Pending] = []
         while self._delayed and self._delayed[0][0] <= now:
-            pending = heapq.heappop(self._delayed)[2]
-            shard = self._shards[pending.slot]
-            assert shard is not None
-            shard.queue.insert(0, pending)
+            due.append(heapq.heappop(self._delayed)[2])
+        due.sort(key=lambda pending: pending.accepted_at, reverse=True)
+        queue.extendleft(due)
 
-        # Dispatch.
-        for shard in self._live_shards():
-            while shard.queue and not shard.busy:
-                pending = shard.queue.pop(0)
-                try:
-                    shard.dispatch(pending, self.policy.request_timeout_s)
-                except (BrokenPipeError, OSError):
-                    # Shard died while idle; replace and redispatch (the
-                    # request has not been attempted, so no attempt burns).
-                    shard.inflight = None
-                    shard.deadline = None
-                    replacement = self._replace_shard(shard)
-                    replacement.queue.insert(0, pending)
-                    shard = replacement
+        # Dispatch: the head of the queue goes to its home shard if that one
+        # is idle, else to the lowest-numbered idle shard.  Only the head is
+        # ever bound, so nothing overtakes; the loop ends when the queue is
+        # empty or every shard is busy, so none idles while a request waits.
+        while queue:
+            idle = [shard for shard in self._live_shards() if not shard.busy]
+            if not idle:
+                break
+            home = queue[0].request.shard_slot(self.policy.shards)
+            shard = next((s for s in idle if s.slot == home), idle[0])
+            pending = queue.popleft()
+            try:
+                shard.dispatch(pending, self.policy.request_timeout_s)
+            except (BrokenPipeError, OSError):
+                # Shard died while idle; replace it and put the request back
+                # at the front (it has not been attempted: no attempt burns).
+                self._replace_shard(shard)
+                queue.appendleft(pending)
+                continue
+            if shard.slot != home:
+                self._inc("service.spills")
 
         # Wait for replies, waking for the nearest deadline/heartbeat/retry.
         wait_s = max(0.0, timeout_s)
@@ -470,11 +498,7 @@ class BeaconService:
     @property
     def pending_count(self) -> int:
         """Requests accepted but not yet answered (queued/in-flight/retrying)."""
-        queued = sum(
-            len(shard.queue) + (1 if shard.busy else 0)
-            for shard in self._live_shards()
-        )
-        return queued + len(self._delayed)
+        return len(self._queue) + self._busy_count() + len(self._delayed)
 
     def run_until_idle(self, timeout_s: Optional[float] = None) -> None:
         """Drive the loop until every accepted request has a response."""
@@ -492,7 +516,9 @@ class BeaconService:
         """Submit one request and drive the loop until its response arrives.
 
         A shed submission is returned as-is (the caller owns backoff) and a
-        ``timeout_s`` overrun raises :class:`~repro.errors.ServiceError`.
+        ``timeout_s`` overrun raises :class:`~repro.errors.ServiceError` and
+        abandons the request: it still runs to completion, its response is
+        discarded.
         """
         shed = self.submit(request)
         if shed is not None:
@@ -503,6 +529,9 @@ class BeaconService:
             if response is not None:
                 return response
             if deadline is not None and time.monotonic() > deadline:
+                # The request still runs (and is counted); nobody will take
+                # its response, so it is dropped when it lands.
+                self._abandoned.add(request.request_id)
                 raise ServiceError(
                     f"no response for {request.request_id} within {timeout_s}s"
                 )
@@ -562,7 +591,7 @@ class BeaconService:
                     "service.requests", "service.ok", "service.errors",
                     "service.shed", "service.retries", "service.timeouts",
                     "service.shard_restarts", "service.heartbeat_failures",
-                    "service.warm_hits",
+                    "service.warm_hits", "service.spills",
                 )
             },
             "latency_ms": {**latency, "summary": summarize_histogram(latency)},
@@ -598,10 +627,9 @@ class BeaconService:
                 while self.pending_count and time.monotonic() < deadline:
                     self.poll()
             # Surface anything still outstanding as structured errors.
-            leftovers: List[_Pending] = []
+            leftovers: List[_Pending] = list(self._queue)
+            self._queue.clear()
             for shard in self._live_shards():
-                leftovers.extend(shard.queue)
-                shard.queue = []
                 if shard.inflight is not None:
                     leftovers.append(shard.inflight)
                     shard.inflight = None

@@ -124,11 +124,13 @@ class BeaconRequest:
         )
 
     def shard_slot(self, shards: int) -> int:
-        """Deterministic shard routing by (protocol, n, prime).
+        """The request's *home* shard, by (protocol, n, prime).
 
-        A stable content hash (never Python's randomised ``hash``) so the
-        same request shape always lands on the same shard slot, maximising
-        warm-executor reuse across a stream of mixed traffic.
+        A stable content hash (never Python's randomised ``hash``), so the
+        same request shape always prefers the same shard slot and finds its
+        executor warm there.  A preference, not a binding: the front-end
+        serves a request on its home shard when that shard is idle and on
+        any idle shard otherwise -- the answer is the same either way.
         """
         key = f"{self.protocol}|{self.n}|{self.params.get('prime')}"
         digest = hashlib.sha256(key.encode()).digest()
@@ -173,17 +175,19 @@ class BeaconResponse:
     ``status`` is one of:
 
     * ``"ok"`` -- ``payload`` holds the canonical result;
-    * ``"shed"`` -- the target shard's queue was full; nothing ran.  The
-      client should retry after ``retry_after_s`` (explicit backpressure
-      instead of latency collapse);
+    * ``"shed"`` -- the service's admission queue was full; nothing ran.
+      The client should retry after ``retry_after_s`` (explicit
+      backpressure instead of latency collapse);
     * ``"error"`` -- the request exhausted its retries; ``error`` names the
       terminal failure kind (``exception`` / ``timeout`` / ``shard-death`` /
       ``shutdown`` / ``rejected``).
 
-    ``attempts`` counts dispatches (0 for shed requests).  ``elapsed_ms`` is
-    the advisory wall-clock latency from acceptance to completion, including
-    queueing and retries; like every wall-clock figure in this repo it is
-    reported beside -- never inside -- the deterministic payload.
+    ``shard`` is the slot that served the request (its home slot on a shed
+    response, None if it was never dispatched).  ``attempts`` counts
+    dispatches (0 for shed requests).  ``elapsed_ms`` is the advisory
+    wall-clock latency from acceptance to completion, including queueing and
+    retries; like every wall-clock figure in this repo it is reported beside
+    -- never inside -- the deterministic payload.
     """
 
     request_id: str

@@ -12,7 +12,9 @@ import multiprocessing
 
 import pytest
 
+from repro.errors import ServiceError
 from repro.experiments.spec import canonical_json
+from repro.obs.schema import validate_service_metrics
 from repro.service import (
     BeaconRequest,
     BeaconService,
@@ -126,6 +128,20 @@ class TestHangs:
         assert response.status == "error"
         assert response.error == "timeout"
         assert no_leaked_children()
+
+    def test_call_that_gives_up_leaves_no_response_behind(self):
+        request = faulted("weak_coin", 43, "hang", seconds=0.5)
+        with make_service() as service:
+            with pytest.raises(ServiceError, match="no response"):
+                service.call(request, timeout_s=0.1)
+            service.run_until_idle(timeout_s=60)
+            # The request ran to completion and is counted; its response,
+            # which nobody will take, is not kept.
+            assert service.poll(0) == 0
+            assert service.take_response(request.request_id) is None
+            dump = service.metrics_dump()
+        assert dump["counters"]["service.ok"] == 1
+        assert validate_service_metrics(dump) == []
 
 
 class TestBackpressure:
