@@ -144,8 +144,7 @@ class _ShareThenReconstruct(Protocol):
     """SVSS harness protocol: complete SVSS-Share, then reconstruct.
 
     Module-level (rather than defined inside :func:`run_svss`) so campaign
-    workers can pickle runners that reference it and the perf benchmarks can
-    drive the identical harness through the frozen legacy event loop.
+    workers can pickle runners that reference it.
     """
 
     def __init__(self, process: Process, session: SessionId, dealer: int) -> None:

@@ -331,7 +331,7 @@ class LagrangeCacheInfo:
     Attribute-compatible with ``functools.CacheInfo`` (``hits``, ``misses``,
     ``maxsize``, ``currsize`` summed over the basis and weight caches) and
     JSON-able via :meth:`to_dict`, which also breaks the numbers out per
-    cache -- the form the perf benchmarks persist in their metadata.
+    cache.
     """
 
     __slots__ = ("hits", "misses", "maxsize", "currsize", "per_cache")

@@ -173,7 +173,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    store = ResultStore.open(Path(args.results))
+    path = Path(args.results)
+    # ``ResultStore.open`` creates on a missing path, which is right for
+    # ``run``; a report of nothing would pass the claims gate on a typo.
+    if not path.exists():
+        raise ExperimentError(f"no result store at {path}")
+    store = ResultStore.open(path)
     if args.drop:
         if not store.delete(args.drop):
             print(f"no cell {args.drop!r} in {args.results}", file=sys.stderr)
@@ -422,22 +427,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         failed = True
     return 1 if failed else 0
-
-
-def _cmd_bench_beacon(args: argparse.Namespace) -> int:
-    """Run the beacon perf family and write its ``BENCH_beacon.json``."""
-    from benchmarks.perf.harness import run_and_write
-    from repro.service import bench as beacon_bench
-
-    print(f"beacon workloads ({'quick' if args.quick else 'full'} mode):")
-    results = beacon_bench.run(args.quick)
-    run_and_write(
-        "beacon service (warm resident executors vs cold one-shot worlds)",
-        Path(args.out),
-        results,
-        args.quick,
-    )
-    return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -863,21 +852,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress the load report"
     )
     serve_parser.set_defaults(handler=_cmd_serve)
-
-    bench_beacon_parser = sub.add_parser(
-        "bench-beacon",
-        help="time warm resident executors vs cold one-shot worlds and the "
-             "end-to-end service; writes BENCH_beacon.json",
-    )
-    bench_beacon_parser.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke mode: same workloads, smaller request counts",
-    )
-    bench_beacon_parser.add_argument(
-        "--out", default="BENCH_beacon.json",
-        help="output baseline path (default: BENCH_beacon.json)",
-    )
-    bench_beacon_parser.set_defaults(handler=_cmd_bench_beacon)
 
     validate_parser = sub.add_parser(
         "validate", help="check a campaign spec without running it"

@@ -33,7 +33,6 @@ plane):
 from __future__ import annotations
 
 import inspect
-import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, replace
@@ -90,12 +89,6 @@ class CampaignProgress:
 
 def _chunks(seeds: Sequence[int], size: int) -> List[List[int]]:
     return [list(seeds[start : start + size]) for start in range(0, len(seeds), size)]
-
-
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Prefer fork (cheap, inherits ``sys.path``); fall back to spawn."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 # ----------------------------------------------------------------------

@@ -635,9 +635,8 @@ class Network:
     def scan_all_honest_finished(self, session: SessionId) -> bool:
         """Reference O(n) implementation of :meth:`all_honest_finished`.
 
-        This is the seed's stop condition, kept for equivalence tests and for
-        the frozen legacy benchmark oracle; production code uses the
-        counter-backed version.
+        This is the seed's stop condition, kept as the reference of the
+        equivalence tests; production code uses the counter-backed version.
         """
         for process in self.processes:
             if process.ever_corrupted:

@@ -274,9 +274,9 @@ class TargetedScheduler(Scheduler):
 class ForceScanScheduler(Scheduler):
     """Wrapper pinning ``inner`` to the legacy full-scan delivery path.
 
-    The equivalence tests and the perf harness use this to run the exact
-    pre-indexed-queue delivery loop (``inner.choose`` scan + ``list.pop``)
-    regardless of the queue strategy ``inner`` advertises.
+    The equivalence tests use this to run the exact pre-indexed-queue
+    delivery loop (``inner.choose`` scan + ``list.pop``) regardless of the
+    queue strategy ``inner`` advertises.
     """
 
     def __init__(self, inner: Scheduler) -> None:

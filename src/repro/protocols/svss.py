@@ -207,16 +207,7 @@ class SVSSShare(Protocol):
         # same trimmed tuples the per-receiver ``row().to_ints()`` loop used
         # to build) and every cross-point, seeded into the plane so no
         # receiver validates or evaluates an honestly dealt row again.
-        # Seed-era substitute polynomials (the frozen bench oracles) lack the
-        # raw-int matrix and keep the row-by-row path, unseeded.
-        matrix = getattr(self.secret_polynomial, "int_matrix", None)
-        if matrix is not None:
-            rows = self._plane.deal_rows(matrix)
-        else:
-            rows = [
-                tuple(self.secret_polynomial.row(party_point(receiver)).to_ints())
-                for receiver in range(self.n)
-            ]
+        rows = self._plane.deal_rows(self.secret_polynomial.int_matrix)
         process = self.process
         if process.outgoing_mutator is None:
             process.network.submit_fanout(self.pid, self.session, "ROW", rows)

@@ -14,8 +14,7 @@ Modules:
 * :mod:`repro.service.frontend` -- dispatch, deadlines/retries, heartbeats,
   backpressure, graceful shutdown;
 * :mod:`repro.service.loadgen` -- synthetic load, chaos injection,
-  byte-identity verification;
-* :mod:`repro.service.bench` -- warm-vs-cold and end-to-end benchmarks.
+  byte-identity verification.
 """
 
 from repro.service.frontend import (

@@ -55,6 +55,7 @@ from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ServiceError
 from repro.experiments.backoff import DEFAULT_BACKOFF_BASE_S, backoff_delay
+from repro.experiments.supervisor import _supervisor_context
 from repro.obs.metrics import MetricsRegistry, summarize_histogram
 from repro.service.requests import ERROR, OK, SHED, BeaconRequest, BeaconResponse
 
@@ -67,12 +68,6 @@ LATENCY_BUCKETS_MS: Tuple[int, ...] = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000,
 
 #: Schema tag stamped on every metrics dump.
 METRICS_SCHEMA = "repro.service.metrics/v1"
-
-
-def _service_context() -> multiprocessing.context.BaseContext:
-    """Prefer fork (cheap, inherits ``sys.path``); fall back to spawn."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
 @dataclass(frozen=True)
@@ -184,7 +179,7 @@ class BeaconService:
         self.metrics = metrics if metrics is not None else MetricsRegistry(
             queue_depth_every=0, completion_steps=False
         )
-        self.context = context if context is not None else _service_context()
+        self.context = context if context is not None else _supervisor_context()
         self._shards: List[Optional[_Shard]] = [None] * self.policy.shards
         self._queue: Deque[_Pending] = deque()  # admission queue, send order
         self._delayed: List[Tuple[float, int, _Pending]] = []  # retry heap

@@ -135,6 +135,26 @@ class TestReportCli:
         out = capsys.readouterr().out
         assert "[PASS] coin_bias" in out
 
+    @pytest.mark.parametrize("with_campaign", [False, True])
+    @pytest.mark.parametrize(
+        "extra", [[], ["--format", "json"], ["--drop", "baseline"]]
+    )
+    def test_missing_store_fails_closed(
+        self, tmp_path, campaign, capsys, extra, with_campaign
+    ):
+        """A mistyped results path must not read as "no claim refuted"."""
+        missing = tmp_path / "typo.results.json"
+        argv = ["report", str(missing)] + extra
+        if with_campaign:
+            spec_path = tmp_path / "campaign.json"
+            campaign.save(spec_path)
+            argv += ["--campaign", str(spec_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no result store at {missing}\n"
+        assert not missing.exists()
+
 
 class TestAblateCli:
     def test_quick_shape_honest_run_passes(self, tmp_path, capsys):
