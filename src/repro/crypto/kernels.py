@@ -560,11 +560,21 @@ _PLANE_ROW_CACHE_LIMIT = 65536
 #: Entry bound for the per-trial fixed-set reconstruction-weight cache.
 _PLANE_WEIGHTS_CACHE_LIMIT = 8192
 
-#: Planes smaller than this gain nothing from numpy dispatch overhead; the
-#: scalar kernels win below roughly 24 parties (row lengths t+1 <= 8 make a
-#: vectorised sweep overhead-bound), and the shared-cache amortisation works
-#: the same either way.
-_NUMPY_MIN_N = 24
+#: Smallest ``n`` whose plan is vectorised (with numpy importable).  Set by
+#: the *batched* shapes, because those are what an honest trial runs: a
+#: dealer is one :meth:`EvalPlan.bivariate_grid` call (two products for all
+#: ``n`` rows and ``n^2`` cross-points), which at the default prime measures,
+#: scalar -> vectorised, 18 -> 12 us at n=6, 32 -> 15 at n=7 and 204 -> 21
+#: at n=16; :meth:`EvalPlan.shares_many` crosses at the same place.  n=7 is
+#: the first size with t=2 and the first where every batched shape wins by
+#: about 2x; below it either side is within a few us.  The single-row
+#: :meth:`EvalPlan.eval_all_points` crosses later (2.7 -> 4.3 us at n=7,
+#: even at n=10) but runs only on the miss path -- tampered, Byzantine-dealt
+#: and recovered rows -- which an honest trial never enters.  Full table:
+#: CHANGES.md, PR 22.  Re-measure whenever the plane's batch shapes change:
+#: this sat at 24, the crossover of one numpy call per *row*, long after
+#: dealing stopped making one.
+_NUMPY_MIN_N = 7
 
 #: Process-wide evaluation-mode override (the ablation hook).  ``None`` keeps
 #: the automatic numpy-vs-scalar choice below; ``"scalar"`` forces every plan

@@ -37,7 +37,15 @@ class ProtocolError(ReproError):
 
 
 class SimulationError(ReproError):
-    """Raised by the network runtime (e.g. step budget exhausted)."""
+    """Raised by the network runtime (e.g. step budget exhausted).
+
+    ``network`` is the network the failed run was driving, attached by
+    :meth:`repro.net.runtime.Simulation.run` so that a caller can report the
+    state the run died in (deliveries made, which parties have no output);
+    ``None`` when the error was raised outside a simulation run.
+    """
+
+    network = None
 
 
 class ServiceError(ReproError):

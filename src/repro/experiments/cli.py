@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.errors import ExperimentError, ServiceError
+from repro.errors import ExperimentError, ServiceError, SimulationError
 from repro.experiments.registry import BEHAVIORS, FAULTS, RUNNERS, SCHEDULERS
 from repro.experiments.runner import (
     DEFAULT_CHUNK_TRIALS,
@@ -255,7 +255,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     )
     from repro.analysis.claims import evaluate_claims
 
-    n = args.n if args.n is not None else 16
+    n = args.n
     seeds_count = args.seeds if args.seeds is not None else 10
     rounds = args.rounds if args.rounds is not None else (3 if args.quick else 2)
     if args.biased:
@@ -472,10 +472,15 @@ def _check_scenarios(args: argparse.Namespace) -> int:
     :mod:`repro.scenarios.invariants` check -- budget, termination, step
     bound, agreement, validity -- is evaluated on each result.  Any
     violation is printed and the command exits non-zero, so CI fails loudly
-    the moment an adversarial scenario breaks a guaranteed property.
+    the moment an adversarial scenario breaks a guaranteed property.  A trial
+    whose network runs dry is a ``termination`` violation like any other:
+    it is counted and the gate goes on to the next seed and scenario.
     """
     from repro.scenarios.engine import ScenarioRuntime, run_scenario
-    from repro.scenarios.invariants import check_scenario_result
+    from repro.scenarios.invariants import (
+        check_scenario_result,
+        run_failure_violation,
+    )
     from repro.scenarios.library import get_scenario, scenario_names
 
     names = [args.run] if args.run else scenario_names()
@@ -488,8 +493,13 @@ def _check_scenarios(args: argparse.Namespace) -> int:
         bad: List[str] = []
         steps = []
         for seed in seeds:
-            result = run_scenario(spec, n=n, seed=seed, tracing=False)
             trials += 1
+            try:
+                result = run_scenario(spec, n=n, seed=seed, tracing=False)
+            except SimulationError as error:
+                steps.append(getattr(error.network, "step_count", 0))
+                bad.append(f"seed={seed} {run_failure_violation(error)}")
+                continue
             steps.append(result.steps)
             for violation in check_scenario_result(spec, result):
                 bad.append(f"seed={seed} {violation}")
@@ -541,6 +551,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
     names = [args.run] if args.run else scenario_names()
     if args.run or args.smoke:
+        failed = 0
         for name in names:
             spec = get_scenario(name)
             # The runtime owns n-resolution (explicit --n beats the scale
@@ -563,13 +574,20 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
                 timeline = TimelineBuilder()
                 sinks.append(timeline)
-            result = run_scenario(
-                spec,
-                n=n,
-                seed=args.seed,
-                tracing=not args.no_tracing,
-                sinks=sinks or None,
-            )
+            try:
+                result = run_scenario(
+                    spec,
+                    n=n,
+                    seed=args.seed,
+                    tracing=not args.no_tracing,
+                    sinks=sinks or None,
+                )
+            except SimulationError as error:
+                # The trial did not terminate (ROADMAP item 1 pins the known
+                # seeds): say which, and go on with the rest of a smoke.
+                print(f"error: {name} n={n} seed={args.seed}: {error}", file=sys.stderr)
+                failed += 1
+                continue
             status = (
                 "DISAGREED" if result.disagreement else f"agreed={result.agreed_value!r}"
             )
@@ -595,7 +613,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
                     # to an offline `python -m repro.obs timeline` rebuild.
                     out.write_text(timeline.render_text())
                 print(f"  timeline: {out} ({args.timeline_format})")
-        return 0
+        return 1 if failed else 0
 
     rows = []
     for name in names:
@@ -730,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="runner to ablate (default: coinflip; ignored with --scenario)",
     )
     ablate_parser.add_argument(
-        "--n", type=int, default=None, help="party count (default: 16)"
+        "--n", type=int, default=16, help="party count (default: 16)"
     )
     ablate_parser.add_argument(
         "--seeds", type=int, default=None,

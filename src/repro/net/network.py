@@ -27,13 +27,15 @@ campaign):
   :meth:`run_to_quiescence` and :meth:`step` are thin callers of
   :meth:`_drive`, the one generic loop: stop check, cap, quiescence, ``pop``,
   eager ``step_count``, trace hook, ``deliver``, queue-depth sample, director
-  hook -- each hook bound once before the loop and skipped when absent.  Its
-  single specialisation, :meth:`_drive_unmaterialised`, serves runs nothing
-  observes from outside (tracing off, no director, no metrics registry) on a
-  queue holding fan-outs as groups: it delivers ``(entry, receiver)`` pairs
-  without building Message objects, straight to the handler of a started
-  instance and through :meth:`Process.deliver_parts` otherwise.  Which loop
-  runs is read off that state, never chosen by a caller.
+  wake-up -- each hook bound once before the loop and skipped when absent.
+  Its single specialisation, :meth:`_drive_unmaterialised`, serves runs in
+  which nothing needs a Message per delivery (tracing off, no metrics
+  registry) on a queue holding fan-outs as groups: it delivers ``(entry,
+  receiver)`` pairs without building Message objects, straight to the
+  handler of a started instance and through :meth:`Process.deliver_parts`
+  otherwise.  A scenario director rides either loop: it observes lifecycle
+  events and steps, never messages (see :meth:`install_director`).  Which
+  loop runs is read off that state, never chosen by a caller.
 
 Both loops reproduce the seed's delivery order, traces and outputs
 byte-identically per seed (``tests/net/test_completion.py``,
@@ -122,7 +124,7 @@ class Network:
         #: until a simulation driver sets it.
         self.root_recipe: Optional[tuple] = None
         #: Optional scenario director observing protocol lifecycle events and
-        #: (for directors that want them) per-delivery callbacks.  ``None``
+        #: woken at the steps it asks for (:meth:`install_director`).  ``None``
         #: keeps every hot path on its unobserved branch.
         self.director: Optional[object] = None
         #: Party ids currently controlled by the adversary.  Tracked here (not
@@ -216,11 +218,16 @@ class Network:
         """Attach a scenario director observing this network's execution.
 
         The director receives ``on_session_open(pid, session)`` when a party
-        creates a protocol instance, ``on_complete(pid, session)`` for every
-        completion, and -- only when its ``wants_deliveries`` flag is set --
-        ``on_deliver(step, message)`` after each delivery, however the
-        network is driven (:meth:`run`, :meth:`run_until_complete`,
-        :meth:`step`).
+        creates a protocol instance and ``on_complete(pid, session)`` for
+        every completion.  It is also woken by the clock: ``wake_step`` is the
+        earliest step at which it has work pending (``None`` for none), and
+        after the first delivery with ``step >= wake_step`` the network calls
+        ``on_step(step)`` -- before the stop check, however it is driven
+        (:meth:`run`, :meth:`run_until_complete`, :meth:`step`) -- and reads
+        ``wake_step`` again; it is otherwise read once, when a drive begins.
+        A director never sees a message (a trace sink does), so installing
+        one does not take a run off the unmaterialised loop: per delivery it
+        costs an int comparison and a current ``step_count`` for its hooks.
         """
         self.director = director
         attach = getattr(director, "attach", None)
@@ -413,8 +420,8 @@ class Network:
         flight; returns the number of deliveries made.  ``step_count`` is
         current whenever a handler or hook can read it.  Per delivery, in
         order: the trace, the handler, the registry's queue-depth sample
-        (every ``queue_depth_every``-th), and ``director.on_deliver`` for a
-        director that ``wants_deliveries``.
+        (every ``queue_depth_every``-th), and ``director.on_step`` once the
+        step reaches the director's ``wake_step``.
         """
         queue = self._queue
         director = self.director
@@ -426,7 +433,6 @@ class Network:
         try:
             if (
                 watch is not None
-                and director is None
                 and not self._tracing
                 and self._obs_on_complete is None
                 and not self._obs_sample_every
@@ -440,11 +446,7 @@ class Network:
             trace_deliver = self.trace.on_deliver if self._tracing else None
             sample_every = self._obs_sample_every
             on_depth = self.metrics.on_queue_depth if sample_every else None  # type: ignore[union-attr]
-            director_deliver = (
-                director.on_deliver
-                if getattr(director, "wants_deliveries", False)
-                else None
-            )
+            wake = None if director is None else director.wake_step
             delivered = 0
             while True:
                 if watch is not None:
@@ -466,27 +468,32 @@ class Network:
                 delivered += 1
                 if on_depth is not None and delivered % sample_every == 0:
                     on_depth(step, queue_len())
-                if director_deliver is not None:
-                    director_deliver(step, message)
+                if wake is not None and step >= wake:
+                    director.on_step(step)  # type: ignore[union-attr]
+                    wake = director.wake_step  # type: ignore[union-attr]
         finally:
             if watch is not None:
                 self._watch_session = None
                 self._watch_done = False
 
     def _drive_unmaterialised(self, max_steps: int) -> int:
-        """:meth:`_drive` for a watched run that nothing observes from outside.
+        """:meth:`_drive` for a watched run that needs no Message per delivery.
 
         A fan-out copy is routed here when nothing stands between it and its
         handler -- the receiver runs no behaviour, shuns nobody, and the
         session's instance exists and has started: then the handler is called
         directly.  That is a pre-check, not a second router: every other copy
         (and any of these, had it been sent there) is handled by
-        :meth:`Process.deliver_parts`, the complete routine.
+        :meth:`Process.deliver_parts`, the complete routine -- which re-reads
+        the receiver's behaviour and protocol table per delivery, so a
+        director corrupting or restarting a party mid-run needs nothing more.
         """
-        # With tracing off, no director and no registry, nothing can read
-        # ``step_count`` mid-delivery (trace hooks are no-ops), so the
-        # counter lives in a local -- the loop variable, which also enforces
-        # the cap -- and is written back when the loop exits.
+        # With tracing off and no registry the only reader of ``step_count``
+        # mid-run is a director (its audit log and scheduler actions stamp the
+        # step from lifecycle hooks), so it is stored per delivery only when
+        # one is installed; otherwise the counter lives in a local -- the loop
+        # variable, which also enforces the cap -- and is written back when
+        # the loop exits.
         # Fan-out copies are delivered straight from their group entry; a
         # Message is only built for behaviours and shun drops inside
         # ``deliver_parts``.  An empty queue surfaces as the pop raising
@@ -496,6 +503,8 @@ class Network:
         rng = self.scheduler_rng
         processes = self.processes
         deliver_by_pid = [process.deliver for process in processes]
+        director = self.director
+        wake = None if director is None else director.wake_step
         step = first = self.step_count
         try:
             if self._watch_done:
@@ -506,6 +515,8 @@ class Network:
                 except IndexError:
                     step -= 1  # this delivery did not happen
                     raise SimulationError(_DEADLOCK_ERROR) from None
+                if director is not None:
+                    self.step_count = step
                 if receiver < 0:
                     deliver_by_pid[entry.receiver](entry)
                 else:
@@ -527,6 +538,9 @@ class Network:
                         process.deliver_parts(
                             entry.sender, session, payload, entry, receiver
                         )
+                if wake is not None and step >= wake:
+                    director.on_step(step)  # type: ignore[union-attr]
+                    wake = director.wake_step  # type: ignore[union-attr]
                 if self._watch_done:
                     return step - first
             raise SimulationError(_CAP_ERROR.format(max_steps))

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.config import ProtocolParams
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.net.message import SessionId
 from repro.net.network import DEFAULT_MAX_STEPS, Network
 from repro.net.process import Process
@@ -288,6 +288,9 @@ class Simulation:
                 steps = network.run(until=until, max_steps=self.max_steps)
             if run_to_quiescence:
                 steps += network.run_to_quiescence(max_steps=self.max_steps)
+        except SimulationError as error:
+            error.network = network
+            raise
         finally:
             elapsed = time.perf_counter() - started_at
             if pause:

@@ -11,8 +11,10 @@ into a running attack:
 * :class:`ScenarioDirector` is the live adversary installed on the network
   (:meth:`repro.net.network.Network.install_director`).  It observes protocol
   lifecycle events (session opens, completions) and -- when the scenario has
-  step triggers -- every delivery, and reacts by corrupting parties mid-run
-  or driving fault-timeline transitions.  Every action is appended to the
+  step triggers -- is woken at their thresholds, and reacts by corrupting
+  parties mid-run or driving fault-timeline transitions.  It never sees a
+  message, so an untraced trial on the random queue runs on the network's
+  unmaterialised loop like a plain one.  Every action is appended to the
   director's ``actions`` audit log, and the **corruption budget is a hard
   invariant**: the director never corrupts beyond
   ``min(spec budget, resilience bound t)``, whatever the rules ask for.
@@ -34,7 +36,7 @@ from repro.experiments.registry import (
     build_scheduler,
 )
 from repro.experiments.spec import BehaviorSpec, SchedulerSpec
-from repro.net.message import Message, SessionId
+from repro.net.message import SessionId
 from repro.net.network import Network
 from repro.net.runtime import SimulationResult
 from repro.net.scheduler import Scheduler
@@ -101,9 +103,8 @@ class ScenarioDirector:
         #: triggers fire on the k-th match, not the first).
         self._timeline_matches = [0] * len(timeline)
         #: Step-triggered work still pending, as ``(index, entry)`` in spec
-        #: order.  ``on_deliver`` consumes these instead of rescanning the
-        #: full timeline/rule lists on every delivery: once both lists drain,
-        #: the per-delivery callback is two falsy checks.
+        #: order; ``on_step`` consumes these and ``wake_step`` is their
+        #: earliest threshold.
         self._pending_step_timeline: List[Tuple[int, FaultEvent]] = [
             (index, event)
             for index, event in enumerate(timeline)
@@ -122,11 +123,10 @@ class ScenarioDirector:
         #: None for actions without a subject party, e.g. scheduler clears).
         self.actions: List[Tuple[int, str, Optional[int], str]] = []
         self.network: Optional[Network] = None
-        #: Whether the network owes this director an ``on_deliver`` call per
-        #: delivery (only needed for step triggers).
-        self.wants_deliveries = bool(
-            self._pending_step_rules or self._pending_step_timeline
-        )
+        #: The step at which the network next owes this director an
+        #: ``on_step`` call: the earliest pending threshold, None once every
+        #: step trigger has fired (or the scenario has none).
+        self.wake_step: Optional[int] = self._earliest_pending_step()
         #: Whether any entry carries scheduler_actions (requires the trial's
         #: scheduler to be reactive -- checked at attach time).
         self._needs_reactive = any(
@@ -166,30 +166,36 @@ class ScenarioDirector:
     def on_complete(self, pid: int, session: SessionId) -> None:
         self._handle_phase_event("complete", pid, session)
 
-    def on_deliver(self, step: int, message: Message) -> None:
-        # Step-triggered entries are consumed from pending lists (spec order
-        # preserved): after the last threshold fires, this callback is two
-        # falsy checks per delivery, not a rescan of the whole spec.
-        pending = self._pending_step_timeline
-        if pending:
-            remaining = []
-            for index, event in pending:
-                if step >= event.at_step:
-                    self._timeline_fired[index] = True
-                    self._apply_transition(event)
-                else:
-                    remaining.append((index, event))
-            self._pending_step_timeline = remaining
-        pending_rules = self._pending_step_rules
-        if pending_rules:
-            remaining_rules = []
-            for index, rule in pending_rules:
-                if step >= rule.at_step:
-                    self._step_rule_done[index] = True
-                    self._maybe_fire_rule(index, rule, subject=None, captured=None)
-                else:
-                    remaining_rules.append((index, rule))
-            self._pending_step_rules = remaining_rules
+    def on_step(self, step: int) -> None:
+        # Called once ``step`` has reached ``wake_step``, not per delivery:
+        # every entry due by now applies in spec order (timeline, then
+        # rules), the rest stay pending and set the next wake-up.
+        remaining = []
+        for index, event in self._pending_step_timeline:
+            if step >= event.at_step:
+                self._timeline_fired[index] = True
+                self._apply_transition(event)
+            else:
+                remaining.append((index, event))
+        self._pending_step_timeline = remaining
+        remaining_rules = []
+        for index, rule in self._pending_step_rules:
+            if step >= rule.at_step:
+                self._step_rule_done[index] = True
+                self._maybe_fire_rule(index, rule, subject=None, captured=None)
+            else:
+                remaining_rules.append((index, rule))
+        self._pending_step_rules = remaining_rules
+        self.wake_step = self._earliest_pending_step()
+
+    def _earliest_pending_step(self) -> Optional[int]:
+        return min(
+            (
+                entry.at_step
+                for _, entry in self._pending_step_timeline + self._pending_step_rules
+            ),
+            default=None,
+        )
 
     # ------------------------------------------------------------------
     # Rule and timeline dispatch.

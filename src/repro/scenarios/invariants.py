@@ -25,6 +25,9 @@ Entry points:
 * :func:`assert_invariants` -- raise :class:`~repro.errors.ExperimentError`
   listing every violation (what the campaign runner and the CLI ``--check``
   mode call).
+* :func:`run_failure_violation` -- the ``termination`` violation of a trial
+  whose run raised :class:`~repro.errors.SimulationError` (the network ran
+  dry, or hit its delivery cap) instead of returning a result.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.core.config import max_faults
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, SimulationError
 from repro.net.runtime import SimulationResult
 
 #: Runners whose honest outputs are guaranteed identical.  ``weak_coin`` and
@@ -152,6 +155,26 @@ def check_result(
 
     violations.extend(_check_validity(result, protocol, params, network))
     return violations
+
+
+def run_failure_violation(error: SimulationError) -> InvariantViolation:
+    """The ``termination`` violation of a trial that raised instead of returning.
+
+    A run that goes quiescent (or hits its delivery cap) before every honest
+    party has an output is the same broken guarantee :func:`check_result`
+    reports for a run that returned early, found by the network instead.
+    """
+    network = error.network
+    if network is None:  # raised before the run began driving the network
+        return InvariantViolation("termination", str(error))
+    finished = network.honest_outputs(network.root_recipe[0])
+    missing = sorted(set(network.honest_pids()) - set(finished))
+    how = "network ran dry" if not network.pending else "delivery cap reached"
+    return InvariantViolation(
+        "termination",
+        f"{how} after {network.step_count} deliveries; "
+        f"honest parties without output: {missing}",
+    )
 
 
 def _check_validity(

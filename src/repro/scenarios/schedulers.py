@@ -202,9 +202,11 @@ class ReactiveScheduler(Scheduler):
     O(m * rules) rescan; when the rule set changes (installs, clears,
     expiries -- tracked by ``rules_version``) the queue re-ranks lazily, in
     one O(m) pass, on its next pop.
-    The queue holds materialised messages, which (exactly like tracing)
-    also forces the network's eager fan-out path -- group queues holding
-    unmaterialised :class:`~repro.net.queues.FanoutEntry`\\ s never engage.
+    The queue ranks materialised messages with ``Message -> int``
+    predicates, so a reactive trial takes the network's eager fan-out path
+    and its generic delivery loop.  It is the queue that keeps the trial
+    there, not the director driving it: a director is woken at steps and
+    never sees a message, so on its own it costs a run no Message objects.
     Determinism is untouched: decisions are pure functions of the (seeded)
     event stream and the rule set, so trials stay byte-identical per seed,
     traced or untraced -- and byte-identical to the reference

@@ -25,7 +25,8 @@ from repro.analysis.ablation import (
 from repro.analysis.complexity import coinflip_expected_messages
 from repro.core.results import TrialAggregate
 from repro.errors import ExperimentError
-from repro.experiments.runner import run_campaign
+from repro.experiments.cli import build_parser
+from repro.experiments.runner import run_campaign, run_trial
 from repro.experiments.spec import CampaignSpec, ExperimentSpec
 
 TUNING_A = Factor("tune_a", "a", ablated={"tuning": {"pause_gc": False}})
@@ -61,6 +62,22 @@ class TestFactorRegistry:
         assert by_name["eval_plan"].stats_preserving
         assert by_name["group_queue"].stats_preserving
         assert not by_name["metering"].stats_preserving
+
+
+    def test_eval_plan_arms_differ_at_the_cli_default_size(self):
+        """A ``no-X`` arm must differ from the full one: at the size ``ablate``
+        runs by default the baseline deals on a vectorised plan and the
+        ablated arm on the scalar kernels (it compared scalar with scalar
+        while the plane's cutoff sat above that size)."""
+        pytest.importorskip("numpy")
+        n = build_parser().parse_args(["ablate", "--quick"]).n
+        (eval_plan,) = [f for f in OPTIMISATION_FACTORS if f.name == "eval_plan"]
+        cells = one_factor_out_cells("weak_coin", n, [0], [eval_plan])
+        modes = {
+            cell.name: run_trial(cell, 0).metrics["crypto"]["plan_mode"] for cell in cells
+        }
+        assert modes[BASELINE_CELL] in ("matmul", "split")
+        assert modes["no-eval_plan"] == "scalar"
 
 
 class TestGridExpansion:

@@ -5,7 +5,7 @@ agreement with the scalar kernels it amortises: same validation verdicts,
 same evaluations, same reconstruction weights, for every prime and every
 degenerate input.  The scalar kernels are the oracle -- these tests pin the
 equivalence on random inputs across all three plan modes (int64 matmul,
-16-bit split, scalar fallback).
+16-bit split, scalar fallback), from the vectorisation cutoff (n=7) up.
 """
 
 from __future__ import annotations
@@ -14,25 +14,34 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import kernels
 from repro.crypto.bivariate import SymmetricBivariatePolynomial
 from repro.crypto.field import Field
 from repro.protocols.svss import _validate_row_ints
 
-#: One prime per plan mode: million-scale (single matmul), the library
-#: default 2^31 - 1 (hi/lo split), and a tiny field (scalar at small n).
+#: Million-scale (single matmul), the library default 2^31 - 1 (hi/lo split)
+#: and a tiny field (matmul with room to spare; scalar below the cutoff).
 MATMUL_PRIME = 1_000_003
 SPLIT_PRIME = 2_147_483_647
 SMALL_PRIME = 97
+PRIMES = (MATMUL_PRIME, SPLIT_PRIME, SMALL_PRIME)
+
+#: The sizes the repo's traffic runs at (scenarios, campaigns, E1-E9), all
+#: vectorised since the cutoff moved to n=7.
+TRAFFIC_SIZES = (7, 8, 10, 13, 16, 22)
 
 
 def plans():
-    return [
-        kernels.get_eval_plan(MATMUL_PRIME, 64),
-        kernels.get_eval_plan(SPLIT_PRIME, 32),
-        kernels.get_eval_plan(SMALL_PRIME, 7),
-    ]
+    sized = [(MATMUL_PRIME, 64), (SPLIT_PRIME, 32), (SMALL_PRIME, 4)]
+    sized += [(prime, n) for n in TRAFFIC_SIZES for prime in PRIMES]
+    return [kernels.get_eval_plan(prime, n) for prime, n in sized]
+
+
+def plan_id(plan):
+    return f"p{plan.prime}-n{plan.n}"
 
 
 def _symmetric(size, draw):
@@ -62,13 +71,21 @@ def dealer_matrices(plan):
 
 
 class TestPlanModes:
-    def test_mode_selection(self):
-        if kernels._np is None:
-            pytest.skip("numpy unavailable; every plan is scalar")
-        assert kernels.get_eval_plan(MATMUL_PRIME, 64).mode == "matmul"
-        assert kernels.get_eval_plan(SPLIT_PRIME, 32).mode == "split"
-        # Below the vectorisation cutoff the scalar kernels win.
-        assert kernels.get_eval_plan(SMALL_PRIME, 7).mode == "scalar"
+    def test_mode_selection(self, monkeypatch):
+        vectorised = {MATMUL_PRIME: "matmul", SPLIT_PRIME: "split", SMALL_PRIME: "matmul"}
+        if kernels._np is not None:
+            assert kernels.get_eval_plan(MATMUL_PRIME, 64).mode == "matmul"
+            assert kernels.get_eval_plan(SPLIT_PRIME, 32).mode == "split"
+            # The cutoff, on purpose (kernels._NUMPY_MIN_N): n=7 is the first
+            # size whose dealer grid and share batch win vectorised.
+            for prime, mode in vectorised.items():
+                assert kernels.get_eval_plan(prime, 6).mode == "scalar"
+                assert kernels.get_eval_plan(prime, 7).mode == mode
+        # Without numpy the scalar kernels are the only plane.
+        monkeypatch.setattr(kernels, "_np", None)
+        for prime in PRIMES:
+            for n in (4, 7, 16, 64):
+                assert kernels.EvalPlan(prime, n).mode == "scalar"
 
     def test_plan_is_shared_per_prime_n(self):
         assert kernels.get_eval_plan(MATMUL_PRIME, 64) is kernels.get_eval_plan(
@@ -77,7 +94,7 @@ class TestPlanModes:
 
 
 class TestEvalAllPoints:
-    @pytest.mark.parametrize("plan", plans(), ids=lambda p: f"n{p.n}")
+    @pytest.mark.parametrize("plan", plans(), ids=plan_id)
     def test_matches_eval_at_many(self, plan):
         rng = random.Random(1)
         t = (plan.n - 1) // 3
@@ -88,7 +105,7 @@ class TestEvalAllPoints:
                 plan.prime, coeffs, range(1, plan.n + 1)
             )
 
-    @pytest.mark.parametrize("plan", plans(), ids=lambda p: f"n{p.n}")
+    @pytest.mark.parametrize("plan", plans(), ids=plan_id)
     def test_extreme_coefficients(self, plan):
         # Max-value coefficients stress the int64 overflow analysis.
         coeffs = tuple([plan.prime - 1] * ((plan.n - 1) // 3 + 1))
@@ -99,7 +116,7 @@ class TestEvalAllPoints:
 
 
 class TestEvalGridAndShares:
-    @pytest.mark.parametrize("plan", plans(), ids=lambda p: f"n{p.n}")
+    @pytest.mark.parametrize("plan", plans(), ids=plan_id)
     def test_eval_rows_at_point_matches_horner(self, plan):
         rng = random.Random(2)
         rows = [
@@ -110,7 +127,7 @@ class TestEvalGridAndShares:
             expected = [kernels.horner(plan.prime, row, point % plan.prime) for row in rows]
             assert plan.eval_rows_at_point(rows, point % plan.prime) == expected
 
-    @pytest.mark.parametrize("plan", plans(), ids=lambda p: f"n{p.n}")
+    @pytest.mark.parametrize("plan", plans(), ids=plan_id)
     def test_eval_grid_veneer(self, plan):
         plane = kernels.CryptoPlane(plan.prime, plan.n, (plan.n - 1) // 3)
         rng = random.Random(3)
@@ -119,7 +136,7 @@ class TestEvalGridAndShares:
             kernels.horner(plan.prime, row, 3) for row in rows
         ]
 
-    @pytest.mark.parametrize("plan", plans(), ids=lambda p: f"n{p.n}")
+    @pytest.mark.parametrize("plan", plans(), ids=plan_id)
     def test_bivariate_rows_match_scalar(self, plan):
         points = range(1, plan.n + 1)
         for kind, matrix in dealer_matrices(plan).items():
@@ -136,7 +153,7 @@ class TestEvalGridAndShares:
             if kind == "low-degree":
                 assert max(map(len, rows)) < len(matrix)
 
-    @pytest.mark.parametrize("plan", plans(), ids=lambda p: f"n{p.n}")
+    @pytest.mark.parametrize("plan", plans(), ids=plan_id)
     def test_dealt_records_equal_first_sight_records(self, plan):
         """``deal_rows`` seeds exactly what the miss path would have built."""
         t = (plan.n - 1) // 3
@@ -161,7 +178,7 @@ class TestEvalGridAndShares:
             assert plane.deal_rows(matrix) == rows
             assert all(plane.row_cache[row] is before[row] for row in rows), kind
 
-    @pytest.mark.parametrize("plan", plans(), ids=lambda p: f"n{p.n}")
+    @pytest.mark.parametrize("plan", plans(), ids=plan_id)
     def test_random_dealing_equals_the_checking_constructor(self, plan):
         """``random`` skips the coercing constructor, not its result or draws."""
         field = Field(plan.prime)
@@ -184,7 +201,7 @@ class TestEvalGridAndShares:
                 field, t, random.Random(0), secret=Field(101)(3)
             )
 
-    @pytest.mark.parametrize("plan", plans(), ids=lambda p: f"n{p.n}")
+    @pytest.mark.parametrize("plan", plans(), ids=plan_id)
     def test_shamir_share_values_many(self, plan):
         rng = random.Random(5)
         polys = [
@@ -195,6 +212,57 @@ class TestEvalGridAndShares:
         for coeffs, shares in zip(polys, batched):
             assert shares == kernels.shamir_share_values(plan.prime, coeffs, plan.n)
         assert kernels.shamir_share_values_many(plan.prime, [], plan.n) == []
+
+
+def _coefficient(prime):
+    return st.sampled_from((0, 1, prime - 1)) | st.integers(0, prime - 1)
+
+
+@st.composite
+def sized_inputs(draw):
+    """A plan of 7..32 parties with a dealer matrix and a ragged batch of rows,
+    zero, empty and extreme coefficients included."""
+    n = draw(st.integers(7, 32))
+    prime = draw(st.sampled_from(PRIMES))
+    t = (n - 1) // 3
+    upper = draw(
+        st.lists(
+            st.lists(_coefficient(prime), min_size=t + 1, max_size=t + 1),
+            min_size=t + 1,
+            max_size=t + 1,
+        )
+    )
+    matrix = _symmetric(t + 1, lambda i, j: upper[i][j])
+    rows = draw(
+        st.lists(
+            st.lists(_coefficient(prime), max_size=t + 1).map(tuple), max_size=n + 2
+        )
+    )
+    point = draw(st.sampled_from((0, 1, n, prime - 1)) | st.integers(0, prime - 1))
+    return kernels.get_eval_plan(prime, n), matrix, rows, point
+
+
+@settings(max_examples=150, deadline=None)
+@given(sized_inputs())
+def test_every_batched_shape_equals_the_scalar_kernels(inputs):
+    """Every size from the cutoff up, every shape the plan batches: the answer
+    is the scalar kernel's (with numpy these plans are matmul / split)."""
+    plan, matrix, rows, point = inputs
+    prime, points = plan.prime, range(1, plan.n + 1)
+    wire_rows = [
+        kernels.poly_trim(kernels.bivariate_row(prime, matrix, x)) for x in points
+    ]
+    grid = [kernels.eval_at_many(prime, row, points) for row in wire_rows]
+    assert plan.bivariate_grid(matrix) == (wire_rows, grid)
+    assert plan.bivariate_rows(matrix) == wire_rows
+    assert plan.shares_many(rows) == [
+        kernels.eval_at_many(prime, row, points) for row in rows
+    ]
+    assert plan.eval_rows_at_point(rows, point) == [
+        kernels.horner(prime, row, point) for row in rows
+    ]
+    for row in rows:
+        assert plan.eval_all_points(row) == kernels.eval_at_many(prime, row, points)
 
 
 class TestValidateRows:

@@ -1,13 +1,14 @@
 """Loop-matrix equivalence: every run configuration delivers the same execution.
 
 The network has one generic delivery loop and one specialisation of it (the
-unmaterialised loop of unobserved runs).  Which one runs, and which hooks the
-generic one calls, is read off the run's configuration -- tracing, a metrics
-registry, a director -- and none of that may change *what* is delivered: for a
-given scheduler and seed, every cell of the matrix below must deliver the same
-messages in the same order, stop at the same step with the same outputs, and
-fail with the same error text.  The hooks themselves must fire in every cell
-that configures them.
+unmaterialised loop of runs that need no Message per delivery).  Which one
+runs, and which hooks it calls, is read off the run's configuration --
+tracing, a metrics registry, a director -- and none of that may change *what*
+is delivered: for a given scheduler and seed, every cell of the matrix below
+must deliver the same messages in the same order, stop at the same step with
+the same outputs, and fail with the same error text.  The hooks themselves
+must fire in every cell that configures them -- a director's ``on_step`` at
+the same steps, reading the same ``network.step_count``, whichever loop ran.
 """
 
 from __future__ import annotations
@@ -44,29 +45,87 @@ SCHEDULERS["force_scan"] = lambda: force_scan(RandomScheduler())
 
 
 class PassiveDirector:
-    """Observes lifecycle events only; the loop owes it no per-delivery call."""
+    """Observes lifecycle events only: it never asks to be woken."""
 
-    wants_deliveries = False
+    wake_step = None
 
     def __init__(self):
-        self.completions = 0
-        self.deliveries = []
+        self.network = None
+        #: ``network.step_count`` as read from each ``on_complete``.
+        self.completed_at = []
+        #: ``(step, network.step_count)`` of each ``on_step`` call.
+        self.woken = []
+
+    def attach(self, network):
+        self.network = network
 
     def on_session_open(self, pid, session):
         pass
 
     def on_complete(self, pid, session):
-        self.completions += 1
+        self.completed_at.append(self.network.step_count)
 
-    def on_deliver(self, step, message):
-        self.deliveries.append((step, message.seq))
-
-
-class DeliveryDirector(PassiveDirector):
-    wants_deliveries = True
+    def on_step(self, step):
+        self.woken.append((step, self.network.step_count))
 
 
-DIRECTORS = {"none": lambda: None, "passive": PassiveDirector, "deliveries": DeliveryDirector}
+class StepDirector(PassiveDirector):
+    """Asks to be woken at fixed steps, like a timeline's ``at_step`` entries."""
+
+    def __init__(self, steps):
+        super().__init__()
+        self.due = sorted(steps)
+        self.wake_step = self.due[0]
+
+    def on_step(self, step):
+        super().on_step(step)
+        self.due = [due for due in self.due if due > step]
+        self.wake_step = self.due[0] if self.due else None
+
+
+class RearmingDirector(PassiveDirector):
+    """Re-arms to the very next step every time: woken after each delivery."""
+
+    wake_step = 1
+
+    def on_step(self, step):
+        super().on_step(step)
+        self.wake_step = step + 1
+
+
+class CorruptingDirector(StepDirector):
+    """Crashes one party from ``on_step``, the way a timeline entry does."""
+
+    def __init__(self, step, pid):
+        super().__init__([step])
+        self.pid = pid
+
+    def on_step(self, step):
+        super().on_step(step)
+        process = self.network.processes[self.pid]
+        process.corrupt(CrashBehavior.factory()(process))
+
+
+#: Steps a :class:`StepDirector` wakes at unless a test knows the run's length;
+#: the last is the cap of the capped runs, i.e. their final delivery.
+WAKE_STEPS = (3, 30, 60)
+
+DIRECTORS = {
+    "none": lambda steps: None,
+    "passive": lambda steps: PassiveDirector(),
+    "steps": StepDirector,
+    "every-step": lambda steps: RearmingDirector(),
+}
+
+
+def _expected_wakes(director, steps, delivered):
+    """``on_step`` calls owed to ``director`` by a run of ``delivered`` steps."""
+    if director == "steps":
+        return [(step, step) for step in sorted(steps) if step <= delivered]
+    if director == "every-step":
+        return [(step, step) for step in range(1, delivered + 1)]
+    return []
+
 
 #: (tracing, registry attached, director kind, stop condition)
 CELLS = list(
@@ -115,14 +174,14 @@ def _record_pops(queue, order):
         queue.pop = recording_pop
 
 
-def _simulation(scheduler, tracing, registry, director, **kwargs):
+def _simulation(scheduler, tracing, registry, director, wake_steps=WAKE_STEPS, **kwargs):
     return Simulation(
         params=ProtocolParams.for_parties(N),
         scheduler=scheduler,
         seed=SEED,
         tracing=tracing,
         metrics=MetricsRegistry(queue_depth_every=DEPTH_EVERY) if registry else None,
-        director=DIRECTORS[director](),
+        director=DIRECTORS[director](wake_steps),
         **kwargs,
     )
 
@@ -134,11 +193,13 @@ def _run(sim, stop):
 
 @pytest.mark.parametrize("name", sorted(SCHEDULERS))
 def test_every_cell_delivers_the_same_execution(name, delivered):
-    reference = recorded = None
+    full = _run(_simulation(SCHEDULERS[name](), True, False, "none"), "watch").steps
+    wake_steps = (3, full // 2, full)  # the last one is the final delivery
+    reference = recorded = completed_at = None
     for tracing, registry, director, stop in CELLS:
         cell = (tracing, registry, director, stop)
         del delivered[:]
-        sim = _simulation(SCHEDULERS[name](), tracing, registry, director)
+        sim = _simulation(SCHEDULERS[name](), tracing, registry, director, wake_steps)
         result = _run(sim, stop)
         order = list(delivered)
         assert len(order) == result.steps == result.network.step_count, cell
@@ -156,11 +217,13 @@ def test_every_cell_delivers_the_same_execution(name, delivered):
                 recorded = (depth, completed)
             assert (depth, completed) == recorded, cell
         if director != "none":
-            assert sim.director.completions > 0, cell
-            expected = (
-                list(enumerate(order, start=1)) if director == "deliveries" else []
-            )
-            assert sim.director.deliveries == expected, cell
+            # Lifecycle hooks read a current clock and the director is woken
+            # at the steps it asked for, whichever loop ran.
+            if completed_at is None:
+                completed_at = sim.director.completed_at
+                assert 0 < max(completed_at) <= result.steps, cell
+            assert sim.director.completed_at == completed_at, cell
+            assert sim.director.woken == _expected_wakes(director, wake_steps, full), cell
         if tracing:
             assert result.trace.messages_delivered == result.steps, cell
 
@@ -182,6 +245,8 @@ def test_every_cell_hits_the_cap_with_the_same_error(name, delivered):
             )
             assert observed[2] == 60
         assert observed == reference, cell
+        if director != "none":  # woken on the capped delivery too
+            assert sim.director.woken == _expected_wakes(director, WAKE_STEPS, 60), cell
 
 
 @pytest.mark.parametrize("name", sorted(SCHEDULERS))
@@ -274,11 +339,14 @@ def test_every_cell_reports_deadlock_with_the_same_error(name, delivered):
             )
             assert observed[2] == N * (2 * N - 1)
         assert observed == reference, cell
+        if director != "none":
+            woken = network.director.woken
+            assert woken == _expected_wakes(director, WAKE_STEPS, N * (2 * N - 1)), cell
 
 
 def test_step_is_the_same_delivery_as_run(delivered):
     """``while network.step()`` is the loop, one delivery at a time: same order,
-    and a director that wants deliveries is told of each one."""
+    and a director that re-arms to every next step is woken at each one."""
 
     def flooded(director):
         sim = _simulation(RandomScheduler(), True, True, director)
@@ -287,19 +355,20 @@ def test_step_is_the_same_delivery_as_run(delivered):
             network.submit_broadcast(sender, ("absent",), ("PING", sender))
         return sim, network
 
-    sim, network = flooded("deliveries")
+    every_step = _expected_wakes("every-step", (), N * N)
+    sim, network = flooded("every-step")
     while network.step():
         pass
     assert network.step() is False
     stepped = list(delivered)
     assert len(stepped) == network.step_count == N * N
-    assert sim.director.deliveries == list(enumerate(stepped, start=1))
+    assert sim.director.woken == every_step
 
     del delivered[:]
-    sim, network = flooded("deliveries")
+    sim, network = flooded("every-step")
     assert network.run_to_quiescence() == N * N
     assert list(delivered) == stepped
-    assert sim.director.deliveries == list(enumerate(stepped, start=1))
+    assert sim.director.woken == every_step
 
 
 # ----------------------------------------------------------------------
@@ -334,6 +403,11 @@ def _corrupt_one(sim):
     sim.corrupt(6, CrashBehavior.factory())
 
 
+def _corrupt_one_mid_run(sim):
+    # Party 6 is honest for 150 deliveries, then crashed from ``on_step``.
+    sim.director = CorruptingDirector(150, 6)
+
+
 def _shun_one(sim):
     # Party 0 starts out shunning (honest) party 3: every session is "later".
     sim.build_network().processes[0].shun(3, SESSION)
@@ -343,6 +417,11 @@ def _shun_one(sim):
 SLOW_PATH_CELLS = {
     "corrupted-party": (
         _corrupt_one,
+        lambda sim: sim.run(SESSION, WeakCommonCoin.factory()),
+        {"behavior", "not-started"},
+    ),
+    "corrupted-mid-run": (
+        _corrupt_one_mid_run,
         lambda sim: sim.run(SESSION, WeakCommonCoin.factory()),
         {"behavior", "not-started"},
     ),
@@ -368,24 +447,35 @@ def test_slow_path_cells_match_the_generic_loop(name, delivered, monkeypatch):
     monkeypatch.setattr(Process, "deliver_parts", explaining_deliver_parts)
 
     observed = {}
-    for loop, tracing in (("generic", True), ("unmaterialised", False)):
+    for loop, tracing, scheduler in (
+        ("generic", True, None),
+        ("scan", False, force_scan(RandomScheduler())),
+        ("unmaterialised", False, None),
+    ):
         del delivered[:]
-        sim = Simulation(params=ProtocolParams.for_parties(N), seed=SEED, tracing=tracing)
+        sim = Simulation(
+            params=ProtocolParams.for_parties(N), seed=SEED, tracing=tracing,
+            scheduler=scheduler,
+        )
         set_up(sim)
         result = run(sim)
         stats = result.message_stats
         observed[loop] = (
             list(delivered), result.steps, result.outputs,
             stats["messages_sent"], stats["messages_dropped"],
+            sim.director and (sim.director.woken, sim.director.completed_at),
         )
-        if loop == "generic":
-            assert not reasons  # it delivers whole Messages, through deliver()
-    assert observed["unmaterialised"] == observed["generic"]
+        if loop != "unmaterialised":
+            assert not reasons  # they deliver whole Messages, through deliver()
+    assert observed["unmaterialised"] == observed["scan"] == observed["generic"]
     # deliver_parts was needed for each reason the cell is about, and never
     # called for a copy the loop could have handed over itself.
     assert set(reasons) == expected_reasons
     if name == "shun-map":
         assert observed["generic"][4] > 0  # drops, live and at replay
+    if name == "corrupted-mid-run":
+        assert observed["generic"][5][0] == [(150, 150)]
+        assert 6 not in observed["generic"][2] and observed["generic"][1] > 150
 
 
 def test_an_fba_trial_leaves_few_objects_for_the_collector():

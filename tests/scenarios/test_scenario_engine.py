@@ -168,6 +168,42 @@ class TestFaultTimeline:
         assert crash_steps and all(step >= 30 for step in crash_steps)
         assert len(result.outputs) == 5
 
+    @pytest.mark.parametrize(
+        "tracing", [True, False], ids=["generic-loop", "unmaterialised-loop"]
+    )
+    def test_step_triggers_fire_at_their_thresholds_in_spec_order(self, tracing):
+        """The director names its next wake-up instead of being called per
+        delivery: every entry fires on its own threshold's delivery, entries
+        sharing one in spec order (timeline before rules), on either loop."""
+        spec = ScenarioSpec(
+            name="thresholds",
+            protocol="weak_coin",
+            corruption=CorruptionPlan(adaptive=[
+                AdaptiveRule(on="step", at_step=60, target=6,
+                             behavior=BehaviorSpec("hard_crash")),
+                AdaptiveRule(on="step", at_step=25, target=5,
+                             behavior=BehaviorSpec("hard_crash")),
+            ]),
+            timeline=[
+                FaultEvent(transition="recover", select=3, at_step=60),  # a no-op
+                FaultEvent(transition="silence", select=2, at_step=20),
+                FaultEvent(transition="recover", select=2, at_step=60),
+            ],
+        )
+        director = ScenarioRuntime(spec, n=10).build_director()
+        assert director.wake_step == 20
+        from repro.experiments.registry import RUNNERS
+
+        result = RUNNERS.get("weak_coin")(n=10, seed=9, director=director, tracing=tracing)
+        assert [(step, action, pid) for step, action, pid, _ in director.actions] == [
+            (20, "silence", 2),
+            (25, "corrupt", 5),
+            (60, "recover-skipped", 3),
+            (60, "recover", 2),
+            (60, "corrupt", 6),
+        ]
+        assert director.wake_step is None and result.steps > 60
+
     def test_silence_and_recover_round_trip(self):
         spec = ScenarioSpec(
             name="mute",

@@ -139,6 +139,32 @@ class TestScenariosCLI:
         assert cli_main(["scenarios", "--run", "nope"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
+    #: A trial known not to terminate (tests/scenarios/test_known_counterexamples.py).
+    DRY = ["--run", "tamper-on-share", "--n", "16", "--seed", "290454012"]
+
+    def test_check_counts_a_dry_run_as_a_termination_violation(self, capsys):
+        """The gate reports the failure it exists for, and goes on: the dry
+        seed is the first of two, the second still runs."""
+        assert cli_main(["scenarios", "--check", *self.DRY, "--check-seeds", "2"]) == 1
+        captured = capsys.readouterr()
+        assert (
+            "seed=290454012 termination: network ran dry after 12272 deliveries; "
+            "honest parties without output: [1]"
+        ) in captured.out
+        assert "1 VIOLATION(S)" in captured.out
+        assert "1 scenarios x 2 seeds = 2 trials: 1 invariant violation(s)" in captured.out
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("extra", [[], ["--no-tracing"]], ids=["traced", "untraced"])
+    def test_run_reports_a_dry_run_in_one_line(self, capsys, extra):
+        assert cli_main(["scenarios", *self.DRY, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: tamper-on-share n=16 seed=290454012: network is quiescent "
+            "but the stop condition is not met (protocol deadlock)\n"
+        )
+        assert captured.out == ""
+
     def test_campaign_validate_checks_scenario_names(self, tmp_path, capsys):
         campaign = CampaignSpec(name="c", cells=[_cell(scenario="nope")])
         path = tmp_path / "campaign.json"

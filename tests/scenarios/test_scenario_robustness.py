@@ -10,6 +10,7 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments.spec import BehaviorSpec, ExperimentSpec, SchedulerSpec
 from repro.net.message import Message
+from repro.net.network import Network
 from repro.net.queues import ScanQueue
 from repro.scenarios import run_scenario
 from repro.scenarios.invariants import (
@@ -19,7 +20,7 @@ from repro.scenarios.invariants import (
     check_scenario_result,
     default_step_bound,
 )
-from repro.scenarios.library import get_scenario
+from repro.scenarios.library import get_scenario, scenario_names
 from repro.scenarios.schedulers import ReactiveScheduler
 from repro.scenarios.spec import (
     AdaptiveRule,
@@ -308,6 +309,44 @@ class TestRestartSemantics:
     def test_sinks_without_tracing_rejected(self):
         with pytest.raises(ExperimentError, match="sinks require tracing=True"):
             run_scenario("restart-storm", n=4, seed=0, tracing=False, sinks=[object()])
+
+
+# ----------------------------------------------------------------------
+# A director rides either delivery loop.  A scenario whose scheduler leaves
+# the random queue in place runs untraced on the network's unmaterialised loop
+# (no Message per delivery) and traced on the generic one; the attack -- every
+# director action with its step -- and the outcome must not depend on which.
+# ----------------------------------------------------------------------
+RANDOM_QUEUE_SCENARIOS = sorted(
+    name for name in scenario_names() if get_scenario(name).scheduler is None
+)
+
+
+@pytest.mark.parametrize("n", (7, 16))
+@pytest.mark.parametrize("name", RANDOM_QUEUE_SCENARIOS)
+def test_director_trial_is_the_same_on_both_loops(name, n, monkeypatch):
+    unmaterialised = []
+    drive = Network._drive_unmaterialised
+
+    def counting_drive(self, max_steps):
+        unmaterialised.append(self.seed)
+        return drive(self, max_steps)
+
+    monkeypatch.setattr(Network, "_drive_unmaterialised", counting_drive)
+    for seed in (0, 1):
+        observed = {}
+        for tracing in (True, False):
+            result = run_scenario(name, n=n, seed=seed, tracing=tracing)
+            director = result.network.director
+            observed[tracing] = (result.steps, result.outputs, director.actions)
+        assert observed[False] == observed[True], seed
+    assert unmaterialised == [0, 1]  # the untraced run of each seed, only
+
+
+def test_the_step_triggered_attacks_are_among_them():
+    assert {"restart-storm", "dealer-ambush", "tamper-on-share"} <= set(
+        RANDOM_QUEUE_SCENARIOS
+    )
 
 
 # ----------------------------------------------------------------------

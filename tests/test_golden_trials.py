@@ -121,8 +121,8 @@ def test_weak_coin_n32(seed):
 
 
 def test_weak_coin_n32_default_prime_matches_frozen_stack():
-    """End-to-end coverage of the plane's 16-bit split mode (default prime at
-    n >= 24).  The entry is the answer of the pre-batching stack (the PR-4
+    """End-to-end coverage of the plane's 16-bit split mode (the default prime
+    on a vectorised plan).  The entry is the answer of the pre-batching stack (the PR-4
     implementation), recorded at the last commit that ran it beside the live
     one (CHANGES.md, PR 20); the untraced run is the one that takes the
     group-mode split plan."""
@@ -233,9 +233,9 @@ def test_aba_over_local_coins(seed):
 
 
 # ----------------------------------------------------------------------
-# SVSS under attack at n=25 -- the smallest 3t+1 at or above the plane's
-# vectorisation cutoff (``kernels._NUMPY_MIN_N``), so with numpy these runs go
-# through the matmul / split plans and without it through the scalar oracle.
+# SVSS under attack at n=25 -- well above the plane's vectorisation cutoff
+# (``kernels._NUMPY_MIN_N``), so with numpy these runs go through the matmul /
+# split plans and without it through the scalar oracle.
 # Honestly dealt rows share the plane with withheld-and-recovered, corrupted
 # and rejected ones; shun events are part of the fingerprint.
 def _svss_n25(name, seed, secret, corruptions, **extra):
