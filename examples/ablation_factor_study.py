@@ -4,12 +4,12 @@ This is the :mod:`repro.analysis.ablation` harness driven as a library, the
 way a paper-style factor study would use it:
 
 1. A one-factor-out ablation of the ``dealer-ambush`` scenario at the
-   smallest scale -- every engine optimisation (EvalPlan, group queue, GC
-   pause, interned sessions, tracing, metering) and every scenario
-   component (scheduler, corruption plan, timeline, tamper rules) is
-   switched off in turn, and the per-factor contribution table reports what
-   each one buys (wall time, deliveries/s, cache hit rate) and whether
-   removing it left the protocol statistics byte-identical.
+   smallest scale -- the two observation factors (tracing back on, the
+   message meter off) and every scenario component (scheduler, corruption
+   plan, timeline, tamper rules) are switched off in turn, and the
+   per-factor contribution table reports what the arm did (messages, cache
+   hit rate, an advisory wall time) and, for the tracing arm, whether the
+   protocol statistics stayed byte-identical.
 2. An attack sweep pitting ``dealer-ambush`` against ``rushing-coalition``
    across scales, with Wilson 95% confidence intervals on disagreement and
    output bias and measured-vs-predicted message ratios.
@@ -31,7 +31,7 @@ import sys
 
 from repro.analysis.ablation import (
     CONTRIBUTION_HEADER,
-    OPTIMISATION_FACTORS,
+    OBSERVATION_FACTORS,
     SWEEP_HEADER,
     build_ablation_campaign,
     build_attack_sweep,
@@ -68,7 +68,7 @@ def run_study(ns, seeds_count) -> int:
         f"({len(campaign.cells)} cells x {seeds_count} seeds)"
     )
     results = run_campaign(campaign, workers=2)
-    factors = list(OPTIMISATION_FACTORS) + list(scenario_factors())
+    factors = list(OBSERVATION_FACTORS) + list(scenario_factors())
     rows = contribution_table(results, factors)
     print(render_table(CONTRIBUTION_HEADER, format_contribution_rows(rows)))
 

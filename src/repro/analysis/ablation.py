@@ -1,16 +1,18 @@
-"""Ablation harness: per-factor contribution tables and attack sweeps.
+"""Ablation harness: what-the-system-does arms, claims and attack sweeps.
 
-The simulator has accumulated a stack of independent optimisations (vectorised
-evaluation plans, the group-mode fan-out queue, GC pausing, session interning,
-trace-free metering) and a library of attack scenarios composed from four
-components (corruption plan, fault timeline, hostile scheduler, tamper
-transitions).  This module makes each of them a *factor* that can be toggled
-declaratively and measured in isolation:
+An ablation arm differs from the baseline in what the system *does*: which
+attack components are active (corruption plan, fault timeline, hostile
+scheduler, tamper transitions) or what a run *reports* (full tracing, the
+trace-free message meter).  It is not a per-optimisation wall-time verdict:
+how the engine queues a fan-out or evaluates a row is chosen from observable
+state, is byte-identical by construction and is held there by differential
+tests; whether a fast path pays is judged by the perf ledger's alternating
+pairs (``benchmarks/ledger``), never by a campaign's wall column.  This
+module provides:
 
 * a :class:`Factor` registry describing every toggle as a campaign-cell
-  parameter overlay (optimisations ride the ``tuning`` runner kwarg; scenario
-  components ride the ``<base>~no-<component>`` variant syntax of
-  :func:`repro.scenarios.library.get_scenario`);
+  parameter overlay (scenario components ride the ``<base>~no-<component>``
+  variant syntax of :func:`repro.scenarios.library.get_scenario`);
 * grid builders expanding factors into ordinary
   :class:`~repro.experiments.spec.ExperimentSpec` cells -- one-factor-out by
   default, full factorial on request -- which run on the existing
@@ -18,9 +20,9 @@ declaratively and measured in isolation:
   free) and therefore serialize, hash and resume like any other campaign;
 * :func:`contribution_table`, aggregating the resulting
   :class:`~repro.core.results.TrialAggregate` per cell into per-factor rows
-  (wall time, deliveries/s, sends-by-kind, crypto cache hit rates, and a
-  statistics-identity check against the baseline for the semantics-preserving
-  toggles);
+  (sends-by-kind, crypto cache hit rates, a statistics-identity check against
+  the baseline for the arms that must not change them, and an advisory wall
+  time);
 * :func:`build_attack_sweep` / :func:`sweep_table`, reporting bias /
   disagreement probability / message complexity *as a function of the
   scenario* across ``n`` and seeds, with Wilson binomial confidence
@@ -66,10 +68,12 @@ if TYPE_CHECKING:  # heavy layers; imported lazily at runtime because
     from repro.core.results import TrialAggregate
     from repro.experiments.spec import CampaignSpec, ExperimentSpec
 
-#: Parameters every ablation cell shares unless overridden: the campaign
-#: throughput configuration (tracing off, so the group-mode fast path and the
-#: meter are engaged) plus the structured-metrics registry, which supplies
-#: the cache-hit-rate and histogram columns of the contribution table.
+#: Parameters every ablation cell shares unless overridden: tracing off (the
+#: campaign configuration, metered) plus the structured-metrics registry,
+#: which supplies the cache-hit-rate and histogram columns of the
+#: contribution table.  A registry takes a trial off the unmaterialised
+#: delivery loop, so these cells run on the generic loop and their wall
+#: column is advisory, like every ``elapsed_s`` in the campaign layer.
 DEFAULT_BASE_PARAMS: Dict[str, Any] = {"tracing": False, "metrics": True}
 
 #: Name of the all-factors-on cell in every ablation campaign.
@@ -84,16 +88,16 @@ class Factor:
         name: registry key; the one-factor-out cell is named ``no-<name>``.
         description: one-line human description of what the factor buys.
         ablated: cell-parameter overlay applied when the factor is *off*
-            (merged over the base params; the ``tuning`` sub-dict merges
-            keywise so several factors compose in factorial grids).
+            (merged over the base params, so several factors compose in
+            factorial grids).
         scenario_component: when set, ablating the factor swaps the cell's
             scenario for its ``~no-<component>`` variant instead of touching
             params (see :data:`repro.scenarios.library.SCENARIO_COMPONENTS`).
         stats_preserving: the ablated configuration is expected to produce
             byte-identical per-seed statistics (outputs, message counts,
-            steps) -- true for every pure optimisation, false when the toggle
-            changes what is measured (metering off) or what the adversary
-            does (scenario components).
+            steps) -- true when only the observation tier changes (tracing
+            on), false when the toggle changes what is measured (metering
+            off) or what the adversary does (scenario components).
     """
 
     name: str
@@ -103,26 +107,12 @@ class Factor:
     stats_preserving: bool = True
 
 
-#: The optimisation factors, one per independent fast path.  Ablating
-#: ``trace_free`` re-enables full tracing, which also forfeits group mode
-#: (trace hooks need materialised messages) -- that composite cost is the
-#: honest price of tracing and is reported as such.
-OPTIMISATION_FACTORS: Tuple[Factor, ...] = (
-    Factor(
-        "eval_plan",
-        "vectorised EvalPlan crypto kernels (vs forced scalar)",
-        ablated={"tuning": {"eval_plan": "scalar"}},
-    ),
-    Factor(
-        "group_queue",
-        "group-mode fan-out delivery queue (vs flat per-message queue)",
-        ablated={"tuning": {"group_mode": False}},
-    ),
-    Factor(
-        "gc_pause",
-        "cyclic GC paused during the delivery loop (vs live collector)",
-        ablated={"tuning": {"pause_gc": False}},
-    ),
+#: The two documented runner parameters that change what a run *reports*
+#: and must not change what it computes.  Ablating ``trace_free`` re-enables
+#: full tracing (the trace carries the counts, messages are materialised at
+#: send); ablating ``metering`` leaves a trace-free run without message
+#: counts.
+OBSERVATION_FACTORS: Tuple[Factor, ...] = (
     Factor(
         "trace_free",
         "trace hooks disabled, metered group mode (vs full tracing)",
@@ -161,17 +151,11 @@ def factor_names(factors: Iterable[Factor]) -> List[str]:
 def _merge_params(
     base: Mapping[str, Any], overlay: Mapping[str, Any]
 ) -> Dict[str, Any]:
-    """Overlay ``overlay`` onto ``base``; the ``tuning`` sub-dict merges keywise."""
-    merged: Dict[str, Any] = {
+    """Overlay ``overlay`` onto ``base`` (dict values copied, never shared)."""
+    return {
         key: dict(value) if isinstance(value, dict) else value
-        for key, value in base.items()
+        for key, value in {**base, **overlay}.items()
     }
-    for key, value in overlay.items():
-        if key == "tuning" and isinstance(merged.get("tuning"), dict):
-            merged["tuning"] = {**merged["tuning"], **value}
-        else:
-            merged[key] = dict(value) if isinstance(value, dict) else value
-    return merged
 
 
 def _ablated_cell(
@@ -282,10 +266,10 @@ def build_ablation_campaign(
     ``mode`` is ``"one-out"`` (baseline + one cell per factor, the default)
     or ``"factorial"`` (the full ``2^k`` grid).  When ``scenario`` is given,
     :func:`scenario_factors` are appended to the default factor set, so the
-    attack's components are ablated alongside the optimisations.
+    attack's components are ablated alongside the observation factors.
     """
     if factors is None:
-        factors = list(OPTIMISATION_FACTORS)
+        factors = list(OBSERVATION_FACTORS)
         if scenario is not None:
             factors += list(scenario_factors())
     if mode == "one-out":
@@ -308,7 +292,7 @@ def build_ablation_campaign(
 # ----------------------------------------------------------------------
 # Contribution tables
 def _stats_signature(aggregate: TrialAggregate) -> Tuple[Any, ...]:
-    """The deterministic statistics a pure optimisation must not change."""
+    """The deterministic statistics a stats-preserving factor must not change."""
     return (
         aggregate.trials,
         aggregate.disagreements,

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional
 
 from repro.core.config import ProtocolParams
-from repro.errors import ConfigurationError
 from repro.core.results import TrialAggregate, aggregate
 from repro.net.message import SessionId
 from repro.net.process import Process
@@ -36,23 +35,6 @@ from repro.protocols.weak_coin import WeakCommonCoin
 
 BehaviorFactory = Callable[[Process], Any]
 Corruptions = Optional[Mapping[int, BehaviorFactory]]
-#: Optional per-run optimisation toggles (``tuning={...}``): a JSON-shaped
-#: mapping every runner threads onto :class:`~repro.net.runtime.Simulation`.
-#: Keys (all optional) and their default-on semantics:
-#:
-#: * ``pause_gc`` (bool, default True) -- pause the cyclic GC during the run;
-#: * ``group_mode`` (bool | None, default None) -- False forces the flat
-#:   per-message delivery queue even when group batching is possible;
-#: * ``eval_plan`` (``"auto"`` | ``"scalar"``, default auto) -- "scalar"
-#:   forces the plain-int crypto kernels for the whole run.
-#:
-#: The ablation harness (:mod:`repro.analysis.ablation`) drives these through
-#: campaign cell params; every toggle preserves per-seed outputs and message
-#: statistics byte-identically (the fast paths are tested against the scalar/
-#: flat oracles), only wall-clock behaviour changes.
-Tuning = Optional[Mapping[str, Any]]
-
-_TUNING_KEYS = frozenset({"pause_gc", "group_mode", "eval_plan"})
 
 #: Default iteration override used when callers do not specify one.  The
 #: paper's CoinFlip runs k = Theta(log(1/epsilon)) SVSS iterations; at
@@ -74,22 +56,14 @@ def _simulation(
     prime: Optional[int] = None,
     director: Optional[Any] = None,
     session_table: Optional[Dict[Any, Any]] = None,
-    metering: Optional[bool] = None,
+    metering: bool = True,
     metrics: Optional[Any] = None,
     sinks: Optional[Any] = None,
-    tuning: Tuning = None,
 ) -> Simulation:
     if prime is None:
         params = ProtocolParams.for_parties(n)
     else:
         params = ProtocolParams.for_parties(n, prime=prime)
-    knobs = dict(tuning or {})
-    unknown = set(knobs) - _TUNING_KEYS
-    if unknown:
-        raise ConfigurationError(
-            f"unknown tuning keys {sorted(unknown)}; "
-            f"known: {sorted(_TUNING_KEYS)}"
-        )
     sim = Simulation(
         params=params,
         scheduler=scheduler,
@@ -100,9 +74,6 @@ def _simulation(
         metering=metering,
         metrics=metrics,
         sinks=list(sinks) if sinks else None,
-        pause_gc=bool(knobs.get("pause_gc", True)),
-        group_mode=knobs.get("group_mode"),
-        eval_plan=knobs.get("eval_plan"),
     )
     if max_steps is not None:
         sim.max_steps = max_steps
@@ -122,16 +93,15 @@ def run_acast(
     prime: Optional[int] = None,
     director: Optional[Any] = None,
     session_table: Optional[Dict[Any, Any]] = None,
-    metering: Optional[bool] = None,
+    metering: bool = True,
     metrics: Optional[Any] = None,
     sinks: Optional[Any] = None,
-    tuning: Tuning = None,
 ) -> SimulationResult:
     """Run one reliable broadcast of ``value`` from ``sender``."""
     sim = _simulation(
         n, seed, scheduler, corruptions, tracing=tracing, prime=prime,
         director=director, session_table=session_table,
-        metering=metering, metrics=metrics, sinks=sinks, tuning=tuning,
+        metering=metering, metrics=metrics, sinks=sinks,
     )
     return sim.run(
         ("acast",),
@@ -182,10 +152,9 @@ def run_svss(
     prime: Optional[int] = None,
     director: Optional[Any] = None,
     session_table: Optional[Dict[Any, Any]] = None,
-    metering: Optional[bool] = None,
+    metering: bool = True,
     metrics: Optional[Any] = None,
     sinks: Optional[Any] = None,
-    tuning: Tuning = None,
 ) -> SimulationResult:
     """Run SVSS-Share followed by SVSS-Rec and return the reconstructed values.
 
@@ -195,7 +164,7 @@ def run_svss(
     sim = _simulation(
         n, seed, scheduler, corruptions, tracing=tracing, prime=prime,
         director=director, session_table=session_table,
-        metering=metering, metrics=metrics, sinks=sinks, tuning=tuning,
+        metering=metering, metrics=metrics, sinks=sinks,
     )
     return sim.run(
         ("svss_harness",),
@@ -215,16 +184,15 @@ def run_aba(
     prime: Optional[int] = None,
     director: Optional[Any] = None,
     session_table: Optional[Dict[Any, Any]] = None,
-    metering: Optional[bool] = None,
+    metering: bool = True,
     metrics: Optional[Any] = None,
     sinks: Optional[Any] = None,
-    tuning: Tuning = None,
 ) -> SimulationResult:
     """Run binary Byzantine agreement with the given per-party inputs."""
     sim = _simulation(
         n, seed, scheduler, corruptions, tracing=tracing, prime=prime,
         director=director, session_table=session_table,
-        metering=metering, metrics=metrics, sinks=sinks, tuning=tuning,
+        metering=metering, metrics=metrics, sinks=sinks,
     )
     source = coin_source or OracleCoinSource(seed)
     return sim.run(
@@ -270,10 +238,9 @@ def run_common_subset(
     prime: Optional[int] = None,
     director: Optional[Any] = None,
     session_table: Optional[Dict[Any, Any]] = None,
-    metering: Optional[bool] = None,
+    metering: bool = True,
     metrics: Optional[Any] = None,
     sinks: Optional[Any] = None,
-    tuning: Tuning = None,
 ) -> SimulationResult:
     """Run CommonSubset where the predicate is immediately true for ``ready_parties``."""
     ready = set(ready_parties)
@@ -285,7 +252,7 @@ def run_common_subset(
     sim = _simulation(
         n, seed, scheduler, corruptions, tracing=tracing, prime=prime,
         director=director, session_table=session_table,
-        metering=metering, metrics=metrics, sinks=sinks, tuning=tuning,
+        metering=metering, metrics=metrics, sinks=sinks,
     )
     return sim.run(("common_subset_harness",), factory)
 
@@ -299,16 +266,15 @@ def run_weak_coin(
     prime: Optional[int] = None,
     director: Optional[Any] = None,
     session_table: Optional[Dict[Any, Any]] = None,
-    metering: Optional[bool] = None,
+    metering: bool = True,
     metrics: Optional[Any] = None,
     sinks: Optional[Any] = None,
-    tuning: Tuning = None,
 ) -> SimulationResult:
     """Run one weak common coin flip."""
     sim = _simulation(
         n, seed, scheduler, corruptions, tracing=tracing, prime=prime,
         director=director, session_table=session_table,
-        metering=metering, metrics=metrics, sinks=sinks, tuning=tuning,
+        metering=metering, metrics=metrics, sinks=sinks,
     )
     return sim.run(("weak_coin",), WeakCommonCoin.factory())
 
@@ -326,10 +292,9 @@ def run_coinflip(
     prime: Optional[int] = None,
     director: Optional[Any] = None,
     session_table: Optional[Dict[Any, Any]] = None,
-    metering: Optional[bool] = None,
+    metering: bool = True,
     metrics: Optional[Any] = None,
     sinks: Optional[Any] = None,
-    tuning: Tuning = None,
 ) -> SimulationResult:
     """Run the strong common coin (Algorithm 1) once.
 
@@ -339,7 +304,7 @@ def run_coinflip(
     sim = _simulation(
         n, seed, scheduler, corruptions, max_steps=max_steps, tracing=tracing,
         prime=prime, director=director, session_table=session_table,
-        metering=metering, metrics=metrics, sinks=sinks, tuning=tuning,
+        metering=metering, metrics=metrics, sinks=sinks,
     )
     source = coin_source or OracleCoinSource(seed)
     return sim.run(
@@ -361,16 +326,15 @@ def run_fair_choice(
     prime: Optional[int] = None,
     director: Optional[Any] = None,
     session_table: Optional[Dict[Any, Any]] = None,
-    metering: Optional[bool] = None,
+    metering: bool = True,
     metrics: Optional[Any] = None,
     sinks: Optional[Any] = None,
-    tuning: Tuning = None,
 ) -> SimulationResult:
     """Run FairChoice (Algorithm 2) over ``m`` candidates."""
     sim = _simulation(
         n, seed, scheduler, corruptions, max_steps=max_steps, tracing=tracing,
         prime=prime, director=director, session_table=session_table,
-        metering=metering, metrics=metrics, sinks=sinks, tuning=tuning,
+        metering=metering, metrics=metrics, sinks=sinks,
     )
     source = coin_source or OracleCoinSource(seed)
     return sim.run(
@@ -395,16 +359,15 @@ def run_fba(
     prime: Optional[int] = None,
     director: Optional[Any] = None,
     session_table: Optional[Dict[Any, Any]] = None,
-    metering: Optional[bool] = None,
+    metering: bool = True,
     metrics: Optional[Any] = None,
     sinks: Optional[Any] = None,
-    tuning: Tuning = None,
 ) -> SimulationResult:
     """Run fair Byzantine agreement (Algorithm 3) with the given inputs."""
     sim = _simulation(
         n, seed, scheduler, corruptions, max_steps=max_steps, tracing=tracing,
         prime=prime, director=director, session_table=session_table,
-        metering=metering, metrics=metrics, sinks=sinks, tuning=tuning,
+        metering=metering, metrics=metrics, sinks=sinks,
     )
     source = coin_source or OracleCoinSource(seed)
     return sim.run(

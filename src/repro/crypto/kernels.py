@@ -31,11 +31,10 @@ single dot product.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from functools import lru_cache
 from math import prod
 from operator import itemgetter
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DecodingError, FieldError, InterpolationError
 
@@ -565,9 +564,8 @@ _PLANE_WEIGHTS_CACHE_LIMIT = 8192
 #: dealer is one :meth:`EvalPlan.bivariate_grid` call (two products for all
 #: ``n`` rows and ``n^2`` cross-points), which at the default prime measures,
 #: scalar -> vectorised, 18 -> 12 us at n=6, 32 -> 15 at n=7 and 204 -> 21
-#: at n=16; :meth:`EvalPlan.shares_many` crosses at the same place.  n=7 is
-#: the first size with t=2 and the first where every batched shape wins by
-#: about 2x; below it either side is within a few us.  The single-row
+#: at n=16.  n=7 is the first size with t=2 and the first where the grid
+#: wins by about 2x; below it either side is within a few us.  The single-row
 #: :meth:`EvalPlan.eval_all_points` crosses later (2.7 -> 4.3 us at n=7,
 #: even at n=10) but runs only on the miss path -- tampered, Byzantine-dealt
 #: and recovered rows -- which an honest trial never enters.  Full table:
@@ -575,15 +573,6 @@ _PLANE_WEIGHTS_CACHE_LIMIT = 8192
 #: this sat at 24, the crossover of one numpy call per *row*, long after
 #: dealing stopped making one.
 _NUMPY_MIN_N = 7
-
-#: Process-wide evaluation-mode override (the ablation hook).  ``None`` keeps
-#: the automatic numpy-vs-scalar choice below; ``"scalar"`` forces every plan
-#: built while the override is set onto the plain-int kernels, which are the
-#: byte-identical oracle the vectorised modes are tested against.  Set it
-#: through :func:`set_plan_mode_override` / :func:`plan_mode_override` only --
-#: they invalidate the shared :func:`get_eval_plan` cache on change, so plans
-#: built under a different override are never reused.
-_PLAN_MODE_OVERRIDE: Optional[str] = None
 
 
 class EvalPlan:
@@ -619,7 +608,7 @@ class EvalPlan:
         #: read by the metrics registry.  Plans are shared process-wide, so
         #: per-run numbers are deltas against a captured baseline.
         self.stats: Dict[str, int] = {"vector_calls": 0, "scalar_calls": 0}
-        if _PLAN_MODE_OVERRIDE == "scalar" or _np is None or n < _NUMPY_MIN_N:
+        if _np is None or n < _NUMPY_MIN_N:
             self.mode = "scalar"
         elif (prime - 1) * (prime - 1) * n < 2**63:
             self.mode = "matmul"
@@ -669,32 +658,6 @@ class EvalPlan:
             self._pow[:, : len(coeffs)], _np.array(coeffs, dtype=_np.int64)
         ).tolist()
 
-    def eval_rows_at_point(
-        self, rows: Sequence[Sequence[int]], point: int
-    ) -> List[int]:
-        """``[f(point) for f in rows]`` in one batched product.
-
-        ``rows`` are reduced-coefficient sequences (ragged lengths allowed);
-        ``point`` must be reduced modulo ``prime``.
-        """
-        prime = self.prime
-        if self.mode == "scalar" or not rows:
-            self.stats["scalar_calls"] += 1
-            return [horner(prime, row, point) for row in rows]
-        self.stats["vector_calls"] += 1
-        width = max(len(row) for row in rows)
-        if 1 <= point <= self.n and width <= self.n:
-            powers = self._pow[point - 1, :width]
-        else:
-            values = [1] * width
-            for j in range(1, width):
-                values[j] = values[j - 1] * point % prime
-            powers = _np.array(values, dtype=_np.int64)
-        matrix = _np.zeros((len(rows), width), dtype=_np.int64)
-        for index, row in enumerate(rows):
-            matrix[index, : len(row)] = row
-        return self._times(matrix, powers).tolist()
-
     def bivariate_grid(
         self, matrix: Sequence[Sequence[int]]
     ) -> Tuple[List[Tuple[int, ...]], List[List[int]]]:
@@ -731,21 +694,6 @@ class EvalPlan:
             evals = self._times(grid, self._pow_t[:width]).tolist()
         return [poly_trim(row) for row in grid.tolist()], evals
 
-    def shares_many(self, coeffs_list: Sequence[Sequence[int]]) -> List[List[int]]:
-        """Shamir shares at ``1..n`` for many polynomials (one batched product)."""
-        prime = self.prime
-        if self.mode == "scalar" or not coeffs_list:
-            self.stats["scalar_calls"] += 1
-            return [
-                eval_at_many(prime, coeffs, self.points) for coeffs in coeffs_list
-            ]
-        self.stats["vector_calls"] += 1
-        width = max(len(coeffs) for coeffs in coeffs_list)
-        matrix = _np.zeros((len(coeffs_list), width), dtype=_np.int64)
-        for index, coeffs in enumerate(coeffs_list):
-            matrix[index, : len(coeffs)] = coeffs
-        return self._times(matrix, self._pow_t[:width]).tolist()
-
     # -- reconstruction weights ----------------------------------------
     def subset_weights(self, pids: Sequence[int]) -> Tuple[int, ...]:
         """Lagrange weights at zero for the party subset ``pids`` (0-based).
@@ -768,37 +716,6 @@ class EvalPlan:
 def get_eval_plan(prime: int, n: int) -> EvalPlan:
     """The process-wide shared :class:`EvalPlan` for ``(prime, n)``."""
     return EvalPlan(prime, n)
-
-
-def set_plan_mode_override(mode: Optional[str]) -> None:
-    """Force (``"scalar"``) or restore (``None``/``"auto"``) plan selection.
-
-    Changing the override invalidates :func:`get_eval_plan`'s process-wide
-    cache, so plans constructed under the previous policy are never served to
-    code expecting the new one.  The cache is only cleared when the value
-    actually changes -- repeated no-op calls keep the warm tables.
-    """
-    global _PLAN_MODE_OVERRIDE
-    if mode == "auto":
-        mode = None
-    if mode not in (None, "scalar"):
-        raise ValueError(
-            f'plan-mode override must be None, "auto" or "scalar", got {mode!r}'
-        )
-    if mode != _PLAN_MODE_OVERRIDE:
-        _PLAN_MODE_OVERRIDE = mode
-        get_eval_plan.cache_clear()
-
-
-@contextmanager
-def plan_mode_override(mode: Optional[str]) -> Iterator[None]:
-    """Scoped :func:`set_plan_mode_override` (restores the previous value)."""
-    previous = _PLAN_MODE_OVERRIDE
-    set_plan_mode_override(mode)
-    try:
-        yield
-    finally:
-        set_plan_mode_override(previous)
 
 
 class CryptoPlane:
@@ -977,29 +894,3 @@ class CryptoPlane:
         for weight, y in zip(self.weights_for(pids), ys):
             total += weight * y
         return total % self.prime
-
-
-# ---------------------------------------------------------------------------
-# Module-level batch entry points (thin veneers over the plan/plane).
-# ---------------------------------------------------------------------------
-def validate_rows(plane: CryptoPlane, rows: Sequence[Any]) -> List[bool]:
-    """Validity mask for many wire-format rows (one cached check per row)."""
-    validate = plane.validate_row
-    return [validate(row) is not None for row in rows]
-
-
-def eval_grid(plane: CryptoPlane, coeffs_list: Sequence[Sequence[int]], point: int) -> List[int]:
-    """Evaluate many reduced-coefficient polynomials at one point, batched."""
-    return plane.plan.eval_rows_at_point(coeffs_list, point % plane.prime)
-
-
-def shamir_share_values_many(
-    prime: int, coeffs_list: Sequence[Sequence[int]], n: int
-) -> List[List[int]]:
-    """Shamir shares at ``1..n`` for many polynomials with one batched product.
-
-    Row ``i`` equals ``shamir_share_values(prime, coeffs_list[i], n)``; the
-    dealer-side cost drops from ``k`` Horner sweeps to one matrix product on
-    plans with a vectorised mode.
-    """
-    return get_eval_plan(prime, n).shares_many(coeffs_list)

@@ -5,7 +5,7 @@ Usage (also installed as the ``repro-experiments`` console script)::
     python -m repro.experiments run campaign.json --workers 4
     python -m repro.experiments report campaign.results.json
     python -m repro.experiments validate campaign.json
-    python -m repro.experiments ablate --quick --json ablation.json
+    python -m repro.experiments ablate --rounds 3 --json ablation.json
 
 ``run`` executes (or resumes) a campaign and persists per-cell aggregates to
 the ``--out`` JSON file; cells already present in the file with a matching
@@ -25,14 +25,25 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.analysis.ablation import (
+    BASELINE_CELL,
+    OBSERVATION_FACTORS,
+    build_ablation_campaign,
+    build_attack_sweep,
+    contribution_table,
+    render_table,
+    scenario_factors,
+    sweep_table,
+)
 from repro.errors import ExperimentError, ServiceError, SimulationError
-from repro.experiments.registry import BEHAVIORS, FAULTS, RUNNERS, SCHEDULERS
+from repro.experiments.registry import FAULTS, build_scheduler
 from repro.experiments.runner import (
     DEFAULT_CHUNK_TRIALS,
     CampaignInterrupted,
     CampaignProgress,
+    CellExecutor,
     run_campaign,
 )
 from repro.experiments.report import (
@@ -45,18 +56,6 @@ from repro.experiments.spec import CampaignSpec, ExecutionPolicy, FaultSpec
 from repro.experiments.store import ResultStore
 
 REPORT_FORMATS = ("text", "markdown", "json")
-
-
-def _print_table(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    rows = [tuple(str(cell) for cell in row) for row in rows]
-    widths = [len(column) for column in header]
-    for row in rows:
-        widths = [max(width, len(cell)) for width, cell in zip(widths, row)]
-    line = "  ".join(name.ljust(width) for name, width in zip(header, widths))
-    print(line)
-    print("-" * len(line))
-    for row in rows:
-        print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)))
 
 
 def _default_out(campaign_path: Path) -> Path:
@@ -82,6 +81,22 @@ def _cli_policy(args: argparse.Namespace) -> Optional[ExecutionPolicy]:
         fail_fast=True if args.fail_fast else None,
     )
     return policy if policy.to_dict() else None
+
+
+def _progress_printer(quiet: bool) -> Optional[Callable[[CampaignProgress], None]]:
+    """The per-chunk progress line of ``run`` / ``ablate`` (None when quiet)."""
+    if quiet:
+        return None
+
+    def report_progress(event: CampaignProgress) -> None:
+        state = "resumed" if event.resumed else "ran"
+        print(
+            f"[{event.completed}/{event.total}] {event.cell}: "
+            f"{state} {event.cell_completed}/{event.cell_trials} trials",
+            flush=True,
+        )
+
+    return report_progress
 
 
 def _print_failures(failures: Dict[str, Dict[str, Any]]) -> None:
@@ -122,22 +137,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for cell in campaign.cells:
             cell.fault = fault
 
-    def report_progress(event: CampaignProgress) -> None:
-        if args.quiet:
-            return
-        state = "resumed" if event.resumed else "ran"
-        print(
-            f"[{event.completed}/{event.total}] {event.cell}: "
-            f"{state} {event.cell_completed}/{event.cell_trials} trials",
-            flush=True,
-        )
-
     metrics = MetricsRegistry(queue_depth_every=0, completion_steps=False)
     results = run_campaign(
         campaign,
         workers=args.workers,
         store=store,
-        progress=report_progress,
+        progress=_progress_printer(args.quiet),
         chunk_trials=args.chunk_trials,
         policy=_cli_policy(args),
         metrics=metrics,
@@ -146,10 +151,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print()
         print(f"campaign {campaign.name!r}: {campaign.trials} trials, "
               f"{len(results)} cells -> {out_path}")
-        _print_table(
-            SUMMARY_HEADER,
-            _summary_rows({name: agg.summary() for name, agg in results.items()}),
-        )
+        summaries = {name: agg.summary() for name, agg in results.items()}
+        print(render_table(SUMMARY_HEADER, _summary_rows(summaries)), end="")
         supervision = {
             name: value
             for name, value in metrics.counter_values().items()
@@ -215,9 +218,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _select_factors(names: Optional[str], scenario: Optional[str]) -> List[Any]:
     """Resolve ``--factors a,b`` against the registry (scenario factors too)."""
-    from repro.analysis.ablation import OPTIMISATION_FACTORS, scenario_factors
-
-    available = list(OPTIMISATION_FACTORS)
+    available = list(OBSERVATION_FACTORS)
     if scenario is not None:
         available += list(scenario_factors())
     if names is None:
@@ -241,23 +242,18 @@ def _select_factors(names: Optional[str], scenario: Optional[str]) -> List[Any]:
 def _cmd_ablate(args: argparse.Namespace) -> int:
     """Build, run and report an ablation campaign; gate on the paper claims.
 
-    ``--quick`` is the CI preset (honest coinflip at n=16, 10 seeds, one
-    cell per optimisation factor); ``--biased`` replaces the seed list with
-    one seed repeated, a deliberately rigged coin that the bias claim must
+    The defaults are the CI gate (honest coinflip at n=16, 10 seeds, the
+    two observation factors); ``--biased`` replaces the seed list with one
+    seed repeated, a deliberately rigged coin that the bias claim must
     refute -- the smoke test that the claims gate actually fails.  Exit
-    status: 0 all claims hold, 1 a claim failed, 3 cells quarantined.
+    status: 0 all claims hold, 1 a claim failed, 3 cells quarantined (a
+    quarantined baseline leaves no contribution table; the rest of the
+    report and the quarantine records are still printed).
     """
-    from repro.analysis.ablation import (
-        build_ablation_campaign,
-        build_attack_sweep,
-        contribution_table,
-        sweep_table,
-    )
     from repro.analysis.claims import evaluate_claims
 
     n = args.n
     seeds_count = args.seeds if args.seeds is not None else 10
-    rounds = args.rounds if args.rounds is not None else (3 if args.quick else 2)
     if args.biased:
         # One seed repeated: every trial is the same execution, so the coin
         # lands on one side every time.  At least 16 repeats are needed for
@@ -276,7 +272,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
         protocol = get_scenario(args.scenario).protocol
     if protocol == "coinflip":
-        base_params["rounds"] = rounds
+        base_params["rounds"] = args.rounds
     factors = (
         [] if factor_arg == "" else _select_factors(factor_arg, args.scenario)
     )
@@ -295,16 +291,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     if args.out:
         store = ResultStore.open(Path(args.out))
 
-    def report_progress(event: CampaignProgress) -> None:
-        if args.quiet:
-            return
-        state = "resumed" if event.resumed else "ran"
-        print(
-            f"[{event.completed}/{event.total}] {event.cell}: "
-            f"{state} {event.cell_completed}/{event.cell_trials} trials",
-            flush=True,
-        )
-
+    report_progress = _progress_printer(args.quiet)
     failures: Dict[str, Any] = {}
     results = run_campaign(
         campaign,
@@ -314,7 +301,11 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         chunk_trials=args.chunk_trials,
         failures=failures,
     )
-    contribution = contribution_table(results, factors) if factors else None
+    contribution = (
+        contribution_table(results, factors)
+        if factors and BASELINE_CELL in results
+        else None
+    )
 
     sweep_rows = None
     if args.sweep:
@@ -430,32 +421,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.scenarios.library import get_scenario
-
+    """Every static resolution ``run`` makes before its first trial, per cell."""
     campaign = CampaignSpec.load(Path(args.campaign))
     campaign.validate()
-    unknown: List[str] = []
+    problems: List[str] = []
     for cell in campaign.cells:
-        if cell.protocol not in RUNNERS:
-            unknown.append(f"cell {cell.name!r}: unknown protocol {cell.protocol!r}")
-        for spec in cell.adversary.values():
-            if spec.behavior not in BEHAVIORS:
-                unknown.append(f"cell {cell.name!r}: unknown behavior {spec.behavior!r}")
-        if cell.scheduler is not None and cell.scheduler.scheduler not in SCHEDULERS:
-            unknown.append(
-                f"cell {cell.name!r}: unknown scheduler {cell.scheduler.scheduler!r}"
-            )
-        if cell.scenario is not None:
-            try:
-                # Resolves ablation variants (`base~no-component`) too.
-                get_scenario(cell.scenario)
-            except ExperimentError as exc:
-                unknown.append(f"cell {cell.name!r}: {exc}")
-        if cell.fault is not None and cell.fault.fault not in FAULTS:
-            unknown.append(f"cell {cell.name!r}: unknown fault {cell.fault.fault!r}")
-    if unknown:
-        for line in unknown:
-            print(line, file=sys.stderr)
+        try:
+            # Registry and scenario names (`base~no-component` variants too),
+            # selectors, behaviour and scheduler params, runner params.
+            CellExecutor(cell)
+            build_scheduler(cell.scheduler)
+            if cell.fault is not None:
+                FAULTS.get(cell.fault.fault)
+        except ExperimentError as exc:
+            message = str(exc)
+            if not message.startswith("cell "):
+                message = f"cell {cell.name!r}: {message}"
+            problems.append(message)
+    if problems:
+        for line in problems:
+            print(f"error: {line}", file=sys.stderr)
         return 1
     print(
         f"campaign {campaign.name!r}: {len(campaign.cells)} cells, "
@@ -635,10 +620,8 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
                 spec.description,
             )
         )
-    _print_table(
-        ("scenario", "protocol", "scale", "budget", "plan", "scheduler", "description"),
-        rows,
-    )
+    header = ("scenario", "protocol", "scale", "budget", "plan", "scheduler", "description")
+    print(render_table(header, rows), end="")
     print(f"\n{len(rows)} scenarios, all valid and JSON-round-trippable")
     return 0
 
@@ -729,11 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
              "contribution table and machine-check the paper claims",
     )
     ablate_parser.add_argument(
-        "--quick", action="store_true",
-        help="CI preset: honest coinflip, n=16, 10 seeds, 3 rounds, "
-             "one-factor-out over every optimisation factor",
-    )
-    ablate_parser.add_argument(
         "--biased", action="store_true",
         help="deliberately rigged run (one seed repeated) that the coin-bias "
              "claim must refute; used by CI to prove the gate fails non-zero",
@@ -759,13 +737,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed-base", type=int, default=0, help="first seed (default: 0)"
     )
     ablate_parser.add_argument(
-        "--rounds", type=int, default=None,
-        help="coinflip rounds (default: 3 with --quick, else 2)",
+        "--rounds", type=int, default=2, help="coinflip rounds (default: 2)",
     )
     ablate_parser.add_argument(
         "--factors", metavar="A,B,...", default=None,
-        help="comma-separated factor subset (default: every optimisation "
-             "factor, plus scenario-component factors with --scenario)",
+        help="comma-separated factor subset (default: the observation "
+             "factors, plus scenario-component factors with --scenario)",
     )
     ablate_parser.add_argument(
         "--scenario", metavar="NAME", default=None,

@@ -19,10 +19,12 @@ Downstream code can extend any registry::
 
 from __future__ import annotations
 
+import inspect
 import os
 import signal
 import time
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from functools import lru_cache
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.adversary import attacks, behaviors, scheduling
 from repro.core import api
@@ -219,6 +221,69 @@ def build_scheduler(spec: Optional[SchedulerSpec]) -> Optional[net_scheduler.Sch
             f"scheduler {spec.scheduler!r} cannot be built from params "
             f"{sorted(params)}: {exc}"
         ) from exc
+
+
+#: Runner arguments the executor supplies itself, never read from ``params``.
+_EXECUTOR_SUPPLIED = frozenset(
+    {"n", "seed", "scheduler", "corruptions", "director", "session_table"}
+)
+
+
+@lru_cache(maxsize=64)
+def runner_signature(
+    runner: Callable[..., Any],
+) -> Tuple[frozenset, Optional[frozenset], frozenset]:
+    """``(required, accepted, extras)`` keyword names of a registered runner.
+
+    ``required`` are the names ``params`` must supply (no default, not
+    supplied by the executor); ``accepted`` the names it may supply, ``None``
+    when the runner takes ``**kwargs`` or cannot be introspected (a C
+    callable); ``extras`` which of ``director`` / ``session_table`` the
+    runner takes.  Registered runners are only required to take ``n`` /
+    ``seed`` / ``scheduler`` / ``corruptions``: the in-tree
+    :mod:`repro.core.api` runners take both extras, a downstream registry
+    entry may not, and must keep working without them.
+    """
+    extras = frozenset({"director", "session_table"})
+    try:
+        parameters = inspect.signature(runner).parameters.values()
+    except (TypeError, ValueError):  # builtins / C callables
+        return frozenset(), None, frozenset()
+    named = {
+        p.name: p.default is p.empty
+        for p in parameters
+        if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+    }
+    required = (
+        frozenset(name for name, needed in named.items() if needed)
+        - _EXECUTOR_SUPPLIED
+    )
+    if any(p.kind is p.VAR_KEYWORD for p in parameters):
+        return required, None, extras
+    return required, frozenset(named) - _EXECUTOR_SUPPLIED, extras.intersection(named)
+
+
+def runner_params_problem(protocol: str, params: Mapping[str, Any]) -> Optional[str]:
+    """Why ``RUNNERS[protocol]`` cannot be called with ``params`` (or None).
+
+    The runner-side twin of :func:`build_scheduler`'s check: a missing or
+    misspelt param is a spec error raised at validation (campaign cell,
+    ablation grid, beacon request), not a ``TypeError`` in a worker after
+    dispatch.  Two set operations per call; the name sets are computed once
+    per runner.
+    """
+    required, accepted, _ = runner_signature(RUNNERS.get(protocol))
+    if not required.issubset(params):
+        return (
+            f"runner {protocol!r} needs params "
+            f"{sorted(required.difference(params))}"
+        )
+    if accepted is not None and not accepted.issuperset(params):
+        return (
+            f"runner {protocol!r} takes no params "
+            f"{sorted(set(params) - accepted)}; accepted: {sorted(accepted)}"
+        )
+    return None
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,6 @@ plane):
 
 from __future__ import annotations
 
-import inspect
 import time
 import traceback
 from dataclasses import dataclass, replace
@@ -40,7 +39,13 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro.core.results import TrialAggregate
 from repro.errors import ExperimentError
-from repro.experiments.registry import RUNNERS, build_behavior_factory, build_scheduler
+from repro.experiments.registry import (
+    RUNNERS,
+    build_behavior_factory,
+    build_scheduler,
+    runner_params_problem,
+    runner_signature,
+)
 from repro.experiments.spec import CampaignSpec, ExecutionPolicy, ExperimentSpec
 from repro.experiments.store import ResultStore
 from repro.experiments.supervisor import (
@@ -148,7 +153,22 @@ class CellExecutor:
             corruptions[pid] = build_behavior_factory(spec)
         self.kwargs = kwargs
         self.corruptions = corruptions
-        self._extras = self._supported_extras()
+        # A cell its runner cannot be called with fails here, before any
+        # trial is dispatched, like an unusable scheduler spec.
+        problem = runner_params_problem(cell.protocol, kwargs)
+        if problem is not None:
+            raise ExperimentError(f"cell {cell.name!r}: {problem}")
+        #: Which optional runner kwargs (director/session table) to forward.
+        _, accepted, self._extras = runner_signature(self.runner)
+        if (
+            cell.scenario is not None
+            and accepted is not None  # a runner that cannot be read is trusted
+            and "director" not in self._extras
+        ):
+            raise ExperimentError(
+                f"cell {cell.name!r}: runner {cell.protocol!r} does not "
+                f"accept a scenario director; scenarios need a director-aware runner"
+            )
         #: Safety-invariant checking (repro.scenarios.invariants): the cell
         #: may force it either way; the default is on exactly for scenario
         #: cells, whose adversarial grids are where silent safety breaks
@@ -158,30 +178,6 @@ class CellExecutor:
             if cell.invariants is not None
             else cell.scenario is not None
         )
-
-    def _supported_extras(self) -> frozenset:
-        """Which optional runner kwargs (director/session table) to forward.
-
-        Registered runners are only required to take ``n`` / ``seed`` /
-        ``scheduler`` / ``corruptions``; the in-tree :mod:`repro.core.api`
-        runners all take the scenario/batching extras, but a downstream
-        registry entry may not, and must keep working without them.
-        """
-        try:
-            parameters = inspect.signature(self.runner).parameters
-        except (TypeError, ValueError):  # builtins / C callables
-            return frozenset()
-        if any(p.kind is p.VAR_KEYWORD for p in parameters.values()):
-            return frozenset({"director", "session_table"})
-        supported = frozenset(
-            name for name in ("director", "session_table") if name in parameters
-        )
-        if self.cell.scenario is not None and "director" not in supported:
-            raise ExperimentError(
-                f"cell {self.cell.name!r}: runner {self.cell.protocol!r} does not "
-                f"accept a scenario director; scenarios need a director-aware runner"
-            )
-        return supported
 
     def _build_scheduler(self):
         if self.cell.scheduler is not None:

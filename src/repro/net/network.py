@@ -77,10 +77,9 @@ class Network:
         keep_events: bool = False,
         tracing: bool = True,
         session_table: Optional[Dict[SessionId, SessionId]] = None,
-        metering: Optional[bool] = None,
+        metering: bool = True,
         metrics: Optional[object] = None,
         sinks: Optional[List[object]] = None,
-        group_mode: Optional[bool] = None,
     ) -> None:
         self.params = params
         self.scheduler = scheduler or RandomScheduler()
@@ -93,10 +92,10 @@ class Network:
                 self.trace.add_sink(sink)
         #: Aggregate message meter for trace-free runs (``repro.obs.meter``):
         #: with tracing on the trace itself carries the counts, so the meter
-        #: engages only when tracing is off, by default (``metering=None``)
-        #: or explicitly; ``metering=False`` opts the fast path out entirely.
+        #: engages only when tracing is off; ``metering=False`` makes such a
+        #: run report no message counts at all.
         self.meter = None
-        if not tracing and metering is not False:
+        if metering and not tracing:
             from repro.obs.meter import GroupMeter
 
             self.meter = GroupMeter()
@@ -165,14 +164,9 @@ class Network:
         #: Queue fan-outs as single unmaterialised group entries.  Requires a
         #: queue that understands groups and tracing off (trace hooks need
         #: real Message objects at send time); fixed for the network's life.
-        #: ``group_mode=False`` opts a capable configuration out (the ablation
-        #: switch); ``True``/``None`` engage it whenever the prerequisites
-        #: hold -- the flag can never force groups onto a queue or a traced
-        #: run that cannot support them.
-        groups_possible = not self._tracing and getattr(
+        self._group_mode = not self._tracing and getattr(
             self._queue, "supports_groups", False
         )
-        self._group_mode = groups_possible and group_mode is not False
         self.processes: List[Process] = [
             Process(
                 pid,

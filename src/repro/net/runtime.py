@@ -125,16 +125,6 @@ class Simulation:
     keep_events: bool = False
     tracing: bool = True
     max_steps: int = DEFAULT_MAX_STEPS
-    #: Pause the cyclic garbage collector while the network runs.  A trial
-    #: allocates one Message (plus payload tuples) per send, which repeatedly
-    #: trips generation-0 collections that rescan the long-lived
-    #: network/process/protocol graph -- a measured ~25% of trial wall time.
-    #: The graph itself cannot die mid-run (the simulation holds it), so
-    #: collection is pure overhead there; it is re-enabled (and the deferred
-    #: garbage collected on the next allocation threshold) as soon as the run
-    #: returns.  Disable when running inside a latency-sensitive host that
-    #: must not see collector pauses toggled.
-    pause_gc: bool = True
     #: Optional scenario director (see :mod:`repro.scenarios.engine`): an
     #: observer installed on the network that may corrupt parties or drive
     #: fault-timeline transitions mid-run.
@@ -143,10 +133,10 @@ class Simulation:
     #: across same-topology trials so interned session tuples are allocated
     #: once per chunk instead of once per trial.
     session_table: Optional[Dict[SessionId, SessionId]] = None
-    #: Group-meter control for trace-free runs: None engages the meter
-    #: whenever tracing is off (the default -- campaigns keep the fast path
-    #: and still report message counts); False opts out entirely.
-    metering: Optional[bool] = None
+    #: What a trace-free run *reports*, not how it runs: the group meter
+    #: engages whenever tracing is off (campaigns keep the fast path and still
+    #: report message counts); False leaves ``message_stats`` as None.
+    metering: bool = True
     #: Structured-metrics registry: ``True`` attaches a default
     #: :class:`repro.obs.metrics.MetricsRegistry`, or pass a configured
     #: instance.  The snapshot lands on ``SimulationResult.metrics``.
@@ -155,15 +145,6 @@ class Simulation:
     #: network construction; requires ``tracing=True``.  Sinks are closed
     #: (flushed) when the run finishes.
     sinks: Optional[List[Any]] = None
-    #: Ablation switch for the group-mode fan-out queue: ``False`` forces the
-    #: flat per-message path even when the queue could batch; ``None``/``True``
-    #: keep the automatic choice (see :class:`~repro.net.network.Network`).
-    group_mode: Optional[bool] = None
-    #: Ablation switch for the crypto evaluation plan: ``"scalar"`` runs the
-    #: whole simulation under a scoped
-    #: :func:`repro.crypto.kernels.plan_mode_override`, forcing the plain-int
-    #: kernels; ``None``/``"auto"`` keep the numpy-vs-scalar auto choice.
-    eval_plan: Optional[str] = None
     _corruptions: Dict[int, BehaviorFactory] = field(default_factory=dict)
     network: Optional[Network] = None
 
@@ -196,7 +177,6 @@ class Simulation:
                 metering=self.metering,
                 metrics=self.metrics,
                 sinks=self.sinks,
-                group_mode=self.group_mode,
             )
             for pid, factory in self._corruptions.items():
                 process = self.network.processes[pid]
@@ -227,29 +207,6 @@ class Simulation:
             run_to_quiescence: after the stop condition holds, keep delivering
                 the remaining messages (useful when inspecting full traces).
         """
-        if self.eval_plan is not None and self.eval_plan != "auto":
-            # The network (and with it the crypto plane and the metrics
-            # baseline) is built lazily inside this call, so a scoped plan
-            # override here covers every plan the run constructs or reads.
-            from repro.crypto.kernels import plan_mode_override
-
-            with plan_mode_override(self.eval_plan):
-                return self._run_impl(
-                    session, factory, inputs, common_input, until, run_to_quiescence
-                )
-        return self._run_impl(
-            session, factory, inputs, common_input, until, run_to_quiescence
-        )
-
-    def _run_impl(
-        self,
-        session: SessionId,
-        factory: ProtocolFactory,
-        inputs: Optional[Dict[int, Dict[str, Any]]],
-        common_input: Optional[Dict[str, Any]],
-        until: Optional[Callable[[Network], bool]],
-        run_to_quiescence: bool,
-    ) -> SimulationResult:
         session = tuple(session)
         network = self.build_network()
         registry = self.metrics
@@ -274,7 +231,12 @@ class Simulation:
             if not instance.started:
                 instance.start(**kwargs)
 
-        pause = self.pause_gc and gc.isenabled()
+        # The cyclic collector is paused while the network runs: trial garbage
+        # keeps tripping generation-0 collections that rescan the long-lived
+        # network/process/protocol graph, which cannot die mid-run (the
+        # simulation holds it).  Re-enabled as soon as the run returns; a host
+        # that runs with the collector off is left that way.
+        pause = gc.isenabled()
         if pause:
             gc.disable()
         started_at = time.perf_counter()

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from repro.errors import ServiceError
-from repro.experiments.registry import FAULTS, RUNNERS
+from repro.experiments.registry import FAULTS, RUNNERS, runner_params_problem
 from repro.experiments.spec import ExperimentSpec, canonical_json
 
 #: Convenience aliases accepted anywhere a protocol name is taken.
@@ -92,6 +92,9 @@ class BeaconRequest:
                 f"request {self.request_id}: params may not override "
                 f"{', '.join(sorted(reserved))}"
             )
+        problem = runner_params_problem(self.protocol, self.params)
+        if problem is not None:
+            raise ServiceError(f"request {self.request_id}: {problem}")
         if self.fault is not None and str(self.fault.get("fault")) not in FAULTS:
             raise ServiceError(
                 f"request {self.request_id}: unknown fault "

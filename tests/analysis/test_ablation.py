@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.ablation import (
     BASELINE_CELL,
     DEFAULT_BASE_PARAMS,
-    OPTIMISATION_FACTORS,
+    OBSERVATION_FACTORS,
     Factor,
     build_ablation_campaign,
     build_attack_sweep,
@@ -25,28 +25,23 @@ from repro.analysis.ablation import (
 from repro.analysis.complexity import coinflip_expected_messages
 from repro.core.results import TrialAggregate
 from repro.errors import ExperimentError
-from repro.experiments.cli import build_parser
-from repro.experiments.runner import run_campaign, run_trial
+from repro.experiments.runner import run_campaign
 from repro.experiments.spec import CampaignSpec, ExperimentSpec
 
-TUNING_A = Factor("tune_a", "a", ablated={"tuning": {"pause_gc": False}})
-TUNING_B = Factor("tune_b", "b", ablated={"tuning": {"group_mode": False}})
+TRACE_A = Factor("trace_a", "a", ablated={"tracing": True})
+ABSENT_B = Factor("absent_b", "b")
 PARAM_C = Factor("param_c", "c", ablated={"metering": False}, stats_preserving=False)
 
 
 class TestFactorRegistry:
-    def test_optimisation_factor_names_unique_and_cover_the_stack(self):
-        names = [factor.name for factor in OPTIMISATION_FACTORS]
-        assert len(names) == len(set(names))
-        # The issue's factor list: EvalPlan, group mode, metering, GC pause,
-        # tracing.
-        assert set(names) == {
-            "eval_plan",
-            "group_queue",
-            "gc_pause",
-            "trace_free",
-            "metering",
-        }
+    def test_observation_factors_are_the_two_reporting_params(self):
+        # What is left of the engine-side registry: the two documented runner
+        # params that change what a run reports.  How the engine queues,
+        # evaluates or collects is not a factor (it is not an option).
+        assert [(f.name, dict(f.ablated)) for f in OBSERVATION_FACTORS] == [
+            ("trace_free", {"tracing": True}),
+            ("metering", {"metering": False}),
+        ]
 
     def test_scenario_factors_cover_every_component(self):
         assert [factor.scenario_component for factor in scenario_factors()] == [
@@ -57,33 +52,16 @@ class TestFactorRegistry:
         ]
         assert all(not factor.stats_preserving for factor in scenario_factors())
 
-    def test_pure_optimisations_are_marked_stats_preserving(self):
-        by_name = {factor.name: factor for factor in OPTIMISATION_FACTORS}
-        assert by_name["eval_plan"].stats_preserving
-        assert by_name["group_queue"].stats_preserving
+    def test_only_the_tracing_arm_is_marked_stats_preserving(self):
+        by_name = {factor.name: factor for factor in OBSERVATION_FACTORS}
+        assert by_name["trace_free"].stats_preserving
         assert not by_name["metering"].stats_preserving
-
-
-    def test_eval_plan_arms_differ_at_the_cli_default_size(self):
-        """A ``no-X`` arm must differ from the full one: at the size ``ablate``
-        runs by default the baseline deals on a vectorised plan and the
-        ablated arm on the scalar kernels (it compared scalar with scalar
-        while the plane's cutoff sat above that size)."""
-        pytest.importorskip("numpy")
-        n = build_parser().parse_args(["ablate", "--quick"]).n
-        (eval_plan,) = [f for f in OPTIMISATION_FACTORS if f.name == "eval_plan"]
-        cells = one_factor_out_cells("weak_coin", n, [0], [eval_plan])
-        modes = {
-            cell.name: run_trial(cell, 0).metrics["crypto"]["plan_mode"] for cell in cells
-        }
-        assert modes[BASELINE_CELL] in ("matmul", "split")
-        assert modes["no-eval_plan"] == "scalar"
 
 
 class TestGridExpansion:
     def test_one_factor_out_matches_hand_built_cells(self):
         cells = one_factor_out_cells(
-            "coinflip", 4, [1, 2], [TUNING_A, PARAM_C], base_params={"rounds": 2}
+            "coinflip", 4, [1, 2], [TRACE_A, PARAM_C], base_params={"rounds": 2}
         )
         base = {"tracing": False, "metrics": True, "rounds": 2}
         expected = [
@@ -91,11 +69,11 @@ class TestGridExpansion:
                 name=BASELINE_CELL, protocol="coinflip", n=4, seeds=[1, 2], params=base
             ),
             ExperimentSpec(
-                name="no-tune_a",
+                name="no-trace_a",
                 protocol="coinflip",
                 n=4,
                 seeds=[1, 2],
-                params={**base, "tuning": {"pause_gc": False}},
+                params={**base, "tracing": True},
             ),
             ExperimentSpec(
                 name="no-param_c",
@@ -109,17 +87,17 @@ class TestGridExpansion:
             cell.to_dict() for cell in expected
         ]
 
-    def test_factorial_grid_composes_tuning_overlays(self):
-        cells = factorial_cells("coinflip", 4, [0], [TUNING_A, TUNING_B])
-        by_name = {cell.name: cell for cell in cells}
-        assert set(by_name) == {
-            BASELINE_CELL,
-            "no-tune_a",
-            "no-tune_b",
-            "no-tune_a+no-tune_b",
+    def test_factorial_grid_composes_overlays(self):
+        cells = factorial_cells("coinflip", 4, [0], [TRACE_A, PARAM_C])
+        by_name = {cell.name: cell.params for cell in cells}
+        assert by_name == {
+            BASELINE_CELL: DEFAULT_BASE_PARAMS,
+            "no-trace_a": {**DEFAULT_BASE_PARAMS, "tracing": True},
+            "no-param_c": {**DEFAULT_BASE_PARAMS, "metering": False},
+            "no-trace_a+no-param_c": {
+                **DEFAULT_BASE_PARAMS, "tracing": True, "metering": False
+            },
         }
-        both = by_name["no-tune_a+no-tune_b"].params["tuning"]
-        assert both == {"pause_gc": False, "group_mode": False}
 
     def test_factorial_cap(self):
         factors = [Factor(f"f{i}", "x", ablated={}) for i in range(9)]
@@ -127,11 +105,14 @@ class TestGridExpansion:
             factorial_cells("coinflip", 4, [0], factors)
 
     def test_base_params_are_not_mutated_by_overlays(self):
-        base = {"tuning": {"pause_gc": True}}
-        cells = one_factor_out_cells("coinflip", 4, [0], [TUNING_A], base_params=base)
-        assert base == {"tuning": {"pause_gc": True}}
-        assert cells[1].params["tuning"]["pause_gc"] is False
-        assert cells[0].params["tuning"]["pause_gc"] is True
+        base = {"tracing": False, "inputs": {"0": 1}}
+        cells = one_factor_out_cells("aba", 4, [0], [TRACE_A], base_params=base)
+        assert cells[1].params["tracing"] is True
+        assert cells[0].params["tracing"] is False
+        # Dict-valued params are copied per cell, never shared with the base.
+        cells[1].params["inputs"]["0"] = 0
+        assert base == {"tracing": False, "inputs": {"0": 1}}
+        assert cells[0].params["inputs"] == {"0": 1}
 
     def test_scenario_component_factor_requires_scenario(self):
         scheduler_factor = scenario_factors()[0]
@@ -177,7 +158,7 @@ class TestCampaignExecution:
             "coinflip",
             4,
             [1, 2, 3, 4],
-            factors=[TUNING_A, PARAM_C],
+            factors=[TRACE_A, PARAM_C],
             base_params={"rounds": 1},
         )
 
@@ -192,17 +173,17 @@ class TestCampaignExecution:
         }
 
     def test_contribution_table_flags_stats_identity(self, results):
-        rows = contribution_table(results, [TUNING_A, PARAM_C])
+        rows = contribution_table(results, [TRACE_A, PARAM_C])
         by_cell = {row.cell: row for row in rows}
         assert by_cell[BASELINE_CELL].factor is None
-        assert by_cell["no-tune_a"].stats_identical is True
+        assert by_cell["no-trace_a"].stats_identical is True
         # Metering off drops the message stats, so identity is not expected
         # (and not evaluated).
         assert by_cell["no-param_c"].stats_identical is None
         assert not by_cell["no-param_c"].stats_expected_identical
 
     def test_contribution_table_reports_cache_hits_and_throughput(self, results):
-        rows = contribution_table(results, [TUNING_A])
+        rows = contribution_table(results, [TRACE_A])
         for row in rows:
             assert row.trials == 4
             assert row.deliveries_per_s is None or row.deliveries_per_s > 0
@@ -212,14 +193,14 @@ class TestCampaignExecution:
     def test_contribution_table_requires_baseline(self, results):
         partial = {k: v for k, v in results.items() if k != BASELINE_CELL}
         with pytest.raises(ExperimentError, match="baseline"):
-            contribution_table(partial, [TUNING_A])
+            contribution_table(partial, [TRACE_A])
 
     def test_contribution_table_skips_missing_cells(self, results):
-        rows = contribution_table(results, [TUNING_A, TUNING_B])
-        assert [row.cell for row in rows] == [BASELINE_CELL, "no-tune_a"]
+        rows = contribution_table(results, [TRACE_A, ABSENT_B])
+        assert [row.cell for row in rows] == [BASELINE_CELL, "no-trace_a"]
 
     def test_render_helpers_are_total(self, results):
-        rows = contribution_table(results, [TUNING_A, PARAM_C])
+        rows = contribution_table(results, [TRACE_A, PARAM_C])
         formatted = format_contribution_rows(rows)
         text = render_table(("a",) * len(formatted[0]), formatted)
         assert text.endswith("\n")

@@ -117,26 +117,6 @@ class TestEvalAllPoints:
 
 class TestEvalGridAndShares:
     @pytest.mark.parametrize("plan", plans(), ids=plan_id)
-    def test_eval_rows_at_point_matches_horner(self, plan):
-        rng = random.Random(2)
-        rows = [
-            tuple(rng.randrange(plan.prime) for _ in range(rng.randrange(1, plan.n)))
-            for _ in range(17)
-        ]
-        for point in (1, plan.n, plan.prime - 1):
-            expected = [kernels.horner(plan.prime, row, point % plan.prime) for row in rows]
-            assert plan.eval_rows_at_point(rows, point % plan.prime) == expected
-
-    @pytest.mark.parametrize("plan", plans(), ids=plan_id)
-    def test_eval_grid_veneer(self, plan):
-        plane = kernels.CryptoPlane(plan.prime, plan.n, (plan.n - 1) // 3)
-        rng = random.Random(3)
-        rows = [tuple(rng.randrange(plan.prime) for _ in range(4)) for _ in range(5)]
-        assert kernels.eval_grid(plane, rows, 3) == [
-            kernels.horner(plan.prime, row, 3) for row in rows
-        ]
-
-    @pytest.mark.parametrize("plan", plans(), ids=plan_id)
     def test_bivariate_rows_match_scalar(self, plan):
         points = range(1, plan.n + 1)
         for kind, matrix in dealer_matrices(plan).items():
@@ -201,18 +181,6 @@ class TestEvalGridAndShares:
                 field, t, random.Random(0), secret=Field(101)(3)
             )
 
-    @pytest.mark.parametrize("plan", plans(), ids=plan_id)
-    def test_shamir_share_values_many(self, plan):
-        rng = random.Random(5)
-        polys = [
-            [rng.randrange(plan.prime) for _ in range(rng.randrange(1, 6))]
-            for _ in range(9)
-        ]
-        batched = kernels.shamir_share_values_many(plan.prime, polys, plan.n)
-        for coeffs, shares in zip(polys, batched):
-            assert shares == kernels.shamir_share_values(plan.prime, coeffs, plan.n)
-        assert kernels.shamir_share_values_many(plan.prime, [], plan.n) == []
-
 
 def _coefficient(prime):
     return st.sampled_from((0, 1, prime - 1)) | st.integers(0, prime - 1)
@@ -238,8 +206,7 @@ def sized_inputs(draw):
             st.lists(_coefficient(prime), max_size=t + 1).map(tuple), max_size=n + 2
         )
     )
-    point = draw(st.sampled_from((0, 1, n, prime - 1)) | st.integers(0, prime - 1))
-    return kernels.get_eval_plan(prime, n), matrix, rows, point
+    return kernels.get_eval_plan(prime, n), matrix, rows
 
 
 @settings(max_examples=150, deadline=None)
@@ -247,7 +214,7 @@ def sized_inputs(draw):
 def test_every_batched_shape_equals_the_scalar_kernels(inputs):
     """Every size from the cutoff up, every shape the plan batches: the answer
     is the scalar kernel's (with numpy these plans are matmul / split)."""
-    plan, matrix, rows, point = inputs
+    plan, matrix, rows = inputs
     prime, points = plan.prime, range(1, plan.n + 1)
     wire_rows = [
         kernels.poly_trim(kernels.bivariate_row(prime, matrix, x)) for x in points
@@ -255,12 +222,6 @@ def test_every_batched_shape_equals_the_scalar_kernels(inputs):
     grid = [kernels.eval_at_many(prime, row, points) for row in wire_rows]
     assert plan.bivariate_grid(matrix) == (wire_rows, grid)
     assert plan.bivariate_rows(matrix) == wire_rows
-    assert plan.shares_many(rows) == [
-        kernels.eval_at_many(prime, row, points) for row in rows
-    ]
-    assert plan.eval_rows_at_point(rows, point) == [
-        kernels.horner(prime, row, point) for row in rows
-    ]
     for row in rows:
         assert plan.eval_all_points(row) == kernels.eval_at_many(prime, row, points)
 
@@ -309,8 +270,6 @@ class TestValidateRows:
                 row, evals = record
                 assert row == expected
                 assert evals == kernels.eval_at_many(prime, row, range(1, n + 1))
-        mask = kernels.validate_rows(plane, payloads)
-        assert mask == [_validate_row_ints(prime, t, p) is not None for p in payloads]
 
     def test_row_cache_is_bounded(self, monkeypatch):
         monkeypatch.setattr(kernels, "_PLANE_ROW_CACHE_LIMIT", 8)

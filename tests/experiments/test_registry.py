@@ -13,6 +13,8 @@ from repro.experiments.registry import (
     Registry,
     build_behavior_factory,
     build_scheduler,
+    runner_params_problem,
+    runner_signature,
 )
 from repro.experiments.spec import BehaviorSpec, SchedulerSpec
 from repro.net.scheduler import FIFOScheduler, Scheduler
@@ -77,3 +79,29 @@ class TestBuilders:
     def test_unknown_behavior_raises(self):
         with pytest.raises(ExperimentError, match="unknown adversary behavior"):
             build_behavior_factory(BehaviorSpec("nope"))
+
+
+class TestRunnerParams:
+    def test_in_tree_runner_names_required_and_accepted(self):
+        required, accepted, extras = runner_signature(RUNNERS.get("fba"))
+        assert required == {"inputs"}
+        assert {"inputs", "coinflip_rounds", "tracing", "metering", "prime"} <= accepted
+        # What the executor supplies is not the cell's to set.
+        assert not accepted & {"n", "seed", "scheduler", "corruptions", "director"}
+        assert extras == {"director", "session_table"}
+
+    def test_missing_and_misspelt_params_are_named(self):
+        assert "needs params ['inputs']" in runner_params_problem("fba", {})
+        problem = runner_params_problem("coinflip", {"roundz": 1})
+        assert "takes no params ['roundz']" in problem and "'rounds'" in problem
+        assert runner_params_problem("coinflip", {"rounds": 1}) is None
+        assert runner_params_problem("fba", {"inputs": {0: 1}}) is None
+
+    def test_kwargs_runner_takes_anything_and_c_callable_is_skipped(self):
+        def downstream(n, payload, seed=0, **extra):
+            return None
+
+        required, accepted, extras = runner_signature(downstream)
+        assert (required, accepted) == ({"payload"}, None)
+        assert extras == {"director", "session_table"}
+        assert runner_signature(dict) == (frozenset(), None, frozenset())

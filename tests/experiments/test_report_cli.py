@@ -165,7 +165,7 @@ class TestAblateCli:
                 "--n", "4",
                 "--seeds", "3",
                 "--rounds", "1",
-                "--factors", "gc_pause,metering",
+                "--factors", "trace_free,metering",
                 "--quiet",
                 "--json", str(json_path),
             ]
@@ -173,9 +173,9 @@ class TestAblateCli:
         assert code == 0
         payload = json.loads(json_path.read_text())
         assert validate_report(payload) == []
-        assert set(payload["cells"]) == {"baseline", "no-gc_pause", "no-metering"}
+        assert set(payload["cells"]) == {"baseline", "no-trace_free", "no-metering"}
         contribution = {row["cell"]: row for row in payload["contribution"]}
-        assert contribution["no-gc_pause"]["stats_identical"] is True
+        assert contribution["no-trace_free"]["stats_identical"] is True
         assert payload["claims"]["passed"] is True
         out = capsys.readouterr().out
         assert "per-factor contribution" in out
@@ -202,7 +202,7 @@ class TestAblateCli:
             "--n", "4",
             "--seeds", "2",
             "--rounds", "1",
-            "--factors", "gc_pause",
+            "--factors", "trace_free",
             "--out", str(out_path),
         ]
         assert main(args) == 0
@@ -211,3 +211,28 @@ class TestAblateCli:
         assert main(args) == 0
         second = capsys.readouterr().out
         assert "resumed 2/2" in second
+
+    def test_quarantined_baseline_is_reported_not_hidden(self, capsys):
+        """A termination failure is what the claims gate exists to report:
+        ROADMAP 1(a)'s first ``restart-storm`` seed runs dry in the baseline
+        cell, and the command must list the quarantine and exit 3, not stop
+        at the contribution table it cannot build."""
+        code = main(
+            [
+                "ablate",
+                "--scenario", "restart-storm",
+                "--n", "16",
+                "--seed-base", "1045604035",
+                "--seeds", "1",
+                "--factors", "scenario_timeline",
+                "--quiet",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "baseline: chunk 0 exception after 3 attempt(s): SimulationError" in captured.err
+        assert "network is quiescent" in captured.err
+        assert "contribution table needs" not in captured.err
+        assert "claims: ablation-restart-storm-n16" in captured.out
+        assert "per-factor contribution" not in captured.out
+        assert "no-scenario_timeline" in captured.out

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
+from repro.core import api
 from repro.core.results import TrialAggregate
 from repro.errors import ExperimentError
+from repro.experiments.registry import RUNNERS
 from repro.experiments.runner import run_campaign, run_cell, run_seeds, run_trial
 from repro.experiments.spec import (
     BehaviorSpec,
@@ -114,6 +117,64 @@ class TestTrialAndCell:
         cell = _acast_cell(scheduler=SchedulerSpec(scheduler, params))
         with pytest.raises(ExperimentError, match=message):
             run_campaign(CampaignSpec(name="bad", cells=[cell]))
+
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            (
+                ExperimentSpec(name="no-inputs", protocol="fba", n=4, seeds=[0, 1]),
+                r"cell 'no-inputs': runner 'fba' needs params \['inputs'\]",
+            ),
+            (
+                ExperimentSpec(
+                    name="typo", protocol="coinflip", n=4, seeds=[0],
+                    params={"roundz": 1},
+                ),
+                r"cell 'typo': runner 'coinflip' takes no params \['roundz'\]",
+            ),
+            (
+                ExperimentSpec(
+                    name="attack", protocol="weak_coin", n=4, seeds=[0],
+                    params={"roundz": 1}, scenario="dealer-ambush",
+                ),
+                r"cell 'attack': runner 'weak_coin' takes no params \['roundz'\]",
+            ),
+        ],
+    )
+    def test_bad_runner_params_fail_before_running(self, cell, message):
+        """A cell its runner cannot be called with is a spec error at
+        validation: no worker is spawned and no chunk burns its retries on a
+        TypeError."""
+        from repro.obs.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry(queue_depth_every=0, completion_steps=False)
+        with pytest.raises(ExperimentError, match=message):
+            run_campaign(
+                CampaignSpec(name="bad", cells=[_acast_cell(), cell]),
+                workers=2,
+                metrics=metrics,
+            )
+        assert not any(metrics.counter_values().values())
+        assert not multiprocessing.active_children()
+
+    def test_kwargs_runner_still_takes_any_param(self, monkeypatch):
+        """Registered runners need not have the in-tree signatures: one that
+        takes ``**kwargs`` is handed whatever the cell says."""
+        seen = []
+
+        def downstream(n, seed=0, scheduler=None, corruptions=None, **params):
+            seen.append(params)
+            return api.run_acast(n, "v", seed=seed)
+
+        monkeypatch.setitem(RUNNERS._entries, "downstream", downstream)
+        cell = ExperimentSpec(
+            name="free-form", protocol="downstream", n=4, seeds=[0],
+            params={"roundz": 1, "anything": {"goes": True}},
+        )
+        assert run_trial(cell, 0).agreed_value == "v"
+        (params,) = seen
+        assert params["roundz"] == 1 and params["anything"] == {"goes": True}
 
 
 class TestParallelEquality:

@@ -132,6 +132,33 @@ class TestCli:
         assert main(["validate", str(bad_path)]) == 1
         assert "unknown protocol" in capsys.readouterr().err
 
+    def test_cells_the_runner_cannot_take_fail_closed(self, tmp_path, capsys):
+        """``validate`` names cell and param; ``run`` stops before dispatch
+        (exit 2, one ``error:`` line, no store, no traceback) instead of
+        quarantining each cell after its chunks burnt their retries."""
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps({
+            "name": "bad",
+            "cells": [
+                {"name": "fba-no-inputs", "protocol": "fba", "n": 4, "seeds": [0, 1]},
+                {"name": "typo", "protocol": "coinflip", "n": 4, "seeds": [0],
+                 "params": {"roundz": 1}},
+            ],
+        }))
+        assert main(["validate", str(bad_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        first, second = captured.err.splitlines()
+        assert first.startswith("error: cell 'fba-no-inputs': ") and "'inputs'" in first
+        assert second.startswith("error: cell 'typo': ") and "'roundz'" in second
+
+        assert main(["run", str(bad_path), "--workers", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cell 'fba-no-inputs': ")
+        assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "bad.results.json").exists()
+
     def test_missing_campaign_file_errors_cleanly(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
         assert "error" in capsys.readouterr().err

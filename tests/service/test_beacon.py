@@ -100,6 +100,30 @@ class TestMetrics:
         assert validate_service_metrics(dump) == []
 
 
+class TestAdmission:
+    @pytest.mark.parametrize(
+        "protocol, params",
+        [("coinflip", {"roundz": 1}), ("fba", {}), ("weak_coin", {"knobs": {}})],
+    )
+    def test_params_the_runner_cannot_take_never_reach_a_shard(self, protocol, params):
+        """Rejected at ``submit``, not answered ``error`` after the request
+        ran (and failed) on a shard once per attempt."""
+        with make_service() as service:
+            with pytest.raises(ServiceError, match="runner"):
+                service.call(
+                    BeaconRequest(protocol=protocol, n=4, seed=1, params=params),
+                    timeout_s=60,
+                )
+            assert not any(service.metrics.counter_values().values())
+            assert [
+                (stats["served"], stats["executors"]) for stats in service.shard_stats()
+            ] == [(0, 0), (0, 0)]
+            good = service.call(
+                BeaconRequest(protocol="weak_coin", n=4, seed=1), timeout_s=60
+            )
+        assert good.ok and good.attempts == 1
+
+
 class TestLifecycle:
     def test_submit_before_start_raises(self):
         service = BeaconService(ServicePolicy(shards=1))

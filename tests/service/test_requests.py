@@ -34,6 +34,19 @@ class TestBeaconRequest:
         with pytest.raises(ServiceError, match="may not override"):
             request.validate()
 
+    @pytest.mark.parametrize(
+        "protocol, params, named",
+        [
+            ("coinflip", {"roundz": 1}, "roundz"),
+            ("coinflip", {"rounds": 1, "knobs": {}}, "knobs"),
+            ("fba", {"coinflip_rounds": 1}, "inputs"),
+        ],
+    )
+    def test_params_the_runner_cannot_take_are_rejected(self, protocol, params, named):
+        request = BeaconRequest(protocol=protocol, n=4, seed=1, params=params)
+        with pytest.raises(ServiceError, match=f"{request.request_id}: runner .*{named}"):
+            request.validate()
+
     def test_unknown_fault_rejected(self):
         request = BeaconRequest(
             protocol="weak_coin", n=4, seed=1, fault={"fault": "gremlin"}

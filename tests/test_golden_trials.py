@@ -17,11 +17,33 @@ import pytest
 
 from repro.adversary import attacks, behaviors
 from repro.core import api
+from repro.crypto import kernels
 from repro.net.scheduler import delay_to_parties
 from repro.protocols.aba import LocalCoinSource, ProtocolCoinSource
 from repro.protocols.weak_coin import WeakCommonCoin
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_trials.json").read_text())
+
+
+@pytest.fixture(autouse=True, params=["auto", "scalar"])
+def plane(request, monkeypatch):
+    """Every golden on both crypto planes, in one interpreter.
+
+    ``auto`` is what the engine picks (vectorised from n=7 up when numpy is
+    importable); ``scalar`` hides numpy from the kernels, so every plan is the
+    plain-int oracle -- the configuration of a box without numpy.  The
+    fingerprints must not know the difference.
+    """
+    if request.param == "auto":
+        yield
+        return
+    if kernels._np is None:
+        pytest.skip("numpy is not importable: auto already is the scalar plane")
+    kernels.get_eval_plan.cache_clear()
+    monkeypatch.setattr(kernels, "_np", None)
+    assert kernels.get_eval_plan(2**31 - 1, 16).mode == "scalar"
+    yield
+    kernels.get_eval_plan.cache_clear()
 
 
 def _fingerprint(result, with_shuns: bool = True):

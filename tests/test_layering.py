@@ -1,4 +1,4 @@
-"""``src/repro`` imports nothing from the repo's other top-level trees.
+"""Structure pins: what ``src/repro`` imports and what one run can be told.
 
 ``setup.py`` packages ``src/`` only, so an import of ``benchmarks``, ``tests``
 or ``examples`` -- at module level or inside a function -- works from the
@@ -8,7 +8,13 @@ repo root and nowhere else.
 from __future__ import annotations
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
+
+from repro.core import api
+from repro.net.network import Network
+from repro.net.runtime import Simulation
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 OUTSIDE = {"benchmarks", "tests", "examples"}
@@ -31,3 +37,61 @@ def test_src_imports_nothing_outside_itself():
         if root in OUTSIDE
     ]
     assert offenders == []
+
+
+def test_run_surface():
+    """Every settable value of one run, as a literal list.
+
+    A new ``Simulation`` field, ``Network`` parameter or keyword shared by the
+    ``api.run_*`` runners is one more configuration the goldens, the loop
+    matrix and the ledger would have to cover: adding one is a deliberate
+    edit of this list, not a side effect.  How the engine queues a fan-out,
+    evaluates a row or schedules the collector is chosen from observable
+    state and is nowhere on it.
+    """
+    assert [f.name for f in dataclasses.fields(Simulation)] == [
+        "params",
+        "scheduler",
+        "seed",
+        "keep_events",
+        "tracing",
+        "max_steps",
+        "director",
+        "session_table",
+        "metering",
+        "metrics",
+        "sinks",
+        "_corruptions",  # state, filled by corrupt()
+        "network",  # state, built by build_network()
+    ]
+    assert list(inspect.signature(Network.__init__).parameters)[1:] == [
+        "params",
+        "scheduler",
+        "seed",
+        "keep_events",
+        "tracing",
+        "session_table",
+        "metering",
+        "metrics",
+        "sinks",
+    ]
+    runners = [
+        inspect.signature(runner).parameters
+        for name, runner in vars(api).items()
+        if name.startswith("run_") and name != "run_many"
+    ]
+    assert len(runners) == 8
+    common = [name for name in runners[0] if all(name in r for r in runners)]
+    assert common == [
+        "n",
+        "seed",
+        "scheduler",
+        "corruptions",
+        "tracing",
+        "prime",
+        "director",
+        "session_table",
+        "metering",
+        "metrics",
+        "sinks",
+    ]
