@@ -26,7 +26,7 @@ campaign):
 * **Two delivery loops** -- :meth:`run`, :meth:`run_until_complete`,
   :meth:`run_to_quiescence` and :meth:`step` are thin callers of
   :meth:`_drive`, the one generic loop: stop check, cap, quiescence, ``pop``,
-  eager ``step_count``, trace hook, ``deliver``, queue-depth sample, director
+  eager ``step_count``, trace record, ``deliver``, queue-depth sample, director
   wake-up -- each hook bound once before the loop and skipped when absent.
   Its single specialisation, :meth:`_drive_unmaterialised`, serves runs in
   which nothing needs a Message per delivery (tracing off, no metrics
@@ -415,7 +415,10 @@ class Network:
         current whenever a handler or hook can read it.  Per delivery, in
         order: the trace, the handler, the registry's queue-depth sample
         (every ``queue_depth_every``-th), and ``director.on_step`` once the
-        step reaches the director's ``wake_step``.
+        step reaches the director's ``wake_step``.  The trace costs one
+        record appended to its log (``Trace.log_delivery``); its delivery
+        count is brought up to date and the log pumped when the drive exits,
+        however it exits.
         """
         queue = self._queue
         director = self.director
@@ -424,6 +427,9 @@ class Network:
             # moment the watched session's counter reaches the honest count.
             self._watch_session = watch
             self._watch_done = self._completions.get(watch, 0) >= self._honest_n
+        delivered = 0
+        if self._tracing:
+            self.trace.driving = True
         try:
             if (
                 watch is not None
@@ -437,11 +443,10 @@ class Network:
             pop = queue.pop
             rng = self.scheduler_rng
             processes = self.processes
-            trace_deliver = self.trace.on_deliver if self._tracing else None
+            log_delivery = self.trace.log_delivery if self._tracing else None
             sample_every = self._obs_sample_every
             on_depth = self.metrics.on_queue_depth if sample_every else None  # type: ignore[union-attr]
             wake = None if director is None else director.wake_step
-            delivered = 0
             while True:
                 if watch is not None:
                     if self._watch_done:
@@ -456,10 +461,10 @@ class Network:
                     raise SimulationError(_DEADLOCK_ERROR)
                 message = pop(rng, self.step_count)
                 self.step_count = step = self.step_count + 1
-                if trace_deliver is not None:
-                    trace_deliver(step, message)
-                processes[message.receiver].deliver(message)
                 delivered += 1
+                if log_delivery is not None:
+                    log_delivery((step, message))
+                processes[message.receiver].deliver(message)
                 if on_depth is not None and delivered % sample_every == 0:
                     on_depth(step, queue_len())
                 if wake is not None and step >= wake:
@@ -469,6 +474,13 @@ class Network:
             if watch is not None:
                 self._watch_session = None
                 self._watch_done = False
+            if self._tracing:
+                # Also when a handler raised: the trace's consumers hold the
+                # events up to and including the failing delivery.
+                trace = self.trace
+                trace.driving = False
+                trace.messages_delivered += delivered
+                trace.pump()
 
     def _drive_unmaterialised(self, max_steps: int) -> int:
         """:meth:`_drive` for a watched run that needs no Message per delivery.

@@ -9,19 +9,55 @@ Event retention is tiered rather than all-or-nothing:
 
 * ``keep_events=False`` (default) -- aggregate counters only, no event
   objects retained.
-* ``keep_events=True`` or an ``int`` -- a bounded ring buffer (default
-  capacity :data:`DEFAULT_EVENT_CAPACITY`); the oldest events are evicted
-  once full and counted in :attr:`Trace.events_dropped`.
+* ``keep_events=True`` or an ``int`` -- a bounded ring (default capacity
+  :data:`DEFAULT_EVENT_CAPACITY`); the oldest events are evicted once full
+  and counted in :attr:`Trace.events_dropped`.
 * ``keep_events="all"`` -- the historical unbounded list, for short runs
   that need the complete event stream in memory.
 * :meth:`Trace.add_sink` -- streaming consumers (:mod:`repro.obs.sinks`)
-  that observe every event as it is recorded, independent of retention:
-  a JSONL writer can stream a multi-million-event run that keeps nothing
-  in memory.
+  that observe every event, independent of retention: a JSONL writer can
+  stream a multi-million-event run that keeps nothing in memory.
 
-Retention is itself a consumer (:class:`EventRing`) on the same path the
-sinks sit on; events are plain tuples (:class:`TraceEvent`) and the send
-events of one broadcast/fan-out travel as one batch.
+Retention is itself a consumer (:class:`EventRing`) placed before the sinks.
+
+**Record now, expand on read.**  Nearly every event is a message event --
+one ``send`` and one ``deliver`` per copy -- and a consumer rarely wants them
+one Python call at a time, so the per-message hooks do not build events.
+They append *records* to one append-only log private to this module:
+
+* a delivery is ``(step, message)``, appended by the traced delivery loop
+  itself through :attr:`Trace.log_delivery` (no hook frame per delivery);
+* a fan-out is ``(step, messages)`` -- one record for all its sends.
+
+:meth:`Trace.pump` hands the log on, in order.  A duck-typed sink receives
+exactly the calls it always did -- ``emit(event)`` per delivery,
+``emit_many(one fan-out's send events)`` per fan-out.  An :class:`EventRing`
+(hence ``keep_events`` and :class:`repro.obs.sinks.RingBufferSink`) receives
+the records *unexpanded*: it counts them arithmetically, keeps the ones
+covering its last ``capacity`` events and builds :class:`TraceEvent` tuples
+only when ``events`` is read.  Every other event (a lone send, ``drop``,
+``complete``, ``shun``, ``corrupt``, ``phase``, ``session_open``,
+``director``, ``note``) pumps the log and is emitted directly, so the
+records and these two shapes are known to this module only.
+
+A fan-out waits in the log only while the network is delivering
+(:attr:`Trace.driving`); recorded at any other time -- a protocol started by
+hand, a test calling ``on_send_many`` -- it is pumped at once.  Consumers are
+therefore current
+
+* whenever control is outside the network's delivery loop: before a drive,
+  and when ``step`` / ``run*`` return -- also when a handler raised (a flight
+  recorder holds the events up to and including the failing delivery);
+* after every event that is not a fan-out or a delivery;
+* on any read through the trace (``events``, ``events_dropped``,
+  ``summary``), at ``add_sink`` and at ``close_sinks``;
+
+and in between the log holds at most :data:`LOG_BOUND` records plus one per
+message that was in flight when the last fan-out was recorded: the bound is
+checked at every fan-out, and a delivery that is not followed by one uses up
+one of those messages (``tests/obs/test_event_plane.py`` holds a 50k-delivery
+run to it).  Only the aggregate ``messages_delivered`` lags further: the
+network adds a drive's deliveries when the drive exits.
 """
 
 from __future__ import annotations
@@ -33,6 +69,9 @@ from repro.net.message import Message, SessionId
 
 #: Ring-buffer capacity used by ``keep_events=True``.
 DEFAULT_EVENT_CAPACITY = 65536
+
+#: Records the log may hold when a fan-out is recorded before it is pumped.
+LOG_BOUND = 1024
 
 
 class TraceEvent(NamedTuple):
@@ -54,38 +93,96 @@ class TraceEvent(NamedTuple):
     detail: Any
 
 
-#: Event construction on the per-message hooks: ``tuple.__new__`` skips the
+#: Event construction for message events: ``tuple.__new__`` skips the
 #: Python-level ``TraceEvent.__new__`` wrapper (half its cost), which matters
 #: at one event per send and per delivery.
 _new_event = tuple.__new__
+
+
+def _send_events(step: int, messages: List[Message]) -> List[TraceEvent]:
+    """The ``emit_many`` batch a fan-out record ``(step, messages)`` stands for."""
+    return [
+        _new_event(TraceEvent, (step, "send", message.sender, message))
+        for message in messages
+    ]
 
 
 class EventRing:
     """The most recent ``capacity`` events (every event when ``None``).
 
     The one ring/eviction implementation of the event plane: a trace's
-    ``keep_events`` retention is an ``EventRing`` placed first on its consumer
-    path, and :class:`repro.obs.sinks.RingBufferSink` extends it with
-    per-kind totals.
+    ``keep_events`` retention is an ``EventRing`` placed first among its
+    consumers, and :class:`repro.obs.sinks.RingBufferSink` is one with a
+    capacity check.  What it holds is *chunks* -- what one call handed it,
+    message records unexpanded -- trimmed to the fewest covering the last
+    ``capacity`` events; totals are exact, and :attr:`events` builds the
+    retained :class:`TraceEvent` tuples each time it is read.
     """
 
     def __init__(self, capacity: Optional[int]) -> None:
         self.capacity = capacity
-        self.events: Deque[TraceEvent] = deque(maxlen=capacity)
         self.events_seen = 0
+        self.counts_by_kind: Counter = Counter()
+        #: ``(events in chunk, records)``, oldest first.
+        self._chunks: Deque[Tuple[int, Sequence[tuple]]] = deque()
+        self._held = 0
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        """The retained events, oldest first (a fresh list per read)."""
+        events: List[TraceEvent] = []
+        for _, records in self._chunks:
+            for record in records:
+                if len(record) == 4:  # an event, kept as it came
+                    events.append(record)
+                    continue
+                step, what = record
+                if type(what) is list:
+                    events.extend(_send_events(step, what))
+                else:
+                    events.append(
+                        _new_event(TraceEvent, (step, "deliver", what.receiver, what))
+                    )
+        if self.capacity is not None:
+            del events[: -self.capacity]
+        return events
 
     @property
     def events_dropped(self) -> int:
         """Events evicted from the ring (seen minus retained)."""
-        return self.events_seen - len(self.events)
+        if self.capacity is None:
+            return 0
+        return max(0, self.events_seen - self.capacity)
 
     def emit(self, event: TraceEvent) -> None:
         self.events_seen += 1
-        self.events.append(event)
+        self.counts_by_kind[event.kind] += 1
+        self._keep(1, (event,))
 
     def emit_many(self, events: Sequence[TraceEvent]) -> None:
-        self.events_seen += len(events)
-        self.events.extend(events)
+        count = len(events)
+        self.events_seen += count
+        self.counts_by_kind[events[0].kind] += count
+        self._keep(count, tuple(events))
+
+    def _take(self, records: List[tuple], sends: int, deliveries: int) -> None:
+        """One pump of the trace's log: message records, counted by the trace."""
+        self.events_seen += sends + deliveries
+        if sends:
+            self.counts_by_kind["send"] += sends
+        if deliveries:
+            self.counts_by_kind["deliver"] += deliveries
+        self._keep(sends + deliveries, records)
+
+    def _keep(self, count: int, records: Sequence[tuple]) -> None:
+        chunks = self._chunks
+        chunks.append((count, records))
+        capacity = self.capacity
+        if capacity is not None:
+            held = self._held + count
+            while held - chunks[0][0] >= capacity:
+                held -= chunks.popleft()[0]
+            self._held = held
 
 
 def _noop(*_args: Any, **_kwargs: Any) -> None:
@@ -106,26 +203,37 @@ def _batch_emitter(consumer: Any) -> Callable[[Sequence[TraceEvent]], None]:
     return emit_each
 
 
+def _takes_records(consumer: Any) -> bool:
+    """True for an :class:`EventRing` whose ``emit`` / ``emit_many`` are its own."""
+    cls = type(consumer)
+    return (
+        isinstance(consumer, EventRing)
+        and cls.emit is EventRing.emit
+        and cls.emit_many is EventRing.emit_many
+    )
+
+
 class Trace:
     """Collects events and aggregate metrics for one simulated execution.
 
     Events reach their consumers -- the ``keep_events`` ring first, then the
-    sinks in attachment order -- through a path compiled whenever that set
-    changes: ``None`` when nobody consumes events (hooks then only bump the
-    aggregate counters and build nothing), the single consumer's bound
-    ``emit`` / ``emit_many``, or a small fan-out over several.  A fan-out of
-    sends (:meth:`on_send_many`) is one batch: one counter bump by its size
-    and one ``emit_many`` per consumer.
+    sinks in attachment order -- through the record log described in the
+    module docstring: message events are logged and handed on by
+    :meth:`pump`, every other event pumps and is emitted at once.  With no
+    consumer the hooks only bump the aggregate counters and build nothing.
+
+    ``messages_delivered`` is added to by the network when a drive exits (one
+    addition per ``step`` / ``run*`` call), not per delivery.
 
     With ``enabled=False`` every recording hook (``on_send``,
-    ``on_send_many``, ``on_deliver``, ``on_drop``, ``on_complete``,
-    ``on_shun``, ``on_corrupt``, ``on_phase``, ``on_session_open``,
-    ``on_director``, ``note``, ``record``) is rebound to a shared no-op at
-    construction time, so the network's hot loop pays one
-    trivially-dispatched call and zero message-formatting or counter work per
-    event.  Counters then stay at zero and no completions/shun events are
-    recorded -- throughput campaigns with ``tracing=False`` read their
-    headline counts from the group meter (:mod:`repro.obs.meter`) instead.
+    ``on_send_many``, ``on_drop``, ``on_complete``, ``on_shun``,
+    ``on_corrupt``, ``on_phase``, ``on_session_open``, ``on_director``,
+    ``note``, ``record``) is rebound to a shared no-op at construction time,
+    so the network's hot loop pays one trivially-dispatched call and zero
+    message-formatting or counter work per event.  Counters then stay at zero
+    and no completions/shun events are recorded -- throughput campaigns with
+    ``tracing=False`` read their headline counts from the group meter
+    (:mod:`repro.obs.meter`) instead.
     """
 
     def __init__(
@@ -161,10 +269,18 @@ class Trace:
         self.completions: Dict[Tuple[int, SessionId], Tuple[int, Any]] = {}
         self.shun_events: List[Tuple[int, int, SessionId]] = []
         self.notes: List[Tuple[int, Any]] = []
-        #: Compiled consumer path (see the class docstring).
-        self._emit: Optional[Callable[[TraceEvent], None]] = None
-        self._emit_many: Optional[Callable[[Sequence[TraceEvent]], None]] = None
-        self._compile()
+        #: The record log (see the module docstring), emptied in place by
+        #: :meth:`pump`, and how many fan-out records / send events it holds.
+        self._log: List[tuple] = []
+        self._log_fanouts = 0
+        self._log_sends = 0
+        #: The delivery loop's hook: called with one ``(step, message)`` pair
+        #: per delivery, it is the log's own ``append``.
+        self.log_delivery: Callable[[Tuple[int, Message]], None] = self._log.append
+        #: Set by the network around its delivery loop, which pumps when it
+        #: exits: only then may a fan-out wait in the log.
+        self.driving = False
+        self._bind_consumers()
         if not enabled:
             # Rebinding beats per-call `if self.enabled` checks: the flag test
             # would tax the enabled path too, and this keeps the disabled path
@@ -172,7 +288,6 @@ class Trace:
             self.record = _noop  # type: ignore[method-assign]
             self.on_send = _noop  # type: ignore[method-assign]
             self.on_send_many = _noop  # type: ignore[method-assign]
-            self.on_deliver = _noop  # type: ignore[method-assign]
             self.on_drop = _noop  # type: ignore[method-assign]
             self.on_complete = _noop  # type: ignore[method-assign]
             self.on_shun = _noop  # type: ignore[method-assign]
@@ -185,35 +300,28 @@ class Trace:
     @property
     def events(self) -> List[TraceEvent]:
         """The retained events (oldest first; empty when nothing is kept)."""
-        return [] if self._ring is None else list(self._ring.events)
+        self.pump()
+        return [] if self._ring is None else self._ring.events
 
     @property
     def events_dropped(self) -> int:
         """Events evicted from the ``keep_events`` ring once it was full."""
+        self.pump()
         return 0 if self._ring is None else self._ring.events_dropped
 
-    def _compile(self) -> None:
-        """Rebuild the consumer path from the retention ring and the sinks."""
+    def _bind_consumers(self) -> None:
+        """Sort the retention ring and the sinks by how they are fed."""
         consumers = ([] if self._ring is None else [self._ring]) + self.sinks
-        if not consumers:
-            self._emit = self._emit_many = None
-        elif len(consumers) == 1:
-            self._emit = consumers[0].emit
-            self._emit_many = _batch_emitter(consumers[0])
-        else:
-            emitters = [consumer.emit for consumer in consumers]
-            batch_emitters = [_batch_emitter(consumer) for consumer in consumers]
-
-            def emit(event: TraceEvent) -> None:
-                for consumer_emit in emitters:
-                    consumer_emit(event)
-
-            def emit_many(events: Sequence[TraceEvent]) -> None:
-                for consumer_emit_many in batch_emitters:
-                    consumer_emit_many(events)
-
-            self._emit = emit
-            self._emit_many = emit_many
+        #: ``emit`` of every consumer, ring first: events that are not logged.
+        self._emitters: List[Callable[[TraceEvent], None]] = [c.emit for c in consumers]
+        #: The rings :meth:`pump` hands the log's records to as they are ...
+        self._record_takers: List[EventRing] = [c for c in consumers if _takes_records(c)]
+        #: ... and ``emit`` / ``emit_many`` of the sinks it expands them for.
+        sinks = [c for c in consumers if not _takes_records(c)]
+        self._sink_emits: List[Callable[[TraceEvent], None]] = [s.emit for s in sinks]
+        self._sink_batch_emits: List[Callable[[Sequence[TraceEvent]], None]] = [
+            _batch_emitter(s) for s in sinks
+        ]
 
     def add_sink(self, sink: Any) -> Any:
         """Attach a streaming event consumer and return it.
@@ -231,31 +339,75 @@ class Trace:
                 "cannot attach a sink to a disabled trace; run with tracing "
                 "enabled (sinks consume trace events)"
             )
+        self.pump()  # what is logged so far is not for this sink
         self.sinks.append(sink)
-        self._compile()
+        self._bind_consumers()
         return sink
 
     def close_sinks(self) -> None:
-        """Flush and close every attached sink (idempotent per sink)."""
+        """Pump, then flush and close every attached sink (idempotent per sink).
+
+        Every sink is closed whatever the pump or an earlier ``close`` raised
+        (a file sink behind a failing one must not keep its handle); the first
+        error is re-raised once all are closed.
+        """
+        first_error: Optional[Exception] = None
+        try:
+            self.pump()
+        except Exception as error:
+            first_error = error
         for sink in self.sinks:
             close = getattr(sink, "close", None)
             if close is not None:
-                close()
+                try:
+                    close()
+                except Exception as error:
+                    if first_error is None:
+                        first_error = error
+        if first_error is not None:
+            raise first_error
+
+    def pump(self) -> None:
+        """Hand the logged message records to every consumer, in order."""
+        log = self._log
+        if not log:
+            return
+        records = log[:]
+        del log[:]  # in place: the delivery loop holds its ``append``
+        sends, fanouts = self._log_sends, self._log_fanouts
+        self._log_sends = self._log_fanouts = 0
+        for ring in self._record_takers:
+            ring._take(records, sends, len(records) - fanouts)
+        sink_emits = self._sink_emits
+        if sink_emits:
+            # Record by record, each sink in turn: when one raises, the sinks
+            # behind it have everything before the failing event.
+            sink_batch_emits = self._sink_batch_emits
+            for step, what in records:
+                if type(what) is list:
+                    events = _send_events(step, what)
+                    for emit_many in sink_batch_emits:
+                        emit_many(events)
+                else:
+                    event = _new_event(TraceEvent, (step, "deliver", what.receiver, what))
+                    for emit in sink_emits:
+                        emit(event)
 
     def record(self, step: int, kind: str, party: Optional[int], detail: Any) -> None:
         """Hand one raw event to the retention ring and the sinks."""
-        emit = self._emit
-        if emit is not None:
-            emit(TraceEvent(step, kind, party, detail))
+        emitters = self._emitters
+        if emitters:
+            self.pump()
+            event = TraceEvent(step, kind, party, detail)
+            for emit in emitters:
+                emit(event)
 
     def on_send(self, step: int, message: Message) -> None:
-        """Record that ``message`` was handed to the network."""
+        """Record that ``message`` was handed to the network (on its own)."""
         self.messages_sent += 1
         self.sent_by_root[message.root] += 1
         self.sent_by_kind[message.kind] += 1
-        emit = self._emit
-        if emit is not None:
-            emit(_new_event(TraceEvent, (step, "send", message.sender, message)))
+        self.record(step, "send", message.sender, message)
 
     def on_send_many(
         self, step: int, messages: Sequence[Message], kind: Any, root: Any
@@ -264,7 +416,8 @@ class Trace:
 
         Equivalent to :meth:`on_send` per message in order -- same counters,
         same events -- with the counters bumped once by ``len(messages)`` and
-        every consumer handed the whole batch in one ``emit_many`` call.
+        every consumer handed the send events as one ``emit_many`` batch.
+        ``messages`` must not be mutated afterwards.
         """
         count = len(messages)
         if not count:
@@ -272,21 +425,15 @@ class Trace:
         self.messages_sent += count
         self.sent_by_root[root] += count
         self.sent_by_kind[kind] += count
-        emit_many = self._emit_many
-        if emit_many is not None:
-            emit_many(
-                [
-                    _new_event(TraceEvent, (step, "send", message.sender, message))
-                    for message in messages
-                ]
-            )
-
-    def on_deliver(self, step: int, message: Message) -> None:
-        """Record that ``message`` was delivered to its receiver."""
-        self.messages_delivered += 1
-        emit = self._emit
-        if emit is not None:
-            emit(_new_event(TraceEvent, (step, "deliver", message.receiver, message)))
+        log = self._log
+        if self._emitters:
+            if type(messages) is not list:  # the record shape is "a list"
+                messages = list(messages)
+            log.append((step, messages))
+            self._log_fanouts += 1
+            self._log_sends += count
+        if len(log) >= LOG_BOUND or not self.driving:
+            self.pump()
 
     def on_drop(self, step: int, message: Message, reason: str) -> None:
         """Record that ``message`` was dropped (e.g. sender shunned)."""

@@ -3,10 +3,14 @@
 Subcommands:
 
 * ``validate TRACE.jsonl`` -- schema-check an emitted JSONL trace (exit 1 on
-  problems); used by the CI observability smoke job.
+  problems, each named by line); used by the CI observability smoke job.
 * ``timeline TRACE.jsonl [--format text|chrome] [--out PATH]`` -- rebuild the
   session timeline from a JSONL trace and render it as a text report or
   Chrome ``chrome://tracing`` JSON.
+
+A trace that cannot be read (missing, a directory, unreadable, not text) and,
+for ``timeline``, one holding a line that is not a trace event, is one
+``error: ...`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -74,7 +78,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # names the path itself
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # undecodable bytes, or a line `timeline` cannot use
+        print(f"error: {args.trace}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,21 +1,29 @@
 """Streaming trace sinks: event consumers attached to an enabled Trace.
 
-A sink observes every :class:`~repro.net.tracing.TraceEvent` as it is
-recorded (``Trace.add_sink``), independent of the trace's retention policy --
-a JSONL writer can stream a run whose trace keeps nothing in memory.  Sinks
-must never mutate events or touch simulation state: they are observers, and
-the determinism tests (``tests/obs/test_determinism.py``) lock in that
-attaching one does not change delivery order.
+A sink observes every :class:`~repro.net.tracing.TraceEvent` of a run
+(``Trace.add_sink``), independent of the trace's retention policy -- a JSONL
+writer can stream a run whose trace keeps nothing in memory.  Sinks must
+never mutate events or touch simulation state: they are observers, and the
+determinism tests (``tests/obs/test_determinism.py``) lock in that attaching
+one does not change delivery order.
 
 The contract is duck-typed: ``emit(event)`` is required, ``emit_many(events)``
 and ``close()`` are optional.  A sink must not assume one call per event --
-the send events of one broadcast/fan-out arrive as one ``emit_many`` batch.
+the send events of one broadcast/fan-out arrive as one ``emit_many`` batch --
+nor that a call happens the moment the event does: while the network is
+delivering, message events wait in the trace's record log (at most
+``LOG_BOUND`` records plus the messages in flight) and arrive, in order, at
+the next event that is not a send or a delivery, and at the latest when
+``Network.step`` / ``run*`` returns or raises.  Whenever control is outside
+the delivery loop a sink holds everything recorded so far
+(:mod:`repro.net.tracing` has the full statement).  The record log and its
+shapes are that module's business: a sink sees events, only the trace's own
+ring (:class:`RingBufferSink` is one) is handed records.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from typing import Any, List, Optional, Sequence
 
 from repro.net.tracing import EventRing, TraceEvent
@@ -50,31 +58,23 @@ class RingBufferSink(EventRing, TraceSink):
     """Keeps the most recent ``capacity`` events plus per-kind totals.
 
     Useful as a post-mortem flight recorder on long runs: total counts stay
-    exact while memory stays bounded.
+    exact while memory stays bounded.  It is the trace's own
+    :class:`~repro.net.tracing.EventRing` (which see for what attaching one
+    costs: message events are counted and kept as records, and become
+    ``TraceEvent`` tuples when :attr:`events` or :meth:`tail` is read) with a
+    positive capacity.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         super().__init__(capacity)
-        self.counts_by_kind: Counter = Counter()
-
-    def emit(self, event: TraceEvent) -> None:
-        self.events_seen += 1
-        self.counts_by_kind[event.kind] += 1
-        self.events.append(event)
-
-    def emit_many(self, events: Sequence[TraceEvent]) -> None:
-        count = len(events)
-        self.events_seen += count
-        self.counts_by_kind[events[0].kind] += count
-        self.events.extend(events)
 
     def tail(self, count: int = 20) -> List[TraceEvent]:
         """The last ``count`` retained events, oldest first."""
         if count <= 0:
             return []
-        return list(self.events)[-count:]
+        return self.events[-count:]
 
 
 class JsonlSink(TraceSink):

@@ -103,13 +103,24 @@ class TimelineBuilder(TraceSink):
 
     @classmethod
     def from_jsonl(cls, path: Any) -> "TimelineBuilder":
-        """Rebuild a timeline from a JSONL trace file."""
+        """Rebuild a timeline from a JSONL trace file.
+
+        Raises :class:`ValueError` naming the line for one that is not a
+        trace event in its JSON-object form (``python -m repro.obs validate``
+        lists every such line).
+        """
         builder = cls()
         with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
+            for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
-                if line:
+                if not line:
+                    continue
+                try:
                     builder.add(json.loads(line))
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    raise ValueError(
+                        f"line {lineno}: not a trace event ({exc!r})"
+                    ) from None
         return builder
 
     # ------------------------------------------------------------------

@@ -43,6 +43,8 @@ CONFIGS = {
     "unmetered": dict(tracing=False, metering=False),
     "metrics": dict(tracing=True, metrics=True),
     "ring_sink": dict(tracing=True, sinks=lambda tmp: [RingBufferSink(512)]),
+    # Smaller than one pump of the trace's record log: trims on every pump.
+    "ring_sink_64": dict(tracing=True, sinks=lambda tmp: [RingBufferSink(64)]),
     "jsonl_sink": dict(
         tracing=True, sinks=lambda tmp: [JsonlSink(tmp / "trace.jsonl")]
     ),

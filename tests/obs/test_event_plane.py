@@ -1,4 +1,4 @@
-"""The event plane's contract: tuple events, a compiled consumer path, batches.
+"""The event plane's contract: tuple events, one record log, batches.
 
 Every consumer -- an ``emit``-only sink, a sink that also takes
 ``emit_many`` batches, the ``keep_events`` ring -- must observe the same
@@ -9,16 +9,23 @@ change to what was recorded.
 
 from __future__ import annotations
 
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
 from repro.adversary import attacks
+from repro.core import api
 from repro.core.config import ProtocolParams
+from repro.errors import SimulationError
+from repro.net import tracing
 from repro.net.message import Message
 from repro.net.network import Network
+from repro.net.process import Process
+from repro.net.protocol import Protocol
 from repro.net.runtime import Simulation
-from repro.net.tracing import Trace, TraceEvent
+from repro.net.tracing import DEFAULT_EVENT_CAPACITY, EventRing, Trace, TraceEvent
 from repro.obs.schema import event_to_jsonable
 from repro.obs.sinks import JsonlSink, RingBufferSink, TraceSink
 from repro.obs.timeline import TimelineBuilder
@@ -189,3 +196,267 @@ def test_ring_retention_accounts_for_evicted_events():
     assert sink.events_seen == 7 and sink.events_dropped == 4
     assert sink.counts_by_kind == {"send": 4, "note": 3}
     assert Trace().events_dropped == 0  # nothing retained, nothing evicted
+
+
+# ----------------------------------------------------------------------
+# The record log (net/tracing.py): message events wait in a log and are
+# expanded on their way to a sink, or on read by a ring.  However a consumer
+# is fed, it holds the reference stream -- the unbounded retention ring.
+# ----------------------------------------------------------------------
+RING_CAPACITIES = (1, 7, 4096, 10**6)
+
+
+def _run_weak_coin(sinks):
+    return _shunning_weak_coin(sinks, keep_events="all").trace.events
+
+
+def _run_scenario(name):
+    def run(sinks):
+        reference = EventRing(None)  # what keep_events="all" is
+        run_scenario(name, n=8, seed=11, sinks=[reference] + sinks)
+        return list(reference.events)
+
+    return run
+
+
+WORKLOADS = {
+    "shunning-weak-coin": (_run_weak_coin, {"drop", "shun", "complete", "phase"}),
+    "dealer-ambush": (_run_scenario("dealer-ambush"), {"director", "corrupt"}),
+    "restart-storm": (
+        _run_scenario("restart-storm"), {"director", "corrupt", "drop", "shun"},
+    ),
+}
+
+
+def _jsonl_lines(events):
+    return [
+        json.dumps(event_to_jsonable(event), sort_keys=True, default=repr)
+        for event in events
+    ]
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_every_consumer_holds_the_reference_stream(workload, tmp_path):
+    run, kinds = WORKLOADS[workload]
+    emit_only, batching = EmitOnlySink(), BatchSink()
+    rings = [RingBufferSink(capacity) for capacity in RING_CAPACITIES]
+    path = tmp_path / "trace.jsonl"
+    live = TimelineBuilder()
+    reference = run([emit_only, batching, *rings, JsonlSink(path), live])
+
+    assert kinds | {"send", "deliver", "session_open"} <= {e.kind for e in reference}
+    assert emit_only.events == reference
+    assert batching.events == reference
+    by_kind = Counter(event.kind for event in reference)
+    for ring in rings:
+        first_read = list(ring.events)
+        assert first_read == reference[-ring.capacity:]
+        assert list(ring.events) == first_read  # reading builds events, keeps records
+        assert ring.tail(3) == reference[-3:][-ring.capacity:]
+        assert ring.events_seen == len(reference)
+        assert ring.events_dropped == max(0, len(reference) - ring.capacity)
+        assert ring.counts_by_kind == by_kind
+        assert all(type(event) is TraceEvent for event in first_read)
+    assert path.read_text().splitlines() == _jsonl_lines(reference)
+    one_by_one = TimelineBuilder()
+    for event in reference:
+        one_by_one.add(event_to_jsonable(event))
+    assert live.events_seen == len(reference)
+    assert live.render_text() == one_by_one.render_text()
+
+
+@pytest.mark.parametrize("keep_events", [True, 5, 4096, "all"])
+def test_keep_events_is_the_tail_of_the_reference(keep_events):
+    reference = _run_weak_coin([])
+    trace = _shunning_weak_coin([], keep_events=keep_events).trace
+    capacity = {True: DEFAULT_EVENT_CAPACITY, "all": len(reference)}.get(
+        keep_events, keep_events
+    )
+    assert _plain(trace.events) == _plain(reference[-capacity:])
+    assert trace.events_dropped == max(0, len(reference) - capacity)
+    assert trace.summary()["messages_delivered"] == sum(
+        1 for event in reference if event.kind == "deliver"
+    )
+
+
+def test_the_stream_is_the_one_the_per_event_plane_wrote(tmp_path):
+    """Pinned at the commit before the record log: same bytes, same ring."""
+    path = tmp_path / "trace.jsonl"
+    live, ring = TimelineBuilder(), RingBufferSink(4096)
+    api.run_weak_coin(7, seed=11, sinks=[JsonlSink(path), live, ring])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "551ea8e1ffd7f9c3a6a43de555a0e5a9a730401e1557802b6ad1a49712da2d43"
+    )
+    assert hashlib.sha256(live.render_text().encode()).hexdigest().startswith(
+        "0343d86174c20ca8"
+    )
+    assert ring.events_seen == 2225
+    assert hashlib.sha256(repr(list(ring.events)).encode()).hexdigest().startswith(
+        "62f3b890100dab4"
+    )
+
+
+class _ReadingDirector:
+    """Reads a ring (directly, and through the trace) every few steps."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.wake_step = 1
+        self.reads = []
+
+    def attach(self, network):
+        self.network = network
+
+    def on_session_open(self, pid, session):
+        pass
+
+    def on_complete(self, pid, session):
+        pass
+
+    def on_step(self, step):
+        direct = list(self.ring.events)
+        assert list(self.ring.events) == direct
+        through_trace = self.network.trace.events  # pumps: the ring is current
+        current = list(self.ring.events)
+        assert current == through_trace[-self.ring.capacity:]
+        assert current[-1].step == step  # this delivery, or what its handler did
+        self.reads.append(len(direct))
+        self.wake_step = step + 37
+
+
+@pytest.mark.parametrize("capacity", [7, 4096])
+def test_reading_a_ring_mid_run_changes_nothing_later(capacity):
+    def run(director, ring):
+        sim = Simulation(ProtocolParams.for_parties(8), seed=1, keep_events="all",
+                         sinks=[ring], director=director)
+        sim.corrupt(2, attacks.BadShareBehavior.factory())
+        return sim.run(("weak_coin",), WeakCommonCoin.factory())
+
+    undisturbed = RingBufferSink(capacity)
+    reference = run(None, undisturbed).trace.events
+    read_from = RingBufferSink(capacity)
+    director = _ReadingDirector(read_from)
+    assert _plain(run(director, read_from).trace.events) == _plain(reference)
+    assert len(director.reads) > 20
+    assert _plain(read_from.events) == _plain(undisturbed.events)
+    assert read_from.events_seen == undisturbed.events_seen
+    assert read_from.counts_by_kind == undisturbed.counts_by_kind
+
+
+def _started_weak_coin(sinks, **network_kwargs):
+    network = Network(ProtocolParams.for_parties(4), seed=3, keep_events="all",
+                      sinks=sinks, **network_kwargs)
+    for process in network.processes:
+        process.create_protocol(("weak_coin",), WeakCommonCoin.factory()).start()
+    return network
+
+
+def _assert_current(network, emit_only, ring):
+    """The sinks hold everything recorded -- checked before the trace is read,
+    because a read through the trace pumps."""
+    got, seen, kept = list(emit_only.events), ring.events_seen, list(ring.events)
+    reference = network.trace.events
+    assert got == reference
+    assert seen == len(reference)
+    assert kept == reference[-ring.capacity:]
+
+
+def test_sinks_are_current_whenever_control_returns_from_the_network():
+    emit_only, ring = EmitOnlySink(), RingBufferSink(64)
+    network = _started_weak_coin([emit_only, ring])
+    _assert_current(network, emit_only, ring)  # the sends of on_start
+    for _ in range(50):
+        assert network.step()
+        _assert_current(network, emit_only, ring)
+        assert emit_only.events[-1].step == network.step_count
+    network.run(until=lambda net: net.step_count >= 100)
+    _assert_current(network, emit_only, ring)
+    network.trace.note(network.step_count, "between drives")
+    assert emit_only.events[-1].detail == ring.events[-1].detail == "between drives"
+    network.run_until_complete(("weak_coin",))
+    _assert_current(network, emit_only, ring)
+    delivered = network.trace.messages_delivered
+    network.run_to_quiescence()
+    _assert_current(network, emit_only, ring)
+    assert network.trace.messages_delivered == network.step_count > delivered
+
+
+def test_a_flight_recorder_holds_the_events_up_to_the_failure(monkeypatch):
+    emit_only, ring = EmitOnlySink(), RingBufferSink(64)
+    network = _started_weak_coin([emit_only, ring])
+    with pytest.raises(SimulationError, match="exceeded 30 deliveries"):
+        network.run_until_complete(("weak_coin",), max_steps=30)
+    _assert_current(network, emit_only, ring)
+    assert network.trace.messages_delivered == 30
+
+    # A handler that raises: the last event anyone holds is its delivery.
+    fail_at = network.step_count + 25
+    deliver = Process.deliver
+
+    def failing_deliver(self, message):
+        if self.network.step_count == fail_at:
+            raise RuntimeError("handler failed")
+        deliver(self, message)
+
+    monkeypatch.setattr(Process, "deliver", failing_deliver)
+    with pytest.raises(RuntimeError, match="handler failed"):
+        network.run_until_complete(("weak_coin",))
+    last = ring.events[-1]
+    assert (last.step, last.kind) == (fail_at, "deliver")
+    assert emit_only.events[-1] == last
+    _assert_current(network, emit_only, ring)
+    assert network.trace.messages_delivered == network.step_count == fail_at
+    assert not network.trace.driving
+
+
+def test_the_log_is_bounded_by_a_constant_plus_the_messages_in_flight(monkeypatch):
+    """50k deliveries: at no pump does the log hold more than ``LOG_BOUND``
+    records plus one per message that was in flight at the last fan-out --
+    the bound is checked there, and a delivery not followed by a fan-out uses
+    up one of those messages.  The run ends in a tail of 20k deliveries with
+    no fan-out between them."""
+    n = 32
+    sizes, allowed = [], []
+    in_flight_at_last_fanout = 0
+    pump, on_send_many = Trace.pump, Trace.on_send_many
+
+    def spying_pump(self):
+        sizes.append(len(self._log))
+        allowed.append(tracing.LOG_BOUND + in_flight_at_last_fanout)
+        pump(self)
+
+    def spying_on_send_many(self, *args):
+        nonlocal in_flight_at_last_fanout
+        on_send_many(self, *args)
+        in_flight_at_last_fanout = len(network._queue)
+
+    monkeypatch.setattr(Trace, "pump", spying_pump)
+    monkeypatch.setattr(Trace, "on_send_many", spying_on_send_many)
+    network = Network(ProtocolParams.for_parties(n), seed=5, sinks=[EmitOnlySink()])
+    trace = network.trace
+
+    class Chatter(Protocol):
+        """Re-broadcasts on every 20th delivery until 1 600 broadcasts are out."""
+
+        sent = 0
+
+        def on_start(self, **_):
+            self.broadcast("M", 0)
+
+        def on_message(self, sender, payload):
+            if Chatter.sent < 1600 and network.step_count % 20 == 0:
+                Chatter.sent += 1
+                self.broadcast("M", Chatter.sent)
+
+    for process in network.processes:
+        process.create_protocol(("chatter",), lambda p, s: Chatter(p, s)).start()
+    network.run_to_quiescence()
+
+    assert network.step_count > 50_000
+    assert all(size <= limit for size, limit in zip(sizes, allowed))
+    # The check pumped (nothing else does in this run until the drive exits) ...
+    assert sum(1 for size in sizes if size >= tracing.LOG_BOUND) > 30
+    # ... and the fan-out-free tail was pumped when the drive exited.
+    assert sizes[-1] > 15_000
+    assert trace._log == [] and len(network._queue) == 0
+    assert len(trace.sinks[0].events) == trace.messages_sent + network.step_count + n  # session_opens

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -31,6 +32,61 @@ def test_validate_flags_problems(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "INVALID" in captured.out
     assert "bogus" in captured.err
+
+
+def test_validate_keeps_line_numbered_problems_for_malformed_json(tmp_path, capsys):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"step": 0, "kind": "note", "detail": "x"}\nnot json\n3\n')
+    assert obs_main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "INVALID (3 events, 2 problems)" in captured.out
+    assert "line 2: invalid JSON" in captured.err
+    assert "line 3:" in captured.err
+
+
+def _unreadable(tmp_path):
+    path = tmp_path / "unreadable.jsonl"
+    path.write_text("{}\n")
+    path.chmod(0)
+    return path
+
+
+def _binary(tmp_path):
+    path = tmp_path / "binary.jsonl"
+    path.write_bytes(b"\xff\xfe\x00")
+    return path
+
+
+@pytest.mark.parametrize("command", ["validate", "timeline"])
+@pytest.mark.parametrize(
+    "make_path",
+    [lambda tmp: tmp / "missing.jsonl", lambda tmp: tmp, _unreadable, _binary],
+    ids=["missing", "directory", "unreadable", "not-text"],
+)
+def test_unreadable_trace_is_one_error_line_and_exit_2(command, make_path, tmp_path, capsys):
+    path = make_path(tmp_path)
+    if path.name == "unreadable.jsonl" and os.access(path, os.R_OK):
+        pytest.skip("running as a user file modes do not bind (root)")
+    assert obs_main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(path) in lines[0]
+
+
+@pytest.mark.parametrize(
+    "line", ["not json", "3", '{"step": 1, "kind": "phase", "party": 0}'],
+    ids=["malformed", "not-an-object", "missing-field"],
+)
+def test_timeline_on_a_bad_line_is_one_error_line_and_exit_2(line, tmp_path, capsys):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"step": 0, "kind": "note", "detail": "x"}\n' + line + "\n")
+    assert obs_main(["timeline", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: line 2:")
 
 
 def test_timeline_text(trace_file, tmp_path, capsys):

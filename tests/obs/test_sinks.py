@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.core import api
+from repro.net.message import Message
 from repro.net.tracing import DEFAULT_EVENT_CAPACITY, Trace, TraceEvent
 from repro.obs.schema import event_to_jsonable, validate_event, validate_jsonl
 from repro.obs.sinks import JsonlSink, RingBufferSink, TraceSink
@@ -124,6 +125,89 @@ def test_jsonl_sink_closed_by_runtime(tmp_path):
     with pytest.raises(ValueError):
         sink.emit(TraceEvent(0, "note", None, "late"))
     sink.close()  # idempotent
+
+
+class _FailingSink(TraceSink):
+    """Raises from ``emit`` at the ``fail_at``-th event, and/or from ``close``."""
+
+    def __init__(self, fail_at=None, fail_close=False):
+        self.fail_at = fail_at
+        self.fail_close = fail_close
+        self.seen = 0
+        self.closed = 0
+
+    def emit(self, event):
+        if self.seen == self.fail_at:
+            raise RuntimeError("emit failed")
+        self.seen += 1
+
+    def close(self):
+        self.closed += 1
+        if self.fail_close:
+            raise RuntimeError("close failed")
+
+
+def _fanout(step, sender, n=4):
+    return [
+        Message(sender, receiver, ("s",), ("K", step), seq=step * n + receiver)
+        for receiver in range(n)
+    ]
+
+
+def test_close_sinks_closes_every_sink_when_the_final_pump_raises(tmp_path):
+    """With delivery deferred, ``close_sinks`` itself pumps: a sink failing
+    there must not leave the file sink behind it open or short."""
+    path = tmp_path / "trace.jsonl"
+    trace = Trace(keep_events="all")
+    failing = trace.add_sink(_FailingSink(fail_at=6))  # mid second fan-out
+    jsonl = trace.add_sink(JsonlSink(path))
+    last = trace.add_sink(_FailingSink())
+    handle = jsonl._handle
+    trace.driving = True  # as inside Network.run: fan-outs wait in the log
+    for step in range(3):
+        trace.on_send_many(step, _fanout(step, sender=step), "K", "s")
+    assert path.read_text() == "" and failing.seen == 0
+    with pytest.raises(RuntimeError, match="emit failed"):
+        trace.close_sinks()
+    assert handle.closed and failing.closed == last.closed == 1
+    reference = trace.events
+    assert len(reference) == 12
+    assert path.read_text().splitlines() == [
+        json.dumps(event_to_jsonable(event), sort_keys=True)
+        for event in reference[:4]  # whole up to the batch of the failing event
+    ]
+
+
+def test_close_sinks_closes_every_sink_when_an_earlier_close_raises(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    trace = Trace()
+    first = trace.add_sink(_FailingSink(fail_close=True))
+    jsonl = trace.add_sink(JsonlSink(path))
+    second = trace.add_sink(_FailingSink(fail_close=True))
+    handle = jsonl._handle
+    trace.driving = True
+    trace.on_send_many(0, _fanout(0, sender=1), "K", "s")
+    with pytest.raises(RuntimeError, match="close failed"):
+        trace.close_sinks()
+    assert handle.closed and first.closed == second.closed == 1
+    assert len(path.read_text().splitlines()) == 4  # pumped, flushed, whole
+
+
+def test_a_failing_sink_does_not_leak_the_file_sink_of_a_run(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    whole = RingBufferSink(capacity=10**6)
+    api.run_weak_coin(4, seed=0, sinks=[whole])
+    jsonl = JsonlSink(path)
+    handle = jsonl._handle
+    with pytest.raises(RuntimeError, match="emit failed"):
+        api.run_weak_coin(4, seed=0, sinks=[_FailingSink(fail_at=100), jsonl])
+    assert handle.closed
+    lines = path.read_text().splitlines()
+    assert 100 - 4 <= len(lines) <= 100  # up to the (n=4) batch of event 100
+    assert lines == [
+        json.dumps(event_to_jsonable(event), sort_keys=True, default=repr)
+        for event in list(whole.events)[: len(lines)]
+    ]
 
 
 def test_multiple_sinks_see_identical_streams(tmp_path):
