@@ -9,6 +9,8 @@ package turns "many executions" into a first-class artifact:
   and schedulers,
 * :mod:`~repro.experiments.runner` -- deterministic sequential/parallel
   orchestration,
+* :mod:`~repro.experiments.pool` -- the supervised worker pool under the
+  runner and the beacon service,
 * :mod:`~repro.experiments.store` -- persisted, resumable results,
 * :mod:`~repro.experiments.cli` -- ``python -m repro.experiments`` /
   ``repro-experiments``.

@@ -1,11 +1,12 @@
-"""Deterministic retry backoff shared by every supervised execution plane.
+"""Deterministic retry backoff for supervised work.
 
-Both the campaign supervisor (:mod:`repro.experiments.supervisor`) and the
-beacon service front-end (:mod:`repro.service.frontend`) re-dispatch failed
-work after an exponential delay.  The schedule lives here, once, as a pure
-function of the attempt number -- no jitter, no clock reads -- so retry
-timing is reproducible, testable and identical across the two planes:
-``base``, ``2*base``, ``4*base``, ... capped at :data:`BACKOFF_CAP_S`.
+The worker pool (:mod:`repro.experiments.pool`) re-dispatches a failed
+campaign chunk or beacon request after an exponential delay, and the inline
+campaign path sleeps the same delay; both get it from the pool's
+``retry_delay``, the only caller.  The schedule is a pure function of the
+attempt number -- no jitter, no clock reads -- so retry timing is
+reproducible and testable: ``base``, ``2*base``, ``4*base``, ... capped at
+:data:`BACKOFF_CAP_S`.
 """
 
 from __future__ import annotations

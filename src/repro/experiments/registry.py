@@ -172,6 +172,10 @@ FAULTS.add("hang", _fault_hang)
 FAULTS.add("exit", _fault_exit)
 FAULTS.add("sigkill", _fault_sigkill)
 
+#: The faults that kill or stall the process they fire in: only a supervised
+#: worker may run them, so an inline campaign refuses them up front.
+PROCESS_FAULTS = frozenset({"hang", "exit", "sigkill"})
+
 
 def inject_fault(spec: Optional[Mapping[str, Any]], chunk_index: int, attempt: int) -> None:
     """Worker-side chaos hook: fire the cell's fault if this dispatch matches.

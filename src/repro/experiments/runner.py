@@ -15,8 +15,8 @@ even when workers were SIGKILLed and chunks re-dispatched.  This is asserted
 by ``tests/experiments/test_runner.py`` and the chaos suite in
 ``tests/experiments/test_supervisor.py``.
 
-Fault tolerance (see :mod:`repro.experiments.supervisor` for the execution
-plane):
+Fault tolerance (see :mod:`repro.experiments.supervisor` and the worker pool
+under it, :mod:`repro.experiments.pool`):
 
 * chunks that raise, hang past their deadline, or lose their worker are
   re-dispatched with bounded retries and deterministic backoff;
@@ -34,18 +34,21 @@ from __future__ import annotations
 
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.results import TrialAggregate
 from repro.errors import ExperimentError
 from repro.experiments.registry import (
+    PROCESS_FAULTS,
     RUNNERS,
     build_behavior_factory,
     build_scheduler,
     runner_params_problem,
     runner_signature,
 )
+from repro.experiments.pool import retry_delay
 from repro.experiments.spec import CampaignSpec, ExecutionPolicy, ExperimentSpec
 from repro.experiments.store import ResultStore
 from repro.experiments.supervisor import (
@@ -54,7 +57,6 @@ from repro.experiments.supervisor import (
     ChunkFailure,
     ChunkTask,
     WorkerSupervisor,
-    backoff_delay,
     execute_chunk,
 )
 from repro.net.runtime import SimulationResult
@@ -311,7 +313,9 @@ def run_campaign(
         campaign: the declarative spec; validated before anything runs.
         workers: supervised worker processes; ``<= 1`` runs inline in this
             process (retries still apply; timeouts need ``workers > 1``,
-            since an inline trial cannot be preempted).
+            since an inline trial cannot be preempted, and a cell whose
+            chaos fault would kill or stall its process -- ``exit``,
+            ``sigkill``, ``hang`` -- is refused before anything runs).
         store: optional :class:`ResultStore`.  Cells whose results are
             already persisted (matching spec hash) are *not* re-run, and
             checkpointed chunks of unfinished cells are reused, so an
@@ -340,6 +344,11 @@ def run_campaign(
         # a worker would, before any trial runs.
         CellExecutor(cell)
         build_scheduler(cell.scheduler)
+        if workers <= 1 and cell.fault is not None and cell.fault.fault in PROCESS_FAULTS:
+            raise ExperimentError(
+                f"cell {cell.name!r}: chaos fault {cell.fault.fault!r} would "
+                f"kill or stall this process; it needs workers > 1"
+            )
     resolved = _resolve_policy(campaign, policy)
     if store is not None:
         store.bind_campaign(campaign.name)
@@ -535,42 +544,31 @@ def _run_inline(
 ) -> None:
     """Single-process execution with the same retry/quarantine semantics.
 
-    Timeouts are not enforced here -- an inline trial cannot be preempted --
-    which is why hang-style chaos needs ``workers > 1``.
+    The retry-or-give-up decision is the pool's
+    :func:`~repro.experiments.pool.retry_delay`; with nothing else to run,
+    the backoff is slept.  Timeouts are not enforced here -- an inline trial
+    cannot be preempted.
     """
-    for task in tasks:
+    pending = deque(tasks)
+    while pending:
+        task = pending.popleft()
         if task.cell_name in quarantined:
             continue
-        current = task
-        while True:
-            try:
-                payload = execute_chunk(current)
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                if current.attempt < current.max_retries:
-                    inc("runner.retries")
-                    current = replace(current, attempt=current.attempt + 1)
-                    time.sleep(
-                        backoff_delay(current.attempt, policy.backoff_base_s)
-                    )
-                    continue
-                handle_failure(
-                    current,
-                    ChunkFailure(
-                        cell_name=current.cell_name,
-                        chunk_index=current.chunk_index,
-                        seeds=list(current.seeds),
-                        kind="exception",
-                        error=type(exc).__name__,
-                        message=str(exc),
-                        traceback=traceback.format_exc(),
-                        attempts=current.attempt + 1,
-                    ),
-                )
-                break
-            complete_chunk(current, payload)
-            break
+        try:
+            payload = execute_chunk(task)
+        except Exception as exc:
+            delay = retry_delay(task.attempt, task.max_retries, policy.backoff_base_s)
+            if delay is None:
+                handle_failure(task, ChunkFailure.of(
+                    task, "exception", type(exc).__name__, str(exc),
+                    traceback.format_exc(),
+                ))
+            else:
+                inc("runner.retries")
+                time.sleep(delay)
+                pending.appendleft(replace(task, attempt=task.attempt + 1))
+            continue
+        complete_chunk(task, payload)
 
 
 # ----------------------------------------------------------------------

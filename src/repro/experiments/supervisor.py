@@ -4,19 +4,17 @@ The campaign runner used to drive a bare ``multiprocessing.Pool``: one hung
 trial stalled the whole campaign and one worker killed by the OOM killer (or
 a segfault in a compiled kernel) aborted it.  The protocols under test
 tolerate ``t < n/3`` Byzantine parties; the harness measuring them should at
-least tolerate a SIGKILL.  :class:`WorkerSupervisor` is the replacement
-execution plane:
+least tolerate a SIGKILL.  :class:`WorkerSupervisor` runs chunks on the one
+:class:`~repro.experiments.pool.WorkerPool` -- which spawns, times, kills,
+replaces and retries workers for the beacon service too -- and adds only
+what a campaign needs:
 
-* each worker is a ``multiprocessing.Process`` talking to the supervisor
-  over its own duplex :func:`~multiprocessing.Pipe`, so the supervisor knows
-  exactly which chunk a dead worker was holding;
-* every chunk carries a deadline (``trial_timeout_s * len(chunk)``); a
-  worker past its deadline is SIGKILLed and replaced;
-* failed or timed-out chunks are re-dispatched to a fresh worker up to
-  ``max_retries`` times, after a deterministic exponential backoff
-  (:func:`backoff_delay` -- a pure function of the attempt number);
+* every chunk carries a deadline (``trial_timeout_s * len(chunk)``) and up
+  to ``max_retries`` re-dispatches after the shared deterministic backoff;
+* the pool grows lazily, up to ``workers`` processes;
 * a chunk that exhausts its retries surfaces as a structured
-  :class:`ChunkFailure` so the runner can quarantine its cell instead of
+  :class:`ChunkFailure`, and :meth:`~WorkerSupervisor.cancel_cell` stops
+  the rest of its cell, so the runner can quarantine the cell instead of
   aborting the campaign.
 
 Determinism: supervision never changes *what* a chunk computes -- chunks are
@@ -29,15 +27,9 @@ the ``runner-chaos`` CI job) asserts exactly that.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import multiprocessing
-import multiprocessing.connection
-import time
-import traceback
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.results import TrialAggregate
 from repro.experiments.backoff import (  # noqa: F401  (re-exported: public API)
@@ -45,13 +37,16 @@ from repro.experiments.backoff import (  # noqa: F401  (re-exported: public API)
     DEFAULT_BACKOFF_BASE_S,
     backoff_delay,
 )
+from repro.experiments.pool import WorkerPool
 
 #: Default bound on re-dispatches of one chunk before its cell quarantines.
 DEFAULT_MAX_CHUNK_RETRIES = 2
-#: Supervisor poll tick when no deadline is nearer (seconds).
-_POLL_INTERVAL_S = 0.25
-#: Grace given to a killed worker's ``join`` before it is abandoned.
-_JOIN_GRACE_S = 5.0
+#: The pool's counters, under their campaign names.
+_COUNTERS = {
+    "retries": "runner.retries",
+    "timeouts": "runner.timeouts",
+    "restarts": "runner.worker_restarts",
+}
 
 
 @dataclass
@@ -94,6 +89,13 @@ class ChunkFailure:
     traceback: str
     attempts: int
 
+    @classmethod
+    def of(cls, task: ChunkTask, kind: str, error: str, message: str,
+           tb: str = "") -> "ChunkFailure":
+        """The failure of ``task``'s last dispatch."""
+        return cls(task.cell_name, task.chunk_index, list(task.seeds), kind,
+                   error, message, tb, task.attempt + 1)
+
     def to_record(self) -> Dict[str, Any]:
         """JSON shape persisted by ``ResultStore.quarantine``."""
         return {
@@ -107,10 +109,8 @@ class ChunkFailure:
         }
 
 
-# ----------------------------------------------------------------------
-# Worker side
 def execute_chunk(task: ChunkTask) -> Any:
-    """Run one chunk (the worker entrypoint body; also the inline path).
+    """Run one chunk (the workers' handler; also the inline path).
 
     For cell tasks this is where the chaos hook fires -- *before* any trial
     runs, so an injected fault never half-executes a chunk -- and the return
@@ -134,78 +134,6 @@ def execute_chunk(task: ChunkTask) -> Any:
     return aggregate
 
 
-def _worker_main(conn: multiprocessing.connection.Connection) -> None:
-    """Worker loop: receive a task, run it, report; ``None`` means shut down.
-
-    Every exception -- including :class:`BaseException` subclasses like an
-    injected fault's ``SystemExit`` -- is reported back as a structured
-    error tuple; only a broken pipe (supervisor gone) or ``KeyboardInterrupt``
-    ends the loop silently.
-    """
-    while True:
-        try:
-            task = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            return
-        if task is None:
-            conn.close()
-            return
-        try:
-            payload = execute_chunk(task)
-            message: Tuple[Any, ...] = ("ok", payload)
-        except KeyboardInterrupt:
-            return
-        except BaseException as exc:  # noqa: BLE001 -- crash isolation is the point
-            message = ("error", type(exc).__name__, str(exc), traceback.format_exc())
-        try:
-            conn.send(message)
-        except (BrokenPipeError, OSError):
-            return
-
-
-# ----------------------------------------------------------------------
-# Supervisor side
-def _supervisor_context() -> multiprocessing.context.BaseContext:
-    """Prefer fork (cheap, inherits ``sys.path``); fall back to spawn."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-class _Worker:
-    """One supervised worker process plus its pipe and current assignment."""
-
-    __slots__ = ("process", "conn", "task", "deadline")
-
-    def __init__(self, context: multiprocessing.context.BaseContext) -> None:
-        parent_conn, child_conn = multiprocessing.Pipe()
-        self.process = context.Process(
-            target=_worker_main, args=(child_conn,), daemon=True
-        )
-        self.process.start()
-        child_conn.close()
-        self.conn = parent_conn
-        self.task: Optional[ChunkTask] = None
-        self.deadline: Optional[float] = None
-
-    def assign(self, task: ChunkTask) -> None:
-        self.task = task
-        self.deadline = (
-            time.monotonic() + task.timeout_s if task.timeout_s is not None else None
-        )
-        self.conn.send(task)
-
-    def kill(self) -> None:
-        try:
-            self.process.kill()
-        except (OSError, ValueError):
-            pass
-        self.process.join(timeout=_JOIN_GRACE_S)
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-
 class WorkerSupervisor:
     """Dispatch chunk tasks across supervised workers with retry/timeout.
 
@@ -213,9 +141,8 @@ class WorkerSupervisor:
         workers: maximum concurrent worker processes.
         backoff_base_s: base of the deterministic retry backoff.
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`; the
-            supervisor counts ``runner.retries``, ``runner.timeouts`` and
+            pool counts ``runner.retries``, ``runner.timeouts`` and
             ``runner.worker_restarts`` on it.
-        context: multiprocessing context override (tests).
 
     :meth:`run` invokes ``on_result(task, payload)`` for every chunk that
     completed (possibly after retries, in completion order -- callers merge
@@ -231,25 +158,16 @@ class WorkerSupervisor:
         workers: int,
         backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
         metrics: Optional[Any] = None,
-        context: Optional[multiprocessing.context.BaseContext] = None,
     ) -> None:
         self.workers = max(1, int(workers))
         self.backoff_base_s = backoff_base_s
         self.metrics = metrics
-        self.context = context if context is not None else _supervisor_context()
         self._cancelled: set = set()
-        self._retry_ticket = itertools.count()
-
-    # ------------------------------------------------------------------
-    def _inc(self, name: str, amount: int = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(amount)
 
     def cancel_cell(self, cell_name: str) -> None:
         """Stop dispatching (and retrying) the named cell's chunks."""
         self._cancelled.add(cell_name)
 
-    # ------------------------------------------------------------------
     def run(
         self,
         tasks: Sequence[ChunkTask],
@@ -257,130 +175,51 @@ class WorkerSupervisor:
         on_failure: Callable[[ChunkTask, ChunkFailure], None],
     ) -> None:
         pending: deque = deque(tasks)
-        delayed: List[Tuple[float, int, ChunkTask]] = []  # (ready_at, tiebreak, task)
-        pool: List[_Worker] = []
-        idle: List[_Worker] = []
-        busy: Dict[Any, _Worker] = {}  # conn -> worker
+        pool = WorkerPool(lambda index: execute_chunk, self.workers,
+                          self.backoff_base_s, self.metrics, _COUNTERS)
 
-        def retire(worker: _Worker) -> None:
-            worker.kill()
-            if worker in pool:
-                pool.remove(worker)
-
-        def handle_failure(task: ChunkTask, kind: str, error: str,
-                           message: str, tb: str) -> None:
+        def fail(task: ChunkTask, kind: str, error: str, message: str,
+                 tb: str = "") -> None:
             if task.cell_name in self._cancelled:
                 return
-            if task.attempt < task.max_retries:
-                self._inc("runner.retries")
-                retry = replace(task, attempt=task.attempt + 1)
-                ready_at = time.monotonic() + backoff_delay(
-                    retry.attempt, self.backoff_base_s
-                )
-                heapq.heappush(delayed, (ready_at, next(self._retry_ticket), retry))
-            else:
-                on_failure(
-                    task,
-                    ChunkFailure(
-                        cell_name=task.cell_name,
-                        chunk_index=task.chunk_index,
-                        seeds=list(task.seeds),
-                        kind=kind,
-                        error=error,
-                        message=message,
-                        traceback=tb,
-                        attempts=task.attempt + 1,
-                    ),
-                )
+            retry = replace(task, attempt=task.attempt + 1)
+            if not pool.retry(retry, task.attempt, task.max_retries):
+                on_failure(task, ChunkFailure.of(task, kind, error, message, tb))
 
         try:
-            while pending or delayed or busy:
-                now = time.monotonic()
-                while delayed and delayed[0][0] <= now:
-                    pending.append(heapq.heappop(delayed)[2])
-
+            while pending or pool.retries or pool.busy():
+                pending.extend(pool.due())
                 # Dispatch: fill idle workers, growing the pool up to the cap.
-                while pending and (idle or len(pool) < self.workers):
+                while pending:
+                    idle = pool.idle()
+                    worker = idle[0] if idle else pool.grow()
+                    if worker is None:
+                        break
                     task = pending.popleft()
                     if task.cell_name in self._cancelled:
                         continue
-                    if not idle:
-                        worker = _Worker(self.context)
-                        pool.append(worker)
-                        idle.append(worker)
-                    worker = idle.pop()
-                    try:
-                        worker.assign(task)
-                    except (BrokenPipeError, OSError):
-                        # Worker died while idle; replace it and redo the
-                        # dispatch (the task has not been attempted).
-                        retire(worker)
-                        self._inc("runner.worker_restarts")
+                    if not pool.assign(worker, task, task, task.timeout_s):
                         pending.appendleft(task)
-                        continue
-                    busy[worker.conn] = worker
 
-                if not busy:
-                    if delayed and not pending:
-                        # Nothing in flight; sleep until the next retry is due.
-                        time.sleep(max(0.0, min(delayed[0][0] - time.monotonic(),
-                                                _POLL_INTERVAL_S)))
-                    continue
-
-                # Wait for results, but wake for the nearest deadline/retry.
-                timeout = _POLL_INTERVAL_S
-                now = time.monotonic()
-                for worker in busy.values():
-                    if worker.deadline is not None:
-                        timeout = min(timeout, worker.deadline - now)
-                if delayed:
-                    timeout = min(timeout, delayed[0][0] - now)
-                ready = multiprocessing.connection.wait(
-                    list(busy), timeout=max(0.0, timeout)
-                )
-
-                for conn in ready:
-                    worker = busy.pop(conn)
-                    task = worker.task
-                    worker.task = None
-                    worker.deadline = None
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        # The worker died without reporting: SIGKILL,
-                        # os._exit, segfault.  Replace it; the chunk burns
-                        # one attempt.
-                        retire(worker)
-                        self._inc("runner.worker_restarts")
-                        exitcode = worker.process.exitcode
-                        handle_failure(
+                for kind, worker, task, detail in pool.wait():
+                    if task is None:
+                        continue  # an idle worker died; the pool replaced it
+                    if kind == "ok":
+                        if task.cell_name not in self._cancelled:
+                            on_result(task, detail)
+                    elif kind == "error":
+                        fail(task, "exception", *detail)
+                    elif kind == "death":
+                        fail(
                             task,
                             "worker-death",
                             "WorkerDied",
-                            f"worker process died (exitcode {exitcode}) while "
-                            f"running chunk {task.chunk_index} of cell "
-                            f"{task.cell_name!r}",
-                            "",
+                            f"worker process died (exitcode "
+                            f"{worker.process.exitcode}) while running chunk "
+                            f"{task.chunk_index} of cell {task.cell_name!r}",
                         )
-                        continue
-                    idle.append(worker)
-                    if message[0] == "ok":
-                        if task.cell_name not in self._cancelled:
-                            on_result(task, message[1])
                     else:
-                        _, error, detail, tb = message
-                        handle_failure(task, "exception", error, detail, tb)
-
-                # Deadline sweep: kill workers whose chunk overran its budget.
-                now = time.monotonic()
-                for conn, worker in list(busy.items()):
-                    if worker.deadline is not None and now > worker.deadline:
-                        busy.pop(conn)
-                        task = worker.task
-                        retire(worker)
-                        self._inc("runner.timeouts")
-                        self._inc("runner.worker_restarts")
-                        handle_failure(
+                        fail(
                             task,
                             "timeout",
                             "ChunkTimeout",
@@ -388,23 +227,6 @@ class WorkerSupervisor:
                             f"{task.cell_name!r} exceeded its "
                             f"{task.timeout_s:.3f}s deadline "
                             f"({len(task.seeds)} trials)",
-                            "",
                         )
         finally:
-            # Graceful shutdown for idle workers, SIGKILL for the rest --
-            # no leaked processes whatever aborted the loop.
-            for worker in idle:
-                try:
-                    worker.conn.send(None)
-                except (BrokenPipeError, OSError):
-                    pass
-            deadline = time.monotonic() + 1.0
-            for worker in pool:
-                worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            for worker in pool:
-                if worker.process.is_alive():
-                    worker.kill()
-                try:
-                    worker.conn.close()
-                except OSError:
-                    pass
+            pool.close()

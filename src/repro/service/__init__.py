@@ -2,17 +2,18 @@
 
 The campaign layer (:mod:`repro.experiments`) runs to completion and exits;
 this package keeps the expensive state *resident* -- per-(prime, n)
-evaluation plans, behaviour factories, interned session tables -- behind a
-supervised pool of shard processes, so a stream of coin/ABA/FBA requests
-pays world-building once per shape instead of once per request.
+evaluation plans, behaviour factories, interned session tables -- in shard
+processes on the same :class:`~repro.experiments.pool.WorkerPool` that runs
+campaign chunks, so a stream of coin/ABA/FBA requests pays world-building
+once per shape instead of once per request.
 
 Modules:
 
 * :mod:`repro.service.requests` -- request/response envelopes, canonical
   payloads, the cold-rerun oracle;
-* :mod:`repro.service.shard` -- the resident worker process;
-* :mod:`repro.service.frontend` -- dispatch, deadlines/retries, heartbeats,
-  backpressure, graceful shutdown;
+* :mod:`repro.service.shard` -- the shard's handler: its warm executors;
+* :mod:`repro.service.frontend` -- routing, heartbeats, backpressure and
+  graceful shutdown over the pool (which owns deadlines, kills, retries);
 * :mod:`repro.service.loadgen` -- synthetic load, chaos injection,
   byte-identity verification.
 """

@@ -1,10 +1,11 @@
 """Beacon front-end: dispatch, retries, health checks, backpressure.
 
-:class:`BeaconService` owns a pool of resident shard processes
-(:mod:`repro.service.shard`) and a single-threaded event loop in the style of
-:class:`~repro.experiments.supervisor.WorkerSupervisor` -- pipes plus
-:func:`multiprocessing.connection.wait` -- extended with everything a
-*long-lived* service needs that a run-to-completion campaign does not:
+:class:`BeaconService` runs its resident shards on the one
+:class:`~repro.experiments.pool.WorkerPool` -- the same code that spawns,
+times, kills, replaces and retries the campaign's workers -- with a
+:class:`~repro.service.shard.ShardState` as each shard's handler, and adds in
+a single-threaded event loop what a *long-lived* service needs and a
+run-to-completion campaign does not:
 
 * **routing**: accepted requests wait in one send-ordered admission queue
   and are bound to a shard at *dispatch*, not at submit: the head of the
@@ -14,14 +15,14 @@
   warm executors) if that shard is idle, else to the lowest-numbered idle
   shard -- FIFO, and no shard idles while a request waits.  An answer is a
   pure function of the request, so *where* it runs is performance policy;
-* **deadlines and retries**: a request past ``request_timeout_s`` gets its
-  shard SIGKILLed and replaced and is re-dispatched up to ``max_retries``
-  times after the shared deterministic backoff
-  (:func:`~repro.experiments.backoff.backoff_delay`);
+* **a fixed slot per shard**: all shards start with the service, and the
+  pool replaces a dead, hung or wedged one on its own slot.  A request past
+  ``request_timeout_s`` is re-dispatched up to ``max_retries`` times after
+  the pool's deterministic backoff;
 * **health checks**: idle shards are pinged every ``heartbeat_interval_s``;
-  a shard that misses ``heartbeat_timeout_s`` (or whose pipe reports EOF) is
-  killed and replaced.  Warm state is a cache, so a replacement shard is
-  merely cold, never wrong;
+  a shard whose pong is outstanding takes no request, and one that misses
+  ``heartbeat_timeout_s`` is killed and replaced.  Warm state is a cache,
+  so a replacement shard is merely cold, never wrong;
 * **backpressure**: queued plus in-flight requests are bounded by
   ``shards * queue_depth``, pooled over the shards; :meth:`submit` answers
   a full service with a structured ``"shed"`` response carrying
@@ -44,25 +45,24 @@ exported by :meth:`metrics_dump` (schema checked by
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import multiprocessing
-import multiprocessing.connection
 import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ServiceError
-from repro.experiments.backoff import DEFAULT_BACKOFF_BASE_S, backoff_delay
-from repro.experiments.supervisor import _supervisor_context
+from repro.experiments.backoff import DEFAULT_BACKOFF_BASE_S
+from repro.experiments.pool import POLL_INTERVAL_S, WorkerPool
 from repro.obs.metrics import MetricsRegistry, summarize_histogram
 from repro.service.requests import ERROR, OK, SHED, BeaconRequest, BeaconResponse
+from repro.service.shard import ShardState
 
-#: Event-loop poll tick when no deadline/heartbeat/retry is nearer (seconds).
-_POLL_INTERVAL_S = 0.25
-#: Grace given to a killed shard's ``join`` before it is abandoned.
-_JOIN_GRACE_S = 5.0
+#: The pool's counters, under their service names.
+_COUNTERS = {
+    "retries": "service.retries",
+    "timeouts": "service.timeouts",
+    "restarts": "service.shard_restarts",
+}
 #: Latency histogram bucket bounds (milliseconds).
 LATENCY_BUCKETS_MS: Tuple[int, ...] = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500)
 
@@ -112,55 +112,6 @@ class _Pending:
     slot: Optional[int] = None
 
 
-class _Shard:
-    """One resident shard process: pipe, in-flight state, heartbeat."""
-
-    __slots__ = (
-        "slot", "process", "conn", "inflight", "deadline",
-        "ping_token", "ping_sent_at", "last_seen",
-    )
-
-    def __init__(self, slot: int, context: multiprocessing.context.BaseContext) -> None:
-        from repro.service.shard import shard_main
-
-        parent_conn, child_conn = multiprocessing.Pipe()
-        self.process = context.Process(
-            target=shard_main, args=(child_conn, slot), daemon=True
-        )
-        self.process.start()
-        child_conn.close()
-        self.slot = slot
-        self.conn = parent_conn
-        self.inflight: Optional[_Pending] = None
-        self.deadline: Optional[float] = None
-        self.ping_token: Optional[int] = None
-        self.ping_sent_at: Optional[float] = None
-        self.last_seen = time.monotonic()
-
-    @property
-    def busy(self) -> bool:
-        return self.inflight is not None
-
-    def dispatch(self, pending: _Pending, timeout_s: Optional[float]) -> None:
-        pending.slot = self.slot
-        self.inflight = pending
-        self.deadline = (
-            time.monotonic() + timeout_s if timeout_s is not None else None
-        )
-        self.conn.send(("request", pending.request.to_dict()))
-
-    def kill(self) -> None:
-        try:
-            self.process.kill()
-        except (OSError, ValueError):
-            pass
-        self.process.join(timeout=_JOIN_GRACE_S)
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-
-
 class BeaconService:
     """Long-lived sharded front-end for deterministic beacon requests.
 
@@ -173,19 +124,20 @@ class BeaconService:
         self,
         policy: Optional[ServicePolicy] = None,
         metrics: Optional[MetricsRegistry] = None,
-        context: Optional[multiprocessing.context.BaseContext] = None,
     ) -> None:
         self.policy = policy if policy is not None else ServicePolicy()
         self.metrics = metrics if metrics is not None else MetricsRegistry(
             queue_depth_every=0, completion_steps=False
         )
-        self.context = context if context is not None else _supervisor_context()
-        self._shards: List[Optional[_Shard]] = [None] * self.policy.shards
+        # One slot per shard; a replacement comes up cold on the same slot --
+        # warm executors are a pure cache keyed by request shape, so losing
+        # them costs latency, never correctness.
+        self._pool = WorkerPool(ShardState, self.policy.shards,
+                                self.policy.backoff_base_s, self.metrics,
+                                _COUNTERS)
         self._queue: Deque[_Pending] = deque()  # admission queue, send order
-        self._delayed: List[Tuple[float, int, _Pending]] = []  # retry heap
         self._responses: Dict[str, BeaconResponse] = {}
         self._abandoned: Set[str] = set()  # ids whose call() gave up waiting
-        self._tickets = itertools.count()
         self._started = False
         self._closed = False
         self._started_at: Optional[float] = None
@@ -202,7 +154,7 @@ class BeaconService:
             self._started = True
             self._started_at = time.monotonic()
             for slot in range(self.policy.shards):
-                self._shards[slot] = _Shard(slot, self.context)
+                self._pool.spawn(slot)
         return self
 
     def __enter__(self) -> "BeaconService":
@@ -211,35 +163,8 @@ class BeaconService:
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         self.stop(drain=exc_type is None)
 
-    # ------------------------------------------------------------------
-    # Metrics helpers
-    # ------------------------------------------------------------------
     def _inc(self, name: str, amount: int = 1) -> None:
         self.metrics.counter(name).inc(amount)
-
-    # ------------------------------------------------------------------
-    # Shard pool management
-    # ------------------------------------------------------------------
-    def _replace_shard(self, shard: _Shard) -> _Shard:
-        """Kill ``shard`` and boot a cold replacement on the same slot.
-
-        The replacement rebuilds warm state lazily, on first request -- warm
-        executors are a pure cache keyed by request shape, so losing them
-        costs latency, never correctness.  Queued (not yet dispatched)
-        requests belong to the service, not to a shard, so nothing carries
-        over.
-        """
-        shard.kill()
-        self._inc("service.shard_restarts")
-        fresh = _Shard(shard.slot, self.context)
-        self._shards[shard.slot] = fresh
-        return fresh
-
-    def _live_shards(self) -> List[_Shard]:
-        return [shard for shard in self._shards if shard is not None]
-
-    def _busy_count(self) -> int:
-        return sum(shard.busy for shard in self._live_shards())
 
     # ------------------------------------------------------------------
     # Submission
@@ -258,7 +183,7 @@ class BeaconService:
             raise ServiceError("service is not running (call start())")
         request.validate()
         self._inc("service.requests")
-        depth = len(self._queue) + self._busy_count()
+        depth = len(self._queue) + self._pool.busy()
         if depth >= self.policy.shards * self.policy.queue_depth:
             self._inc("service.shed")
             return BeaconResponse(
@@ -281,7 +206,7 @@ class BeaconService:
             self._responses[response.request_id] = response
 
     def _finish_ok(self, pending: _Pending, payload: Dict[str, Any],
-                   warm: bool, shard: _Shard, exec_ms: float) -> None:
+                   warm: bool, exec_ms: float) -> None:
         elapsed_ms = (time.monotonic() - pending.accepted_at) * 1000.0
         self._inc("service.ok")
         if warm:
@@ -302,7 +227,7 @@ class BeaconService:
             request_id=pending.request.request_id,
             status=OK,
             payload=payload,
-            shard=shard.slot,
+            shard=pending.slot,
             attempts=pending.request.attempt + 1,
             warm=warm,
             elapsed_ms=round(elapsed_ms, 3),
@@ -321,165 +246,98 @@ class BeaconService:
             elapsed_ms=round((time.monotonic() - pending.accepted_at) * 1000.0, 3),
         ))
 
-    def _handle_failure(self, pending: _Pending, kind: str, error: str,
-                        message: str) -> None:
-        """Retry with deterministic backoff, or emit the terminal error."""
+    def _fail(self, pending: _Pending, kind: str, error: str,
+              message: str) -> None:
+        """Retry after the pool's backoff, or emit the terminal error."""
         request = pending.request
-        if request.attempt < self.policy.max_retries:
-            self._inc("service.retries")
+        if self._pool.retry(pending, request.attempt, self.policy.max_retries):
             request.attempt += 1
-            ready_at = time.monotonic() + backoff_delay(
-                request.attempt, self.policy.backoff_base_s
-            )
-            heapq.heappush(self._delayed, (ready_at, next(self._tickets), pending))
         else:
             self._finish_error(pending, kind, error, message)
 
     # ------------------------------------------------------------------
     # Event loop
     # ------------------------------------------------------------------
-    def poll(self, timeout_s: float = _POLL_INTERVAL_S) -> int:
+    def poll(self, timeout_s: float = POLL_INTERVAL_S) -> int:
         """Run one event-loop cycle; returns the number of responses ready.
 
         One cycle: promote due retries, dispatch to idle shards, wait (up to
         ``timeout_s``, shortened to the nearest deadline / heartbeat /
-        retry), consume shard replies, sweep deadlines, ping idle shards.
+        retry), consume shard replies and deaths, ping idle shards.
         """
         if not self._started:
             raise ServiceError("service is not running (call start())")
-        now = time.monotonic()
+        pool = self._pool
         queue = self._queue
 
         # Promote due retries to the front of the queue, oldest first (a
         # retried request is older than anything queued behind it).
-        due: List[_Pending] = []
-        while self._delayed and self._delayed[0][0] <= now:
-            due.append(heapq.heappop(self._delayed)[2])
+        due = pool.due()
         due.sort(key=lambda pending: pending.accepted_at, reverse=True)
         queue.extendleft(due)
 
         # Dispatch: the head of the queue goes to its home shard if that one
         # is idle, else to the lowest-numbered idle shard.  Only the head is
         # ever bound, so nothing overtakes; the loop ends when the queue is
-        # empty or every shard is busy, so none idles while a request waits.
+        # empty or no shard is idle, so none idles while a request waits.
         while queue:
-            idle = [shard for shard in self._live_shards() if not shard.busy]
+            idle = pool.idle()
             if not idle:
                 break
             home = queue[0].request.shard_slot(self.policy.shards)
-            shard = next((s for s in idle if s.slot == home), idle[0])
-            pending = queue.popleft()
-            try:
-                shard.dispatch(pending, self.policy.request_timeout_s)
-            except (BrokenPipeError, OSError):
-                # Shard died while idle; replace it and put the request back
-                # at the front (it has not been attempted: no attempt burns).
-                self._replace_shard(shard)
-                queue.appendleft(pending)
-                continue
-            if shard.slot != home:
+            shard = next((s for s in idle if s.index == home), idle[0])
+            pending = queue[0]
+            if not pool.assign(shard, pending, pending.request.to_dict(),
+                               self.policy.request_timeout_s):
+                continue  # found dead and replaced; no attempt burns
+            queue.popleft()
+            pending.slot = shard.index
+            if shard.index != home:
                 self._inc("service.spills")
 
-        # Wait for replies, waking for the nearest deadline/heartbeat/retry.
-        wait_s = max(0.0, timeout_s)
-        now = time.monotonic()
-        conns = []
-        for shard in self._live_shards():
-            conns.append(shard.conn)
-            if shard.deadline is not None:
-                wait_s = min(wait_s, shard.deadline - now)
-            if shard.ping_sent_at is not None:
-                wait_s = min(
-                    wait_s,
-                    shard.ping_sent_at + self.policy.heartbeat_timeout_s - now,
-                )
-        if self._delayed:
-            wait_s = min(wait_s, self._delayed[0][0] - now)
-        ready = multiprocessing.connection.wait(conns, timeout=max(0.0, wait_s))
-
-        by_conn = {shard.conn: shard for shard in self._live_shards()}
-        for conn in ready:
-            shard = by_conn[conn]
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                # Shard death: SIGKILL, os._exit, segfault, injected chaos.
-                pending = shard.inflight
-                shard.inflight = None
-                shard.deadline = None
-                self._replace_shard(shard)
-                if pending is not None:
-                    self._handle_failure(
-                        pending,
-                        "shard-death",
-                        "ShardDied",
-                        f"shard {shard.slot} died (exitcode "
-                        f"{shard.process.exitcode}) while running "
-                        f"{pending.request.request_id}",
-                    )
-                continue
-            shard.last_seen = time.monotonic()
-            kind = message[0]
-            if kind == "pong":
-                if message[1] == shard.ping_token:
-                    shard.ping_token = None
-                    shard.ping_sent_at = None
-            elif kind == "ok":
-                pending = shard.inflight
-                shard.inflight = None
-                shard.deadline = None
-                if pending is not None and pending.request.request_id == message[1]:
-                    _, _, payload, warm, shard_ms = message
-                    self._finish_ok(pending, payload, warm, shard, shard_ms)
+        # Wait for replies, waking for the nearest heartbeat timeout too.
+        timeout = self.policy.heartbeat_timeout_s
+        pings = [s.ping_at + timeout for s in pool.live() if s.ping_at is not None]
+        for kind, shard, pending, detail in pool.wait(
+            timeout_s, min(pings) if pings else None
+        ):
+            if pending is None:
+                continue  # an idle shard died; the pool replaced it
+            if kind == "ok":
+                self._finish_ok(pending, *detail)
             elif kind == "error":
-                pending = shard.inflight
-                shard.inflight = None
-                shard.deadline = None
-                if pending is not None and pending.request.request_id == message[1]:
-                    _, _, error, detail, _tb = message
-                    self._handle_failure(pending, "exception", error, detail)
-            # "stats" replies are consumed by shard_stats(); anything else
-            # from a confused shard is ignored rather than trusted.
-
-        # Deadline sweep: a shard past its request deadline is hung (or far
-        # too slow) -- SIGKILL it, replace it, and retry the request.
-        now = time.monotonic()
-        for shard in list(self._live_shards()):
-            if shard.busy and shard.deadline is not None and now > shard.deadline:
-                pending = shard.inflight
-                shard.inflight = None
-                shard.deadline = None
-                self._inc("service.timeouts")
-                self._replace_shard(shard)
-                self._handle_failure(
+                self._fail(pending, "exception", *detail[:2])
+            elif kind == "death":
+                self._fail(
+                    pending,
+                    "shard-death",
+                    "ShardDied",
+                    f"shard {shard.index} died (exitcode "
+                    f"{shard.process.exitcode}) while running "
+                    f"{pending.request.request_id}",
+                )
+            else:
+                self._fail(
                     pending,
                     "timeout",
                     "RequestTimeout",
                     f"request {pending.request.request_id} exceeded its "
                     f"{self.policy.request_timeout_s:.3f}s deadline on shard "
-                    f"{shard.slot}",
+                    f"{shard.index}",
                 )
 
         # Heartbeats: ping idle shards, replace the unresponsive.
         now = time.monotonic()
-        for shard in list(self._live_shards()):
-            if shard.busy:
+        for shard in pool.live():
+            if shard.job is not None:
                 continue
-            if shard.ping_sent_at is not None:
-                if now - shard.ping_sent_at > self.policy.heartbeat_timeout_s:
+            if shard.ping_at is not None:
+                if now - shard.ping_at > timeout:
                     self._inc("service.heartbeat_failures")
-                    self._replace_shard(shard)
-                continue
-            if now - shard.last_seen >= self.policy.heartbeat_interval_s:
-                token = next(self._tickets)
-                try:
-                    shard.conn.send(("ping", token))
-                except (BrokenPipeError, OSError):
+                    pool.replace(shard)
+            elif now - shard.seen_at >= self.policy.heartbeat_interval_s:
+                if not pool.ping(shard):
                     self._inc("service.heartbeat_failures")
-                    self._replace_shard(shard)
-                    continue
-                shard.ping_token = token
-                shard.ping_sent_at = now
 
         return len(self._responses)
 
@@ -493,7 +351,7 @@ class BeaconService:
     @property
     def pending_count(self) -> int:
         """Requests accepted but not yet answered (queued/in-flight/retrying)."""
-        return len(self._queue) + self._busy_count() + len(self._delayed)
+        return len(self._queue) + self._pool.busy() + len(self._pool.retries)
 
     def run_until_idle(self, timeout_s: Optional[float] = None) -> None:
         """Drive the loop until every accepted request has a response."""
@@ -536,31 +394,21 @@ class BeaconService:
     # Introspection
     # ------------------------------------------------------------------
     def shard_stats(self, timeout_s: float = 5.0) -> List[Dict[str, Any]]:
-        """Round-trip ``stats`` probes to every idle live shard."""
+        """Each live shard's serve counters, fetched with a heartbeat ping;
+        a busy shard only reports that it is busy."""
+        pool = self._pool
         stats: List[Dict[str, Any]] = []
-        for shard in self._live_shards():
-            if shard.busy:
-                stats.append({"shard": shard.slot, "busy": True})
-                continue
-            token = next(self._tickets)
-            try:
-                shard.conn.send(("stats", token))
-            except (BrokenPipeError, OSError):
-                continue
-            deadline = time.monotonic() + timeout_s
-            while time.monotonic() < deadline:
-                if not shard.conn.poll(timeout=0.05):
-                    continue
-                try:
-                    message = shard.conn.recv()
-                except (EOFError, OSError):
-                    break
-                if message[0] == "stats" and message[1] == token:
-                    stats.append(message[2])
-                    break
-                if message[0] == "pong":
-                    shard.ping_token = None
-                    shard.ping_sent_at = None
+        probed = []
+        for shard in pool.live():
+            if shard.job is not None:
+                stats.append({"shard": shard.index, "busy": True})
+            elif shard.ping_at is not None or pool.ping(shard):
+                probed.append(shard)
+        deadline = time.monotonic() + timeout_s
+        while any(s.ping_at is not None for s in probed) and time.monotonic() < deadline:
+            self.poll(0.05)
+        # A shard replaced meanwhile died mid-probe and reports nothing.
+        stats.extend(s.stats for s in probed if pool.workers[s.index] is s)
         return stats
 
     def metrics_dump(self) -> Dict[str, Any]:
@@ -616,6 +464,7 @@ class BeaconService:
             self._closed = True
             return
         self._closed = True
+        pool = self._pool
         try:
             if drain:
                 deadline = time.monotonic() + self.policy.drain_timeout_s
@@ -624,33 +473,16 @@ class BeaconService:
             # Surface anything still outstanding as structured errors.
             leftovers: List[_Pending] = list(self._queue)
             self._queue.clear()
-            for shard in self._live_shards():
-                if shard.inflight is not None:
-                    leftovers.append(shard.inflight)
-                    shard.inflight = None
-            leftovers.extend(entry[2] for entry in self._delayed)
-            self._delayed = []
+            for shard in pool.live():
+                if shard.job is not None:
+                    leftovers.append(shard.job)
+                    shard.job = None
+            leftovers.extend(entry[2] for entry in pool.retries)
+            pool.retries.clear()
             for pending in leftovers:
                 self._finish_error(
                     pending, "shutdown", "ServiceStopped",
                     "service stopped before the request completed",
                 )
         finally:
-            # Graceful exit for responsive shards, SIGKILL for the rest.
-            shards = self._live_shards()
-            for shard in shards:
-                try:
-                    shard.conn.send(None)
-                except (BrokenPipeError, OSError):
-                    pass
-            deadline = time.monotonic() + 1.0
-            for shard in shards:
-                shard.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            for shard in shards:
-                if shard.process.is_alive():
-                    shard.kill()
-                try:
-                    shard.conn.close()
-                except OSError:
-                    pass
-            self._shards = [None] * self.policy.shards
+            pool.close()

@@ -1,34 +1,28 @@
-"""Resident shard worker: warm executors behind a pipe.
+"""Resident shard state: warm executors behind a pool worker.
 
-Each shard is a long-lived ``multiprocessing.Process`` holding a cache of
+Each shard is a long-lived worker of the beacon's
+:class:`~repro.experiments.pool.WorkerPool` whose handler is a
+:class:`ShardState`: a cache of
 :class:`~repro.experiments.runner.CellExecutor` instances keyed by the
 request's :meth:`~repro.service.requests.BeaconRequest.warm_key` -- the
 per-(prime, n) evaluation plans, behaviour factories and interned session
 tables built once and reused for every subsequent request of the same shape.
 Request N+1 skips world-building entirely; only the seeded trial runs.
 
-The shard speaks a small tagged-tuple protocol over its pipe:
-
-* ``("request", dict)``   -> ``("ok", rid, payload, warm, elapsed_ms)`` or
-  ``("error", rid, error, message, traceback)``
-* ``("ping", token)``     -> ``("pong", token)`` -- heartbeat liveness probe
-* ``("stats", token)``    -> ``("stats", token, dict)`` -- cache/serve counters
-* ``None``                -> clean exit
+The pool's worker loop owns the pipe and crash isolation: a request dict
+is answered ``("ok", (payload, warm, elapsed_ms))`` or ``("error", (name,
+message, traceback))``, and a heartbeat ping is answered with
+:meth:`ShardState.stats`.
 
 Chaos faults ride inside the request (``fault`` field) and fire *before* the
-trial, exactly like the campaign plane's chunk hook -- an injected SIGKILL or
-hang takes the shard down mid-request and exercises the front-end's
-replace-and-retry machinery, never the result.  Crash isolation mirrors
-:func:`repro.experiments.supervisor._worker_main`: every ``BaseException``
-becomes a structured error reply; only a broken pipe or ``KeyboardInterrupt``
-ends the loop silently.
+trial, exactly like the campaign's chunk hook -- an injected SIGKILL or
+hang takes the shard down mid-request and exercises the pool's
+replace-and-retry machinery, never the result.
 """
 
 from __future__ import annotations
 
-import multiprocessing.connection
 import time
-import traceback
 from typing import Any, Dict, Tuple
 
 from repro.service.requests import BeaconRequest, canonical_payload
@@ -42,6 +36,13 @@ class ShardState:
         self.executors: Dict[str, Any] = {}
         self.served = 0
         self.warm_hits = 0
+
+    def __call__(self, body: Dict[str, Any]) -> Tuple[Dict[str, Any], bool, float]:
+        """Pool handler: one request dict -> ``(payload, warm, elapsed_ms)``."""
+        request = BeaconRequest.from_dict(body)
+        started = time.monotonic()
+        payload, warm = self.execute(request)
+        return payload, warm, (time.monotonic() - started) * 1000.0
 
     def execute(self, request: BeaconRequest) -> Tuple[Dict[str, Any], bool]:
         """Run one request, reusing (or building) its warm executor."""
@@ -70,46 +71,3 @@ class ShardState:
             "warm_hits": self.warm_hits,
             "executors": len(self.executors),
         }
-
-
-def shard_main(conn: multiprocessing.connection.Connection, shard_id: int) -> None:
-    """Shard process entrypoint: serve requests until told to stop."""
-    state = ShardState(shard_id)
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            return
-        if message is None:
-            conn.close()
-            return
-        kind = message[0]
-        if kind == "ping":
-            reply: Tuple[Any, ...] = ("pong", message[1])
-        elif kind == "stats":
-            reply = ("stats", message[1], state.stats())
-        elif kind == "request":
-            request = BeaconRequest.from_dict(message[1])
-            started = time.monotonic()
-            try:
-                payload, warm = state.execute(request)
-            except KeyboardInterrupt:
-                return
-            except BaseException as exc:  # noqa: BLE001 -- crash isolation
-                reply = (
-                    "error",
-                    request.request_id,
-                    type(exc).__name__,
-                    str(exc),
-                    traceback.format_exc(),
-                )
-            else:
-                elapsed_ms = (time.monotonic() - started) * 1000.0
-                reply = ("ok", request.request_id, payload, warm, elapsed_ms)
-        else:
-            reply = ("error", None, "ProtocolError",
-                     f"unknown shard message {kind!r}", "")
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            return

@@ -36,9 +36,9 @@ def test_attempts_below_one_clamp_to_first_step(attempt):
 
 def test_supervisor_and_service_share_one_formula():
     # The supervisor re-exports the shared helper (back-compat import path);
-    # the beacon front-end imports it directly.  Identity, not equality:
-    # there must be exactly one implementation.
+    # the worker pool under the campaign and the beacon is its only caller.
+    # Identity, not equality: there must be exactly one implementation.
     assert supervisor_module.backoff_delay is backoff_module.backoff_delay
-    from repro.service import frontend
+    from repro.experiments import pool
 
-    assert frontend.backoff_delay is backoff_module.backoff_delay
+    assert pool.backoff_delay is backoff_module.backoff_delay

@@ -12,10 +12,14 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ExperimentError, FaultInjectionError
 from repro.experiments import (
     CampaignInterrupted,
@@ -349,6 +353,44 @@ class TestInterrupt:
             time.sleep(0.05)
         assert not multiprocessing.active_children()
         assert not path.with_name(path.name + ".lock").exists()
+
+
+class TestInlineProcessFaults:
+    """With ``workers <= 1`` the trials run in the caller's own process, so a
+    fault that kills or stalls its process must be refused up front.  The
+    CLI runs in a subprocess: a run that is not refused cannot take pytest
+    down with it."""
+
+    @pytest.mark.parametrize("fault", ["exit", "sigkill", "hang"])
+    def test_cli_refuses_before_the_lock_is_taken(self, tmp_path, fault):
+        spec = tmp_path / "chaos.json"
+        spec.write_text(_campaign().to_json())
+        out = tmp_path / "inline.json"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", "run", str(spec),
+             "--workers", "1", "--inject", fault, "--out", str(out), "--quiet"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert f"'{fault}'" in lines[0] and "'bcast'" in lines[0]
+        assert not out.exists()
+        assert not out.with_name(out.name + ".lock").exists()
+
+    def test_run_campaign_refuses_before_any_trial(self):
+        events = []
+        with pytest.raises(ExperimentError, match="workers > 1"):
+            run_campaign(
+                _campaign(FaultSpec("hang", {"chunks": [5]})),
+                workers=1,
+                progress=events.append,
+            )
+        assert events == []
 
 
 class TestLock:

@@ -9,6 +9,9 @@ process.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
@@ -142,6 +145,71 @@ class TestHangs:
             dump = service.metrics_dump()
         assert dump["counters"]["service.ok"] == 1
         assert validate_service_metrics(dump) == []
+
+
+class TestHeartbeats:
+    """A SIGSTOPped shard keeps its pipe open, so only its heartbeat can
+    tell it is wedged: it must be replaced, and take no request meanwhile."""
+
+    POLICY = dict(shards=1, heartbeat_interval_s=0.05, heartbeat_timeout_s=0.5)
+
+    @staticmethod
+    def _kill_stopped(pid: int) -> None:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+    def test_wedged_idle_shard_is_replaced_within_the_heartbeat_timeout(self):
+        service = make_service(**self.POLICY).start()
+        pid = service._pool.workers[0].process.pid
+        try:
+            os.kill(pid, signal.SIGSTOP)
+            began = time.monotonic()
+            while service._pool.workers[0].process.pid == pid:
+                # interval + timeout, plus slack for a loaded machine
+                assert time.monotonic() - began < 0.55 + 2.0, "never replaced"
+                service.poll(0.01)
+            counters = service.metrics_dump()["counters"]
+            assert counters["service.heartbeat_failures"] == 1
+            assert counters["service.shard_restarts"] == 1
+            request = BeaconRequest(protocol="weak_coin", n=4, seed=51)
+            response = service.call(request, timeout_s=60)
+        finally:
+            self._kill_stopped(pid)
+            service.stop()
+        assert response.ok and response.attempts == 1
+        assert canonical_json(response.payload) == canonical_json(
+            cold_payload(request)
+        )
+        assert no_leaked_children()
+
+    def test_shard_owing_a_pong_takes_no_request(self):
+        service = make_service(**self.POLICY).start()
+        stopped = service._pool.workers[0]
+        pid = stopped.process.pid
+        try:
+            os.kill(pid, signal.SIGSTOP)
+            give_up = time.monotonic() + 10.0
+            while stopped.ping_at is None:
+                assert time.monotonic() < give_up, "no ping went out"
+                service.poll(0.01)
+            request = BeaconRequest(protocol="weak_coin", n=4, seed=52)
+            response = service.call(request, timeout_s=5)
+            counters = service.metrics_dump()["counters"]
+        finally:
+            self._kill_stopped(pid)
+            service.stop()
+        # Served by the replacement on its first dispatch, not retried off
+        # the wedged shard after a request deadline.
+        assert response.ok and response.attempts == 1
+        assert canonical_json(response.payload) == canonical_json(
+            cold_payload(request)
+        )
+        assert counters["service.heartbeat_failures"] == 1
+        assert counters["service.shard_restarts"] == 1
+        assert counters["service.retries"] == 0
+        assert no_leaked_children()
 
 
 class TestBackpressure:

@@ -177,7 +177,7 @@ class TestAffinityKept:
     def test_idle_shard_found_dead_at_dispatch_burns_no_attempt(self):
         request = weak_coin(21)
         with make_service() as service:
-            victim = service._shards[request.shard_slot(2)].process
+            victim = service._pool.workers[request.shard_slot(2)].process
             victim.kill()
             victim.join(timeout=10)
             assert not victim.is_alive()

@@ -39,6 +39,19 @@ def test_src_imports_nothing_outside_itself():
     assert offenders == []
 
 
+def test_only_the_pool_imports_multiprocessing():
+    """Spawning, deadlines, SIGKILL-and-replace, retries and teardown live in
+    one module for the campaign and the beacon alike; a supervision feature
+    that imports ``multiprocessing`` elsewhere is growing a second pool."""
+    importers = {
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        for _, root in _imported_roots(ast.parse(path.read_text()))
+        if root == "multiprocessing"
+    }
+    assert importers == {"experiments/pool.py"}
+
+
 def test_run_surface():
     """Every settable value of one run, as a literal list.
 
