@@ -71,9 +71,10 @@ if TYPE_CHECKING:  # heavy layers; imported lazily at runtime because
 #: Parameters every ablation cell shares unless overridden: tracing off (the
 #: campaign configuration, metered) plus the structured-metrics registry,
 #: which supplies the cache-hit-rate and histogram columns of the
-#: contribution table.  A registry takes a trial off the unmaterialised
-#: delivery loop, so these cells run on the generic loop and their wall
-#: column is advisory, like every ``elapsed_s`` in the campaign layer.
+#: contribution table.  A registry's hooks ride the delivery loop (a stored
+#: step per delivery, a depth sample every 64th), so these cells cost a
+#: little more than a plain trial and their wall column is advisory, like
+#: every ``elapsed_s`` in the campaign layer.
 DEFAULT_BASE_PARAMS: Dict[str, Any] = {"tracing": False, "metrics": True}
 
 #: Name of the all-factors-on cell in every ablation campaign.

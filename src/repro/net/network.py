@@ -23,29 +23,31 @@ campaign):
   tuples network-wide, so the per-delivery routing dict lookup compares
   interned keys by identity and child-session tuples are shared across all
   parties instead of re-allocated per process.
-* **Two delivery loops** -- :meth:`run`, :meth:`run_until_complete`,
+* **One delivery loop** -- :meth:`run`, :meth:`run_until_complete`,
   :meth:`run_to_quiescence` and :meth:`step` are thin callers of
-  :meth:`_drive`, the one generic loop: stop check, cap, quiescence, ``pop``,
-  eager ``step_count``, trace record, ``deliver``, queue-depth sample, director
-  wake-up -- each hook bound once before the loop and skipped when absent.
-  Its single specialisation, :meth:`_drive_unmaterialised`, serves runs in
-  which nothing needs a Message per delivery (tracing off, no metrics
-  registry) on a queue holding fan-outs as groups: it delivers ``(entry,
-  receiver)`` pairs without building Message objects, straight to the
-  handler of a started instance and through :meth:`Process.deliver_parts`
-  otherwise.  A scenario director rides either loop: it observes lifecycle
-  events and steps, never messages (see :meth:`install_director`).  Which
-  loop runs is read off that state, never chosen by a caller.
+  :meth:`_drive_unmaterialised`, whatever observes the run.  It pops
+  ``(entry, receiver)`` slots (every queue offers ``pop_entry``; a lone
+  message is ``(message, -1)``) and delivers them without building Message
+  objects: straight to the handler of a started instance, through
+  :meth:`Process.deliver_parts` otherwise.  Observation rides the loop
+  instead of replacing it: the trace logs the popped pair (records are
+  expanded into events when read, :mod:`repro.net.tracing`), the step
+  counter is stored per delivery only when something reads it mid-run, and
+  the registry's queue-depth sample, a director's ``on_step`` and an
+  ``until`` condition share one wake-up step -- so a plain trial pays for
+  none of them.  A random queue holds every fan-out as one group entry,
+  traced or not; the other queues hold Messages.
 
-Both loops reproduce the seed's delivery order, traces and outputs
-byte-identically per seed (``tests/net/test_completion.py``,
-``tests/net/test_loop_matrix.py``).
+The loop reproduces the seed's delivery order, traces and outputs
+byte-identically per seed; ``tests/net/test_loop_matrix.py`` holds every
+configuration of it to a naive reference loop kept in the tests, and
+``tests/net/test_completion.py`` the counters to the per-process scan.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import ProtocolParams
 from repro.errors import SimulationError
@@ -64,6 +66,11 @@ _CAP_ERROR = "run() exceeded {} deliveries without reaching its stop condition"
 _DEADLOCK_ERROR = (
     "network is quiescent but the stop condition is not met (protocol deadlock)"
 )
+
+
+def _earliest(*steps: Optional[int]) -> Optional[int]:
+    """The smallest of ``steps`` that is not None (None when all are)."""
+    return min((step for step in steps if step is not None), default=None)
 
 
 class Network:
@@ -137,18 +144,19 @@ class Network:
         #: ``complete()`` fires at most once per (party, session), so the
         #: count reaching ``_honest_n`` is exactly the legacy all-honest scan.
         self._completions: Dict[SessionId, int] = {}
-        #: Session currently watched by :meth:`run_until_complete` (and the
-        #: flag set once its counter reaches the honest count), letting the
-        #: delivery loop test one attribute instead of a dict lookup.
+        #: Session currently watched by :meth:`run_until_complete`, and the
+        #: flag set once the running drive's stop condition holds (the watched
+        #: session's counter reached the honest count, or ``until`` held),
+        #: letting the delivery loop test one attribute per delivery.
         self._watch_session: Optional[SessionId] = None
-        self._watch_done = False
+        self._stop = False
         # Hot-path caches: the queue and trace objects are fixed for the
         # network's lifetime (a disabled trace binds no-op hooks at
         # construction), so bound methods can be cached once.
         self._n = params.n
         self._queue_push = self._queue.push
         self._trace_on_send = self.trace.on_send
-        self._trace_on_send_many = self.trace.on_send_many
+        self._trace_on_fanout = self.trace.on_fanout
         self._tracing = self.trace.enabled
         #: Pre-bound meter hook for the send paths (None when unmetered).
         self._meter_count_send = None if self.meter is None else self.meter.count_send
@@ -161,12 +169,10 @@ class Network:
             if getattr(metrics, "completion_steps", False):
                 self._obs_on_complete = metrics.on_complete
             self._obs_sample_every = getattr(metrics, "queue_depth_every", 0)
-        #: Queue fan-outs as single unmaterialised group entries.  Requires a
-        #: queue that understands groups and tracing off (trace hooks need
-        #: real Message objects at send time); fixed for the network's life.
-        self._group_mode = not self._tracing and getattr(
-            self._queue, "supports_groups", False
-        )
+        #: Queue fan-outs as single unmaterialised group entries: read off
+        #: the queue alone (only the random queue holds groups), fixed for
+        #: the network's life.
+        self._group_mode = getattr(self._queue, "supports_groups", False)
         self.processes: List[Process] = [
             Process(
                 pid,
@@ -219,8 +225,7 @@ class Network:
         ``on_step(step)`` -- before the stop check, however it is driven
         (:meth:`run`, :meth:`run_until_complete`, :meth:`step`) -- and reads
         ``wake_step`` again; it is otherwise read once, when a drive begins.
-        A director never sees a message (a trace sink does), so installing
-        one does not take a run off the unmaterialised loop: per delivery it
+        A director never sees a message (a trace sink does): per delivery it
         costs an int comparison and a current ``step_count`` for its hooks.
         """
         self.director = director
@@ -265,11 +270,12 @@ class Network:
         """Queue one copy of ``payload`` for every party, in pid order.
 
         Byte-identical to calling :meth:`submit` for receivers ``0..n-1``
-        (same sequence numbers, same queue order, same trace records) with
-        the per-message overhead hoisted.  In group mode (tracing off, queue
-        with fan-out support) the whole broadcast becomes ONE unmaterialised
-        :class:`~repro.net.queues.FanoutEntry`; delivered copies are built at
-        pop time and undelivered copies are never allocated.  Broadcasts
+        (same sequence numbers, same queue order, same trace events) with
+        the per-message overhead hoisted.  In group mode (a queue with
+        fan-out support) the whole broadcast becomes ONE unmaterialised
+        :class:`~repro.net.queues.FanoutEntry`; delivered copies are built
+        only for a consumer that needs a Message, and undelivered copies are
+        never allocated.  Broadcasts
         dominate the send side of the SVSS-heavy protocols, which makes this
         the hot path of :meth:`Protocol.broadcast`.
         """
@@ -305,16 +311,21 @@ class Network:
         values: Optional[List],
         skip: Optional[int],
     ) -> None:
-        """One receiver-ordered fan-out: ``payload`` shared, or ``values[r]`` each."""
+        """One receiver-ordered fan-out: ``payload`` shared, or ``values[r]`` each.
+
+        The trace records the fan-out as its :class:`FanoutEntry`, built for
+        that alone when the queue holds Messages.
+        """
         n = self._n
         seq = self._next_seq
         size = n if skip is None else n - 1
         self._next_seq = seq + size
         root = session[0] if session else None
+        entry = None
+        if self._group_mode or self._tracing:
+            entry = FanoutEntry(sender, session, kind, payload, values, seq, skip, root)
         if self._group_mode:
-            self._queue.push_group(
-                FanoutEntry(sender, session, kind, payload, values, seq, skip, root), n
-            )
+            self._queue.push_group(entry, n)
         else:
             new = Message.__new__
             messages = []
@@ -335,9 +346,9 @@ class Network:
                 seq += 1
                 append(message)
             self._queue.push_many(messages)
-            if self._tracing:
-                self._trace_on_send_many(self.step_count, messages, kind, root)
-                return
+        if self._tracing:
+            self._trace_on_fanout(self.step_count, entry, size)
+            return
         count_send = self._meter_count_send
         if count_send is not None:
             # One counter bump for the whole fan-out: FanoutEntry
@@ -357,7 +368,9 @@ class Network:
         if not len(self._queue):
             return False
         stop_at = self.step_count + 1
-        self._drive(None, lambda network: network.step_count >= stop_at, 1)
+        self._drive_unmaterialised(
+            None, lambda network: network.step_count >= stop_at, 1
+        )
         return True
 
     def run(
@@ -382,7 +395,7 @@ class Network:
                 (deadlock -- typically a protocol bug or an impossible fault
                 pattern).
         """
-        return self._drive(None, until, max_steps)
+        return self._drive_unmaterialised(None, until, max_steps)
 
     def run_until_complete(
         self, session: SessionId, max_steps: int = DEFAULT_MAX_STEPS
@@ -395,134 +408,84 @@ class Network:
         condition is one flag read per delivery (flipped by
         :meth:`record_completion`) instead of an O(n) scan over the processes.
         """
-        return self._drive(tuple(session), None, max_steps)
+        return self._drive_unmaterialised(tuple(session), None, max_steps)
 
     def run_to_quiescence(self, max_steps: int = DEFAULT_MAX_STEPS) -> int:
         """Deliver messages until none remain in flight."""
-        return self._drive(None, None, max_steps)
+        return self._drive_unmaterialised(None, None, max_steps)
 
-    def _drive(
+    def _drive_unmaterialised(
         self,
         watch: Optional[SessionId],
         until: Optional[Callable[["Network"], bool]],
         max_steps: int,
     ) -> int:
-        """The delivery loop: one scheduler-chosen message per iteration.
+        """The delivery loop: one scheduler-chosen copy per iteration.
 
         Stops when every honest party completed ``watch``, else when
-        ``until(self)`` holds, else (neither given) when nothing is in
-        flight; returns the number of deliveries made.  ``step_count`` is
-        current whenever a handler or hook can read it.  Per delivery, in
-        order: the trace, the handler, the registry's queue-depth sample
-        (every ``queue_depth_every``-th), and ``director.on_step`` once the
-        step reaches the director's ``wake_step``.  The trace costs one
-        record appended to its log (``Trace.log_delivery``); its delivery
-        count is brought up to date and the log pumped when the drive exits,
-        however it exits.
+        ``until(self)`` holds (checked before the first delivery and after
+        each), else -- neither given -- when nothing is in flight; returns
+        the number of deliveries made.  Per delivery, in order: the trace
+        record, the handler, then at a wake-up step the registry's
+        queue-depth sample, the director's ``on_step`` and ``until``.
+
+        A copy is handed to its handler directly when nothing stands between
+        them -- the receiver runs no behaviour, shuns nobody, and the
+        session's instance exists and has started.  That is a pre-check, not
+        a second router: every other copy is handled by
+        :meth:`Process.deliver_parts` (:meth:`Process.deliver` for a lone
+        message), which re-reads the receiver's behaviour and protocol table
+        per delivery, so a director corrupting or restarting a party mid-run
+        needs nothing more.
         """
+        # Unless something reads ``step_count`` mid-run (the trace's hooks, a
+        # director's audit log, the registry's completion steps, ``until``),
+        # the counter lives in the loop variable, which also enforces the
+        # cap, and is written back when the loop exits.  An empty queue
+        # surfaces as ``pop_entry`` raising IndexError before any state
+        # changes: a zero-cost (until raised) emptiness check.
         queue = self._queue
-        director = self.director
-        if watch is not None:
-            # Completion-driven stop: record_completion flips _watch_done the
-            # moment the watched session's counter reaches the honest count.
-            self._watch_session = watch
-            self._watch_done = self._completions.get(watch, 0) >= self._honest_n
-        delivered = 0
-        if self._tracing:
-            self.trace.driving = True
-        try:
-            if (
-                watch is not None
-                and not self._tracing
-                and self._obs_on_complete is None
-                and not self._obs_sample_every
-                and hasattr(queue, "pop_entry")
-            ):
-                return self._drive_unmaterialised(max_steps)
-            queue_len = queue.__len__
-            pop = queue.pop
-            rng = self.scheduler_rng
-            processes = self.processes
-            log_delivery = self.trace.log_delivery if self._tracing else None
-            sample_every = self._obs_sample_every
-            on_depth = self.metrics.on_queue_depth if sample_every else None  # type: ignore[union-attr]
-            wake = None if director is None else director.wake_step
-            while True:
-                if watch is not None:
-                    if self._watch_done:
-                        return delivered
-                elif until is not None and until(self):
-                    return delivered
-                if delivered >= max_steps:
-                    raise SimulationError(_CAP_ERROR.format(max_steps))
-                if not queue_len():
-                    if watch is None and until is None:
-                        return delivered
-                    raise SimulationError(_DEADLOCK_ERROR)
-                message = pop(rng, self.step_count)
-                self.step_count = step = self.step_count + 1
-                delivered += 1
-                if log_delivery is not None:
-                    log_delivery((step, message))
-                processes[message.receiver].deliver(message)
-                if on_depth is not None and delivered % sample_every == 0:
-                    on_depth(step, queue_len())
-                if wake is not None and step >= wake:
-                    director.on_step(step)  # type: ignore[union-attr]
-                    wake = director.wake_step  # type: ignore[union-attr]
-        finally:
-            if watch is not None:
-                self._watch_session = None
-                self._watch_done = False
-            if self._tracing:
-                # Also when a handler raised: the trace's consumers hold the
-                # events up to and including the failing delivery.
-                trace = self.trace
-                trace.driving = False
-                trace.messages_delivered += delivered
-                trace.pump()
-
-    def _drive_unmaterialised(self, max_steps: int) -> int:
-        """:meth:`_drive` for a watched run that needs no Message per delivery.
-
-        A fan-out copy is routed here when nothing stands between it and its
-        handler -- the receiver runs no behaviour, shuns nobody, and the
-        session's instance exists and has started: then the handler is called
-        directly.  That is a pre-check, not a second router: every other copy
-        (and any of these, had it been sent there) is handled by
-        :meth:`Process.deliver_parts`, the complete routine -- which re-reads
-        the receiver's behaviour and protocol table per delivery, so a
-        director corrupting or restarting a party mid-run needs nothing more.
-        """
-        # With tracing off and no registry the only reader of ``step_count``
-        # mid-run is a director (its audit log and scheduler actions stamp the
-        # step from lifecycle hooks), so it is stored per delivery only when
-        # one is installed; otherwise the counter lives in a local -- the loop
-        # variable, which also enforces the cap -- and is written back when
-        # the loop exits.
-        # Fan-out copies are delivered straight from their group entry; a
-        # Message is only built for behaviours and shun drops inside
-        # ``deliver_parts``.  An empty queue surfaces as the pop raising
-        # IndexError before any state changes, which turns the per-delivery
-        # emptiness check into a zero-cost (until raised) try/except.
-        pop_entry = self._queue.pop_entry
+        pop_entry = queue.pop_entry
         rng = self.scheduler_rng
         processes = self.processes
         deliver_by_pid = [process.deliver for process in processes]
-        director = self.director
-        wake = None if director is None else director.wake_step
+        tracing = self._tracing
+        trace = self.trace
+        log = trace.log_delivery if tracing else None
+        observed = (
+            tracing
+            or until is not None
+            or self.director is not None
+            or self._obs_on_complete is not None
+        )
         step = first = self.step_count
+        wake, on_wake = self._alarm(first, until)
+        if watch is not None:
+            # Completion-driven stop: record_completion sets _stop the moment
+            # the watched session's counter reaches the honest count.
+            self._watch_session = watch
+            self._stop = self._completions.get(watch, 0) >= self._honest_n
+        if tracing:
+            trace.driving = True
         try:
-            if self._watch_done:
+            if until is not None:
+                self._stop = until(self)
+            if self._stop:
                 return 0
             for step in range(first + 1, first + max_steps + 1):
                 try:
                     entry, receiver = pop_entry(rng)
                 except IndexError:
                     step -= 1  # this delivery did not happen
+                    if len(queue):  # not the queue's own "empty"
+                        raise
+                    if watch is None and until is None:
+                        return step - first
                     raise SimulationError(_DEADLOCK_ERROR) from None
-                if director is not None:
+                if observed:
                     self.step_count = step
+                    if log is not None:
+                        log((step, entry, receiver))
                 if receiver < 0:
                     deliver_by_pid[entry.receiver](entry)
                 else:
@@ -545,13 +508,58 @@ class Network:
                             entry.sender, session, payload, entry, receiver
                         )
                 if wake is not None and step >= wake:
-                    director.on_step(step)  # type: ignore[union-attr]
-                    wake = director.wake_step  # type: ignore[union-attr]
-                if self._watch_done:
+                    wake = on_wake(step)  # type: ignore[misc]
+                if self._stop:
                     return step - first
             raise SimulationError(_CAP_ERROR.format(max_steps))
         finally:
             self.step_count = step
+            self._watch_session = None
+            self._stop = False
+            if tracing:
+                # Also when a handler raised: the trace's consumers hold the
+                # events up to and including the failing delivery.
+                trace.driving = False
+                trace.messages_delivered += step - first
+                trace.pump()
+
+    def _alarm(
+        self, first: int, until: Optional[Callable[["Network"], bool]]
+    ) -> Tuple[Optional[int], Optional[Callable[[int], Optional[int]]]]:
+        """The delivery loop's one wake-up: ``(first wake step, on_wake)``.
+
+        Shared by the registry's queue-depth sample (every
+        ``queue_depth_every``-th delivery of the drive starting at step
+        ``first``), the director's ``on_step`` (from its ``wake_step``) and
+        ``until`` (after every delivery), so the loop pays one int comparison
+        for all three -- ``(None, None)`` when none is configured.
+        ``on_wake(step)`` serves those due at ``step``, in that order, and
+        returns the next step any is due at.
+        """
+        director = self.director
+        every = self._obs_sample_every
+        if director is None and not every and until is None:
+            return None, None
+        queue_len = self._queue.__len__
+        on_depth = self.metrics.on_queue_depth if every else None  # type: ignore[union-attr]
+        sample_at = first + every if every else None
+        director_at = None if director is None else director.wake_step
+
+        def on_wake(step: int) -> Optional[int]:
+            nonlocal sample_at, director_at
+            if sample_at is not None and step >= sample_at:
+                on_depth(step, queue_len())  # type: ignore[misc]
+                sample_at += every
+            if director_at is not None and step >= director_at:
+                director.on_step(step)  # type: ignore[union-attr]
+                director_at = director.wake_step  # type: ignore[union-attr]
+            if until is not None:
+                if until(self):
+                    self._stop = True
+                return step + 1
+            return _earliest(sample_at, director_at)
+
+        return (first + 1 if until is not None else _earliest(sample_at, director_at)), on_wake
 
     def message_stats(self) -> Optional[Dict[str, object]]:
         """Headline message counts, whichever tier collected them.
@@ -584,7 +592,7 @@ class Network:
             completions = self._completions
             completions[session] = count = completions.get(session, 0) + 1
             if session == self._watch_session and count >= self._honest_n:
-                self._watch_done = True
+                self._stop = True
         obs = self._obs_on_complete
         if obs is not None:
             obs(self.step_count, pid, session)
@@ -613,7 +621,7 @@ class Network:
         # stops exactly where the legacy scan would.
         watched = self._watch_session
         if watched is not None and completions.get(watched, 0) >= self._honest_n:
-            self._watch_done = True
+            self._stop = True
 
     # ------------------------------------------------------------------
     # Convenience queries.

@@ -253,8 +253,9 @@ class Process:
 
         ``entry`` is the Message itself (``receiver < 0``) or the fan-out
         entry holding the copy for ``receiver``; that copy is materialised
-        only for a trace that records it (``step_count`` may lag the
-        unmaterialised loop's local, but that loop never runs traced).
+        only for a trace that records it.  ``step_count`` lags the delivery
+        loop's local only in runs nothing observes; a traced loop stores it
+        per delivery, so the drop carries its delivery's step.
         """
         network = self.network
         trace = network.trace

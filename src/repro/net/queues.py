@@ -34,6 +34,16 @@ pending list" always meant "the i-th oldest in-flight message" (of a class)
 -- exactly the rank query the block lists answer.
 ``tests/net/test_queues.py`` locks this in by diffing full delivery traces
 against :func:`force_scan` runs.
+
+Every queue is popped through :meth:`DeliveryQueue.pop_entry`, the network
+delivery loop's one pop: ``(message, -1)`` for an individually pushed
+Message, ``(entry, receiver)`` for one copy of a fan-out group (only the
+random queue holds groups).  An empty queue raises :class:`IndexError`
+before any state changes, which is how the loop detects quiescence.  A
+policy that reads the clock (``Scheduler.choose``'s ``step``, a
+:class:`ClassRankQueue` version) reads the number of messages its queue has
+delivered: a network is its queue's only consumer, so that is the network's
+step count before the delivery, and the loop's pop takes no clock argument.
 """
 
 from __future__ import annotations
@@ -44,9 +54,11 @@ from abc import ABC, abstractmethod
 from collections import deque
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import Any, Callable, Deque, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Deque, Iterable, List, Optional, Sequence, Tuple
 
 from repro.net.message import Message
+
+_EMPTY = "pop from an empty delivery queue"
 
 
 class DeliveryQueue(ABC):
@@ -66,8 +78,20 @@ class DeliveryQueue(ABC):
             self.push(message)
 
     @abstractmethod
-    def pop(self, rng: random.Random, step: int) -> Message:
-        """Remove and return the next message to deliver (queue is non-empty)."""
+    def pop_entry(self, rng: random.Random) -> Tuple[Any, int]:
+        """Remove the next message to deliver and return it unmaterialised.
+
+        ``(message, -1)`` for an individually pushed :class:`Message`,
+        ``(entry, receiver)`` for the copy of a :class:`FanoutEntry` group
+        addressed to ``receiver``.  An empty queue raises
+        :class:`IndexError` before any state changes (no draw, no policy
+        query).
+        """
+
+    def pop(self, rng: random.Random) -> Message:
+        """:meth:`pop_entry`, the copy materialised as a Message."""
+        entry, receiver = self.pop_entry(rng)
+        return entry if receiver < 0 else entry.materialize(receiver)
 
     @abstractmethod
     def __len__(self) -> int:
@@ -88,16 +112,24 @@ class ScanQueue(DeliveryQueue):
     def __init__(self, scheduler: Any) -> None:
         self.scheduler = scheduler
         self._pending: List[Message] = []
+        #: Messages delivered so far: the ``step`` handed to ``choose``.
+        self._delivered = 0
 
     def push(self, message: Message) -> None:
         self._pending.append(message)
 
-    def pop(self, rng: random.Random, step: int) -> Message:
+    def pop_entry(self, rng: random.Random) -> Tuple[Message, int]:
         pending = self._pending
-        choice = self.scheduler.validate(
-            self.scheduler.choose(pending, rng, step), pending
+        if not pending:
+            # Explicit: a policy's choose() over nothing raises what it likes
+            # (RandomScheduler: ValueError from randrange) after drawing.
+            raise IndexError(_EMPTY)
+        scheduler = self.scheduler
+        choice = scheduler.validate(
+            scheduler.choose(pending, rng, self._delivered), pending
         )
-        return pending.pop(choice)
+        self._delivered += 1
+        return pending.pop(choice), -1
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -115,8 +147,8 @@ class FifoQueue(DeliveryQueue):
     def push(self, message: Message) -> None:
         self._queue.append(message)
 
-    def pop(self, rng: random.Random, step: int) -> Message:
-        return self._queue.popleft()
+    def pop_entry(self, rng: random.Random) -> Tuple[Message, int]:
+        return self._queue.popleft(), -1  # IndexError when empty
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -141,8 +173,8 @@ class KeyedQueue(DeliveryQueue):
     def push(self, message: Message) -> None:
         heapq.heappush(self._heap, (self.key(message), message.seq, message))
 
-    def pop(self, rng: random.Random, step: int) -> Message:
-        return heapq.heappop(self._heap)[2]
+    def pop_entry(self, rng: random.Random) -> Tuple[Message, int]:
+        return heapq.heappop(self._heap)[2], -1  # IndexError when empty
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -235,8 +267,9 @@ class SendOrderRandomQueue(DeliveryQueue):
     * **one slot per copy** -- a slot is either an individually pushed
       :class:`Message` or, for a fan-out queued in group mode, the pair
       ``(entry, receiver)`` sharing one :class:`FanoutEntry`; the pair is
-      exactly what :meth:`pop_entry` hands the network's fast loop, and a
-      Message is built from it only if somebody needs one.
+      exactly what :meth:`pop_entry` hands the network's delivery loop (and
+      what its trace logs), and a Message is built from it only if somebody
+      needs one.
     * **Fenwick over block lengths** -- a counting tree over the sealed
       blocks only (a few dozen nodes at 100k+ in flight) finds the block in
       one find-and-decrement descend; a rank past its total is in the tail.
@@ -348,18 +381,18 @@ class SendOrderRandomQueue(DeliveryQueue):
         if len(tail) >= _BLOCK:
             self._seal()
 
-    def pop_entry(self, rng: random.Random):
+    def pop_entry(self, rng: random.Random) -> Tuple[Any, int]:
         """Remove the next message and return it unmaterialised.
 
-        Returns ``(entry, receiver)`` for a copy of a fan-out (the caller
-        materialises only if it needs a full :class:`Message`) and
-        ``(message, -1)`` for an individually pushed Message.  This is the
-        network fast loop's pop -- the generic :meth:`pop` wraps it.
+        Returns the slot itself for a copy of a fan-out -- the queue's own
+        ``(entry, receiver)`` pair; the caller materialises only if it needs
+        a full :class:`Message` -- and ``(message, -1)`` for an individually
+        pushed Message.
         """
         count = self._count
         if not count:
             # Explicit: _randbelow(0) would spin forever (getrandbits(0) is 0).
-            raise IndexError("pop from an empty delivery queue")
+            raise IndexError(_EMPTY)
         if rng is not self._randbelow_rng:
             self._randbelow_rng = rng
             self._getrandbits = (
@@ -409,12 +442,6 @@ class SendOrderRandomQueue(DeliveryQueue):
             return slot
         return slot, -1
 
-    def pop(self, rng: random.Random, step: int) -> Message:
-        entry, receiver = self.pop_entry(rng)
-        if receiver < 0:
-            return entry
-        return entry.materialize(receiver)
-
     def snapshot(self) -> List[Message]:
         return [
             slot[0].materialize(slot[1]) if type(slot) is tuple else slot
@@ -442,11 +469,12 @@ class ClassRankQueue(DeliveryQueue):
     delivery per seed.  ``classify`` runs once per message, at submit time,
     so it must be a pure function of the message between version changes.
 
-    A policy that changes over time passes ``version(step)``: when its
-    value differs from the last pop's, the classes are merged back into
-    send order (by ``seq``) and dealt out again before the draw -- O(m) per
-    *change* (a delay budget lapsing, a partition healing, a director
-    installing or clearing a rule), not per delivery.
+    A policy that changes over time passes ``version(step)``, asked before
+    each draw with the number of messages delivered so far: when its value
+    differs from the last pop's, the classes are merged back into send order
+    (by ``seq``) and dealt out again before the draw -- O(m) per *change* (a
+    delay budget lapsing, a partition healing, a director installing or
+    clearing a rule), not per delivery.
     """
 
     def __init__(
@@ -460,6 +488,7 @@ class ClassRankQueue(DeliveryQueue):
         #: The queue is built with its network, before the first delivery.
         self._version = None if version is None else version(0)
         self._count = 0
+        self._delivered = 0
         #: One send-order queue per class, best class first.
         self._queues = [SendOrderRandomQueue() for _ in range(classes)]
 
@@ -477,21 +506,22 @@ class ClassRankQueue(DeliveryQueue):
         self._count += 1
         self._queues[self.classify(message)].push(message)
 
-    def pop(self, rng: random.Random, step: int) -> Message:
+    def pop_entry(self, rng: random.Random) -> Tuple[Message, int]:
         if not self._count:
             # Before the version check, so an empty pop changes nothing.
-            raise IndexError("pop from an empty delivery queue")
+            raise IndexError(_EMPTY)
         version_at = self._version_at
         if version_at is not None:
-            version = version_at(step)
+            version = version_at(self._delivered)
             if version != self._version:
                 self._version = version
                 self._rerank()
         self._count -= 1
+        self._delivered += 1
         for queue in self._queues:
             if queue._count:
                 break
-        return queue.pop_entry(rng)[0]
+        return queue.pop_entry(rng)  # a class holds Messages: (message, -1)
 
     def snapshot(self) -> List[Message]:
         # Each class is already in send order, so the sort is a k-way merge.

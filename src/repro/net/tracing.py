@@ -22,13 +22,21 @@ Retention is itself a consumer (:class:`EventRing`) placed before the sinks.
 
 **Record now, expand on read.**  Nearly every event is a message event --
 one ``send`` and one ``deliver`` per copy -- and a consumer rarely wants them
-one Python call at a time, so the per-message hooks do not build events.
-They append *records* to one append-only log private to this module:
+one Python call at a time, so the per-message hooks build neither events nor
+messages.  They append *records* to one append-only log private to this
+module, holding what the network's queue holds:
 
-* a delivery is ``(step, message)``, appended by the traced delivery loop
-  itself through :attr:`Trace.log_delivery` (no hook frame per delivery);
-* a fan-out is ``(step, messages)`` -- one record for all its sends.
+* a delivery is ``(step, entry, receiver)``, appended by the delivery loop
+  itself through :attr:`Trace.log_delivery` (no hook frame per delivery):
+  the pair the queue's ``pop_entry`` returned, ``(entry, receiver)`` for a
+  copy of a fan-out group and ``(message, -1)`` for a lone message;
+* a fan-out is ``(step, (entry, size))`` -- one record for all its ``size``
+  sends, ``entry`` the :class:`~repro.net.queues.FanoutEntry` they share.
 
+The :class:`~repro.net.message.Message` of a send or delivery event is built
+from its record when the event is built (``FanoutEntry.materialize``: the
+same fields and sequence number the copy was sent with), so an event is
+equal to the one a per-message log would have held, not the same object.
 :meth:`Trace.pump` hands the log on, in order.  A duck-typed sink receives
 exactly the calls it always did -- ``emit(event)`` per delivery,
 ``emit_many(one fan-out's send events)`` per fan-out.  An :class:`EventRing`
@@ -42,7 +50,7 @@ records and these two shapes are known to this module only.
 
 A fan-out waits in the log only while the network is delivering
 (:attr:`Trace.driving`); recorded at any other time -- a protocol started by
-hand, a test calling ``on_send_many`` -- it is pumped at once.  Consumers are
+hand, a test calling ``on_fanout`` -- it is pumped at once.  Consumers are
 therefore current
 
 * whenever control is outside the network's delivery loop: before a drive,
@@ -63,6 +71,7 @@ network adds a drive's deliveries when the drive exits.
 from __future__ import annotations
 
 from collections import Counter, deque
+from itertools import chain
 from typing import Any, Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.net.message import Message, SessionId
@@ -99,12 +108,24 @@ class TraceEvent(NamedTuple):
 _new_event = tuple.__new__
 
 
-def _send_events(step: int, messages: List[Message]) -> List[TraceEvent]:
-    """The ``emit_many`` batch a fan-out record ``(step, messages)`` stands for."""
+def _send_events(step: int, fanout: Tuple[Any, int]) -> List[TraceEvent]:
+    """The ``emit_many`` batch a fan-out record ``(step, (entry, size))`` stands for."""
+    entry, size = fanout
+    skip = entry.skip
+    receivers = (
+        range(size) if skip is None else chain(range(skip), range(skip + 1, size + 1))
+    )
+    sender, materialize = entry.sender, entry.materialize
     return [
-        _new_event(TraceEvent, (step, "send", message.sender, message))
-        for message in messages
+        _new_event(TraceEvent, (step, "send", sender, materialize(receiver)))
+        for receiver in receivers
     ]
+
+
+def _delivery_event(step: int, entry: Any, receiver: int) -> TraceEvent:
+    """The event a delivery record ``(step, entry, receiver)`` stands for."""
+    message = entry if receiver < 0 else entry.materialize(receiver)
+    return _new_event(TraceEvent, (step, "deliver", message.receiver, message))
 
 
 class EventRing:
@@ -133,16 +154,13 @@ class EventRing:
         events: List[TraceEvent] = []
         for _, records in self._chunks:
             for record in records:
-                if len(record) == 4:  # an event, kept as it came
+                size = len(record)
+                if size == 3:
+                    events.append(_delivery_event(*record))
+                elif size == 2:
+                    events.extend(_send_events(*record))
+                else:  # an event, kept as it came
                     events.append(record)
-                    continue
-                step, what = record
-                if type(what) is list:
-                    events.extend(_send_events(step, what))
-                else:
-                    events.append(
-                        _new_event(TraceEvent, (step, "deliver", what.receiver, what))
-                    )
         if self.capacity is not None:
             del events[: -self.capacity]
         return events
@@ -226,7 +244,7 @@ class Trace:
     addition per ``step`` / ``run*`` call), not per delivery.
 
     With ``enabled=False`` every recording hook (``on_send``,
-    ``on_send_many``, ``on_drop``, ``on_complete``, ``on_shun``,
+    ``on_fanout``, ``on_drop``, ``on_complete``, ``on_shun``,
     ``on_corrupt``, ``on_phase``, ``on_session_open``, ``on_director``,
     ``note``, ``record``) is rebound to a shared no-op at construction time,
     so the network's hot loop pays one trivially-dispatched call and zero
@@ -274,9 +292,9 @@ class Trace:
         self._log: List[tuple] = []
         self._log_fanouts = 0
         self._log_sends = 0
-        #: The delivery loop's hook: called with one ``(step, message)`` pair
-        #: per delivery, it is the log's own ``append``.
-        self.log_delivery: Callable[[Tuple[int, Message]], None] = self._log.append
+        #: The delivery loop's hook: called with one ``(step, entry,
+        #: receiver)`` record per delivery, it is the log's own ``append``.
+        self.log_delivery: Callable[[Tuple[int, Any, int]], None] = self._log.append
         #: Set by the network around its delivery loop, which pumps when it
         #: exits: only then may a fan-out wait in the log.
         self.driving = False
@@ -287,7 +305,7 @@ class Trace:
             # free of even the Message property accesses below.
             self.record = _noop  # type: ignore[method-assign]
             self.on_send = _noop  # type: ignore[method-assign]
-            self.on_send_many = _noop  # type: ignore[method-assign]
+            self.on_fanout = _noop  # type: ignore[method-assign]
             self.on_drop = _noop  # type: ignore[method-assign]
             self.on_complete = _noop  # type: ignore[method-assign]
             self.on_shun = _noop  # type: ignore[method-assign]
@@ -383,15 +401,15 @@ class Trace:
             # Record by record, each sink in turn: when one raises, the sinks
             # behind it have everything before the failing event.
             sink_batch_emits = self._sink_batch_emits
-            for step, what in records:
-                if type(what) is list:
-                    events = _send_events(step, what)
-                    for emit_many in sink_batch_emits:
-                        emit_many(events)
-                else:
-                    event = _new_event(TraceEvent, (step, "deliver", what.receiver, what))
+            for record in records:
+                if len(record) == 3:
+                    event = _delivery_event(*record)
                     for emit in sink_emits:
                         emit(event)
+                else:
+                    events = _send_events(*record)
+                    for emit_many in sink_batch_emits:
+                        emit_many(events)
 
     def record(self, step: int, kind: str, party: Optional[int], detail: Any) -> None:
         """Hand one raw event to the retention ring and the sinks."""
@@ -409,29 +427,25 @@ class Trace:
         self.sent_by_kind[message.kind] += 1
         self.record(step, "send", message.sender, message)
 
-    def on_send_many(
-        self, step: int, messages: Sequence[Message], kind: Any, root: Any
-    ) -> None:
-        """Record one fan-out: ``messages`` share ``kind``, ``root`` and step.
+    def on_fanout(self, step: int, entry: Any, size: int) -> None:
+        """Record one fan-out: the ``size`` copies of ``entry``, in receiver order.
 
-        Equivalent to :meth:`on_send` per message in order -- same counters,
-        same events -- with the counters bumped once by ``len(messages)`` and
-        every consumer handed the send events as one ``emit_many`` batch.
-        ``messages`` must not be mutated afterwards.
+        ``entry`` is the :class:`~repro.net.queues.FanoutEntry` the copies
+        share (``entry.skip`` left out of ``0..n-1``).  Equivalent to
+        :meth:`on_send` per copy in order -- same counters, same events --
+        with the counters bumped once by ``size`` and every consumer handed
+        the send events as one ``emit_many`` batch.
         """
-        count = len(messages)
-        if not count:
+        if not size:
             return
-        self.messages_sent += count
-        self.sent_by_root[root] += count
-        self.sent_by_kind[kind] += count
+        self.messages_sent += size
+        self.sent_by_root[entry.root] += size
+        self.sent_by_kind[entry.kind] += size
         log = self._log
         if self._emitters:
-            if type(messages) is not list:  # the record shape is "a list"
-                messages = list(messages)
-            log.append((step, messages))
+            log.append((step, (entry, size)))
             self._log_fanouts += 1
-            self._log_sends += count
+            self._log_sends += size
         if len(log) >= LOG_BOUND or not self.driving:
             self.pump()
 

@@ -93,12 +93,17 @@ class MetricsRegistry:
 
     Args:
         queue_depth_every: sample the in-flight queue depth every k-th
-            delivery (0 disables sampling).
+            delivery (0 disables sampling; negative raises ValueError).
         completion_steps: record a per-session-root histogram of the step at
             which each party completed each session.
     """
 
     def __init__(self, queue_depth_every: int = 64, completion_steps: bool = True) -> None:
+        if int(queue_depth_every) < 0:
+            raise ValueError(
+                f"queue_depth_every must be >= 0 (0 disables sampling), "
+                f"got {queue_depth_every!r}"
+            )
         self.queue_depth_every = int(queue_depth_every)
         self.completion_steps = completion_steps
         self._counters: Dict[str, CounterMetric] = {}

@@ -13,8 +13,9 @@ into a running attack:
   lifecycle events (session opens, completions) and -- when the scenario has
   step triggers -- is woken at their thresholds, and reacts by corrupting
   parties mid-run or driving fault-timeline transitions.  It never sees a
-  message, so an untraced trial on the random queue runs on the network's
-  unmaterialised loop like a plain one.  Every action is appended to the
+  message, so installing one costs a trial no Message objects: per delivery
+  the network's loop pays an int comparison and a stored step for it.
+  Every action is appended to the
   director's ``actions`` audit log, and the **corruption budget is a hard
   invariant**: the director never corrupts beyond
   ``min(spec budget, resilience bound t)``, whatever the rules ask for.

@@ -204,9 +204,10 @@ class ReactiveScheduler(Scheduler):
     one O(m) pass, on its next pop.
     The queue ranks materialised messages with ``Message -> int``
     predicates, so a reactive trial takes the network's eager fan-out path
-    and its generic delivery loop.  It is the queue that keeps the trial
-    there, not the director driving it: a director is woken at steps and
-    never sees a message, so on its own it costs a run no Message objects.
+    (its queue holds Messages, not fan-out groups) and pops them as
+    ``(message, -1)`` on the one delivery loop.  It is the queue that builds
+    those Messages, not the director driving it: a director is woken at
+    steps and never sees a message, so on its own it costs a run none.
     Determinism is untouched: decisions are pure functions of the (seeded)
     event stream and the rule set, so trials stay byte-identical per seed,
     traced or untraced -- and byte-identical to the reference

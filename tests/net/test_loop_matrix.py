@@ -1,22 +1,25 @@
-"""Loop-matrix equivalence: every run configuration delivers the same execution.
+"""Loop-matrix equivalence: every run configuration delivers the reference execution.
 
-The network has one generic delivery loop and one specialisation of it (the
-unmaterialised loop of runs that need no Message per delivery).  Which one
-runs, and which hooks it calls, is read off the run's configuration --
-tracing, a metrics registry, a director -- and none of that may change *what*
-is delivered: for a given scheduler and seed, every cell of the matrix below
-must deliver the same messages in the same order, stop at the same step with
-the same outputs, and fail with the same error text.  The hooks themselves
-must fire in every cell that configures them -- a director's ``on_step`` at
-the same steps, reading the same ``network.step_count``, whichever loop ran.
+The network has one delivery loop.  Which of its hooks fire is read off the
+run's configuration -- tracing, a metrics registry, a director, the stop
+condition -- and none of that may change *what* is delivered: for a given
+scheduler and seed, every cell of the matrix below must deliver what the
+naive reference loop (``reference_loop.py``) delivers in the same cell --
+the same messages in the same order, the same stop step and outputs, the
+same error text, the same trace events -- and every cell must agree with
+every other.  The hooks must fire as the reference fires them: a director's
+``on_step`` at the same steps, reading the same ``network.step_count``, the
+registry's samples at the same deliveries.
 """
 
 from __future__ import annotations
 
 import gc
 import itertools
+from contextlib import nullcontext
 
 import pytest
+from reference_loop import reference_loop
 from test_queues import SCHEDULER_FACTORIES
 
 from repro.adversary.behaviors import CrashBehavior
@@ -135,9 +138,9 @@ CELLS = list(
 
 @pytest.fixture
 def delivered(monkeypatch):
-    """Sequence numbers in delivery order, recorded where both loops take their
-    next message: the queue's pop (what happens to a popped message -- the
-    process's routine, or the unmaterialised loop's direct route to a started
+    """Sequence numbers in delivery order, recorded where every loop takes its
+    next message: the queue's ``pop_entry`` (what happens to a popped message
+    -- the process's routine, or the loop's direct route to a started
     instance -- differs per loop and per message)."""
     order = []
     build_network = Simulation.build_network
@@ -154,24 +157,24 @@ def delivered(monkeypatch):
 
 
 def _record_pops(queue, order):
-    if hasattr(queue, "pop_entry"):
-        pop_entry = queue.pop_entry
+    pop_entry = queue.pop_entry
 
-        def recording_pop_entry(rng):
-            entry, receiver = pop_entry(rng)
-            order.append(entry.seq if receiver < 0 else entry.materialize(receiver).seq)
-            return entry, receiver
+    def recording_pop_entry(rng):
+        entry, receiver = slot = pop_entry(rng)
+        order.append(entry.seq if receiver < 0 else entry.materialize(receiver).seq)
+        return slot
 
-        queue.pop_entry = recording_pop_entry  # the queue's own pop() calls it
-    else:
-        pop = queue.pop
+    queue.pop_entry = recording_pop_entry  # the queue's own pop() calls it
 
-        def recording_pop(rng, step):
-            message = pop(rng, step)
-            order.append(message.seq)
-            return message
 
-        queue.pop = recording_pop
+def _on_both_loops(delivered, run):
+    """``run()`` on the network's loop, then again on the reference loop."""
+    observed = []
+    for loop in (nullcontext, reference_loop):
+        del delivered[:]
+        with loop():
+            observed.append(run())
+    return observed
 
 
 def _simulation(scheduler, tracing, registry, director, wake_steps=WAKE_STEPS, **kwargs):
@@ -180,6 +183,7 @@ def _simulation(scheduler, tracing, registry, director, wake_steps=WAKE_STEPS, *
         scheduler=scheduler,
         seed=SEED,
         tracing=tracing,
+        keep_events="all" if tracing else False,
         metrics=MetricsRegistry(queue_depth_every=DEPTH_EVERY) if registry else None,
         director=DIRECTORS[director](wake_steps),
         **kwargs,
@@ -187,8 +191,26 @@ def _simulation(scheduler, tracing, registry, director, wake_steps=WAKE_STEPS, *
 
 
 def _run(sim, stop):
-    until = None if stop == "watch" else (lambda net: net.all_honest_finished(SESSION))
+    until = None
+    if stop == "until":
+        sim.until_saw = []  # the clock as the stop condition reads it
+
+        def until(net):
+            sim.until_saw.append(net.step_count)
+            return net.all_honest_finished(SESSION)
+
     return sim.run(SESSION, WeakCommonCoin.factory(), until=until)
+
+
+def _observed(sim, delivered, *rest):
+    """Pops, clock, hook firings and trace of ``sim``'s run, plus ``rest``."""
+    network = sim.network
+    registry = sim.metrics and sim.metrics.snapshot()["histograms"]
+    director = sim.director and (sim.director.completed_at, sim.director.woken)
+    trace = network.trace
+    events = trace.enabled and (trace.events, trace.summary())
+    until_saw = getattr(sim, "until_saw", None)
+    return (list(delivered), network.step_count, registry, director, events, until_saw) + rest
 
 
 @pytest.mark.parametrize("name", sorted(SCHEDULERS))
@@ -198,16 +220,20 @@ def test_every_cell_delivers_the_same_execution(name, delivered):
     reference = recorded = completed_at = None
     for tracing, registry, director, stop in CELLS:
         cell = (tracing, registry, director, stop)
-        del delivered[:]
-        sim = _simulation(SCHEDULERS[name](), tracing, registry, director, wake_steps)
-        result = _run(sim, stop)
-        order = list(delivered)
+
+        def run():
+            sim = _simulation(SCHEDULERS[name](), tracing, registry, director, wake_steps)
+            result = _run(sim, stop)
+            return _observed(sim, delivered, result.steps, result.outputs), sim, result
+
+        (observed, sim, result), (by_reference, _, _) = _on_both_loops(delivered, run)
+        assert observed == by_reference, cell
+        order = observed[0]
         assert len(order) == result.steps == result.network.step_count, cell
-        observed = (order, result.steps, result.outputs)
         if reference is None:
-            reference = observed
-        assert observed == reference, cell
-        # The hooks a cell configures fire in it, whichever loop ran.
+            reference = (order, result.steps, result.outputs)
+        assert (order, result.steps, result.outputs) == reference, cell
+        # The hooks a cell configures fire in it, whatever else it configures.
         if registry:
             depth = result.metrics["histograms"]["queue_depth"]
             assert depth["count"] == result.steps // DEPTH_EVERY, cell
@@ -218,7 +244,7 @@ def test_every_cell_delivers_the_same_execution(name, delivered):
             assert (depth, completed) == recorded, cell
         if director != "none":
             # Lifecycle hooks read a current clock and the director is woken
-            # at the steps it asked for, whichever loop ran.
+            # at the steps it asked for.
             if completed_at is None:
                 completed_at = sim.director.completed_at
                 assert 0 < max(completed_at) <= result.steps, cell
@@ -233,11 +259,16 @@ def test_every_cell_hits_the_cap_with_the_same_error(name, delivered):
     reference = None
     for tracing, registry, director, stop in CELLS:
         cell = (tracing, registry, director, stop)
-        del delivered[:]
-        sim = _simulation(SCHEDULERS[name](), tracing, registry, director, max_steps=60)
-        with pytest.raises(SimulationError) as raised:
-            _run(sim, stop)
-        observed = (str(raised.value), list(delivered), sim.network.step_count)
+
+        def run():
+            sim = _simulation(SCHEDULERS[name](), tracing, registry, director, max_steps=60)
+            with pytest.raises(SimulationError) as raised:
+                _run(sim, stop)
+            return _observed(sim, delivered, str(raised.value)), sim
+
+        (observed, sim), (by_reference, _) = _on_both_loops(delivered, run)
+        assert observed == by_reference, cell
+        observed = (observed[-1], observed[0], sim.network.step_count)
         if reference is None:
             reference = observed
             assert observed[0] == (
@@ -259,28 +290,36 @@ def test_every_cell_agrees_at_the_cap_boundaries(name, delivered):
     for tracing, registry, director, stop in CELLS:
         cell = (tracing, registry, director, stop)
         for case, cap in (("exact", full), ("one-short", full - 1), ("zero", 0)):
-            del delivered[:]
-            sim = _simulation(SCHEDULERS[name](), tracing, registry, director, max_steps=cap)
-            error = None
-            try:
-                result = _run(sim, stop)
-            except SimulationError as raised:
-                error = str(raised)
-            observed = (error, list(delivered), sim.network.step_count)
-            assert observed == reference.setdefault(case, observed), (cell, case)
-            assert sim.network.step_count == len(observed[1]) == cap, (cell, case)
-            if case == "exact":
-                assert error is None and result.steps == full, cell
-                # Already over: no delivery is owed, so no cap can be hit.
-                network = sim.network
-                again = (
-                    network.run_until_complete(SESSION, max_steps=0)
-                    if stop == "watch"
-                    else network.run(
-                        until=lambda net: net.all_honest_finished(SESSION), max_steps=0
-                    )
+
+            def run():
+                sim = _simulation(
+                    SCHEDULERS[name](), tracing, registry, director, max_steps=cap
                 )
-                assert (again, network.step_count) == (0, full), cell
+                error = again = None
+                try:
+                    _run(sim, stop)
+                except SimulationError as raised:
+                    error = str(raised)
+                else:
+                    # Already over: no delivery is owed, so no cap can be hit.
+                    network = sim.network
+                    again = (
+                        network.run_until_complete(SESSION, max_steps=0)
+                        if stop == "watch"
+                        else network.run(
+                            until=lambda net: net.all_honest_finished(SESSION), max_steps=0
+                        )
+                    ), network.step_count
+                return _observed(sim, delivered, error, again)
+
+            observed, by_reference = _on_both_loops(delivered, run)
+            assert observed == by_reference, (cell, case)
+            order, step_count, error, again = observed[0], observed[1], *observed[-2:]
+            summary = (error, order, step_count)
+            assert summary == reference.setdefault(case, summary), (cell, case)
+            assert step_count == len(order) == cap, (cell, case)
+            if case == "exact":
+                assert error is None and again == (0, full), cell
             else:
                 assert error == (
                     f"run() exceeded {cap} deliveries without reaching its stop condition"
@@ -289,7 +328,8 @@ def test_every_cell_agrees_at_the_cap_boundaries(name, delivered):
 
 @pytest.mark.parametrize("name", sorted(SCHEDULERS))
 def test_every_cell_counts_the_delivery_whose_handler_raised(name, delivered, monkeypatch):
-    """A handler that raises mid-run leaves ``step_count`` at that delivery."""
+    """A handler that raises mid-run leaves ``step_count`` at that delivery,
+    and the trace holds the events up to and including it."""
     calls = []
     on_message = SVSSRec.on_message
 
@@ -303,11 +343,17 @@ def test_every_cell_counts_the_delivery_whose_handler_raised(name, delivered, mo
     reference = None
     for tracing, registry, director, stop in CELLS:
         cell = (tracing, registry, director, stop)
-        del delivered[:], calls[:]
-        sim = _simulation(SCHEDULERS[name](), tracing, registry, director)
-        with pytest.raises(RuntimeError, match="handler failed"):
-            _run(sim, stop)
-        observed = (list(delivered), sim.network.step_count)
+
+        def run():
+            del calls[:]
+            sim = _simulation(SCHEDULERS[name](), tracing, registry, director)
+            with pytest.raises(RuntimeError, match="handler failed"):
+                _run(sim, stop)
+            return _observed(sim, delivered)
+
+        observed, by_reference = _on_both_loops(delivered, run)
+        assert observed == by_reference, cell
+        observed = observed[:2]
         if reference is None:
             reference = observed
             assert observed[1] == len(observed[0]) > 40
@@ -320,17 +366,23 @@ def test_every_cell_reports_deadlock_with_the_same_error(name, delivered):
     reference = None
     for tracing, registry, director, stop in CELLS:
         cell = (tracing, registry, director, stop)
-        del delivered[:]
-        network = _simulation(SCHEDULERS[name](), tracing, registry, director).build_network()
-        for sender in range(N):
-            network.submit_broadcast(sender, ("absent",), ("PING", sender))
-            network.submit_fanout(sender, ("absent",), "PONG", list(range(N)), skip=sender)
-        with pytest.raises(SimulationError) as raised:
-            if stop == "watch":
-                network.run_until_complete(("absent",))
-            else:
-                network.run(until=lambda net: net.all_honest_finished(("absent",)))
-        observed = (str(raised.value), list(delivered), network.step_count)
+
+        def run():
+            sim = _simulation(SCHEDULERS[name](), tracing, registry, director)
+            network = sim.build_network()
+            for sender in range(N):
+                network.submit_broadcast(sender, ("absent",), ("PING", sender))
+                network.submit_fanout(sender, ("absent",), "PONG", list(range(N)), skip=sender)
+            with pytest.raises(SimulationError) as raised:
+                if stop == "watch":
+                    network.run_until_complete(("absent",))
+                else:
+                    network.run(until=lambda net: net.all_honest_finished(("absent",)))
+            return _observed(sim, delivered, str(raised.value)), network
+
+        (observed, network), (by_reference, _) = _on_both_loops(delivered, run)
+        assert observed == by_reference, cell
+        observed = (observed[-1], observed[0], network.step_count)
         if reference is None:
             reference = observed
             assert observed[0] == (
@@ -355,27 +407,34 @@ def test_step_is_the_same_delivery_as_run(delivered):
             network.submit_broadcast(sender, ("absent",), ("PING", sender))
         return sim, network
 
+    def stepped():
+        sim, network = flooded("every-step")
+        while network.step():
+            pass
+        assert network.step() is False
+        return _observed(sim, delivered)
+
     every_step = _expected_wakes("every-step", (), N * N)
-    sim, network = flooded("every-step")
-    while network.step():
-        pass
-    assert network.step() is False
-    stepped = list(delivered)
-    assert len(stepped) == network.step_count == N * N
-    assert sim.director.woken == every_step
+    observed, by_reference = _on_both_loops(delivered, stepped)
+    assert observed == by_reference
+    assert len(observed[0]) == observed[1] == N * N
+    assert observed[3][1] == every_step
 
     del delivered[:]
     sim, network = flooded("every-step")
     assert network.run_to_quiescence() == N * N
-    assert list(delivered) == stepped
+    assert list(delivered) == observed[0]
     assert sim.director.woken == every_step
 
 
 # ----------------------------------------------------------------------
-# The unmaterialised loop hands a fan-out copy straight to a started instance
-# and leaves every other case to ``Process.deliver_parts``.  In the cells
-# below that routine must be taken mid-run, for the reason named, and the run
-# must still be the generic loop's: same order, outputs and drop counts.
+# The delivery loop hands a fan-out copy straight to a started instance and
+# leaves every other case to ``Process.deliver_parts``.  In the cells below
+# that routine must be taken mid-run, for the reason named, traced or not, and
+# the run must still be the reference loop's (which delivers whole Messages
+# through ``Process.deliver``): same order, outputs and drop counts.  (The
+# test's name predates the single loop: the reference loop is what it calls
+# the generic one.)
 def _why_not_direct(process, sender, session):
     if process.behavior is not None:
         return "behavior"
@@ -446,36 +505,41 @@ def test_slow_path_cells_match_the_generic_loop(name, delivered, monkeypatch):
 
     monkeypatch.setattr(Process, "deliver_parts", explaining_deliver_parts)
 
-    observed = {}
+    observed, why = {}, {}
     for loop, tracing, scheduler in (
-        ("generic", True, None),
+        ("reference", True, None),
         ("scan", False, force_scan(RandomScheduler())),
-        ("unmaterialised", False, None),
+        ("traced", True, None),
+        ("untraced", False, None),
     ):
-        del delivered[:]
+        del delivered[:], reasons[:]
         sim = Simulation(
             params=ProtocolParams.for_parties(N), seed=SEED, tracing=tracing,
             scheduler=scheduler,
         )
         set_up(sim)
-        result = run(sim)
+        with reference_loop() if loop == "reference" else nullcontext():
+            result = run(sim)
         stats = result.message_stats
         observed[loop] = (
             list(delivered), result.steps, result.outputs,
             stats["messages_sent"], stats["messages_dropped"],
             sim.director and (sim.director.woken, sim.director.completed_at),
         )
-        if loop != "unmaterialised":
-            assert not reasons  # they deliver whole Messages, through deliver()
-    assert observed["unmaterialised"] == observed["scan"] == observed["generic"]
-    # deliver_parts was needed for each reason the cell is about, and never
-    # called for a copy the loop could have handed over itself.
-    assert set(reasons) == expected_reasons
+        why[loop] = list(reasons)
+    assert observed["untraced"] == observed["traced"] == observed["scan"] == observed["reference"]
+    # Whole Messages go through deliver(): the reference pops them, the scan
+    # queue holds them.
+    assert why["reference"] == why["scan"] == []
+    # deliver_parts was needed for each reason the cell is about, traced or
+    # not, and never called for a copy the loop could have handed over itself.
+    assert why["traced"] == why["untraced"]
+    assert set(why["untraced"]) == expected_reasons
     if name == "shun-map":
-        assert observed["generic"][4] > 0  # drops, live and at replay
+        assert observed["reference"][4] > 0  # drops, live and at replay
     if name == "corrupted-mid-run":
-        assert observed["generic"][5][0] == [(150, 150)]
-        assert 6 not in observed["generic"][2] and observed["generic"][1] > 150
+        assert observed["reference"][5][0] == [(150, 150)]
+        assert 6 not in observed["reference"][2] and observed["reference"][1] > 150
 
 
 def test_an_fba_trial_leaves_few_objects_for_the_collector():

@@ -15,6 +15,7 @@ import weakref
 import pytest
 
 from repro.core.config import ProtocolParams
+from repro.errors import SimulationError
 from repro.net import queues
 from repro.net.message import Message
 from repro.net.network import Network
@@ -188,7 +189,7 @@ class TestFifoQueue:
         for message in messages:
             queue.push(message)
         rng = random.Random(0)
-        assert [queue.pop(rng, 0).seq for _ in range(10)] == list(range(10))
+        assert [queue.pop(rng).seq for _ in range(10)] == list(range(10))
         assert len(queue) == 0
 
 
@@ -206,7 +207,7 @@ class TestKeyedQueue:
         while pending:
             choice = scheduler.choose(pending, rng, 0)
             expected = pending.pop(choice)
-            assert queue.pop(rng, 0) is expected
+            assert queue.pop(rng) is expected
         assert len(queue) == 0
 
 
@@ -255,7 +256,7 @@ class TestSendOrderRandomQueue:
             # then drain back through emptied blocks to the bare tail.
             if model and control.random() < (0.45 if iteration < 10000 else 0.56):
                 draw = control.randrange(1 << 30)
-                fast = queue.pop(rng_type(draw), 0)
+                fast = queue.pop(rng_type(draw))
                 expected = model.pop(random.Random(draw).randrange(len(model)))
                 assert fast is expected
             elif control.random() < 0.1:
@@ -300,8 +301,8 @@ class TestSendOrderRandomQueue:
         for round_index in range(4000):
             if live and control.random() < 1 - 0.45 / n ** 0.5:
                 draw = control.randrange(1 << 30)
-                fast = grouped.pop(random.Random(draw), 0)
-                reference = eager.pop(random.Random(draw), 0)
+                fast = grouped.pop(random.Random(draw))
+                reference = eager.pop(random.Random(draw))
                 assert _fields(fast) == _fields(reference)
                 live -= 1
                 continue
@@ -355,7 +356,7 @@ class TestSendOrderRandomQueue:
             del entry
         assert len(queue) == 640 and len(queue._blocks) == 10
         while len(queue):
-            assert queue.pop(rng, 0).kind == "B"
+            assert queue.pop(rng).kind == "B"
             # Every entry with no copy left in flight is already dead.
             assert sum(ref() is not None for ref in entries) == len(
                 {id(slot[0]) for block in queue._blocks + [queue._tail] for slot in block}
@@ -373,19 +374,24 @@ class TestSendOrderRandomQueue:
         with pytest.raises(IndexError):
             queue.pop_entry(rng)
         with pytest.raises(IndexError):
-            queue.pop(rng, 0)
+            queue.pop(rng)
         assert rng.getstate() == state
 
+    @pytest.mark.parametrize("tracing", [True, False])
     @pytest.mark.parametrize("n", [7, 16])
-    def test_group_mode_trial_matches_eager_trial(self, n):
-        """A tracing-off run (group mode: lazy fan-out entries) reproduces a
-        traced run (eager per-message submits) delivery-for-delivery."""
+    def test_group_mode_trial_matches_eager_trial(self, n, tracing):
+        """A random-queue run (group mode: lazy fan-out entries) reproduces a
+        run on the scan queue (eager per-message submits) delivery-for-delivery,
+        traced or not."""
         from repro.core import api
 
-        eager = api.run_weak_coin(n, seed=11)
-        lazy = api.run_weak_coin(n, seed=11, tracing=False)
+        eager = api.run_weak_coin(
+            n, seed=11, scheduler=force_scan(RandomScheduler()), tracing=tracing
+        )
+        lazy = api.run_weak_coin(n, seed=11, tracing=tracing)
         assert eager.outputs == lazy.outputs
         assert eager.steps == lazy.steps
+        assert eager.message_stats == lazy.message_stats
 
     def test_snapshot_preserves_send_order(self):
         queue = SendOrderRandomQueue()
@@ -393,7 +399,7 @@ class TestSendOrderRandomQueue:
             queue.push(_msg(seq))
         rng = random.Random(3)
         for _ in range(60):
-            queue.pop(rng, 0)
+            queue.pop(rng)
         snapshot = queue.snapshot()
         assert [m.seq for m in snapshot] == sorted(m.seq for m in snapshot)
 
@@ -447,7 +453,7 @@ class TestClassRankQueue:
             # Drift deep for the first half, then drain back down.
             if model and control.random() < (0.55 if iteration < 1500 else 0.85):
                 class_queues = queue._queues
-                assert queue.pop(fast_rng, iteration) is model_pop()
+                assert queue.pop(fast_rng) is model_pop()
                 assert fast_rng.getstate() == model_rng.getstate()
                 reranks += queue._queues is not class_queues
             elif control.random() < 0.1:
@@ -469,16 +475,46 @@ class TestClassRankQueue:
                 assert queue.snapshot() == model
         assert most_blocks > (2 if block == 64 else 16) and reranks > 10
         while model:
-            assert queue.pop(fast_rng, 3000) is model_pop()
+            assert queue.pop(fast_rng) is model_pop()
         assert len(queue) == 0 and queue.snapshot() == []
         assert all(q._blocks == [] and q._tail == [] for q in queue._queues)
         # An empty pop raises before it draws, asks for the version or re-ranks.
         epoch += 1
         calls, class_queues = version_calls, queue._queues
         with pytest.raises(IndexError):
-            queue.pop(fast_rng, 3001)
+            queue.pop(fast_rng)
         assert fast_rng.getstate() == model_rng.getstate()
         assert version_calls == calls and queue._queues is class_queues
+
+
+EMPTY_QUEUE_FACTORIES = dict(
+    SCHEDULER_FACTORIES, force_scan=lambda: force_scan(RandomScheduler())
+)
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_QUEUE_FACTORIES))
+def test_every_queue_raises_index_error_when_empty(name):
+    """The delivery loop reads an IndexError from ``pop_entry`` as "nothing in
+    flight", so every queue raises it -- and before it draws, asks its policy
+    or changes anything -- whether never filled or drained."""
+    queue = EMPTY_QUEUE_FACTORIES[name]().make_queue()
+    rng = random.Random(4)
+    for _ in range(2):
+        state, snapshot = rng.getstate(), queue.snapshot()
+        with pytest.raises(IndexError):
+            queue.pop_entry(rng)
+        with pytest.raises(IndexError):
+            queue.pop(rng)
+        assert rng.getstate() == state and queue.snapshot() == snapshot == []
+        queue.push(_msg(0))
+        assert queue.pop_entry(rng)[0].seq == 0
+    # The network turns it into the quiescent stop or the deadlock error.
+    network = Network(
+        ProtocolParams.for_parties(4), scheduler=EMPTY_QUEUE_FACTORIES[name](), seed=0
+    )
+    assert network.run_to_quiescence() == 0 and network.step() is False
+    with pytest.raises(SimulationError, match="protocol deadlock"):
+        network.run_until_complete(("absent",))
 
 
 class TestNetworkPendingView:

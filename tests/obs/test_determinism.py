@@ -10,6 +10,7 @@ observers, not participants.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from repro.net.runtime import Simulation
 from repro.obs.sinks import JsonlSink, RingBufferSink
 from repro.obs.timeline import TimelineBuilder
 from repro.protocols.weak_coin import WeakCommonCoin
+from repro.scenarios import run_scenario
 
 GOLDEN = json.loads((Path(__file__).parents[1] / "golden_trials.json").read_text())
 
@@ -137,3 +139,36 @@ def test_jsonl_files_are_byte_identical_across_runs(tmp_path):
         api.run_weak_coin(8, seed=3, sinks=[JsonlSink(path)])
     assert paths[0].read_bytes() == paths[1].read_bytes()
     assert paths[0].stat().st_size > 0
+
+
+#: The event stream itself, pinned: sha256 of the ``JsonlSink`` file, its
+#: line count and the run's drops, as written when a traced trial queued
+#: Messages and ran on a loop of its own.  The three cover the random queue,
+#: shuns with shun drops (a weak coin whose party 2 deals bad SVSS shares)
+#: and a class-ranked queue (``reactive-rush``).
+STREAM_PINS = {
+    "weak_coin_n7": (
+        lambda sinks: api.run_weak_coin(7, seed=4, sinks=sinks),
+        "70a119bc930ab76df4c91a2eb0daf26bedfc6b62b58f5c353ac4b9ae7546f3ec", 2234, 0,
+    ),
+    "bad_share_weak_coin_n8": (
+        lambda sinks: api.run_weak_coin(
+            8, seed=0, corruptions={2: attacks.BadShareBehavior.factory()}, sinks=sinks
+        ),
+        "959d7ea5069310ad55d4c94759964b8ea984303b2fbc287da0b3cd3858836b1f", 3351, 27,
+    ),
+    "reactive_rush_n7": (
+        lambda sinks: run_scenario("reactive-rush", n=7, seed=2, sinks=sinks),
+        "6fa789c3e034d3dcdeb8d9f96a75ec8291eb5f8a6725b6430c34a192f5e07d46", 2000, 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_PINS))
+def test_the_event_stream_is_pinned(name, tmp_path):
+    run, digest, lines, drops = STREAM_PINS[name]
+    path = tmp_path / "trace.jsonl"
+    result = run([JsonlSink(path)])
+    data = path.read_bytes()
+    assert (len(data.splitlines()), result.message_stats["messages_dropped"]) == (lines, drops)
+    assert hashlib.sha256(data).hexdigest() == digest

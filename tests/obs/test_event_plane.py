@@ -22,8 +22,8 @@ from repro.errors import SimulationError
 from repro.net import tracing
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.net.process import Process
 from repro.net.protocol import Protocol
+from repro.net.queues import FanoutEntry
 from repro.net.runtime import Simulation
 from repro.net.tracing import DEFAULT_EVENT_CAPACITY, EventRing, Trace, TraceEvent
 from repro.obs.schema import event_to_jsonable
@@ -184,8 +184,9 @@ def test_trace_event_is_an_immutable_named_tuple():
 def test_ring_retention_accounts_for_evicted_events():
     trace = Trace(keep_events=5)
     sink = trace.add_sink(RingBufferSink(capacity=3))
+    entry = FanoutEntry(1, ("s",), "K", ("K",), None, 0, None, "s")
+    trace.on_fanout(0, entry, 4)
     fanout = [Message(1, receiver, ("s",), ("K",), seq=receiver) for receiver in range(4)]
-    trace.on_send_many(0, fanout, "K", "s")
     for step in range(1, 4):
         trace.note(step, step)
     assert [event.kind for event in trace.events] == ["send"] * 2 + ["note"] * 3
@@ -389,23 +390,31 @@ def test_a_flight_recorder_holds_the_events_up_to_the_failure(monkeypatch):
     _assert_current(network, emit_only, ring)
     assert network.trace.messages_delivered == 30
 
-    # A handler that raises: the last event anyone holds is its delivery.
-    fail_at = network.step_count + 25
-    deliver = Process.deliver
+    # A handler that raises: the last event anyone holds is its delivery.  The
+    # fault is injected in the handlers themselves (every protocol class the
+    # run has instances of), which is where the loop hands a copy over.
+    fail_at, failed_at = network.step_count + 25, []
 
-    def failing_deliver(self, message):
-        if self.network.step_count == fail_at:
-            raise RuntimeError("handler failed")
-        deliver(self, message)
+    def failing(on_message):
+        def failing_on_message(self, sender, payload):
+            step = self.process.network.step_count
+            if not failed_at and step >= fail_at:
+                failed_at.append(step)
+                raise RuntimeError("handler failed")
+            on_message(self, sender, payload)
 
-    monkeypatch.setattr(Process, "deliver", failing_deliver)
+        return failing_on_message
+
+    for cls in {type(p) for process in network.processes for p in process.protocols.values()}:
+        monkeypatch.setattr(cls, "on_message", failing(cls.on_message))
     with pytest.raises(RuntimeError, match="handler failed"):
         network.run_until_complete(("weak_coin",))
     last = ring.events[-1]
-    assert (last.step, last.kind) == (fail_at, "deliver")
+    assert failed_at[0] - fail_at < 5  # the first handler call from fail_at on
+    assert (last.step, last.kind) == (failed_at[0], "deliver")
     assert emit_only.events[-1] == last
     _assert_current(network, emit_only, ring)
-    assert network.trace.messages_delivered == network.step_count == fail_at
+    assert network.trace.messages_delivered == network.step_count == failed_at[0]
     assert not network.trace.driving
 
 
@@ -414,25 +423,28 @@ def test_the_log_is_bounded_by_a_constant_plus_the_messages_in_flight(monkeypatc
     records plus one per message that was in flight at the last fan-out --
     the bound is checked there, and a delivery not followed by a fan-out uses
     up one of those messages.  The run ends in a tail of 20k deliveries with
-    no fan-out between them."""
+    no fan-out between them.  Fan-outs reach the log as group records (the
+    random queue holds them as groups, traced or not)."""
     n = 32
-    sizes, allowed = [], []
+    sizes, allowed, fanouts = [], [], []
     in_flight_at_last_fanout = 0
-    pump, on_send_many = Trace.pump, Trace.on_send_many
+    pump, on_fanout = Trace.pump, Trace.on_fanout
 
     def spying_pump(self):
         sizes.append(len(self._log))
         allowed.append(tracing.LOG_BOUND + in_flight_at_last_fanout)
         pump(self)
 
-    def spying_on_send_many(self, *args):
+    def spying_on_fanout(self, step, entry, size):
         nonlocal in_flight_at_last_fanout
-        on_send_many(self, *args)
+        fanouts.append(size)
+        on_fanout(self, step, entry, size)
         in_flight_at_last_fanout = len(network._queue)
 
     monkeypatch.setattr(Trace, "pump", spying_pump)
-    monkeypatch.setattr(Trace, "on_send_many", spying_on_send_many)
+    monkeypatch.setattr(Trace, "on_fanout", spying_on_fanout)
     network = Network(ProtocolParams.for_parties(n), seed=5, sinks=[EmitOnlySink()])
+    assert network._group_mode
     trace = network.trace
 
     class Chatter(Protocol):
@@ -453,6 +465,7 @@ def test_the_log_is_bounded_by_a_constant_plus_the_messages_in_flight(monkeypatc
     network.run_to_quiescence()
 
     assert network.step_count > 50_000
+    assert fanouts == [n] * (n + Chatter.sent)  # every broadcast, as one record
     assert all(size <= limit for size, limit in zip(sizes, allowed))
     # The check pumped (nothing else does in this run until the drive exits) ...
     assert sum(1 for size in sizes if size >= tracing.LOG_BOUND) > 30

@@ -79,8 +79,9 @@ def test_end_to_end_metrics_attached_to_result():
 
 @pytest.mark.parametrize("name", ["late-crash-quorum", "silence-heal"])
 def test_queue_depth_is_sampled_under_a_step_triggered_director(name):
-    """A director with step triggers asks for per-delivery callbacks; the
-    registry's samples and completion steps are taken in that run as in any."""
+    """A director with step triggers shares the delivery loop's wake-up step
+    with the registry's depth sample; the samples and completion steps are
+    taken in that run as in any."""
     result = run_scenario(
         name, n=8, seed=1, params={"metrics": True}, tracing=False
     )
@@ -114,6 +115,16 @@ def test_custom_registry_instance_is_used():
         fine["counters"]["queue_depth_samples"]
         > coarse["counters"]["queue_depth_samples"]
     )
+
+
+def test_a_negative_depth_period_is_rejected():
+    """A negative period is an error, not "sample every delivery"; 0 turns
+    sampling off."""
+    with pytest.raises(ValueError, match="queue_depth_every must be >= 0"):
+        MetricsRegistry(queue_depth_every=-1)
+    assert MetricsRegistry(queue_depth_every=0).queue_depth_every == 0
+    result = api.run_weak_coin(4, seed=0, metrics=MetricsRegistry(queue_depth_every=0))
+    assert "queue_depth" not in result.metrics["histograms"]
 
 
 def test_default_buckets_are_sorted():

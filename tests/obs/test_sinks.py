@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.core import api
-from repro.net.message import Message
+from repro.net.queues import FanoutEntry
 from repro.net.tracing import DEFAULT_EVENT_CAPACITY, Trace, TraceEvent
 from repro.obs.schema import event_to_jsonable, validate_event, validate_jsonl
 from repro.obs.sinks import JsonlSink, RingBufferSink, TraceSink
@@ -148,10 +148,7 @@ class _FailingSink(TraceSink):
 
 
 def _fanout(step, sender, n=4):
-    return [
-        Message(sender, receiver, ("s",), ("K", step), seq=step * n + receiver)
-        for receiver in range(n)
-    ]
+    return FanoutEntry(sender, ("s",), "K", ("K", step), None, step * n, None, "s"), n
 
 
 def test_close_sinks_closes_every_sink_when_the_final_pump_raises(tmp_path):
@@ -165,7 +162,7 @@ def test_close_sinks_closes_every_sink_when_the_final_pump_raises(tmp_path):
     handle = jsonl._handle
     trace.driving = True  # as inside Network.run: fan-outs wait in the log
     for step in range(3):
-        trace.on_send_many(step, _fanout(step, sender=step), "K", "s")
+        trace.on_fanout(step, *_fanout(step, sender=step))
     assert path.read_text() == "" and failing.seen == 0
     with pytest.raises(RuntimeError, match="emit failed"):
         trace.close_sinks()
@@ -186,7 +183,7 @@ def test_close_sinks_closes_every_sink_when_an_earlier_close_raises(tmp_path):
     second = trace.add_sink(_FailingSink(fail_close=True))
     handle = jsonl._handle
     trace.driving = True
-    trace.on_send_many(0, _fanout(0, sender=1), "K", "s")
+    trace.on_fanout(0, *_fanout(0, sender=1))
     with pytest.raises(RuntimeError, match="close failed"):
         trace.close_sinks()
     assert handle.closed and first.closed == second.closed == 1

@@ -10,7 +10,6 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments.spec import BehaviorSpec, ExperimentSpec, SchedulerSpec
 from repro.net.message import Message
-from repro.net.network import Network
 from repro.net.queues import ScanQueue
 from repro.scenarios import run_scenario
 from repro.scenarios.invariants import (
@@ -83,10 +82,10 @@ class TestReactiveQueueEquivalence:
             if tick == 300:
                 scheduler.apply_action({"op": "clear"}, 8, step)
             while len(queue) and ops.randrange(3):
-                delivered.append(queue.pop(rng, step))
+                delivered.append(queue.pop(rng))
                 step += 1
         while len(queue):
-            delivered.append(queue.pop(rng, step))
+            delivered.append(queue.pop(rng))
             step += 1
         return [(m.sender, m.kind, m.seq) for m in delivered]
 
@@ -312,10 +311,12 @@ class TestRestartSemantics:
 
 
 # ----------------------------------------------------------------------
-# A director rides either delivery loop.  A scenario whose scheduler leaves
-# the random queue in place runs untraced on the network's unmaterialised loop
-# (no Message per delivery) and traced on the generic one; the attack -- every
-# director action with its step -- and the outcome must not depend on which.
+# A director rides the delivery loop whatever else observes the run.  A
+# scenario whose scheduler leaves the random queue in place delivers fan-out
+# copies from their group entries, traced or not (a traced run logs each
+# copy's slot); the attack -- every director action with its step -- and the
+# outcome must not depend on the trace.  (The test's name is from when the
+# traced and the untraced trial ran on two different loops.)
 # ----------------------------------------------------------------------
 RANDOM_QUEUE_SCENARIOS = sorted(
     name for name in scenario_names() if get_scenario(name).scheduler is None
@@ -324,23 +325,21 @@ RANDOM_QUEUE_SCENARIOS = sorted(
 
 @pytest.mark.parametrize("n", (7, 16))
 @pytest.mark.parametrize("name", RANDOM_QUEUE_SCENARIOS)
-def test_director_trial_is_the_same_on_both_loops(name, n, monkeypatch):
-    unmaterialised = []
-    drive = Network._drive_unmaterialised
-
-    def counting_drive(self, max_steps):
-        unmaterialised.append(self.seed)
-        return drive(self, max_steps)
-
-    monkeypatch.setattr(Network, "_drive_unmaterialised", counting_drive)
+def test_director_trial_is_the_same_on_both_loops(name, n):
     for seed in (0, 1):
         observed = {}
         for tracing in (True, False):
             result = run_scenario(name, n=n, seed=seed, tracing=tracing)
             director = result.network.director
-            observed[tracing] = (result.steps, result.outputs, director.actions)
+            assert result.network._group_mode
+            stats = result.message_stats
+            observed[tracing] = (
+                result.steps, result.outputs, director.actions,
+                stats["messages_sent"], stats["messages_dropped"],
+            )
+            if tracing:
+                assert result.trace.messages_delivered == result.steps
         assert observed[False] == observed[True], seed
-    assert unmaterialised == [0, 1]  # the untraced run of each seed, only
 
 
 def test_the_step_triggered_attacks_are_among_them():

@@ -185,9 +185,9 @@ def test_fba(seed):
 
 # ----------------------------------------------------------------------
 # The agreement plane (BinaryAgreement under CommonSubset / FBA, and every
-# coin source), pinned with tracing on *and* off: the traced run goes through
-# the generic delivery loop, the untraced one through the unmaterialised loop
-# and its inlined route, and both must reproduce one fingerprint.
+# coin source), pinned with tracing on *and* off: both ride the one delivery
+# loop and its inlined route, the traced run logging every delivery and
+# storing the step for its hooks, and both must reproduce one fingerprint.
 def _check_both_loops(key, run, with_shuns: bool = False):
     for tracing in (True, False):
         result = run(tracing=tracing)
