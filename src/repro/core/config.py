@@ -3,12 +3,14 @@
 The central object is :class:`ProtocolParams`, which carries the number of
 parties ``n``, the corruption bound ``t`` and the finite field used by the
 secret-sharing layer.  The paper's protocols require optimal resilience,
-``n >= 3t + 1``; the constructor validates this.
+``n >= 3t + 1``, and a prime field larger than ``n``; the constructor
+validates both, so a bad modulus fails here and nowhere deeper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.errors import ConfigurationError
 
@@ -30,6 +32,37 @@ def validate_resilience(n: int, t: int) -> None:
         )
 
 
+@lru_cache(maxsize=256)
+def is_probable_prime(value: int) -> bool:
+    """Miller-Rabin primality test, deterministic for 64-bit inputs.
+
+    Memoised per modulus: every trial and beacon request builds its
+    :class:`ProtocolParams`, and only the first one per modulus pays the test.
+    """
+    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if value < 2:
+        return False
+    for prime in witnesses:
+        if value % prime == 0:
+            return value == prime
+    d, r = value - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    # These witnesses are sufficient for all 64-bit integers.
+    for a in witnesses:
+        x = pow(a, d, value)
+        if x in (1, value - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % value
+            if x == value - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def max_faults(n: int) -> int:
     """Return the largest ``t`` with ``3t + 1 <= n`` (optimal resilience)."""
     if n < 1:
@@ -44,7 +77,8 @@ class ProtocolParams:
     Attributes:
         n: total number of parties, indexed ``0 .. n-1``.
         t: maximum number of corrupted parties tolerated.
-        prime: modulus of the finite field used for secret sharing.
+        prime: modulus of the finite field used for secret sharing; a prime
+            integer above ``n``.
     """
 
     n: int
@@ -53,6 +87,10 @@ class ProtocolParams:
 
     def __post_init__(self) -> None:
         validate_resilience(self.n, self.t)
+        if not isinstance(self.prime, int) or not is_probable_prime(self.prime):
+            raise ConfigurationError(
+                f"field modulus must be a prime integer, got prime={self.prime!r}"
+            )
         if self.prime <= self.n:
             raise ConfigurationError(
                 f"field modulus must exceed the number of parties; "

@@ -1,41 +1,8 @@
-"""Information-theoretic primitives: field algebra and secret sharing.
+"""Information-theoretic secret sharing: GF(p) algebra on plain ints.
 
-The object layer re-exported here is a veneer over the raw-integer fast
-paths in :mod:`repro.crypto.kernels`.
+Everything lives in :mod:`repro.crypto.kernels`.
 """
 
 from repro.crypto import kernels
 
-from repro.crypto.bivariate import SymmetricBivariatePolynomial
-from repro.crypto.field import Field, FieldElement, is_probable_prime
-from repro.crypto.polynomial import Polynomial
-from repro.crypto.reed_solomon import berlekamp_welch, correctable
-from repro.crypto.shamir import (
-    ShamirShare,
-    additive_shares,
-    reconstruct,
-    reconstruct_robust,
-    share_from_wire,
-    share_secret,
-    shares_to_wire,
-    verify_share,
-)
-
-__all__ = [
-    "kernels",
-    "Field",
-    "FieldElement",
-    "is_probable_prime",
-    "Polynomial",
-    "SymmetricBivariatePolynomial",
-    "berlekamp_welch",
-    "correctable",
-    "ShamirShare",
-    "additive_shares",
-    "reconstruct",
-    "reconstruct_robust",
-    "share_from_wire",
-    "share_secret",
-    "shares_to_wire",
-    "verify_share",
-]
+__all__ = ["kernels"]

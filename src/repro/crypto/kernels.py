@@ -1,36 +1,32 @@
-"""Raw-integer fast-path kernels for the crypto layer.
+"""The crypto layer: GF(p) algebra on plain ints.
 
-Every protocol statistic in this reproduction is backed by Monte-Carlo
-campaigns whose cost is dominated by field arithmetic.  The object layer
-(:class:`~repro.crypto.field.FieldElement`, wrapper-based
-:class:`~repro.crypto.polynomial.Polynomial`) reads like the algebra in the
-paper but pays one Python object allocation plus coercion checks per
-operation.  The kernels in this module operate on plain ``int`` values (and
-tuples of them) with the modulus passed explicitly, so the inner loops are
-nothing but native big-int arithmetic.
-
-``Polynomial``, ``Shamir``, ``reed_solomon`` and ``bivariate`` delegate here
-and re-wrap only their results; property tests
-(``tests/crypto/test_kernels.py``) assert the two paths agree on random
-inputs.
+The paper's protocols need one piece of algebra: the SVSS dealer's random
+symmetric bivariate polynomial of degree ``t``, row checks against it and
+reconstruction at zero, all over a prime field.  Every function here works on
+plain ``int`` values (and tuples of them) with the modulus passed explicitly,
+so the inner loops are nothing but native big-int arithmetic; the modulus is
+checked prime once, where it enters (:class:`~repro.core.config.ProtocolParams`).
+``tests/crypto/test_kernels.py`` pins the scalar functions against textbook
+formulas, and ``tests/crypto/test_eval_plan.py`` pins the batched plane
+against the scalar functions.
 
 Conventions:
 
 * polynomial coefficients are low-degree-first sequences of ints in
-  ``[0, prime)``;
+  ``[0, prime)``; a bivariate polynomial is its square coefficient matrix
+  ``c[i][j]``, ``F(x, y) = sum c[i][j] x^i y^j``;
 * evaluation points handed to the cached Lagrange helpers must already be
-  reduced modulo ``prime`` (callers reduce once, the cache key stays small);
-* errors are reported with the same exception types and messages as the
-  object layer, so the veneers stay drop-in replacements.
+  reduced modulo ``prime`` (callers reduce once, the cache key stays small).
 
 Party evaluation points are fixed for the lifetime of a run (ids ``1..n``),
 so the Lagrange basis / reconstruction weights for a given ``(prime, xs)``
-pair are computed once and memoised; afterwards a Shamir reconstruction is a
-single dot product.
+pair are computed once and memoised; afterwards a reconstruction is a single
+dot product.
 """
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from math import prod
 from operator import itemgetter
@@ -103,31 +99,10 @@ def poly_trim(coeffs: Sequence[int]) -> Tuple[int, ...]:
     return tuple(coeffs[:end])
 
 
-def poly_add(prime: int, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
-    """Coefficient-wise sum of two polynomials."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for index, coeff in enumerate(b):
-        out[index] = (out[index] + coeff) % prime
-    return tuple(out)
-
-
 def poly_scale(prime: int, coeffs: Sequence[int], scalar: int) -> Tuple[int, ...]:
     """Multiply every coefficient by ``scalar``."""
     scalar %= prime
     return tuple(c * scalar % prime for c in coeffs)
-
-
-def poly_mul(prime: int, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
-    """Schoolbook product; fine at secret-sharing degrees (t <= n)."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return tuple(c % prime for c in out)
 
 
 def poly_divmod(
@@ -135,8 +110,8 @@ def poly_divmod(
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Polynomial long division; returns ``(quotient, remainder)`` untrimmed.
 
-    Mirrors :meth:`Polynomial.divmod`: the remainder keeps the numerator's
-    length and the quotient has ``max(1, len(num) - len(div) + 1)`` slots.
+    The remainder keeps the numerator's length and the quotient has
+    ``max(1, len(num) - len(div) + 1)`` slots.
 
     Raises:
         InterpolationError: when the divisor is the zero polynomial.
@@ -179,15 +154,6 @@ def eval_at_many(prime: int, coeffs: Sequence[int], xs: Sequence[int]) -> List[i
             acc = (acc * x + coefficient) % prime
         out.append(acc)
     return out
-
-
-def shamir_share_values(prime: int, coeffs: Sequence[int], n: int) -> List[int]:
-    """Evaluations at the canonical party points ``1..n`` (Shamir shares).
-
-    Vandermonde-free: incremental Horner per point, ``O(n * t)`` multiplies
-    with no matrix construction.
-    """
-    return eval_at_many(prime, coeffs, range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +274,7 @@ def interpolate(prime: int, xs: Tuple[int, ...], ys: Sequence[int]) -> Tuple[int
 
 
 def interpolate_at_zero(prime: int, xs: Tuple[int, ...], ys: Sequence[int]) -> int:
-    """``f(0)`` of the interpolated polynomial -- the Shamir reconstruction map.
+    """``f(0)`` of the interpolated polynomial -- the reconstruction map.
 
     With a warm weight cache this is a ``k``-term dot product.
 
@@ -383,8 +349,8 @@ def solve_linear_system(
     """Solve ``matrix @ x = rhs`` over GF(prime) by Gaussian elimination.
 
     Returns one solution (free variables set to zero) or None when the system
-    is inconsistent.  Same pivoting order as the object-layer original, so the
-    selected solution is identical.
+    is inconsistent.  Pivots are the first nonzero entry of each column, so
+    the selected solution is a function of the system alone.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
@@ -432,9 +398,10 @@ def berlekamp_welch_raw(
 ) -> Tuple[int, ...]:
     """Berlekamp-Welch decoding on raw ints; returns trimmed coefficients.
 
-    Same contract (and error messages) as
-    :func:`repro.crypto.reed_solomon.berlekamp_welch`, which now delegates
-    here after unwrapping its points.
+    Shares of a degree-``degree`` polynomial form a Reed-Solomon codeword, so
+    with ``len(xs) >= degree + 1 + 2 * max_errors`` points this returns the
+    unique polynomial agreeing with all but at most ``max_errors`` of them --
+    exactly tight at ``n = 3t + 1``, ``e = t``.
 
     Raises:
         DecodingError: when no degree-``degree`` polynomial explains all but
@@ -502,29 +469,32 @@ def berlekamp_welch_raw(
 
 
 # ---------------------------------------------------------------------------
-# Symmetric bivariate helpers.
+# Symmetric bivariate polynomials (the SVSS sharing).
 # ---------------------------------------------------------------------------
-def bivariate_eval(
-    prime: int, matrix: Sequence[Sequence[int]], x: int, y: int
-) -> int:
-    """Evaluate ``F(x, y) = sum c[i][j] x^i y^j`` (Horner in x of Horners in y)."""
-    acc = 0
-    for row in reversed(matrix):
-        inner = 0
-        for coefficient in reversed(row):
-            inner = (inner * y + coefficient) % prime
-        acc = (acc * x + inner) % prime
-    return acc
+def random_symmetric_matrix(
+    prime: int, degree: int, rng: random.Random, secret: int
+) -> List[List[int]]:
+    """A random symmetric ``F`` of degree ``degree`` in each variable, ``F(0, 0) = secret``.
+
+    The SVSS dealer's draw: one ``rng.randrange(prime)`` per ``(i, j >= i)``
+    in row-major order, then ``c[0][0] = secret % prime``.  Symmetry gives the
+    pairwise check ``f_i(j) = F(i, j) = F(j, i) = f_j(i)`` that parties use
+    to validate each other's rows.
+    """
+    size = degree + 1
+    randrange = rng.randrange
+    matrix = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            matrix[i][j] = matrix[j][i] = randrange(prime)
+    matrix[0][0] = secret % prime
+    return matrix
 
 
 def bivariate_row(
     prime: int, matrix: Sequence[Sequence[int]], x: int
 ) -> Tuple[int, ...]:
-    """Coefficients of the row polynomial ``f_x(y) = F(x, y)``.
-
-    ``O(t^2)`` int multiplies; the object layer previously paid the same
-    asymptotics in FieldElement allocations.
-    """
+    """Coefficients of the row polynomial ``f_x(y) = F(x, y)`` (``O(t^2)``)."""
     size = len(matrix)
     out = [0] * size
     x_power = 1

@@ -28,7 +28,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.adversary import attacks, behaviors, scheduling
 from repro.core import api
-from repro.errors import ExperimentError, FaultInjectionError
+from repro.core.config import ProtocolParams
+from repro.errors import ConfigurationError, ExperimentError, FaultInjectionError
 from repro.experiments.spec import BehaviorSpec, SchedulerSpec
 from repro.net import scheduler as net_scheduler
 
@@ -267,14 +268,17 @@ def runner_signature(
     return required, frozenset(named) - _EXECUTOR_SUPPLIED, extras.intersection(named)
 
 
-def runner_params_problem(protocol: str, params: Mapping[str, Any]) -> Optional[str]:
-    """Why ``RUNNERS[protocol]`` cannot be called with ``params`` (or None).
+def runner_params_problem(
+    protocol: str, params: Mapping[str, Any], n: int
+) -> Optional[str]:
+    """Why ``RUNNERS[protocol]`` cannot be called with ``params`` at ``n`` (or None).
 
     The runner-side twin of :func:`build_scheduler`'s check: a missing or
-    misspelt param is a spec error raised at validation (campaign cell,
-    ablation grid, beacon request), not a ``TypeError`` in a worker after
-    dispatch.  Two set operations per call; the name sets are computed once
-    per runner.
+    misspelt param, or a ``prime`` that is not a prime above ``n``, is a spec
+    error raised at validation (campaign cell, ablation grid, beacon request),
+    not an exception in a worker after dispatch.  Two set operations per
+    call, plus a :class:`ProtocolParams` build when ``prime`` is given; the
+    name sets and the primality test are computed once per runner / modulus.
     """
     required, accepted, _ = runner_signature(RUNNERS.get(protocol))
     if not required.issubset(params):
@@ -287,6 +291,11 @@ def runner_params_problem(protocol: str, params: Mapping[str, Any]) -> Optional[
             f"runner {protocol!r} takes no params "
             f"{sorted(set(params) - accepted)}; accepted: {sorted(accepted)}"
         )
+    if "prime" in params:
+        try:
+            ProtocolParams.for_parties(n, prime=params["prime"])
+        except ConfigurationError as exc:
+            return f"runner {protocol!r} at n={n}: {exc}"
     return None
 
 

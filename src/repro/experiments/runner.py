@@ -157,7 +157,7 @@ class CellExecutor:
         self.corruptions = corruptions
         # A cell its runner cannot be called with fails here, before any
         # trial is dispatched, like an unusable scheduler spec.
-        problem = runner_params_problem(cell.protocol, kwargs)
+        problem = runner_params_problem(cell.protocol, kwargs, cell.n)
         if problem is not None:
             raise ExperimentError(f"cell {cell.name!r}: {problem}")
         #: Which optional runner kwargs (director/session table) to forward.

@@ -31,9 +31,9 @@ DESIGN.md as a substitution.
 
 Hot-path design (SVSS messages dominate every coin/agreement trial):
 
-* **Raw-int rows** -- ROW/RECROW payloads are validated, compared and
-  evaluated as plain reduced int tuples; a :class:`Polynomial` object is only
-  built lazily, once, when a completed :class:`ShareState` needs it.
+* **Raw-int rows** -- the dealer draws ``F`` as an int coefficient matrix
+  (``kernels.random_symmetric_matrix``), and ROW/RECROW payloads are
+  validated, compared, evaluated and held as plain reduced int tuples.
 * **Network-wide batched crypto plane** -- all instances of a trial share the
   :class:`~repro.crypto.kernels.CryptoPlane` interned on the network.  Every
   value any party checks for one dealer is an entry of the grid
@@ -65,13 +65,10 @@ Hot-path design (SVSS messages dominate every coin/agreement trial):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.crypto import kernels
-from repro.crypto.field import Field
-from repro.crypto.polynomial import Polynomial
-from repro.crypto.bivariate import SymmetricBivariatePolynomial
 from repro.errors import DecodingError
 from repro.net.message import SessionId
 from repro.net.process import Process
@@ -84,12 +81,10 @@ def party_point(pid: int) -> int:
 
 
 def _validate_row_ints(prime: int, t: int, coefficients: Any) -> Optional[Tuple[int, ...]]:
-    """Validate a wire-format row without building a :class:`Polynomial`.
+    """Validate a wire-format row: the reduced, trimmed coefficient tuple.
 
-    Returns the reduced, trimmed coefficient tuple -- exactly the ints
-    ``Polynomial.from_ints`` would store -- or ``None`` when the payload is
-    malformed (non-int coefficients) or the degree exceeds ``t``; both cases
-    shun the sender, matching the legacy object-path checks bit for bit.
+    Returns ``None`` when the payload is malformed (not a tuple or list of
+    ints) or its degree exceeds ``t``; both cases shun the sender.
 
     This is the scalar oracle; the protocol classes route through the
     network's :class:`~repro.crypto.kernels.CryptoPlane`, whose cached
@@ -100,9 +95,8 @@ def _validate_row_ints(prime: int, t: int, coefficients: Any) -> Optional[Tuple[
         isinstance(c, int) for c in coefficients
     ):
         return None
-    # poly_trim(()) is (); the legacy Polynomial constructor normalised an
-    # empty payload to the zero polynomial, and downstream code indexes
-    # row[0], so the () form must never escape.
+    # poly_trim(()) is (); an empty payload is the zero polynomial, and
+    # downstream code indexes row[0], so the () form must never escape.
     trimmed = kernels.poly_trim(tuple(c % prime for c in coefficients)) or (0,)
     if len(trimmed) - 1 > t:
         return None
@@ -115,45 +109,34 @@ class ShareState:
 
     Attributes:
         dealer: the dealer's party id.
-        row: this party's row polynomial ``f_i``.
+        row_ints: this party's row polynomial ``f_i`` as its reduced, trimmed
+            coefficient tuple (the wire form).
         recovered: True when the row was recovered from peers' points rather
             than received from the dealer.
-        row_ints: the row's reduced coefficient tuple (the wire/kernel form;
-            ``row`` is derived from it lazily).
     """
 
     dealer: int
     row_ints: Tuple[int, ...] = ()
     recovered: bool = False
-    _field: Optional[Field] = field(default=None, repr=False)
-    _row: Optional[Polynomial] = field(default=None, repr=False)
-
-    @property
-    def row(self) -> Polynomial:
-        """The row as a :class:`Polynomial`, built on first access."""
-        if self._row is None:
-            assert self._field is not None
-            self._row = Polynomial._from_int_coeffs(self._field, self.row_ints)
-        return self._row
 
 
 class SVSSShare(Protocol):
     """The sharing half of SVSS with designated ``dealer``.
 
     Start kwargs:
-        value: the secret (field element or int); required at the dealer.
+        value: the secret (an int, reduced modulo the field prime); required
+            at the dealer.
 
     Output: a :class:`ShareState` for use by :class:`SVSSRec`.
     """
 
     __slots__ = (
         "dealer",
-        "field",
         "_plane",
         "row_ints",
         "_row_evals",
         "row_recovered",
-        "secret_polynomial",
+        "secret_matrix",
         "points",
         "_consistent_count",
         "_ready_flags",
@@ -166,7 +149,6 @@ class SVSSShare(Protocol):
     def __init__(self, process: Process, session: SessionId, dealer: int) -> None:
         super().__init__(process, session)
         self.dealer = dealer
-        self.field = Field(self.params.prime)
         #: Network-wide batched crypto plane (shared row/eval/weight caches).
         self._plane = process.network.crypto_plane()
         #: This party's row as a reduced int tuple (None until known).
@@ -174,7 +156,8 @@ class SVSSShare(Protocol):
         #: Row evaluated at every party point, indexed by pid (filled with the row).
         self._row_evals: List[int] = []
         self.row_recovered = False
-        self.secret_polynomial: Optional[SymmetricBivariatePolynomial] = None
+        #: The dealer's ``F`` as its symmetric coefficient matrix (dealer only).
+        self.secret_matrix: Optional[List[List[int]]] = None
         #: Received cross-points, indexed by sender pid (None until received).
         self.points: List[Optional[int]] = [None] * self.n
         #: Number of senders (self included) whose point matches our row.
@@ -200,14 +183,13 @@ class SVSSShare(Protocol):
             return
         if value is None:
             raise ValueError("the SVSS dealer must provide a value")
-        self.secret_polynomial = SymmetricBivariatePolynomial.random(
-            self.field, self.t, self.rng, secret=int(self.field(value))
+        self.secret_matrix = kernels.random_symmetric_matrix(
+            self.params.prime, self.t, self.rng, int(value)
         )
-        # The whole sharing through one grid product: all n wire rows (the
-        # same trimmed tuples the per-receiver ``row().to_ints()`` loop used
-        # to build) and every cross-point, seeded into the plane so no
-        # receiver validates or evaluates an honestly dealt row again.
-        rows = self._plane.deal_rows(self.secret_polynomial.int_matrix)
+        # The whole sharing through one grid product: all n wire rows
+        # ``f_i = F(alpha_i, .)`` and every cross-point, seeded into the plane
+        # so no receiver validates or evaluates an honestly dealt row again.
+        rows = self._plane.deal_rows(self.secret_matrix)
         process = self.process
         if process.outgoing_mutator is None:
             process.network.submit_fanout(self.pid, self.session, "ROW", rows)
@@ -328,7 +310,6 @@ class SVSSShare(Protocol):
                     dealer=self.dealer,
                     row_ints=self.row_ints,
                     recovered=self.row_recovered,
-                    _field=self.field,
                 )
             )
 
@@ -465,7 +446,6 @@ class SVSSRec(Protocol):
 
     __slots__ = (
         "dealer",
-        "field",
         "_plane",
         "_row_cache",
         "_t1",
@@ -478,7 +458,6 @@ class SVSSRec(Protocol):
     def __init__(self, process: Process, session: SessionId, dealer: int) -> None:
         super().__init__(process, session)
         self.dealer = dealer
-        self.field = Field(self.params.prime)
         #: Network-wide batched crypto plane (shared row/eval/weight caches).
         self._plane = plane = process.network.crypto_plane()
         # Direct reference to the plane's shared row cache: the RECROW handler

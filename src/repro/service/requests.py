@@ -92,7 +92,7 @@ class BeaconRequest:
                 f"request {self.request_id}: params may not override "
                 f"{', '.join(sorted(reserved))}"
             )
-        problem = runner_params_problem(self.protocol, self.params)
+        problem = runner_params_problem(self.protocol, self.params, self.n)
         if problem is not None:
             raise ServiceError(f"request {self.request_id}: {problem}")
         if self.fault is not None and str(self.fault.get("fault")) not in FAULTS:

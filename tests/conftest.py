@@ -7,7 +7,6 @@ import random
 import pytest
 
 from repro.core.config import ProtocolParams
-from repro.crypto.field import Field
 
 
 @pytest.fixture
@@ -20,18 +19,6 @@ def params4() -> ProtocolParams:
 def params7() -> ProtocolParams:
     """Seven parties, two faults."""
     return ProtocolParams.for_parties(7)
-
-
-@pytest.fixture
-def small_field() -> Field:
-    """A small prime field used by crypto unit tests."""
-    return Field(101)
-
-
-@pytest.fixture
-def big_field() -> Field:
-    """The default protocol field."""
-    return Field(2_147_483_647)
 
 
 @pytest.fixture

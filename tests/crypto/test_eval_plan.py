@@ -18,8 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import kernels
-from repro.crypto.bivariate import SymmetricBivariatePolynomial
-from repro.crypto.field import Field
 from repro.protocols.svss import _validate_row_ints
 
 #: Million-scale (single matmul), the library default 2^31 - 1 (hi/lo split)
@@ -159,27 +157,30 @@ class TestEvalGridAndShares:
             assert all(plane.row_cache[row] is before[row] for row in rows), kind
 
     @pytest.mark.parametrize("plan", plans(), ids=plan_id)
-    def test_random_dealing_equals_the_checking_constructor(self, plan):
-        """``random`` skips the coercing constructor, not its result or draws."""
-        field = Field(plan.prime)
-        t = (plan.n - 1) // 3
-        for secret in (None, 0, 12345, field(7)):
-            fast_rng, slow_rng = random.Random(13), random.Random(13)
-            fast = SymmetricBivariatePolynomial.random(field, t, fast_rng, secret=secret)
-            matrix = _symmetric(t + 1, lambda i, j: field.random(slow_rng))
-            if secret is not None:
-                matrix[0][0] = field(secret)
-            slow = SymmetricBivariatePolynomial(field, matrix)
-            assert fast_rng.getstate() == slow_rng.getstate()
-            assert fast.int_matrix == slow.int_matrix
-            assert fast == slow and fast.coefficients == slow.coefficients
-            assert fast.secret == slow.secret and fast.degree == slow.degree == t
-            assert all(fast.row(i) == slow.row(i) for i in range(plan.n + 1))
-            assert fast(3, plan.n) == slow(3, plan.n)
-        with pytest.raises(Exception, match="different field"):
-            SymmetricBivariatePolynomial.random(
-                field, t, random.Random(0), secret=Field(101)(3)
-            )
+    def test_a_random_dealing_is_the_textbook_sharing(self, plan):
+        """The dealer's matrix, dealt on the plan: wire row ``i`` has
+        coefficients ``sum_a c[a][j] i^a`` and the grid holds the double sum
+        ``F(i, j) = sum_{a, b} c[a][b] i^a j^b``, at sampled party points."""
+        prime, t = plan.prime, (plan.n - 1) // 3
+        sample = random.Random(plan.n).sample(range(1, plan.n + 1), min(plan.n, 5))
+        for secret in (0, 12345, -1, prime + 7):
+            rng = random.Random(13)
+            matrix = kernels.random_symmetric_matrix(prime, t, rng, secret)
+            assert matrix[0][0] == secret % prime
+            rows, evals = plan.bivariate_grid(matrix)
+            for i in sample:
+                row = [
+                    sum(matrix[a][j] * pow(i, a, prime) for a in range(t + 1)) % prime
+                    for j in range(t + 1)
+                ]
+                assert rows[i - 1] == kernels.poly_trim(row)
+                for j in sample:
+                    assert evals[i - 1][j - 1] == sum(
+                        c * pow(i, a, prime) * pow(j, b, prime)
+                        for a, coefficients in enumerate(matrix)
+                        for b, c in enumerate(coefficients)
+                    ) % prime
+                    assert evals[i - 1][j - 1] == evals[j - 1][i - 1]
 
 
 def _coefficient(prime):

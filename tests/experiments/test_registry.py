@@ -91,11 +91,23 @@ class TestRunnerParams:
         assert extras == {"director", "session_table"}
 
     def test_missing_and_misspelt_params_are_named(self):
-        assert "needs params ['inputs']" in runner_params_problem("fba", {})
-        problem = runner_params_problem("coinflip", {"roundz": 1})
+        assert "needs params ['inputs']" in runner_params_problem("fba", {}, 4)
+        problem = runner_params_problem("coinflip", {"roundz": 1}, 4)
         assert "takes no params ['roundz']" in problem and "'rounds'" in problem
-        assert runner_params_problem("coinflip", {"rounds": 1}) is None
-        assert runner_params_problem("fba", {"inputs": {0: 1}}) is None
+        assert runner_params_problem("coinflip", {"rounds": 1}, 4) is None
+        assert runner_params_problem("fba", {"inputs": {0: 1}}, 4) is None
+
+    def test_a_modulus_that_is_not_a_prime_above_n_is_named(self):
+        """The field modulus is checked where it enters, at the n the cell runs."""
+        problem = runner_params_problem("weak_coin", {"prime": 15}, 4)
+        assert problem == (
+            "runner 'weak_coin' at n=4: field modulus must be a prime integer, got prime=15"
+        )
+        assert "must exceed the number of parties" in runner_params_problem(
+            "weak_coin", {"prime": 5}, 7
+        )
+        assert runner_params_problem("weak_coin", {"prime": 5}, 4) is None
+        assert runner_params_problem("weak_coin", {"prime": 1_000_003}, 16) is None
 
     def test_kwargs_runner_takes_anything_and_c_callable_is_skipped(self):
         def downstream(n, payload, seed=0, **extra):

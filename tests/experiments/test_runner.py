@@ -140,6 +140,30 @@ class TestTrialAndCell:
                 ),
                 r"cell 'attack': runner 'weak_coin' takes no params \['roundz'\]",
             ),
+            (
+                ExperimentSpec(
+                    name="composite", protocol="weak_coin", n=4, seeds=[0],
+                    params={"prime": 15},
+                ),
+                r"cell 'composite': runner 'weak_coin' at n=4: field modulus must "
+                r"be a prime integer, got prime=15",
+            ),
+            (
+                ExperimentSpec(
+                    name="carmichael", protocol="coinflip", n=7, seeds=[0],
+                    params={"rounds": 1, "prime": 561},
+                ),
+                r"cell 'carmichael': runner 'coinflip' at n=7: field modulus must "
+                r"be a prime integer, got prime=561",
+            ),
+            (
+                ExperimentSpec(
+                    name="small-field", protocol="weak_coin", n=7, seeds=[0],
+                    params={"prime": 5},
+                ),
+                r"cell 'small-field': runner 'weak_coin' at n=7: field modulus must "
+                r"exceed the number of parties; got prime=5, n=7",
+            ),
         ],
     )
     def test_bad_runner_params_fail_before_running(self, cell, message):

@@ -143,14 +143,17 @@ class TestCli:
                 {"name": "fba-no-inputs", "protocol": "fba", "n": 4, "seeds": [0, 1]},
                 {"name": "typo", "protocol": "coinflip", "n": 4, "seeds": [0],
                  "params": {"roundz": 1}},
+                {"name": "composite", "protocol": "weak_coin", "n": 4, "seeds": [0],
+                 "params": {"prime": 15}},
             ],
         }))
         assert main(["validate", str(bad_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        first, second = captured.err.splitlines()
+        first, second, third = captured.err.splitlines()
         assert first.startswith("error: cell 'fba-no-inputs': ") and "'inputs'" in first
         assert second.startswith("error: cell 'typo': ") and "'roundz'" in second
+        assert third.startswith("error: cell 'composite': ") and "prime=15" in third
 
         assert main(["run", str(bad_path), "--workers", "2"]) == 2
         captured = capsys.readouterr()

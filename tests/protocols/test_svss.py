@@ -17,7 +17,6 @@ from repro.adversary import (
 from repro.core import api
 from repro.core.config import ProtocolParams
 from repro.crypto import kernels
-from repro.crypto.field import Field
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.runtime import Simulation
@@ -63,45 +62,71 @@ class TestHonestDealer:
         assert set(result.outputs) == {0, 1, 2}
 
 
+def _textbook_row(matrix, x, prime):
+    """``f_x(y) = F(x, y)``: coefficient ``j`` is ``sum_a c[a][j] x^a``, trimmed."""
+    size = len(matrix)
+    row = [sum(matrix[a][j] * pow(x, a, prime) for a in range(size)) % prime for j in range(size)]
+    while len(row) > 1 and row[-1] == 0:
+        row.pop()
+    return tuple(row)
+
+
 class TestShareStateStructure:
-    def test_share_row_matches_dealer_polynomial(self):
-        """Each party's row is the dealer's bivariate polynomial restricted to its index."""
-        params = ProtocolParams.for_parties(4)
+    @pytest.mark.parametrize("n", [4, 7, 10, 16])
+    def test_share_row_matches_dealer_polynomial(self, n):
+        """Each party's row is the dealer's bivariate polynomial restricted to
+        its index, on the scalar plan (n = 4) and the vectorised one."""
+        params = ProtocolParams.for_parties(n)
+        prime, t = params.prime, params.t
         sim = Simulation(params, seed=5, scheduler=FIFOScheduler())
         network = sim.build_network()
         for process in network.processes:
             kwargs = {"value": 77} if process.pid == 0 else {}
             process.create_protocol(("share",), SVSSShare.factory(0)).start(**kwargs)
         network.run(until=lambda net: net.all_honest_finished(("share",)))
-        dealer_poly = network.processes[0].protocol(("share",)).secret_polynomial
-        assert dealer_poly.secret == 77
+        matrix = network.processes[0].protocol(("share",)).secret_matrix
+        assert matrix[0][0] == 77
+        assert all(matrix[i][j] == matrix[j][i] for i in range(t + 1) for j in range(t + 1))
         for process in network.processes:
             share_state = process.protocol(("share",)).output
-            assert share_state.row == dealer_poly.row(party_point(process.pid))
+            row = _textbook_row(matrix, party_point(process.pid), prime)
+            assert share_state.row_ints == row
             assert not share_state.recovered
 
-    def test_hiding_before_reconstruction(self):
-        """No single party's row determines the secret (information-theoretic hiding)."""
-        params = ProtocolParams.for_parties(4)
-        field = Field(params.prime)
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    def test_hiding_before_reconstruction(self, n):
+        """No t parties' rows determine the secret (information-theoretic hiding)."""
+        params = ProtocolParams.for_parties(n)
+        prime, t = params.prime, params.t
         sim = Simulation(params, seed=6, scheduler=FIFOScheduler())
         network = sim.build_network()
         for process in network.processes:
             kwargs = {"value": 0} if process.pid == 0 else {}
             process.create_protocol(("share",), SVSSShare.factory(0)).start(**kwargs)
         network.run(until=lambda net: net.all_honest_finished(("share",)))
-        # Party 1's row constrains F(alpha_1, y) but leaves F(0, 0) free: for any
-        # candidate secret there exists a consistent symmetric bivariate
-        # polynomial, so the row alone carries no information about the secret.
-        row = network.processes[1].protocol(("share",)).output.row
-        from repro.crypto.polynomial import Polynomial
-
+        # The rows of parties 1..t constrain F(alpha_i, y) but leave F(0, 0)
+        # free: for any candidate secret, F + (candidate - secret) h(x) h(y)
+        # with h(z) = prod_i (1 - z / alpha_i) is symmetric, of degree t, and
+        # deals each of those parties the very same row.
+        matrix = network.processes[0].protocol(("share",)).secret_matrix
+        coalition = range(1, t + 1)
+        h = [1]
+        for pid in coalition:  # h <- h * (1 - z / alpha_pid)
+            factor = -pow(party_point(pid), prime - 2, prime) % prime
+            h = [
+                ((h[k] if k < len(h) else 0) + (factor * h[k - 1] if k else 0)) % prime
+                for k in range(len(h) + 1)
+            ]
         for candidate in (0, 1, 99):
-            g = Polynomial.interpolate(
-                field, [(0, candidate), (party_point(1), row(0).value)]
-            )
-            assert g(party_point(1)) == row(0)
-            assert g(0) == candidate
+            delta = candidate - matrix[0][0]
+            other = [
+                [(matrix[a][b] + delta * h[a] * h[b]) % prime for b in range(t + 1)]
+                for a in range(t + 1)
+            ]
+            assert other[0][0] == candidate
+            for pid in coalition:
+                row = network.processes[pid].protocol(("share",)).output.row_ints
+                assert _textbook_row(other, party_point(pid), prime) == row
 
 
 class TestWithholdingDealer:
@@ -157,9 +182,9 @@ class TestByzantineReconstruction:
     def test_empty_row_payload_is_the_zero_polynomial(self, kind):
         """A dealer sending an empty coefficient tuple must not crash anyone.
 
-        The legacy ``Polynomial`` constructor normalised ``()`` to the zero
-        polynomial; the raw-int validation path must do the same or honest
-        parties index ``row[0]`` off the end mid-reconstruction.
+        ``()`` is the zero polynomial; row validation must normalise it to
+        ``(0,)`` or honest parties index ``row[0]`` off the end
+        mid-reconstruction.
         """
         def empty_rows(receiver, session, payload):
             if payload and payload[0] == kind:
@@ -537,7 +562,7 @@ def test_handlers_match_scalar_model(n, seeds):
         ]
         for pid in range(n):
             shares[pid].start(**({"value": rng.randrange(prime)} if pid == dealer else {}))
-        models[dealer].deal(shares[dealer].secret_polynomial.int_matrix)
+        models[dealer].deal(shares[dealer].secret_matrix)
         # A faulty dealer: some parties never get their row, or get junk.
         withheld = set(rng.sample(range(n), rng.choice((0, 0, 1, t))))
         junk_rate = rng.choice((0.0, 0.1, 0.3))

@@ -103,7 +103,12 @@ class TestMetrics:
 class TestAdmission:
     @pytest.mark.parametrize(
         "protocol, params",
-        [("coinflip", {"roundz": 1}), ("fba", {}), ("weak_coin", {"knobs": {}})],
+        [
+            ("coinflip", {"roundz": 1}),
+            ("fba", {}),
+            ("weak_coin", {"knobs": {}}),
+            ("weak_coin", {"prime": 15}),
+        ],
     )
     def test_params_the_runner_cannot_take_never_reach_a_shard(self, protocol, params):
         """Rejected at ``submit``, not answered ``error`` after the request

@@ -40,6 +40,10 @@ class TestBeaconRequest:
             ("coinflip", {"roundz": 1}, "roundz"),
             ("coinflip", {"rounds": 1, "knobs": {}}, "knobs"),
             ("fba", {"coinflip_rounds": 1}, "inputs"),
+            ("weak_coin", {"prime": 15}, "must be a prime integer, got prime=15"),
+            ("coinflip", {"rounds": 1, "prime": 561}, "must be a prime integer, got prime=561"),
+            ("fba", {"inputs": {}, "prime": "101"}, "must be a prime integer, got prime='101'"),
+            ("aba", {"inputs": {}, "prime": 3}, "must exceed the number of parties"),
         ],
     )
     def test_params_the_runner_cannot_take_are_rejected(self, protocol, params, named):

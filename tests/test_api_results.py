@@ -31,6 +31,28 @@ class TestRunners:
         with pytest.raises(SimulationError):
             api.run_coinflip(4, seed=0, rounds=2, max_steps=10)
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: api.run_aba(4, {0: 1, 1: 1, 2: 0, 3: 1}, prime=15),
+            lambda: api.run_weak_coin(4, prime=15),
+            lambda: api.run_svss(4, 7, prime=15),
+            lambda: api.run_acast(4, "v", sender=0, prime=15),
+            lambda: api.run_common_subset(4, [0, 1, 2, 3], prime=15),
+            lambda: api.run_coinflip(4, rounds=1, prime=15),
+            lambda: api.run_fair_choice(4, 3, prime=15),
+            lambda: api.run_fba(4, {0: 1, 1: 1, 2: 0, 3: 1}, prime=15),
+        ],
+        ids=["aba", "weak_coin", "svss", "acast", "common_subset", "coinflip", "fair_choice", "fba"],
+    )
+    def test_a_composite_modulus_fails_before_the_run(self, run):
+        """Every runner builds ProtocolParams first, so a composite prime is a
+        ConfigurationError whether or not the protocol does field arithmetic."""
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="prime integer, got prime=15"):
+            run()
+
 
 class TestThroughput:
     def test_trials_record_elapsed_and_throughput(self):

@@ -52,6 +52,34 @@ def test_only_the_pool_imports_multiprocessing():
     assert importers == {"experiments/pool.py"}
 
 
+def test_crypto_is_one_module():
+    """GF(p) algebra is plain-int functions in ``crypto/kernels.py``; a field,
+    polynomial or sharing object layer around them is a second implementation
+    that only tests would call."""
+    crypto = SRC / "crypto"
+    assert sorted(str(p.relative_to(crypto)) for p in crypto.rglob("*.py")) == [
+        "__init__.py",
+        "kernels.py",
+    ]
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                modules = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(SRC.parent)}:{node.lineno} imports {module}"
+                for module in modules
+                if module.startswith("repro.crypto.") and module != "repro.crypto.kernels"
+                # ``from repro.crypto.kernels import X`` names X inside kernels.
+                and not module.startswith("repro.crypto.kernels.")
+            ]
+    assert offenders == []
+
+
 def test_run_surface():
     """Every settable value of one run, as a literal list.
 
