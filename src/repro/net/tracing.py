@@ -20,52 +20,56 @@ Event retention is tiered rather than all-or-nothing:
 
 Retention is itself a consumer (:class:`EventRing`) placed before the sinks.
 
-**Record now, expand on read.**  Nearly every event is a message event --
-one ``send`` and one ``deliver`` per copy -- and a consumer rarely wants them
-one Python call at a time, so the per-message hooks build neither events nor
-messages.  They append *records* to one append-only log private to this
-module, holding what the network's queue holds:
+**Record now, expand on read.**  Every event is a record in one append-only
+log private to this module, and nearly every event is a message event -- one
+``send`` and one ``deliver`` per copy -- which a consumer rarely wants one
+Python call at a time, so the per-message hooks build neither events nor
+messages.  The log holds three shapes:
 
 * a delivery is ``(step, entry, receiver)``, appended by the delivery loop
   itself through :attr:`Trace.log_delivery` (no hook frame per delivery):
   the pair the queue's ``pop_entry`` returned, ``(entry, receiver)`` for a
   copy of a fan-out group and ``(message, -1)`` for a lone message;
 * a fan-out is ``(step, (entry, size))`` -- one record for all its ``size``
-  sends, ``entry`` the :class:`~repro.net.queues.FanoutEntry` they share.
+  sends, ``entry`` the :class:`~repro.net.queues.FanoutEntry` they share;
+* every other event (a lone send, ``drop``, ``complete``, ``shun``,
+  ``corrupt``, ``phase``, ``session_open``, ``director``, ``note``) is its
+  :class:`TraceEvent` 4-tuple, appended by :meth:`Trace.record`, which also
+  counts it by kind.
 
 The :class:`~repro.net.message.Message` of a send or delivery event is built
 from its record when the event is built (``FanoutEntry.materialize``: the
 same fields and sequence number the copy was sent with), so an event is
 equal to the one a per-message log would have held, not the same object.
-:meth:`Trace.pump` hands the log on, in order.  A duck-typed sink receives
-exactly the calls it always did -- ``emit(event)`` per delivery,
-``emit_many(one fan-out's send events)`` per fan-out.  An :class:`EventRing`
-(hence ``keep_events`` and :class:`repro.obs.sinks.RingBufferSink`) receives
-the records *unexpanded*: it counts them arithmetically, keeps the ones
-covering its last ``capacity`` events and builds :class:`TraceEvent` tuples
-only when ``events`` is read.  Every other event (a lone send, ``drop``,
-``complete``, ``shun``, ``corrupt``, ``phase``, ``session_open``,
-``director``, ``note``) pumps the log and is emitted directly, so the
-records and these two shapes are known to this module only.
+:meth:`Trace.pump` hands the log on, in order, and is the one place a
+consumer is called.  A duck-typed sink receives exactly the calls it always
+did -- ``emit(event)`` per delivery and per event that is not a message
+event, ``emit_many(one fan-out's send events)`` per fan-out.  An
+:class:`EventRing` (hence ``keep_events`` and
+:class:`repro.obs.sinks.RingBufferSink`) receives the records *unexpanded*
+with the pump's per-kind counts: it keeps the records covering its last
+``capacity`` events and builds :class:`TraceEvent` tuples only when
+``events`` is read.  The records and these shapes are known to this module
+only.
 
-A fan-out waits in the log only while the network is delivering
+A record waits in the log only while the network is delivering
 (:attr:`Trace.driving`); recorded at any other time -- a protocol started by
-hand, a test calling ``on_fanout`` -- it is pumped at once.  Consumers are
-therefore current
+hand, a director's setup, a test calling ``on_fanout`` or ``note`` -- it is
+pumped at once.  Consumers are therefore current
 
 * whenever control is outside the network's delivery loop: before a drive,
   and when ``step`` / ``run*`` return -- also when a handler raised (a flight
   recorder holds the events up to and including the failing delivery);
-* after every event that is not a fan-out or a delivery;
 * on any read through the trace (``events``, ``events_dropped``,
   ``summary``), at ``add_sink`` and at ``close_sinks``;
 
 and in between the log holds at most :data:`LOG_BOUND` records plus one per
-message that was in flight when the last fan-out was recorded: the bound is
-checked at every fan-out, and a delivery that is not followed by one uses up
-one of those messages (``tests/obs/test_event_plane.py`` holds a 50k-delivery
-run to it).  Only the aggregate ``messages_delivered`` lags further: the
-network adds a drive's deliveries when the drive exits.
+message that was in flight when the last record other than a delivery was
+logged: the bound is checked at every fan-out and every event, and a
+delivery that is not followed by one uses up one of those messages
+(``tests/obs/test_event_plane.py`` holds a 50k-delivery run to it).  Only the
+aggregate ``messages_delivered`` lags further: the network adds a drive's
+deliveries when the drive exits.
 """
 
 from __future__ import annotations
@@ -79,7 +83,8 @@ from repro.net.message import Message, SessionId
 #: Ring-buffer capacity used by ``keep_events=True``.
 DEFAULT_EVENT_CAPACITY = 65536
 
-#: Records the log may hold when a fan-out is recorded before it is pumped.
+#: Records the log may hold when a fan-out or an event is logged before it
+#: is pumped.
 LOG_BOUND = 1024
 
 
@@ -102,9 +107,9 @@ class TraceEvent(NamedTuple):
     detail: Any
 
 
-#: Event construction for message events: ``tuple.__new__`` skips the
-#: Python-level ``TraceEvent.__new__`` wrapper (half its cost), which matters
-#: at one event per send and per delivery.
+#: Event construction: ``tuple.__new__`` skips the Python-level
+#: ``TraceEvent.__new__`` wrapper (half its cost), which matters at one event
+#: per send and per delivery.
 _new_event = tuple.__new__
 
 
@@ -179,18 +184,16 @@ class EventRing:
 
     def emit_many(self, events: Sequence[TraceEvent]) -> None:
         count = len(events)
-        self.events_seen += count
-        self.counts_by_kind[events[0].kind] += count
-        self._keep(count, tuple(events))
+        if count:
+            self.events_seen += count
+            self.counts_by_kind[events[0].kind] += count
+            self._keep(count, tuple(events))
 
-    def _take(self, records: List[tuple], sends: int, deliveries: int) -> None:
-        """One pump of the trace's log: message records, counted by the trace."""
-        self.events_seen += sends + deliveries
-        if sends:
-            self.counts_by_kind["send"] += sends
-        if deliveries:
-            self.counts_by_kind["deliver"] += deliveries
-        self._keep(sends + deliveries, records)
+    def _take(self, records: List[tuple], count: int, counts: Dict[str, int]) -> None:
+        """One pump of the trace's log: its records, ``count`` events, per kind."""
+        self.events_seen += count
+        self.counts_by_kind.update(counts)
+        self._keep(count, records)
 
     def _keep(self, count: int, records: Sequence[tuple]) -> None:
         chunks = self._chunks
@@ -236,9 +239,9 @@ class Trace:
 
     Events reach their consumers -- the ``keep_events`` ring first, then the
     sinks in attachment order -- through the record log described in the
-    module docstring: message events are logged and handed on by
-    :meth:`pump`, every other event pumps and is emitted at once.  With no
-    consumer the hooks only bump the aggregate counters and build nothing.
+    module docstring: every event is logged, and :meth:`pump` is the one
+    place a consumer is called.  With no consumer the hooks only bump the
+    aggregate counters and build nothing.
 
     ``messages_delivered`` is added to by the network when a drive exits (one
     addition per ``step`` / ``run*`` call), not per delivery.
@@ -288,10 +291,12 @@ class Trace:
         self.shun_events: List[Tuple[int, int, SessionId]] = []
         self.notes: List[Tuple[int, Any]] = []
         #: The record log (see the module docstring), emptied in place by
-        #: :meth:`pump`, and how many fan-out records / send events it holds.
+        #: :meth:`pump`; how many fan-out records / send events it holds; and
+        #: its events (4-tuples) counted by kind.
         self._log: List[tuple] = []
         self._log_fanouts = 0
         self._log_sends = 0
+        self._log_kinds: Dict[str, int] = {}
         #: The delivery loop's hook: called with one ``(step, entry,
         #: receiver)`` record per delivery, it is the log's own ``append``.
         self.log_delivery: Callable[[Tuple[int, Any, int]], None] = self._log.append
@@ -330,8 +335,8 @@ class Trace:
     def _bind_consumers(self) -> None:
         """Sort the retention ring and the sinks by how they are fed."""
         consumers = ([] if self._ring is None else [self._ring]) + self.sinks
-        #: ``emit`` of every consumer, ring first: events that are not logged.
-        self._emitters: List[Callable[[TraceEvent], None]] = [c.emit for c in consumers]
+        #: Whether fan-outs and events are logged (deliveries always are).
+        self._logging = bool(consumers)
         #: The rings :meth:`pump` hands the log's records to as they are ...
         self._record_takers: List[EventRing] = [c for c in consumers if _takes_records(c)]
         #: ... and ``emit`` / ``emit_many`` of the sinks it expands them for.
@@ -386,39 +391,51 @@ class Trace:
             raise first_error
 
     def pump(self) -> None:
-        """Hand the logged message records to every consumer, in order."""
+        """Hand the log to every consumer, in order: the one place one is called."""
         log = self._log
         if not log:
             return
         records = log[:]
         del log[:]  # in place: the delivery loop holds its ``append``
+        # Per kind: the logged events as counted, the fan-outs' sends, and
+        # the rest of the records, which are deliveries.
+        counts = self._log_kinds
         sends, fanouts = self._log_sends, self._log_fanouts
+        self._log_kinds = {}
         self._log_sends = self._log_fanouts = 0
+        logged = sum(counts.values())
+        deliveries = len(records) - fanouts - logged
+        if sends:
+            counts["send"] = counts.get("send", 0) + sends
+        if deliveries:
+            counts["deliver"] = counts.get("deliver", 0) + deliveries
         for ring in self._record_takers:
-            ring._take(records, sends, len(records) - fanouts)
+            ring._take(records, logged + sends + deliveries, counts)
         sink_emits = self._sink_emits
         if sink_emits:
             # Record by record, each sink in turn: when one raises, the sinks
             # behind it have everything before the failing event.
             sink_batch_emits = self._sink_batch_emits
             for record in records:
-                if len(record) == 3:
-                    event = _delivery_event(*record)
-                    for emit in sink_emits:
-                        emit(event)
-                else:
+                size = len(record)
+                if size == 2:
                     events = _send_events(*record)
                     for emit_many in sink_batch_emits:
                         emit_many(events)
+                    continue
+                event = record if size == 4 else _delivery_event(*record)
+                for emit in sink_emits:
+                    emit(event)
 
     def record(self, step: int, kind: str, party: Optional[int], detail: Any) -> None:
-        """Hand one raw event to the retention ring and the sinks."""
-        emitters = self._emitters
-        if emitters:
+        """Log one raw event for the retention ring and the sinks."""
+        log = self._log
+        if self._logging:
+            log.append(_new_event(TraceEvent, (step, kind, party, detail)))
+            kinds = self._log_kinds
+            kinds[kind] = kinds.get(kind, 0) + 1
+        if len(log) >= LOG_BOUND or not self.driving:
             self.pump()
-            event = TraceEvent(step, kind, party, detail)
-            for emit in emitters:
-                emit(event)
 
     def on_send(self, step: int, message: Message) -> None:
         """Record that ``message`` was handed to the network (on its own)."""
@@ -442,7 +459,7 @@ class Trace:
         self.sent_by_root[entry.root] += size
         self.sent_by_kind[entry.kind] += size
         log = self._log
-        if self._emitters:
+        if self._logging:
             log.append((step, (entry, size)))
             self._log_fanouts += 1
             self._log_sends += size

@@ -11,9 +11,9 @@ Determinism: every recorded value is a function of the deterministic
 execution (steps, queue depths, cache traffic), never of wall-clock time, and
 :meth:`MetricsRegistry.snapshot` emits keys in sorted order -- two runs of
 the same seed produce byte-identical snapshots.  Attaching a registry never
-changes delivery order; it only keeps the run on the network's generic
-delivery loop, where the step counter is maintained eagerly (the group-mode
-queue delivers the same *sequence* either way).
+changes delivery order: the run stays on the network's one delivery loop,
+which then stores the step counter per delivery (completion steps read it)
+and wakes every ``queue_depth_every`` deliveries for the depth sample.
 """
 
 from __future__ import annotations

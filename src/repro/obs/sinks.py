@@ -11,14 +11,14 @@ The contract is duck-typed: ``emit(event)`` is required, ``emit_many(events)``
 and ``close()`` are optional.  A sink must not assume one call per event --
 the send events of one broadcast/fan-out arrive as one ``emit_many`` batch --
 nor that a call happens the moment the event does: while the network is
-delivering, message events wait in the trace's record log (at most
-``LOG_BOUND`` records plus the messages in flight) and arrive, in order, at
-the next event that is not a send or a delivery, and at the latest when
-``Network.step`` / ``run*`` returns or raises.  Whenever control is outside
-the delivery loop a sink holds everything recorded so far
-(:mod:`repro.net.tracing` has the full statement).  The record log and its
-shapes are that module's business: a sink sees events, only the trace's own
-ring (:class:`RingBufferSink` is one) is handed records.
+delivering, every event waits in the trace's record log (at most
+``LOG_BOUND`` records plus the messages in flight) and arrives, in order,
+when the log reaches that bound, and at the latest when ``Network.step`` /
+``run*`` returns or raises.  Whenever control is outside the delivery loop a
+sink holds everything recorded so far (:mod:`repro.net.tracing` has the full
+statement).  The record log and its shapes are that module's business: a
+sink sees events, only the trace's own ring (:class:`RingBufferSink` is one)
+is handed records.
 """
 
 from __future__ import annotations

@@ -67,7 +67,7 @@ class TimelineBuilder(TraceSink):
 
     def emit_many(self, events: Sequence[TraceEvent]) -> None:
         # A batch is the send events of one fan-out: one kind, one step.
-        if events[0].kind in _HORIZON_ONLY:
+        if events and events[0].kind in _HORIZON_ONLY:
             self.events_seen += len(events)
             if events[0].step > self.max_step:
                 self.max_step = events[0].step

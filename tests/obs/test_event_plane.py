@@ -9,6 +9,7 @@ change to what was recorded.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from collections import Counter
@@ -19,6 +20,7 @@ from repro.adversary import attacks
 from repro.core import api
 from repro.core.config import ProtocolParams
 from repro.errors import SimulationError
+from repro.experiments.spec import BehaviorSpec
 from repro.net import tracing
 from repro.net.message import Message
 from repro.net.network import Network
@@ -31,6 +33,9 @@ from repro.obs.sinks import JsonlSink, RingBufferSink, TraceSink
 from repro.obs.timeline import TimelineBuilder
 from repro.protocols.weak_coin import WeakCommonCoin
 from repro.scenarios import run_scenario
+from repro.scenarios.engine import ScenarioRuntime
+from repro.scenarios.library import get_scenario
+from repro.scenarios.spec import CorruptionPlan, StaticCorruption
 
 
 class EmitOnlySink:
@@ -157,6 +162,58 @@ def test_scenario_director_events_reach_every_sink():
     assert ring.counts_by_kind["director"] > 0
     assert ring.counts_by_kind["corrupt"] > 0
     assert emit_only.events == batching.events == list(ring.events)
+
+
+def test_every_consumer_counts_every_kind_of_a_tampered_trial(monkeypatch):
+    """``tamper-on-share`` at n=7, with the coalition split: party 6 tampers
+    (its POINTs go out one by one through the mutator, as lone sends) and
+    party 5 deals bad shares (shuns, and drops of its later messages).  A
+    note per phase puts ``note`` events in the log mid-drive too.  The log
+    counts each pump's events per kind; the keep-everything ring, a
+    64-event ring and an emit-only sink must agree on all of it."""
+    base = get_scenario("tamper-on-share")
+    spec = dataclasses.replace(
+        base,
+        timeline=[dataclasses.replace(base.timeline[0], select=6)],
+        corruption=CorruptionPlan(
+            static=[StaticCorruption(select=5, behavior=BehaviorSpec("bad_share"))],
+        ),
+    )
+    lone_sends = []
+    on_send, on_phase = Trace.on_send, Trace.on_phase
+
+    def counting_on_send(self, step, message):
+        lone_sends.append(step)
+        on_send(self, step, message)
+
+    def noting_on_phase(self, step, party, session, phase):
+        on_phase(self, step, party, session, phase)
+        self.note(step, (party, phase))
+
+    monkeypatch.setattr(Trace, "on_send", counting_on_send)
+    monkeypatch.setattr(Trace, "on_phase", noting_on_phase)
+    runtime = ScenarioRuntime(spec, n=7)
+    ring, emit_only = RingBufferSink(64), EmitOnlySink()
+    sim = Simulation(ProtocolParams.for_parties(7), seed=0, keep_events="all",
+                     scheduler=runtime.build_scheduler(),
+                     director=runtime.build_director(), sinks=[ring, emit_only])
+    for pid, factory in runtime.static_corruptions().items():
+        sim.corrupt(pid, factory)
+    trace = sim.run(("weak_coin",), WeakCommonCoin.factory()).trace
+
+    kept = trace.events
+    by_kind = Counter(event.kind for event in kept)
+    assert set(by_kind) == {
+        "send", "deliver", "drop", "complete", "shun", "corrupt", "phase",
+        "session_open", "director", "note",
+    }
+    assert len(lone_sends) > 100
+    assert emit_only.events == kept
+    assert list(ring.events) == kept[-64:]
+    for counted in (trace._ring, ring):
+        assert counted.events_seen == len(kept)
+        assert counted.counts_by_kind == by_kind
+        assert all(count > 0 for count in counted.counts_by_kind.values())
 
 
 def test_sink_attached_mid_run_sees_only_later_events():
@@ -420,35 +477,47 @@ def test_a_flight_recorder_holds_the_events_up_to_the_failure(monkeypatch):
 
 def test_the_log_is_bounded_by_a_constant_plus_the_messages_in_flight(monkeypatch):
     """50k deliveries: at no pump does the log hold more than ``LOG_BOUND``
-    records plus one per message that was in flight at the last fan-out --
-    the bound is checked there, and a delivery not followed by a fan-out uses
-    up one of those messages.  The run ends in a tail of 20k deliveries with
-    no fan-out between them.  Fan-outs reach the log as group records (the
-    random queue holds them as groups, traced or not)."""
+    records plus one per message that was in flight when the last fan-out or
+    event was logged -- every record but a delivery is one (a ``phase`` as
+    much as a fan-out), the bound is checked there, and a delivery not
+    followed by one uses up one of those messages.  While the run chatters,
+    its phase events outnumber its fan-outs three to one; it ends in a tail of
+    20k deliveries with no other record between them.  Fan-outs reach the log
+    as group records (the random queue holds them as groups, traced or
+    not)."""
     n = 32
-    sizes, allowed, fanouts = [], [], []
-    in_flight_at_last_fanout = 0
-    pump, on_fanout = Trace.pump, Trace.on_fanout
+    sizes, allowed, fanouts, phases = [], [], [], []
+    in_flight_at_last_check = 0
+    pump, on_fanout, record = Trace.pump, Trace.on_fanout, Trace.record
 
     def spying_pump(self):
         sizes.append(len(self._log))
-        allowed.append(tracing.LOG_BOUND + in_flight_at_last_fanout)
+        allowed.append(tracing.LOG_BOUND + in_flight_at_last_check)
         pump(self)
 
     def spying_on_fanout(self, step, entry, size):
-        nonlocal in_flight_at_last_fanout
+        nonlocal in_flight_at_last_check
         fanouts.append(size)
         on_fanout(self, step, entry, size)
-        in_flight_at_last_fanout = len(network._queue)
+        in_flight_at_last_check = len(network._queue)
+
+    def spying_record(self, step, kind, party, detail):
+        nonlocal in_flight_at_last_check
+        if kind == "phase":
+            phases.append(step)
+        record(self, step, kind, party, detail)
+        in_flight_at_last_check = len(network._queue)
 
     monkeypatch.setattr(Trace, "pump", spying_pump)
     monkeypatch.setattr(Trace, "on_fanout", spying_on_fanout)
+    monkeypatch.setattr(Trace, "record", spying_record)
     network = Network(ProtocolParams.for_parties(n), seed=5, sinks=[EmitOnlySink()])
     assert network._group_mode
     trace = network.trace
 
     class Chatter(Protocol):
-        """Re-broadcasts on every 20th delivery until 1 600 broadcasts are out."""
+        """Re-broadcasts on every 20th delivery and enters a phase on three
+        others, until 1 600 broadcasts are out."""
 
         sent = 0
 
@@ -456,9 +525,14 @@ def test_the_log_is_bounded_by_a_constant_plus_the_messages_in_flight(monkeypatc
             self.broadcast("M", 0)
 
         def on_message(self, sender, payload):
-            if Chatter.sent < 1600 and network.step_count % 20 == 0:
+            if Chatter.sent >= 1600:
+                return
+            step = network.step_count
+            if step % 20 == 0:
                 Chatter.sent += 1
                 self.broadcast("M", Chatter.sent)
+            elif step % 5 == 0:
+                self.annotate_phase(f"step-{step}")
 
     for process in network.processes:
         process.create_protocol(("chatter",), lambda p, s: Chatter(p, s)).start()
@@ -466,10 +540,37 @@ def test_the_log_is_bounded_by_a_constant_plus_the_messages_in_flight(monkeypatc
 
     assert network.step_count > 50_000
     assert fanouts == [n] * (n + Chatter.sent)  # every broadcast, as one record
+    assert len(phases) > 2 * len(fanouts)
     assert all(size <= limit for size, limit in zip(sizes, allowed))
     # The check pumped (nothing else does in this run until the drive exits) ...
     assert sum(1 for size in sizes if size >= tracing.LOG_BOUND) > 30
-    # ... and the fan-out-free tail was pumped when the drive exited.
+    # ... and the record-free tail was pumped when the drive exited.
     assert sizes[-1] > 15_000
     assert trace._log == [] and len(network._queue) == 0
-    assert len(trace.sinks[0].events) == trace.messages_sent + network.step_count + n  # session_opens
+    assert len(trace.sinks[0].events) == (
+        trace.messages_sent + network.step_count + n + len(phases)  # + session_opens
+    )
+
+
+def test_an_observed_trial_calls_its_consumers_a_few_dozen_times(monkeypatch):
+    """Every event is a record: while the network delivers, the log is pumped
+    only when it reaches ``LOG_BOUND`` -- not at every phase, session-open,
+    completion or lone send (1 905 non-empty pumps in this trial when those
+    pumped the log; 42 394 deliveries, ~3 000 such events)."""
+    pumps_while_driving = []
+    pump = Trace.pump
+
+    def spying_pump(self):
+        if self.driving and self._log:
+            pumps_while_driving.append(len(self._log))
+        pump(self)
+
+    monkeypatch.setattr(Trace, "pump", spying_pump)
+    ring = RingBufferSink()
+    result = api.run_coinflip(
+        n=16, seed=3, rounds=1, tracing=True, metrics=True, sinks=[ring],
+    )
+    assert result.trace.messages_delivered > 40_000
+    assert ring.events_seen > 85_000
+    assert 0 < len(pumps_while_driving) <= 60
+    assert min(pumps_while_driving) >= tracing.LOG_BOUND

@@ -11,6 +11,7 @@ from repro.net.queues import FanoutEntry
 from repro.net.tracing import DEFAULT_EVENT_CAPACITY, Trace, TraceEvent
 from repro.obs.schema import event_to_jsonable, validate_event, validate_jsonl
 from repro.obs.sinks import JsonlSink, RingBufferSink, TraceSink
+from repro.obs.timeline import TimelineBuilder
 
 
 # ----------------------------------------------------------------------
@@ -90,6 +91,31 @@ def test_ring_buffer_sink_counts_exactly():
 def test_ring_buffer_sink_rejects_bad_capacity():
     with pytest.raises(ValueError):
         RingBufferSink(capacity=0)
+
+
+#: Every in-tree sink class, with what can be observed of one after close.
+SINK_STATES = {
+    TraceSink: lambda sink: None,
+    RingBufferSink: lambda sink: (
+        sink.events, sink.events_seen, sink.events_dropped, dict(sink.counts_by_kind),
+    ),
+    JsonlSink: lambda sink: (sink.events_written, sink.path.read_text()),
+    TimelineBuilder: lambda sink: (sink.events_seen, sink.max_step, sink.render_text()),
+}
+
+
+@pytest.mark.parametrize("cls", list(SINK_STATES), ids=lambda cls: cls.__name__)
+def test_an_empty_batch_is_a_no_op(cls, tmp_path):
+    def build(name):
+        return cls(tmp_path / name) if cls is JsonlSink else cls()
+
+    fed, fresh = build("fed.jsonl"), build("fresh.jsonl")
+    fed.emit_many([])
+    fed.emit_many(())
+    fed.close()
+    fresh.close()
+    state = SINK_STATES[cls]
+    assert state(fed) == state(fresh)
 
 
 def test_sink_on_disabled_trace_rejected():
