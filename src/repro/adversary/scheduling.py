@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.net.message import Message
 from repro.net.scheduler import (
-    DelayScheduler,
-    PartitionScheduler,
     RandomScheduler,
     Scheduler,
     TargetedScheduler,
+    coalition_first,
+    partition_then_heal,
+    starve_matching,
+    targeting,
 )
 
 
@@ -26,12 +27,10 @@ def isolate_party(victim: int, max_delay_steps: Optional[int] = None) -> Schedul
     The classic "slow party" adversary: the victim is effectively partitioned
     until every other message has been delivered.  Protocols with optimal
     resilience must terminate without the victim (it is indistinguishable from
-    a crashed party), then let it catch up.
+    a crashed party), then let it catch up.  ``targeted_delay(victims=[victim])``
+    under another name.
     """
-    return DelayScheduler(
-        lambda message: victim in (message.sender, message.receiver),
-        max_delay_steps=max_delay_steps,
-    )
+    return starve_matching("isolate_party", targeting(victims=[victim]), max_delay_steps)
 
 
 def favour_parties(favoured: Iterable[int]) -> Scheduler:
@@ -39,22 +38,16 @@ def favour_parties(favoured: Iterable[int]) -> Scheduler:
 
     This gives the favoured coalition a head start in every protocol phase,
     which is how an adversary maximises its information advantage before the
-    slow honest parties contribute.
+    slow honest parties contribute.  ``rushing(favoured)`` under another name.
     """
-    favoured_set = set(favoured)
-
-    def priority(message: Message) -> float:
-        inside = message.sender in favoured_set and message.receiver in favoured_set
-        return 0.0 if inside else 1.0
-
-    return TargetedScheduler(priority)
+    return TargetedScheduler(coalition_first(favoured))
 
 
 def split_brain(
     group_a: Iterable[int], group_b: Iterable[int], duration: int
 ) -> Scheduler:
-    """Partition the two groups for ``duration`` deliveries, then heal."""
-    return PartitionScheduler(group_a, group_b, duration)
+    """Partition the two (disjoint) groups for ``duration`` deliveries, then heal."""
+    return partition_then_heal("split_brain", group_a, group_b, duration)
 
 
 def delay_protocol(root: str, max_delay_steps: Optional[int] = None) -> Scheduler:
@@ -62,11 +55,10 @@ def delay_protocol(root: str, max_delay_steps: Optional[int] = None) -> Schedule
 
     Used to check that protocols are robust to arbitrary interleaving between
     concurrent protocol instances (e.g. delaying every CommonSubset message
-    until the SVSS layer has gone quiet).
+    until the SVSS layer has gone quiet).  ``targeted_delay(roots=[root])``
+    under another name.
     """
-    return DelayScheduler(
-        lambda message: message.root == root, max_delay_steps=max_delay_steps
-    )
+    return starve_matching("delay_protocol", targeting(roots=[root]), max_delay_steps)
 
 
 def random_scheduler() -> Scheduler:

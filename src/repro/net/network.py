@@ -35,8 +35,9 @@ campaign):
   counter is stored per delivery only when something reads it mid-run, and
   the registry's queue-depth sample, a director's ``on_step`` and an
   ``until`` condition share one wake-up step -- so a plain trial pays for
-  none of them.  A random queue holds every fan-out as one group entry,
-  traced or not; the other queues hold Messages.
+  none of them.  Every queue takes a fan-out as one group entry, traced or
+  not, and holds its copies as ``(entry, receiver)`` slots -- the reference
+  scan queue alone builds the Messages its ``choose`` reads.
 
 The loop reproduces the seed's delivery order, traces and outputs
 byte-identically per seed; ``tests/net/test_loop_matrix.py`` holds every
@@ -155,6 +156,7 @@ class Network:
         # construction), so bound methods can be cached once.
         self._n = params.n
         self._queue_push = self._queue.push
+        self._queue_push_group = self._queue.push_group
         self._trace_on_send = self.trace.on_send
         self._trace_on_fanout = self.trace.on_fanout
         self._tracing = self.trace.enabled
@@ -169,10 +171,6 @@ class Network:
             if getattr(metrics, "completion_steps", False):
                 self._obs_on_complete = metrics.on_complete
             self._obs_sample_every = getattr(metrics, "queue_depth_every", 0)
-        #: Queue fan-outs as single unmaterialised group entries: read off
-        #: the queue alone (only the random queue holds groups), fixed for
-        #: the network's life.
-        self._group_mode = getattr(self._queue, "supports_groups", False)
         self.processes: List[Process] = [
             Process(
                 pid,
@@ -271,11 +269,10 @@ class Network:
 
         Byte-identical to calling :meth:`submit` for receivers ``0..n-1``
         (same sequence numbers, same queue order, same trace events) with
-        the per-message overhead hoisted.  In group mode (a queue with
-        fan-out support) the whole broadcast becomes ONE unmaterialised
-        :class:`~repro.net.queues.FanoutEntry`; delivered copies are built
-        only for a consumer that needs a Message, and undelivered copies are
-        never allocated.  Broadcasts
+        the per-message overhead hoisted: the whole broadcast becomes ONE
+        unmaterialised :class:`~repro.net.queues.FanoutEntry`; delivered
+        copies are built only for a consumer that needs a Message, and
+        undelivered copies are never allocated.  Broadcasts
         dominate the send side of the SVSS-heavy protocols, which makes this
         the hot path of :meth:`Protocol.broadcast`.
         """
@@ -296,9 +293,8 @@ class Network:
         ``skip`` omits one receiver (a party never sends its own POINT to
         itself).  Byte-identical to the per-receiver :meth:`submit` loop the
         SVSS dealer/point fan-outs used to run, with the per-message call
-        overhead hoisted exactly like :meth:`submit_broadcast` (including the
-        one-entry group form when group mode is on).  ``values`` must not be
-        mutated after submission.
+        overhead hoisted exactly like :meth:`submit_broadcast` (one group
+        entry).  ``values`` must not be mutated after submission.
         """
         self._submit_fanout(sender, session, kind, None, values, skip)
 
@@ -313,39 +309,15 @@ class Network:
     ) -> None:
         """One receiver-ordered fan-out: ``payload`` shared, or ``values[r]`` each.
 
-        The trace records the fan-out as its :class:`FanoutEntry`, built for
-        that alone when the queue holds Messages.
+        The queue and the trace both take it as one :class:`FanoutEntry`.
         """
         n = self._n
         seq = self._next_seq
         size = n if skip is None else n - 1
         self._next_seq = seq + size
         root = session[0] if session else None
-        entry = None
-        if self._group_mode or self._tracing:
-            entry = FanoutEntry(sender, session, kind, payload, values, seq, skip, root)
-        if self._group_mode:
-            self._queue.push_group(entry, n)
-        else:
-            new = Message.__new__
-            messages = []
-            append = messages.append
-            for receiver in range(n):
-                if receiver == skip:
-                    continue
-                message = new(Message)
-                message.sender = sender
-                message.receiver = receiver
-                message.session = session
-                message.payload = (
-                    payload if values is None else (kind, values[receiver])
-                )
-                message.seq = seq
-                message.kind = kind
-                message.root = root
-                seq += 1
-                append(message)
-            self._queue.push_many(messages)
+        entry = FanoutEntry(sender, session, kind, payload, values, seq, skip, root)
+        self._queue_push_group(entry, n)
         if self._tracing:
             self._trace_on_fanout(self.step_count, entry, size)
             return

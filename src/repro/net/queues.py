@@ -10,14 +10,14 @@ structure instead:
 
 * :class:`FifoQueue` -- a deque; sequence numbers are assigned in send order,
   so FIFO delivery is ``popleft`` in O(1).
-* :class:`KeyedQueue` -- a binary heap over ``(priority(message), seq)``; the
-  targeted policy becomes an O(log m) pop (the priority function must be a
-  pure function of the message -- it is evaluated once, at submit time).
+* :class:`KeyedQueue` -- one FIFO per distinct priority key under a heap of
+  the keys: "deliver the message minimising ``(key, seq)``" is the oldest
+  copy of the smallest key, an O(1) ``popleft`` plus an O(log k) heap
+  update when a key's FIFO empties.
 * :class:`SendOrderRandomQueue` -- send order cut into blocks (plain lists of
   at most ``_BLOCK`` in-flight copies) under a Fenwick tree over the block
   lengths: "deliver the r-th oldest in-flight message" is a descend over a
-  few dozen nodes plus one ``list.pop`` memmove, with the copies of a
-  fan-out sharing one unmaterialised :class:`FanoutEntry`.
+  few dozen nodes plus one ``list.pop`` memmove.
 * :class:`ClassRankQueue` -- one :class:`SendOrderRandomQueue` per priority
   class: "deliver a uniformly random member of the best non-empty class".
   The one queue behind the delay and partition schedulers (two classes) and
@@ -25,6 +25,18 @@ structure instead:
 * :class:`ScanQueue` -- the legacy full-scan path, used by any scheduler
   without an indexed strategy (custom subclasses, non-random base policies)
   and as the reference the others are tested against.
+
+Every queue takes a whole fan-out (a broadcast or a ROW/POINT loop) as one
+unmaterialised :class:`FanoutEntry` through ``push_group``, and holds it as
+``(entry, receiver)`` slots -- one per copy, added by a C-level ``extend`` --
+except the reference :class:`ScanQueue`, which builds the Messages its
+``choose`` scans read.  A queue whose policy tells copies apart (a class, a
+key) asks a :class:`FanoutForm` once per fan-out which receivers fall in
+which class: a policy is defined once, over the fields every copy of a
+fan-out shares (``sender``, ``session``, ``kind``, ``root``), and its
+per-message answer is derived from that definition.  A plain
+``Message -> label`` callable is adapted by :class:`PerCopy`, which
+evaluates it on each materialised copy.
 
 Every indexed queue reproduces the legacy delivery order *byte-identically*
 for the same seed: FIFO because pending is always scanned in send order,
@@ -37,13 +49,13 @@ against :func:`force_scan` runs.
 
 Every queue is popped through :meth:`DeliveryQueue.pop_entry`, the network
 delivery loop's one pop: ``(message, -1)`` for an individually pushed
-Message, ``(entry, receiver)`` for one copy of a fan-out group (only the
-random queue holds groups).  An empty queue raises :class:`IndexError`
-before any state changes, which is how the loop detects quiescence.  A
-policy that reads the clock (``Scheduler.choose``'s ``step``, a
-:class:`ClassRankQueue` version) reads the number of messages its queue has
-delivered: a network is its queue's only consumer, so that is the network's
-step count before the delivery, and the loop's pop takes no clock argument.
+Message, ``(entry, receiver)`` for one copy of a fan-out group.  An empty
+queue raises :class:`IndexError` before any state changes, which is how the
+loop detects quiescence.  A policy that reads the clock
+(``Scheduler.choose``'s ``step``, a :class:`ClassRankQueue` version) reads
+the number of messages its queue has delivered: a network is its queue's
+only consumer, so that is the network's step count before the delivery, and
+the loop's pop takes no clock argument.
 """
 
 from __future__ import annotations
@@ -52,9 +64,10 @@ import heapq
 import random
 from abc import ABC, abstractmethod
 from collections import deque
+from functools import lru_cache
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import Any, Callable, Deque, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.net.message import Message
 
@@ -68,14 +81,12 @@ class DeliveryQueue(ABC):
     def push(self, message: Message) -> None:
         """Add a newly submitted message."""
 
-    def push_many(self, messages: Sequence[Message]) -> None:
-        """Add a batch of messages submitted back-to-back (send order).
+    @abstractmethod
+    def push_group(self, entry: FanoutEntry, n: int) -> None:
+        """Add a whole fan-out to parties ``0..n-1``, ``entry.skip`` left out.
 
-        Equivalent to pushing each message in sequence; queues with batched
-        structures override this to amortise their per-push bookkeeping.
+        Equivalent to pushing its materialised copies in receiver order.
         """
-        for message in messages:
-            self.push(message)
 
     @abstractmethod
     def pop_entry(self, rng: random.Random) -> Tuple[Any, int]:
@@ -106,7 +117,9 @@ class ScanQueue(DeliveryQueue):
     """The legacy path: a flat list scanned by ``scheduler.choose`` per step.
 
     Kept both as the fallback for schedulers without an indexed strategy and
-    as the reference implementation the equivalence tests compare against.
+    as the reference implementation the equivalence tests compare against;
+    it holds Messages (a fan-out is materialised when pushed), since that
+    is what ``choose`` reads.
     """
 
     def __init__(self, scheduler: Any) -> None:
@@ -117,6 +130,9 @@ class ScanQueue(DeliveryQueue):
 
     def push(self, message: Message) -> None:
         self._pending.append(message)
+
+    def push_group(self, entry: FanoutEntry, n: int) -> None:
+        self._pending.extend(map(entry.materialize, _receivers(n, entry.skip)))
 
     def pop_entry(self, rng: random.Random) -> Tuple[Message, int]:
         pending = self._pending
@@ -142,45 +158,95 @@ class FifoQueue(DeliveryQueue):
     """O(1) FIFO delivery: sequence numbers are assigned in submit order."""
 
     def __init__(self) -> None:
-        self._queue: Deque[Message] = deque()
+        self._queue: Deque[Any] = deque()
 
     def push(self, message: Message) -> None:
         self._queue.append(message)
 
-    def pop_entry(self, rng: random.Random) -> Tuple[Message, int]:
-        return self._queue.popleft(), -1  # IndexError when empty
+    def push_group(self, entry: FanoutEntry, n: int) -> None:
+        self._queue.extend(zip(repeat(entry), _receivers(n, entry.skip)))
+
+    def pop_entry(self, rng: random.Random) -> Tuple[Any, int]:
+        slot = self._queue.popleft()  # IndexError when empty
+        if slot.__class__ is tuple:
+            return slot
+        return slot, -1
 
     def __len__(self) -> int:
         return len(self._queue)
 
     def snapshot(self) -> List[Message]:
-        return list(self._queue)
+        return [
+            slot[0].materialize(slot[1]) if slot.__class__ is tuple else slot
+            for slot in self._queue
+        ]
 
 
 class KeyedQueue(DeliveryQueue):
-    """O(log m) delivery of the message minimising ``(key(message), seq)``.
+    """Delivery of the message minimising ``(key(message), seq)``.
 
-    The key is evaluated once per message at submit time, so it must be a
-    pure function of the message (every in-tree targeted policy is).  With a
-    pure key this is byte-identical to the legacy full scan, which recomputed
-    the same minimum on every step.
+    One FIFO of slots per distinct key, under a heap of the keys that have
+    one: pushes arrive in ``seq`` order, so each FIFO is in ``(key, seq)``
+    order and the next delivery is the head of the smallest key's FIFO --
+    an O(1) pop, plus an O(log k) heap update when that FIFO empties.  Keys
+    that compare and hash equal (``0``, ``0.0``, ``False``) share a FIFO,
+    exactly as the ``(key, seq)`` order ranks them together.
+
+    ``key`` is a :class:`FanoutForm` (asked once per fan-out) or a plain
+    ``Message -> key`` callable (evaluated on each copy, see
+    :class:`PerCopy`); either way it is evaluated once per message at submit
+    time, so it must be a pure function of the message.  With a pure key
+    this is byte-identical to the legacy full scan, which recomputed the
+    same minimum on every step.
     """
 
-    def __init__(self, key: Callable[[Message], Any]) -> None:
-        self.key = key
-        self._heap: List[Any] = []
+    def __init__(self, key: Any) -> None:
+        self.key = fanout_form(key)
+        #: key -> its in-flight slots, oldest first; never empty.
+        self._fifos: Dict[Any, Deque[Any]] = {}
+        #: Heap of the keys in ``_fifos``.
+        self._keys: List[Any] = []
+        self._count = 0
+
+    def _fifo(self, key: Any) -> Deque[Any]:
+        fifo = self._fifos.get(key)
+        if fifo is None:
+            fifo = self._fifos[key] = deque()
+            heapq.heappush(self._keys, key)
+        return fifo
 
     def push(self, message: Message) -> None:
-        heapq.heappush(self._heap, (self.key(message), message.seq, message))
+        self._fifo(self.key(message)).append(message)
+        self._count += 1
 
-    def pop_entry(self, rng: random.Random) -> Tuple[Message, int]:
-        return heapq.heappop(self._heap)[2], -1  # IndexError when empty
+    def push_group(self, entry: FanoutEntry, n: int) -> None:
+        fifo = self._fifo
+        for key, receivers in self.key.deal(entry, n):
+            fifo(key).extend(zip(repeat(entry), receivers))
+        self._count += n if entry.skip is None else n - 1
+
+    def pop_entry(self, rng: random.Random) -> Tuple[Any, int]:
+        keys = self._keys
+        key = keys[0]  # IndexError when empty
+        fifo = self._fifos[key]
+        slot = fifo.popleft()
+        if not fifo:
+            heapq.heappop(keys)
+            del self._fifos[key]
+        self._count -= 1
+        if slot.__class__ is tuple:
+            return slot
+        return slot, -1
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._count
 
     def snapshot(self) -> List[Message]:
-        return [entry[2] for entry in sorted(self._heap, key=lambda e: e[1])]
+        slots = sorted(chain.from_iterable(self._fifos.values()), key=_slot_seq)
+        return [
+            slot[0].materialize(slot[1]) if slot.__class__ is tuple else slot
+            for slot in slots
+        ]
 
 
 class FanoutEntry:
@@ -188,17 +254,17 @@ class FanoutEntry:
 
     The SVSS-heavy protocols send almost exclusively in receiver-ordered
     loops: a broadcast of one shared payload, or a fan-out of per-receiver
-    values (ROW/POINT).  In group mode the network queues ONE entry for the
-    whole loop; the per-receiver :class:`Message` objects -- by far the most
-    allocated objects of a trial -- are only built when (and if) a copy is
-    actually delivered.  Undelivered copies at the end of a run are never
-    allocated at all, and the queue's working set shrinks from one object
-    per in-flight message to one per fan-out.
+    values (ROW/POINT).  The network queues ONE entry for the whole loop;
+    the per-receiver :class:`Message` objects -- by far the most allocated
+    objects of a trial -- are only built when (and if) a copy is actually
+    delivered.  Undelivered copies at the end of a run are never allocated
+    at all, and the queue's working set shrinks from one object per
+    in-flight message to one per fan-out.
 
-    ``materialize(receiver)`` reproduces the exact Message the eager submit
-    loop would have created: same field values and the same sequence numbers
-    (receiver order, skipping ``skip``).  ``values`` must not be mutated
-    after submission.
+    ``materialize(receiver)`` reproduces the exact Message a per-receiver
+    :meth:`~repro.net.network.Network.submit` loop would have created: same
+    field values and the same sequence numbers (receiver order, skipping
+    ``skip``).  ``values`` must not be mutated after submission.
     """
 
     __slots__ = ("sender", "session", "kind", "payload", "values", "base_seq", "skip", "root")
@@ -234,12 +300,149 @@ class FanoutEntry:
         message.payload = (
             self.payload if values is None else (self.kind, values[receiver])
         )
+        # ``seq_of(receiver)``, inlined: this builds every delivered copy a
+        # consumer reads.
         message.seq = self.base_seq + receiver - (
             1 if skip is not None and receiver > skip else 0
         )
         message.kind = self.kind
         message.root = self.root
         return message
+
+    def seq_of(self, receiver: int) -> int:
+        """The sequence number of the copy addressed to ``receiver``."""
+        skip = self.skip
+        return self.base_seq + receiver - (1 if skip is not None and receiver > skip else 0)
+
+
+@lru_cache(maxsize=256)
+def everyone(n: int) -> frozenset:
+    """Every receiver of an ``n``-party fan-out (one shared frozenset per ``n``)."""
+    return frozenset(range(n))
+
+
+def _receivers(n: int, skip: Optional[int]) -> Iterable[int]:
+    """Receivers ``0..n-1`` in order, ``skip`` left out."""
+    if skip is None:
+        return range(n)
+    return chain(range(skip), range(skip + 1, n))
+
+
+#: ``((label, receivers), ...)``: a fan-out's copies grouped by label, each
+#: group's receivers ascending.
+Dealt = Tuple[Tuple[Any, Tuple[int, ...]], ...]
+
+
+class FanoutForm:
+    """A delivery policy's label (class, key) for every copy of a fan-out at once.
+
+    The copies of a fan-out share every field but the receiver, so a policy
+    that reads ``sender`` / ``session`` / ``kind`` / ``root`` is asked once
+    per fan-out: ``groups(fanout, n)`` returns ``((label, receivers), ...)``,
+    frozensets of receivers, and a copy's label is that of the first group
+    naming its receiver (forms end with ``everyone(n)``, so every receiver is
+    named).  ``fanout`` is a :class:`FanoutEntry` or a :class:`Message`:
+    both carry those four fields, which is how the per-message label --
+    ``form(message)``, what the reference ``choose`` scans, a re-rank and a
+    lone send read -- is derived from the same definition.  A membership
+    only has to hold for receivers below ``n``, so the per-message form asks
+    with ``n = receiver + 1``.
+
+    ``deal(entry, n)`` is what a queue pushes: the copies grouped by label,
+    each group's receivers ascending and ``entry.skip`` left out.  It is
+    cached per ``(groups, n, skip)``, so a form that returns the same
+    frozensets for most fan-outs pays one dict lookup per fan-out.  Labels
+    must be hashable.
+    """
+
+    __slots__ = ("_groups", "_deals")
+
+    #: Most ``(groups, n, skip)`` keys one form caches before starting over.
+    DEALS_BOUND = 4096
+
+    def __init__(
+        self, groups: Optional[Callable[[Any, int], Tuple[Tuple[Any, frozenset], ...]]] = None
+    ) -> None:
+        self._groups = groups
+        self._deals: Dict[Any, Dealt] = {}
+
+    def groups(self, fanout: Any, n: int) -> Tuple[Tuple[Any, frozenset], ...]:
+        """``((label, receivers), ...)`` for ``fanout``'s copies (first match wins)."""
+        return self._groups(fanout, n)  # type: ignore[misc]
+
+    def __call__(self, message: Message) -> Any:
+        receiver = message.receiver
+        for label, receivers in self.groups(message, receiver + 1):
+            if receiver in receivers:
+                return label
+        raise ValueError(f"fan-out form names no group for receiver {receiver}")
+
+    def deal(self, entry: FanoutEntry, n: int) -> Dealt:
+        groups = self.groups(entry, n)
+        key = (groups, n, entry.skip)
+        dealt = self._deals.get(key)
+        if dealt is None:
+            by_label: Dict[Any, List[int]] = {}
+            for receiver in _receivers(n, entry.skip):
+                for label, receivers in groups:
+                    if receiver in receivers:
+                        by_label.setdefault(label, []).append(receiver)
+                        break
+                else:
+                    raise ValueError(
+                        f"fan-out form names no group for receiver {receiver}"
+                    )
+            if len(self._deals) >= self.DEALS_BOUND:
+                self._deals.clear()
+            dealt = self._deals[key] = tuple(
+                (label, tuple(receivers)) for label, receivers in by_label.items()
+            )
+        return dealt
+
+
+class PerCopy(FanoutForm):
+    """A plain ``Message -> label`` callable as a :class:`FanoutForm`.
+
+    The callable may read anything a Message holds (``payload``, ``seq``),
+    so it is evaluated on each materialised copy -- exactly the Message the
+    reference scan would hand it -- and must be a pure function of it.
+    """
+
+    __slots__ = ("label_of",)
+
+    def __init__(self, label_of: Callable[[Message], Any]) -> None:
+        super().__init__()
+        self.label_of = label_of
+
+    def groups(self, fanout: Any, n: int) -> Tuple[Tuple[Any, frozenset], ...]:
+        if fanout.__class__ is not FanoutEntry:
+            return ((self.label_of(fanout), everyone(n)),)
+        return tuple(
+            (label, frozenset(receivers)) for label, receivers in self.deal(fanout, n)
+        )
+
+    def __call__(self, message: Message) -> Any:
+        return self.label_of(message)
+
+    def deal(self, entry: FanoutEntry, n: int) -> Dealt:
+        # Labels read per-copy fields, so nothing is reused across fan-outs.
+        by_label: Dict[Any, List[int]] = {}
+        label_of, materialize = self.label_of, entry.materialize
+        for receiver in _receivers(n, entry.skip):
+            by_label.setdefault(label_of(materialize(receiver)), []).append(receiver)
+        return tuple((label, tuple(receivers)) for label, receivers in by_label.items())
+
+
+def fanout_form(policy: Any) -> FanoutForm:
+    """``policy`` as a :class:`FanoutForm`: a form as is, a callable via :class:`PerCopy`."""
+    return policy if isinstance(policy, FanoutForm) else PerCopy(policy)
+
+
+def _slot_seq(slot: Any) -> int:
+    """Sequence number of a queue slot (a Message or an ``(entry, receiver)`` copy)."""
+    if slot.__class__ is tuple:
+        return slot[0].seq_of(slot[1])
+    return slot.seq
 
 
 #: Most in-flight copies one block of :class:`SendOrderRandomQueue` holds.
@@ -265,7 +468,7 @@ class SendOrderRandomQueue(DeliveryQueue):
       it is sealed and a new tail opened.  A queue that never gets that deep
       (typical n<=16 trials) is just the tail: one list, ``list.pop(rank)``.
     * **one slot per copy** -- a slot is either an individually pushed
-      :class:`Message` or, for a fan-out queued in group mode, the pair
+      :class:`Message` or, for a copy of a fan-out, the pair
       ``(entry, receiver)`` sharing one :class:`FanoutEntry`; the pair is
       exactly what :meth:`pop_entry` hands the network's delivery loop (and
       what its trace logs), and a Message is built from it only if somebody
@@ -288,9 +491,6 @@ class SendOrderRandomQueue(DeliveryQueue):
     2-tuple for a group copy); a popped slot is gone from its list at once,
     so the payloads of a fan-out are freed with its last live copy.
     """
-
-    #: Network checks this before queueing FanoutEntry groups.
-    supports_groups = True
 
     def __init__(self) -> None:
         self._count = 0
@@ -355,15 +555,24 @@ class SendOrderRandomQueue(DeliveryQueue):
         if len(tail) >= _BLOCK:
             self._seal()
 
-    def push_many(self, messages: Sequence[Message]) -> None:
-        self._count += len(messages)
+    def push_many(self, slots: Sequence[Any]) -> None:
+        """Add slots (Messages or ``(entry, receiver)`` copies) in send order."""
+        self._count += len(slots)
         tail = self._tail
-        tail.extend(messages)
+        tail.extend(slots)
+        if len(tail) >= _BLOCK:
+            self._seal()
+
+    def push_copies(self, entry: FanoutEntry, receivers: Sequence[int]) -> None:
+        """Add the copies of ``entry`` to ``receivers`` (ascending) in send order."""
+        self._count += len(receivers)
+        tail = self._tail
+        tail.extend(zip(repeat(entry), receivers))
         if len(tail) >= _BLOCK:
             self._seal()
 
     def push_group(self, entry: FanoutEntry, n: int) -> None:
-        """Queue a whole fan-out to parties ``0..n-1`` (group mode).
+        """Queue a whole fan-out to parties ``0..n-1``.
 
         One ``(entry, receiver)`` slot per receiver, ``entry.skip`` left
         out; rank semantics are identical to pushing the materialised copies
@@ -442,11 +651,14 @@ class SendOrderRandomQueue(DeliveryQueue):
             return slot
         return slot, -1
 
+    def slots(self) -> Iterable[Any]:
+        """The in-flight slots in send order, unmaterialised."""
+        return chain.from_iterable(self._blocks + [self._tail])
+
     def snapshot(self) -> List[Message]:
         return [
             slot[0].materialize(slot[1]) if type(slot) is tuple else slot
-            for block in self._blocks + [self._tail]
-            for slot in block
+            for slot in self.slots()
         ]
 
 
@@ -454,41 +666,48 @@ class ClassRankQueue(DeliveryQueue):
     """Uniform-random delivery among the best-ranked class of pending messages.
 
     The indexed form of every "prefer some traffic over other traffic"
-    policy with a random base.  ``classify(message)`` names a message's
-    class (``0`` is delivered first, ``classes - 1`` last); a pop draws
-    uniformly among the best non-empty class.  Delay and partition are the
-    two-class case (everything else / starved), the scenario director's
+    policy with a random base.  ``classify`` names a copy's class (``0`` is
+    delivered first, ``classes - 1`` last); a pop draws uniformly among the
+    best non-empty class.  Delay and partition are the two-class case
+    (everything else / starved), the scenario director's
     :class:`~repro.scenarios.schedulers.ReactiveScheduler` the three-class
     one (boosted / neutral / delayed).
 
-    Each class is one :class:`SendOrderRandomQueue`: a push is ``classify``
-    plus that queue's append, a pop is its one ``randrange``-equivalent draw
-    and ``list.pop`` on the first non-empty class.  The ``r``-th oldest
-    message of a class is the ``r``-th entry of the sub-list the reference
-    ``choose`` scans build at O(m) per delivery -- hence byte-identical
-    delivery per seed.  ``classify`` runs once per message, at submit time,
-    so it must be a pure function of the message between version changes.
+    ``classify`` is a :class:`FanoutForm` -- a fan-out is split by class
+    with one ``deal`` and each class takes its copies as ``(entry,
+    receiver)`` slots in one ``extend`` -- or a plain ``Message -> int``
+    callable, evaluated on each materialised copy (:class:`PerCopy`).  Each
+    class is one :class:`SendOrderRandomQueue`, so a pop is its one
+    ``randrange``-equivalent draw and ``list.pop`` on the first non-empty
+    class.  The ``r``-th oldest message of a class is the ``r``-th entry of
+    the sub-list the reference ``choose`` scans build at O(m) per delivery
+    -- hence byte-identical delivery per seed.  ``classify`` runs once per
+    copy, at submit time, so it must be a pure function of the message
+    between version changes.
 
     A policy that changes over time passes ``version(step)``, asked before
     each draw with the number of messages delivered so far: when its value
-    differs from the last pop's, the classes are merged back into send order
-    (by ``seq``) and dealt out again before the draw -- O(m) per *change* (a
-    delay budget lapsing, a partition healing, a director installing or
-    clearing a rule), not per delivery.
+    differs from the last pop's, the classes' slots are merged back into
+    send order (by ``seq``) and dealt out again before the draw, without
+    materialising a copy -- O(m) per *change* (a delay budget lapsing, a
+    partition healing, a director installing or clearing a rule), not per
+    delivery.
     """
 
     def __init__(
         self,
-        classify: Callable[[Message], int],
+        classify: Any,
         classes: int,
         version: Optional[Callable[[int], Any]] = None,
     ) -> None:
-        self.classify = classify
+        self.classify = fanout_form(classify)
         self._version_at = version
         #: The queue is built with its network, before the first delivery.
         self._version = None if version is None else version(0)
         self._count = 0
         self._delivered = 0
+        #: Parties per fan-out, learnt from the first group (for re-ranks).
+        self._n = 0
         #: One send-order queue per class, best class first.
         self._queues = [SendOrderRandomQueue() for _ in range(classes)]
 
@@ -496,17 +715,43 @@ class ClassRankQueue(DeliveryQueue):
         return self._count
 
     def _rerank(self) -> None:
-        """Ask the policy again: merge the classes by ``seq``, re-partition."""
-        messages = self.snapshot()
-        self._queues = [SendOrderRandomQueue() for _ in self._queues]
-        self._count = 0
-        self.push_many(messages)
+        """Ask the policy again: merge the classes' slots by ``seq``, re-deal them."""
+        classify, n = self.classify, self._n
+        slots = sorted(
+            chain.from_iterable(queue.slots() for queue in self._queues), key=_slot_seq
+        )
+        dealt: List[List[Any]] = [[] for _ in self._queues]
+        # entry -> {receiver: class}: one ``deal`` per fan-out with a live copy.
+        classes: Dict[FanoutEntry, Dict[int, Any]] = {}
+        for slot in slots:
+            if slot.__class__ is tuple:
+                entry, receiver = slot
+                of_entry = classes.get(entry)
+                if of_entry is None:
+                    of_entry = classes[entry] = {
+                        copy: label
+                        for label, receivers in classify.deal(entry, n)
+                        for copy in receivers
+                    }
+                dealt[of_entry[receiver]].append(slot)
+            else:
+                dealt[classify(slot)].append(slot)
+        self._queues = [SendOrderRandomQueue() for _ in dealt]
+        for queue, members in zip(self._queues, dealt):
+            queue.push_many(members)
 
     def push(self, message: Message) -> None:
         self._count += 1
         self._queues[self.classify(message)].push(message)
 
-    def pop_entry(self, rng: random.Random) -> Tuple[Message, int]:
+    def push_group(self, entry: FanoutEntry, n: int) -> None:
+        self._n = n
+        queues = self._queues
+        for label, receivers in self.classify.deal(entry, n):
+            queues[label].push_copies(entry, receivers)
+        self._count += n if entry.skip is None else n - 1
+
+    def pop_entry(self, rng: random.Random) -> Tuple[Any, int]:
         if not self._count:
             # Before the version check, so an empty pop changes nothing.
             raise IndexError(_EMPTY)
@@ -521,7 +766,7 @@ class ClassRankQueue(DeliveryQueue):
         for queue in self._queues:
             if queue._count:
                 break
-        return queue.pop_entry(rng)  # a class holds Messages: (message, -1)
+        return queue.pop_entry(rng)
 
     def snapshot(self) -> List[Message]:
         # Each class is already in send order, so the sort is a k-way merge.

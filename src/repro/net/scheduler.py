@@ -15,24 +15,75 @@ Provided schedulers:
 * :class:`PartitionScheduler` -- delay messages crossing a party partition for
   a configurable number of steps.
 * :class:`TargetedScheduler` -- order messages by an arbitrary priority key.
+
+A policy that tells messages apart is written once, in *fan-out form*
+(:class:`~repro.net.queues.FanoutForm`): over the fields every copy of a
+fan-out shares, naming the receivers it matches.  A :class:`Filter` is the
+yes/no case.  The indexed queues ask the form once per fan-out; the
+per-message predicate the reference ``choose`` scans read is derived from
+it.  The validated primitives the named attacks are built from
+(:func:`starve_matching`, :func:`partition_then_heal`, :func:`targeting`,
+:func:`coalition_first`) live here too, below the campaign registry that
+names them.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Callable, Iterable, Sequence, Set
+from typing import Any, Callable, Iterable, Optional, Sequence, Set, Tuple
 
-from repro.errors import SchedulingError
+from repro.errors import ExperimentError, SchedulingError
 from repro.net.message import Message
 from repro.net.queues import (
     ClassRankQueue,
+    Dealt,
     DeliveryQueue,
+    FanoutEntry,
+    FanoutForm,
     FifoQueue,
     KeyedQueue,
     ScanQueue,
+    PerCopy,
     SendOrderRandomQueue,
+    everyone,
 )
+
+#: The receivers a filter matching no copy of a fan-out names.
+NOBODY: frozenset = frozenset()
+
+
+class Filter(FanoutForm):
+    """A yes/no message filter in fan-out form.
+
+    ``receivers(fanout, n)`` names the receivers whose copy of ``fanout``
+    the filter matches, reading only the fields the copies share
+    (``sender``, ``session``, ``kind``, ``root``); it should return
+    precomputed frozensets, so a queue's split of the fan-out is one cached
+    lookup.  Calling the filter on a Message is the per-message predicate,
+    derived from the same definition.
+    """
+
+    __slots__ = ("receivers",)
+
+    def __init__(self, receivers: Callable[[Any, int], frozenset]) -> None:
+        super().__init__()
+        self.receivers = receivers
+
+    def groups(self, fanout: Any, n: int) -> Tuple[Tuple[Any, frozenset], ...]:
+        return ((True, self.receivers(fanout, n)), (False, everyone(n)))
+
+    def __call__(self, message: Message) -> bool:
+        receiver = message.receiver
+        return receiver in self.receivers(message, receiver + 1)
+
+
+def as_filter(predicate: Callable[[Message], Any]) -> FanoutForm:
+    """``predicate`` in fan-out form: a :class:`Filter` as is, a plain
+    callable evaluated per copy (its truth value is the label)."""
+    if isinstance(predicate, FanoutForm):
+        return predicate
+    return PerCopy(lambda message: bool(predicate(message)))
 
 
 class Scheduler(ABC):
@@ -115,20 +166,23 @@ class DelayScheduler(Scheduler):
     only ones left, or after ``max_delay_steps``), so the run remains a valid
     asynchronous execution.
 
-    ``should_delay`` must be a **pure function of the message**: with the
+    ``should_delay`` is a :class:`Filter` or a plain ``Message -> bool``
+    callable, and must be a **pure function of the message**: with the
     default random base policy the class runs on an indexed two-class queue
     (:class:`~repro.net.queues.ClassRankQueue`: one send-order block list
-    for the starved traffic, one for everything else) that evaluates the
-    predicate once, at submit time.  A predicate closing over mutable state
-    would be consulted at different times than the legacy per-step scan and
-    silently change delivery order; wrap such a scheduler in
-    :func:`force_scan` (or pass a non-default ``base``) to pin the
+    for the starved traffic, one for everything else) that evaluates it
+    once, at submit time -- a filter once per fan-out, a plain callable on
+    each materialised copy (:class:`~repro.net.queues.PerCopy`), which may
+    therefore read ``payload`` and ``seq`` too.  A predicate closing over
+    mutable state would be consulted at different times than the legacy
+    per-step scan and silently change delivery order; wrap such a scheduler
+    in :func:`force_scan` (or pass a non-default ``base``) to pin the
     re-evaluating scan path instead.
     """
 
     def __init__(
         self,
-        should_delay: Callable[[Message], bool],
+        should_delay: Callable[[Message], Any],
         base: Scheduler | None = None,
         max_delay_steps: int | None = None,
     ) -> None:
@@ -160,7 +214,7 @@ class DelayScheduler(Scheduler):
         # ``should_delay`` is required to be a pure function of the message
         # (see class docstring); the indexed queue evaluates it at submit
         # time and reproduces the scan path's delivery order byte-identically.
-        return _starving_queue(self.should_delay, self.max_delay_steps)
+        return _starving_queue(as_filter(self.should_delay), self.max_delay_steps)
 
 
 class PartitionScheduler(Scheduler):
@@ -169,10 +223,11 @@ class PartitionScheduler(Scheduler):
     After ``duration`` network steps the partition heals and the base
     scheduler takes over completely.
 
-    The groups must not be mutated after construction: with the default
-    random base policy the partition check runs once per message at submit
-    time on the indexed two-class queue (see :class:`DelayScheduler` -- the
-    same purity requirement and :func:`force_scan` escape hatch apply).
+    The groups must not be mutated after construction: the crossing filter
+    (:func:`crossing`) is built from them once, and with the default random
+    base policy it runs once per fan-out at submit time on the indexed
+    two-class queue (see :class:`DelayScheduler` -- the same purity
+    requirement and :func:`force_scan` escape hatch apply).
     """
 
     def __init__(
@@ -186,11 +241,7 @@ class PartitionScheduler(Scheduler):
         self.group_b: Set[int] = set(group_b)
         self.duration = duration
         self.base = base or RandomScheduler()
-
-    def _crosses(self, message: Message) -> bool:
-        a_to_b = message.sender in self.group_a and message.receiver in self.group_b
-        b_to_a = message.sender in self.group_b and message.receiver in self.group_a
-        return a_to_b or b_to_a
+        self._crosses = crossing(self.group_a, self.group_b)
 
     def choose(self, pending: Sequence[Message], rng: random.Random, step: int) -> int:
         if step < self.duration:
@@ -214,27 +265,56 @@ class PartitionScheduler(Scheduler):
         return _starving_queue(self._crosses, self.duration)
 
 
-def _starving_queue(
-    starved: Callable[[Message], bool], expires_at: int | None
-) -> DeliveryQueue:
+def crossing(group_a: Iterable[int], group_b: Iterable[int]) -> Filter:
+    """The copies crossing between ``group_a`` and ``group_b`` (either way)."""
+    a, b = frozenset(group_a), frozenset(group_b)
+    both = a | b
+
+    def receivers(fanout: Any, n: int) -> frozenset:
+        sender = fanout.sender
+        if sender in a:
+            return both if sender in b else b
+        return a if sender in b else NOBODY
+
+    return Filter(receivers)
+
+
+class _Starving(FanoutForm):
+    """Class 1 (``True``) for the copies ``starved`` matches, until it lapses."""
+
+    __slots__ = ("starved", "lapsed")
+
+    def __init__(self, starved: FanoutForm) -> None:
+        super().__init__()
+        self.starved = starved
+        self.lapsed = False
+
+    def groups(self, fanout: Any, n: int) -> Tuple[Tuple[Any, frozenset], ...]:
+        return ((False, everyone(n)),) if self.lapsed else self.starved.groups(fanout, n)
+
+    def __call__(self, message: Message) -> bool:
+        return False if self.lapsed else self.starved(message)
+
+    def deal(self, entry: FanoutEntry, n: int) -> Dealt:
+        return super().deal(entry, n) if self.lapsed else self.starved.deal(entry, n)
+
+
+def _starving_queue(starved: FanoutForm, expires_at: int | None) -> DeliveryQueue:
     """The two-class queue of a starve-while-anything-else-is-pending policy.
 
-    Class 1 holds the messages ``starved`` matches, so they are drawn only
-    when nothing else is pending.  From step ``expires_at`` on everything is
-    class 0: the lapse is one version change, after which a pop is a plain
-    uniform draw over all pending messages -- as in the reference scans.
+    Class 1 holds the copies ``starved`` (bool-labelled) matches, so they
+    are drawn only when nothing else is pending.  From step ``expires_at``
+    on everything is class 0: the lapse is one version change, after which
+    a pop is a plain uniform draw over all pending messages -- as in the
+    reference scans.
     """
-    expired = False
-
-    def classify(message: Message) -> int:
-        return 1 if not expired and starved(message) else 0
+    form = _Starving(starved)
 
     def version(step: int) -> bool:
-        nonlocal expired
-        expired = step >= expires_at
-        return expired
+        form.lapsed = step >= expires_at
+        return form.lapsed
 
-    return ClassRankQueue(classify, 2, None if expires_at is None else version)
+    return ClassRankQueue(form, 2, None if expires_at is None else version)
 
 
 class TargetedScheduler(Scheduler):
@@ -244,14 +324,19 @@ class TargetedScheduler(Scheduler):
     schedules in tests (e.g. "deliver everything to party 0 before party 1
     hears anything").
 
-    By default the policy runs on an indexed heap with the priority computed
-    once per message at submit time; pass ``dynamic=True`` when the priority
-    function is *not* a pure function of the message (e.g. it closes over
-    mutable state) to fall back to re-evaluating it on every step.
+    ``priority`` is a :class:`~repro.net.queues.FanoutForm` (see
+    :func:`coalition_first`) or a plain ``Message -> key`` callable; keys
+    must be hashable.  By default the policy runs on an indexed keyed queue
+    with the priority computed once per message at submit time -- a form
+    once per fan-out, a plain callable on each materialised copy, which may
+    therefore read ``payload`` and ``seq`` too.  Pass ``dynamic=True`` when
+    the priority function is *not* a pure function of the message (e.g. it
+    closes over mutable state) to fall back to re-evaluating it on every
+    step.
     """
 
     def __init__(
-        self, priority: Callable[[Message], float], dynamic: bool = False
+        self, priority: Callable[[Message], Any], dynamic: bool = False
     ) -> None:
         self.priority = priority
         self.dynamic = dynamic
@@ -296,11 +381,82 @@ def force_scan(scheduler: Scheduler) -> Scheduler:
 
 def delay_from_parties(parties: Iterable[int], **kwargs) -> DelayScheduler:
     """Convenience: a :class:`DelayScheduler` starving all messages *sent by* ``parties``."""
-    blocked = set(parties)
-    return DelayScheduler(lambda message: message.sender in blocked, **kwargs)
+    blocked = frozenset(parties)
+    return DelayScheduler(
+        Filter(lambda fanout, n: everyone(n) if fanout.sender in blocked else NOBODY),
+        **kwargs,
+    )
 
 
 def delay_to_parties(parties: Iterable[int], **kwargs) -> DelayScheduler:
     """Convenience: a :class:`DelayScheduler` starving all messages *sent to* ``parties``."""
-    blocked = set(parties)
-    return DelayScheduler(lambda message: message.receiver in blocked, **kwargs)
+    blocked = frozenset(parties)
+    return DelayScheduler(Filter(lambda fanout, n: blocked), **kwargs)
+
+
+# ----------------------------------------------------------------------
+# Validated primitives of the named attacks (``repro.adversary.scheduling``,
+# ``repro.scenarios.schedulers``).  Parameters arrive from JSON, so each
+# check raises :class:`ExperimentError` naming the scheduler.
+def check_step_budget(scheduler: str, key: str, value: Any) -> None:
+    """Reject a step budget that is not a non-negative int (``bool`` included)."""
+    if type(value) is not int or value < 0:
+        raise ExperimentError(
+            f"scheduler {scheduler!r}: {key} must be a non-negative integer, "
+            f"got {value!r}"
+        )
+
+
+def check_disjoint(scheduler: str, group_a: Iterable[int], group_b: Iterable[int]) -> None:
+    """Reject two party groups that share a party."""
+    overlap = set(group_a) & set(group_b)
+    if overlap:
+        raise ExperimentError(
+            f"scheduler {scheduler!r}: group_a and group_b share parties "
+            f"{sorted(overlap)}"
+        )
+
+
+def starve_matching(
+    scheduler: str, starved: Filter, max_delay_steps: Optional[int]
+) -> DelayScheduler:
+    """Delay what ``starved`` matches while anything else is pending (bounded)."""
+    if max_delay_steps is not None:
+        check_step_budget(scheduler, "max_delay_steps", max_delay_steps)
+    return DelayScheduler(starved, max_delay_steps=max_delay_steps)
+
+
+def partition_then_heal(
+    scheduler: str, group_a: Iterable[int], group_b: Iterable[int], duration: int
+) -> PartitionScheduler:
+    """Partition two disjoint party groups for ``duration`` deliveries, then heal."""
+    check_step_budget(scheduler, "duration", duration)
+    group_a, group_b = list(group_a), list(group_b)
+    check_disjoint(scheduler, group_a, group_b)
+    return PartitionScheduler(group_a, group_b, duration)
+
+
+def targeting(
+    victims: Iterable[int] = (), roots: Iterable[Any] = (), kinds: Iterable[Any] = ()
+) -> Filter:
+    """Copies sent by or to a victim, or of a listed root protocol or payload kind."""
+    victim_set, root_set, kind_set = frozenset(victims), frozenset(roots), frozenset(kinds)
+
+    def receivers(fanout: Any, n: int) -> frozenset:
+        if fanout.sender in victim_set or fanout.root in root_set or fanout.kind in kind_set:
+            return everyone(n)
+        return victim_set
+
+    return Filter(receivers)
+
+
+def coalition_first(coalition: Iterable[int]) -> FanoutForm:
+    """Priority ``0.0`` for copies inside ``coalition``, ``1.0`` for the rest."""
+    inside = frozenset(coalition)
+
+    def groups(fanout: Any, n: int) -> Tuple[Tuple[Any, frozenset], ...]:
+        if fanout.sender in inside:
+            return ((0.0, inside), (1.0, everyone(n)))
+        return ((1.0, everyone(n)),)
+
+    return FanoutForm(groups)

@@ -13,11 +13,15 @@ attack library needs:
   the party id embedded in the session (e.g. the dealer of an SVSS instance);
 * **message predicates** (:func:`compile_message_predicate`) -- conjunctive
   filters over in-flight messages (sender/receiver selectors, root protocol,
-  payload kind, session pattern) used by the hostile scheduler family.
+  payload kind, session pattern) used by the hostile scheduler family,
+  compiled to a :class:`~repro.net.scheduler.Filter`.
 
 The style follows attribute-based communication (arXiv:1602.05635): attacks
 address *predicates over attributes*, not enumerated processes, which is what
 lets one scenario definition scale from ``n = 4`` to ``n = 64`` unchanged.
+It also makes a predicate cheap on a fan-out: the copies of a broadcast
+share every attribute but the receiver, so one evaluation names the
+receivers it matches.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.config import max_faults
 from repro.errors import ExperimentError
-from repro.net.message import Message, SessionId
+from repro.net.message import SessionId
+from repro.net.queues import everyone
+from repro.net.scheduler import NOBODY, Filter
 
 #: A party selector: an int, an explicit pid list, or a keyword mapping.
 PartySelector = Any
@@ -212,30 +218,28 @@ def validate_message_predicate(spec: Mapping[str, Any]) -> None:
     _predicate_parts(spec, validate_party_selector)
 
 
-def compile_message_predicate(
-    spec: Mapping[str, Any], n: int
-) -> Callable[[Message], bool]:
-    """Compile a JSON message-predicate spec into a fast ``Message -> bool``.
+def compile_message_predicate(spec: Mapping[str, Any], n: int) -> Filter:
+    """Compile a JSON message-predicate spec into a :class:`Filter`.
 
     Recognised (conjunctive) keys: ``senders`` / ``receivers`` (party
     selectors), ``roots`` (top-level protocol names), ``kinds`` (payload kind
     tags), ``session`` (a session pattern).  An empty spec matches everything.
+    The filter reads the sender, root, kind and session once per fan-out and
+    names the matching receivers; called on a Message it is the predicate.
     """
     senders, receivers, roots, kinds, session_pattern = _predicate_parts(
         spec, lambda selector: frozenset(resolve_parties(selector, n))
     )
 
-    def predicate(message: Message) -> bool:
-        if senders is not None and message.sender not in senders:
-            return False
-        if receivers is not None and message.receiver not in receivers:
-            return False
-        if roots is not None and message.root not in roots:
-            return False
-        if kinds is not None and message.kind not in kinds:
-            return False
-        if session_pattern is not None:
-            return match_session(session_pattern, message.session) is not None
-        return True
+    def matching(fanout: Any, size: int) -> frozenset:
+        if senders is not None and fanout.sender not in senders:
+            return NOBODY
+        if roots is not None and fanout.root not in roots:
+            return NOBODY
+        if kinds is not None and fanout.kind not in kinds:
+            return NOBODY
+        if session_pattern is not None and match_session(session_pattern, fanout.session) is None:
+            return NOBODY
+        return everyone(size) if receivers is None else receivers
 
-    return predicate
+    return Filter(matching)

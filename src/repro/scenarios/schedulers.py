@@ -7,7 +7,9 @@ priority rushing -- with the scenario predicate language, so a scenario
 starves "all reconstruction traffic" or partitions "the two halves" without
 naming pids.  All of them ride the existing ``Scheduler`` / ``make_queue``
 machinery, so runs remain deterministic per seed and (where the policy maps
-onto an indexed queue) deliver at the random queue's speed.
+onto an indexed queue) deliver at the random queue's speed: every filter
+here is a :class:`~repro.net.scheduler.Filter` (or, for a priority, a
+:class:`~repro.net.queues.FanoutForm`), asked once per fan-out.
 
 Every builder takes plain JSON-shaped parameters; party-selector parameters
 are resolved against a concrete ``n`` by
@@ -21,17 +23,20 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ExperimentError
 from repro.experiments.registry import SCHEDULERS
 from repro.net.message import Message
-from repro.net.queues import ClassRankQueue, DeliveryQueue
+from repro.net.queues import ClassRankQueue, DeliveryQueue, FanoutForm, everyone
 from repro.net.scheduler import (
-    DelayScheduler,
-    PartitionScheduler,
+    NOBODY,
+    Filter,
     Scheduler,
     TargetedScheduler,
+    coalition_first,
+    partition_then_heal,
+    starve_matching,
+    targeting,
 )
 from repro.scenarios.predicates import (
     compile_message_predicate,
@@ -54,26 +59,6 @@ def resolve_scheduler_params(params: Mapping[str, Any], n: int) -> Dict[str, Any
     return resolved
 
 
-def _step_budget(scheduler: str, key: str, value: Any) -> None:
-    """Reject a step budget that is not a non-negative int (``bool`` included)."""
-    if type(value) is not int or value < 0:
-        raise ExperimentError(
-            f"scheduler {scheduler!r}: {key} must be a non-negative integer, "
-            f"got {value!r}"
-        )
-
-
-def _starve(
-    scheduler: str,
-    should_delay: Callable[[Message], bool],
-    max_delay_steps: Optional[int],
-) -> Scheduler:
-    """The delay scheduler behind every starve-this-traffic builder."""
-    if max_delay_steps is not None:
-        _step_budget(scheduler, "max_delay_steps", max_delay_steps)
-    return DelayScheduler(should_delay, max_delay_steps=max_delay_steps)
-
-
 def targeted_delay(
     victims: Optional[Sequence[int]] = None,
     roots: Optional[Sequence[str]] = None,
@@ -88,19 +73,11 @@ def targeted_delay(
     starvation so the run remains a valid asynchronous execution even when
     the targeted traffic is all that keeps the protocol alive.
     """
-    victim_set = frozenset(victims or ())
-    root_set = frozenset(roots or ())
-    kind_set = frozenset(kinds or ())
-
-    def should_delay(message: Message) -> bool:
-        return (
-            message.sender in victim_set
-            or message.receiver in victim_set
-            or message.root in root_set
-            or message.kind in kind_set
-        )
-
-    return _starve("targeted_delay", should_delay, max_delay_steps)
+    return starve_matching(
+        "targeted_delay",
+        targeting(victims or (), roots or (), kinds or ()),
+        max_delay_steps,
+    )
 
 
 def session_starvation(
@@ -116,24 +93,17 @@ def session_starvation(
     pattern = list(pattern)
     validate_session_pattern(pattern)
 
-    def should_delay(message: Message) -> bool:
-        return match_session(pattern, message.session) is not None
+    def receivers(fanout: Any, n: int) -> frozenset:
+        return everyone(n) if match_session(pattern, fanout.session) is not None else NOBODY
 
-    return _starve("session_starvation", should_delay, max_delay_steps)
+    return starve_matching("session_starvation", Filter(receivers), max_delay_steps)
 
 
 def partition_heal(
     group_a: Sequence[int], group_b: Sequence[int], duration: int
 ) -> Scheduler:
     """Partition two party groups for ``duration`` deliveries, then heal."""
-    _step_budget("partition_heal", "duration", duration)
-    overlap = set(group_a) & set(group_b)
-    if overlap:
-        raise ExperimentError(
-            f"scheduler 'partition_heal': group_a and group_b share parties "
-            f"{sorted(overlap)}"
-        )
-    return PartitionScheduler(group_a, group_b, duration)
+    return partition_then_heal("partition_heal", group_a, group_b, duration)
 
 
 def rushing(coalition: Sequence[int]) -> Scheduler:
@@ -143,13 +113,7 @@ def rushing(coalition: Sequence[int]) -> Scheduler:
     the information advantage a Byzantine coalition can extract -- the
     scheduling half of a rushing attack.
     """
-    coalition_set = frozenset(coalition)
-
-    def priority(message: Message) -> float:
-        inside = message.sender in coalition_set and message.receiver in coalition_set
-        return 0.0 if inside else 1.0
-
-    return TargetedScheduler(priority)
+    return TargetedScheduler(coalition_first(coalition))
 
 
 def message_filter_delay(
@@ -164,7 +128,7 @@ def message_filter_delay(
     against ``n`` (which must therefore be supplied explicitly in the params).
     """
     compiled = compile_message_predicate(predicate, n)
-    return _starve("message_filter_delay", compiled, max_delay_steps)
+    return starve_matching("message_filter_delay", compiled, max_delay_steps)
 
 
 class _PriorityRule:
@@ -174,13 +138,34 @@ class _PriorityRule:
 
     def __init__(
         self,
-        predicate: Callable[[Message], bool],
+        predicate: Filter,
         expires_at: Optional[int],
         key: str,
     ) -> None:
         self.predicate = predicate
         self.expires_at = expires_at
         self.key = key
+
+
+class _Ranking(FanoutForm):
+    """The reactive rank of every copy of a fan-out: one call per live rule.
+
+    Groups are first-match, so listing the boosts (class 0), then the delays
+    (class 2), then everyone (class 1) is "boost beats delay".
+    """
+
+    __slots__ = ("boosts", "delays")
+
+    def __init__(self, boosts: List[_PriorityRule], delays: List[_PriorityRule]) -> None:
+        super().__init__()
+        self.boosts = boosts
+        self.delays = delays
+
+    def groups(self, fanout: Any, n: int) -> Tuple[Tuple[Any, frozenset], ...]:
+        groups = [(0, rule.predicate.receivers(fanout, n)) for rule in self.boosts]
+        groups += [(2, rule.predicate.receivers(fanout, n)) for rule in self.delays]
+        groups.append((1, everyone(n)))
+        return tuple(groups)
 
 
 class ReactiveScheduler(Scheduler):
@@ -202,12 +187,12 @@ class ReactiveScheduler(Scheduler):
     O(m * rules) rescan; when the rule set changes (installs, clears,
     expiries -- tracked by ``rules_version``) the queue re-ranks lazily, in
     one O(m) pass, on its next pop.
-    The queue ranks materialised messages with ``Message -> int``
-    predicates, so a reactive trial takes the network's eager fan-out path
-    (its queue holds Messages, not fan-out groups) and pops them as
-    ``(message, -1)`` on the one delivery loop.  It is the queue that builds
-    those Messages, not the director driving it: a director is woken at
-    steps and never sees a message, so on its own it costs a run none.
+    The ranking is a fan-out form over the rules' compiled filters, so a
+    fan-out is ranked with one evaluation per rule and queued as ``(entry,
+    receiver)`` slots, like a plain trial's: no Message is built per copy,
+    by the queue or by the director driving it (a director is woken at
+    steps and never sees a message).  :meth:`rank` is the per-message form
+    of the same ranking.
     Determinism is untouched: decisions are pure functions of the (seeded)
     event stream and the rule set, so trials stay byte-identical per seed,
     traced or untraced -- and byte-identical to the reference
@@ -228,9 +213,10 @@ class ReactiveScheduler(Scheduler):
         self.rules_version = 0
         #: Earliest step at which any live rule lapses (None = no expiries).
         self._next_expiry: Optional[int] = None
+        self._ranking = _Ranking(self._boosts, self._delays)
 
     def make_queue(self) -> DeliveryQueue:
-        return ClassRankQueue(self.rank, 3, self.version_at)
+        return ClassRankQueue(self._ranking, 3, self.version_at)
 
     # ------------------------------------------------------------------
     def apply_action(
@@ -315,13 +301,7 @@ class ReactiveScheduler(Scheduler):
 
     def rank(self, message: Message) -> int:
         """0 = boosted, 1 = neutral, 2 = delayed (boost beats delay)."""
-        for rule in self._boosts:
-            if rule.predicate(message):
-                return 0
-        for rule in self._delays:
-            if rule.predicate(message):
-                return 2
-        return 1
+        return self._ranking(message)
 
     def choose(self, pending: Sequence[Message], rng: random.Random, step: int) -> int:
         """Reference O(pending) scan; the indexed queue must match it exactly."""

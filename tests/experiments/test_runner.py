@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import re
 
 import pytest
 
 from repro.core import api
 from repro.core.results import TrialAggregate
 from repro.errors import ExperimentError
+from repro.experiments.cli import main
 from repro.experiments.registry import RUNNERS
 from repro.experiments.runner import run_campaign, run_cell, run_seeds, run_trial
 from repro.experiments.spec import (
@@ -115,6 +117,53 @@ class TestTrialAndCell:
         TypeError, a silently accepted budget or a cell quarantined only
         after every chunk burnt its retries."""
         cell = _acast_cell(scheduler=SchedulerSpec(scheduler, params))
+        with pytest.raises(ExperimentError, match=message):
+            run_campaign(CampaignSpec(name="bad", cells=[cell]))
+
+    @pytest.mark.parametrize(
+        "scheduler, params, message",
+        [
+            (
+                "split_brain",
+                {"group_a": [0, 1], "group_b": [1, 2], "duration": 5},
+                r"'split_brain': group_a and group_b share parties \[1\]",
+            ),
+            (
+                "split_brain",
+                {"group_a": [0], "group_b": [1], "duration": -5},
+                "'split_brain': duration .*-5",
+            ),
+            (
+                "split_brain",
+                {"group_a": [0], "group_b": [1], "duration": "abc"},
+                "'split_brain': duration .*'abc'",
+            ),
+            (
+                "isolate_party",
+                {"victim": 0, "max_delay_steps": "x"},
+                "'isolate_party': max_delay_steps .*'x'",
+            ),
+            (
+                "delay_protocol",
+                {"root": "acast", "max_delay_steps": -3},
+                "'delay_protocol': max_delay_steps .*-3",
+            ),
+        ],
+    )
+    def test_adversary_scheduler_params_fail_at_validate(
+        self, scheduler, params, message, tmp_path, capsys
+    ):
+        """The ``repro.adversary.scheduling`` builders check their params like
+        their scenario twins: ``validate`` names the cell and the param (one
+        ``error:`` line, exit 1) and ``run`` refuses the cell before a trial,
+        instead of running an overlapping split or a negative budget, or
+        quarantining the cell at trial time."""
+        cell = _acast_cell(scheduler=SchedulerSpec(scheduler, params))
+        path = tmp_path / "bad.json"
+        CampaignSpec(name="bad", cells=[cell]).save(path)
+        assert main(["validate", str(path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cell 'acast': ") and re.search(message, line)
         with pytest.raises(ExperimentError, match=message):
             run_campaign(CampaignSpec(name="bad", cells=[cell]))
 

@@ -20,15 +20,19 @@ from contextlib import nullcontext
 
 import pytest
 from reference_loop import reference_loop
-from test_queues import SCHEDULER_FACTORIES
+from test_queues import SCHEDULER_FACTORIES, _delivery_trace, _scripted_reactive
 
 from repro.adversary.behaviors import CrashBehavior
 from repro.core import api
 from repro.core.config import ProtocolParams
 from repro.errors import SimulationError
+from repro.experiments.registry import SCHEDULERS as REGISTERED
+from repro.experiments.registry import build_scheduler
+from repro.experiments.spec import SchedulerSpec
 from repro.net.process import Process
+from repro.net.queues import ClassRankQueue
 from repro.net.runtime import Simulation
-from repro.net.scheduler import RandomScheduler, force_scan
+from repro.net.scheduler import RandomScheduler, TargetedScheduler, force_scan
 from repro.obs.metrics import MetricsRegistry
 from repro.protocols.aba import OracleCoinSource
 from repro.protocols.fba import FairByzantineAgreement
@@ -425,6 +429,94 @@ def test_step_is_the_same_delivery_as_run(delivered):
     assert network.run_to_quiescence() == N * N
     assert list(delivered) == observed[0]
     assert sim.director.woken == every_step
+
+
+# ----------------------------------------------------------------------
+# Every registered scheduler builder, on its indexed queue, delivers what the
+# reference scan delivers -- fan-outs queued as groups, split by class or key
+# once per fan-out -- on an SVSS share-and-reconstruct (broadcasts and
+# ROW/POINT fan-outs with a skipped receiver).  Budgets lapse mid-run
+# (``BUDGET``: about a third of the trial at that n), so the class-ranked
+# queues re-deal their slots while copies of one fan-out sit in different
+# classes; the reactive scheduler is scripted to install, expire and clear
+# rules.
+# ----------------------------------------------------------------------
+BUDGET = {4: 12, 16: 200}
+
+
+def _registered_params(name, n):
+    budget = BUDGET[n]
+    coalition = list(range(n - (n - 1) // 3, n))
+    return {
+        "fifo": {},
+        "random": {},
+        "reactive": None,
+        "isolate_party": {"victim": 1, "max_delay_steps": budget},
+        "favour_parties": {"favoured": coalition},
+        "split_brain": {"group_a": [0, 1], "group_b": [2, 3], "duration": budget},
+        "delay_protocol": {"root": "svss", "max_delay_steps": budget},
+        "delay_from_parties": {"parties": [0], "max_delay_steps": budget},
+        "delay_to_parties": {"parties": [1, 2], "max_delay_steps": budget},
+        "targeted_delay": {"victims": [1], "kinds": ["READY"], "max_delay_steps": budget},
+        "session_starvation": {"pattern": ["...", "rec", "*"], "max_delay_steps": budget},
+        "partition_heal": {
+            "group_a": list(range(n // 2)), "group_b": list(range(n // 2, n)),
+            "duration": budget,
+        },
+        "rushing": {"coalition": coalition},
+        "message_filter_delay": {
+            "predicate": {"senders": [0, 2], "kinds": ["ROW", "POINT", "READY"]},
+            "n": n, "max_delay_steps": budget,
+        },
+    }[name]
+
+
+def _registered(name, n):
+    if name == "reactive":
+        return _scripted_reactive(n)
+    return build_scheduler(SchedulerSpec(name, _registered_params(name, n)))
+
+
+def test_every_registered_builder_is_covered():
+    for name in REGISTERED.names():
+        _registered_params(name, 4)
+
+
+@pytest.mark.parametrize("n", sorted(BUDGET))
+@pytest.mark.parametrize("name", REGISTERED.names())
+def test_every_registered_builder_matches_the_reference_scan(
+    name, n, delivered, monkeypatch
+):
+    # Fan-out copies each re-rank re-deals without materialising them.
+    redealt = []
+    rerank = ClassRankQueue._rerank
+
+    def counting_rerank(self):
+        redealt.append(sum(slot.__class__ is tuple for q in self._queues for slot in q.slots()))
+        rerank(self)
+
+    monkeypatch.setattr(ClassRankQueue, "_rerank", counting_rerank)
+    observed = []
+    for scheduler in (_registered(name, n), force_scan(_registered(name, n))):
+        del delivered[:]
+        result = api.run_svss(n, secret=5, seed=3, scheduler=scheduler, tracing=False)
+        observed.append((list(delivered), result.outputs))
+    assert observed[0] == observed[1]
+    assert len(observed[0][0]) > 2 * BUDGET[n]  # the budget lapsed mid-run
+    if isinstance(_registered(name, n).make_queue(), ClassRankQueue):
+        assert max(redealt) > 0
+
+
+def test_equal_but_distinct_keys_keep_key_then_send_order():
+    """``0``, ``0.0`` and ``False`` are one key: the keyed queue delivers them
+    in send order among themselves, as the scan's ``(key, seq)`` minimum does."""
+    keys = (0, 0.0, False, 1, 1.0, True, -0.0)
+
+    def priority(message):
+        return keys[(message.seq * 5 + message.receiver) % len(keys)]
+
+    fast = _delivery_trace(TargetedScheduler(priority), 2)
+    assert fast == _delivery_trace(force_scan(TargetedScheduler(priority)), 2)
 
 
 # ----------------------------------------------------------------------

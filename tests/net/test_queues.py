@@ -411,11 +411,14 @@ class TestClassRankQueue:
     def test_fuzz_matches_reclassifying_list_model(
         self, monkeypatch, classes, block, rng_type
     ):
-        """Random pushes, pops and policy changes against a flat pending list
-        that re-classifies everything on every pop: each pop must deliver the
-        same message and consume the same rng stream, while the per-class
-        block lists seal, decay, join and rebuild (tiny block size), whole
-        classes sit empty, and version changes move messages between classes."""
+        """Random pushes, fan-out groups, pops and policy changes against a
+        flat pending list that re-classifies everything on every pop: each pop
+        must deliver the same message and consume the same rng stream, while
+        the per-class block lists seal, decay, join and rebuild (tiny block
+        size), whole classes sit empty, a fan-out's copies land in several
+        classes, and version changes move messages -- and unmaterialised
+        copies -- between classes.  ``classify`` reads ``seq``, so the queue
+        adapts it per materialised copy."""
         monkeypatch.setattr(queues, "_BLOCK", block)
         epoch = 0
         version_calls = 0
@@ -453,14 +456,17 @@ class TestClassRankQueue:
             # Drift deep for the first half, then drain back down.
             if model and control.random() < (0.55 if iteration < 1500 else 0.85):
                 class_queues = queue._queues
-                assert queue.pop(fast_rng) is model_pop()
+                assert _fields(queue.pop(fast_rng)) == _fields(model_pop())
                 assert fast_rng.getstate() == model_rng.getstate()
                 reranks += queue._queues is not class_queues
             elif control.random() < 0.1:
-                batch = [_msg(seq + offset) for offset in range(control.randrange(1, 40))]
-                seq += len(batch)
-                queue.push_many(batch)
-                model.extend(batch)
+                n = 24  # a network's fan-outs all have its n
+                skip = control.choice([None, 0, n - 1, control.randrange(n)])
+                entry = FanoutEntry(0, ("q",), "K", ("K", seq), None, seq, skip, "q")
+                queue.push_group(entry, n)
+                copies = [entry.materialize(r) for r in range(n) if r != skip]
+                seq += len(copies)
+                model.extend(copies)
             else:
                 message = _msg(seq)
                 seq += 1
@@ -475,7 +481,7 @@ class TestClassRankQueue:
                 assert queue.snapshot() == model
         assert most_blocks > (2 if block == 64 else 16) and reranks > 10
         while model:
-            assert queue.pop(fast_rng) is model_pop()
+            assert _fields(queue.pop(fast_rng)) == _fields(model_pop())
         assert len(queue) == 0 and queue.snapshot() == []
         assert all(q._blocks == [] and q._tail == [] for q in queue._queues)
         # An empty pop raises before it draws, asks for the version or re-ranks.

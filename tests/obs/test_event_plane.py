@@ -483,8 +483,7 @@ def test_the_log_is_bounded_by_a_constant_plus_the_messages_in_flight(monkeypatc
     followed by one uses up one of those messages.  While the run chatters,
     its phase events outnumber its fan-outs three to one; it ends in a tail of
     20k deliveries with no other record between them.  Fan-outs reach the log
-    as group records (the random queue holds them as groups, traced or
-    not)."""
+    as group records (every queue holds them as groups, traced or not)."""
     n = 32
     sizes, allowed, fanouts, phases = [], [], [], []
     in_flight_at_last_check = 0
@@ -512,7 +511,6 @@ def test_the_log_is_bounded_by_a_constant_plus_the_messages_in_flight(monkeypatc
     monkeypatch.setattr(Trace, "on_fanout", spying_on_fanout)
     monkeypatch.setattr(Trace, "record", spying_record)
     network = Network(ProtocolParams.for_parties(n), seed=5, sinks=[EmitOnlySink()])
-    assert network._group_mode
     trace = network.trace
 
     class Chatter(Protocol):

@@ -11,6 +11,7 @@ from repro.errors import ExperimentError
 from repro.experiments.spec import BehaviorSpec, ExperimentSpec, SchedulerSpec
 from repro.net.message import Message
 from repro.net.queues import ScanQueue
+from repro.net.scheduler import PartitionScheduler, TargetedScheduler
 from repro.scenarios import run_scenario
 from repro.scenarios.invariants import (
     InvariantViolation,
@@ -96,13 +97,16 @@ class TestReactiveQueueEquivalence:
             assert indexed == scanned
 
     def test_scenario_trial_matches_reference_scan(self, monkeypatch):
+        """The class-ranked and keyed scenarios -- rules installed by a
+        director, a partition healing mid-run, a coalition's priority -- on
+        their indexed queues and on the reference scan."""
+        names = ("reactive-rush", "reactive-starvation", "partition-heal", "rushing-coalition")
         baseline = {
             name: _fingerprint(run_scenario(name, n=8, seed=3, tracing=False))
-            for name in ("reactive-rush", "reactive-starvation")
+            for name in names
         }
-        monkeypatch.setattr(
-            ReactiveScheduler, "make_queue", lambda self: ScanQueue(self)
-        )
+        for cls in (ReactiveScheduler, PartitionScheduler, TargetedScheduler):
+            monkeypatch.setattr(cls, "make_queue", lambda self: ScanQueue(self))
         for name, expected in baseline.items():
             assert _fingerprint(run_scenario(name, n=8, seed=3, tracing=False)) == expected
 
@@ -311,27 +315,27 @@ class TestRestartSemantics:
 
 
 # ----------------------------------------------------------------------
-# A director rides the delivery loop whatever else observes the run.  A
-# scenario whose scheduler leaves the random queue in place delivers fan-out
-# copies from their group entries, traced or not (a traced run logs each
-# copy's slot); the attack -- every director action with its step -- and the
+# A director rides the delivery loop whatever else observes the run.  Every
+# queue -- the random queue of a scenario without a scheduler, the
+# class-ranked and keyed queues of the three below -- delivers fan-out copies
+# from their group entries, traced or not (a traced run logs each copy's
+# slot); the attack -- every director action with its step -- and the
 # outcome must not depend on the trace.  (The test's name is from when the
 # traced and the untraced trial ran on two different loops.)
 # ----------------------------------------------------------------------
-RANDOM_QUEUE_SCENARIOS = sorted(
+DIRECTOR_SCENARIOS = sorted(
     name for name in scenario_names() if get_scenario(name).scheduler is None
-)
+) + ["partition-heal", "reactive-rush", "rushing-coalition"]
 
 
 @pytest.mark.parametrize("n", (7, 16))
-@pytest.mark.parametrize("name", RANDOM_QUEUE_SCENARIOS)
+@pytest.mark.parametrize("name", DIRECTOR_SCENARIOS)
 def test_director_trial_is_the_same_on_both_loops(name, n):
     for seed in (0, 1):
         observed = {}
         for tracing in (True, False):
             result = run_scenario(name, n=n, seed=seed, tracing=tracing)
             director = result.network.director
-            assert result.network._group_mode
             stats = result.message_stats
             observed[tracing] = (
                 result.steps, result.outputs, director.actions,
@@ -344,7 +348,7 @@ def test_director_trial_is_the_same_on_both_loops(name, n):
 
 def test_the_step_triggered_attacks_are_among_them():
     assert {"restart-storm", "dealer-ambush", "tamper-on-share"} <= set(
-        RANDOM_QUEUE_SCENARIOS
+        DIRECTOR_SCENARIOS
     )
 
 
