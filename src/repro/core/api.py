@@ -389,9 +389,11 @@ def run_many(
     """Run ``runner`` once per seed and aggregate the outcomes.
 
     With ``workers > 1`` the seeds are fanned out across a process pool via
-    :mod:`repro.experiments.runner`, ``chunk_trials`` seeds per task; every
-    trial is still seeded explicitly and chunk aggregates travel back as
-    pickled objects, so the result is identical to a sequential run.
+    :mod:`repro.experiments.runner`, ``chunk_trials`` seeds per task
+    (``None``: the runner's default; below 1, an
+    :class:`~repro.errors.ExperimentError`); every trial is still seeded
+    explicitly and chunk aggregates travel back as pickled objects, so the
+    result is identical to a sequential run.
     Parallel execution requires ``runner`` and all ``kwargs`` to be picklable
     (module-level functions and plain data are; lambdas and bound schedulers
     may not be).
@@ -408,7 +410,7 @@ def run_many(
             runner,
             seeds,
             workers=workers,
-            chunk_trials=chunk_trials or DEFAULT_CHUNK_TRIALS,
+            chunk_trials=DEFAULT_CHUNK_TRIALS if chunk_trials is None else chunk_trials,
             **kwargs,
         )
     return aggregate(runner(seed=seed, **kwargs) for seed in seeds)

@@ -83,6 +83,22 @@ def _cli_policy(args: argparse.Namespace) -> Optional[ExecutionPolicy]:
     return policy if policy.to_dict() else None
 
 
+def _chunk_trials(text: str) -> int:
+    """The ``--chunk-trials`` type: a positive int.
+
+    Raises :class:`ExperimentError`, which argparse lets through (a
+    ``ValueError`` would become its usage text), so a bad size is the same
+    one ``error:`` line and exit 2 as every other refused run.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise ExperimentError(f"--chunk-trials must be a positive integer, got {text!r}")
+    return value
+
+
 def _progress_printer(quiet: bool) -> Optional[Callable[[CampaignProgress], None]]:
     """The per-chunk progress line of ``run`` / ``ablate`` (None when quiet)."""
     if quiet:
@@ -644,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--chunk-trials",
-        type=int,
+        type=_chunk_trials,
         default=DEFAULT_CHUNK_TRIALS,
         help=f"seeds per dispatched chunk (default: {DEFAULT_CHUNK_TRIALS})",
     )
@@ -763,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1, help="worker processes (default: 1)"
     )
     ablate_parser.add_argument(
-        "--chunk-trials", type=int, default=DEFAULT_CHUNK_TRIALS,
+        "--chunk-trials", type=_chunk_trials, default=DEFAULT_CHUNK_TRIALS,
         help=f"seeds per dispatched chunk (default: {DEFAULT_CHUNK_TRIALS})",
     )
     ablate_parser.add_argument(
@@ -909,8 +925,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.handler(args)
     except (ExperimentError, ServiceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

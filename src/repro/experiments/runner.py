@@ -98,6 +98,18 @@ def _chunks(seeds: Sequence[int], size: int) -> List[List[int]]:
     return [list(seeds[start : start + size]) for start in range(0, len(seeds), size)]
 
 
+def _check_chunk_trials(chunk_trials: Any) -> None:
+    """Refuse a chunk size that is not a positive int (:class:`ExperimentError`).
+
+    Zero would be a ``range()`` traceback and a negative size no chunks at
+    all -- a cell persisted as complete with no trials.
+    """
+    if type(chunk_trials) is not int or chunk_trials < 1:
+        raise ExperimentError(
+            f"chunk_trials must be a positive integer, got {chunk_trials!r}"
+        )
+
+
 # ----------------------------------------------------------------------
 # Trial execution (shared by the inline and pooled paths)
 class CellExecutor:
@@ -244,6 +256,7 @@ def _run_cell_chunk(task: Tuple[int, Dict[str, Any], List[int]]) -> Tuple[int, D
 
 def run_cell(cell: ExperimentSpec, chunk_trials: int = DEFAULT_CHUNK_TRIALS) -> TrialAggregate:
     """Run every trial of one cell sequentially and return its aggregate."""
+    _check_chunk_trials(chunk_trials)
     cell.validate()
     merged = TrialAggregate.empty()
     cell_dict = cell.to_dict()
@@ -337,6 +350,7 @@ def run_campaign(
     absent from the result; with ``fail_fast`` the first quarantine raises
     :class:`ExperimentError` instead (after flushing the store).
     """
+    _check_chunk_trials(chunk_trials)
     campaign.validate()
     for cell in campaign.cells:
         # Fail fast on unknown registry/scenario names and unresolvable
@@ -595,6 +609,7 @@ def run_seeds(
     keep their Python types (frozensets, tuples, ...) and the result is
     indistinguishable from a sequential ``run_many``.
     """
+    _check_chunk_trials(chunk_trials)
     seed_list = [int(seed) for seed in seeds]
     tasks = [
         ChunkTask(

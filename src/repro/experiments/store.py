@@ -73,6 +73,32 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
+def _shape_problem(data: Dict[str, Any]) -> Optional[str]:
+    """What is wrong with the types of a loaded store's sections, if anything.
+
+    Each section present is an object; a cell record has a string
+    ``spec_hash`` and an object ``aggregate``; a partial entry has an object
+    of ``chunks``; a failure record is an object.
+    """
+    for section in ("cells", "partial", "failures"):
+        if not isinstance(data.get(section, {}), dict):
+            return f"section {section!r} is not an object"
+    for name, entry in data["cells"].items():
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("spec_hash"), str)
+            and isinstance(entry.get("aggregate"), dict)
+        ):
+            return f"cell {name!r} needs a string spec_hash and an object aggregate"
+    for name, entry in data.get("partial", {}).items():
+        if not (isinstance(entry, dict) and isinstance(entry.get("chunks"), dict)):
+            return f"partial cell {name!r} needs an object of chunks"
+    for name, record in data.get("failures", {}).items():
+        if not isinstance(record, dict):
+            return f"failure record {name!r} is not an object"
+    return None
+
+
 class ResultStore:
     """Load/modify/save the persisted results of one campaign."""
 
@@ -111,7 +137,12 @@ class ResultStore:
         return store
 
     def reload(self, recover_corrupt: bool = False) -> None:
-        """(Re)read the backing file, validating shape and version."""
+        """(Re)read the backing file, validating shape and version.
+
+        A file that is not JSON, or whose sections or cell records have the
+        wrong types, is refused (or, with ``recover_corrupt``, quarantined)
+        here rather than found by whatever reads the section first.
+        """
         try:
             try:
                 data = json.loads(self.path.read_text())
@@ -121,6 +152,9 @@ class ResultStore:
                 ) from exc
             if not isinstance(data, dict) or "cells" not in data:
                 raise ExperimentError(f"{self.path} is not a campaign result store")
+            problem = _shape_problem(data)
+            if problem is not None:
+                raise ExperimentError(f"{self.path} is not a campaign result store: {problem}")
         except ExperimentError as exc:
             if not recover_corrupt:
                 raise ExperimentError(
@@ -243,11 +277,18 @@ class ResultStore:
             entry = self._data["cells"][name]
         except KeyError:
             raise ExperimentError(f"store {self.path} has no cell {name!r}") from None
-        aggregate = TrialAggregate.from_dict(entry["aggregate"])
-        # Wall-clock timing travels beside the aggregate: the statistics stay
-        # byte-identical across worker counts, the throughput column survives
-        # a reload.  Stores written before timing existed load as 0.0.
-        aggregate.total_elapsed_s = float(entry.get("elapsed_s", 0.0))
+        try:
+            aggregate = TrialAggregate.from_dict(entry["aggregate"])
+            # Wall-clock timing travels beside the aggregate: the statistics
+            # stay byte-identical across worker counts, the throughput column
+            # survives a reload.  Stores written before timing existed load
+            # as 0.0.
+            aggregate.total_elapsed_s = float(entry.get("elapsed_s", 0.0))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ExperimentError(
+                f"store {self.path}: cell {name!r} has an undecodable aggregate "
+                f"({type(exc).__name__}: {exc}); drop it with `report --drop {name}`"
+            ) from exc
         return aggregate
 
     def put(self, name: str, spec_hash: str, aggregate: TrialAggregate) -> None:

@@ -13,6 +13,12 @@ layer reads on every send are precomputed attributes instead of properties.
 Messages are immutable *by convention*: they are created only by
 ``Network.submit`` and never mutated afterwards; tests and tools must treat
 them as frozen values.
+
+A lone send is the one-copy fan-out of itself: a Message answers the calls
+the delivery queues, the delivery loop and the trace make of a
+:class:`~repro.net.queues.FanoutEntry` (``copies``, ``materialize``,
+``seq_of``, ``values``, ``skip``), so every in-flight copy has one shape,
+``(entry, receiver)``.
 """
 
 from __future__ import annotations
@@ -26,6 +32,11 @@ SessionId = Tuple[Any, ...]
 
 class Message:
     """A single point-to-point message in flight.
+
+    Queued, popped, buffered and logged as the one-copy fan-out ``(message,
+    message.receiver)``: ``copies(n)`` is ``(receiver,)``,
+    ``materialize(receiver)`` the message itself, ``seq_of(receiver)`` its
+    ``seq``, and ``values`` / ``skip`` are None.
 
     Attributes:
         sender: party id of the sender.
@@ -42,6 +53,10 @@ class Message:
 
     __slots__ = ("sender", "receiver", "session", "payload", "seq", "kind", "root")
 
+    #: A lone send carries one payload and leaves no receiver out.
+    values = None
+    skip = None
+
     def __init__(
         self,
         sender: int,
@@ -57,6 +72,18 @@ class Message:
         self.seq = seq
         self.kind = payload[0] if payload else None
         self.root = session[0] if session else None
+
+    def copies(self, n: int) -> Tuple[int]:
+        """The receivers of this send's copies: its one receiver, whatever ``n``."""
+        return (self.receiver,)
+
+    def materialize(self, receiver: int) -> "Message":
+        """The copy addressed to ``receiver``: the message itself."""
+        return self
+
+    def seq_of(self, receiver: int) -> int:
+        """The sequence number of the copy addressed to ``receiver``."""
+        return self.seq
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Message):

@@ -27,17 +27,18 @@ campaign):
   :meth:`run_to_quiescence` and :meth:`step` are thin callers of
   :meth:`_drive_unmaterialised`, whatever observes the run.  It pops
   ``(entry, receiver)`` slots (every queue offers ``pop_entry``; a lone
-  message is ``(message, -1)``) and delivers them without building Message
-  objects: straight to the handler of a started instance, through
-  :meth:`Process.deliver_parts` otherwise.  Observation rides the loop
-  instead of replacing it: the trace logs the popped pair (records are
-  expanded into events when read, :mod:`repro.net.tracing`), the step
-  counter is stored per delivery only when something reads it mid-run, and
-  the registry's queue-depth sample, a director's ``on_step`` and an
-  ``until`` condition share one wake-up step -- so a plain trial pays for
-  none of them.  Every queue takes a fan-out as one group entry, traced or
-  not, and holds its copies as ``(entry, receiver)`` slots -- the reference
-  scan queue alone builds the Messages its ``choose`` reads.
+  message is the one-copy fan-out ``(message, message.receiver)``) and
+  delivers them without building Message objects: straight to the handler
+  of a started instance, through :meth:`Process.deliver_parts` otherwise.
+  Observation rides the loop instead of replacing it: the trace logs the
+  popped pair (records are expanded into events when read,
+  :mod:`repro.net.tracing`), the step counter is stored per delivery only
+  when something reads it mid-run, and the registry's queue-depth sample, a
+  director's ``on_step`` and an ``until`` condition share one wake-up step
+  -- so a plain trial pays for none of them.  Every queue takes a fan-out as
+  one group entry, traced or not, and holds its copies as ``(entry,
+  receiver)`` slots -- the reference scan queue alone builds the Messages
+  its ``choose`` reads.
 
 The loop reproduces the seed's delivery order, traces and outputs
 byte-identically per seed; ``tests/net/test_loop_matrix.py`` holds every
@@ -155,9 +156,7 @@ class Network:
         # network's lifetime (a disabled trace binds no-op hooks at
         # construction), so bound methods can be cached once.
         self._n = params.n
-        self._queue_push = self._queue.push
         self._queue_push_group = self._queue.push_group
-        self._trace_on_send = self.trace.on_send
         self._trace_on_fanout = self.trace.on_fanout
         self._tracing = self.trace.enabled
         #: Pre-bound meter hook for the send paths (None when unmetered).
@@ -240,7 +239,9 @@ class Network:
         """Queue a message for asynchronous delivery.
 
         ``session`` and ``payload`` must be tuples; the protocol/process send
-        path guarantees this, so no defensive copies are made here.
+        path guarantees this, so no defensive copies are made here.  The
+        Message is queued and traced as the one-copy fan-out of itself,
+        exactly as :meth:`_submit_fanout` queues and traces a fan-out.
         """
         if not 0 <= receiver < self._n:
             raise SimulationError(f"message addressed to unknown party {receiver}")
@@ -256,13 +257,13 @@ class Network:
         message.seq = seq
         message.kind = payload[0] if payload else None
         message.root = session[0] if session else None
-        self._queue_push(message)
+        self._queue_push_group(message, self._n)
         if self._tracing:
-            self._trace_on_send(self.step_count, message)
-        else:
-            count_send = self._meter_count_send
-            if count_send is not None:
-                count_send(message.kind, message.root, 1)
+            self._trace_on_fanout(self.step_count, message, 1)
+            return
+        count_send = self._meter_count_send
+        if count_send is not None:
+            count_send(message.kind, message.root, 1)
 
     def submit_broadcast(self, sender: int, session: SessionId, payload: tuple) -> None:
         """Queue one copy of ``payload`` for every party, in pid order.
@@ -401,14 +402,14 @@ class Network:
         record, the handler, then at a wake-up step the registry's
         queue-depth sample, the director's ``on_step`` and ``until``.
 
-        A copy is handed to its handler directly when nothing stands between
-        them -- the receiver runs no behaviour, shuns nobody, and the
-        session's instance exists and has started.  That is a pre-check, not
-        a second router: every other copy is handled by
-        :meth:`Process.deliver_parts` (:meth:`Process.deliver` for a lone
-        message), which re-reads the receiver's behaviour and protocol table
-        per delivery, so a director corrupting or restarting a party mid-run
-        needs nothing more.
+        A copy, of a fan-out or a lone message alike, is handed to its
+        handler directly when nothing stands between them -- the receiver
+        runs no behaviour, shuns nobody, and the session's instance exists
+        and has started.  That is a pre-check, not a second router: every
+        other copy is handled by :meth:`Process.deliver_parts`, which
+        re-reads the receiver's behaviour and protocol table per delivery,
+        so a director corrupting or restarting a party mid-run needs nothing
+        more.
         """
         # Unless something reads ``step_count`` mid-run (the trace's hooks, a
         # director's audit log, the registry's completion steps, ``until``),
@@ -420,7 +421,6 @@ class Network:
         pop_entry = queue.pop_entry
         rng = self.scheduler_rng
         processes = self.processes
-        deliver_by_pid = [process.deliver for process in processes]
         tracing = self._tracing
         trace = self.trace
         log = trace.log_delivery if tracing else None
@@ -458,27 +458,20 @@ class Network:
                     self.step_count = step
                     if log is not None:
                         log((step, entry, receiver))
-                if receiver < 0:
-                    deliver_by_pid[entry.receiver](entry)
+                values = entry.values
+                payload = entry.payload if values is None else (entry.kind, values[receiver])
+                session = entry.session
+                process = processes[receiver]
+                instance = process._protocols_get(session)
+                if (
+                    instance is not None
+                    and instance.started
+                    and process.behavior is None
+                    and not process._shunned_from
+                ):
+                    instance.on_message(entry.sender, payload)
                 else:
-                    values = entry.values
-                    payload = (
-                        entry.payload if values is None else (entry.kind, values[receiver])
-                    )
-                    session = entry.session
-                    process = processes[receiver]
-                    instance = process._protocols_get(session)
-                    if (
-                        instance is not None
-                        and instance.started
-                        and process.behavior is None
-                        and not process._shunned_from
-                    ):
-                        instance.on_message(entry.sender, payload)
-                    else:
-                        process.deliver_parts(
-                            entry.sender, session, payload, entry, receiver
-                        )
+                    process.deliver_parts(entry.sender, session, payload, entry, receiver)
                 if wake is not None and step >= wake:
                     wake = on_wake(step)  # type: ignore[misc]
                 if self._stop:

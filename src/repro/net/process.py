@@ -58,8 +58,8 @@ class Process:
         #: Bound ``protocols.get``, cached for the per-delivery routing lookup.
         self._protocols_get = self.protocols.get
         #: session -> what arrived before the session's instance started, in
-        #: the shape the queue holds it: a Message, or ``(entry, receiver)``
-        #: for one copy of a fan-out entry.  Kept whole (not just sender and
+        #: the shape the queue holds it: ``(entry, receiver)``, the copy of a
+        #: fan-out entry or a lone Message.  Kept whole (not just sender and
         #: payload) so a copy dropped at replay can be reported like any
         #: other drop.
         self._pending: Dict[SessionId, List[Any]] = {}
@@ -161,19 +161,15 @@ class Process:
         if not buffered:
             return
         on_message = instance.on_message
-        for slot in buffered:
-            if slot.__class__ is tuple:
-                entry, receiver = slot
-                values = entry.values
-                payload = (
-                    entry.payload if values is None else (entry.kind, values[receiver])
-                )
-            else:
-                entry, receiver, payload = slot, -1, slot.payload
+        for entry, receiver in buffered:
             if self._shunned_from and self._is_shunned_for(entry.sender, instance):
                 self._drop_shunned(entry, receiver)
-            else:
-                on_message(entry.sender, payload)
+                continue
+            values = entry.values
+            on_message(
+                entry.sender,
+                entry.payload if values is None else (entry.kind, values[receiver]),
+            )
 
     def protocol(self, session: SessionId) -> Optional[Protocol]:
         """Return the protocol instance for ``session`` if it exists."""
@@ -200,31 +196,18 @@ class Process:
         self.network.submit(self.pid, receiver, session, payload)
 
     def deliver(self, message: Message) -> None:
-        """Handle a message delivered by the network to this party."""
-        behavior = self.behavior
-        if behavior is not None:
-            behavior.on_message(message)
-            return
-        instance = self._protocols_get(message.session)
-        if instance is None or not instance.started:
-            self._pending.setdefault(message.session, []).append(message)
-            return
-        # Shun check inlined (most runs never shun anyone; skip the dict
-        # probe entirely while the shun map is empty).
-        shunned = self._shunned_from
-        if shunned:
-            threshold = shunned.get(message.sender)
-            if threshold is not None and instance.birth_index >= threshold:
-                self._drop_shunned(message, -1)
-                return
-        instance.on_message(message.sender, message.payload)
+        """Handle a message delivered to this party: its one-copy fan-out."""
+        self.deliver_parts(
+            message.sender, message.session, message.payload, message, message.receiver
+        )
 
     def deliver_parts(self, sender: int, session, payload: tuple, entry, receiver: int) -> None:
-        """Deliver one unmaterialised fan-out copy: the whole routing contract.
+        """Deliver one unmaterialised copy: the whole routing contract.
 
-        Semantically identical to building ``entry.materialize(receiver)`` and
-        calling :meth:`deliver`; the Message object is only created for the
-        consumers that genuinely need one (an installed behaviour, or the
+        ``entry`` is the fan-out entry holding the copy for ``receiver``, or
+        a lone Message (its own one copy); ``sender``, ``session`` and
+        ``payload`` are that copy's.  The Message object is only built for
+        the consumers that genuinely need one (an installed behaviour, or the
         trace argument of a shun drop).  Every case is handled here --
         behaviour, not-yet-started session (buffered), shunned sender
         (dropped), started instance (handled).  The unmaterialised delivery
@@ -240,6 +223,8 @@ class Process:
         if instance is None or not instance.started:
             self._pending.setdefault(session, []).append((entry, receiver))
             return
+        # Shun check inlined (most runs never shun anyone; skip the dict
+        # probe entirely while the shun map is empty).
         shunned = self._shunned_from
         if shunned:
             threshold = shunned.get(sender)
@@ -251,20 +236,16 @@ class Process:
     def _drop_shunned(self, entry, receiver: int) -> None:
         """Report one message dropped because its sender is shunned.
 
-        ``entry`` is the Message itself (``receiver < 0``) or the fan-out
-        entry holding the copy for ``receiver``; that copy is materialised
-        only for a trace that records it.  ``step_count`` lags the delivery
-        loop's local only in runs nothing observes; a traced loop stores it
-        per delivery, so the drop carries its delivery's step.
+        ``entry`` holds the copy for ``receiver`` (a lone Message is its own
+        copy); that copy is materialised only for a trace that records it.
+        ``step_count`` lags the delivery loop's local only in runs nothing
+        observes; a traced loop stores it per delivery, so the drop carries
+        its delivery's step.
         """
         network = self.network
         trace = network.trace
         if trace.enabled:
-            trace.on_drop(
-                network.step_count,
-                entry if receiver < 0 else entry.materialize(receiver),
-                "shunned",
-            )
+            trace.on_drop(network.step_count, entry.materialize(receiver), "shunned")
         else:
             meter = network.meter
             if meter is not None:

@@ -30,7 +30,9 @@ Every queue takes a whole fan-out (a broadcast or a ROW/POINT loop) as one
 unmaterialised :class:`FanoutEntry` through ``push_group``, and holds it as
 ``(entry, receiver)`` slots -- one per copy, added by a C-level ``extend`` --
 except the reference :class:`ScanQueue`, which builds the Messages its
-``choose`` scans read.  A queue whose policy tells copies apart (a class, a
+``choose`` scans read.  A lone :class:`Message` is pushed the same way, as
+the one-copy fan-out of itself (``message.copies(n)`` is its receiver), so a
+slot has one shape.  A queue whose policy tells copies apart (a class, a
 key) asks a :class:`FanoutForm` once per fan-out which receivers fall in
 which class: a policy is defined once, over the fields every copy of a
 fan-out shares (``sender``, ``session``, ``kind``, ``root``), and its
@@ -48,8 +50,8 @@ pending list" always meant "the i-th oldest in-flight message" (of a class)
 against :func:`force_scan` runs.
 
 Every queue is popped through :meth:`DeliveryQueue.pop_entry`, the network
-delivery loop's one pop: ``(message, -1)`` for an individually pushed
-Message, ``(entry, receiver)`` for one copy of a fan-out group.  An empty
+delivery loop's one pop: ``(entry, receiver)``, ``receiver >= 0``, for the
+copy of ``entry`` addressed to ``receiver``.  An empty
 queue raises :class:`IndexError` before any state changes, which is how the
 loop detects quiescence.  A policy that reads the clock
 (``Scheduler.choose``'s ``step``, a :class:`ClassRankQueue` version) reads
@@ -78,31 +80,28 @@ class DeliveryQueue(ABC):
     """Holds the in-flight messages and yields them in scheduler order."""
 
     @abstractmethod
-    def push(self, message: Message) -> None:
-        """Add a newly submitted message."""
+    def push_group(self, entry: Any, n: int) -> None:
+        """Add the copies of ``entry`` to the receivers ``entry.copies(n)``.
 
-    @abstractmethod
-    def push_group(self, entry: FanoutEntry, n: int) -> None:
-        """Add a whole fan-out to parties ``0..n-1``, ``entry.skip`` left out.
-
-        Equivalent to pushing its materialised copies in receiver order.
+        ``entry`` is a :class:`FanoutEntry` (parties ``0..n-1``, ``skip``
+        left out) or a lone :class:`Message` (its one receiver).  Equivalent
+        to pushing its materialised copies in receiver order.
         """
 
     @abstractmethod
     def pop_entry(self, rng: random.Random) -> Tuple[Any, int]:
         """Remove the next message to deliver and return it unmaterialised.
 
-        ``(message, -1)`` for an individually pushed :class:`Message`,
-        ``(entry, receiver)`` for the copy of a :class:`FanoutEntry` group
-        addressed to ``receiver``.  An empty queue raises
-        :class:`IndexError` before any state changes (no draw, no policy
-        query).
+        ``(entry, receiver)``, ``receiver >= 0``: the copy of ``entry`` (a
+        :class:`FanoutEntry` or a lone :class:`Message`) addressed to
+        ``receiver``.  An empty queue raises :class:`IndexError` before any
+        state changes (no draw, no policy query).
         """
 
     def pop(self, rng: random.Random) -> Message:
         """:meth:`pop_entry`, the copy materialised as a Message."""
         entry, receiver = self.pop_entry(rng)
-        return entry if receiver < 0 else entry.materialize(receiver)
+        return entry.materialize(receiver)
 
     @abstractmethod
     def __len__(self) -> int:
@@ -128,11 +127,8 @@ class ScanQueue(DeliveryQueue):
         #: Messages delivered so far: the ``step`` handed to ``choose``.
         self._delivered = 0
 
-    def push(self, message: Message) -> None:
-        self._pending.append(message)
-
-    def push_group(self, entry: FanoutEntry, n: int) -> None:
-        self._pending.extend(map(entry.materialize, _receivers(n, entry.skip)))
+    def push_group(self, entry: Any, n: int) -> None:
+        self._pending.extend(map(entry.materialize, entry.copies(n)))
 
     def pop_entry(self, rng: random.Random) -> Tuple[Message, int]:
         pending = self._pending
@@ -145,7 +141,8 @@ class ScanQueue(DeliveryQueue):
             scheduler.choose(pending, rng, self._delivered), pending
         )
         self._delivered += 1
-        return pending.pop(choice), -1
+        message = pending.pop(choice)
+        return message, message.receiver
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -160,26 +157,17 @@ class FifoQueue(DeliveryQueue):
     def __init__(self) -> None:
         self._queue: Deque[Any] = deque()
 
-    def push(self, message: Message) -> None:
-        self._queue.append(message)
-
-    def push_group(self, entry: FanoutEntry, n: int) -> None:
-        self._queue.extend(zip(repeat(entry), _receivers(n, entry.skip)))
+    def push_group(self, entry: Any, n: int) -> None:
+        self._queue.extend(_slots(entry, entry.copies(n)))
 
     def pop_entry(self, rng: random.Random) -> Tuple[Any, int]:
-        slot = self._queue.popleft()  # IndexError when empty
-        if slot.__class__ is tuple:
-            return slot
-        return slot, -1
+        return self._queue.popleft()  # IndexError when empty
 
     def __len__(self) -> int:
         return len(self._queue)
 
     def snapshot(self) -> List[Message]:
-        return [
-            slot[0].materialize(slot[1]) if slot.__class__ is tuple else slot
-            for slot in self._queue
-        ]
+        return _materialized(self._queue)
 
 
 class KeyedQueue(DeliveryQueue):
@@ -215,15 +203,11 @@ class KeyedQueue(DeliveryQueue):
             heapq.heappush(self._keys, key)
         return fifo
 
-    def push(self, message: Message) -> None:
-        self._fifo(self.key(message)).append(message)
-        self._count += 1
-
-    def push_group(self, entry: FanoutEntry, n: int) -> None:
+    def push_group(self, entry: Any, n: int) -> None:
         fifo = self._fifo
         for key, receivers in self.key.deal(entry, n):
-            fifo(key).extend(zip(repeat(entry), receivers))
-        self._count += n if entry.skip is None else n - 1
+            fifo(key).extend(_slots(entry, receivers))
+            self._count += len(receivers)
 
     def pop_entry(self, rng: random.Random) -> Tuple[Any, int]:
         keys = self._keys
@@ -234,19 +218,14 @@ class KeyedQueue(DeliveryQueue):
             heapq.heappop(keys)
             del self._fifos[key]
         self._count -= 1
-        if slot.__class__ is tuple:
-            return slot
-        return slot, -1
+        return slot
 
     def __len__(self) -> int:
         return self._count
 
     def snapshot(self) -> List[Message]:
-        slots = sorted(chain.from_iterable(self._fifos.values()), key=_slot_seq)
-        return [
-            slot[0].materialize(slot[1]) if slot.__class__ is tuple else slot
-            for slot in slots
-        ]
+        slots = chain.from_iterable(self._fifos.values())
+        return _materialized(sorted(slots, key=_slot_seq))
 
 
 class FanoutEntry:
@@ -314,6 +293,17 @@ class FanoutEntry:
         skip = self.skip
         return self.base_seq + receiver - (1 if skip is not None and receiver > skip else 0)
 
+    def copies(self, n: int) -> Sequence[int]:
+        """The receivers of this fan-out's copies: ``0..n-1``, ``skip`` left out."""
+        skip = self.skip
+        return range(n) if skip is None else _skipping(n, skip)
+
+
+@lru_cache(maxsize=1024)
+def _skipping(n: int, skip: int) -> Tuple[int, ...]:
+    """Receivers ``0..n-1`` in order, ``skip`` left out (one tuple per pair)."""
+    return (*range(skip), *range(skip + 1, n))
+
 
 @lru_cache(maxsize=256)
 def everyone(n: int) -> frozenset:
@@ -321,11 +311,26 @@ def everyone(n: int) -> frozenset:
     return frozenset(range(n))
 
 
-def _receivers(n: int, skip: Optional[int]) -> Iterable[int]:
-    """Receivers ``0..n-1`` in order, ``skip`` left out."""
-    if skip is None:
-        return range(n)
-    return chain(range(skip), range(skip + 1, n))
+def _slots(entry: Any, receivers: Sequence[int]) -> Iterable[Tuple[Any, int]]:
+    """The ``(entry, receiver)`` slots of the copies to ``receivers``, in order.
+
+    A single copy -- a lone send, or the one receiver of a fan-out in its
+    class -- is built directly: ``zip`` and ``repeat`` cost several times
+    what one slot does.
+    """
+    if len(receivers) == 1:
+        return ((entry, receivers[0]),)
+    return zip(repeat(entry), receivers)
+
+
+def _slot_seq(slot: Tuple[Any, int]) -> int:
+    """Sequence number of the ``(entry, receiver)`` copy in a queue slot."""
+    return slot[0].seq_of(slot[1])
+
+
+def _materialized(slots: Iterable[Tuple[Any, int]]) -> List[Message]:
+    """The Messages of ``(entry, receiver)`` slots, in their order."""
+    return [entry.materialize(receiver) for entry, receiver in slots]
 
 
 #: ``((label, receivers), ...)``: a fan-out's copies grouped by label, each
@@ -343,13 +348,14 @@ class FanoutForm:
     naming its receiver (forms end with ``everyone(n)``, so every receiver is
     named).  ``fanout`` is a :class:`FanoutEntry` or a :class:`Message`:
     both carry those four fields, which is how the per-message label --
-    ``form(message)``, what the reference ``choose`` scans, a re-rank and a
-    lone send read -- is derived from the same definition.  A membership
+    ``form(message)``, what the reference ``choose`` scans and a lone
+    send's ``deal`` read -- is derived from the same definition.  A membership
     only has to hold for receivers below ``n``, so the per-message form asks
     with ``n = receiver + 1``.
 
     ``deal(entry, n)`` is what a queue pushes: the copies grouped by label,
-    each group's receivers ascending and ``entry.skip`` left out.  It is
+    each group's receivers ascending and ``entry.skip`` left out -- for a
+    lone Message, its label and its one receiver.  A fan-out's deal is
     cached per ``(groups, n, skip)``, so a form that returns the same
     frozensets for most fan-outs pays one dict lookup per fan-out.  Labels
     must be hashable.
@@ -377,13 +383,15 @@ class FanoutForm:
                 return label
         raise ValueError(f"fan-out form names no group for receiver {receiver}")
 
-    def deal(self, entry: FanoutEntry, n: int) -> Dealt:
+    def deal(self, entry: Any, n: int) -> Dealt:
+        if entry.__class__ is Message:
+            return ((self(entry), (entry.receiver,)),)
         groups = self.groups(entry, n)
         key = (groups, n, entry.skip)
         dealt = self._deals.get(key)
         if dealt is None:
             by_label: Dict[Any, List[int]] = {}
-            for receiver in _receivers(n, entry.skip):
+            for receiver in entry.copies(n):
                 for label, receivers in groups:
                     if receiver in receivers:
                         by_label.setdefault(label, []).append(receiver)
@@ -415,8 +423,6 @@ class PerCopy(FanoutForm):
         self.label_of = label_of
 
     def groups(self, fanout: Any, n: int) -> Tuple[Tuple[Any, frozenset], ...]:
-        if fanout.__class__ is not FanoutEntry:
-            return ((self.label_of(fanout), everyone(n)),)
         return tuple(
             (label, frozenset(receivers)) for label, receivers in self.deal(fanout, n)
         )
@@ -424,11 +430,11 @@ class PerCopy(FanoutForm):
     def __call__(self, message: Message) -> Any:
         return self.label_of(message)
 
-    def deal(self, entry: FanoutEntry, n: int) -> Dealt:
+    def deal(self, entry: Any, n: int) -> Dealt:
         # Labels read per-copy fields, so nothing is reused across fan-outs.
         by_label: Dict[Any, List[int]] = {}
         label_of, materialize = self.label_of, entry.materialize
-        for receiver in _receivers(n, entry.skip):
+        for receiver in entry.copies(n):
             by_label.setdefault(label_of(materialize(receiver)), []).append(receiver)
         return tuple((label, tuple(receivers)) for label, receivers in by_label.items())
 
@@ -436,13 +442,6 @@ class PerCopy(FanoutForm):
 def fanout_form(policy: Any) -> FanoutForm:
     """``policy`` as a :class:`FanoutForm`: a form as is, a callable via :class:`PerCopy`."""
     return policy if isinstance(policy, FanoutForm) else PerCopy(policy)
-
-
-def _slot_seq(slot: Any) -> int:
-    """Sequence number of a queue slot (a Message or an ``(entry, receiver)`` copy)."""
-    if slot.__class__ is tuple:
-        return slot[0].seq_of(slot[1])
-    return slot.seq
 
 
 #: Most in-flight copies one block of :class:`SendOrderRandomQueue` holds.
@@ -467,12 +466,11 @@ class SendOrderRandomQueue(DeliveryQueue):
       (``list.append`` / ``list.extend``); once it holds ``_BLOCK`` copies
       it is sealed and a new tail opened.  A queue that never gets that deep
       (typical n<=16 trials) is just the tail: one list, ``list.pop(rank)``.
-    * **one slot per copy** -- a slot is either an individually pushed
-      :class:`Message` or, for a copy of a fan-out, the pair
-      ``(entry, receiver)`` sharing one :class:`FanoutEntry`; the pair is
-      exactly what :meth:`pop_entry` hands the network's delivery loop (and
-      what its trace logs), and a Message is built from it only if somebody
-      needs one.
+    * **one slot per copy** -- the pair ``(entry, receiver)``, the copies
+      of a fan-out sharing one :class:`FanoutEntry` (a lone Message is its
+      own one-copy entry); the pair is exactly what :meth:`pop_entry` hands
+      the network's delivery loop (and what its trace logs), and a Message
+      is built from it only if somebody needs one.
     * **Fenwick over block lengths** -- a counting tree over the sealed
       blocks only (a few dozen nodes at 100k+ in flight) finds the block in
       one find-and-decrement descend; a rank past its total is in the tail.
@@ -487,8 +485,8 @@ class SendOrderRandomQueue(DeliveryQueue):
     Every representation detail is invisible in the delivery order: a pop
     consumes exactly one ``randrange``-equivalent draw and delivers the r-th
     oldest in-flight message with exactly the fields the eager submit path
-    would have given it.  Memory is one list slot per in-flight copy (plus a
-    2-tuple for a group copy); a popped slot is gone from its list at once,
+    would have given it.  Memory is one list slot and one 2-tuple per
+    in-flight copy; a popped slot is gone from its list at once,
     so the payloads of a fan-out are freed with its last live copy.
     """
 
@@ -548,55 +546,36 @@ class SendOrderRandomQueue(DeliveryQueue):
         self._sealed = tree[capacity]
 
     # -- queue protocol --------------------------------------------------
-    def push(self, message: Message) -> None:
-        self._count += 1
-        tail = self._tail
-        tail.append(message)
-        if len(tail) >= _BLOCK:
-            self._seal()
-
-    def push_many(self, slots: Sequence[Any]) -> None:
-        """Add slots (Messages or ``(entry, receiver)`` copies) in send order."""
+    def push_many(self, slots: Sequence[Tuple[Any, int]]) -> None:
+        """Add ``(entry, receiver)`` slots in send order."""
         self._count += len(slots)
         tail = self._tail
         tail.extend(slots)
         if len(tail) >= _BLOCK:
             self._seal()
 
-    def push_copies(self, entry: FanoutEntry, receivers: Sequence[int]) -> None:
+    def push_copies(self, entry: Any, receivers: Sequence[int]) -> None:
         """Add the copies of ``entry`` to ``receivers`` (ascending) in send order."""
         self._count += len(receivers)
         tail = self._tail
-        tail.extend(zip(repeat(entry), receivers))
+        tail.extend(_slots(entry, receivers))
         if len(tail) >= _BLOCK:
             self._seal()
 
-    def push_group(self, entry: FanoutEntry, n: int) -> None:
-        """Queue a whole fan-out to parties ``0..n-1``.
+    def push_group(self, entry: Any, n: int) -> None:
+        """Queue one ``(entry, receiver)`` slot per receiver of ``entry.copies(n)``.
 
-        One ``(entry, receiver)`` slot per receiver, ``entry.skip`` left
-        out; rank semantics are identical to pushing the materialised copies
-        in receiver order.
+        Rank semantics are identical to pushing the materialised copies in
+        receiver order.
         """
-        skip = entry.skip
-        if skip is None:
-            receivers: Iterable[int] = range(n)
-            self._count += n
-        else:
-            receivers = chain(range(skip), range(skip + 1, n))
-            self._count += n - 1
-        tail = self._tail
-        tail.extend(zip(repeat(entry), receivers))
-        if len(tail) >= _BLOCK:
-            self._seal()
+        self.push_copies(entry, entry.copies(n))
 
     def pop_entry(self, rng: random.Random) -> Tuple[Any, int]:
         """Remove the next message and return it unmaterialised.
 
-        Returns the slot itself for a copy of a fan-out -- the queue's own
-        ``(entry, receiver)`` pair; the caller materialises only if it needs
-        a full :class:`Message` -- and ``(message, -1)`` for an individually
-        pushed Message.
+        Returns the slot itself -- the queue's own ``(entry, receiver)``
+        pair; the caller materialises only if it needs a full
+        :class:`Message`.
         """
         count = self._count
         if not count:
@@ -646,20 +625,14 @@ class SendOrderRandomQueue(DeliveryQueue):
             slot = block.pop(rank)
             if not block:
                 self._rebuild()
-        # ``__class__`` is an attribute read; ``type(slot)`` would be a call.
-        if slot.__class__ is tuple:
-            return slot
-        return slot, -1
+        return slot
 
     def slots(self) -> Iterable[Any]:
         """The in-flight slots in send order, unmaterialised."""
         return chain.from_iterable(self._blocks + [self._tail])
 
     def snapshot(self) -> List[Message]:
-        return [
-            slot[0].materialize(slot[1]) if type(slot) is tuple else slot
-            for slot in self.slots()
-        ]
+        return _materialized(self.slots())
 
 
 class ClassRankQueue(DeliveryQueue):
@@ -721,35 +694,29 @@ class ClassRankQueue(DeliveryQueue):
             chain.from_iterable(queue.slots() for queue in self._queues), key=_slot_seq
         )
         dealt: List[List[Any]] = [[] for _ in self._queues]
-        # entry -> {receiver: class}: one ``deal`` per fan-out with a live copy.
-        classes: Dict[FanoutEntry, Dict[int, Any]] = {}
+        # id(entry) -> {receiver: class}: one ``deal`` per entry with a live
+        # copy (by identity: a lone Message hashes by value).
+        classes: Dict[int, Dict[int, Any]] = {}
         for slot in slots:
-            if slot.__class__ is tuple:
-                entry, receiver = slot
-                of_entry = classes.get(entry)
-                if of_entry is None:
-                    of_entry = classes[entry] = {
-                        copy: label
-                        for label, receivers in classify.deal(entry, n)
-                        for copy in receivers
-                    }
-                dealt[of_entry[receiver]].append(slot)
-            else:
-                dealt[classify(slot)].append(slot)
+            entry, receiver = slot
+            of_entry = classes.get(id(entry))
+            if of_entry is None:
+                of_entry = classes[id(entry)] = {
+                    copy: label
+                    for label, receivers in classify.deal(entry, n)
+                    for copy in receivers
+                }
+            dealt[of_entry[receiver]].append(slot)
         self._queues = [SendOrderRandomQueue() for _ in dealt]
         for queue, members in zip(self._queues, dealt):
             queue.push_many(members)
 
-    def push(self, message: Message) -> None:
-        self._count += 1
-        self._queues[self.classify(message)].push(message)
-
-    def push_group(self, entry: FanoutEntry, n: int) -> None:
+    def push_group(self, entry: Any, n: int) -> None:
         self._n = n
         queues = self._queues
         for label, receivers in self.classify.deal(entry, n):
             queues[label].push_copies(entry, receivers)
-        self._count += n if entry.skip is None else n - 1
+            self._count += len(receivers)
 
     def pop_entry(self, rng: random.Random) -> Tuple[Any, int]:
         if not self._count:

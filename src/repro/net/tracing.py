@@ -28,23 +28,24 @@ messages.  The log holds three shapes:
 
 * a delivery is ``(step, entry, receiver)``, appended by the delivery loop
   itself through :attr:`Trace.log_delivery` (no hook frame per delivery):
-  the pair the queue's ``pop_entry`` returned, ``(entry, receiver)`` for a
-  copy of a fan-out group and ``(message, -1)`` for a lone message;
+  the ``(entry, receiver)`` pair the queue's ``pop_entry`` returned;
 * a fan-out is ``(step, (entry, size))`` -- one record for all its ``size``
-  sends, ``entry`` the :class:`~repro.net.queues.FanoutEntry` they share;
-* every other event (a lone send, ``drop``, ``complete``, ``shun``,
-  ``corrupt``, ``phase``, ``session_open``, ``director``, ``note``) is its
+  sends, ``entry`` the :class:`~repro.net.queues.FanoutEntry` they share, or
+  a lone :class:`~repro.net.message.Message` with ``size`` 1 (a lone send is
+  the one-copy fan-out of itself);
+* every other event (``drop``, ``complete``, ``shun``, ``corrupt``,
+  ``phase``, ``session_open``, ``director``, ``note``) is its
   :class:`TraceEvent` 4-tuple, appended by :meth:`Trace.record`, which also
   counts it by kind.
 
 The :class:`~repro.net.message.Message` of a send or delivery event is built
-from its record when the event is built (``FanoutEntry.materialize``: the
-same fields and sequence number the copy was sent with), so an event is
-equal to the one a per-message log would have held, not the same object.
+from its record when the event is built (``entry.materialize``: the same
+fields and sequence number the copy was sent with), so an event is equal to
+the one a per-message log would have held, not the same object.
 :meth:`Trace.pump` hands the log on, in order, and is the one place a
-consumer is called.  A duck-typed sink receives exactly the calls it always
-did -- ``emit(event)`` per delivery and per event that is not a message
-event, ``emit_many(one fan-out's send events)`` per fan-out.  An
+consumer is called.  A duck-typed sink receives ``emit(event)`` per delivery
+and per event that is not a send, and ``emit_many(one fan-out's send
+events)`` per fan-out -- a one-event batch for a lone send.  An
 :class:`EventRing` (hence ``keep_events`` and
 :class:`repro.obs.sinks.RingBufferSink`) receives the records *unexpanded*
 with the pump's per-kind counts: it keeps the records covering its last
@@ -75,7 +76,6 @@ deliveries when the drive exits.
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import chain
 from typing import Any, Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.net.message import Message, SessionId
@@ -116,10 +116,8 @@ _new_event = tuple.__new__
 def _send_events(step: int, fanout: Tuple[Any, int]) -> List[TraceEvent]:
     """The ``emit_many`` batch a fan-out record ``(step, (entry, size))`` stands for."""
     entry, size = fanout
-    skip = entry.skip
-    receivers = (
-        range(size) if skip is None else chain(range(skip), range(skip + 1, size + 1))
-    )
+    # ``n`` is ``size`` plus the one receiver ``skip`` leaves out, if any.
+    receivers = entry.copies(size if entry.skip is None else size + 1)
     sender, materialize = entry.sender, entry.materialize
     return [
         _new_event(TraceEvent, (step, "send", sender, materialize(receiver)))
@@ -129,8 +127,7 @@ def _send_events(step: int, fanout: Tuple[Any, int]) -> List[TraceEvent]:
 
 def _delivery_event(step: int, entry: Any, receiver: int) -> TraceEvent:
     """The event a delivery record ``(step, entry, receiver)`` stands for."""
-    message = entry if receiver < 0 else entry.materialize(receiver)
-    return _new_event(TraceEvent, (step, "deliver", message.receiver, message))
+    return _new_event(TraceEvent, (step, "deliver", receiver, entry.materialize(receiver)))
 
 
 class EventRing:
@@ -246,8 +243,8 @@ class Trace:
     ``messages_delivered`` is added to by the network when a drive exits (one
     addition per ``step`` / ``run*`` call), not per delivery.
 
-    With ``enabled=False`` every recording hook (``on_send``,
-    ``on_fanout``, ``on_drop``, ``on_complete``, ``on_shun``,
+    With ``enabled=False`` every recording hook (``on_fanout``,
+    ``on_drop``, ``on_complete``, ``on_shun``,
     ``on_corrupt``, ``on_phase``, ``on_session_open``, ``on_director``,
     ``note``, ``record``) is rebound to a shared no-op at construction time,
     so the network's hot loop pays one trivially-dispatched call and zero
@@ -309,7 +306,6 @@ class Trace:
             # would tax the enabled path too, and this keeps the disabled path
             # free of even the Message property accesses below.
             self.record = _noop  # type: ignore[method-assign]
-            self.on_send = _noop  # type: ignore[method-assign]
             self.on_fanout = _noop  # type: ignore[method-assign]
             self.on_drop = _noop  # type: ignore[method-assign]
             self.on_complete = _noop  # type: ignore[method-assign]
@@ -437,21 +433,14 @@ class Trace:
         if len(log) >= LOG_BOUND or not self.driving:
             self.pump()
 
-    def on_send(self, step: int, message: Message) -> None:
-        """Record that ``message`` was handed to the network (on its own)."""
-        self.messages_sent += 1
-        self.sent_by_root[message.root] += 1
-        self.sent_by_kind[message.kind] += 1
-        self.record(step, "send", message.sender, message)
-
     def on_fanout(self, step: int, entry: Any, size: int) -> None:
         """Record one fan-out: the ``size`` copies of ``entry``, in receiver order.
 
         ``entry`` is the :class:`~repro.net.queues.FanoutEntry` the copies
-        share (``entry.skip`` left out of ``0..n-1``).  Equivalent to
-        :meth:`on_send` per copy in order -- same counters, same events --
-        with the counters bumped once by ``size`` and every consumer handed
-        the send events as one ``emit_many`` batch.
+        share (``entry.skip`` left out of ``0..n-1``), or a lone
+        :class:`~repro.net.message.Message` with ``size`` 1.  One ``send``
+        event per copy, in order, with the counters bumped once by ``size``
+        and every sink handed the send events as one ``emit_many`` batch.
         """
         if not size:
             return

@@ -374,3 +374,55 @@ class TestRunSeeds:
         assert sequential.to_dict() == parallel.to_dict()
         assert parallel.trials == 5
         assert parallel.frequency("v") == 1.0
+
+
+class TestChunkSize:
+    """A chunk size below 1 is refused before anything runs or is written: 0
+    was a ``range()`` traceback, a negative size no chunks at all -- a cell
+    persisted as complete with no trials -- and ``run_many`` read 0 as "the
+    default"."""
+
+    @staticmethod
+    def _campaign_with_store(tmp_path, size):
+        store = ResultStore.open(tmp_path / "results.json")
+        try:
+            run_campaign(_campaign(), store=store, chunk_trials=size)
+        finally:
+            assert not (tmp_path / "results.json").exists()
+            assert not store.lock_path.exists()
+
+    @pytest.mark.parametrize("size", [0, -3])
+    @pytest.mark.parametrize("entry", ["campaign", "cell", "run_many"])
+    def test_a_chunk_size_below_one_is_refused(self, entry, size, tmp_path):
+        run = {
+            "campaign": lambda: self._campaign_with_store(tmp_path, size),
+            "cell": lambda: run_cell(_acast_cell(), chunk_trials=size),
+            "run_many": lambda: api.run_many(
+                api.run_weak_coin, range(4), n=4, workers=2, chunk_trials=size
+            ),
+        }[entry]
+        with pytest.raises(ExperimentError, match="chunk_trials must be a positive integer"):
+            run()
+
+    def test_run_many_reads_none_as_the_default(self):
+        stats = api.run_many(api.run_acast, range(3), workers=2, chunk_trials=None,
+                             n=4, value="v")
+        assert stats.trials == 3
+
+    @pytest.mark.parametrize("verb", ["run", "ablate"])
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_the_cli_flag_takes_positive_ints_only(self, verb, size, tmp_path, capsys):
+        campaign_path = tmp_path / "campaign.json"
+        _campaign().save(campaign_path)
+        out = tmp_path / "out.json"
+        args = {
+            "run": ["run", str(campaign_path), "--out", str(out)],
+            "ablate": ["ablate", "--n", "4", "--seeds", "2", "--out", str(out)],
+        }[verb]
+        assert main(args + ["--chunk-trials", size, "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --chunk-trials must be a positive integer, got '{size}'"
+        ]
+        assert not out.exists()

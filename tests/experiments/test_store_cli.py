@@ -165,3 +165,63 @@ class TestCli:
     def test_missing_campaign_file_errors_cleanly(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
         assert "error" in capsys.readouterr().err
+
+
+def _store_with(campaign_path, bad):
+    """A v2 store for the ``campaign_path`` campaign with one section broken."""
+    cell = CampaignSpec.load(campaign_path).cells[0]
+    data = {"version": 2, "campaign": "cli-test", "cells": {}, "partial": {}, "failures": {}}
+    if bad == "trials":
+        # Named and hashed as the campaign's cell, so ``run`` resumes (reads) it.
+        aggregate = dict(_aggregate().to_dict(), trials="x")
+        data["cells"] = {cell.name: {"spec_hash": cell.spec_hash(), "aggregate": aggregate}}
+    else:
+        section, value = BROKEN_SECTIONS[bad]
+        data[section] = value
+    path = campaign_path.parent / "broken.results.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+#: name -> (section, its wrong-typed value); ``trials`` is a cell whose
+#: aggregate does not decode.
+BROKEN_SECTIONS = {
+    "cells-list": ("cells", []),
+    "cell-not-record": ("cells", {"a": 5}),
+    "partial-list": ("partial", []),
+    "failures-list": ("failures", []),
+}
+
+
+class TestWrongTypedStores:
+    """A store whose sections have the wrong types is one ``error:`` line and
+    exit 2 from ``run`` and ``report`` -- not an AttributeError, TypeError or
+    ValueError traceback -- and the file is left as it was."""
+
+    @pytest.mark.parametrize("verb", ["run", "report"])
+    @pytest.mark.parametrize("bad", sorted(BROKEN_SECTIONS) + ["trials"])
+    def test_is_one_error_line(self, verb, bad, campaign_path, capsys):
+        path = _store_with(campaign_path, bad)
+        before = path.read_bytes()
+        args = {
+            "run": ["run", str(campaign_path), "--out", str(path), "--quiet"],
+            "report": ["report", str(path)],
+        }[verb]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        if bad == "trials":
+            assert "cell 'acast'" in captured.err
+        assert path.read_bytes() == before
+        assert not path.with_name(path.name + ".lock").exists()
+
+    @pytest.mark.parametrize("bad", sorted(BROKEN_SECTIONS))
+    def test_recover_corrupt_quarantines_it(self, bad, campaign_path, capsys):
+        path = _store_with(campaign_path, bad)
+        before = path.read_bytes()
+        assert main(["run", str(campaign_path), "--out", str(path), "--quiet",
+                     "--recover-corrupt"]) == 0
+        assert path.with_name(path.name + ".corrupt").read_bytes() == before
+        assert ResultStore.open(path).get("acast").trials == 2

@@ -239,8 +239,8 @@ def test_an_adapted_priority_reading_payload_and_seq_matches_the_scan():
     for index in range(40):
         if index % 4 == 3:
             message = Message(1, 2, ("s",), ("L", control.randrange(9)), seq)
-            keyed.push(message)
-            scan.push(message)
+            keyed.push_group(message, n)
+            scan.push_group(message, n)
             seq += 1
             continue
         skip = control.choice((None, 0, 3))

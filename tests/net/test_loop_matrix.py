@@ -30,7 +30,7 @@ from repro.experiments.registry import SCHEDULERS as REGISTERED
 from repro.experiments.registry import build_scheduler
 from repro.experiments.spec import SchedulerSpec
 from repro.net.process import Process
-from repro.net.queues import ClassRankQueue
+from repro.net.queues import ClassRankQueue, FanoutEntry
 from repro.net.runtime import Simulation
 from repro.net.scheduler import RandomScheduler, TargetedScheduler, force_scan
 from repro.obs.metrics import MetricsRegistry
@@ -165,7 +165,7 @@ def _record_pops(queue, order):
 
     def recording_pop_entry(rng):
         entry, receiver = slot = pop_entry(rng)
-        order.append(entry.seq if receiver < 0 else entry.materialize(receiver).seq)
+        order.append(entry.seq_of(receiver))
         return slot
 
     queue.pop_entry = recording_pop_entry  # the queue's own pop() calls it
@@ -492,7 +492,9 @@ def test_every_registered_builder_matches_the_reference_scan(
     rerank = ClassRankQueue._rerank
 
     def counting_rerank(self):
-        redealt.append(sum(slot.__class__ is tuple for q in self._queues for slot in q.slots()))
+        redealt.append(
+            sum(slot[0].__class__ is FanoutEntry for q in self._queues for slot in q.slots())
+        )
         rerank(self)
 
     monkeypatch.setattr(ClassRankQueue, "_rerank", counting_rerank)
@@ -620,12 +622,14 @@ def test_slow_path_cells_match_the_generic_loop(name, delivered, monkeypatch):
         )
         why[loop] = list(reasons)
     assert observed["untraced"] == observed["traced"] == observed["scan"] == observed["reference"]
-    # Whole Messages go through deliver(): the reference pops them, the scan
-    # queue holds them.
-    assert why["reference"] == why["scan"] == []
+    # One route: the reference loop hands every popped Message to deliver(),
+    # which is deliver_parts with the Message as its own one-copy entry; the
+    # scan queue's Messages are popped as such copies and take the loop's
+    # route like any other.
+    assert len(why["reference"]) == observed["reference"][1]
+    assert why["scan"] == why["traced"] == why["untraced"]
     # deliver_parts was needed for each reason the cell is about, traced or
     # not, and never called for a copy the loop could have handed over itself.
-    assert why["traced"] == why["untraced"]
     assert set(why["untraced"]) == expected_reasons
     if name == "shun-map":
         assert observed["reference"][4] > 0  # drops, live and at replay

@@ -45,6 +45,16 @@ def _msg(seq, sender=0, receiver=1):
     return Message(sender, receiver, ("q",), ("K", seq), seq=seq)
 
 
+def _pop_copy(queue, rng):
+    """Pop one slot, which is always ``(entry, receiver)`` with ``receiver >= 0``
+    (a lone Message is its own one-copy entry), and return its Message."""
+    slot = queue.pop_entry(rng)
+    assert type(slot) is tuple and len(slot) == 2
+    entry, receiver = slot
+    assert receiver >= 0
+    return entry.materialize(receiver)
+
+
 def _delivery_trace(scheduler, seed, n=7):
     """Full delivery order (seq numbers) plus outputs of one weak-coin run."""
     sim = Simulation(
@@ -187,7 +197,7 @@ class TestFifoQueue:
         queue = FifoQueue()
         messages = [_msg(seq) for seq in range(10)]
         for message in messages:
-            queue.push(message)
+            queue.push_group(message, 5)
         rng = random.Random(0)
         assert [queue.pop(rng).seq for _ in range(10)] == list(range(10))
         assert len(queue) == 0
@@ -202,12 +212,12 @@ class TestKeyedQueue:
         order_rng = random.Random(7)
         for seq in range(50):
             message = _msg(seq, receiver=order_rng.randrange(5))
-            queue.push(message)
+            queue.push_group(message, 5)
             pending.append(message)
         while pending:
             choice = scheduler.choose(pending, rng, 0)
             expected = pending.pop(choice)
-            assert queue.pop(rng) is expected
+            assert _pop_copy(queue, rng) is expected
         assert len(queue) == 0
 
 
@@ -256,18 +266,18 @@ class TestSendOrderRandomQueue:
             # then drain back through emptied blocks to the bare tail.
             if model and control.random() < (0.45 if iteration < 10000 else 0.56):
                 draw = control.randrange(1 << 30)
-                fast = queue.pop(rng_type(draw))
+                fast = _pop_copy(queue, rng_type(draw))
                 expected = model.pop(random.Random(draw).randrange(len(model)))
                 assert fast is expected
             elif control.random() < 0.1:
                 batch = [_msg(seq + offset) for offset in range(control.randrange(1, 100))]
                 seq += len(batch)
-                queue.push_many(batch)
+                queue.push_many([(message, message.receiver) for message in batch])
                 model.extend(batch)
             else:
                 message = _msg(seq)
                 seq += 1
-                queue.push(message)
+                queue.push_group(message, 2)
                 model.append(message)
             assert len(queue) == len(model)
             assert all(0 < len(block) <= 32 for block in queue._blocks)
@@ -301,8 +311,8 @@ class TestSendOrderRandomQueue:
         for round_index in range(4000):
             if live and control.random() < 1 - 0.45 / n ** 0.5:
                 draw = control.randrange(1 << 30)
-                fast = grouped.pop(random.Random(draw))
-                reference = eager.pop(random.Random(draw))
+                fast = _pop_copy(grouped, random.Random(draw))
+                reference = _pop_copy(eager, random.Random(draw))
                 assert _fields(fast) == _fields(reference)
                 live -= 1
                 continue
@@ -332,7 +342,7 @@ class TestSendOrderRandomQueue:
                 message.payload = payload if values is None else ("P", values[receiver])
                 message.kind = kind
                 message.root = "s"
-                eager.push(message)
+                eager.push_group(message, n)
                 seq += 1
                 live += 1
             assert len(grouped) == len(eager)
@@ -396,7 +406,7 @@ class TestSendOrderRandomQueue:
     def test_snapshot_preserves_send_order(self):
         queue = SendOrderRandomQueue()
         for seq in range(100):
-            queue.push(_msg(seq))
+            queue.push_group(_msg(seq), 2)
         rng = random.Random(3)
         for _ in range(60):
             queue.pop(rng)
@@ -456,7 +466,7 @@ class TestClassRankQueue:
             # Drift deep for the first half, then drain back down.
             if model and control.random() < (0.55 if iteration < 1500 else 0.85):
                 class_queues = queue._queues
-                assert _fields(queue.pop(fast_rng)) == _fields(model_pop())
+                assert _fields(_pop_copy(queue, fast_rng)) == _fields(model_pop())
                 assert fast_rng.getstate() == model_rng.getstate()
                 reranks += queue._queues is not class_queues
             elif control.random() < 0.1:
@@ -470,7 +480,7 @@ class TestClassRankQueue:
             else:
                 message = _msg(seq)
                 seq += 1
-                queue.push(message)
+                queue.push_group(message, 24)
                 model.append(message)
             if control.random() < 0.01:
                 epoch += 1  # takes effect at the next pop, as a lapsing budget does
@@ -481,7 +491,7 @@ class TestClassRankQueue:
                 assert queue.snapshot() == model
         assert most_blocks > (2 if block == 64 else 16) and reranks > 10
         while model:
-            assert _fields(queue.pop(fast_rng)) == _fields(model_pop())
+            assert _fields(_pop_copy(queue, fast_rng)) == _fields(model_pop())
         assert len(queue) == 0 and queue.snapshot() == []
         assert all(q._blocks == [] and q._tail == [] for q in queue._queues)
         # An empty pop raises before it draws, asks for the version or re-ranks.
@@ -512,8 +522,8 @@ def test_every_queue_raises_index_error_when_empty(name):
         with pytest.raises(IndexError):
             queue.pop(rng)
         assert rng.getstate() == state and queue.snapshot() == snapshot == []
-        queue.push(_msg(0))
-        assert queue.pop_entry(rng)[0].seq == 0
+        queue.push_group(_msg(0), 4)
+        assert queue.pop_entry(rng) == (_msg(0), 1)
     # The network turns it into the quiescent stop or the deadlock error.
     network = Network(
         ProtocolParams.for_parties(4), scheduler=EMPTY_QUEUE_FACTORIES[name](), seed=0

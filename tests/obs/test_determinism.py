@@ -143,9 +143,13 @@ def test_jsonl_files_are_byte_identical_across_runs(tmp_path):
 
 #: The event stream itself, pinned: sha256 of the ``JsonlSink`` file, its
 #: line count and the run's drops, as written when a traced trial queued
-#: Messages and ran on a loop of its own.  The three cover the random queue,
-#: shuns with shun drops (a weak coin whose party 2 deals bad SVSS shares)
-#: and a class-ranked queue (``reactive-rush``).
+#: Messages and ran on a loop of its own.  They cover the random queue,
+#: shuns with shun drops (a weak coin whose party 2 deals bad SVSS shares),
+#: a class-ranked queue (``reactive-rush``), and lone sends -- 26 % of the
+#: copies of a tampered trial (``tamper-on-share``), 29 % of those of a
+#: keyed-queue trial whose bad-share dealers are shunned
+#: (``rushing-coalition``) -- pinned as written when a lone send was a queue
+#: slot shape of its own.
 STREAM_PINS = {
     "weak_coin_n7": (
         lambda sinks: api.run_weak_coin(7, seed=4, sinks=sinks),
@@ -160,6 +164,14 @@ STREAM_PINS = {
     "reactive_rush_n7": (
         lambda sinks: run_scenario("reactive-rush", n=7, seed=2, sinks=sinks),
         "6fa789c3e034d3dcdeb8d9f96a75ec8291eb5f8a6725b6430c34a192f5e07d46", 2000, 0,
+    ),
+    "tamper_on_share_n7": (
+        lambda sinks: run_scenario("tamper-on-share", n=7, seed=0, sinks=sinks),
+        "41af50666ffac6f53acb47252b415fe208f54b4e42433b36820fceed68b677a5", 2267, 0,
+    ),
+    "rushing_coalition_n7": (
+        lambda sinks: run_scenario("rushing-coalition", n=7, seed=0, sinks=sinks),
+        "bd5bd693c4b64b8ab12935a76234e8bc649d308e5a389109a32679acd1e3c3ad", 2259, 12,
     ),
 }
 

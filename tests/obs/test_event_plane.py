@@ -115,7 +115,9 @@ def test_a_batch_is_the_sends_of_one_fanout():
         assert receivers == sorted(receivers)
         seqs = [event.detail.seq for event in batch]
         assert seqs == list(range(seqs[0], seqs[0] + len(seqs)))
-    assert sizes == {8, 7}  # full broadcasts/ROWs, and POINTs skipping self
+    # Full broadcasts/ROWs, POINTs skipping self, and the bad-share dealer's
+    # lone sends: one route, a lone send is the one-copy fan-out of itself.
+    assert sizes == {8, 7, 1}
 
 
 def test_batched_fanouts_record_what_a_submit_loop_records(monkeypatch):
@@ -180,17 +182,18 @@ def test_every_consumer_counts_every_kind_of_a_tampered_trial(monkeypatch):
         ),
     )
     lone_sends = []
-    on_send, on_phase = Trace.on_send, Trace.on_phase
+    on_fanout, on_phase = Trace.on_fanout, Trace.on_phase
 
-    def counting_on_send(self, step, message):
-        lone_sends.append(step)
-        on_send(self, step, message)
+    def counting_on_fanout(self, step, entry, size):
+        if isinstance(entry, Message):  # a lone send: the one-copy fan-out of itself
+            lone_sends.append(step)
+        on_fanout(self, step, entry, size)
 
     def noting_on_phase(self, step, party, session, phase):
         on_phase(self, step, party, session, phase)
         self.note(step, (party, phase))
 
-    monkeypatch.setattr(Trace, "on_send", counting_on_send)
+    monkeypatch.setattr(Trace, "on_fanout", counting_on_fanout)
     monkeypatch.setattr(Trace, "on_phase", noting_on_phase)
     runtime = ScenarioRuntime(spec, n=7)
     ring, emit_only = RingBufferSink(64), EmitOnlySink()

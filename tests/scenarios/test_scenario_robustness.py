@@ -61,7 +61,7 @@ class TestReactiveQueueEquivalence:
         for tick in range(400):
             for _ in range(ops.randrange(4)):
                 kind = ("POINT", "READY", "RECROW")[ops.randrange(3)]
-                queue.push(self._message(ops.randrange(8), kind, seq))
+                queue.push_group(self._message(ops.randrange(8), kind, seq), 8)
                 seq += 1
             if tick == 60:
                 scheduler.apply_action(

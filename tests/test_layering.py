@@ -80,6 +80,22 @@ def test_crypto_is_one_module():
     assert offenders == []
 
 
+def test_one_in_flight_shape():
+    """A lone send is the one-copy fan-out of itself: every queue slot,
+    pending buffer, delivery and send record in ``net/`` is ``(entry,
+    receiver)`` with ``receiver >= 0``.  A sentinel receiver, a slot-type
+    test, a per-message push or a per-message send hook is a second shape."""
+    forbidden = ("receiver < 0", "__class__ is tuple", "def push(self, message", "on_send")
+    offenders = [
+        f"{path.relative_to(SRC.parent)}:{lineno}: {pattern}"
+        for path in sorted((SRC / "net").rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        for pattern in forbidden
+        if pattern in line
+    ]
+    assert offenders == []
+
+
 def test_run_surface():
     """Every settable value of one run, as a literal list.
 
