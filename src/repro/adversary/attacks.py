@@ -22,10 +22,30 @@ These behaviours target the SVSS / CoinFlip / FBA stack:
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.adversary.behaviors import Behavior, HonestButMutatingBehavior
+from repro.errors import ExperimentError
 from repro.net.message import Message, SessionId
+
+
+# Parameters arrive from campaign JSON, so the factories of the mutating
+# attacks check them when the factory is built (campaign validation), not
+# when a trial corrupts its party; each check names the registered behaviour.
+def check_offset(behavior: str, offset: Any) -> None:
+    """Reject an ``offset`` that is not an int (``bool`` included)."""
+    if type(offset) is not int:
+        raise ExperimentError(
+            f"behavior {behavior!r}: offset must be an integer, got {offset!r}"
+        )
+
+
+def check_victims(behavior: str, victims: Any) -> None:
+    """Reject ``victims`` that is not a list of party ids (ints, ``bool`` excluded)."""
+    if not isinstance(victims, (list, tuple)) or any(type(v) is not int for v in victims):
+        raise ExperimentError(
+            f"behavior {behavior!r}: victims must be a list of party ids, got {victims!r}"
+        )
 
 
 class WithholdingDealerBehavior(HonestButMutatingBehavior):
@@ -34,6 +54,11 @@ class WithholdingDealerBehavior(HonestButMutatingBehavior):
     def __init__(self, victims: Iterable[int]) -> None:
         self.victims: Set[int] = set(victims)
         super().__init__(self._mutate)
+
+    @classmethod
+    def factory(cls, victims: Sequence[int]) -> Callable[[Any], Behavior]:
+        check_victims("withholding_dealer", victims)
+        return super().factory(victims)
 
     def _mutate(
         self, receiver: int, session: SessionId, payload: tuple
@@ -54,6 +79,15 @@ class BadShareBehavior(HonestButMutatingBehavior):
         self.victims: Optional[Set[int]] = set(victims) if victims is not None else None
         self.offset = offset
         super().__init__(self._mutate)
+
+    @classmethod
+    def factory(
+        cls, victims: Optional[Sequence[int]] = None, offset: int = 1
+    ) -> Callable[[Any], Behavior]:
+        if victims is not None:
+            check_victims("bad_share", victims)
+        check_offset("bad_share", offset)
+        return super().factory(victims, offset)
 
     def _mutate(
         self, receiver: int, session: SessionId, payload: tuple
@@ -78,6 +112,11 @@ class PointCorruptingBehavior(HonestButMutatingBehavior):
     def __init__(self, offset: int = 1) -> None:
         self.offset = offset
         super().__init__(self._mutate)
+
+    @classmethod
+    def factory(cls, offset: int = 1) -> Callable[[Any], Behavior]:
+        check_offset("point_corrupting", offset)
+        return super().factory(offset)
 
     def _mutate(
         self, receiver: int, session: SessionId, payload: tuple
@@ -133,6 +172,13 @@ class SplitBrainEquivocator(HonestButMutatingBehavior):
         self.kinds: Optional[Set[str]] = set(kinds) if kinds is not None else None
         super().__init__(self._mutate)
 
+    @classmethod
+    def factory(
+        cls, offset: int = 1, kinds: Optional[Iterable[str]] = None
+    ) -> Callable[[Any], Behavior]:
+        check_offset("split_equivocator", offset)
+        return super().factory(offset, kinds)
+
     def _mutate(
         self, receiver: int, session: SessionId, payload: tuple
     ) -> Optional[Tuple[int, SessionId, tuple]]:
@@ -141,10 +187,15 @@ class SplitBrainEquivocator(HonestButMutatingBehavior):
             return receiver, session, payload
         if self.kinds is not None and payload[0] not in self.kinds:
             return receiver, session, payload
+        fields = payload[1:]
         mutated = tuple(
             value + self.offset if isinstance(value, int) and not isinstance(value, bool) else value
-            for value in payload[1:]
+            for value in fields
         )
+        if all(new is old for new, old in zip(mutated, fields)):
+            # Nothing perturbed (a bare tag such as READY): the payload
+            # itself, so a broadcast's copies still share one object.
+            return receiver, session, payload
         return receiver, session, (payload[0],) + mutated
 
 
@@ -162,11 +213,7 @@ class EquivocatingACastSender(Behavior):
         self._sent = False
 
     def on_attach(self) -> None:
-        assert self.process is not None
-        n = self.process.params.n
-        for receiver in range(n):
-            value = self.value_low if receiver < n // 2 else self.value_high
-            self.send(receiver, self.session, "VALUE", value)
+        self.send_halves(self.session, "VALUE", self.value_low, self.value_high)
         self._sent = True
 
     def on_message(self, message: Message) -> None:

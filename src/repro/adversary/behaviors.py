@@ -64,10 +64,21 @@ class Behavior:
         self.process.network.submit(self.pid, receiver, tuple(session), tuple(payload))
 
     def broadcast(self, session: SessionId, *payload: Any) -> None:
-        """Send ``payload`` to every party under ``session``."""
+        """Send ``payload`` to every party under ``session``: one fan-out."""
         assert self.process is not None
-        for receiver in range(self.process.params.n):
-            self.send(receiver, session, *payload)
+        self.process.network.submit_broadcast(self.pid, tuple(session), payload)
+
+    def send_halves(self, session: SessionId, kind: str, low: Any, high: Any) -> None:
+        """Send ``(kind, low)`` to parties below ``n // 2``, ``(kind, high)`` to the rest.
+
+        One fan-out, in the corrupted party's name like :meth:`send`.
+        """
+        assert self.process is not None
+        n = self.process.params.n
+        half = n // 2
+        self.process.network.submit_fanout(
+            self.pid, tuple(session), kind, [low] * half + [high] * (n - half)
+        )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -138,6 +149,9 @@ class HonestButMutatingBehavior(Behavior):
     ``(receiver, session, payload)`` tuple, or None to drop the message.
     This captures a large family of Byzantine behaviours (wrong shares,
     flipped bits, selective silence) without re-implementing protocol logic.
+    It is called once per copy, and a fan-out's surviving copies still go
+    out as one fan-out (:attr:`Process.outgoing_mutator`); returning an
+    unchanged payload as the same object keeps a broadcast's copies shared.
     """
 
     runs_honest_protocol = True
@@ -178,11 +192,7 @@ class EquivocatingBehavior(Behavior):
 
     def send_split(self, session: SessionId, kind: str) -> None:
         """Send ``(kind, value)`` with a different value to each half."""
-        assert self.process is not None
-        n = self.process.params.n
-        for receiver in range(n):
-            value = self.value_for_low if receiver < n // 2 else self.value_for_high
-            self.send(receiver, session, kind, value)
+        self.send_halves(session, kind, self.value_for_low, self.value_for_high)
 
 
 class ReplayBehavior(Behavior):

@@ -202,10 +202,20 @@ def inject_fault(spec: Optional[Mapping[str, Any]], chunk_index: int, attempt: i
 
 # ----------------------------------------------------------------------
 def build_behavior_factory(spec: BehaviorSpec) -> Callable[..., Any]:
-    """Instantiate the behaviour factory a :class:`BehaviorSpec` names."""
+    """Instantiate the behaviour factory a :class:`BehaviorSpec` names.
+
+    Like :func:`build_scheduler`, params the builder cannot take are a spec
+    error raised here -- at campaign validation -- not in a trial.
+    """
     builder = BEHAVIORS.get(spec.behavior)
     params = BEHAVIORS.normalize(spec.behavior, spec.params)
-    return builder(**params)
+    try:
+        return builder(**params)
+    except TypeError as exc:
+        raise ExperimentError(
+            f"behavior {spec.behavior!r} cannot be built from params "
+            f"{sorted(params)}: {exc}"
+        ) from exc
 
 
 def build_scheduler(spec: Optional[SchedulerSpec]) -> Optional[net_scheduler.Scheduler]:

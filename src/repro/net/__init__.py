@@ -12,6 +12,7 @@ from repro.net.queues import (
     KeyedQueue,
     ScanQueue,
     SendOrderRandomQueue,
+    SurvivorsEntry,
 )
 from repro.net.scheduler import (
     DelayScheduler,
@@ -54,6 +55,7 @@ __all__ = [
     "FifoQueue",
     "KeyedQueue",
     "SendOrderRandomQueue",
+    "SurvivorsEntry",
     "Trace",
     "TraceEvent",
 ]

@@ -18,7 +18,11 @@ A lone send is the one-copy fan-out of itself: a Message answers the calls
 the delivery queues, the delivery loop and the trace make of a
 :class:`~repro.net.queues.FanoutEntry` (``copies``, ``materialize``,
 ``seq_of``, ``values``, ``skip``), so every in-flight copy has one shape,
-``(entry, receiver)``.
+``(entry, receiver)``.  Protocols send lone messages rarely: a broadcast or
+a ROW/POINT loop is a fan-out whoever sends it -- a corrupted sender's
+outgoing mutator maps its copies, and what survives is still one entry
+(:class:`~repro.net.queues.SurvivorsEntry`).  Only a mutator that readdresses
+a copy turns its fan-out into lone sends.
 """
 
 from __future__ import annotations

@@ -55,7 +55,7 @@ from repro.core.config import ProtocolParams
 from repro.errors import SimulationError
 from repro.net.message import Message, SessionId
 from repro.net.process import Process
-from repro.net.queues import FanoutEntry
+from repro.net.queues import FanoutEntry, SurvivorsEntry
 from repro.net.scheduler import RandomScheduler, Scheduler
 from repro.net.tracing import Trace
 
@@ -326,6 +326,36 @@ class Network:
         if count_send is not None:
             # One counter bump for the whole fan-out: FanoutEntry
             # granularity, not per-copy.
+            count_send(kind, root, size)
+
+    def _submit_survivors(
+        self,
+        sender: int,
+        session: SessionId,
+        kind: Any,
+        payload: Optional[tuple],
+        values: Optional[Dict[int, Any]],
+        receivers: Tuple[int, ...],
+    ) -> None:
+        """The copies of a mutated fan-out to ``receivers`` (ascending), as one entry.
+
+        Byte-identical to :meth:`submit` for each of ``receivers`` in order,
+        ``payload`` shared or ``(kind, values[r])`` each -- the
+        :class:`~repro.net.queues.SurvivorsEntry` that
+        :meth:`Process.send_fanout` builds when an outgoing mutator is
+        installed.
+        """
+        seq = self._next_seq
+        size = len(receivers)
+        self._next_seq = seq + size
+        root = session[0] if session else None
+        entry = SurvivorsEntry(sender, session, kind, payload, values, seq, receivers, root)
+        self._queue_push_group(entry, self._n)
+        if self._tracing:
+            self._trace_on_fanout(self.step_count, entry, size)
+            return
+        count_send = self._meter_count_send
+        if count_send is not None:
             count_send(kind, root, size)
 
     # ------------------------------------------------------------------

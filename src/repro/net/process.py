@@ -39,7 +39,8 @@ class Process:
         "_shunned_from",
         "_creation_counter",
         "behavior",
-        "outgoing_mutator",
+        "_outgoing_mutator",
+        "send_fanout",
         "ever_corrupted",
     )
 
@@ -73,12 +74,47 @@ class Process:
         #: honest-output accounting, even after a scenario ``restart``
         #: returns it to running honest code (restart refunds nothing).
         self.ever_corrupted = False
-        #: Optional hook mutating outgoing (receiver, session, payload) tuples;
-        #: returning None drops the message.  Used by honest-but-mutating
-        #: adversaries.
-        self.outgoing_mutator: Optional[
-            Callable[[int, SessionId, tuple], Optional[tuple]]
-        ] = None
+        # Also binds ``send_fanout`` (see the ``outgoing_mutator`` setter).
+        self.outgoing_mutator = None
+
+    # ------------------------------------------------------------------
+    # The outgoing mutator.
+    # ------------------------------------------------------------------
+    @property
+    def outgoing_mutator(
+        self,
+    ) -> Optional[Callable[[int, SessionId, tuple], Optional[tuple]]]:
+        """Optional hook rewriting what this party sends; None means unmutated.
+
+        ``mutator(receiver, session, payload)`` returns the ``(receiver,
+        session, payload)`` to send instead, or None to drop the message.
+        Used by honest-but-mutating adversaries.  It is called once per copy
+        of every send: for a fan-out (:attr:`send_fanout`) once per
+        receiver in pid order, ``skip`` left out, with the payload that copy
+        carries.  The copies it leaves standing are then submitted as one
+        :class:`~repro.net.queues.SurvivorsEntry` -- unless it readdressed
+        one (changed its receiver or session), in which case every survivor
+        of that fan-out is submitted as a lone send, in pid order, after the
+        last call.  Either way the sequence numbers are those of a
+        per-receiver submit loop.
+
+        Setting it rebinds :attr:`send_fanout`: ``Network._submit_fanout``
+        itself when None, :meth:`_send_mutated_fanout` otherwise.
+        """
+        return self._outgoing_mutator
+
+    @outgoing_mutator.setter
+    def outgoing_mutator(
+        self, mutator: Optional[Callable[[int, SessionId, tuple], Optional[tuple]]]
+    ) -> None:
+        self._outgoing_mutator = mutator
+        #: ``send_fanout(sender, session, kind, payload, values, skip)``: the
+        #: one send path of a fan-out, ``payload`` shared or ``(kind,
+        #: values[r])`` for each receiver ``r`` but ``skip``.  An unmutated
+        #: party's is the network's own submit (no frame of its own).
+        self.send_fanout = (
+            self.network._submit_fanout if mutator is None else self._send_mutated_fanout
+        )
 
     # ------------------------------------------------------------------
     # Corruption.
@@ -186,14 +222,73 @@ class Process:
         tuple), so the hot path makes no defensive copies.  Mutator results
         are re-normalised since mutators may return arbitrary sequences.
         """
-        if self.outgoing_mutator is not None:
-            mutated = self.outgoing_mutator(receiver, tuple(session), payload)
+        mutator = self._outgoing_mutator
+        if mutator is not None:
+            mutated = mutator(receiver, tuple(session), payload)
             if mutated is None:
                 return
             receiver, session, payload = mutated
             session = tuple(session)
             payload = tuple(payload)
         self.network.submit(self.pid, receiver, session, payload)
+
+    def _send_mutated_fanout(
+        self,
+        sender: int,
+        session: SessionId,
+        kind: Any,
+        payload: Optional[tuple],
+        values: Optional[List],
+        skip: Optional[int],
+    ) -> None:
+        """:attr:`send_fanout` through the outgoing mutator (see its docstring).
+
+        The survivors share one entry in one of two forms: ``payload`` when
+        the mutator handed every survivor the identical object, ``(kind,
+        values[r])`` when every survivor is a pair of one identical ``kind``.
+        Payloads are never merged by equality (``(5.0, 7.0) == (5, 7)``), so
+        any other mix goes out as lone sends, as does a readdressed fan-out.
+        """
+        mutator = self._outgoing_mutator
+        network = self.network
+        receivers = []
+        sends = []
+        readdressed = False
+        for receiver in range(self.params.n):
+            if receiver == skip:
+                continue
+            mutated = mutator(
+                receiver, session, payload if values is None else (kind, values[receiver])
+            )
+            if mutated is None:
+                continue
+            to, at, out = mutated
+            at = tuple(at)
+            receivers.append(receiver)
+            sends.append((to, at, tuple(out)))
+            if to != receiver or at != session:
+                readdressed = True
+        if not sends:
+            return
+        if not readdressed:
+            receivers = tuple(receivers)
+            first = sends[0][2]
+            if all(out is first for _, _, out in sends):
+                network._submit_survivors(
+                    sender, session, first[0] if first else None, first, None, receivers
+                )
+                return
+            if len(first) == 2:
+                tag = first[0]
+                if all(len(out) == 2 and out[0] is tag for _, _, out in sends):
+                    network._submit_survivors(
+                        sender, session, tag, None,
+                        {receiver: out[1] for receiver, (_, _, out) in zip(receivers, sends)},
+                        receivers,
+                    )
+                    return
+        for to, at, out in sends:
+            network.submit(sender, to, at, out)
 
     def deliver(self, message: Message) -> None:
         """Handle a message delivered to this party: its one-copy fan-out."""

@@ -142,34 +142,20 @@ class Protocol:
     # ------------------------------------------------------------------
     def send(self, receiver: int, *payload: Any) -> None:
         """Send ``payload`` to ``receiver``, addressed to this same session."""
-        # Honest parties (no outgoing mutator installed) submit straight to
-        # the network: one call level instead of three on the hottest path.
-        process = self.process
-        if process.outgoing_mutator is None:
-            process.network.submit(process.pid, receiver, self.session, payload)
-        else:
-            process.send(receiver, self.session, payload)
+        self.process.send(receiver, self.session, payload)
 
     def broadcast(self, *payload: Any) -> None:
         """Send ``payload`` to every party, including ourselves.
 
         The self-addressed copy travels through the network like any other
         message, so the scheduler may reorder it; protocols must not assume
-        they hear themselves first.
+        they hear themselves first.  One fan-out (same sequence numbers and
+        queue order as n individual sends), through the party's outgoing
+        mutator if it has one (:attr:`Process.send_fanout`).
         """
-        process = self.process
-        if process.outgoing_mutator is None:
-            # Honest fast path: one batched submit for all n copies (same
-            # sequence numbers and queue order as n individual submits) --
-            # ``Network.submit_broadcast`` without its wrapper frame.
-            process.network._submit_fanout(
-                self.pid, self.session, payload[0] if payload else None, payload, None, None
-            )
-        else:
-            send = process.send
-            session = self.session
-            for receiver in range(process.params.n):
-                send(receiver, session, payload)
+        self.process.send_fanout(
+            self.pid, self.session, payload[0] if payload else None, payload, None, None
+        )
 
     # ------------------------------------------------------------------
     # Sub-protocols.

@@ -30,15 +30,16 @@ Every queue takes a whole fan-out (a broadcast or a ROW/POINT loop) as one
 unmaterialised :class:`FanoutEntry` through ``push_group``, and holds it as
 ``(entry, receiver)`` slots -- one per copy, added by a C-level ``extend`` --
 except the reference :class:`ScanQueue`, which builds the Messages its
-``choose`` scans read.  A lone :class:`Message` is pushed the same way, as
-the one-copy fan-out of itself (``message.copies(n)`` is its receiver), so a
-slot has one shape.  A queue whose policy tells copies apart (a class, a
-key) asks a :class:`FanoutForm` once per fan-out which receivers fall in
-which class: a policy is defined once, over the fields every copy of a
-fan-out shares (``sender``, ``session``, ``kind``, ``root``), and its
-per-message answer is derived from that definition.  A plain
-``Message -> label`` callable is adapted by :class:`PerCopy`, which
-evaluates it on each materialised copy.
+``choose`` scans read.  A corrupted sender's fan-out is one entry too, a
+:class:`SurvivorsEntry` holding the copies its outgoing mutator let through,
+and a lone :class:`Message` is pushed the same way, as the one-copy fan-out
+of itself (``message.copies(n)`` is its receiver), so a slot has one shape.
+A queue whose policy tells copies apart (a class, a key) asks a
+:class:`FanoutForm` once per fan-out which receivers fall in which class: a
+policy is defined once, over the fields every copy of a fan-out shares
+(``sender``, ``session``, ``kind``, ``root``), and its per-message answer is
+derived from that definition.  A plain ``Message -> label`` callable is
+adapted by :class:`PerCopy`, which evaluates it on each materialised copy.
 
 Every indexed queue reproduces the legacy delivery order *byte-identically*
 for the same seed: FIFO because pending is always scanned in send order,
@@ -84,8 +85,9 @@ class DeliveryQueue(ABC):
         """Add the copies of ``entry`` to the receivers ``entry.copies(n)``.
 
         ``entry`` is a :class:`FanoutEntry` (parties ``0..n-1``, ``skip``
-        left out) or a lone :class:`Message` (its one receiver).  Equivalent
-        to pushing its materialised copies in receiver order.
+        left out), a :class:`SurvivorsEntry` (its surviving receivers) or a
+        lone :class:`Message` (its one receiver).  Equivalent to pushing its
+        materialised copies in receiver order.
         """
 
     @abstractmethod
@@ -243,7 +245,9 @@ class FanoutEntry:
     ``materialize(receiver)`` reproduces the exact Message a per-receiver
     :meth:`~repro.net.network.Network.submit` loop would have created: same
     field values and the same sequence numbers (receiver order, skipping
-    ``skip``).  ``values`` must not be mutated after submission.
+    ``skip``).  ``values`` must not be mutated after submission.  The
+    fan-out of a sender with an outgoing mutator is a
+    :class:`SurvivorsEntry`: the same contract over the copies it kept.
     """
 
     __slots__ = ("sender", "session", "kind", "payload", "values", "base_seq", "skip", "root")
@@ -297,6 +301,48 @@ class FanoutEntry:
         """The receivers of this fan-out's copies: ``0..n-1``, ``skip`` left out."""
         skip = self.skip
         return range(n) if skip is None else _skipping(n, skip)
+
+
+class SurvivorsEntry(FanoutEntry):
+    """The copies of one fan-out that its sender's outgoing mutator let through.
+
+    A corrupted sender's mutator sees every copy of a fan-out and may drop
+    it or rewrite its payload.  The copies left standing are one entry:
+    ``copies(n)`` is the surviving receivers, ascending, whatever ``n``, and
+    their sequence numbers run consecutively from ``base_seq`` -- the
+    Messages a per-copy submit loop over the survivors would have built.
+    A copy's payload is ``payload`` when the mutator handed every survivor
+    that same object, else ``(kind, values[receiver])``.
+
+    The receivers are held in ``skip``: it is the copy set a
+    :class:`FanoutForm` keys its cached deal on, so two fan-outs with the
+    same groups but different drops never share a deal.
+    """
+
+    __slots__ = ()
+
+    def materialize(self, receiver: int) -> Message:
+        """Build the delivered copy for ``receiver`` (each copy pops at most once)."""
+        message = Message.__new__(Message)
+        message.sender = self.sender
+        message.receiver = receiver
+        message.session = self.session
+        values = self.values
+        message.payload = (
+            self.payload if values is None else (self.kind, values[receiver])
+        )
+        message.seq = self.base_seq + self.skip.index(receiver)
+        message.kind = self.kind
+        message.root = self.root
+        return message
+
+    def seq_of(self, receiver: int) -> int:
+        """The sequence number of the copy addressed to ``receiver``."""
+        return self.base_seq + self.skip.index(receiver)
+
+    def copies(self, n: int) -> Tuple[int, ...]:
+        """The surviving receivers, ascending (``n`` is not read)."""
+        return self.skip
 
 
 @lru_cache(maxsize=1024)
@@ -356,9 +402,10 @@ class FanoutForm:
     ``deal(entry, n)`` is what a queue pushes: the copies grouped by label,
     each group's receivers ascending and ``entry.skip`` left out -- for a
     lone Message, its label and its one receiver.  A fan-out's deal is
-    cached per ``(groups, n, skip)``, so a form that returns the same
-    frozensets for most fan-outs pays one dict lookup per fan-out.  Labels
-    must be hashable.
+    cached per ``(groups, n, skip)`` -- ``skip`` names the copy set, the
+    receivers themselves for a :class:`SurvivorsEntry` -- so a form that
+    returns the same frozensets for most fan-outs pays one dict lookup per
+    fan-out.  Labels must be hashable.
     """
 
     __slots__ = ("_groups", "_deals")

@@ -116,7 +116,8 @@ _new_event = tuple.__new__
 def _send_events(step: int, fanout: Tuple[Any, int]) -> List[TraceEvent]:
     """The ``emit_many`` batch a fan-out record ``(step, (entry, size))`` stands for."""
     entry, size = fanout
-    # ``n`` is ``size`` plus the one receiver ``skip`` leaves out, if any.
+    # ``n`` is ``size`` plus the one receiver ``skip`` leaves out, if any (a
+    # survivors entry's copies do not depend on it).
     receivers = entry.copies(size if entry.skip is None else size + 1)
     sender, materialize = entry.sender, entry.materialize
     return [
@@ -437,8 +438,9 @@ class Trace:
         """Record one fan-out: the ``size`` copies of ``entry``, in receiver order.
 
         ``entry`` is the :class:`~repro.net.queues.FanoutEntry` the copies
-        share (``entry.skip`` left out of ``0..n-1``), or a lone
-        :class:`~repro.net.message.Message` with ``size`` 1.  One ``send``
+        share (``entry.skip`` left out of ``0..n-1``; a
+        :class:`~repro.net.queues.SurvivorsEntry` names its receivers), or a
+        lone :class:`~repro.net.message.Message` with ``size`` 1.  One ``send``
         event per copy, in order, with the counters bumped once by ``size``
         and every sink handed the send events as one ``emit_many`` batch.
         """

@@ -190,12 +190,7 @@ class SVSSShare(Protocol):
         # ``f_i = F(alpha_i, .)`` and every cross-point, seeded into the plane
         # so no receiver validates or evaluates an honestly dealt row again.
         rows = self._plane.deal_rows(self.secret_matrix)
-        process = self.process
-        if process.outgoing_mutator is None:
-            process.network.submit_fanout(self.pid, self.session, "ROW", rows)
-        else:
-            for receiver in range(self.n):
-                self.send(receiver, "ROW", rows[receiver])
+        self.process.send_fanout(self.pid, self.session, "ROW", None, rows, None)
 
     # ------------------------------------------------------------------
     def on_message(self, sender: int, payload: tuple) -> None:
@@ -271,16 +266,7 @@ class SVSSShare(Protocol):
         self._row_evals = evals
         if not self._points_sent:
             self._points_sent = True
-            process = self.process
-            if process.outgoing_mutator is None:
-                process.network.submit_fanout(
-                    self.pid, self.session, "POINT", evals, skip=self.pid
-                )
-            else:
-                for receiver in range(self.n):
-                    if receiver == self.pid:
-                        continue
-                    self.send(receiver, "POINT", evals[receiver])
+            self.process.send_fanout(self.pid, self.session, "POINT", None, evals, self.pid)
         # Batch-examine the points buffered before the row arrived (an
         # inconsistent point is simply not counted: we cannot tell whether
         # the dealer or the peer is at fault during the share phase).

@@ -98,17 +98,19 @@ def validate_tamper(tamper: Any) -> None:
         validate_party_selector(tamper["receivers"])
     if "session" in tamper:
         validate_session_pattern(tamper["session"])
-    if "offset" in tamper and int(tamper["offset"]) == 0:
-        raise ExperimentError("tamper offset must be non-zero")
+    if "offset" in tamper:
+        offset = tamper["offset"]
+        if type(offset) is not int or offset == 0:
+            raise ExperimentError(f"tamper offset must be non-zero (an integer), got {offset!r}")
     if "rewrite_kind" in tamper and (
         not isinstance(tamper["rewrite_kind"], str) or not tamper["rewrite_kind"]
     ):
         raise ExperimentError("tamper rewrite_kind must be a non-empty string")
     if "drop_fraction" in tamper:
-        fraction = float(tamper["drop_fraction"])
-        if not 0.0 < fraction <= 1.0:
+        fraction = tamper["drop_fraction"]
+        if type(fraction) not in (int, float) or not 0.0 < fraction <= 1.0:
             raise ExperimentError(
-                f"tamper drop_fraction must be in (0, 1], got {fraction}"
+                f"tamper drop_fraction must be a number in (0, 1], got {fraction!r}"
             )
 
 

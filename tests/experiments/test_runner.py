@@ -167,6 +167,59 @@ class TestTrialAndCell:
         with pytest.raises(ExperimentError, match=message):
             run_campaign(CampaignSpec(name="bad", cells=[cell]))
 
+    @staticmethod
+    def _assert_refused_at_validate(cell, message, tmp_path, capsys):
+        """``validate`` prints one ``error: cell`` line naming the problem
+        (exit 1) and ``run_campaign`` refuses the cell before any trial."""
+        path = tmp_path / "bad.json"
+        CampaignSpec(name="bad", cells=[cell]).save(path)
+        assert main(["validate", str(path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cell 'acast': ") and re.search(message, line)
+        with pytest.raises(ExperimentError, match=message):
+            run_campaign(CampaignSpec(name="bad", cells=[cell]))
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"offset": "abc"}, "tamper offset .*'abc'"),
+            ({"offset": None}, "tamper offset .*None"),
+            ({"offset": [1]}, r"tamper offset .*\[1\]"),
+            ({"offset": 2.7}, r"tamper offset .*2\.7"),
+            ({"offset": True}, "tamper offset .*True"),
+            ({"drop_fraction": "x"}, "tamper drop_fraction .*'x'"),
+            ({"drop_fraction": None}, "tamper drop_fraction .*None"),
+        ],
+    )
+    def test_malformed_tamper_params_fail_at_validate(
+        self, params, message, tmp_path, capsys
+    ):
+        """A tamper spec's ``offset`` is a non-bool int other than 0 and its
+        ``drop_fraction`` a non-bool real in (0, 1]: anything else is one
+        error line, never a ValueError / TypeError traceback, a float offset
+        silently truncated or ``true`` read as 1."""
+        cell = _acast_cell(adversary={3: BehaviorSpec("tamper", params)})
+        self._assert_refused_at_validate(cell, message, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "behavior, params, message",
+        [
+            ("bad_share", {"offset": "x"}, "'bad_share': offset .*'x'"),
+            ("split_equivocator", {"offset": "x"}, "'split_equivocator': offset .*'x'"),
+            ("point_corrupting", {"offset": 1.5}, r"'point_corrupting': offset .*1\.5"),
+            ("withholding_dealer", {"victims": 7}, "'withholding_dealer': victims .*7"),
+            ("bad_share", {"victims": ["1"]}, r"'bad_share': victims .*\['1'\]"),
+            ("withholding_dealer", {}, "'withholding_dealer' cannot be built from params"),
+        ],
+    )
+    def test_mutating_behavior_params_fail_at_validate(
+        self, behavior, params, message, tmp_path, capsys
+    ):
+        """The mutating attacks check their params when their factory is
+        built, so a bad one is refused at validation instead of quarantining
+        the cell after every chunk burnt its retries on a TypeError."""
+        cell = _acast_cell(adversary={3: BehaviorSpec(behavior, params)})
+        self._assert_refused_at_validate(cell, message, tmp_path, capsys)
 
     @pytest.mark.parametrize(
         "cell, message",

@@ -332,3 +332,92 @@ class TestTrace:
         verbose = Network(PARAMS, seed=0, keep_events=True)
         verbose.submit(0, 1, ("s",), ("X",))
         assert len(verbose.trace.events) == 1
+
+
+class TestMutatedFanouts:
+    """A corrupted sender's fan-out goes through its outgoing mutator once
+    per copy and out as one survivors entry -- or, when the mutator
+    readdresses a copy, as the lone sends of a per-receiver submit loop."""
+
+    @staticmethod
+    def _run(mutator, seed=0):
+        from repro.adversary.behaviors import HonestButMutatingBehavior
+        from repro.net.runtime import Simulation
+        from repro.protocols.weak_coin import WeakCommonCoin
+
+        sim = Simulation(ProtocolParams.for_parties(7), seed=seed, keep_events="all")
+        sim.corrupt(3, HonestButMutatingBehavior.factory(mutator))
+        return sim.run(("weak_coin",), WeakCommonCoin.factory())
+
+    @staticmethod
+    def _stream(result):
+        return [
+            (step, kind, party, repr(detail))
+            for step, kind, party, detail in result.network.trace.events
+        ]
+
+    @pytest.mark.parametrize(
+        "readdress",
+        [
+            lambda receiver, session, payload: (
+                0 if payload[0] == "READY" else receiver, session, payload
+            ),
+            lambda receiver, session, payload: (
+                receiver, session + ("elsewhere",) if payload[0] == "POINT" else session,
+                payload,
+            ),
+        ],
+        ids=["receiver", "session"],
+    )
+    def test_a_readdressing_mutator_sends_what_a_submit_loop_sends(
+        self, readdress, monkeypatch
+    ):
+        from repro.net.message import Message
+        from repro.net.process import Process
+        from repro.net.tracing import Trace
+
+        lone = []
+        on_fanout = Trace.on_fanout
+
+        def counting(self, step, entry, size):
+            if isinstance(entry, Message) and entry.sender == 3:
+                lone.append(entry)
+            on_fanout(self, step, entry, size)
+
+        monkeypatch.setattr(Trace, "on_fanout", counting)
+        mutated = self._run(readdress)
+        assert len(lone) > 10
+        assert {message.sender for message in lone} == {3}
+
+        def per_receiver_loop(self, sender, session, kind, payload, values, skip):
+            for receiver in range(self.params.n):
+                if receiver != skip:
+                    self.send(
+                        receiver, session, payload if values is None else (kind, values[receiver])
+                    )
+
+        monkeypatch.setattr(Process, "_send_mutated_fanout", per_receiver_loop)
+        looped = self._run(readdress)
+        assert self._stream(mutated) == self._stream(looped)
+        assert mutated.outputs == looped.outputs
+
+    def test_survivors_keep_each_copys_own_payload(self):
+        """Survivors are never merged by equality: a RECROW broadcast whose
+        odd copies carry the same row as floats -- equal to the int row --
+        still gets its sender shunned by exactly the odd honest receivers."""
+
+        def floats(receiver, session, payload):
+            if payload[0] == "RECROW" and receiver % 2:
+                return receiver, session, ("RECROW", tuple(map(float, payload[1])))
+            return receiver, session, payload
+
+        result = self._run(floats)
+        sends = [event.detail for event in result.network.trace.events
+                 if event.kind == "send" and event.party == 3 and event.detail.kind == "RECROW"]
+        assert sends
+        for message in sends:
+            assert {type(c) for c in message.payload[1]} == {
+                float if message.receiver % 2 else int
+            }
+        shunners = {pid for pid in range(7) if result.network.processes[pid].is_shunning(3)}
+        assert shunners == {1, 5}  # the odd receivers but the sender itself

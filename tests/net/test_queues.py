@@ -503,6 +503,41 @@ class TestClassRankQueue:
         assert version_calls == calls and queue._queues is class_queues
 
 
+@pytest.mark.parametrize(
+    "make_queue",
+    [KeyedQueue, lambda form: ClassRankQueue(form, 2)],
+    ids=["keyed", "class_rank"],
+)
+def test_survivors_entries_are_dealt_over_their_own_copies(make_queue):
+    """A form's deal is cached per copy set: fan-outs whose groups are the
+    same object but whose mutators dropped different receivers must each be
+    dealt over their own survivors, so no queue ever pops a copy that was
+    dropped (or misses one that was not)."""
+    n = 6
+    groups = ((0, frozenset({0, 1, 2})), (1, queues.everyone(n)))
+    form = queues.FanoutForm(lambda fanout, n: groups)
+    queue = make_queue(form)
+    entries = [
+        FanoutEntry(0, ("s",), "K", ("K",), None, 0, None, "s"),
+        queues.SurvivorsEntry(0, ("s",), "K", ("K",), None, 6, (0, 2, 3, 5), "s"),
+        queues.SurvivorsEntry(0, ("s",), "K", None, {1: "a", 4: "b"}, 10, (1, 4), "s"),
+        queues.SurvivorsEntry(0, ("s",), "K", ("K",), None, 12, (3,), "s"),
+    ]
+    for entry in entries:
+        queue.push_group(entry, n)
+    rng = random.Random(3)
+    popped = [queue.pop_entry(rng) for _ in range(len(queue))]
+    assert len(queue) == 0
+    for entry, receiver in popped:
+        assert receiver in entry.copies(n)
+    assert sorted(entry.seq_of(receiver) for entry, receiver in popped) == list(range(13))
+    copies = [entry.materialize(receiver) for entry, receiver in popped]
+    assert sorted((m.seq, m.receiver, m.payload) for m in copies if m.seq >= 6) == [
+        (6, 0, ("K",)), (7, 2, ("K",)), (8, 3, ("K",)), (9, 5, ("K",)),
+        (10, 1, ("K", "a")), (11, 4, ("K", "b")), (12, 3, ("K",)),
+    ]
+
+
 EMPTY_QUEUE_FACTORIES = dict(
     SCHEDULER_FACTORIES, force_scan=lambda: force_scan(RandomScheduler())
 )

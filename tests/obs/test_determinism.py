@@ -149,7 +149,10 @@ def test_jsonl_files_are_byte_identical_across_runs(tmp_path):
 #: copies of a tampered trial (``tamper-on-share``), 29 % of those of a
 #: keyed-queue trial whose bad-share dealers are shunned
 #: (``rushing-coalition``) -- pinned as written when a lone send was a queue
-#: slot shape of its own.
+#: slot shape of its own.  Three more were written when a corrupted sender's
+#: fan-out still went out as lone sends: split payloads under one kind
+#: (``equivocate-on-share``), a kind rewrite (``tamper-kind-noise``) and
+#: receivers dropped under a non-random queue (``starved-dealer-withholds``).
 STREAM_PINS = {
     "weak_coin_n7": (
         lambda sinks: api.run_weak_coin(7, seed=4, sinks=sinks),
@@ -172,6 +175,18 @@ STREAM_PINS = {
     "rushing_coalition_n7": (
         lambda sinks: run_scenario("rushing-coalition", n=7, seed=0, sinks=sinks),
         "bd5bd693c4b64b8ab12935a76234e8bc649d308e5a389109a32679acd1e3c3ad", 2259, 12,
+    ),
+    "equivocate_on_share_n7": (
+        lambda sinks: run_scenario("equivocate-on-share", n=7, seed=0, sinks=sinks),
+        "296dd23c3fde83c8ad6f4b3fb40019960c0838b9a7466bfaa67b8f2d60155d54", 2163, 0,
+    ),
+    "tamper_kind_noise_n7": (
+        lambda sinks: run_scenario("tamper-kind-noise", n=7, seed=0, sinks=sinks),
+        "1c27d68e31f13235833c15c6030399ce4db5c035783d6233b0408783bb951f02", 2163, 0,
+    ),
+    "starved_dealer_withholds_n7": (
+        lambda sinks: run_scenario("starved-dealer-withholds", n=7, seed=0, sinks=sinks),
+        "bc4bf9f225deb0ed723bde7c85246b92e521764a13d90884dde6936647951b45", 328, 0,
     ),
 }
 

@@ -25,7 +25,7 @@ from repro.net import tracing
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.protocol import Protocol
-from repro.net.queues import FanoutEntry
+from repro.net.queues import FanoutEntry, SurvivorsEntry
 from repro.net.runtime import Simulation
 from repro.net.tracing import DEFAULT_EVENT_CAPACITY, EventRing, Trace, TraceEvent
 from repro.obs.schema import event_to_jsonable
@@ -115,9 +115,15 @@ def test_a_batch_is_the_sends_of_one_fanout():
         assert receivers == sorted(receivers)
         seqs = [event.detail.seq for event in batch]
         assert seqs == list(range(seqs[0], seqs[0] + len(seqs)))
-    # Full broadcasts/ROWs, POINTs skipping self, and the bad-share dealer's
-    # lone sends: one route, a lone send is the one-copy fan-out of itself.
-    assert sizes == {8, 7, 1}
+    # Full broadcasts/ROWs and POINTs skipping self, the bad-share dealer's
+    # too: its mutator maps the copies of one fan-out, so each of its
+    # mutated RECROW broadcasts is one batch of 8.
+    assert sizes == {8, 7}
+    mutated = [
+        len(batch) for batch in batching.batches
+        if batch[0].party == 2 and batch[0].detail.kind == "RECROW"
+    ]
+    assert mutated == [8] * 8
 
 
 def test_batched_fanouts_record_what_a_submit_loop_records(monkeypatch):
@@ -168,11 +174,12 @@ def test_scenario_director_events_reach_every_sink():
 
 def test_every_consumer_counts_every_kind_of_a_tampered_trial(monkeypatch):
     """``tamper-on-share`` at n=7, with the coalition split: party 6 tampers
-    (its POINTs go out one by one through the mutator, as lone sends) and
-    party 5 deals bad shares (shuns, and drops of its later messages).  A
-    note per phase puts ``note`` events in the log mid-drive too.  The log
-    counts each pump's events per kind; the keep-everything ring, a
-    64-event ring and an emit-only sink must agree on all of it."""
+    (its mutator maps the copies of each of its fan-outs, submitted as one
+    survivors entry) and party 5 deals bad shares (shuns, and drops of its
+    later messages).  A note per phase puts ``note`` events in the log
+    mid-drive too.  The log counts each pump's events per kind; the
+    keep-everything ring, a 64-event ring and an emit-only sink must agree
+    on all of it."""
     base = get_scenario("tamper-on-share")
     spec = dataclasses.replace(
         base,
@@ -181,12 +188,14 @@ def test_every_consumer_counts_every_kind_of_a_tampered_trial(monkeypatch):
             static=[StaticCorruption(select=5, behavior=BehaviorSpec("bad_share"))],
         ),
     )
-    lone_sends = []
+    lone_sends, mutated_fanouts = [], []
     on_fanout, on_phase = Trace.on_fanout, Trace.on_phase
 
     def counting_on_fanout(self, step, entry, size):
         if isinstance(entry, Message):  # a lone send: the one-copy fan-out of itself
             lone_sends.append(step)
+        elif isinstance(entry, SurvivorsEntry):  # a corrupted sender's fan-out
+            mutated_fanouts.append(step)
         on_fanout(self, step, entry, size)
 
     def noting_on_phase(self, step, party, session, phase):
@@ -210,7 +219,8 @@ def test_every_consumer_counts_every_kind_of_a_tampered_trial(monkeypatch):
         "send", "deliver", "drop", "complete", "shun", "corrupt", "phase",
         "session_open", "director", "note",
     }
-    assert len(lone_sends) > 100
+    assert len(mutated_fanouts) > 30
+    assert lone_sends == []
     assert emit_only.events == kept
     assert list(ring.events) == kept[-64:]
     for counted in (trace._ring, ring):

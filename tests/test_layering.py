@@ -96,6 +96,19 @@ def test_one_in_flight_shape():
     assert offenders == []
 
 
+def test_protocols_have_one_send_path():
+    """A corrupted sender's fan-out is one fan-out: protocols send through
+    ``Process.send_fanout`` / ``Process.send``, which apply the outgoing
+    mutator, so no protocol forks on it into a per-receiver loop."""
+    offenders = [
+        f"{path.relative_to(SRC.parent)}:{node.lineno}"
+        for path in (SRC / "net" / "protocol.py", SRC / "protocols" / "svss.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "outgoing_mutator"
+    ]
+    assert offenders == []
+
+
 def test_run_surface():
     """Every settable value of one run, as a literal list.
 
