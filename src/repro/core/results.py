@@ -73,7 +73,7 @@ class TrialAggregate:
     #: depends on cache warmth from earlier trials in the same process.
     metric_counters: Counter = field(default_factory=Counter)
     #: Message counts by payload kind (string keys), summed over trials that
-    #: collected message stats (trace or group meter).
+    #: collected message stats (traced or metered trace-free).
     sent_by_kind: Counter = field(default_factory=Counter)
     #: Merged structured-metrics histograms (``Histogram.to_dict`` payloads
     #: keyed by metric name), bucketwise-summed across trials -- the source
@@ -85,10 +85,10 @@ class TrialAggregate:
     def add(self, result: SimulationResult) -> None:
         """Fold one execution into the aggregate.
 
-        Message totals come from whichever observability tier collected them
-        (:meth:`SimulationResult.message_stats`): the trace when tracing was
-        on, the group meter when it was off -- so campaigns on the group-mode
-        fast path report real message counts instead of zeros.
+        Message totals come from the trace's counters
+        (:meth:`SimulationResult.message_stats`), kept whether tracing was on
+        or off -- so campaigns on the trace-free fast path report real
+        message counts instead of zeros.
         """
         self.trials += 1
         stats = result.message_stats

@@ -278,17 +278,50 @@ def runner_signature(
     return required, frozenset(named) - _EXECUTOR_SUPPLIED, extras.intersection(named)
 
 
+#: Observation switches: JSON booleans only (a string such as ``"false"``
+#: would be truthy, and ``metrics`` builds a registry from anything else).
+_BOOL_PARAMS = ("tracing", "metering", "metrics")
+#: Runner params that take Python objects (trace sinks, a coin source),
+#: which a plain-JSON spec cannot carry.
+_OBJECT_PARAMS = ("sinks", "coin_source")
+#: Iteration and size params: the least value each takes, as a non-bool int
+#: (a coinflip ``rounds`` of 0 or null would fall back to the paper-scale
+#: iteration count; FairChoice needs ``m >= 3`` candidates).
+_INT_PARAMS = {"rounds": 1, "coinflip_rounds": 1, "m": 3}
+
+
+def _param_value_problem(params: Mapping[str, Any]) -> Optional[str]:
+    """Why a value in ``params`` cannot reach its runner from a JSON spec (or None)."""
+    for name in _OBJECT_PARAMS:
+        if name in params:
+            return f"param {name!r} takes a Python object and cannot be set from a spec"
+    for name in _BOOL_PARAMS:
+        if name in params and not isinstance(params[name], bool):
+            return f"param {name!r} must be true or false, got {params[name]!r}"
+    for name, least in _INT_PARAMS.items():
+        value = params.get(name, least)
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            return f"param {name!r} must be an integer >= {least}, got {value!r}"
+    if "epsilon" in params:
+        value = params["epsilon"]
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < 0.5:
+            return f"param 'epsilon' must be a number in (0, 1/2), got {value!r}"
+    return None
+
+
 def runner_params_problem(
     protocol: str, params: Mapping[str, Any], n: int
 ) -> Optional[str]:
     """Why ``RUNNERS[protocol]`` cannot be called with ``params`` at ``n`` (or None).
 
     The runner-side twin of :func:`build_scheduler`'s check: a missing or
-    misspelt param, or a ``prime`` that is not a prime above ``n``, is a spec
-    error raised at validation (campaign cell, ablation grid, beacon request),
-    not an exception in a worker after dispatch.  Two set operations per
-    call, plus a :class:`ProtocolParams` build when ``prime`` is given; the
-    name sets and the primality test are computed once per runner / modulus.
+    misspelt param, a value of the wrong type or range for a known param
+    (:func:`_param_value_problem`), or a ``prime`` that is not a prime above
+    ``n``, is a spec error raised at validation (campaign cell, ablation
+    grid, beacon request), not an exception in a worker after dispatch.  Two
+    set operations per call, plus a :class:`ProtocolParams` build when
+    ``prime`` is given; the name sets and the primality test are computed
+    once per runner / modulus.
     """
     required, accepted, _ = runner_signature(RUNNERS.get(protocol))
     if not required.issubset(params):
@@ -301,6 +334,9 @@ def runner_params_problem(
             f"runner {protocol!r} takes no params "
             f"{sorted(set(params) - accepted)}; accepted: {sorted(accepted)}"
         )
+    problem = _param_value_problem(params)
+    if problem is not None:
+        return f"runner {protocol!r}: {problem}"
     if "prime" in params:
         try:
             ProtocolParams.for_parties(n, prime=params["prime"])

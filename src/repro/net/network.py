@@ -95,19 +95,12 @@ class Network:
         self.seed = seed
         self.master_rng = random.Random(seed)
         self.scheduler_rng = random.Random(self.master_rng.getrandbits(64))
-        self.trace = Trace(keep_events=keep_events, enabled=tracing)
+        #: The run's event record and its one message counter: a trace-free
+        #: run still counts messages unless ``metering=False``.
+        self.trace = Trace(keep_events=keep_events, enabled=tracing, metering=metering)
         if sinks:
             for sink in sinks:
                 self.trace.add_sink(sink)
-        #: Aggregate message meter for trace-free runs (``repro.obs.meter``):
-        #: with tracing on the trace itself carries the counts, so the meter
-        #: engages only when tracing is off; ``metering=False`` makes such a
-        #: run report no message counts at all.
-        self.meter = None
-        if metering and not tracing:
-            from repro.obs.meter import GroupMeter
-
-            self.meter = GroupMeter()
         #: Optional structured-metrics registry (``repro.obs.metrics``).
         self.metrics = metrics
         self.step_count = 0
@@ -158,9 +151,6 @@ class Network:
         self._n = params.n
         self._queue_push_group = self._queue.push_group
         self._trace_on_fanout = self.trace.on_fanout
-        self._tracing = self.trace.enabled
-        #: Pre-bound meter hook for the send paths (None when unmetered).
-        self._meter_count_send = None if self.meter is None else self.meter.count_send
         #: Pre-bound registry hooks: completion-step recording (invoked from
         #: :meth:`record_completion`, which needs an accurate ``step_count``)
         #: and the queue-depth sampling period.
@@ -258,12 +248,7 @@ class Network:
         message.kind = payload[0] if payload else None
         message.root = session[0] if session else None
         self._queue_push_group(message, self._n)
-        if self._tracing:
-            self._trace_on_fanout(self.step_count, message, 1)
-            return
-        count_send = self._meter_count_send
-        if count_send is not None:
-            count_send(message.kind, message.root, 1)
+        self._trace_on_fanout(self.step_count, message, 1)
 
     def submit_broadcast(self, sender: int, session: SessionId, payload: tuple) -> None:
         """Queue one copy of ``payload`` for every party, in pid order.
@@ -319,14 +304,7 @@ class Network:
         root = session[0] if session else None
         entry = FanoutEntry(sender, session, kind, payload, values, seq, skip, root)
         self._queue_push_group(entry, n)
-        if self._tracing:
-            self._trace_on_fanout(self.step_count, entry, size)
-            return
-        count_send = self._meter_count_send
-        if count_send is not None:
-            # One counter bump for the whole fan-out: FanoutEntry
-            # granularity, not per-copy.
-            count_send(kind, root, size)
+        self._trace_on_fanout(self.step_count, entry, size)
 
     def _submit_survivors(
         self,
@@ -351,12 +329,7 @@ class Network:
         root = session[0] if session else None
         entry = SurvivorsEntry(sender, session, kind, payload, values, seq, receivers, root)
         self._queue_push_group(entry, self._n)
-        if self._tracing:
-            self._trace_on_fanout(self.step_count, entry, size)
-            return
-        count_send = self._meter_count_send
-        if count_send is not None:
-            count_send(kind, root, size)
+        self._trace_on_fanout(self.step_count, entry, size)
 
     # ------------------------------------------------------------------
     # Stepping.
@@ -451,8 +424,8 @@ class Network:
         pop_entry = queue.pop_entry
         rng = self.scheduler_rng
         processes = self.processes
-        tracing = self._tracing
         trace = self.trace
+        tracing = trace.enabled
         log = trace.log_delivery if tracing else None
         observed = (
             tracing
@@ -467,8 +440,7 @@ class Network:
             # the watched session's counter reaches the honest count.
             self._watch_session = watch
             self._stop = self._completions.get(watch, 0) >= self._honest_n
-        if tracing:
-            trace.driving = True
+        trace.driving = True
         try:
             if until is not None:
                 self._stop = until(self)
@@ -511,12 +483,12 @@ class Network:
             self.step_count = step
             self._watch_session = None
             self._stop = False
-            if tracing:
-                # Also when a handler raised: the trace's consumers hold the
-                # events up to and including the failing delivery.
-                trace.driving = False
+            # Also when a handler raised: the trace's consumers hold the
+            # events up to and including the failing delivery.
+            trace.driving = False
+            if trace.counting:
                 trace.messages_delivered += step - first
-                trace.pump()
+            trace.pump()
 
     def _alarm(
         self, first: int, until: Optional[Callable[["Network"], bool]]
@@ -557,21 +529,22 @@ class Network:
         return (first + 1 if until is not None else _earliest(sample_at, director_at)), on_wake
 
     def message_stats(self) -> Optional[Dict[str, object]]:
-        """Headline message counts, whichever tier collected them.
+        """Headline message counts, read off the trace.
 
         With tracing on this is :meth:`Trace.summary`; with tracing off it is
-        the group meter's equivalent (same core keys: ``messages_sent``,
+        the summary's core keys only (``messages_sent``,
         ``messages_delivered``, ``messages_dropped``, ``shun_events``,
-        ``sent_by_root``, ``sent_by_kind``, ``dropped_by_reason``), with
-        deliveries read off the step counter (one step is one delivery).
-        Returns None only when metering was explicitly disabled.
+        ``sent_by_root``, ``sent_by_kind``, ``dropped_by_reason``): a
+        trace-free run records no completions and keeps no events.  Returns
+        None only when metering was explicitly disabled.
         """
-        if self._tracing:
-            return self.trace.summary()
-        meter = self.meter
-        if meter is not None:
-            return meter.summary(self.step_count)
-        return None
+        trace = self.trace
+        if not trace.counting:
+            return None
+        summary = trace.summary()
+        if not trace.enabled:
+            del summary["completions"], summary["events_dropped"]
+        return summary
 
     # ------------------------------------------------------------------
     # Completion and corruption bookkeeping (the O(1) stop-condition state).

@@ -332,19 +332,13 @@ class Process:
         """Report one message dropped because its sender is shunned.
 
         ``entry`` holds the copy for ``receiver`` (a lone Message is its own
-        copy); that copy is materialised only for a trace that records it.
+        copy); the trace materialises that copy only when it records it.
         ``step_count`` lags the delivery loop's local only in runs nothing
         observes; a traced loop stores it per delivery, so the drop carries
         its delivery's step.
         """
         network = self.network
-        trace = network.trace
-        if trace.enabled:
-            trace.on_drop(network.step_count, entry.materialize(receiver), "shunned")
-        else:
-            meter = network.meter
-            if meter is not None:
-                meter.count_drop("shunned")
+        network.trace.on_drop(network.step_count, entry, receiver, "shunned")
 
     # ------------------------------------------------------------------
     # Shunning (Definition 3.2): once party i shuns party j, it accepts j's
@@ -361,9 +355,6 @@ class Process:
             network.trace.on_shun(
                 network.step_count, self.pid, party, tuple(session)
             )
-            meter = network.meter
-            if meter is not None:
-                meter.count_shun()
 
     def is_shunning(self, party: int) -> bool:
         """True when this process has ever shunned ``party``."""

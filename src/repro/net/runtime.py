@@ -98,12 +98,11 @@ class SimulationResult:
 
     @property
     def message_stats(self) -> Optional[Dict[str, Any]]:
-        """Headline message counts from whichever tier collected them.
+        """Headline message counts, read off the trace.
 
-        ``Trace.summary()`` when tracing was on, the group meter's
-        equivalent when tracing was off (see
-        :meth:`~repro.net.network.Network.message_stats`); None only when
-        metering was explicitly disabled.
+        ``Trace.summary()`` when tracing was on, its core keys when tracing
+        was off (see :meth:`~repro.net.network.Network.message_stats`); None
+        only when metering was explicitly disabled.
         """
         return self.network.message_stats()
 
@@ -133,9 +132,10 @@ class Simulation:
     #: across same-topology trials so interned session tuples are allocated
     #: once per chunk instead of once per trial.
     session_table: Optional[Dict[SessionId, SessionId]] = None
-    #: What a trace-free run *reports*, not how it runs: the group meter
-    #: engages whenever tracing is off (campaigns keep the fast path and still
-    #: report message counts); False leaves ``message_stats`` as None.
+    #: What a trace-free run *reports*, not how it runs: the trace counts
+    #: messages whether or not it records events (campaigns keep the fast
+    #: path and still report message counts); False with tracing off leaves
+    #: ``message_stats`` as None.
     metering: bool = True
     #: Structured-metrics registry: ``True`` attaches a default
     #: :class:`repro.obs.metrics.MetricsRegistry`, or pass a configured

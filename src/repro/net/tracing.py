@@ -78,7 +78,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import Any, Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.net.message import Message, SessionId
+from repro.net.message import SessionId
 
 #: Ring-buffer capacity used by ``keep_events=True``.
 DEFAULT_EVENT_CAPACITY = 65536
@@ -244,24 +244,30 @@ class Trace:
     ``messages_delivered`` is added to by the network when a drive exits (one
     addition per ``step`` / ``run*`` call), not per delivery.
 
-    With ``enabled=False`` every recording hook (``on_fanout``,
-    ``on_drop``, ``on_complete``, ``on_shun``,
-    ``on_corrupt``, ``on_phase``, ``on_session_open``, ``on_director``,
-    ``note``, ``record``) is rebound to a shared no-op at construction time,
-    so the network's hot loop pays one trivially-dispatched call and zero
-    message-formatting or counter work per event.  Counters then stay at zero
-    and no completions/shun events are recorded -- throughput campaigns with
-    ``tracing=False`` read their headline counts from the group meter
-    (:mod:`repro.obs.meter`) instead.
+    The trace is the one message counter of a run, traced or not: the
+    counting hooks (``on_fanout``, ``on_drop``, ``on_shun``) have one
+    implementation each.  With ``enabled=False`` the trace records no events
+    -- every other hook (``record``, ``on_complete``, ``on_corrupt``,
+    ``on_phase``, ``on_session_open``, ``on_director``, ``note``) is rebound
+    to a shared no-op at construction time -- but still counts sends (once
+    per fan-out), drops, shun events and deliveries, the headline numbers of
+    a trace-free throughput campaign.  With ``metering=False`` as well the
+    counting hooks are no-ops too and every counter stays at zero;
+    ``metering`` has no effect on an enabled trace.
     """
 
     def __init__(
-        self, keep_events: Union[bool, int, str] = False, enabled: bool = True
+        self,
+        keep_events: Union[bool, int, str] = False,
+        enabled: bool = True,
+        metering: bool = True,
     ) -> None:
         #: Retention policy as passed in (False / True / int capacity / "all").
         self.keep_events = keep_events
-        #: When False, all recording hooks are no-ops and metrics stay empty.
+        #: When False, no event is recorded: only the counters are kept.
         self.enabled = enabled
+        #: Whether the message counters are kept (always when enabled).
+        self.counting = enabled or metering
         #: Streaming consumers fed every recorded event (see ``add_sink``).
         self.sinks: List[Any] = []
         #: Retained events per ``keep_events`` (None: nothing is kept).
@@ -304,18 +310,18 @@ class Trace:
         self._bind_consumers()
         if not enabled:
             # Rebinding beats per-call `if self.enabled` checks: the flag test
-            # would tax the enabled path too, and this keeps the disabled path
-            # free of even the Message property accesses below.
+            # would tax the enabled path too.
             self.record = _noop  # type: ignore[method-assign]
-            self.on_fanout = _noop  # type: ignore[method-assign]
-            self.on_drop = _noop  # type: ignore[method-assign]
             self.on_complete = _noop  # type: ignore[method-assign]
-            self.on_shun = _noop  # type: ignore[method-assign]
             self.on_corrupt = _noop  # type: ignore[method-assign]
             self.on_phase = _noop  # type: ignore[method-assign]
             self.on_session_open = _noop  # type: ignore[method-assign]
             self.on_director = _noop  # type: ignore[method-assign]
             self.note = _noop  # type: ignore[method-assign]
+            if not metering:
+                self.on_fanout = _noop  # type: ignore[method-assign]
+                self.on_drop = _noop  # type: ignore[method-assign]
+                self.on_shun = _noop  # type: ignore[method-assign]
 
     @property
     def events(self) -> List[TraceEvent]:
@@ -333,7 +339,7 @@ class Trace:
         """Sort the retention ring and the sinks by how they are fed."""
         consumers = ([] if self._ring is None else [self._ring]) + self.sinks
         #: Whether fan-outs and events are logged (deliveries always are).
-        self._logging = bool(consumers)
+        self._logging = self.enabled and bool(consumers)
         #: The rings :meth:`pump` hands the log's records to as they are ...
         self._record_takers: List[EventRing] = [c for c in consumers if _takes_records(c)]
         #: ... and ``emit`` / ``emit_many`` of the sinks it expands them for.
@@ -457,11 +463,16 @@ class Trace:
         if len(log) >= LOG_BOUND or not self.driving:
             self.pump()
 
-    def on_drop(self, step: int, message: Message, reason: str) -> None:
-        """Record that ``message`` was dropped (e.g. sender shunned)."""
+    def on_drop(self, step: int, entry: Any, receiver: int, reason: str) -> None:
+        """Record that the copy of ``entry`` for ``receiver`` was dropped.
+
+        ``entry`` is as for :meth:`on_fanout` (a lone Message is its own
+        copy); the dropped Message is built only for an enabled trace.
+        """
         self.messages_dropped += 1
         self.dropped_by_reason[reason] += 1
-        self.record(step, "drop", message.receiver, (reason, message))
+        if self.enabled:
+            self.record(step, "drop", receiver, (reason, entry.materialize(receiver)))
 
     def on_complete(self, step: int, party: int, session: SessionId, value: Any) -> None:
         """Record the first completion of ``session`` at ``party``."""

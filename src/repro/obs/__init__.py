@@ -2,13 +2,14 @@
 
 Three tiers, each composing with every execution mode of the simulator:
 
-1. **Metered group mode** (:mod:`repro.obs.meter`) -- aggregate message
-   counters maintained at :class:`~repro.net.queues.FanoutEntry` granularity
-   on the send/drop paths, so campaigns keep the lazy-materialisation
-   group-mode fast path *and* still report ``Trace.summary()``-equivalent
-   numbers.  Engaged automatically whenever tracing is off (pass
-   ``metering=False`` to opt out); never touches the scheduler RNG, so the
-   delivery order is byte-identical with metering on or off.
+1. **Message counts** (:class:`~repro.net.tracing.Trace`) -- the trace is
+   the one message counter of every metered run: sends counted once per
+   :class:`~repro.net.queues.FanoutEntry` on the send path, drops, shun
+   events and deliveries.  A trace-free run (``tracing=False``) records no
+   events but still counts, so campaigns report the summary's core numbers
+   (pass ``metering=False`` to opt out); counting never touches the
+   scheduler RNG, so the delivery order is byte-identical with metering on
+   or off.
 2. **Structured metrics registry** (:mod:`repro.obs.metrics`) -- cheap
    counters/gauges/histograms (completion-step latencies per session root,
    queue depth over time, crypto-plane cache hit rates, evaluation-plan
@@ -45,7 +46,6 @@ same path (placed before the sinks).
 offline.
 """
 
-from repro.obs.meter import GroupMeter
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import (
     REPORT_VERSION,
@@ -57,7 +57,6 @@ from repro.obs.sinks import JsonlSink, RingBufferSink, TraceSink
 from repro.obs.timeline import TimelineBuilder
 
 __all__ = [
-    "GroupMeter",
     "MetricsRegistry",
     "TraceSink",
     "RingBufferSink",

@@ -501,8 +501,8 @@ def run_scenario(
         protocol: runner-name override (default: the scenario's protocol).
         params: runner keyword overrides merged over the scenario's params.
         tracing: forwarded to the runner (disable for throughput sweeps;
-            trace-free trials still report message counts via the group
-            meter).
+            trace-free trials still report message counts: the trace counts
+            them without recording events).
         sinks: streaming trace sinks (:mod:`repro.obs.sinks`) attached to the
             trial's trace; requires ``tracing=True``.
 

@@ -109,6 +109,45 @@ class TestRunnerParams:
         assert runner_params_problem("weak_coin", {"prime": 5}, 4) is None
         assert runner_params_problem("weak_coin", {"prime": 1_000_003}, 16) is None
 
+    @pytest.mark.parametrize(
+        "protocol,params,named",
+        [
+            # Observation switches are JSON booleans.
+            ("weak_coin", {"tracing": "false"}, "'tracing' must be true or false"),
+            ("weak_coin", {"metering": "no"}, "'metering' must be true or false"),
+            ("weak_coin", {"metrics": "yes"}, "'metrics' must be true or false"),
+            # Params taking Python objects cannot come from a spec.
+            ("weak_coin", {"sinks": [1]}, "'sinks' takes a Python object"),
+            ("coinflip", {"coin_source": "oracle"}, "'coin_source' takes a Python object"),
+            # Iteration and size params are non-bool ints in range.
+            ("coinflip", {"rounds": 0}, "'rounds' must be an integer >= 1"),
+            ("coinflip", {"rounds": None}, "'rounds' must be an integer >= 1"),
+            ("coinflip", {"rounds": "3"}, "'rounds' must be an integer >= 1"),
+            ("coinflip", {"rounds": True}, "'rounds' must be an integer >= 1"),
+            ("fba", {"inputs": {0: 1}, "coinflip_rounds": 0}, "'coinflip_rounds' must be"),
+            ("fair_choice", {"m": "3"}, "'m' must be an integer >= 3"),
+            ("fair_choice", {"m": 2}, "'m' must be an integer >= 3"),
+            ("coinflip", {"epsilon": "x"}, "'epsilon' must be a number in (0, 1/2)"),
+            ("coinflip", {"epsilon": 2}, "'epsilon' must be a number in (0, 1/2)"),
+            ("coinflip", {"epsilon": False}, "'epsilon' must be a number in (0, 1/2)"),
+        ],
+    )
+    def test_param_values_a_spec_cannot_run_are_named(self, protocol, params, named):
+        """Each of these passed validation once and then ran something else
+        (a truthy string, the paper-scale round count) or failed every
+        attempt in a worker."""
+        problem = runner_params_problem(protocol, params, 4)
+        assert problem is not None and named in problem, problem
+
+    def test_param_values_in_range_are_accepted(self):
+        for protocol, params in [
+            ("weak_coin", {"tracing": False, "metering": True, "metrics": True}),
+            ("coinflip", {"rounds": 1, "epsilon": 0.25}),
+            ("coinflip", {"epsilon": 0.1}),
+            ("fair_choice", {"m": 3, "coinflip_rounds": 2}),
+        ]:
+            assert runner_params_problem(protocol, params, 4) is None, (protocol, params)
+
     def test_kwargs_runner_takes_anything_and_c_callable_is_skipped(self):
         def downstream(n, payload, seed=0, **extra):
             return None

@@ -579,18 +579,41 @@ class TestNetworkPendingView:
 
 
 class TestTracingFastPath:
-    def test_disabled_trace_records_nothing(self):
-        network = Network(ProtocolParams.for_parties(4), seed=0, tracing=False)
+    @staticmethod
+    def _run_trace_free(**kwargs):
+        network = Network(ProtocolParams.for_parties(4), seed=0, tracing=False, **kwargs)
         for index in range(10):
             network.submit(0, 1, ("s",), ("K", index))
+        network.submit_broadcast(2, ("s",), ("B",))
         while network.step():
             pass
+        assert network.step_count == 14  # delivery itself still happened
+        return network
+
+    def test_unmetered_disabled_trace_counts_and_keeps_nothing(self):
+        network = self._run_trace_free(metering=False, keep_events=True)
         trace = network.trace
         assert not trace.enabled
         assert trace.messages_sent == 0
         assert trace.messages_delivered == 0
+        assert trace.messages_dropped == 0
+        assert trace.total_shun_events() == 0
         assert trace.events == []
-        assert network.step_count == 10  # delivery itself still happened
+        assert network.message_stats() is None
+
+    def test_metered_disabled_trace_keeps_no_events_and_counts(self):
+        network = self._run_trace_free(keep_events=True)
+        trace = network.trace
+        assert not trace.enabled
+        assert trace.events == []
+        assert trace.completions == {} and trace.notes == []
+        assert trace.messages_sent == trace.messages_delivered == 14
+        stats = network.message_stats()
+        assert stats["messages_sent"] == trace.messages_sent
+        assert stats["messages_delivered"] == trace.messages_delivered
+        assert stats["messages_dropped"] == trace.messages_dropped == 0
+        assert stats["shun_events"] == trace.total_shun_events() == 0
+        assert stats["sent_by_kind"] == {"K": 10, "B": 4}
 
     def test_disabled_trace_preserves_protocol_outputs(self):
         def run(tracing):

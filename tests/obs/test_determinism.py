@@ -2,7 +2,7 @@
 
 The fingerprints in ``tests/golden_trials.json`` pin whole executions --
 ``[steps, sorted honest outputs, messages sent, shun events]`` per seed.
-Every observability configuration (tracing on, metered group mode, metering
+Every observability configuration (tracing on, metered trace-free, metering
 disabled, streaming sinks attached, metrics registry active, bounded event
 ring) must reproduce those fingerprints byte-for-byte: the instruments are
 observers, not participants.
@@ -72,29 +72,63 @@ def test_golden_fingerprint_is_config_independent(key, cell, config_name, tmp_pa
 
     stats = result.message_stats
     if config_name == "unmetered":
-        # No trace, no meter: message statistics are deliberately absent.
+        # Trace-free and unmetered: message statistics are deliberately absent.
         assert stats is None
         return
-    # Trace and meter must agree with the golden eager-trace counts.
+    # Traced and trace-free counts must agree with the golden eager-trace counts.
     assert stats["messages_sent"] == golden_sent, (key, config_name)
     assert stats["shun_events"] == golden_shuns, (key, config_name)
 
 
+#: The ``message_stats`` keys of a trace-free run.
+CORE_KEYS = (
+    "messages_sent",
+    "messages_delivered",
+    "messages_dropped",
+    "shun_events",
+    "sent_by_root",
+    "sent_by_kind",
+    "dropped_by_reason",
+)
+
+#: Scenarios whose traffic holds the survivors entries of an outgoing
+#: mutator, mapped to whether (at n=7, seed 0) it also drops a shunned
+#: sender's messages.
+COUNT_SCENARIOS = {
+    "tamper-on-share": False,
+    "rushing-coalition": True,
+    "equivocate-on-share": False,
+}
+
+
+def _assert_core_counts_match(traced, metered):
+    assert set(metered) == set(CORE_KEYS)
+    for field in CORE_KEYS:
+        assert metered[field] == traced[field], field
+
+
 @pytest.mark.parametrize("key,cell", CELLS[:2], ids=[key for key, _ in CELLS[:2]])
 def test_meter_summary_matches_trace_summary(key, cell):
-    """Group-mode meter counters equal the eager per-message trace counters."""
+    """A trace-free run counts what the traced run counts, key for key."""
     traced = api.run_weak_coin(**cell).trace.summary()
     metered = api.run_weak_coin(**cell, tracing=False).message_stats
-    for field in (
-        "messages_sent",
-        "messages_delivered",
-        "messages_dropped",
-        "shun_events",
-        "sent_by_root",
-        "sent_by_kind",
-        "dropped_by_reason",
-    ):
-        assert metered[field] == traced[field], field
+    _assert_core_counts_match(traced, metered)
+
+
+@pytest.mark.parametrize("scenario", sorted(COUNT_SCENARIOS))
+def test_meter_summary_matches_trace_summary_under_attack(scenario):
+    """Drops, shuns and mutated fan-outs count the same traced and trace-free."""
+    traced = run_scenario(scenario, n=7, seed=0)
+    metered = run_scenario(scenario, n=7, seed=0, tracing=False)
+    assert metered.steps == traced.steps
+    _assert_core_counts_match(traced.message_stats, metered.message_stats)
+    trace = metered.trace
+    assert trace.messages_sent == metered.message_stats["messages_sent"]
+    assert trace.messages_delivered == metered.steps
+    assert trace.messages_dropped == metered.message_stats["messages_dropped"]
+    assert trace.total_shun_events() == metered.message_stats["shun_events"]
+    if COUNT_SCENARIOS[scenario]:
+        assert trace.messages_dropped > 0 and trace.total_shun_events() > 0
 
 
 @pytest.mark.parametrize("seed", range(2))

@@ -13,6 +13,7 @@ import inspect
 from pathlib import Path
 
 from repro.core import api
+from repro.core.config import ProtocolParams
 from repro.net.network import Network
 from repro.net.runtime import Simulation
 
@@ -107,6 +108,23 @@ def test_protocols_have_one_send_path():
         if isinstance(node, ast.Attribute) and node.attr == "outgoing_mutator"
     ]
     assert offenders == []
+
+
+def test_one_message_counter():
+    """The trace counts every metered run, traced or trace-free: a second
+    counter beside it (a meter module, ``Network.meter``) is a second
+    implementation of ``message_stats`` that every send, drop and shun site
+    would have to choose between."""
+    counters = [
+        f"{path.relative_to(SRC.parent)}:{lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if "messages_sent +=" in line
+    ]
+    assert [c.split(":")[0] for c in counters] == ["repro/net/tracing.py"], counters
+    assert not (SRC / "obs" / "meter.py").exists()
+    network = Network(ProtocolParams.for_parties(4), tracing=False)
+    assert not hasattr(network, "meter")
 
 
 def test_run_surface():
