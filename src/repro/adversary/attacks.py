@@ -53,7 +53,7 @@ class WithholdingDealerBehavior(HonestButMutatingBehavior):
 
     def __init__(self, victims: Iterable[int]) -> None:
         self.victims: Set[int] = set(victims)
-        super().__init__(self._mutate)
+        super().__init__(self._mutate, kinds=("ROW",))
 
     @classmethod
     def factory(cls, victims: Sequence[int]) -> Callable[[Any], Behavior]:
@@ -63,7 +63,7 @@ class WithholdingDealerBehavior(HonestButMutatingBehavior):
     def _mutate(
         self, receiver: int, session: SessionId, payload: tuple
     ) -> Optional[Tuple[int, SessionId, tuple]]:
-        if payload and payload[0] == "ROW" and receiver in self.victims:
+        if receiver in self.victims:
             return None
         return receiver, session, payload
 
@@ -78,7 +78,7 @@ class BadShareBehavior(HonestButMutatingBehavior):
     def __init__(self, victims: Optional[Iterable[int]] = None, offset: int = 1) -> None:
         self.victims: Optional[Set[int]] = set(victims) if victims is not None else None
         self.offset = offset
-        super().__init__(self._mutate)
+        super().__init__(self._mutate, kinds=("RECROW",))
 
     @classmethod
     def factory(
@@ -92,12 +92,11 @@ class BadShareBehavior(HonestButMutatingBehavior):
     def _mutate(
         self, receiver: int, session: SessionId, payload: tuple
     ) -> Optional[Tuple[int, SessionId, tuple]]:
-        if payload and payload[0] == "RECROW":
-            if self.victims is None or receiver in self.victims:
-                coefficients = list(payload[1])
-                if coefficients:
-                    coefficients[0] = coefficients[0] + self.offset
-                return receiver, session, ("RECROW", tuple(coefficients))
+        if self.victims is None or receiver in self.victims:
+            coefficients = list(payload[1])
+            if coefficients:
+                coefficients[0] = coefficients[0] + self.offset
+            return receiver, session, ("RECROW", tuple(coefficients))
         return receiver, session, payload
 
 
@@ -111,7 +110,7 @@ class PointCorruptingBehavior(HonestButMutatingBehavior):
 
     def __init__(self, offset: int = 1) -> None:
         self.offset = offset
-        super().__init__(self._mutate)
+        super().__init__(self._mutate, kinds=("POINT",))
 
     @classmethod
     def factory(cls, offset: int = 1) -> Callable[[Any], Behavior]:
@@ -121,7 +120,7 @@ class PointCorruptingBehavior(HonestButMutatingBehavior):
     def _mutate(
         self, receiver: int, session: SessionId, payload: tuple
     ) -> Optional[Tuple[int, SessionId, tuple]]:
-        if payload and payload[0] == "POINT" and isinstance(payload[1], int):
+        if isinstance(payload[1], int):
             return receiver, session, ("POINT", payload[1] + self.offset)
         return receiver, session, payload
 
@@ -137,7 +136,7 @@ class DeterministicValueDealer(HonestButMutatingBehavior):
 
     def __init__(self, value: int = 0) -> None:
         self.value = 1 if value else 0
-        super().__init__(lambda receiver, session, payload: (receiver, session, payload))
+        super().__init__(None)
 
     def on_attach(self) -> None:
         super().on_attach()
@@ -169,8 +168,7 @@ class SplitBrainEquivocator(HonestButMutatingBehavior):
 
     def __init__(self, offset: int = 1, kinds: Optional[Iterable[str]] = None) -> None:
         self.offset = offset
-        self.kinds: Optional[Set[str]] = set(kinds) if kinds is not None else None
-        super().__init__(self._mutate)
+        super().__init__(self._mutate, kinds)
 
     @classmethod
     def factory(
@@ -184,8 +182,6 @@ class SplitBrainEquivocator(HonestButMutatingBehavior):
     ) -> Optional[Tuple[int, SessionId, tuple]]:
         assert self.process is not None
         if receiver < self.process.params.n // 2 or not payload:
-            return receiver, session, payload
-        if self.kinds is not None and payload[0] not in self.kinds:
             return receiver, session, payload
         fields = payload[1:]
         mutated = tuple(
@@ -231,7 +227,7 @@ class FBAValueInjector(HonestButMutatingBehavior):
 
     def __init__(self, value: Any) -> None:
         self.value = value
-        super().__init__(lambda receiver, session, payload: (receiver, session, payload))
+        super().__init__(None)
 
     def on_attach(self) -> None:
         super().on_attach()

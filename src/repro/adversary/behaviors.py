@@ -1,8 +1,11 @@
 """Adversarial party behaviours.
 
 A corrupted :class:`~repro.net.process.Process` delegates every delivered
-message to a :class:`Behavior`.  Behaviours range from the trivial (crash:
-ignore everything) to protocol-aware attacks (an equivocating SVSS dealer, a
+message to a :class:`Behavior` -- unless the behaviour runs the honest
+protocol and leaves deliveries alone (:meth:`Behavior.delivery_hook`), in
+which case the party's deliveries take the honest route and the behaviour
+acts on what it sends.  Behaviours range from the trivial (crash: ignore
+everything) to protocol-aware attacks (an equivocating SVSS dealer, a
 coin-biasing participant).  Protocol-specific attacks used by the lower-bound
 experiments live in ``repro.lowerbound``.
 
@@ -15,11 +18,24 @@ can be replayed across many seeds::
 
 from __future__ import annotations
 
+import inspect
 import random
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+from repro.errors import ExperimentError
 from repro.net.message import Message, SessionId
 from repro.net.process import Process
+
+
+# Parameters arrive from campaign JSON, so a factory checks them when it is
+# built (campaign validation), not when a trial corrupts its party; each
+# check names the registered behaviour.
+def check_count(behavior: str, name: str, value: Any) -> None:
+    """Reject a count ``value`` that is not a non-negative int (``bool`` excluded)."""
+    if type(value) is not int or value < 0:
+        raise ExperimentError(
+            f"behavior {behavior!r}: {name} must be a non-negative integer, got {value!r}"
+        )
 
 
 class Behavior:
@@ -44,6 +60,16 @@ class Behavior:
 
     def on_message(self, message: Message) -> None:
         """Handle a message delivered to the corrupted party.  Override."""
+
+    def delivery_hook(self) -> Optional[Callable[[Message], None]]:
+        """What the corrupted process hands each delivery to (see ``Process.corrupt``).
+
+        :meth:`on_message`, or None -- the honest route -- for a behaviour
+        that runs the honest protocol and does not override it.
+        """
+        if self.runs_honest_protocol and type(self).on_message is Behavior.on_message:
+            return None
+        return self.on_message
 
     # ------------------------------------------------------------------
     @property
@@ -83,7 +109,14 @@ class Behavior:
     # ------------------------------------------------------------------
     @classmethod
     def factory(cls, *args: Any, **kwargs: Any) -> Callable[[Process], "Behavior"]:
-        """Return a ``process -> behaviour`` factory for :meth:`Simulation.corrupt`."""
+        """Return a ``process -> behaviour`` factory for :meth:`Simulation.corrupt`.
+
+        Arguments the constructor cannot take raise TypeError here, when the
+        factory is built (campaign validation), not when a trial corrupts
+        its party.
+        """
+        inspect.signature(cls).bind(*args, **kwargs)
+
         def build(_process: Process) -> "Behavior":
             return cls(*args, **kwargs)
 
@@ -111,14 +144,14 @@ class HardCrashBehavior(CrashBehavior):
 
     def on_attach(self) -> None:
         assert self.process is not None
-        self.process.outgoing_mutator = lambda receiver, session, payload: None
+        self.process.set_outgoing_mutator(lambda receiver, session, payload: None)
 
 
 class SilentAfterBehavior(Behavior):
     """Runs honestly for ``active_deliveries`` messages, then crashes.
 
     The honest phase is approximated by echoing the original process logic:
-    the behaviour forwards deliveries to the honest protocol tree until its
+    the behaviour hands deliveries to the process's honest route until its
     budget runs out.  This models mid-protocol crash failures.
     """
 
@@ -129,17 +162,19 @@ class SilentAfterBehavior(Behavior):
         self.active_deliveries = active_deliveries
         self._seen = 0
 
+    @classmethod
+    def factory(cls, active_deliveries: int) -> Callable[[Process], Behavior]:
+        check_count("silent_after", "active_deliveries", active_deliveries)
+        return super().factory(active_deliveries)
+
     def on_message(self, message: Message) -> None:
         assert self.process is not None
         if self._seen >= self.active_deliveries:
             return
         self._seen += 1
-        # Temporarily act honestly: route through the protocol tree.
-        behavior, self.process.behavior = self.process.behavior, None
-        try:
-            self.process.deliver(message)
-        finally:
-            self.process.behavior = behavior
+        self.process.route(
+            message.sender, message.session, message.payload, message, message.receiver
+        )
 
 
 class HonestButMutatingBehavior(Behavior):
@@ -149,34 +184,35 @@ class HonestButMutatingBehavior(Behavior):
     ``(receiver, session, payload)`` tuple, or None to drop the message.
     This captures a large family of Byzantine behaviours (wrong shares,
     flipped bits, selective silence) without re-implementing protocol logic.
-    It is called once per copy, and a fan-out's surviving copies still go
-    out as one fan-out (:attr:`Process.outgoing_mutator`); returning an
-    unchanged payload as the same object keeps a broadcast's copies shared.
+    ``kinds``, when given, declares the only message kinds the mutator is
+    shown: a send of any other kind, lone or fan-out, goes out as an honest
+    party's would, without a call.  Every other send calls it once per copy,
+    and a fan-out's surviving copies still go out as one fan-out
+    (:attr:`Process.outgoing_mutator`); returning an unchanged payload as
+    the same object keeps a broadcast's copies shared.  ``mutator=None``
+    sends unmutated (a behaviour that rigs something other than messages);
+    either way attaching replaces whatever mutator the party had.
+
+    Deliveries take the honest route: the class does not override
+    :meth:`Behavior.on_message`, so the process installs no delivery hook.
     """
 
     runs_honest_protocol = True
 
     def __init__(
         self,
-        mutator: Callable[[int, SessionId, tuple], Optional[Tuple[int, SessionId, tuple]]],
+        mutator: Optional[
+            Callable[[int, SessionId, tuple], Optional[Tuple[int, SessionId, tuple]]]
+        ],
+        kinds: Optional[Iterable[Any]] = None,
     ) -> None:
         super().__init__()
         self.mutator = mutator
+        self.kinds: Optional[FrozenSet[Any]] = None if kinds is None else frozenset(kinds)
 
     def on_attach(self) -> None:
         assert self.process is not None
-        self.process.outgoing_mutator = self.mutator
-        # The process keeps running its honest protocol tree: clear the
-        # behaviour hook for deliveries but remember the corruption flag by
-        # keeping ``behavior`` set on the process (handled in on_message).
-
-    def on_message(self, message: Message) -> None:
-        assert self.process is not None
-        behavior, self.process.behavior = self.process.behavior, None
-        try:
-            self.process.deliver(message)
-        finally:
-            self.process.behavior = behavior
+        self.process.set_outgoing_mutator(self.mutator, self.kinds)
 
 
 class EquivocatingBehavior(Behavior):
@@ -208,6 +244,11 @@ class ReplayBehavior(Behavior):
         self._replayed = 0
         self.log: List[Message] = []
 
+    @classmethod
+    def factory(cls, max_replays: int = 1000) -> Callable[[Process], Behavior]:
+        check_count("replay", "max_replays", max_replays)
+        return super().factory(max_replays)
+
     def on_message(self, message: Message) -> None:
         self.log.append(message)
         if self._replayed < self.max_replays:
@@ -225,6 +266,11 @@ class RandomNoiseBehavior(Behavior):
     def __init__(self, burst: int = 2) -> None:
         super().__init__()
         self.burst = burst
+
+    @classmethod
+    def factory(cls, burst: int = 2) -> Callable[[Process], Behavior]:
+        check_count("random_noise", "burst", burst)
+        return super().factory(burst)
 
     def on_message(self, message: Message) -> None:
         assert self.process is not None

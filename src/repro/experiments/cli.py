@@ -437,14 +437,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    """Every static resolution ``run`` makes before its first trial, per cell."""
+    """Every static resolution ``run`` makes before its first trial, per cell.
+
+    Each cell's problem is one line; the campaign-wide checks (name, policy,
+    duplicate cell names) run once every cell has passed.
+    """
     campaign = CampaignSpec.load(Path(args.campaign))
-    campaign.validate()
     problems: List[str] = []
     for cell in campaign.cells:
         try:
-            # Registry and scenario names (`base~no-component` variants too),
-            # selectors, behaviour and scheduler params, runner params.
+            # The cell's own fields, registry and scenario names
+            # (`base~no-component` variants too), selectors, behaviour and
+            # scheduler params, the corruption budget, runner params.
             CellExecutor(cell)
             build_scheduler(cell.scheduler)
             if cell.fault is not None:
@@ -458,6 +462,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         for line in problems:
             print(f"error: {line}", file=sys.stderr)
         return 1
+    campaign.validate()
     print(
         f"campaign {campaign.name!r}: {len(campaign.cells)} cells, "
         f"{campaign.trials} trials, ok"

@@ -38,6 +38,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.config import max_faults
 from repro.core.results import TrialAggregate
 from repro.errors import ExperimentError
 from repro.experiments.registry import (
@@ -165,6 +166,12 @@ class CellExecutor:
             corruptions = {}
         for pid, spec in sorted(cell.adversary.items()):
             corruptions[pid] = build_behavior_factory(spec)
+        t = max_faults(cell.n)
+        if len(corruptions) > t:
+            raise ExperimentError(
+                f"cell {cell.name!r}: corrupts {len(corruptions)} parties at "
+                f"n={cell.n}, more than t={t}"
+            )
         self.kwargs = kwargs
         self.corruptions = corruptions
         # A cell its runner cannot be called with fails here, before any

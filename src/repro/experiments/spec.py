@@ -40,6 +40,14 @@ def canonical_json(data: Any) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def _party_key(pid: Any) -> Any:
+    """``pid`` as an int when it spells one, else unchanged."""
+    try:
+        return int(pid)
+    except (TypeError, ValueError):
+        return pid
+
+
 @dataclass
 class BehaviorSpec:
     """A named adversarial behaviour plus its constructor parameters."""
@@ -236,8 +244,12 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         self.seeds = [int(seed) for seed in self.seeds]
+        # JSON object keys are strings: a key that spells no integer is kept
+        # as given, for :meth:`validate` to refuse with the cell's name.
         self.adversary = {
-            int(pid): spec if isinstance(spec, BehaviorSpec) else BehaviorSpec.from_dict(spec)
+            _party_key(pid): (
+                spec if isinstance(spec, BehaviorSpec) else BehaviorSpec.from_dict(spec)
+            )
             for pid, spec in self.adversary.items()
         }
         if isinstance(self.scheduler, Mapping):
@@ -263,6 +275,10 @@ class ExperimentSpec:
                 f"{', '.join(sorted(reserved))} (use the dedicated spec fields)"
             )
         for pid in self.adversary:
+            if type(pid) is not int:
+                raise ExperimentError(
+                    f"cell {self.name!r}: adversary key {pid!r} is not a party id"
+                )
             if not 0 <= pid < self.n:
                 raise ExperimentError(
                     f"cell {self.name!r}: corrupted pid {pid} outside 0..{self.n - 1}"
@@ -341,7 +357,7 @@ class ExperimentSpec:
                 seeds=list(data["seeds"]),
                 params=dict(data.get("params", {})),
                 adversary={
-                    int(pid): BehaviorSpec.from_dict(spec)
+                    pid: BehaviorSpec.from_dict(spec)
                     for pid, spec in data.get("adversary", {}).items()
                 },
                 scheduler=(

@@ -128,10 +128,9 @@ class Network:
         #: woken at the steps it asks for (:meth:`install_director`).  ``None``
         #: keeps every hot path on its unobserved branch.
         self.director: Optional[object] = None
-        #: Party ids currently controlled by the adversary.  Tracked here (not
-        #: read off ``process.behavior``) because behaviours may temporarily
-        #: clear the process hook to route one delivery through the honest
-        #: protocol tree.
+        #: Party ids the adversary has controlled.  Tracked here (not read
+        #: off ``process.behavior``) because a restart clears the behaviour
+        #: but refunds nothing: the party stays out of the honest count.
         self._corrupted: Set[int] = set()
         #: Number of honest (never-corrupted) parties.
         self._honest_n = params.n
@@ -407,12 +406,14 @@ class Network:
 
         A copy, of a fan-out or a lone message alike, is handed to its
         handler directly when nothing stands between them -- the receiver
-        runs no behaviour, shuns nobody, and the session's instance exists
-        and has started.  That is a pre-check, not a second router: every
-        other copy is handled by :meth:`Process.deliver_parts`, which
-        re-reads the receiver's behaviour and protocol table per delivery,
-        so a director corrupting or restarting a party mid-run needs nothing
-        more.
+        has no delivery hook (it is honest, or its behaviour runs the honest
+        protocol and leaves deliveries alone), the session's instance exists
+        and has started, and no sender can be shunned for it (the receiver
+        shuns nobody, or the instance was created before its first shun).
+        That is a pre-check, not a second router: every other copy is
+        handled by :meth:`Process.deliver_parts`, which re-reads the
+        receiver's hook and protocol table per delivery, so a director
+        corrupting or restarting a party mid-run needs nothing more.
         """
         # Unless something reads ``step_count`` mid-run (the trace's hooks, a
         # director's audit log, the registry's completion steps, ``until``),
@@ -468,8 +469,11 @@ class Network:
                 if (
                     instance is not None
                     and instance.started
-                    and process.behavior is None
-                    and not process._shunned_from
+                    and process.deliver_hook is None
+                    and (
+                        not process._shunned_from
+                        or instance.birth_index < process._shun_floor
+                    )
                 ):
                     instance.on_message(entry.sender, payload)
                 else:

@@ -7,14 +7,16 @@ different times), applies the shunning rule, and exposes the sending path to
 its protocols.
 
 A process may be *corrupted* by installing a behaviour object (see
-``repro.adversary.behaviors``); from then on the behaviour, not the honest
-protocol tree, decides how to react to deliveries.
+``repro.adversary.behaviors``).  A behaviour that intercepts deliveries
+becomes the process's delivery hook; one that runs the honest protocol and
+leaves deliveries alone (it only mutates what the party sends) installs no
+hook, so its deliveries take the honest route like any other party's.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, TYPE_CHECKING
 
 from repro.core.config import ProtocolParams
 from repro.net.message import Message, SessionId
@@ -37,9 +39,12 @@ class Process:
         "_protocols_get",
         "_pending",
         "_shunned_from",
+        "_shun_floor",
         "_creation_counter",
         "behavior",
+        "deliver_hook",
         "_outgoing_mutator",
+        "_mutated_kinds",
         "send_fanout",
         "ever_corrupted",
     )
@@ -66,16 +71,25 @@ class Process:
         self._pending: Dict[SessionId, List[Any]] = {}
         #: party id -> creation index after which its messages are ignored.
         self._shunned_from: Dict[int, int] = {}
+        #: Creation index of the first shun: no sender is shunned for an
+        #: instance born below it.  Read only while ``_shunned_from`` is set.
+        self._shun_floor = 0
         self._creation_counter = 0
-        #: Optional adversarial behaviour; None means honest.
+        #: Optional adversarial behaviour; None means honest.  Set from
+        #: :meth:`corrupt` until :meth:`reinitialize`, nowhere else.
         self.behavior: Optional["Behavior"] = None
+        #: What a delivery is handed to instead of the honest route (the
+        #: materialised Message); None for an honest party and for a
+        #: behaviour that runs the honest protocol and leaves deliveries
+        #: alone (see :meth:`corrupt`).
+        self.deliver_hook: Optional[Callable[[Message], None]] = None
         #: Sticky corruption flag: once the adversary has controlled this
         #: party it stays attributed to the adversary for budget and
         #: honest-output accounting, even after a scenario ``restart``
         #: returns it to running honest code (restart refunds nothing).
         self.ever_corrupted = False
-        # Also binds ``send_fanout`` (see the ``outgoing_mutator`` setter).
-        self.outgoing_mutator = None
+        # Also binds ``send_fanout``.
+        self.set_outgoing_mutator(None)
 
     # ------------------------------------------------------------------
     # The outgoing mutator.
@@ -88,26 +102,43 @@ class Process:
 
         ``mutator(receiver, session, payload)`` returns the ``(receiver,
         session, payload)`` to send instead, or None to drop the message.
-        Used by honest-but-mutating adversaries.  It is called once per copy
-        of every send: for a fan-out (:attr:`send_fanout`) once per
-        receiver in pid order, ``skip`` left out, with the payload that copy
-        carries.  The copies it leaves standing are then submitted as one
-        :class:`~repro.net.queues.SurvivorsEntry` -- unless it readdressed
-        one (changed its receiver or session), in which case every survivor
-        of that fan-out is submitted as a lone send, in pid order, after the
-        last call.  Either way the sequence numbers are those of a
-        per-receiver submit loop.
+        Used by honest-but-mutating adversaries; installed with
+        :meth:`set_outgoing_mutator`, together with the message kinds it can
+        touch (:attr:`outgoing_kinds`).
 
-        Setting it rebinds :attr:`send_fanout`: ``Network._submit_fanout``
-        itself when None, :meth:`_send_mutated_fanout` otherwise.
+        A send of any other kind -- a fan-out (:attr:`send_fanout`) or a
+        lone send (:meth:`send`) alike -- never reaches the mutator: it is
+        submitted as the very entry an honest sender would submit.  A lone
+        send of a declared kind calls it once.  A fan-out of a declared kind
+        calls it once per receiver in pid order, ``skip`` left out, with the
+        payload that copy carries.  The copies it leaves standing are then
+        submitted as one :class:`~repro.net.queues.SurvivorsEntry` -- unless
+        it readdressed one (changed its receiver or session), in which case
+        every survivor of that fan-out is submitted as a lone send, in pid
+        order, after the last call.  Either way the sequence numbers are
+        those of a per-receiver submit loop.
         """
         return self._outgoing_mutator
 
-    @outgoing_mutator.setter
-    def outgoing_mutator(
-        self, mutator: Optional[Callable[[int, SessionId, tuple], Optional[tuple]]]
+    @property
+    def outgoing_kinds(self) -> Optional[FrozenSet[Any]]:
+        """The message kinds the outgoing mutator can touch; None means any."""
+        return self._mutated_kinds
+
+    def set_outgoing_mutator(
+        self,
+        mutator: Optional[Callable[[int, SessionId, tuple], Optional[tuple]]],
+        kinds: Optional[Iterable[Any]] = None,
     ) -> None:
+        """Install ``mutator`` (None: send unmutated) and the kinds it can touch.
+
+        ``kinds`` None (the default) declares every kind, so every send is
+        shown to the mutator.  Also rebinds :attr:`send_fanout`:
+        ``Network._submit_fanout`` itself when ``mutator`` is None,
+        :meth:`_send_mutated_fanout` otherwise.
+        """
         self._outgoing_mutator = mutator
+        self._mutated_kinds = None if kinds is None else frozenset(kinds)
         #: ``send_fanout(sender, session, kind, payload, values, skip)``: the
         #: one send path of a fan-out, ``payload`` shared or ``(kind,
         #: values[r])`` for each receiver ``r`` but ``skip``.  An unmutated
@@ -121,11 +152,17 @@ class Process:
     # ------------------------------------------------------------------
     @property
     def is_corrupted(self) -> bool:
-        """True when an adversarial behaviour has been installed."""
+        """True from :meth:`corrupt` until :meth:`reinitialize` (its own deliveries included)."""
         return self.behavior is not None
 
     def corrupt(self, behavior: "Behavior") -> None:
-        """Install ``behavior``; the process stops acting honestly."""
+        """Install ``behavior``; the process is the adversary's from now on.
+
+        The delivery hook is derived here: the behaviour's ``on_message``,
+        except for a behaviour that runs the honest protocol
+        (``runs_honest_protocol``) and does not override ``on_message`` --
+        its deliveries take the honest route, the loop's direct one included.
+        """
         # Register with the network first: completion counters must treat any
         # activity during ``attach`` (behaviours may send immediately) as
         # adversarial, and any completions this party already contributed
@@ -133,14 +170,16 @@ class Process:
         self.network.register_corruption(self)
         self.ever_corrupted = True
         self.behavior = behavior
+        self.deliver_hook = behavior.delivery_hook()
         behavior.attach(self)
         self.network.trace.on_corrupt(self.network.step_count, self.pid)
 
     def reinitialize(self) -> None:
         """Rejoin with fresh protocol state (the scenario ``restart`` path).
 
-        Drops the adversarial behaviour, the outgoing mutator, the entire
-        protocol tree, buffered messages and shun state: the party comes back
+        Drops the adversarial behaviour and its delivery hook, the outgoing
+        mutator, the entire protocol tree, buffered messages and shun state
+        (the shun floor too): the party comes back
         indistinguishable from a freshly constructed honest process (its RNG
         stream continues -- a restarted party does not rewind randomness).
         ``ever_corrupted`` stays set: the adversary paid for this party and a
@@ -148,11 +187,13 @@ class Process:
         from the honest accounting.
         """
         self.behavior = None
-        self.outgoing_mutator = None
+        self.deliver_hook = None
+        self.set_outgoing_mutator(None)
         self.protocols = {}
         self._protocols_get = self.protocols.get
         self._pending = {}
         self._shunned_from = {}
+        self._shun_floor = 0
         self._creation_counter = 0
 
     # ------------------------------------------------------------------
@@ -215,7 +256,7 @@ class Process:
     # Sending / receiving.
     # ------------------------------------------------------------------
     def send(self, receiver: int, session: SessionId, payload: tuple) -> None:
-        """Send one message; applies the outgoing mutator when installed.
+        """Send one message; applies the outgoing mutator to a declared kind.
 
         ``session`` and ``payload`` must already be tuples (every in-tree
         caller passes the protocol's interned session and a packed payload
@@ -224,12 +265,14 @@ class Process:
         """
         mutator = self._outgoing_mutator
         if mutator is not None:
-            mutated = mutator(receiver, tuple(session), payload)
-            if mutated is None:
-                return
-            receiver, session, payload = mutated
-            session = tuple(session)
-            payload = tuple(payload)
+            kinds = self._mutated_kinds
+            if kinds is None or (payload[0] if payload else None) in kinds:
+                mutated = mutator(receiver, tuple(session), payload)
+                if mutated is None:
+                    return
+                receiver, session, payload = mutated
+                session = tuple(session)
+                payload = tuple(payload)
         self.network.submit(self.pid, receiver, session, payload)
 
     def _send_mutated_fanout(
@@ -243,14 +286,20 @@ class Process:
     ) -> None:
         """:attr:`send_fanout` through the outgoing mutator (see its docstring).
 
-        The survivors share one entry in one of two forms: ``payload`` when
+        A fan-out of a kind the mutator does not declare is submitted
+        unmutated, as one :class:`~repro.net.queues.FanoutEntry`.  Otherwise the
+        survivors share one entry in one of two forms: ``payload`` when
         the mutator handed every survivor the identical object, ``(kind,
         values[r])`` when every survivor is a pair of one identical ``kind``.
         Payloads are never merged by equality (``(5.0, 7.0) == (5, 7)``), so
         any other mix goes out as lone sends, as does a readdressed fan-out.
         """
-        mutator = self._outgoing_mutator
         network = self.network
+        kinds = self._mutated_kinds
+        if kinds is not None and kind not in kinds:
+            network._submit_fanout(sender, session, kind, payload, values, skip)
+            return
+        mutator = self._outgoing_mutator
         receivers = []
         sends = []
         readdressed = False
@@ -301,19 +350,28 @@ class Process:
 
         ``entry`` is the fan-out entry holding the copy for ``receiver``, or
         a lone Message (its own one copy); ``sender``, ``session`` and
-        ``payload`` are that copy's.  The Message object is only built for
-        the consumers that genuinely need one (an installed behaviour, or the
-        trace argument of a shun drop).  Every case is handled here --
-        behaviour, not-yet-started session (buffered), shunned sender
-        (dropped), started instance (handled).  The unmaterialised delivery
-        loop resolves the last and by far most common case itself and calls
-        this for the rest, so nothing may be decided there that is not
-        decided here.
+        ``payload`` are that copy's.  A delivery hook (:attr:`deliver_hook`)
+        gets the copy materialised; every other copy takes the honest route,
+        :meth:`route`.  The unmaterialised delivery loop resolves the most
+        common case of that route itself -- no hook, a started instance,
+        and no sender shunned for it -- and calls this for the rest, so
+        nothing may be decided there that is not decided here.
         """
-        behavior = self.behavior
-        if behavior is not None:
-            behavior.on_message(entry.materialize(receiver))
+        hook = self.deliver_hook
+        if hook is not None:
+            hook(entry.materialize(receiver))
             return
+        self.route(sender, session, payload, entry, receiver)
+
+    def route(self, sender: int, session, payload: tuple, entry, receiver: int) -> None:
+        """The honest route of one copy (arguments as :meth:`deliver_parts`).
+
+        Buffered while the session's instance has not started, dropped when
+        the sender is shunned for that instance, else handled by it.  The
+        Message object is only built for the trace argument of a shun drop.
+        A behaviour that runs the honest protocol for some deliveries only
+        hands those here from its hook.
+        """
         instance = self._protocols_get(session)
         if instance is None or not instance.started:
             self._pending.setdefault(session, []).append((entry, receiver))
@@ -350,6 +408,8 @@ class Process:
         if party == self.pid:
             return
         if party not in self._shunned_from:
+            if not self._shunned_from:
+                self._shun_floor = self._creation_counter
             self._shunned_from[party] = self._creation_counter
             network = self.network
             network.trace.on_shun(

@@ -114,7 +114,8 @@ class ScenarioDirector:
         self._pending_step_rules: List[Tuple[int, AdaptiveRule]] = [
             (index, rule) for index, rule in enumerate(rules) if rule.on == "step"
         ]
-        #: pid -> outgoing mutator saved when the party was silenced.
+        #: pid -> ``(outgoing mutator, its kinds)`` saved when the party was
+        #: silenced (see ``Process.set_outgoing_mutator``).
         self._silenced: Dict[int, Any] = {}
         #: Parties corrupted *by this director or the static plan* (budget).
         self.corrupted: set = set()
@@ -323,17 +324,18 @@ class ScenarioDirector:
             reason = "already corrupted" if process.is_corrupted else "already silenced"
             self._log("silence-skipped", pid, reason)
             return
-        self._silenced[pid] = process.outgoing_mutator
-        process.outgoing_mutator = lambda receiver, session, payload: None
+        self._silenced[pid] = (process.outgoing_mutator, process.outgoing_kinds)
+        process.set_outgoing_mutator(lambda receiver, session, payload: None)
         self._log("silence", pid, "outgoing channel severed")
 
     def _recover(self, pid: int) -> None:
         """Recover ``pid``: un-silence for free, or restart a corrupted party.
 
-        Recovery of a silenced party restores its saved outgoing mutator and
-        costs nothing (the party was honest all along).  A *corrupted* party
-        cannot be un-corrupted -- recovering it is a restart: fresh protocol
-        state, ``ever_corrupted`` kept, no budget refund.
+        Recovery of a silenced party restores its saved outgoing mutator,
+        with its kinds, and costs nothing (the party was honest all
+        along).  A *corrupted* party cannot be un-corrupted -- recovering it
+        is a restart: fresh protocol state, ``ever_corrupted`` kept, no
+        budget refund.
         """
         assert self.network is not None
         process = self.network.processes[pid]
@@ -341,7 +343,7 @@ class ScenarioDirector:
             self._restart(pid, "timeline:recover")
             return
         if pid in self._silenced:
-            process.outgoing_mutator = self._silenced.pop(pid)
+            process.set_outgoing_mutator(*self._silenced.pop(pid))
             self._log("recover", pid, "outgoing channel restored")
             return
         self._log("recover-skipped", pid, "party is neither silenced nor corrupted")

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.adversary.behaviors import Behavior
-from repro.net.message import Message, SessionId
+from repro.net.message import SessionId
 from repro.scenarios.predicates import match_session, resolve_parties
 from repro.scenarios.spec import validate_tamper
 
@@ -53,9 +53,12 @@ class TamperBehavior(Behavior):
     """Runs the honest protocol; mutates outgoing messages on matched channels.
 
     Construction takes a validated tamper spec (see module docstring).  The
-    delivery side routes straight through the honest protocol tree (the
-    :class:`~repro.adversary.behaviors.HonestButMutatingBehavior` pattern);
-    the sending side installs an outgoing mutator compiled from the spec.
+    delivery side is the honest route: the class does not override
+    ``on_message``, so the process installs no delivery hook (the
+    :class:`~repro.adversary.behaviors.HonestButMutatingBehavior` pattern).
+    The sending side installs an outgoing mutator compiled from the spec,
+    declaring the spec's ``kinds``, so a send of any other kind never
+    reaches it.
     """
 
     runs_honest_protocol = True
@@ -73,15 +76,7 @@ class TamperBehavior(Behavior):
 
     def on_attach(self) -> None:
         assert self.process is not None
-        self.process.outgoing_mutator = self._build_mutator()
-
-    def on_message(self, message: Message) -> None:
-        assert self.process is not None
-        behavior, self.process.behavior = self.process.behavior, None
-        try:
-            self.process.deliver(message)
-        finally:
-            self.process.behavior = behavior
+        self.process.set_outgoing_mutator(self._build_mutator(), self.spec.get("kinds"))
 
     # ------------------------------------------------------------------
     def _build_mutator(
@@ -91,7 +86,6 @@ class TamperBehavior(Behavior):
         params = self.process.params
         prime = params.prime
         spec = self.spec
-        kinds = frozenset(spec["kinds"]) if "kinds" in spec else None
         receivers = (
             frozenset(resolve_parties(spec["receivers"], params.n))
             if "receivers" in spec
@@ -105,8 +99,6 @@ class TamperBehavior(Behavior):
         def mutate(
             receiver: int, session: SessionId, payload: tuple
         ) -> Optional[Tuple[int, SessionId, tuple]]:
-            if kinds is not None and (payload[0] if payload else None) not in kinds:
-                return (receiver, session, payload)
             if receivers is not None and receiver not in receivers:
                 return (receiver, session, payload)
             if pattern is not None and match_session(pattern, session) is None:

@@ -6,6 +6,8 @@ import pytest
 
 from repro.adversary import (
     CrashBehavior,
+    DeterministicValueDealer,
+    FBAValueInjector,
     HonestButMutatingBehavior,
     RandomNoiseBehavior,
     ReplayBehavior,
@@ -100,13 +102,13 @@ class TestMutators:
         assert kinds == ["PUBLIC"]
 
     def test_withholding_dealer_only_drops_rows_to_victims(self):
-        behavior = WithholdingDealerBehavior(victims=[2])
-        kept = behavior._mutate(1, ("s",), ("ROW", (1, 2)))
-        dropped = behavior._mutate(2, ("s",), ("ROW", (1, 2)))
-        other = behavior._mutate(2, ("s",), ("POINT", 5))
-        assert kept is not None
-        assert dropped is None
-        assert other is not None
+        network = Network(ProtocolParams.for_parties(4), seed=0)
+        dealer = network.processes[0]
+        dealer.corrupt(WithholdingDealerBehavior(victims=[2]))
+        dealer.send(1, ("s",), ("ROW", (1, 2)))
+        dealer.send(2, ("s",), ("ROW", (1, 2)))
+        dealer.send(2, ("s",), ("POINT", 5))
+        assert [(m.receiver, m.kind) for m in network.pending] == [(1, "ROW"), (2, "POINT")]
 
 
 class TestNoiseAndReplay:
@@ -142,3 +144,39 @@ class TestHonestProtocolsIgnoreGarbage:
         else:
             result = api.run_aba(4, {0: 1, 1: 1, 2: 1}, seed=1, corruptions=corruptions)
             assert result.agreed_value == 1
+
+
+class TestHonestRunningBehaviors:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: api.run_coinflip(
+                4, seed=11, rounds=1, corruptions={2: DeterministicValueDealer.factory(0)}
+            ),
+            lambda: api.run_fba(
+                4, {0: "x", 1: "x", 2: "y", 3: "evil"}, seed=8,
+                corruptions={3: FBAValueInjector.factory("evil")},
+            ),
+        ],
+        ids=["deterministic_value_dealer", "fba_value_injector"],
+    )
+    def test_behaviors_that_leave_messages_alone_install_no_mutator(
+        self, run, monkeypatch
+    ):
+        """A behaviour that rigs something other than its messages sends as an
+        honest party does: one fan-out entry per send, never a survivors
+        entry, and its deliveries take the honest route (no hook)."""
+        survivors = []
+        submit_survivors = Network._submit_survivors
+
+        def recording(self, sender, *rest):
+            survivors.append(sender)
+            submit_survivors(self, sender, *rest)
+
+        monkeypatch.setattr(Network, "_submit_survivors", recording)
+        network = run().network
+        (corrupted,) = network.corrupted_pids()
+        process = network.processes[corrupted]
+        assert process.is_corrupted
+        assert process.outgoing_mutator is None and process.deliver_hook is None
+        assert survivors == []

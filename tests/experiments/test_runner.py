@@ -222,6 +222,62 @@ class TestTrialAndCell:
         self._assert_refused_at_validate(cell, message, tmp_path, capsys)
 
     @pytest.mark.parametrize(
+        "adversary, message",
+        [
+            (
+                {3: BehaviorSpec("silent_after", {"active_deliveries": "3"})},
+                "'silent_after': active_deliveries .*'3'",
+            ),
+            (
+                {3: BehaviorSpec("silent_after", {"active_deliveries": -1})},
+                "'silent_after': active_deliveries .*-1",
+            ),
+            ({3: BehaviorSpec("replay", {"max_replays": "x"})}, "'replay': max_replays .*'x'"),
+            ({3: BehaviorSpec("random_noise", {"burst": "2"})}, "'random_noise': burst .*'2'"),
+            ({3: BehaviorSpec("random_noise", {"burst": -5})}, "'random_noise': burst .*-5"),
+            (
+                {3: BehaviorSpec("equivocating")},
+                "'equivocating' cannot be built from params .*'value_for_low'",
+            ),
+            (
+                {2: BehaviorSpec("crash"), 3: BehaviorSpec("crash")},
+                "corrupts 2 parties at n=4, more than t=1",
+            ),
+            ({"x": BehaviorSpec("crash")}, "adversary key 'x' is not a party id"),
+        ],
+        ids=[
+            "silent_after-string", "silent_after-negative", "replay-string",
+            "random_noise-string", "random_noise-negative", "equivocating-bare",
+            "over-budget", "non-integer-key",
+        ],
+    )
+    def test_behavior_params_fail_at_validate(
+        self, adversary, message, tmp_path, capsys
+    ):
+        """Every behaviour's params, the corruption budget and the adversary's
+        keys are checked before a trial: one ``error: cell`` line at
+        ``validate``, never an ``ok`` followed by a cell quarantined after
+        its retries (a string count, a constructor missing arguments, one
+        party over t), a run that goes on with a negative count, or a parse
+        error that names no cell and hides the others."""
+        cell = _acast_cell(adversary=adversary)
+        self._assert_refused_at_validate(cell, message, tmp_path, capsys)
+
+    def test_a_malformed_cell_does_not_hide_the_others(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "bad", "cells": [
+            dict(_acast_cell("keyed").to_dict(), adversary={"x": {"behavior": "crash"}}),
+            _acast_cell("plain").to_dict(),
+            dict(_acast_cell("noisy").to_dict(), adversary={
+                "3": {"behavior": "random_noise", "params": {"burst": "2"}},
+            }),
+        ]}))
+        assert main(["validate", str(path)]) == 1
+        first, second = capsys.readouterr().err.splitlines()
+        assert first == "error: cell 'keyed': adversary key 'x' is not a party id"
+        assert second.startswith("error: cell 'noisy': ")
+
+    @pytest.mark.parametrize(
         "cell, message",
         [
             (

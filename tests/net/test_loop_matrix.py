@@ -22,6 +22,7 @@ import pytest
 from reference_loop import reference_loop
 from test_queues import SCHEDULER_FACTORIES, _delivery_trace, _scripted_reactive
 
+from repro.adversary.attacks import PointCorruptingBehavior
 from repro.adversary.behaviors import CrashBehavior
 from repro.core import api
 from repro.core.config import ProtocolParams
@@ -528,16 +529,18 @@ def test_equal_but_distinct_keys_keep_key_then_send_order():
 # the run must still be the reference loop's (which delivers whole Messages
 # through ``Process.deliver``): same order, outputs and drop counts.  (The
 # test's name predates the single loop: the reference loop is what it calls
-# the generic one.)
+# the generic one.)  The route rule: a receiver with a delivery hook, an
+# instance that has not started, or one created at or after the receiver's
+# first shun (a sender may be shunned for it) needs the routine.
 def _why_not_direct(process, sender, session):
-    if process.behavior is not None:
-        return "behavior"
+    if process.deliver_hook is not None:
+        return "hook"
     instance = process.protocols.get(session)
     if instance is None or not instance.started:
         return "not-started"
-    if sender in process._shunned_from:
-        return "shunned-sender"
-    if process._shunned_from:
+    if process._shunned_from and instance.birth_index >= process._shun_floor:
+        if sender in process._shunned_from:
+            return "shunned-sender"
         return "other-sender-while-shunning"
     return "nothing"
 
@@ -566,20 +569,48 @@ def _shun_one(sim):
     sim.build_network().processes[0].shun(3, SESSION)
 
 
+def _honest_running_one(sim):
+    # Party 6 runs the honest protocol and only mutates its POINTs: no hook.
+    sim.corrupt(6, PointCorruptingBehavior.factory())
+
+
+class ShunningDirector(StepDirector):
+    """Makes party 0 shun (honest) party 3 from ``on_step``, mid-run."""
+
+    def on_step(self, step):
+        super().on_step(step)
+        self.network.processes[0].shun(3, SESSION)
+
+
+def _shun_one_mid_run(sim):
+    # Sessions party 0 created before step 150 keep the direct route.
+    sim.director = ShunningDirector([150])
+
+
 #: name -> (set-up, run, why deliver_parts must be called)
 SLOW_PATH_CELLS = {
     "corrupted-party": (
         _corrupt_one,
         lambda sim: sim.run(SESSION, WeakCommonCoin.factory()),
-        {"behavior", "not-started"},
+        {"hook", "not-started"},
     ),
     "corrupted-mid-run": (
         _corrupt_one_mid_run,
         lambda sim: sim.run(SESSION, WeakCommonCoin.factory()),
-        {"behavior", "not-started"},
+        {"hook", "not-started"},
+    ),
+    "honest-running-behavior": (
+        _honest_running_one,
+        lambda sim: sim.run(SESSION, WeakCommonCoin.factory()),
+        {"not-started"},
     ),
     "shun-map": (
         _shun_one,
+        lambda sim: sim.run(SESSION, WeakCommonCoin.factory()),
+        {"not-started", "shunned-sender", "other-sender-while-shunning"},
+    ),
+    "shun-mid-run": (
+        _shun_one_mid_run,
         lambda sim: sim.run(SESSION, WeakCommonCoin.factory()),
         {"not-started", "shunned-sender", "other-sender-while-shunning"},
     ),

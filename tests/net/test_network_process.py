@@ -401,6 +401,33 @@ class TestMutatedFanouts:
         assert self._stream(mutated) == self._stream(looped)
         assert mutated.outputs == looped.outputs
 
+    def test_a_fanout_outside_the_declared_kinds_never_reaches_the_mutator(self):
+        """A mutator that declares the kinds it can touch is shown only those
+        fan-outs; the others go out as an honest sender's entries, and the
+        run is copy for copy the one the same mutator makes undeclared."""
+        from repro.adversary.behaviors import HonestButMutatingBehavior
+        from repro.net.runtime import Simulation
+        from repro.protocols.weak_coin import WeakCommonCoin
+
+        def run(kinds):
+            shown = []
+
+            def offset_points(receiver, session, payload):
+                shown.append(payload[0])
+                if payload[0] == "POINT":
+                    return receiver, session, ("POINT", payload[1] + 1)
+                return receiver, session, payload
+
+            sim = Simulation(ProtocolParams.for_parties(7), seed=0, keep_events="all")
+            sim.corrupt(3, HonestButMutatingBehavior.factory(offset_points, kinds))
+            return sim.run(("weak_coin",), WeakCommonCoin.factory()), shown
+
+        declared, shown = run(["POINT"])
+        undeclared, shown_undeclared = run(None)
+        assert self._stream(declared) == self._stream(undeclared)
+        assert declared.outputs == undeclared.outputs
+        assert set(shown) == {"POINT"} and set(shown_undeclared) > {"POINT"}
+
     def test_survivors_keep_each_copys_own_payload(self):
         """Survivors are never merged by equality: a RECROW broadcast whose
         odd copies carry the same row as floats -- equal to the int row --

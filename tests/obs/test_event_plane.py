@@ -174,9 +174,10 @@ def test_scenario_director_events_reach_every_sink():
 
 def test_every_consumer_counts_every_kind_of_a_tampered_trial(monkeypatch):
     """``tamper-on-share`` at n=7, with the coalition split: party 6 tampers
-    (its mutator maps the copies of each of its fan-outs, submitted as one
-    survivors entry) and party 5 deals bad shares (shuns, and drops of its
-    later messages).  A note per phase puts ``note`` events in the log
+    (its mutator maps the copies of each of its POINT fan-outs, submitted as
+    one survivors entry; its other fan-outs go out as an honest party's) and
+    party 5 deals bad shares (its RECROW fan-outs are survivors entries; shuns,
+    and drops of its later messages).  A note per phase puts ``note`` events in the log
     mid-drive too.  The log counts each pump's events per kind; the
     keep-everything ring, a 64-event ring and an emit-only sink must agree
     on all of it."""
@@ -194,8 +195,8 @@ def test_every_consumer_counts_every_kind_of_a_tampered_trial(monkeypatch):
     def counting_on_fanout(self, step, entry, size):
         if isinstance(entry, Message):  # a lone send: the one-copy fan-out of itself
             lone_sends.append(step)
-        elif isinstance(entry, SurvivorsEntry):  # a corrupted sender's fan-out
-            mutated_fanouts.append(step)
+        elif isinstance(entry, SurvivorsEntry):  # a fan-out its mutator could touch
+            mutated_fanouts.append((entry.sender, entry.kind))
         on_fanout(self, step, entry, size)
 
     def noting_on_phase(self, step, party, session, phase):
@@ -219,7 +220,8 @@ def test_every_consumer_counts_every_kind_of_a_tampered_trial(monkeypatch):
         "send", "deliver", "drop", "complete", "shun", "corrupt", "phase",
         "session_open", "director", "note",
     }
-    assert len(mutated_fanouts) > 30
+    # Only the declared kinds reach a mutator: tamper's POINT, bad share's RECROW.
+    assert set(mutated_fanouts) == {(6, "POINT"), (5, "RECROW")}
     assert lone_sends == []
     assert emit_only.events == kept
     assert list(ring.events) == kept[-64:]

@@ -147,6 +147,52 @@ class TestAdaptiveCorruption:
         RUNNERS.get("weak_coin")(n=16, seed=3, director=director)
         assert len(director.corrupted) == 1
 
+    @pytest.mark.parametrize(
+        "behavior, installed, mutator",
+        [
+            (
+                BehaviorSpec("tamper", {"kinds": ["POINT"], "offset": 1}),
+                "TamperBehavior",
+                "TamperBehavior._build_mutator.<locals>.mutate",
+            ),
+            (
+                BehaviorSpec("silent_after", {"active_deliveries": 10**6}),
+                "SilentAfterBehavior",
+                None,
+            ),
+        ],
+        ids=["tamper", "silent_after"],
+    )
+    def test_a_party_running_honest_code_stays_corrupted_in_its_deliveries(
+        self, behavior, installed, mutator
+    ):
+        """Party 0 is statically corrupted by a behaviour that runs the honest
+        protocol, and a rule hard-crashes the party at which a ``rec`` session
+        opens.  Sessions open at party 0 inside its own deliveries; it must
+        read as corrupted there too, so the rule never takes it (nor swaps
+        its outgoing mutator for the crash's drop-everything one)."""
+        spec = ScenarioSpec(
+            name="honest-running",
+            protocol="weak_coin",
+            corruption=CorruptionPlan(
+                static=[StaticCorruption(select=0, behavior=behavior)],
+                adaptive=[
+                    AdaptiveRule(
+                        on="session_open",
+                        pattern=["...", "rec", "*"],
+                        behavior=BehaviorSpec("hard_crash"),
+                        target="subject",
+                    ),
+                ],
+            ),
+        )
+        result = run_scenario(spec, n=7, seed=1, tracing=False)
+        corrupted = [a[2] for a in result.network.director.actions if a[1] == "corrupt"]
+        assert corrupted and 0 not in corrupted  # the rule fired, elsewhere
+        process = result.network.processes[0]
+        assert type(process.behavior).__name__ == installed
+        assert getattr(process.outgoing_mutator, "__qualname__", None) == mutator
+
 
 class TestFaultTimeline:
     def test_step_triggered_crash_spends_budget(self):
@@ -223,6 +269,39 @@ class TestFaultTimeline:
         # Silence is not a corruption: no budget spent, all four still honest.
         assert director.corrupted == set()
         assert len(result.outputs) == 4
+
+    def test_corrupting_a_silenced_party_replaces_the_silence(self, monkeypatch):
+        """Corruption installs the behaviour's outgoing side even over a
+        silence: a party silenced at step 20 and corrupted at step 25 by a
+        behaviour that leaves its messages alone speaks again."""
+        from repro.net.network import Network
+
+        sent = []
+        for name in ("_submit_fanout", "_submit_survivors"):
+            submit = getattr(Network, name)
+
+            def recording(self, sender, *rest, _submit=submit):
+                sent.append((self.step_count, sender))
+                _submit(self, sender, *rest)
+
+            monkeypatch.setattr(Network, name, recording)
+        spec = ScenarioSpec(
+            name="silenced-then-corrupted",
+            protocol="weak_coin",
+            corruption=CorruptionPlan(adaptive=[
+                AdaptiveRule(on="step", at_step=25, target=1,
+                             behavior=BehaviorSpec("deterministic_value_dealer")),
+            ]),
+            timeline=[FaultEvent(transition="silence", select=1, at_step=20)],
+        )
+        result = run_scenario(spec, n=4, seed=2)
+        actions = result.network.director.actions
+        assert [(step, action, pid) for step, action, pid, _ in actions] == [
+            (20, "silence", 1),
+            (25, "corrupt", 1),
+        ]
+        assert result.network.processes[1].outgoing_mutator is None
+        assert [step for step, sender in sent if sender == 1 and step > 25]
 
     def test_phase_triggered_equivocation(self):
         spec = get_scenario("equivocate-on-share")

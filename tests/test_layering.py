@@ -127,6 +127,39 @@ def test_one_message_counter():
     assert not hasattr(network, "meter")
 
 
+def test_only_corrupt_and_reinitialize_set_a_behavior():
+    """A party's behaviour is installed by ``Process.corrupt`` and dropped by
+    ``Process.reinitialize``, and nothing swaps it in between: a behaviour
+    that runs the honest protocol for a delivery hands it to the honest
+    route, so the party reads as corrupted throughout its own deliveries.
+    (Scenario specs' ``self.behavior`` fields are behaviour specs, not a
+    party's behaviour.)"""
+    setters = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                targets = (
+                    node.targets if isinstance(node, ast.Assign)
+                    else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                    else []
+                )
+                for target in targets:
+                    for leaf in ast.walk(target):
+                        if isinstance(leaf, ast.Attribute) and leaf.attr == "behavior":
+                            setters.add(
+                                (str(path.relative_to(SRC)), ast.unparse(leaf), function.name)
+                            )
+    assert setters == {
+        ("net/process.py", "self.behavior", "__init__"),
+        ("net/process.py", "self.behavior", "corrupt"),
+        ("net/process.py", "self.behavior", "reinitialize"),
+        ("scenarios/spec.py", "self.behavior", "__post_init__"),
+    }
+
+
 def test_run_surface():
     """Every settable value of one run, as a literal list.
 
