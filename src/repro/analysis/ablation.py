@@ -309,9 +309,10 @@ def _stats_signature(aggregate: TrialAggregate) -> Tuple[Any, ...]:
 def cache_hit_rate(aggregate: TrialAggregate) -> Optional[float]:
     """Crypto-plane cache hit rate over the aggregate's trials (or None).
 
-    Pools the row/eval/weight caches (``crypto.plane.*`` counters folded by
-    :meth:`TrialAggregate.add`); None when the cells ran without a metrics
-    registry or never touched the plane.
+    Pools the row/eval caches and the reconstructions answered by lookup
+    against those interpolated (``secret_hits`` / ``weight_misses``; the
+    ``crypto.plane.*`` counters folded by :meth:`TrialAggregate.add`); None
+    when the cells ran without a metrics registry or never touched the plane.
     """
     hits = misses = 0
     for key, value in aggregate.metric_counters.items():

@@ -214,9 +214,8 @@ def lagrange_weights_at_zero(prime: int, xs: Tuple[int, ...]) -> Tuple[int, ...]
     fraction of the cost: prefix/suffix products for the numerators, one
     O(k^2) sweep of difference products and a single :func:`batch_inverse`
     for the denominators, with no polynomial construction at all.  Each cache
-    entry is O(k) ints where a basis entry is O(k^2); reconstruction-heavy
-    sweeps (one fixed-set signature per completed SVSS-Rec) therefore hit a
-    bounded cache of small entries.
+    entry is O(k) ints where a basis entry is O(k^2), so reconstruction-heavy
+    sweeps hit a bounded cache of small entries.
 
     Raises:
         InterpolationError: on duplicate points (callers pre-reduce mod p).
@@ -526,8 +525,6 @@ def bivariate_row(
 #: those from growing a plane without limit (the cache is cleared, not LRU --
 #: hits immediately repopulate the working set).
 _PLANE_ROW_CACHE_LIMIT = 65536
-#: Entry bound for the per-trial fixed-set reconstruction-weight cache.
-_PLANE_WEIGHTS_CACHE_LIMIT = 8192
 
 #: Smallest ``n`` whose plan is vectorised (with numpy importable).  Set by
 #: the *batched* shapes, because those are what an honest trial runs: a
@@ -688,6 +685,11 @@ def get_eval_plan(prime: int, n: int) -> EvalPlan:
     return EvalPlan(prime, n)
 
 
+#: One honest dealing as :meth:`CryptoPlane.deal_rows` tags it: its secret
+#: ``F(0, 0)`` and the row objects it handed parties ``0..n-1``.
+_Dealing = Tuple[int, Tuple[Tuple[int, ...], ...]]
+
+
 class CryptoPlane:
     """Per-network batched-crypto state: a shared plan plus bounded caches.
 
@@ -715,8 +717,11 @@ class CryptoPlane:
     * ``row_evals`` -- trimmed row -> its evaluations at every party point,
       computed once per distinct row network-wide (one batched product) and
       turning every POINT/RECROW consistency check into a list index;
-    * ``weights_for`` -- fixed reconstruction set -> Lagrange weights at
-      zero, shared by the n parallel SVSS-Rec sessions of a coin flip.
+    * ``dealt_secret`` -- ``t + 1`` rows of one honest dealing -> that
+      dealing's secret, read off the dealer's matrix instead of
+      interpolated; any other row set falls back to
+      :meth:`reconstruct_at_zero`, whose weights come from the plan's
+      factor table.
     """
 
     __slots__ = (
@@ -726,7 +731,7 @@ class CryptoPlane:
         "t",
         "row_cache",
         "eval_cache",
-        "weight_cache",
+        "row_tags",
         "stats",
     )
 
@@ -735,16 +740,18 @@ class CryptoPlane:
         self.prime = prime
         self.n = n
         self.t = t
-        #: Cache hit/miss counters per cache, read by the metrics registry.
-        #: Undercounts row hits slightly: the hottest handler (SVSSRec's
-        #: RECROW path) probes ``row_cache`` directly, bypassing
-        #: :meth:`validate_row_record` on a warm hit by design.
+        #: Hit/miss counters, read by the metrics registry.  Undercounts row
+        #: hits slightly: the hottest handler (SVSSRec's RECROW path) probes
+        #: ``row_cache`` directly, bypassing :meth:`validate_row_record` on a
+        #: warm hit by design.  ``secret_hits`` counts reconstructions
+        #: answered by :meth:`dealt_secret`, ``weight_misses`` those that
+        #: computed Lagrange weights (:meth:`reconstruct_at_zero`).
         self.stats: Dict[str, int] = {
             "row_hits": 0,
             "row_misses": 0,
             "eval_hits": 0,
             "eval_misses": 0,
-            "weight_hits": 0,
+            "secret_hits": 0,
             "weight_misses": 0,
         }
         #: Canonical row -> ``(that same tuple, evals at all party points)``;
@@ -754,28 +761,70 @@ class CryptoPlane:
         self.row_cache: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], List[int]]] = {}
         #: Trimmed row -> its evaluations at every party point.
         self.eval_cache: Dict[Tuple[int, ...], List[int]] = {}
-        #: Fixed reconstruction set -> Lagrange weights at zero.
-        self.weight_cache: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        #: Dealt row -> its dealing, the ``(secret, rows)`` pair one
+        #: :meth:`deal_rows` call shares among its rows: ``rows[pid]`` is the
+        #: very object it handed ``pid``.  Keys are a subset of
+        #: ``row_cache``'s, and the two are cleared together.
+        self.row_tags: Dict[Tuple[int, ...], _Dealing] = {}
 
     # ------------------------------------------------------------------
     def deal_rows(self, matrix: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
         """An honest dealer's ``n`` wire rows, entered into the caches.
 
-        The dealer's grid product yields every row *and* its evaluations, so
-        each row gets the record :meth:`validate_row_record` would build on
-        first sight (dealt rows are reduced, trimmed and of degree <= t by
-        construction).  A row equal to one already held is returned as the
-        held object, which is what makes its later sightings hits.
+        ``matrix`` is the dealer's ``(t + 1) x (t + 1)`` coefficient matrix
+        ``F`` (:func:`random_symmetric_matrix`).  The dealer's grid product
+        yields every row *and* its evaluations, so each row gets the record
+        :meth:`validate_row_record` would build on first sight (dealt rows
+        are reduced, trimmed and of degree <= t by construction).  A row
+        equal to one already held is returned as the held object, which is
+        what makes its later sightings hits.  Each returned object is tagged
+        with this dealing: its secret ``F(0, 0) = matrix[0][0]`` and the
+        returned rows (see :meth:`dealt_secret`); an object already tagged
+        keeps its first tag.
         """
         rows, evals = self.plan.bivariate_grid(matrix)
-        row_cache, eval_cache = self.row_cache, self.eval_cache
-        for cache in (row_cache, eval_cache):
-            if len(cache) > _PLANE_ROW_CACHE_LIMIT - len(rows):
-                cache.clear()
+        row_cache, eval_cache, tags = self.row_cache, self.eval_cache, self.row_tags
+        if len(row_cache) > _PLANE_ROW_CACHE_LIMIT - len(rows):
+            row_cache.clear()
+            tags.clear()
+        if len(eval_cache) > _PLANE_ROW_CACHE_LIMIT - len(rows):
+            eval_cache.clear()
         for index, (row, values) in enumerate(zip(rows, evals)):
             values = eval_cache.setdefault(row, values)
             rows[index] = row_cache.setdefault(row, (row, values))[0]
+        dealing = (matrix[0][0] % self.prime, tuple(rows))
+        for row in rows:
+            tags.setdefault(row, dealing)
         return rows
+
+    def dealt_secret(
+        self, pids: Sequence[int], rows: Sequence[Tuple[int, ...]]
+    ) -> Optional[int]:
+        """The secret behind ``rows`` when they are one dealing's, else None.
+
+        ``rows[i]`` is the row party ``pids[i]`` holds.  The first row's
+        value names a dealing ``D``; the answer is ``D``'s secret exactly
+        when every row is the very object :meth:`deal_rows` handed its pid
+        in ``D``.  A row of another pid or dealing, an equal but different
+        tuple, a row no dealing produced or a tag cleared with the row cache
+        gives None.  The answer equals :meth:`reconstruct_at_zero` on the
+        rows' constant terms: the row ``D`` handed pid ``j`` equals
+        ``F_D(x_j, .)``, whose constant term is ``g(x_j)`` for
+        ``g = F_D(., 0)`` of degree at most ``t``, so ``t + 1`` distinct pids
+        (what the callers pass) interpolate to ``g(0) = F_D(0, 0) mod p``.
+        A row two dealings share is handed out by both as one object and
+        keeps its first dealing's tag; either way the rows are ``D``'s, so
+        the argument holds.
+        """
+        dealing = self.row_tags.get(rows[0])
+        if dealing is None:
+            return None
+        secret, dealt = dealing
+        for pid, row in zip(pids, rows):
+            if dealt[pid] is not row:
+                return None
+        self.stats["secret_hits"] += 1
+        return secret
 
     def _validate_uncached(self, coefficients: Any) -> Optional[Tuple[int, ...]]:
         if not isinstance(coefficients, (tuple, list)) or not all(
@@ -822,6 +871,7 @@ class CryptoPlane:
                 trimmed = coefficients
             if len(rows) >= _PLANE_ROW_CACHE_LIMIT:
                 rows.clear()
+                self.row_tags.clear()
             record = rows[trimmed] = (trimmed, self.row_evals(trimmed))
         return record
 
@@ -844,23 +894,15 @@ class CryptoPlane:
             self.stats["eval_hits"] += 1
         return values
 
-    def weights_for(self, pids: Tuple[int, ...]) -> Tuple[int, ...]:
-        """Reconstruction weights for a fixed set of party ids (cached)."""
-        weights = self.weight_cache
-        values = weights.get(pids)
-        if values is None:
-            self.stats["weight_misses"] += 1
-            values = self.plan.subset_weights(pids)
-            if len(weights) >= _PLANE_WEIGHTS_CACHE_LIMIT:
-                weights.clear()
-            weights[pids] = values
-        else:
-            self.stats["weight_hits"] += 1
-        return values
-
     def reconstruct_at_zero(self, pids: Tuple[int, ...], ys: Sequence[int]) -> int:
-        """``f(0)`` from the shares of ``pids`` -- the SVSS-Rec completion map."""
+        """``f(0)`` from the shares of ``pids`` -- the SVSS-Rec completion map.
+
+        The weights are computed afresh (``plan.subset_weights``: table
+        picks and products, no inversion): a coin's reconstructions settle
+        on too many distinct subsets for a cache of them to hit.
+        """
+        self.stats["weight_misses"] += 1
         total = 0
-        for weight, y in zip(self.weights_for(pids), ys):
+        for weight, y in zip(self.plan.subset_weights(pids), ys):
             total += weight * y
         return total % self.prime

@@ -30,7 +30,7 @@ from repro.adversary import attacks, behaviors, scheduling
 from repro.core import api
 from repro.core.config import ProtocolParams
 from repro.errors import ConfigurationError, ExperimentError, FaultInjectionError
-from repro.experiments.spec import BehaviorSpec, SchedulerSpec
+from repro.experiments.spec import BehaviorSpec, SchedulerSpec, is_int, party_key
 from repro.net import scheduler as net_scheduler
 
 
@@ -97,9 +97,14 @@ FAULTS = Registry("chaos fault")
 # ----------------------------------------------------------------------
 # Normalizers
 def _int_keyed_inputs(kwargs: Dict[str, Any]) -> Dict[str, Any]:
-    """JSON object keys are strings; party-indexed maps need int keys back."""
-    if "inputs" in kwargs:
-        kwargs["inputs"] = {int(pid): value for pid, value in kwargs["inputs"].items()}
+    """JSON object keys are strings; party-indexed maps need int keys back.
+
+    An ``inputs`` that is no map, or a key that spells no integer, is kept as
+    given, for :func:`runner_params_problem` to refuse.
+    """
+    inputs = kwargs.get("inputs")
+    if isinstance(inputs, Mapping):
+        kwargs["inputs"] = {party_key(pid): value for pid, value in inputs.items()}
     return kwargs
 
 
@@ -290,6 +295,37 @@ _OBJECT_PARAMS = ("sinks", "coin_source")
 _INT_PARAMS = {"rounds": 1, "coinflip_rounds": 1, "m": 3}
 
 
+#: Per-party ``inputs`` of the agreement runners: the values one party's
+#: input may take (None: any value but None -- an FBA value is any object)
+#: and whether every party needs one (an FBA party without one cannot start;
+#: a binary-agreement party defaults to 0).
+_INPUT_RULES = {"aba": ((0, 1), False), "fba": (None, True)}
+
+
+def _inputs_problem(protocol: str, inputs: Any, n: int) -> Optional[str]:
+    """Why ``inputs`` is no per-party input map of ``protocol`` at ``n`` (or None)."""
+    if not isinstance(inputs, Mapping):
+        return f"param 'inputs' must map party ids to inputs, got {inputs!r}"
+    domain, every = _INPUT_RULES.get(protocol, (None, False))
+    seen = set()
+    for pid, value in inputs.items():
+        party = party_key(pid)
+        if not is_int(party) or not 0 <= party < n:
+            return f"inputs key {pid!r} is not a party id in 0..{n - 1}"
+        seen.add(party)
+        if domain is None and value is None:
+            return f"the input of party {party} is missing (null)"
+        if domain is not None and not (is_int(value) and value in domain):
+            return (
+                f"the input of party {party} must be one of "
+                f"{', '.join(map(str, domain))}, got {value!r}"
+            )
+    if every and len(seen) < n:
+        missing = sorted(set(range(n)) - seen)
+        return f"param 'inputs' has no input for parties {missing}"
+    return None
+
+
 def _param_value_problem(params: Mapping[str, Any]) -> Optional[str]:
     """Why a value in ``params`` cannot reach its runner from a JSON spec (or None)."""
     for name in _OBJECT_PARAMS:
@@ -306,6 +342,8 @@ def _param_value_problem(params: Mapping[str, Any]) -> Optional[str]:
         value = params["epsilon"]
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < 0.5:
             return f"param 'epsilon' must be a number in (0, 1/2), got {value!r}"
+    if "secret" in params and not is_int(params["secret"]):
+        return f"param 'secret' must be an integer, got {params['secret']!r}"
     return None
 
 
@@ -316,12 +354,14 @@ def runner_params_problem(
 
     The runner-side twin of :func:`build_scheduler`'s check: a missing or
     misspelt param, a value of the wrong type or range for a known param
-    (:func:`_param_value_problem`), or a ``prime`` that is not a prime above
-    ``n``, is a spec error raised at validation (campaign cell, ablation
-    grid, beacon request), not an exception in a worker after dispatch.  Two
-    set operations per call, plus a :class:`ProtocolParams` build when
-    ``prime`` is given; the name sets and the primality test are computed
-    once per runner / modulus.
+    (:func:`_param_value_problem`), a ``prime`` that is not a prime above
+    ``n``, or ``inputs`` that are no input map of the runner at ``n``
+    (:func:`_inputs_problem`), is a spec error raised at validation
+    (campaign cell, ablation grid, beacon request), not an exception in a
+    worker after dispatch.  Two set operations per call, plus a
+    :class:`ProtocolParams` build when ``prime`` is given and one pass over
+    ``inputs``; the name sets and the primality test are computed once per
+    runner / modulus.
     """
     required, accepted, _ = runner_signature(RUNNERS.get(protocol))
     if not required.issubset(params):
@@ -342,6 +382,10 @@ def runner_params_problem(
             ProtocolParams.for_parties(n, prime=params["prime"])
         except ConfigurationError as exc:
             return f"runner {protocol!r} at n={n}: {exc}"
+    if "inputs" in params:
+        problem = _inputs_problem(protocol, params["inputs"], n)
+        if problem is not None:
+            return f"runner {protocol!r} at n={n}: {problem}"
     return None
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
@@ -40,12 +41,40 @@ def canonical_json(data: Any) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _party_key(pid: Any) -> Any:
+def party_key(pid: Any) -> Any:
     """``pid`` as an int when it spells one, else unchanged."""
     try:
         return int(pid)
     except (TypeError, ValueError):
         return pid
+
+
+def is_int(value: Any) -> bool:
+    """True for an integer that is not a bool (``True`` is an int in Python)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _ints_as_int(value: Any) -> Any:
+    """``value`` as a plain int when it is an integer, else unchanged."""
+    return int(value) if is_int(value) else value
+
+
+def trial_shape_problem(n: Any, seeds: Any) -> Optional[str]:
+    """Why ``n`` parties over ``seeds`` is no trial shape (or None).
+
+    The one check of a campaign cell's ``n`` / ``seeds`` and a beacon
+    request's ``n`` / ``seed`` (a one-seed list), so the two cannot disagree.
+    Each is an integer as written, never coerced: ``int()`` would read ``"4"``
+    and ``4.5`` as 4 parties and ``true`` as one.
+    """
+    if not is_int(n) or n < 1:
+        return f"n must be a positive integer, got {n!r}"
+    if not isinstance(seeds, list):
+        return f"seeds must be a list of integers, got {seeds!r}"
+    for seed in seeds:
+        if not is_int(seed):
+            return f"seed {seed!r} is not an integer"
+    return None
 
 
 @dataclass
@@ -243,11 +272,15 @@ class ExperimentSpec:
     fault: Optional[FaultSpec] = None
 
     def __post_init__(self) -> None:
-        self.seeds = [int(seed) for seed in self.seeds]
-        # JSON object keys are strings: a key that spells no integer is kept
-        # as given, for :meth:`validate` to refuse with the cell's name.
+        # Integers become plain ints and JSON object keys (always strings)
+        # party ids; anything else -- a string n or seed list, a float seed,
+        # a key that spells no integer -- is kept as given, for
+        # :meth:`validate` to refuse with the cell's name.
+        self.n = _ints_as_int(self.n)
+        if isinstance(self.seeds, Iterable) and not isinstance(self.seeds, (str, Mapping)):
+            self.seeds = [_ints_as_int(seed) for seed in self.seeds]
         self.adversary = {
-            _party_key(pid): (
+            party_key(pid): (
                 spec if isinstance(spec, BehaviorSpec) else BehaviorSpec.from_dict(spec)
             )
             for pid, spec in self.adversary.items()
@@ -264,8 +297,9 @@ class ExperimentSpec:
             raise ExperimentError("experiment cell needs a non-empty name")
         if not self.protocol:
             raise ExperimentError(f"cell {self.name!r}: missing protocol name")
-        if self.n < 1:
-            raise ExperimentError(f"cell {self.name!r}: n must be positive, got {self.n}")
+        problem = trial_shape_problem(self.n, self.seeds)
+        if problem is not None:
+            raise ExperimentError(f"cell {self.name!r}: {problem}")
         if not self.seeds:
             raise ExperimentError(f"cell {self.name!r}: seed list is empty")
         reserved = self.RESERVED_PARAMS.intersection(self.params)
@@ -353,8 +387,8 @@ class ExperimentSpec:
             return cls(
                 name=str(data["name"]),
                 protocol=str(data["protocol"]),
-                n=int(data["n"]),
-                seeds=list(data["seeds"]),
+                n=data["n"],
+                seeds=data["seeds"],
                 params=dict(data.get("params", {})),
                 adversary={
                     pid: BehaviorSpec.from_dict(spec)
@@ -491,7 +525,7 @@ class CampaignSpec:
         Every grid point becomes one cell named ``<key>=<value>,...`` with
         the shared ``seeds``, ``params``, ``adversary`` and ``scheduler``.
         """
-        seed_list = [int(seed) for seed in seeds]
+        seed_list = list(seeds)
         ns = [n] if isinstance(n, int) else list(n)
         axis_items = sorted((axes or {}).items())
         axis_keys = [key for key, _ in axis_items]

@@ -209,7 +209,7 @@ class MetricsRegistry:
                 **{key: value for key, value in sorted(plane.stats.items())},
                 "row_cache_size": len(plane.row_cache),
                 "eval_cache_size": len(plane.eval_cache),
-                "weight_cache_size": len(plane.weight_cache),
+                "row_tags_size": len(plane.row_tags),
             }
         self._crypto = crypto
         return self.snapshot()

@@ -46,10 +46,12 @@ Hot-path design (SVSS messages dominate every coin/agreement trial):
   on first sight -- and an entry only answers for the very payload object it
   is stored under (an equal tuple of floats is not the row).  The plane is
   simulator memory, not a party's: a dealt row is in it before it is
-  delivered, so behaviours must never read it.  Reconstruction takes its
-  Lagrange weights from the plan's factor table, memoised per fixed-set
-  signature across the ``n`` parallel :class:`SVSSRec` sessions of a coin
-  flip.  The scalar kernels remain the oracle: every plane answer is
+  delivered, so behaviours must never read it.  Reconstruction from ``t + 1``
+  rows one honest dealer dealt to those very parties is a lookup of its
+  secret ``F(0, 0)`` (``CryptoPlane.dealt_secret``, equal to interpolation
+  by Lagrange uniqueness); any other row set -- tampered, Byzantine-dealt,
+  mixed -- is interpolated with Lagrange weights picked from the plan's
+  factor table.  The scalar kernels remain the oracle: every plane answer is
   byte-identical (``tests/crypto/test_eval_plan.py``,
   ``tests/protocols/test_svss.py::test_handlers_match_scalar_model``,
   ``tests/test_golden_trials.py``).
@@ -149,7 +151,7 @@ class SVSSShare(Protocol):
     def __init__(self, process: Process, session: SessionId, dealer: int) -> None:
         super().__init__(process, session)
         self.dealer = dealer
-        #: Network-wide batched crypto plane (shared row/eval/weight caches).
+        #: Network-wide batched crypto plane (shared row/eval caches and tags).
         self._plane = process.network.crypto_plane()
         #: This party's row as a reduced int tuple (None until known).
         self.row_ints: Optional[Tuple[int, ...]] = None
@@ -444,7 +446,7 @@ class SVSSRec(Protocol):
     def __init__(self, process: Process, session: SessionId, dealer: int) -> None:
         super().__init__(process, session)
         self.dealer = dealer
-        #: Network-wide batched crypto plane (shared row/eval/weight caches).
+        #: Network-wide batched crypto plane (shared row/eval caches and tags).
         self._plane = plane = process.network.crypto_plane()
         # Direct reference to the plane's shared row cache: the RECROW handler
         # is the single hottest protocol path of a coin trial, and the hit
@@ -527,8 +529,12 @@ class SVSSRec(Protocol):
         if len(validated) < self._t1:
             return
         chosen = sorted(validated)[: self._t1]
-        # A validated row's value at 0 is its (reduced) constant term; the
-        # fixed-set Lagrange weights are memoised on the plane, shared by all
-        # n parallel SVSS-Rec sessions that settle on the same signature.
-        ys = [validated[pid][0] for pid in chosen]
-        self.complete(self._plane.reconstruct_at_zero(tuple(chosen), ys))
+        rows = [validated[pid] for pid in chosen]
+        # Rows an honest dealer dealt to exactly these pids name its secret
+        # (a lookup, equal to the interpolation below); any other set is
+        # interpolated from the rows' values at 0, their constant terms.
+        plane = self._plane
+        secret = plane.dealt_secret(chosen, rows)
+        if secret is None:
+            secret = plane.reconstruct_at_zero(tuple(chosen), [row[0] for row in rows])
+        self.complete(secret)

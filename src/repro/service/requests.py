@@ -24,7 +24,7 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro.errors import ServiceError
 from repro.experiments.registry import FAULTS, RUNNERS, runner_params_problem
-from repro.experiments.spec import ExperimentSpec, canonical_json
+from repro.experiments.spec import ExperimentSpec, canonical_json, trial_shape_problem
 
 #: Convenience aliases accepted anywhere a protocol name is taken.
 PROTOCOL_ALIASES = {"coin": "coinflip"}
@@ -84,8 +84,9 @@ class BeaconRequest:
     def validate(self) -> None:
         """Reject malformed requests before they reach a shard."""
         resolve_protocol(self.protocol)
-        if self.n < 1:
-            raise ServiceError(f"request {self.request_id}: n must be >= 1, got {self.n}")
+        problem = trial_shape_problem(self.n, [self.seed])
+        if problem is not None:
+            raise ServiceError(f"request {self.request_id}: {problem}")
         reserved = ExperimentSpec.RESERVED_PARAMS.intersection(self.params)
         if reserved:
             raise ServiceError(
@@ -160,8 +161,8 @@ class BeaconRequest:
         try:
             return cls(
                 protocol=str(data["protocol"]),
-                n=int(data["n"]),
-                seed=int(data["seed"]),
+                n=data["n"],
+                seed=data["seed"],
                 params=dict(data.get("params", {})),
                 request_id=str(data.get("request_id", "")),
                 fault=dict(data["fault"]) if data.get("fault") is not None else None,

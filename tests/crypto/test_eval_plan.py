@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import kernels
@@ -311,14 +311,84 @@ class TestValidateRows:
             assert type(key) is tuple and all(type(c) is int for c in key)
             assert key is record[0]
 
-    def test_weight_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_PLANE_WEIGHTS_CACHE_LIMIT", 4)
-        plane = kernels.CryptoPlane(MATMUL_PRIME, 64, 21)
-        rng = random.Random(7)
-        for _ in range(30):
-            pids = tuple(sorted(rng.sample(range(64), 22)))
-            plane.weights_for(pids)
-        assert len(plane.weight_cache) <= 4
+    def test_tag_table_is_bounded(self, monkeypatch):
+        """Row tags live and die with the row cache they index."""
+        monkeypatch.setattr(kernels, "_PLANE_ROW_CACHE_LIMIT", 8)
+        plane = kernels.CryptoPlane(SMALL_PRIME, 7, 2)
+        rng = random.Random(12)
+        for step in range(30):
+            if step % 3 == 0:
+                plane.validate_row((step, 1))  # an untagged row in the same cache
+            matrix = _symmetric(3, lambda i, j: rng.randrange(SMALL_PRIME))
+            rows = plane.deal_rows(matrix)
+            assert len(plane.row_tags) <= len(plane.row_cache) <= 8
+            for row, (_, dealt) in plane.row_tags.items():
+                assert plane.row_cache[row][0] is row and any(r is row for r in dealt)
+            assert plane.dealt_secret(range(3), rows[:3]) == matrix[0][0]
+        for value in range(2):  # the second overflows: clears rows and tags
+            plane.validate_row((SMALL_PRIME - 1 - value, 1))
+        assert not plane.row_tags and len(plane.row_cache) == 1
+
+
+def _scalar_plan(prime, n):
+    """The plain-int plan for ``(prime, n)``, as on a box without numpy."""
+    saved, kernels._np = kernels._np, None
+    try:
+        return kernels.EvalPlan(prime, n)
+    finally:
+        kernels._np = saved
+
+
+@st.composite
+def two_dealings(draw):
+    """Two honest dealings on one plane at n in {4, 7, 16} on either plan, and
+    ``t + 1`` distinct pids in any order."""
+    n = draw(st.sampled_from((4, 7, 16)))
+    prime = draw(st.sampled_from(PRIMES))
+    t = (n - 1) // 3
+    plane = kernels.CryptoPlane(prime, n, t)
+    if draw(st.booleans()):
+        plane.plan = _scalar_plan(prime, n)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    matrices = [
+        kernels.random_symmetric_matrix(prime, t, rng, rng.randrange(prime)) for _ in range(2)
+    ]
+    pids = draw(st.permutations(range(n)))[: t + 1]
+    return plane, matrices, pids
+
+
+@settings(max_examples=120, deadline=None)
+@given(two_dealings())
+def test_a_dealing_names_its_secret_only_for_its_own_rows(inputs):
+    """``dealt_secret`` answers the dealing's ``F(0, 0)`` -- the interpolation
+    of the rows' constant terms -- for any ``t + 1`` of its rows at their own
+    pids, and None for anything else."""
+    plane, (first, second), pids = inputs
+    rows = plane.deal_rows(first)
+    others = plane.deal_rows(second)
+    assume(len(set(rows + others)) == 2 * plane.n)  # no row dealt twice
+    secret = first[0][0]
+    mine = [rows[pid] for pid in pids]
+    assert plane.reconstruct_at_zero(tuple(pids), [row[0] for row in mine]) == secret
+    assert plane.dealt_secret(pids, mine) == secret
+    assert plane.dealt_secret(pids, [others[pid] for pid in pids]) == second[0][0]
+    # Rows handed to the wrong pids.
+    shifted = [rows[(pid + 1) % plane.n] for pid in pids]
+    assert plane.dealt_secret(pids, shifted) is None
+    # Rows mixed from two dealings.
+    assert plane.dealt_secret(pids, mine[:-1] + [others[pids[-1]]]) is None
+    # An equal but different tuple.
+    assert plane.dealt_secret(pids, [tuple(list(mine[0]))] + mine[1:]) is None
+    assert plane.stats["secret_hits"] == 2
+    # The row cache overflows (one new miss-path row at the limit): the tags
+    # go too.
+    fresh = next(row for row in ((c, 1) for c in range(3)) if row not in plane.row_cache)
+    saved, kernels._PLANE_ROW_CACHE_LIMIT = kernels._PLANE_ROW_CACHE_LIMIT, len(plane.row_cache)
+    try:
+        plane.validate_row(fresh)
+    finally:
+        kernels._PLANE_ROW_CACHE_LIMIT = saved
+    assert plane.dealt_secret(pids, mine) is None
 
 
 class TestReconstructionWeights:

@@ -95,7 +95,7 @@ class TestRunnerParams:
         problem = runner_params_problem("coinflip", {"roundz": 1}, 4)
         assert "takes no params ['roundz']" in problem and "'rounds'" in problem
         assert runner_params_problem("coinflip", {"rounds": 1}, 4) is None
-        assert runner_params_problem("fba", {"inputs": {0: 1}}, 4) is None
+        assert runner_params_problem("fba", {"inputs": dict.fromkeys(range(4), 1)}, 4) is None
 
     def test_a_modulus_that_is_not_a_prime_above_n_is_named(self):
         """The field modulus is checked where it enters, at the n the cell runs."""

@@ -340,6 +340,48 @@ class TestTrialAndCell:
         assert not any(metrics.counter_values().values())
         assert not multiprocessing.active_children()
 
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ({"protocol": "weak_coin", "n": 4, "seeds": "abc"}, "seeds must be a list of integers, got 'abc'"),
+            ({"protocol": "aba", "n": 4, "seeds": [0], "params": {"inputs": "x"}},
+             "runner 'aba' at n=4: param 'inputs' must map party ids to inputs, got 'x'"),
+            ({"protocol": "weak_coin", "n": "4", "seeds": [0]}, "n must be a positive integer, got '4'"),
+            ({"protocol": "weak_coin", "n": 4.5, "seeds": [0]}, r"n must be a positive integer, got 4\.5"),
+            ({"protocol": "weak_coin", "n": True, "seeds": [0]}, "n must be a positive integer, got True"),
+            ({"protocol": "weak_coin", "n": 4, "seeds": [1.5]}, r"seed 1\.5 is not an integer"),
+            ({"protocol": "weak_coin", "n": 4, "seeds": [True]}, "seed True is not an integer"),
+            ({"protocol": "svss", "n": 4, "seeds": [0], "params": {"secret": 1.5}},
+             r"runner 'svss': param 'secret' must be an integer, got 1\.5"),
+            ({"protocol": "aba", "n": 4, "seeds": [0], "params": {"inputs": {"0": 2}}},
+             "runner 'aba' at n=4: the input of party 0 must be one of 0, 1, got 2"),
+            ({"protocol": "svss", "n": 4, "seeds": [0], "params": {"secret": "x"}},
+             "runner 'svss': param 'secret' must be an integer, got 'x'"),
+            ({"protocol": "fba", "n": 4, "seeds": [0], "params": {"inputs": {"0": 1}}},
+             r"runner 'fba' at n=4: param 'inputs' has no input for parties \[1, 2, 3\]"),
+        ],
+        ids=[
+            "seeds-string", "aba-inputs-string", "n-string", "n-float", "n-bool",
+            "seed-float", "seed-bool", "svss-secret-float", "aba-input-2",
+            "svss-secret-string", "fba-inputs-omit-parties",
+        ],
+    )
+    def test_wrong_typed_sizes_and_inputs_fail_closed(self, cell, message, tmp_path, capsys):
+        """``n``, seeds, an SVSS secret and agreement inputs are checked as
+        written: one ``error: cell`` line at ``validate`` that names the cell
+        and hides no other, and ``run_campaign`` refuses the cell -- never a
+        parse error naming no cell, a traceback, a string, float or bool
+        coerced to an int, or a worker failing at trial time."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "bad", "cells": [
+            dict(cell, name="bad-cell"), _acast_cell("good").to_dict(),
+        ]}))
+        assert main(["validate", str(path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: cell 'bad-cell': ") and re.search(message, line), line
+        with pytest.raises(ExperimentError, match=message):
+            run_campaign(CampaignSpec.load(path))
+
     def test_kwargs_runner_still_takes_any_param(self, monkeypatch):
         """Registered runners need not have the in-tree signatures: one that
         takes ``**kwargs`` is handed whatever the cell says."""

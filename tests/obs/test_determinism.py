@@ -19,6 +19,7 @@ import pytest
 from repro.adversary import attacks
 from repro.core import api
 from repro.core.config import ProtocolParams
+from repro.crypto import kernels
 from repro.net.runtime import Simulation
 from repro.obs.sinks import JsonlSink, RingBufferSink
 from repro.obs.timeline import TimelineBuilder
@@ -227,6 +228,20 @@ STREAM_PINS = {
 
 @pytest.mark.parametrize("name", sorted(STREAM_PINS))
 def test_the_event_stream_is_pinned(name, tmp_path):
+    _check_stream_pin(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_PINS))
+def test_the_event_stream_is_pinned_when_every_reconstruction_interpolates(
+    name, tmp_path, monkeypatch
+):
+    """The dealt-secret lookup is invisible: with it off, every SVSS-Rec
+    interpolates, and the stream is the same byte for byte."""
+    monkeypatch.setattr(kernels.CryptoPlane, "dealt_secret", lambda plane, pids, rows: None)
+    _check_stream_pin(name, tmp_path)
+
+
+def _check_stream_pin(name, tmp_path):
     run, digest, lines, drops = STREAM_PINS[name]
     path = tmp_path / "trace.jsonl"
     result = run([JsonlSink(path)])

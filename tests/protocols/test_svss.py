@@ -272,6 +272,61 @@ def test_float_alias_of_a_cached_row_is_validated_not_looked_up(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# SVSS-Rec completes by lookup from rows an honest dealer dealt to those very
+# parties (``CryptoPlane.dealt_secret``); any other sharing is interpolated.
+def _reconstructions(result, dealer=None):
+    """How many parties completed SVSS-Rec of ``dealer`` (of every dealer)."""
+    coins = [process.protocol(("weak_coin",)) for process in result.network.processes]
+    return sum(
+        len(coin.reconstructed) if dealer is None else dealer in coin.reconstructed
+        for coin in coins
+    )
+
+
+def test_an_honest_coin_reconstructs_every_sharing_by_lookup():
+    result = api.run_weak_coin(16, seed=5, metrics=True)
+    plane_cache = result.metrics["crypto"]["plane_cache"]
+    assert plane_cache["weight_misses"] == 0
+    assert plane_cache["secret_hits"] == _reconstructions(result) > 16
+
+
+def test_a_sharing_the_plane_never_dealt_is_interpolated():
+    """A dealer that runs honestly but sends each party the row of a second
+    symmetric matrix deals a consistent sharing the plane never tagged: its
+    reconstructions take the weights path and output that matrix's F(0, 0),
+    while the honest dealers' sharings of the same coin are looked up."""
+    n, dealer = 7, 6
+    params = ProtocolParams.for_parties(n)
+    prime, t = params.prime, params.t
+    rng = random.Random(21)
+    matrices = {}
+
+    def second_sharing(receiver, session, payload):
+        if session not in matrices:
+            matrices[session] = kernels.random_symmetric_matrix(
+                prime, t, rng, rng.randrange(prime)
+            )
+        row = kernels.bivariate_row(prime, matrices[session], party_point(receiver))
+        return receiver, session, ("ROW", kernels.poly_trim(row))
+
+    result = api.run_weak_coin(
+        n,
+        seed=3,
+        corruptions={
+            dealer: lambda process: HonestButMutatingBehavior(second_sharing, kinds=("ROW",))
+        },
+    )
+    ((_, matrix),) = matrices.items()
+    assert {
+        process.protocol(("weak_coin",)).reconstructed.get(dealer, matrix[0][0])
+        for process in result.network.processes
+    } == {matrix[0][0]}
+    stats = result.network.crypto_plane().stats
+    assert stats["weight_misses"] == _reconstructions(result, dealer) > 0
+    assert stats["secret_hits"] == _reconstructions(result) - stats["weight_misses"] > 0
+
+
+# ----------------------------------------------------------------------
 # Differential model.  The handlers answer every row question from the
 # network-wide crypto plane -- seeded by the dealer's grid product, probed by
 # identity, filled on first sight.  The model below keeps no cache and asks
@@ -641,10 +696,17 @@ def test_handlers_match_scalar_model(n, seeds):
             seen.add("row-lookup")
         if stats["row_misses"]:
             seen.add("row-first-sight")
+        if stats["secret_hits"]:
+            seen.add("secret-lookup")
+        if stats["weight_misses"]:
+            seen.add("secret-interpolated")
         if all(model.rec_done for model in models):
             seen.add("all-reconstructed")
+    # At n=25 only two senders lie, and every reconstruction set seen holds
+    # dealt rows only: the interpolation path is the small sizes' to cover.
+    interpolated = {"secret-interpolated"} if n < 25 else set()
     assert seen == {
         "dealt", "recovered", "duplicate", "after-completion", "point-before-row",
         "row-from-non-dealer", "dealer-shunned", "peer-shunned", "rec-replayed",
-        "row-lookup", "row-first-sight", "all-reconstructed",
-    }
+        "row-lookup", "row-first-sight", "secret-lookup", "all-reconstructed",
+    } | interpolated

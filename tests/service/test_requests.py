@@ -51,6 +51,31 @@ class TestBeaconRequest:
         with pytest.raises(ServiceError, match=f"{request.request_id}: runner .*{named}"):
             request.validate()
 
+    @pytest.mark.parametrize(
+        "n, seed, protocol, params, named",
+        [
+            ("4", 1, "weak_coin", {}, "n must be a positive integer, got '4'"),
+            (True, 1, "weak_coin", {}, "n must be a positive integer, got True"),
+            (4, 1.5, "weak_coin", {}, r"seed 1\.5 is not an integer"),
+            (4, True, "weak_coin", {}, "seed True is not an integer"),
+            (4, 1, "aba", {"inputs": "x"}, "'inputs' must map party ids to inputs, got 'x'"),
+            (4, 1, "aba", {"inputs": {0: 2}}, "the input of party 0 must be one of 0, 1, got 2"),
+            (4, 1, "svss", {"secret": "x"}, "'secret' must be an integer, got 'x'"),
+            (4, 1, "fba", {"inputs": {"0": 1}}, r"no input for parties \[1, 2, 3\]"),
+        ],
+        ids=[
+            "n-string", "n-bool", "seed-float", "seed-bool", "aba-inputs-string",
+            "aba-input-2", "svss-secret-string", "fba-inputs-omit-parties",
+        ],
+    )
+    def test_wrong_typed_sizes_and_inputs_are_rejected(self, n, seed, protocol, params, named):
+        """The campaign cell's check, so a request and a cell cannot disagree;
+        ``from_dict`` keeps the values as written for it to refuse."""
+        request = BeaconRequest(protocol=protocol, n=n, seed=seed, params=params)
+        for candidate in (request, BeaconRequest.from_dict(request.to_dict())):
+            with pytest.raises(ServiceError, match=f"request {request.request_id}: .*{named}"):
+                candidate.validate()
+
     def test_unknown_fault_rejected(self):
         request = BeaconRequest(
             protocol="weak_coin", n=4, seed=1, fault={"fault": "gremlin"}

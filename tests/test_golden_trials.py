@@ -25,16 +25,21 @@ from repro.protocols.weak_coin import WeakCommonCoin
 GOLDEN = json.loads((Path(__file__).parent / "golden_trials.json").read_text())
 
 
-@pytest.fixture(autouse=True, params=["auto", "scalar"])
+@pytest.fixture(autouse=True, params=["auto", "scalar", "auto-weights", "scalar-weights"])
 def plane(request, monkeypatch):
-    """Every golden on both crypto planes, in one interpreter.
+    """Every golden on both crypto planes, with and without the secret lookup.
 
     ``auto`` is what the engine picks (vectorised from n=7 up when numpy is
     importable); ``scalar`` hides numpy from the kernels, so every plan is the
-    plain-int oracle -- the configuration of a box without numpy.  The
-    fingerprints must not know the difference.
+    plain-int oracle -- the configuration of a box without numpy.  A
+    ``-weights`` variant turns ``CryptoPlane.dealt_secret`` off, so every
+    reconstruction interpolates.  The fingerprints must not know the
+    difference.
     """
-    if request.param == "auto":
+    mode, _, lookup = request.param.partition("-")
+    if lookup:
+        monkeypatch.setattr(kernels.CryptoPlane, "dealt_secret", lambda plane, pids, rows: None)
+    if mode == "auto":
         yield
         return
     if kernels._np is None:
