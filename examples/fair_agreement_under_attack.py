@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.adversary import EquivocatingACastSender, FBAValueInjector, favour_parties
+from repro.adversary import EquivocatingACastSender, FBAValueInjector
 from repro.core import api
+from repro.scenarios.schedulers import rushing
 
 TRIALS = 15
 ADVERSARY = 3
@@ -40,7 +41,7 @@ def unanimous_honest_inputs() -> None:
             seed=500 + trial,
             coinflip_rounds=1,
             corruptions={ADVERSARY: FBAValueInjector.factory(ADVERSARY_VALUE)},
-            scheduler=favour_parties([ADVERSARY]),
+            scheduler=rushing([ADVERSARY]),
         )
         if result.agreed_value == "honest-plan":
             wins += 1

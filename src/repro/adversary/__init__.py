@@ -1,4 +1,9 @@
-"""Adversary framework: corrupted-party behaviours and scheduling attacks."""
+"""Adversary framework: corrupted-party behaviours.
+
+The scheduling attacks (the adversary's other lever, delivery order) are
+named in :data:`repro.experiments.registry.SCHEDULERS` and built from
+:mod:`repro.net.scheduler` by :mod:`repro.scenarios.schedulers`.
+"""
 
 from repro.adversary.attacks import (
     BadShareBehavior,
@@ -9,13 +14,6 @@ from repro.adversary.attacks import (
     SplitBrainEquivocator,
     WithholdingDealerBehavior,
     corrupt_map,
-)
-from repro.adversary.scheduling import (
-    delay_protocol,
-    favour_parties,
-    isolate_party,
-    random_scheduler,
-    split_brain,
 )
 from repro.adversary.behaviors import (
     Behavior,
@@ -47,9 +45,4 @@ __all__ = [
     "PointCorruptingBehavior",
     "WithholdingDealerBehavior",
     "corrupt_map",
-    "delay_protocol",
-    "favour_parties",
-    "isolate_party",
-    "random_scheduler",
-    "split_brain",
 ]

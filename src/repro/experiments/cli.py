@@ -38,7 +38,7 @@ from repro.analysis.ablation import (
     sweep_table,
 )
 from repro.errors import ExperimentError, ServiceError, SimulationError
-from repro.experiments.registry import FAULTS, build_scheduler
+from repro.experiments.registry import FAULTS
 from repro.experiments.runner import (
     DEFAULT_CHUNK_TRIALS,
     CampaignInterrupted,
@@ -450,7 +450,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             # (`base~no-component` variants too), selectors, behaviour and
             # scheduler params, the corruption budget, runner params.
             CellExecutor(cell)
-            build_scheduler(cell.scheduler)
             if cell.fault is not None:
                 FAULTS.get(cell.fault.fault)
         except ExperimentError as exc:

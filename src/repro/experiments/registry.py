@@ -8,7 +8,10 @@ JSON.  The three registries here resolve those names:
 * :data:`BEHAVIORS` -- behaviour-factory builders from
   :mod:`repro.adversary.behaviors` / :mod:`repro.adversary.attacks`.
 * :data:`SCHEDULERS` -- scheduler builders from :mod:`repro.net.scheduler`
-  and :mod:`repro.adversary.scheduling`.
+  and the hostile scheduler family of :mod:`repro.scenarios.schedulers`,
+  which also registers the four legacy names (``isolate_party``,
+  ``delay_protocol``, ``favour_parties``, ``split_brain``) as alias rows
+  over their targets.
 
 Downstream code can extend any registry::
 
@@ -26,7 +29,7 @@ import time
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.adversary import attacks, behaviors, scheduling
+from repro.adversary import attacks, behaviors
 from repro.core import api
 from repro.core.config import ProtocolParams
 from repro.errors import ConfigurationError, ExperimentError, FaultInjectionError
@@ -142,10 +145,6 @@ BEHAVIORS.add("split_equivocator", attacks.SplitBrainEquivocator.factory)
 # Schedulers
 SCHEDULERS.add("fifo", net_scheduler.FIFOScheduler)
 SCHEDULERS.add("random", net_scheduler.RandomScheduler)
-SCHEDULERS.add("isolate_party", scheduling.isolate_party)
-SCHEDULERS.add("favour_parties", scheduling.favour_parties)
-SCHEDULERS.add("split_brain", scheduling.split_brain)
-SCHEDULERS.add("delay_protocol", scheduling.delay_protocol)
 SCHEDULERS.add("delay_from_parties", net_scheduler.delay_from_parties)
 SCHEDULERS.add("delay_to_parties", net_scheduler.delay_to_parties)
 
@@ -228,7 +227,9 @@ def build_scheduler(spec: Optional[SchedulerSpec]) -> Optional[net_scheduler.Sch
 
     Params the builder cannot take (a missing or misspelt key, a value of
     the wrong shape) are a spec error, not a crash: campaign validation makes
-    this call before any trial runs.
+    this call before any trial runs.  A builder's own :class:`ExperimentError`
+    (a bad step budget, overlapping groups) is prefixed with the name the
+    spec used, so an alias's errors name the alias.
     """
     if spec is None:
         return None
@@ -241,6 +242,8 @@ def build_scheduler(spec: Optional[SchedulerSpec]) -> Optional[net_scheduler.Sch
             f"scheduler {spec.scheduler!r} cannot be built from params "
             f"{sorted(params)}: {exc}"
         ) from exc
+    except ExperimentError as exc:
+        raise ExperimentError(f"scheduler {spec.scheduler!r}: {exc}") from exc
 
 
 #: Runner arguments the executor supplies itself, never read from ``params``.
@@ -390,9 +393,10 @@ def runner_params_problem(
 
 
 # ----------------------------------------------------------------------
-# The hostile scheduler family registers itself on import; pulling it in here
-# (at the end, once the registries and builders above exist) means campaigns
-# can name targeted_delay / session_starvation / partition_heal / rushing
-# whether or not repro.scenarios was imported first.
+# The hostile scheduler family (and the alias rows over it) registers itself
+# on import; pulling it in here (at the end, once the registries and builders
+# above exist) means campaigns can name targeted_delay / session_starvation /
+# partition_heal / rushing / isolate_party ... whether or not repro.scenarios
+# was imported first.
 import repro.scenarios.schedulers  # noqa: E402,F401  (self-registration)
 import repro.scenarios.tamper  # noqa: E402,F401  (registers the tamper behaviour)

@@ -174,6 +174,15 @@ class CellExecutor:
             )
         self.kwargs = kwargs
         self.corruptions = corruptions
+        #: The cell's scheduler with its party params resolved against n,
+        #: built once here so a bad param fails before any trial.
+        self.scheduler_spec = None
+        if cell.scheduler is not None:
+            # Imported lazily, like the scenario runtime above.
+            from repro.scenarios.schedulers import resolve_scheduler
+
+            self.scheduler_spec = resolve_scheduler(cell.scheduler, cell.n)
+            build_scheduler(self.scheduler_spec)
         # A cell its runner cannot be called with fails here, before any
         # trial is dispatched, like an unusable scheduler spec.
         problem = runner_params_problem(cell.protocol, kwargs, cell.n)
@@ -201,8 +210,8 @@ class CellExecutor:
         )
 
     def _build_scheduler(self):
-        if self.cell.scheduler is not None:
-            return build_scheduler(self.cell.scheduler)
+        if self.scheduler_spec is not None:
+            return build_scheduler(self.scheduler_spec)
         if self.scenario_runtime is not None:
             return self.scenario_runtime.build_scheduler()
         return None
@@ -364,7 +373,6 @@ def run_campaign(
         # selectors: building the executor performs every static resolution
         # a worker would, before any trial runs.
         CellExecutor(cell)
-        build_scheduler(cell.scheduler)
         if workers <= 1 and cell.fault is not None and cell.fault.fault in PROCESS_FAULTS:
             raise ExperimentError(
                 f"cell {cell.name!r}: chaos fault {cell.fault.fault!r} would "

@@ -18,7 +18,6 @@ from repro.net.scheduler import (
     DelayScheduler,
     FIFOScheduler,
     ForceScanScheduler,
-    PartitionScheduler,
     RandomScheduler,
     Scheduler,
     TargetedScheduler,
@@ -43,7 +42,6 @@ __all__ = [
     "FIFOScheduler",
     "RandomScheduler",
     "DelayScheduler",
-    "PartitionScheduler",
     "TargetedScheduler",
     "ForceScanScheduler",
     "force_scan",

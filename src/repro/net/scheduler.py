@@ -10,11 +10,15 @@ Provided schedulers:
 
 * :class:`FIFOScheduler` -- deliver in send order (a synchronous-looking run).
 * :class:`RandomScheduler` -- deliver a uniformly random pending message.
-* :class:`DelayScheduler` -- starve messages matching a predicate for as long
-  as any other message is available (classic adversarial delay).
-* :class:`PartitionScheduler` -- delay messages crossing a party partition for
-  a configurable number of steps.
+* :class:`DelayScheduler` -- starve messages matching a filter for as long
+  as any other message is available, optionally for a bounded number of
+  steps (classic adversarial delay; a partition that heals is the crossing
+  filter, :func:`partition_then_heal`).
 * :class:`TargetedScheduler` -- order messages by an arbitrary priority key.
+* :class:`ForceScanScheduler` -- pin any of them to the reference scan.
+
+The director-driven :class:`~repro.scenarios.schedulers.ReactiveScheduler`
+is the one scheduler defined elsewhere.
 
 A policy that tells messages apart is written once, in *fan-out form*
 (:class:`~repro.net.queues.FanoutForm`): over the fields every copy of a
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterable, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError, SchedulingError
 from repro.net.message import Message
@@ -163,106 +167,49 @@ class DelayScheduler(Scheduler):
     """Starves messages matching ``should_delay`` while anything else is pending.
 
     The matched messages are still delivered eventually (when they are the
-    only ones left, or after ``max_delay_steps``), so the run remains a valid
-    asynchronous execution.
+    only ones left, or from step ``max_delay_steps`` on), so the run remains
+    a valid asynchronous execution.  Among the messages it may deliver it
+    draws uniformly at random, as :class:`RandomScheduler` does.
 
     ``should_delay`` is a :class:`Filter` or a plain ``Message -> bool``
-    callable, and must be a **pure function of the message**: with the
-    default random base policy the class runs on an indexed two-class queue
-    (:class:`~repro.net.queues.ClassRankQueue`: one send-order block list
-    for the starved traffic, one for everything else) that evaluates it
-    once, at submit time -- a filter once per fan-out, a plain callable on
-    each materialised copy (:class:`~repro.net.queues.PerCopy`), which may
-    therefore read ``payload`` and ``seq`` too.  A predicate closing over
-    mutable state would be consulted at different times than the legacy
-    per-step scan and silently change delivery order; wrap such a scheduler
-    in :func:`force_scan` (or pass a non-default ``base``) to pin the
-    re-evaluating scan path instead.
+    callable, and must be a **pure function of the message**: the class runs
+    on an indexed two-class queue (:class:`~repro.net.queues.ClassRankQueue`:
+    one send-order block list for the starved traffic, one for everything
+    else) that evaluates it once, at submit time -- a filter once per
+    fan-out, a plain callable on each materialised copy
+    (:class:`~repro.net.queues.PerCopy`), which may therefore read
+    ``payload`` and ``seq`` too.  A predicate closing over mutable state
+    would be consulted at different times than the reference per-step scan
+    and silently change delivery order; wrap such a scheduler in
+    :func:`force_scan` to pin the re-evaluating scan path instead.
     """
 
     def __init__(
-        self,
-        should_delay: Callable[[Message], Any],
-        base: Scheduler | None = None,
-        max_delay_steps: int | None = None,
+        self, should_delay: Callable[[Message], Any], max_delay_steps: int | None = None
     ) -> None:
         self.should_delay = should_delay
-        self.base = base or RandomScheduler()
         self.max_delay_steps = max_delay_steps
 
     def choose(self, pending: Sequence[Message], rng: random.Random, step: int) -> int:
-        expired = (
-            self.max_delay_steps is not None and step >= self.max_delay_steps
-        )
-        if not expired:
+        if self.max_delay_steps is None or step < self.max_delay_steps:
             preferred = [
                 index
                 for index, message in enumerate(pending)
                 if not self.should_delay(message)
             ]
             if preferred:
-                sub = [pending[index] for index in preferred]
-                inner = self.base.choose(sub, rng, step)
-                return preferred[self.base.validate(inner, sub)]
-        return self.base.validate(self.base.choose(pending, rng, step), pending)
+                return preferred[rng.randrange(len(preferred))]
+        return rng.randrange(len(pending))
 
     def make_queue(self) -> DeliveryQueue:
-        if type(self) is not DelayScheduler or type(self.base) is not RandomScheduler:
-            # A subclass (or a non-random base policy) may not match the
-            # two-class rank semantics; keep the reference scan path.
+        if type(self) is not DelayScheduler:
+            # A subclass may not match the two-class rank semantics; keep the
+            # reference scan path.
             return ScanQueue(self)
         # ``should_delay`` is required to be a pure function of the message
         # (see class docstring); the indexed queue evaluates it at submit
         # time and reproduces the scan path's delivery order byte-identically.
         return _starving_queue(as_filter(self.should_delay), self.max_delay_steps)
-
-
-class PartitionScheduler(Scheduler):
-    """Delays all traffic between two party groups for ``duration`` steps.
-
-    After ``duration`` network steps the partition heals and the base
-    scheduler takes over completely.
-
-    The groups must not be mutated after construction: the crossing filter
-    (:func:`crossing`) is built from them once, and with the default random
-    base policy it runs once per fan-out at submit time on the indexed
-    two-class queue (see :class:`DelayScheduler` -- the same purity
-    requirement and :func:`force_scan` escape hatch apply).
-    """
-
-    def __init__(
-        self,
-        group_a: Iterable[int],
-        group_b: Iterable[int],
-        duration: int,
-        base: Scheduler | None = None,
-    ) -> None:
-        self.group_a: Set[int] = set(group_a)
-        self.group_b: Set[int] = set(group_b)
-        self.duration = duration
-        self.base = base or RandomScheduler()
-        self._crosses = crossing(self.group_a, self.group_b)
-
-    def choose(self, pending: Sequence[Message], rng: random.Random, step: int) -> int:
-        if step < self.duration:
-            preferred = [
-                index
-                for index, message in enumerate(pending)
-                if not self._crosses(message)
-            ]
-            if preferred:
-                sub = [pending[index] for index in preferred]
-                inner = self.base.choose(sub, rng, step)
-                return preferred[self.base.validate(inner, sub)]
-        return self.base.validate(self.base.choose(pending, rng, step), pending)
-
-    def make_queue(self) -> DeliveryQueue:
-        if type(self) is not PartitionScheduler or type(self.base) is not RandomScheduler:
-            return ScanQueue(self)
-        # ``_crosses`` is a pure function of the message's sender/receiver, so
-        # the partition maps onto the indexed two-class queue (expiring at the
-        # heal step) with scan-identical delivery order.
-        return _starving_queue(self._crosses, self.duration)
 
 
 def crossing(group_a: Iterable[int], group_b: Iterable[int]) -> Filter:
@@ -326,20 +273,16 @@ class TargetedScheduler(Scheduler):
 
     ``priority`` is a :class:`~repro.net.queues.FanoutForm` (see
     :func:`coalition_first`) or a plain ``Message -> key`` callable; keys
-    must be hashable.  By default the policy runs on an indexed keyed queue
-    with the priority computed once per message at submit time -- a form
-    once per fan-out, a plain callable on each materialised copy, which may
-    therefore read ``payload`` and ``seq`` too.  Pass ``dynamic=True`` when
-    the priority function is *not* a pure function of the message (e.g. it
-    closes over mutable state) to fall back to re-evaluating it on every
-    step.
+    must be hashable.  The policy runs on an indexed keyed queue with the
+    priority computed once per message at submit time -- a form once per
+    fan-out, a plain callable on each materialised copy, which may therefore
+    read ``payload`` and ``seq`` too.  When the priority function is *not* a
+    pure function of the message (e.g. it closes over mutable state), wrap
+    the scheduler in :func:`force_scan` to re-evaluate it on every step.
     """
 
-    def __init__(
-        self, priority: Callable[[Message], Any], dynamic: bool = False
-    ) -> None:
+    def __init__(self, priority: Callable[[Message], Any]) -> None:
         self.priority = priority
-        self.dynamic = dynamic
 
     def choose(self, pending: Sequence[Message], rng: random.Random, step: int) -> int:
         best = 0
@@ -351,7 +294,7 @@ class TargetedScheduler(Scheduler):
         return best
 
     def make_queue(self) -> DeliveryQueue:
-        if self.dynamic or type(self) is not TargetedScheduler:
+        if type(self) is not TargetedScheduler:
             return ScanQueue(self)
         return KeyedQueue(self.priority)
 
@@ -379,61 +322,62 @@ def force_scan(scheduler: Scheduler) -> Scheduler:
     return ForceScanScheduler(scheduler)
 
 
-def delay_from_parties(parties: Iterable[int], **kwargs) -> DelayScheduler:
-    """Convenience: a :class:`DelayScheduler` starving all messages *sent by* ``parties``."""
+def delay_from_parties(
+    parties: Iterable[int], max_delay_steps: Optional[int] = None
+) -> DelayScheduler:
+    """Starve all messages *sent by* ``parties`` (see :func:`starve_matching`)."""
     blocked = frozenset(parties)
-    return DelayScheduler(
+    return starve_matching(
         Filter(lambda fanout, n: everyone(n) if fanout.sender in blocked else NOBODY),
-        **kwargs,
+        max_delay_steps,
     )
 
 
-def delay_to_parties(parties: Iterable[int], **kwargs) -> DelayScheduler:
-    """Convenience: a :class:`DelayScheduler` starving all messages *sent to* ``parties``."""
+def delay_to_parties(
+    parties: Iterable[int], max_delay_steps: Optional[int] = None
+) -> DelayScheduler:
+    """Starve all messages *sent to* ``parties`` (see :func:`starve_matching`)."""
     blocked = frozenset(parties)
-    return DelayScheduler(Filter(lambda fanout, n: blocked), **kwargs)
+    return starve_matching(Filter(lambda fanout, n: blocked), max_delay_steps)
 
 
 # ----------------------------------------------------------------------
-# Validated primitives of the named attacks (``repro.adversary.scheduling``,
-# ``repro.scenarios.schedulers``).  Parameters arrive from JSON, so each
-# check raises :class:`ExperimentError` naming the scheduler.
-def check_step_budget(scheduler: str, key: str, value: Any) -> None:
+# Validated primitives of the named attacks (``repro.scenarios.schedulers``).
+# Parameters arrive from JSON, so each check raises :class:`ExperimentError`;
+# ``repro.experiments.registry.build_scheduler`` prefixes the name the spec
+# used.
+def check_step_budget(key: str, value: Any) -> None:
     """Reject a step budget that is not a non-negative int (``bool`` included)."""
     if type(value) is not int or value < 0:
-        raise ExperimentError(
-            f"scheduler {scheduler!r}: {key} must be a non-negative integer, "
-            f"got {value!r}"
-        )
+        raise ExperimentError(f"{key} must be a non-negative integer, got {value!r}")
 
 
-def check_disjoint(scheduler: str, group_a: Iterable[int], group_b: Iterable[int]) -> None:
+def check_disjoint(group_a: Iterable[int], group_b: Iterable[int]) -> None:
     """Reject two party groups that share a party."""
     overlap = set(group_a) & set(group_b)
     if overlap:
-        raise ExperimentError(
-            f"scheduler {scheduler!r}: group_a and group_b share parties "
-            f"{sorted(overlap)}"
-        )
+        raise ExperimentError(f"group_a and group_b share parties {sorted(overlap)}")
 
 
-def starve_matching(
-    scheduler: str, starved: Filter, max_delay_steps: Optional[int]
-) -> DelayScheduler:
+def starve_matching(starved: Filter, max_delay_steps: Optional[int]) -> DelayScheduler:
     """Delay what ``starved`` matches while anything else is pending (bounded)."""
     if max_delay_steps is not None:
-        check_step_budget(scheduler, "max_delay_steps", max_delay_steps)
+        check_step_budget("max_delay_steps", max_delay_steps)
     return DelayScheduler(starved, max_delay_steps=max_delay_steps)
 
 
 def partition_then_heal(
-    scheduler: str, group_a: Iterable[int], group_b: Iterable[int], duration: int
-) -> PartitionScheduler:
-    """Partition two disjoint party groups for ``duration`` deliveries, then heal."""
-    check_step_budget(scheduler, "duration", duration)
+    group_a: Iterable[int], group_b: Iterable[int], duration: int
+) -> DelayScheduler:
+    """Partition two disjoint party groups for ``duration`` deliveries, then heal.
+
+    The crossing traffic is starved while anything else is pending until
+    step ``duration``; from then on every pending message is drawn alike.
+    """
+    check_step_budget("duration", duration)
     group_a, group_b = list(group_a), list(group_b)
-    check_disjoint(scheduler, group_a, group_b)
-    return PartitionScheduler(group_a, group_b, duration)
+    check_disjoint(group_a, group_b)
+    return DelayScheduler(crossing(group_a, group_b), max_delay_steps=duration)
 
 
 def targeting(

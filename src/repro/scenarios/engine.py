@@ -36,14 +36,14 @@ from repro.experiments.registry import (
     build_behavior_factory,
     build_scheduler,
 )
-from repro.experiments.spec import BehaviorSpec, SchedulerSpec
+from repro.experiments.spec import BehaviorSpec
 from repro.net.message import SessionId
 from repro.net.network import Network
 from repro.net.runtime import SimulationResult
 from repro.net.scheduler import Scheduler
 from repro.scenarios.predicates import match_session, resolve_parties
 from repro.scenarios.presets import ScalePreset, preset_for
-from repro.scenarios.schedulers import resolve_scheduler_params
+from repro.scenarios.schedulers import resolve_scheduler
 from repro.scenarios.spec import (
     CORRUPTING_TRANSITIONS,
     AdaptiveRule,
@@ -461,9 +461,7 @@ class ScenarioRuntime:
         spec = self.spec.scheduler
         if spec is None:
             return None
-        return build_scheduler(
-            SchedulerSpec(spec.scheduler, resolve_scheduler_params(spec.params, self.n))
-        )
+        return build_scheduler(resolve_scheduler(spec, self.n))
 
     def build_director(self) -> ScenarioDirector:
         """A fresh director for one trial (directors hold per-trial state)."""

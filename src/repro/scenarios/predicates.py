@@ -30,6 +30,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.config import max_faults
 from repro.errors import ExperimentError
+from repro.experiments.spec import is_int
 from repro.net.message import SessionId
 from repro.net.queues import everyone
 from repro.net.scheduler import NOBODY, Filter
@@ -81,15 +82,28 @@ def _selected_pids(selector: PartySelector, n: int) -> List[int]:
     if isinstance(selector, int):
         return [selector]
     if isinstance(selector, (list, tuple)):
-        return [int(pid) for pid in selector]
+        return _explicit_pids(selector, selector)
     if isinstance(selector, Mapping):
         return _resolve_mapping(selector, n)
     raise ExperimentError(f"invalid party selector {selector!r}")
 
 
+def _explicit_pids(selector: PartySelector, pids: Any) -> List[int]:
+    """An explicit pid list, refusing any entry that is not an int (``int()``
+    would read ``true`` as 1 and truncate ``1.5``)."""
+    if not isinstance(pids, (list, tuple)):
+        raise ExperimentError(f"party selector {selector!r} needs a list of pids")
+    for pid in pids:
+        if not is_int(pid):
+            raise ExperimentError(
+                f"party selector {selector!r} names a pid that is not an integer: {pid!r}"
+            )
+    return [int(pid) for pid in pids]
+
+
 def _resolve_mapping(selector: Mapping[str, Any], n: int) -> List[int]:
     if "pids" in selector:
-        return [int(pid) for pid in selector["pids"]]
+        return _explicit_pids(selector, selector["pids"])
     if "first" in selector:
         return list(range(min(int(selector["first"]), n)))
     if "last" in selector:

@@ -11,21 +11,26 @@ onto an indexed queue) deliver at the random queue's speed: every filter
 here is a :class:`~repro.net.scheduler.Filter` (or, for a priority, a
 :class:`~repro.net.queues.FanoutForm`), asked once per fan-out.
 
-Every builder takes plain JSON-shaped parameters; party-selector parameters
-are resolved against a concrete ``n`` by
-:func:`repro.scenarios.engine.ScenarioRuntime` before the build, but explicit
-pid lists also work directly from campaign cells.  The builders register
-themselves in :data:`repro.experiments.registry.SCHEDULERS`, so campaigns can
-name them with or without a scenario.
+Every builder takes plain JSON-shaped parameters.  Party parameters are
+resolved against a concrete ``n`` by :func:`resolve_scheduler` --
+called by the scenario runtime and by a campaign cell's executor before the
+build -- so they take any party selector, and a string where a list goes is
+refused.  The builders register themselves in
+:data:`repro.experiments.registry.SCHEDULERS`, so campaigns can name them
+with or without a scenario.  So do the four legacy names (``isolate_party``,
+``delay_protocol``, ``favour_parties``, ``split_brain``): each is one alias
+row over its target, taking the alias's own parameter names.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
+from repro.errors import ExperimentError
 from repro.experiments.registry import SCHEDULERS
+from repro.experiments.spec import SchedulerSpec, is_int
 from repro.net.message import Message
 from repro.net.queues import ClassRankQueue, DeliveryQueue, FanoutForm, everyone
 from repro.net.scheduler import (
@@ -46,17 +51,38 @@ from repro.scenarios.predicates import (
 )
 
 #: Scheduler-parameter keys holding party selectors, resolved against ``n``
-#: by the scenario runtime before the builder runs.
-SELECTOR_PARAMS = ("victims", "group_a", "group_b", "coalition")
+#: before the builder runs.
+SELECTOR_PARAMS = ("victims", "group_a", "group_b", "coalition", "parties", "favoured")
+#: Scheduler-parameter keys holding a list of names (a string there would be
+#: read as its characters).
+LIST_PARAMS = ("roots", "kinds", "pattern")
 
 
-def resolve_scheduler_params(params: Mapping[str, Any], n: int) -> Dict[str, Any]:
-    """Resolve any party-selector parameters to explicit pid lists."""
-    resolved = dict(params)
+def resolve_scheduler(spec: SchedulerSpec, n: int) -> SchedulerSpec:
+    """``spec`` with its party-selector params resolved to explicit pid lists.
+
+    ``victim`` names one party and must be a pid in ``0..n-1``; a string
+    where a list of names goes is refused.  Raises
+    :class:`~repro.errors.ExperimentError` naming the scheduler and the param.
+    """
+
+    def refuse(key: str, problem: Any) -> ExperimentError:
+        return ExperimentError(f"scheduler {spec.scheduler!r}: param {key!r}: {problem}")
+
+    params = dict(spec.params)
     for key in SELECTOR_PARAMS:
-        if key in resolved:
-            resolved[key] = resolve_parties(resolved[key], n)
-    return resolved
+        if key in params:
+            try:
+                params[key] = resolve_parties(params[key], n)
+            except ExperimentError as exc:
+                raise refuse(key, exc) from None
+    victim = params.get("victim")
+    if "victim" in params and not (is_int(victim) and 0 <= victim < n):
+        raise refuse("victim", f"must be one party id in 0..{n - 1}, got {victim!r}")
+    for key in LIST_PARAMS:
+        if isinstance(params.get(key), str):
+            raise refuse(key, f"must be a list, got {params[key]!r}")
+    return SchedulerSpec(spec.scheduler, params)
 
 
 def targeted_delay(
@@ -74,9 +100,7 @@ def targeted_delay(
     the targeted traffic is all that keeps the protocol alive.
     """
     return starve_matching(
-        "targeted_delay",
-        targeting(victims or (), roots or (), kinds or ()),
-        max_delay_steps,
+        targeting(victims or (), roots or (), kinds or ()), max_delay_steps
     )
 
 
@@ -96,14 +120,7 @@ def session_starvation(
     def receivers(fanout: Any, n: int) -> frozenset:
         return everyone(n) if match_session(pattern, fanout.session) is not None else NOBODY
 
-    return starve_matching("session_starvation", Filter(receivers), max_delay_steps)
-
-
-def partition_heal(
-    group_a: Sequence[int], group_b: Sequence[int], duration: int
-) -> Scheduler:
-    """Partition two party groups for ``duration`` deliveries, then heal."""
-    return partition_then_heal("partition_heal", group_a, group_b, duration)
+    return starve_matching(Filter(receivers), max_delay_steps)
 
 
 def rushing(coalition: Sequence[int]) -> Scheduler:
@@ -128,7 +145,7 @@ def message_filter_delay(
     against ``n`` (which must therefore be supplied explicitly in the params).
     """
     compiled = compile_message_predicate(predicate, n)
-    return starve_matching("message_filter_delay", compiled, max_delay_steps)
+    return starve_matching(compiled, max_delay_steps)
 
 
 class _PriorityRule:
@@ -328,6 +345,23 @@ def reactive() -> Scheduler:
 SCHEDULERS.add("targeted_delay", targeted_delay)
 SCHEDULERS.add("reactive", reactive)
 SCHEDULERS.add("session_starvation", session_starvation)
-SCHEDULERS.add("partition_heal", partition_heal)
+SCHEDULERS.add("partition_heal", partition_then_heal)
 SCHEDULERS.add("rushing", rushing)
 SCHEDULERS.add("message_filter_delay", message_filter_delay)
+
+# The legacy names: one row each over its target, under the alias's own
+# parameter names (``build_scheduler`` prefixes an error with the alias).
+SCHEDULERS.add(
+    "isolate_party",
+    lambda victim, max_delay_steps=None: targeted_delay(
+        victims=[victim], max_delay_steps=max_delay_steps
+    ),
+)
+SCHEDULERS.add(
+    "delay_protocol",
+    lambda root, max_delay_steps=None: targeted_delay(
+        roots=[root], max_delay_steps=max_delay_steps
+    ),
+)
+SCHEDULERS.add("favour_parties", lambda favoured: rushing(favoured))
+SCHEDULERS.add("split_brain", partition_then_heal)

@@ -79,7 +79,11 @@ class TestTrialAndCell:
         [
             ("rushing", {}, "'rushing'.*'coalition'"),
             ("targeted_delay", {"victim": [0]}, "'targeted_delay'.*'victim'"),
-            ("targeted_delay", {"victims": 5}, "'targeted_delay'.*not iterable"),
+            (
+                "targeted_delay",
+                {"victims": 5},
+                "'targeted_delay': param 'victims': .*resolves outside 0..3: 5",
+            ),
             (
                 "partition_heal",
                 {"group_a": [0], "group_b": [1], "duration": "x"},
@@ -148,24 +152,99 @@ class TestTrialAndCell:
                 {"root": "acast", "max_delay_steps": -3},
                 "'delay_protocol': max_delay_steps .*-3",
             ),
+            (
+                "delay_from_parties",
+                {"parties": [0], "max_delay_steps": "x"},
+                "'delay_from_parties': max_delay_steps .*'x'",
+            ),
+            (
+                "delay_from_parties",
+                {"parties": [0], "max_delay_steps": -5},
+                "'delay_from_parties': max_delay_steps .*-5",
+            ),
+            (
+                "delay_from_parties",
+                {"parties": [0], "base": "fifo"},
+                r"'delay_from_parties' cannot be built from params \['base', 'parties'\]",
+            ),
+            (
+                "delay_to_parties",
+                {"parties": [0], "max_delay_steps": True},
+                "'delay_to_parties': max_delay_steps .*True",
+            ),
         ],
     )
     def test_adversary_scheduler_params_fail_at_validate(
         self, scheduler, params, message, tmp_path, capsys
     ):
-        """The ``repro.adversary.scheduling`` builders check their params like
-        their scenario twins: ``validate`` names the cell and the param (one
-        ``error:`` line, exit 1) and ``run`` refuses the cell before a trial,
-        instead of running an overlapping split or a negative budget, or
+        """The legacy alias rows (``isolate_party``, ``delay_protocol``,
+        ``split_brain``) and the ``repro.net.scheduler`` helpers check their
+        params like the hostile family: ``validate`` names the cell, the name
+        the spec used and the param (one ``error:`` line, exit 1) and ``run``
+        refuses the cell before a trial, instead of running an overlapping
+        split, a negative budget or a budget that is no integer, or
         quarantining the cell at trial time."""
         cell = _acast_cell(scheduler=SchedulerSpec(scheduler, params))
-        path = tmp_path / "bad.json"
-        CampaignSpec(name="bad", cells=[cell]).save(path)
-        assert main(["validate", str(path)]) == 1
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: cell 'acast': ") and re.search(message, line)
-        with pytest.raises(ExperimentError, match=message):
-            run_campaign(CampaignSpec(name="bad", cells=[cell]))
+        self._assert_refused_at_validate(cell, message, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "scheduler, params, message",
+        [
+            ("targeted_delay", {"victims": [99]}, r"'victims': .*\[99\] resolves outside 0..3"),
+            ("targeted_delay", {"victims": [True]}, "'victims': .*not an integer: True"),
+            ("targeted_delay", {"victims": [1.5]}, "'victims': .*not an integer: 1.5"),
+            ("targeted_delay", {"kinds": "READY"}, "'kinds': must be a list, got 'READY'"),
+            ("targeted_delay", {"roots": "svss"}, "'roots': must be a list, got 'svss'"),
+            ("delay_from_parties", {"parties": "ab"}, "'parties': invalid party selector 'ab'"),
+            ("delay_to_parties", {"parties": [4]}, "'parties': .*resolves outside 0..3: 4"),
+            ("rushing", {"coalition": "ab"}, "'coalition': invalid party selector 'ab'"),
+            ("favour_parties", {"favoured": "ab"}, "'favoured': invalid party selector 'ab'"),
+            (
+                "partition_heal",
+                {"group_a": "ab", "group_b": [2], "duration": 5},
+                "'group_a': invalid party selector 'ab'",
+            ),
+            (
+                "split_brain",
+                {"group_a": [0], "group_b": {"pids": [9]}, "duration": 5},
+                "'group_b': .*resolves outside 0..3: 9",
+            ),
+            ("session_starvation", {"pattern": "rec"}, "'pattern': must be a list, got 'rec'"),
+            ("isolate_party", {"victim": 4}, "'victim': must be one party id in 0..3, got 4"),
+            ("isolate_party", {"victim": "2"}, "'victim': must be one party id in 0..3, got '2'"),
+            ("isolate_party", {"victim": True}, "'victim': must be one party id in 0..3, got True"),
+        ],
+    )
+    def test_scheduler_party_params_resolved_against_the_cell_n(
+        self, scheduler, params, message, tmp_path, capsys
+    ):
+        """A cell's scheduler party params are resolved against the cell's
+        ``n`` as a scenario's are: a pid outside the system, a pid that is
+        not an int, or a string where a list goes is one ``error: cell``
+        line naming the scheduler and the param, never a scheduler that
+        silently delays nobody (or, for a string, its characters)."""
+        cell = _acast_cell(scheduler=SchedulerSpec(scheduler, params))
+        message = f"scheduler '{scheduler}': param {message}"
+        self._assert_refused_at_validate(cell, message, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "selector", [{"last_faulty": True}, {"last": 1}, {"pids": [3]}, 3]
+    )
+    def test_scheduler_party_selectors_in_a_cell(self, selector):
+        """A party selector in a cell's scheduler params delays the parties
+        it names at the cell's ``n``, exactly as the pid list does."""
+
+        def steps(victims):
+            spec = None if victims is None else SchedulerSpec(
+                "targeted_delay", {"victims": victims}
+            )
+            cell = ExperimentSpec(
+                name="svss", protocol="svss", n=4, seeds=[1], scheduler=spec,
+                params={"secret": 5},
+            )
+            return run_trial(cell, 1).network.step_count
+
+        assert steps(selector) == steps([3]) != steps(None)
 
     @staticmethod
     def _assert_refused_at_validate(cell, message, tmp_path, capsys):

@@ -16,13 +16,14 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.adversary import scheduling
+from repro.experiments.registry import build_scheduler
+from repro.experiments.spec import SchedulerSpec
 from repro.net.message import Message
 from repro.net.queues import FanoutEntry, KeyedQueue, ScanQueue
 from repro.net.scheduler import (
     DelayScheduler,
-    PartitionScheduler,
     TargetedScheduler,
+    crossing,
     delay_from_parties,
     delay_to_parties,
 )
@@ -115,8 +116,12 @@ def test_every_filter_agrees_with_its_fanout_form(case):
     def inside(coalition):
         return lambda m: 0.0 if m.sender in coalition and m.receiver in coalition else 1.0
 
+    def alias(name, **params):
+        return build_scheduler(SchedulerSpec(name, params))
+
     victim = victims[0] if victims else 0
     root = roots[0] if roots else "weak_coin"
+    disjoint_b = sorted(set(group_b) - set(group_a))
     cases = [
         (targeted_delay(victims, roots, kinds, budget).should_delay, touches),
         (
@@ -124,20 +129,25 @@ def test_every_filter_agrees_with_its_fanout_form(case):
             lambda m: match_session(pattern, m.session) is not None,
         ),
         # Overlapping groups are allowed here (only the builders refuse them).
-        (PartitionScheduler(group_a, group_b, budget)._crosses, crosses(group_a, group_b)),
+        (crossing(group_a, group_b), crosses(group_a, group_b)),
         (rushing(victims).priority, inside(victims)),
         (delay_from_parties(victims).should_delay, lambda m: m.sender in victims),
         (delay_to_parties(victims).should_delay, lambda m: m.receiver in victims),
         (
-            scheduling.isolate_party(victim, budget).should_delay,
+            alias("isolate_party", victim=victim, max_delay_steps=budget).should_delay,
             lambda m: victim in (m.sender, m.receiver),
         ),
-        (scheduling.favour_parties(victims).priority, inside(victims)),
+        (alias("favour_parties", favoured=victims).priority, inside(victims)),
         (
-            scheduling.split_brain(group_a, sorted(set(group_b) - set(group_a)), budget)._crosses,
-            crosses(group_a, set(group_b) - set(group_a)),
+            alias(
+                "split_brain", group_a=group_a, group_b=disjoint_b, duration=budget
+            ).should_delay,
+            crosses(group_a, disjoint_b),
         ),
-        (scheduling.delay_protocol(root, budget).should_delay, lambda m: m.root == root),
+        (
+            alias("delay_protocol", root=root, max_delay_steps=budget).should_delay,
+            lambda m: m.root == root,
+        ),
     ]
     for form, reference in cases:
         _assert_views_agree(form, entry, n, reference)

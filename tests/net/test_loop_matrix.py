@@ -510,6 +510,32 @@ def test_every_registered_builder_matches_the_reference_scan(
         assert max(redealt) > 0
 
 
+#: Each legacy name's target spec, from the alias's own params.
+ALIAS_TARGETS = {
+    "isolate_party": lambda p: SchedulerSpec(
+        "targeted_delay", {"victims": [p["victim"]], "max_delay_steps": p["max_delay_steps"]}
+    ),
+    "delay_protocol": lambda p: SchedulerSpec(
+        "targeted_delay", {"roots": [p["root"]], "max_delay_steps": p["max_delay_steps"]}
+    ),
+    "favour_parties": lambda p: SchedulerSpec("rushing", {"coalition": p["favoured"]}),
+    "split_brain": lambda p: SchedulerSpec("partition_heal", p),
+}
+
+
+@pytest.mark.parametrize("n", sorted(BUDGET))
+@pytest.mark.parametrize("name", sorted(ALIAS_TARGETS))
+def test_every_alias_delivers_as_its_target(name, n, delivered):
+    params = _registered_params(name, n)
+    observed = []
+    for spec in (SchedulerSpec(name, params), ALIAS_TARGETS[name](params)):
+        del delivered[:]
+        scheduler = build_scheduler(spec)
+        result = api.run_svss(n, secret=5, seed=3, scheduler=scheduler, tracing=False)
+        observed.append((list(delivered), result.outputs))
+    assert observed[0] == observed[1]
+
+
 def test_equal_but_distinct_keys_keep_key_then_send_order():
     """``0``, ``0.0`` and ``False`` are one key: the keyed queue delivers them
     in send order among themselves, as the scan's ``(key, seq)`` minimum does."""

@@ -31,10 +31,10 @@ from repro.net.runtime import Simulation
 from repro.net.scheduler import (
     DelayScheduler,
     FIFOScheduler,
-    PartitionScheduler,
     RandomScheduler,
     TargetedScheduler,
     force_scan,
+    partition_then_heal,
 )
 from repro.protocols.acast import ACast
 from repro.protocols.weak_coin import WeakCommonCoin
@@ -98,7 +98,6 @@ SCHEDULER_FACTORIES = {
     "fifo": FIFOScheduler,
     "random": RandomScheduler,
     "targeted": lambda: TargetedScheduler(lambda m: m.receiver),
-    "targeted_dynamic": lambda: TargetedScheduler(lambda m: m.receiver, dynamic=True),
     "delay": lambda: DelayScheduler(lambda m: m.sender == 0),
     # max_delay_steps exercises the ClassRankQueue version change: the lapse
     # re-ranks every pending message into a single class mid-run.
@@ -107,7 +106,7 @@ SCHEDULER_FACTORIES = {
         lambda m: m.session[-2] == "rec" if len(m.session) >= 2 else False,
         max_delay_steps=200,
     ),
-    "partition": lambda: PartitionScheduler([0, 1, 2], [3, 4, 5], duration=40),
+    "partition": lambda: partition_then_heal([0, 1, 2], [3, 4, 5], duration=40),
     # The k=3 case: boosted / neutral / delayed, re-ranked on every rule change.
     "reactive": _scripted_reactive,
 }
@@ -176,19 +175,20 @@ class TestSchedulerEquivalence:
             TargetedScheduler(lambda m: 0).make_queue(), KeyedQueue
         )
         assert isinstance(
-            TargetedScheduler(lambda m: 0, dynamic=True).make_queue(), ScanQueue
-        )
-        assert isinstance(
             DelayScheduler(lambda m: False).make_queue(), ClassRankQueue
         )
         assert isinstance(
-            PartitionScheduler([0], [1], 10).make_queue(), ClassRankQueue
+            partition_then_heal([0], [1], 10).make_queue(), ClassRankQueue
         )
         assert isinstance(ReactiveScheduler().make_queue(), ClassRankQueue)
-        # A non-random base policy falls back to the reference scan path.
+        # A subclass keeps the reference scan path; so does any scheduler
+        # wrapped in force_scan (a priority that is no pure function of the
+        # message is re-evaluated every step that way).
         assert isinstance(
-            DelayScheduler(lambda m: False, base=FIFOScheduler()).make_queue(),
-            ScanQueue,
+            type("D", (DelayScheduler,), {})(lambda m: False).make_queue(), ScanQueue
+        )
+        assert isinstance(
+            force_scan(TargetedScheduler(lambda m: 0)).make_queue(), ScanQueue
         )
 
 

@@ -11,11 +11,11 @@ from repro.net.message import Message
 from repro.net.scheduler import (
     DelayScheduler,
     FIFOScheduler,
-    PartitionScheduler,
     RandomScheduler,
     TargetedScheduler,
     delay_from_parties,
     delay_to_parties,
+    partition_then_heal,
 )
 
 
@@ -68,50 +68,50 @@ class TestValidation:
         assert FIFOScheduler().validate(2, PENDING) == 2
 
 
+def _drawn(scheduler, pending, step, draws=200):
+    """Every index ``scheduler`` draws from ``pending`` at ``step`` in ``draws`` tries."""
+    rng = random.Random(3)
+    return {scheduler.choose(pending, rng, step) for _ in range(draws)}
+
+
 class TestDelay:
     def test_starves_matching_messages(self):
-        scheduler = DelayScheduler(lambda m: m.sender == 0, base=FIFOScheduler())
-        choice = scheduler.choose(PENDING, RNG, 0)
-        assert PENDING[choice].sender != 0
+        scheduler = DelayScheduler(lambda m: m.sender == 0)
+        assert _drawn(scheduler, PENDING, 0) == {1, 2, 3}
 
     def test_delivers_when_only_matching_remain(self):
-        scheduler = DelayScheduler(lambda m: True, base=FIFOScheduler())
-        assert scheduler.choose(PENDING, RNG, 0) == 3
+        scheduler = DelayScheduler(lambda m: True)
+        assert _drawn(scheduler, PENDING, 0) == {0, 1, 2, 3}
 
     def test_expiry_releases_messages(self):
-        scheduler = DelayScheduler(
-            lambda m: m.sender == 3, base=FIFOScheduler(), max_delay_steps=10
-        )
-        before = scheduler.choose(PENDING, RNG, step=0)
-        after = scheduler.choose(PENDING, RNG, step=10)
-        assert PENDING[before].sender != 3
-        assert PENDING[after].seq == 1  # FIFO order once the delay expires
+        scheduler = DelayScheduler(lambda m: m.sender == 3, max_delay_steps=10)
+        assert _drawn(scheduler, PENDING, 9) == {0, 1, 2}
+        assert _drawn(scheduler, PENDING, 10) == {0, 1, 2, 3}
 
     def test_delay_from_parties_helper(self):
-        scheduler = delay_from_parties([0, 1], base=FIFOScheduler())
-        assert PENDING[scheduler.choose(PENDING, RNG, 0)].sender not in (0, 1)
+        drawn = _drawn(delay_from_parties([0, 1]), PENDING, 0)
+        assert {PENDING[index].sender for index in drawn} == {2, 3}
 
     def test_delay_to_parties_helper(self):
-        scheduler = delay_to_parties([0, 3], base=FIFOScheduler())
-        assert PENDING[scheduler.choose(PENDING, RNG, 0)].receiver not in (0, 3)
+        drawn = _drawn(delay_to_parties([0, 3]), PENDING, 0)
+        assert {PENDING[index].receiver for index in drawn} == {1, 2}
 
 
 class TestPartition:
     def test_blocks_cross_partition_traffic(self):
-        scheduler = PartitionScheduler([0, 1], [2, 3], duration=100, base=FIFOScheduler())
-        chosen = PENDING[scheduler.choose(PENDING, RNG, step=0)]
-        inside_a = chosen.sender in (0, 1) and chosen.receiver in (0, 1)
-        inside_b = chosen.sender in (2, 3) and chosen.receiver in (2, 3)
-        assert inside_a or inside_b
+        scheduler = partition_then_heal([0, 1], [2, 3], duration=100)
+        drawn = [PENDING[index] for index in _drawn(scheduler, PENDING, 0)]
+        assert {(m.sender, m.receiver) for m in drawn} == {(0, 1), (2, 3)}
 
     def test_heals_after_duration(self):
-        scheduler = PartitionScheduler([0, 1], [2, 3], duration=5, base=FIFOScheduler())
-        assert PENDING[scheduler.choose(PENDING, RNG, step=5)].seq == 1
+        scheduler = partition_then_heal([0, 1], [2, 3], duration=5)
+        assert _drawn(scheduler, PENDING, 4) == {0, 2}
+        assert _drawn(scheduler, PENDING, 5) == {0, 1, 2, 3}
 
     def test_cross_only_traffic_still_delivered(self):
         cross_only = [_msg(0, 2, 1), _msg(3, 1, 2)]
-        scheduler = PartitionScheduler([0, 1], [2, 3], duration=100, base=FIFOScheduler())
-        assert scheduler.choose(cross_only, RNG, 0) in (0, 1)
+        scheduler = partition_then_heal([0, 1], [2, 3], duration=100)
+        assert _drawn(scheduler, cross_only, 0) == {0, 1}
 
 
 class TestTargeted:

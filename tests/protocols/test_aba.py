@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary import CrashBehavior, RandomNoiseBehavior
-from repro.adversary.scheduling import isolate_party
 from repro.core import api
 from repro.net.protocol import Protocol
 from repro.net.scheduler import FIFOScheduler
@@ -17,6 +16,7 @@ from repro.protocols.aba import (
     ProtocolCoinSource,
 )
 from repro.protocols.weak_coin import WeakCommonCoin
+from repro.scenarios.schedulers import targeted_delay
 
 
 class TestValidity:
@@ -72,7 +72,7 @@ class TestAgreement:
 
     def test_isolating_scheduler(self):
         result = api.run_aba(
-            4, {0: 1, 1: 0, 2: 1, 3: 0}, seed=6, scheduler=isolate_party(1)
+            4, {0: 1, 1: 0, 2: 1, 3: 0}, seed=6, scheduler=targeted_delay(victims=[1])
         )
         assert not result.disagreement
 

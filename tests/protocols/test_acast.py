@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary import CrashBehavior, EquivocatingACastSender, RandomNoiseBehavior
-from repro.adversary.scheduling import favour_parties, isolate_party
 from repro.core import api
 from repro.core.config import ProtocolParams
 from repro.net.runtime import Simulation
 from repro.net.scheduler import FIFOScheduler
 from repro.protocols.acast import ACast
+from repro.scenarios.schedulers import rushing, targeted_delay
 
 
 class TestValidity:
@@ -57,14 +57,14 @@ class TestFaultTolerance:
     def test_isolated_party_catches_up(self):
         """A party starved by the scheduler still delivers once messages flow."""
         result = api.run_acast(
-            4, "slow", sender=0, seed=4, scheduler=isolate_party(2)
+            4, "slow", sender=0, seed=4, scheduler=targeted_delay(victims=[2])
         )
         assert result.agreed_value == "slow"
         assert 2 in result.outputs
 
     def test_adversary_favouring_scheduler(self):
         result = api.run_acast(
-            4, "rushed", sender=1, seed=5, scheduler=favour_parties([0, 1])
+            4, "rushed", sender=1, seed=5, scheduler=rushing([0, 1])
         )
         assert result.agreed_value == "rushed"
 

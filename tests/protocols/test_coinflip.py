@@ -10,9 +10,9 @@ from repro.adversary import (
     DeterministicValueDealer,
     WithholdingDealerBehavior,
 )
-from repro.adversary.scheduling import isolate_party
 from repro.core import api
 from repro.net.scheduler import FIFOScheduler
+from repro.scenarios.schedulers import targeted_delay
 
 
 class TestAgreementAndTermination:
@@ -37,7 +37,7 @@ class TestAgreementAndTermination:
         assert result.agreed_value in (0, 1)
 
     def test_isolating_scheduler(self):
-        result = api.run_coinflip(4, seed=4, rounds=2, scheduler=isolate_party(2))
+        result = api.run_coinflip(4, seed=4, rounds=2, scheduler=targeted_delay(victims=[2]))
         assert not result.disagreement
 
     def test_theoretical_round_count_exposed(self):

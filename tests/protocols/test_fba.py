@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary import CrashBehavior, FBAValueInjector
-from repro.adversary.scheduling import favour_parties
 from repro.core import api
 from repro.net.scheduler import FIFOScheduler
+from repro.scenarios.schedulers import rushing
 
 
 class TestValidity:
@@ -30,7 +30,7 @@ class TestValidity:
             inputs,
             seed=seed,
             corruptions={3: FBAValueInjector.factory("evil")},
-            scheduler=favour_parties([3]),
+            scheduler=rushing([3]),
         )
         assert result.agreed_value == "good"
 

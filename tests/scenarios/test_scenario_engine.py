@@ -7,7 +7,8 @@ import pytest
 from repro.core.config import max_faults
 from repro.errors import ExperimentError
 from repro.experiments.spec import BehaviorSpec, SchedulerSpec
-from repro.net.scheduler import DelayScheduler, PartitionScheduler, TargetedScheduler
+from repro.net.message import Message
+from repro.net.scheduler import DelayScheduler
 from repro.scenarios.engine import ScenarioRuntime, expand_inputs, run_scenario
 from repro.scenarios.library import get_scenario, scenario_names
 from repro.scenarios.spec import (
@@ -64,9 +65,15 @@ class TestScenarioRuntime:
             }),
         )
         scheduler = ScenarioRuntime(spec, n=6).build_scheduler()
-        assert isinstance(scheduler, PartitionScheduler)
-        assert scheduler.group_a == {0, 1, 2}
-        assert scheduler.group_b == {3, 4, 5}
+        assert isinstance(scheduler, DelayScheduler)
+        assert scheduler.max_delay_steps == 10
+        crossing = scheduler.should_delay
+        receivers = {
+            sender: crossing.receivers(Message(sender, 0, ("p",), ("X",)), 6)
+            for sender in range(6)
+        }
+        assert receivers == {0: {3, 4, 5}, 1: {3, 4, 5}, 2: {3, 4, 5},
+                             3: {0, 1, 2}, 4: {0, 1, 2}, 5: {0, 1, 2}}
 
     def test_expand_inputs(self):
         assert expand_inputs("alternating", 4) == {0: 0, 1: 1, 2: 0, 3: 1}

@@ -49,6 +49,17 @@ class TestPartySelectors:
         with pytest.raises(ExperimentError):
             resolve_parties({"half": "middle"}, 4)
 
+    @pytest.mark.parametrize(
+        "selector",
+        [[True], [1.5], [0, "1"], [None], {"pids": [True]}, {"pids": [1.5]}, {"pids": 2}],
+    )
+    def test_explicit_pids_must_be_ints(self, selector):
+        """``int()`` would read ``true`` as party 1 and truncate ``1.5`` to it."""
+        with pytest.raises(ExperimentError, match="party selector"):
+            resolve_parties(selector, 4)
+        with pytest.raises(ExperimentError, match="party selector"):
+            validate_party_selector(selector)
+
     def test_shape_validation_without_n(self):
         for selector in (
             0, [0, 5], {"pids": [3]}, {"first": 2}, {"last": 99}, {"half": "high"},

@@ -11,7 +11,7 @@ from repro.errors import ExperimentError
 from repro.experiments.spec import BehaviorSpec, ExperimentSpec, SchedulerSpec
 from repro.net.message import Message
 from repro.net.queues import ScanQueue
-from repro.net.scheduler import PartitionScheduler, TargetedScheduler
+from repro.net.scheduler import DelayScheduler, TargetedScheduler
 from repro.scenarios import run_scenario
 from repro.scenarios.invariants import (
     InvariantViolation,
@@ -105,7 +105,7 @@ class TestReactiveQueueEquivalence:
             name: _fingerprint(run_scenario(name, n=8, seed=3, tracing=False))
             for name in names
         }
-        for cls in (ReactiveScheduler, PartitionScheduler, TargetedScheduler):
+        for cls in (ReactiveScheduler, DelayScheduler, TargetedScheduler):
             monkeypatch.setattr(cls, "make_queue", lambda self: ScanQueue(self))
         for name, expected in baseline.items():
             assert _fingerprint(run_scenario(name, n=8, seed=3, tracing=False)) == expected

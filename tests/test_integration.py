@@ -16,8 +16,9 @@ from repro.adversary import (
     FBAValueInjector,
     WithholdingDealerBehavior,
 )
-from repro.adversary.scheduling import favour_parties, isolate_party, split_brain
 from repro.core import api
+from repro.net.scheduler import partition_then_heal
+from repro.scenarios.schedulers import rushing, targeted_delay
 
 
 class TestCoinFlipStack:
@@ -28,7 +29,7 @@ class TestCoinFlipStack:
             seed=seed,
             rounds=2,
             corruptions={3: BadShareBehavior.factory()},
-            scheduler=favour_parties([3]),
+            scheduler=rushing([3]),
         )
         assert not result.disagreement
         assert result.agreed_value in (0, 1)
@@ -39,13 +40,13 @@ class TestCoinFlipStack:
             seed=5,
             rounds=2,
             corruptions={0: WithholdingDealerBehavior.factory(victims=[1])},
-            scheduler=isolate_party(2),
+            scheduler=targeted_delay(victims=[2]),
         )
         assert not result.disagreement
 
     def test_coinflip_under_partition_then_heal(self):
         result = api.run_coinflip(
-            4, seed=6, rounds=2, scheduler=split_brain([0, 1], [2, 3], duration=200)
+            4, seed=6, rounds=2, scheduler=partition_then_heal([0, 1], [2, 3], duration=200)
         )
         assert not result.disagreement
 
@@ -67,7 +68,7 @@ class TestFBAStack:
             inputs,
             seed=2,
             corruptions={3: CrashBehavior.factory()},
-            scheduler=split_brain([0], [1, 2], duration=100),
+            scheduler=partition_then_heal([0], [1, 2], duration=100),
         )
         assert not result.disagreement
         assert result.agreed_value in {"a", "b", "c"}
@@ -87,7 +88,7 @@ class TestFBAStack:
             inputs,
             seed=8,
             corruptions={3: FBAValueInjector.factory("evil")},
-            scheduler=favour_parties([3]),
+            scheduler=rushing([3]),
         )
         assert not result.disagreement
         # "x" holds a strict majority of the agreed subset whenever all four

@@ -16,6 +16,7 @@ from repro.core import api
 from repro.core.config import ProtocolParams
 from repro.net.network import Network
 from repro.net.runtime import Simulation
+from repro.net.scheduler import DelayScheduler, TargetedScheduler
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 OUTSIDE = {"benchmarks", "tests", "examples"}
@@ -216,3 +217,39 @@ def test_run_surface():
         "metrics",
         "sinks",
     ]
+
+
+def test_one_starving_scheduler():
+    """Delivery order is one lever with one vocabulary.  A partition that
+    heals is a ``DelayScheduler`` over the crossing filter, a priority that
+    must be re-read every step is ``force_scan(TargetedScheduler(...))``, and
+    the legacy names are registry rows over their targets: a ``Scheduler``
+    class beside these six, or a knob on one of them, is a second
+    implementation of a policy the others already express."""
+    bases = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {
+                    base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
+                    for base in node.bases
+                }
+    schedulers = {"Scheduler"}
+    while True:
+        grown = schedulers | {name for name, of in bases.items() if of & schedulers}
+        if grown == schedulers:
+            break
+        schedulers = grown
+    assert schedulers - {"Scheduler"} == {
+        "FIFOScheduler",
+        "RandomScheduler",
+        "DelayScheduler",
+        "TargetedScheduler",
+        "ForceScanScheduler",
+        "ReactiveScheduler",
+    }
+    assert list(inspect.signature(DelayScheduler).parameters) == [
+        "should_delay",
+        "max_delay_steps",
+    ]
+    assert list(inspect.signature(TargetedScheduler).parameters) == ["priority"]
