@@ -22,30 +22,10 @@ These behaviours target the SVSS / CoinFlip / FBA stack:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Sequence, Set, Tuple
+from typing import Any, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.adversary.behaviors import Behavior, HonestButMutatingBehavior
-from repro.errors import ExperimentError
 from repro.net.message import Message, SessionId
-
-
-# Parameters arrive from campaign JSON, so the factories of the mutating
-# attacks check them when the factory is built (campaign validation), not
-# when a trial corrupts its party; each check names the registered behaviour.
-def check_offset(behavior: str, offset: Any) -> None:
-    """Reject an ``offset`` that is not an int (``bool`` included)."""
-    if type(offset) is not int:
-        raise ExperimentError(
-            f"behavior {behavior!r}: offset must be an integer, got {offset!r}"
-        )
-
-
-def check_victims(behavior: str, victims: Any) -> None:
-    """Reject ``victims`` that is not a list of party ids (ints, ``bool`` excluded)."""
-    if not isinstance(victims, (list, tuple)) or any(type(v) is not int for v in victims):
-        raise ExperimentError(
-            f"behavior {behavior!r}: victims must be a list of party ids, got {victims!r}"
-        )
 
 
 class WithholdingDealerBehavior(HonestButMutatingBehavior):
@@ -54,11 +34,6 @@ class WithholdingDealerBehavior(HonestButMutatingBehavior):
     def __init__(self, victims: Iterable[int]) -> None:
         self.victims: Set[int] = set(victims)
         super().__init__(self._mutate, kinds=("ROW",))
-
-    @classmethod
-    def factory(cls, victims: Sequence[int]) -> Callable[[Any], Behavior]:
-        check_victims("withholding_dealer", victims)
-        return super().factory(victims)
 
     def _mutate(
         self, receiver: int, session: SessionId, payload: tuple
@@ -79,15 +54,6 @@ class BadShareBehavior(HonestButMutatingBehavior):
         self.victims: Optional[Set[int]] = set(victims) if victims is not None else None
         self.offset = offset
         super().__init__(self._mutate, kinds=("RECROW",))
-
-    @classmethod
-    def factory(
-        cls, victims: Optional[Sequence[int]] = None, offset: int = 1
-    ) -> Callable[[Any], Behavior]:
-        if victims is not None:
-            check_victims("bad_share", victims)
-        check_offset("bad_share", offset)
-        return super().factory(victims, offset)
 
     def _mutate(
         self, receiver: int, session: SessionId, payload: tuple
@@ -111,11 +77,6 @@ class PointCorruptingBehavior(HonestButMutatingBehavior):
     def __init__(self, offset: int = 1) -> None:
         self.offset = offset
         super().__init__(self._mutate, kinds=("POINT",))
-
-    @classmethod
-    def factory(cls, offset: int = 1) -> Callable[[Any], Behavior]:
-        check_offset("point_corrupting", offset)
-        return super().factory(offset)
 
     def _mutate(
         self, receiver: int, session: SessionId, payload: tuple
@@ -169,13 +130,6 @@ class SplitBrainEquivocator(HonestButMutatingBehavior):
     def __init__(self, offset: int = 1, kinds: Optional[Iterable[str]] = None) -> None:
         self.offset = offset
         super().__init__(self._mutate, kinds)
-
-    @classmethod
-    def factory(
-        cls, offset: int = 1, kinds: Optional[Iterable[str]] = None
-    ) -> Callable[[Any], Behavior]:
-        check_offset("split_equivocator", offset)
-        return super().factory(offset, kinds)
 
     def _mutate(
         self, receiver: int, session: SessionId, payload: tuple

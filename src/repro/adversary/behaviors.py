@@ -22,20 +22,8 @@ import inspect
 import random
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.errors import ExperimentError
 from repro.net.message import Message, SessionId
 from repro.net.process import Process
-
-
-# Parameters arrive from campaign JSON, so a factory checks them when it is
-# built (campaign validation), not when a trial corrupts its party; each
-# check names the registered behaviour.
-def check_count(behavior: str, name: str, value: Any) -> None:
-    """Reject a count ``value`` that is not a non-negative int (``bool`` excluded)."""
-    if type(value) is not int or value < 0:
-        raise ExperimentError(
-            f"behavior {behavior!r}: {name} must be a non-negative integer, got {value!r}"
-        )
 
 
 class Behavior:
@@ -162,11 +150,6 @@ class SilentAfterBehavior(Behavior):
         self.active_deliveries = active_deliveries
         self._seen = 0
 
-    @classmethod
-    def factory(cls, active_deliveries: int) -> Callable[[Process], Behavior]:
-        check_count("silent_after", "active_deliveries", active_deliveries)
-        return super().factory(active_deliveries)
-
     def on_message(self, message: Message) -> None:
         assert self.process is not None
         if self._seen >= self.active_deliveries:
@@ -244,11 +227,6 @@ class ReplayBehavior(Behavior):
         self._replayed = 0
         self.log: List[Message] = []
 
-    @classmethod
-    def factory(cls, max_replays: int = 1000) -> Callable[[Process], Behavior]:
-        check_count("replay", "max_replays", max_replays)
-        return super().factory(max_replays)
-
     def on_message(self, message: Message) -> None:
         self.log.append(message)
         if self._replayed < self.max_replays:
@@ -266,11 +244,6 @@ class RandomNoiseBehavior(Behavior):
     def __init__(self, burst: int = 2) -> None:
         super().__init__()
         self.burst = burst
-
-    @classmethod
-    def factory(cls, burst: int = 2) -> Callable[[Process], Behavior]:
-        check_count("random_noise", "burst", burst)
-        return super().factory(burst)
 
     def on_message(self, message: Message) -> None:
         assert self.process is not None

@@ -143,10 +143,6 @@ def scenario_factors() -> Tuple[Factor, ...]:
     )
 
 
-def factor_names(factors: Iterable[Factor]) -> List[str]:
-    return [factor.name for factor in factors]
-
-
 # ----------------------------------------------------------------------
 # Grid expansion
 def _merge_params(

@@ -447,11 +447,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     for cell in campaign.cells:
         try:
             # The cell's own fields, registry and scenario names
-            # (`base~no-component` variants too), selectors, behaviour and
-            # scheduler params, the corruption budget, runner params.
+            # (`base~no-component` variants too), selectors, behaviour,
+            # scheduler and fault params, the corruption budget, runner params.
             CellExecutor(cell)
-            if cell.fault is not None:
-                FAULTS.get(cell.fault.fault)
         except ExperimentError as exc:
             message = str(exc)
             if not message.startswith("cell "):

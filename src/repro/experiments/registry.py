@@ -13,11 +13,19 @@ JSON.  The three registries here resolve those names:
   ``delay_protocol``, ``favour_parties``, ``split_brain``) as alias rows
   over their targets.
 
-Downstream code can extend any registry::
+Every row declares its params as typed fields (:mod:`repro.experiments.params`)
+when it is registered, and they are checked against the cell's ``n`` at
+validation.  Downstream code can extend any registry the same way::
 
-    @RUNNERS.register("my_protocol")
-    def run_my_protocol(n, seed=0, scheduler=None, corruptions=None):
+    from repro.experiments.params import Int, Pid
+
+    @RUNNERS.register("my_protocol", fields={"leader": Pid(), "rounds": Int(1)})
+    def run_my_protocol(n, leader, rounds=1, seed=0, scheduler=None, corruptions=None):
         ...
+
+A row that declares no fields is still checked by param name: the names its
+builder cannot take are refused.  ``closed=True`` also refuses a name the
+table does not declare (the fault and ``tamper`` rows).
 """
 
 from __future__ import annotations
@@ -33,7 +41,8 @@ from repro.adversary import attacks, behaviors
 from repro.core import api
 from repro.core.config import ProtocolParams
 from repro.errors import ConfigurationError, ExperimentError, FaultInjectionError
-from repro.experiments.spec import BehaviorSpec, SchedulerSpec, is_int, party_key
+from repro.experiments import params as schema
+from repro.experiments.spec import BehaviorSpec, SchedulerSpec, party_key
 from repro.net import scheduler as net_scheduler
 
 
@@ -44,24 +53,36 @@ class Registry:
     arguments before the entry is invoked.  Normalizers repair the lossy bits
     of JSON -- most importantly integer dictionary keys (JSON object keys are
     always strings), e.g. the ``inputs`` maps of the agreement runners.
+    Each entry may also declare its params' *fields*, which
+    :meth:`params_problem` checks; ``noun`` names a row in its errors.
     """
 
-    def __init__(self, kind: str) -> None:
+    def __init__(self, kind: str, noun: Optional[str] = None) -> None:
         self.kind = kind
+        self.noun = noun or kind
         self._entries: Dict[str, Callable[..., Any]] = {}
         self._normalizers: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {}
+        self._fields: Dict[str, schema.Fields] = {}
+        self._closed: Dict[str, bool] = {}
 
     def register(
         self,
         name: str,
         normalizer: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None,
+        fields: Optional[schema.Fields] = None,
+        closed: bool = False,
     ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
         """Decorator registering ``name``; re-registration overrides."""
 
         def install(target: Callable[..., Any]) -> Callable[..., Any]:
             self._entries[name] = target
+            self._normalizers.pop(name, None)
+            self._fields.pop(name, None)
             if normalizer is not None:
                 self._normalizers[name] = normalizer
+            if fields is not None:
+                self._fields[name] = dict(fields)
+            self._closed[name] = closed and fields is not None
             return target
 
         return install
@@ -84,6 +105,31 @@ class Registry:
         normalizer = self._normalizers.get(name)
         return normalizer(dict(kwargs)) if normalizer else dict(kwargs)
 
+    def fields(self, name: str) -> Optional[schema.Fields]:
+        """The entry's declared param fields (None: checked by name only)."""
+        return self._fields.get(name)
+
+    def params_problem(
+        self, name: str, params: Mapping[str, Any], n: Optional[int]
+    ) -> Optional[str]:
+        """The first of ``params`` the entry's fields refuse at ``n`` (or None)."""
+        closed = self._closed.get(name, False)
+        problem = schema.problem(self._fields.get(name), params, n, closed=closed)
+        return None if problem is None else f"{self.noun} {name!r}: {problem}"
+
+    def build(self, name: str, params: Mapping[str, Any]) -> Any:
+        """Call the entry with ``params``; an error names the row as the spec did."""
+        builder = self.get(name)
+        params = self.normalize(name, params)
+        try:
+            return builder(**params)
+        except TypeError as exc:
+            raise ExperimentError(
+                f"{self.noun} {name!r} cannot be built from params {sorted(params)}: {exc}"
+            ) from exc
+        except ExperimentError as exc:
+            raise ExperimentError(f"{self.noun} {name!r}: {exc}") from exc
+
     def names(self) -> List[str]:
         return sorted(self._entries)
 
@@ -91,10 +137,10 @@ class Registry:
         return name in self._entries
 
 
-RUNNERS = Registry("protocol runner")
-BEHAVIORS = Registry("adversary behavior")
-SCHEDULERS = Registry("scheduler")
-FAULTS = Registry("chaos fault")
+RUNNERS = Registry("protocol runner", "runner")
+BEHAVIORS = Registry("adversary behavior", "behavior")
+SCHEDULERS = Registry("scheduler", "scheduler")
+FAULTS = Registry("chaos fault", "fault")
 
 
 # ----------------------------------------------------------------------
@@ -103,7 +149,7 @@ def _int_keyed_inputs(kwargs: Dict[str, Any]) -> Dict[str, Any]:
     """JSON object keys are strings; party-indexed maps need int keys back.
 
     An ``inputs`` that is no map, or a key that spells no integer, is kept as
-    given, for :func:`runner_params_problem` to refuse.
+    given, for its field to refuse.
     """
     inputs = kwargs.get("inputs")
     if isinstance(inputs, Mapping):
@@ -112,41 +158,81 @@ def _int_keyed_inputs(kwargs: Dict[str, Any]) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Protocol runners (repro.core.api)
-RUNNERS.add("acast", api.run_acast)
-RUNNERS.add("svss", api.run_svss)
-RUNNERS.add("aba", api.run_aba, normalizer=_int_keyed_inputs)
-RUNNERS.add("common_subset", api.run_common_subset)
-RUNNERS.add("weak_coin", api.run_weak_coin)
-RUNNERS.add("coinflip", api.run_coinflip)
-RUNNERS.add("fair_choice", api.run_fair_choice)
-RUNNERS.add("fba", api.run_fba, normalizer=_int_keyed_inputs)
+# Protocol runners (repro.core.api).  One table for the params the runners
+# share; a runner's signature says which of them it takes.  ``prime`` is also
+# checked against ``n`` by :class:`ProtocolParams` (see
+# :func:`runner_params_problem`).
+RUNNER_FIELDS: Dict[str, schema.Field] = {
+    "value": schema.Value(),
+    "sender": schema.Pid(),
+    "dealer": schema.Pid(),
+    "secret": schema.Int(),
+    "ready_parties": schema.PidList(),
+    "epsilon": schema.Real(0, 0.5),
+    "rounds": schema.Int(1),
+    "coinflip_rounds": schema.Int(1),
+    "m": schema.Int(3),
+    "max_steps": schema.Int(1, null=True),
+    "prime": schema.Int(2),
+    "tracing": schema.Bool(),
+    "metering": schema.Bool(),
+    "metrics": schema.Bool(),
+    "sinks": schema.PyObject(),
+    "coin_source": schema.PyObject(),
+}
+for _name, _runner in [
+    ("acast", api.run_acast),
+    ("svss", api.run_svss),
+    ("common_subset", api.run_common_subset),
+    ("weak_coin", api.run_weak_coin),
+    ("coinflip", api.run_coinflip),
+    ("fair_choice", api.run_fair_choice),
+]:
+    RUNNERS.add(_name, _runner, fields=RUNNER_FIELDS)
+# A binary-agreement party without an input defaults to 0; an FBA value is
+# any object, and a party without one cannot start.
+for _name, _runner, _inputs in [
+    ("aba", api.run_aba, schema.InputMap(domain=(0, 1))),
+    ("fba", api.run_fba, schema.InputMap(every=True)),
+]:
+    _fields = {**RUNNER_FIELDS, "inputs": _inputs}
+    RUNNERS.add(_name, _runner, normalizer=_int_keyed_inputs, fields=_fields)
 
 
 # ----------------------------------------------------------------------
 # Adversarial behaviours.  Each entry is a ``(**params) -> factory`` builder;
 # the returned factory is the ``process -> Behavior`` callable that
 # :meth:`repro.net.runtime.Simulation.corrupt` expects.
-BEHAVIORS.add("crash", behaviors.CrashBehavior.factory)
-BEHAVIORS.add("hard_crash", behaviors.HardCrashBehavior.factory)
-BEHAVIORS.add("silent_after", behaviors.SilentAfterBehavior.factory)
-BEHAVIORS.add("replay", behaviors.ReplayBehavior.factory)
-BEHAVIORS.add("random_noise", behaviors.RandomNoiseBehavior.factory)
-BEHAVIORS.add("equivocating", behaviors.EquivocatingBehavior.factory)
-BEHAVIORS.add("withholding_dealer", attacks.WithholdingDealerBehavior.factory)
-BEHAVIORS.add("bad_share", attacks.BadShareBehavior.factory)
-BEHAVIORS.add("point_corrupting", attacks.PointCorruptingBehavior.factory)
-BEHAVIORS.add("deterministic_value_dealer", attacks.DeterministicValueDealer.factory)
-BEHAVIORS.add("fba_value_injector", attacks.FBAValueInjector.factory)
-BEHAVIORS.add("split_equivocator", attacks.SplitBrainEquivocator.factory)
+for _name, _builder, _fields in [
+    ("crash", behaviors.CrashBehavior, {}),
+    ("hard_crash", behaviors.HardCrashBehavior, {}),
+    ("silent_after", behaviors.SilentAfterBehavior, {"active_deliveries": schema.Int(0)}),
+    ("replay", behaviors.ReplayBehavior, {"max_replays": schema.Int(0)}),
+    ("random_noise", behaviors.RandomNoiseBehavior, {"burst": schema.Int(0)}),
+    ("equivocating", behaviors.EquivocatingBehavior,
+     {"value_for_low": schema.Value(), "value_for_high": schema.Value()}),
+    ("withholding_dealer", attacks.WithholdingDealerBehavior, {"victims": schema.PidList()}),
+    ("bad_share", attacks.BadShareBehavior,
+     {"victims": schema.PidList(null=True), "offset": schema.Int()}),
+    ("point_corrupting", attacks.PointCorruptingBehavior, {"offset": schema.Int()}),
+    ("deterministic_value_dealer", attacks.DeterministicValueDealer, {"value": schema.Int(0, 1)}),
+    ("fba_value_injector", attacks.FBAValueInjector, {"value": schema.Value()}),
+    ("split_equivocator", attacks.SplitBrainEquivocator,
+     {"offset": schema.Int(), "kinds": schema.StrList(null=True)}),
+]:
+    BEHAVIORS.add(_name, _builder.factory, fields=_fields)
 
 
 # ----------------------------------------------------------------------
 # Schedulers
-SCHEDULERS.add("fifo", net_scheduler.FIFOScheduler)
-SCHEDULERS.add("random", net_scheduler.RandomScheduler)
-SCHEDULERS.add("delay_from_parties", net_scheduler.delay_from_parties)
-SCHEDULERS.add("delay_to_parties", net_scheduler.delay_to_parties)
+#: The starvation bound every delaying scheduler takes.
+STEP_BUDGET = schema.Int(0, null=True)
+
+SCHEDULERS.add("fifo", net_scheduler.FIFOScheduler, fields={})
+SCHEDULERS.add("random", net_scheduler.RandomScheduler, fields={})
+for _builder in (net_scheduler.delay_from_parties, net_scheduler.delay_to_parties):
+    _fields = {"parties": schema.PartySelector(), "max_delay_steps": STEP_BUDGET}
+    SCHEDULERS.add(_builder.__name__, _builder, fields=_fields)
 
 
 # ----------------------------------------------------------------------
@@ -161,21 +247,29 @@ def _fault_raise(message: str = "injected chaos fault") -> None:
 
 
 def _fault_hang(seconds: float = 3600.0) -> None:
-    time.sleep(float(seconds))
+    time.sleep(seconds)
 
 
 def _fault_exit(code: int = 3) -> None:
-    os._exit(int(code))
+    os._exit(code)
 
 
 def _fault_sigkill() -> None:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-FAULTS.add("raise", _fault_raise)
-FAULTS.add("hang", _fault_hang)
-FAULTS.add("exit", _fault_exit)
-FAULTS.add("sigkill", _fault_sigkill)
+#: When a fault fires: the chunk indices and dispatch attempts it hits
+#: (consumed by :func:`inject_fault`, never passed to the fault itself).
+FAULT_SELECTORS = dict.fromkeys(("chunks", "attempts"), schema.IntList(0, null=True))
+
+# No builder refuses a misspelt fault param before the fault fires: closed.
+for _name, _fault, _fields in [
+    ("raise", _fault_raise, {"message": schema.Name()}),
+    ("hang", _fault_hang, {"seconds": schema.Real(0, lo_closed=True)}),
+    ("exit", _fault_exit, {"code": schema.Int()}),
+    ("sigkill", _fault_sigkill, {}),
+]:
+    FAULTS.add(_name, _fault, fields={**FAULT_SELECTORS, **_fields}, closed=True)
 
 #: The faults that kill or stall the process they fire in: only a supervised
 #: worker may run them, so an inline campaign refuses them up front.
@@ -204,52 +298,95 @@ def inject_fault(spec: Optional[Mapping[str, Any]], chunk_index: int, attempt: i
     FAULTS.get(str(spec["fault"]))(**params)
 
 
+def fault_problem(fault: Any) -> Optional[str]:
+    """Why a serialized fault spec (``{"fault": name, "params": {...}}``) cannot fire (or None).
+
+    Checked where a fault enters (a cell, a beacon request), never in a
+    worker.  A row without fields takes the selectors and its callable's names.
+    """
+    name = fault.get("fault") if isinstance(fault, Mapping) else None
+    if not isinstance(name, str) or name not in FAULTS:
+        return f"unknown fault {name!r}; known: {', '.join(FAULTS.names())}"
+    params = fault.get("params", {})
+    if FAULTS.fields(name) is not None:
+        return FAULTS.params_problem(name, params, None)
+    problem = schema.problem(FAULT_SELECTORS, params, None)
+    if problem is None:
+        required, accepted = signature_names(FAULTS.get(name)) or (frozenset(), None)
+        given = set(params) - set(FAULT_SELECTORS)
+        if not required <= given:
+            problem = f"needs params {sorted(required - given)}"
+        elif accepted is not None and not given <= accepted:
+            problem = f"takes no params {sorted(given - accepted)}; accepted: {sorted(accepted)}"
+    return None if problem is None else f"fault {name!r}: {problem}"
+
+
 # ----------------------------------------------------------------------
-def build_behavior_factory(spec: BehaviorSpec) -> Callable[..., Any]:
+def build_behavior_factory(spec: BehaviorSpec, n: Optional[int] = None) -> Callable[..., Any]:
     """Instantiate the behaviour factory a :class:`BehaviorSpec` names.
 
-    Like :func:`build_scheduler`, params the builder cannot take are a spec
-    error raised here -- at campaign validation -- not in a trial.
+    Its params are checked against the row's fields at ``n`` (the party
+    count of the run, None when unknown), and params the builder cannot take
+    are a spec error raised here -- at campaign validation -- not in a trial.
     """
-    builder = BEHAVIORS.get(spec.behavior)
-    params = BEHAVIORS.normalize(spec.behavior, spec.params)
-    try:
-        return builder(**params)
-    except TypeError as exc:
-        raise ExperimentError(
-            f"behavior {spec.behavior!r} cannot be built from params "
-            f"{sorted(params)}: {exc}"
-        ) from exc
+    BEHAVIORS.get(spec.behavior)  # an unknown name is refused first
+    problem = BEHAVIORS.params_problem(spec.behavior, spec.params, n)
+    if problem is not None:
+        raise ExperimentError(problem)
+    return BEHAVIORS.build(spec.behavior, spec.params)
+
+
+def resolve_scheduler(spec: SchedulerSpec, n: int) -> SchedulerSpec:
+    """``spec`` with its params checked at ``n`` and its party selectors resolved.
+
+    Every party selector becomes the explicit pid list it names at ``n``, so
+    the spec can be built once per trial without re-resolving.  Raises
+    :class:`ExperimentError` naming the scheduler and the param.
+    """
+    SCHEDULERS.get(spec.scheduler)  # an unknown name is refused first
+    fields = SCHEDULERS.fields(spec.scheduler)
+    problem = SCHEDULERS.params_problem(spec.scheduler, spec.params, n)
+    if problem is not None:
+        raise ExperimentError(problem)
+    return SchedulerSpec(spec.scheduler, schema.resolve(fields, spec.params, n))
 
 
 def build_scheduler(spec: Optional[SchedulerSpec]) -> Optional[net_scheduler.Scheduler]:
     """Instantiate the scheduler a :class:`SchedulerSpec` names (or ``None``).
 
-    Params the builder cannot take (a missing or misspelt key, a value of
-    the wrong shape) are a spec error, not a crash: campaign validation makes
-    this call before any trial runs.  A builder's own :class:`ExperimentError`
-    (a bad step budget, overlapping groups) is prefixed with the name the
-    spec used, so an alias's errors name the alias.
+    ``spec`` comes from :func:`resolve_scheduler`; campaign validation makes
+    this call before any trial runs, so a spec error is never a crash.
     """
-    if spec is None:
-        return None
-    builder = SCHEDULERS.get(spec.scheduler)
-    params = SCHEDULERS.normalize(spec.scheduler, spec.params)
-    try:
-        return builder(**params)
-    except TypeError as exc:
-        raise ExperimentError(
-            f"scheduler {spec.scheduler!r} cannot be built from params "
-            f"{sorted(params)}: {exc}"
-        ) from exc
-    except ExperimentError as exc:
-        raise ExperimentError(f"scheduler {spec.scheduler!r}: {exc}") from exc
+    return None if spec is None else SCHEDULERS.build(spec.scheduler, spec.params)
 
 
 #: Runner arguments the executor supplies itself, never read from ``params``.
 _EXECUTOR_SUPPLIED = frozenset(
     {"n", "seed", "scheduler", "corruptions", "director", "session_table"}
 )
+
+
+@lru_cache(maxsize=64)
+def signature_names(
+    target: Callable[..., Any],
+) -> Optional[Tuple[frozenset, Optional[frozenset]]]:
+    """``(required, accepted)`` keyword names (``accepted``: None for ``**kwargs``).
+
+    None when ``target`` cannot be introspected (a C callable).
+    """
+    try:
+        parameters = inspect.signature(target).parameters.values()
+    except (TypeError, ValueError):  # builtins / C callables
+        return None
+    named = {
+        p.name: p.default is p.empty
+        for p in parameters
+        if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+    }
+    required = frozenset(name for name, needed in named.items() if needed)
+    if any(p.kind is p.VAR_KEYWORD for p in parameters):
+        return required, None
+    return required, frozenset(named)
 
 
 @lru_cache(maxsize=64)
@@ -268,86 +405,14 @@ def runner_signature(
     entry may not, and must keep working without them.
     """
     extras = frozenset({"director", "session_table"})
-    try:
-        parameters = inspect.signature(runner).parameters.values()
-    except (TypeError, ValueError):  # builtins / C callables
+    names = signature_names(runner)
+    if names is None:
         return frozenset(), None, frozenset()
-    named = {
-        p.name: p.default is p.empty
-        for p in parameters
-        if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
-    }
-    required = (
-        frozenset(name for name, needed in named.items() if needed)
-        - _EXECUTOR_SUPPLIED
-    )
-    if any(p.kind is p.VAR_KEYWORD for p in parameters):
+    required, accepted = names
+    required -= _EXECUTOR_SUPPLIED
+    if accepted is None:
         return required, None, extras
-    return required, frozenset(named) - _EXECUTOR_SUPPLIED, extras.intersection(named)
-
-
-#: Observation switches: JSON booleans only (a string such as ``"false"``
-#: would be truthy, and ``metrics`` builds a registry from anything else).
-_BOOL_PARAMS = ("tracing", "metering", "metrics")
-#: Runner params that take Python objects (trace sinks, a coin source),
-#: which a plain-JSON spec cannot carry.
-_OBJECT_PARAMS = ("sinks", "coin_source")
-#: Iteration and size params: the least value each takes, as a non-bool int
-#: (a coinflip ``rounds`` of 0 or null would fall back to the paper-scale
-#: iteration count; FairChoice needs ``m >= 3`` candidates).
-_INT_PARAMS = {"rounds": 1, "coinflip_rounds": 1, "m": 3}
-
-
-#: Per-party ``inputs`` of the agreement runners: the values one party's
-#: input may take (None: any value but None -- an FBA value is any object)
-#: and whether every party needs one (an FBA party without one cannot start;
-#: a binary-agreement party defaults to 0).
-_INPUT_RULES = {"aba": ((0, 1), False), "fba": (None, True)}
-
-
-def _inputs_problem(protocol: str, inputs: Any, n: int) -> Optional[str]:
-    """Why ``inputs`` is no per-party input map of ``protocol`` at ``n`` (or None)."""
-    if not isinstance(inputs, Mapping):
-        return f"param 'inputs' must map party ids to inputs, got {inputs!r}"
-    domain, every = _INPUT_RULES.get(protocol, (None, False))
-    seen = set()
-    for pid, value in inputs.items():
-        party = party_key(pid)
-        if not is_int(party) or not 0 <= party < n:
-            return f"inputs key {pid!r} is not a party id in 0..{n - 1}"
-        seen.add(party)
-        if domain is None and value is None:
-            return f"the input of party {party} is missing (null)"
-        if domain is not None and not (is_int(value) and value in domain):
-            return (
-                f"the input of party {party} must be one of "
-                f"{', '.join(map(str, domain))}, got {value!r}"
-            )
-    if every and len(seen) < n:
-        missing = sorted(set(range(n)) - seen)
-        return f"param 'inputs' has no input for parties {missing}"
-    return None
-
-
-def _param_value_problem(params: Mapping[str, Any]) -> Optional[str]:
-    """Why a value in ``params`` cannot reach its runner from a JSON spec (or None)."""
-    for name in _OBJECT_PARAMS:
-        if name in params:
-            return f"param {name!r} takes a Python object and cannot be set from a spec"
-    for name in _BOOL_PARAMS:
-        if name in params and not isinstance(params[name], bool):
-            return f"param {name!r} must be true or false, got {params[name]!r}"
-    for name, least in _INT_PARAMS.items():
-        value = params.get(name, least)
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            return f"param {name!r} must be an integer >= {least}, got {value!r}"
-    if "epsilon" in params:
-        value = params["epsilon"]
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < 0.5:
-            return f"param 'epsilon' must be a number in (0, 1/2), got {value!r}"
-    if "secret" in params and not is_int(params["secret"]):
-        return f"param 'secret' must be an integer, got {params['secret']!r}"
-    return None
+    return required, accepted - _EXECUTOR_SUPPLIED, extras.intersection(accepted)
 
 
 def runner_params_problem(
@@ -355,16 +420,11 @@ def runner_params_problem(
 ) -> Optional[str]:
     """Why ``RUNNERS[protocol]`` cannot be called with ``params`` at ``n`` (or None).
 
-    The runner-side twin of :func:`build_scheduler`'s check: a missing or
-    misspelt param, a value of the wrong type or range for a known param
-    (:func:`_param_value_problem`), a ``prime`` that is not a prime above
-    ``n``, or ``inputs`` that are no input map of the runner at ``n``
-    (:func:`_inputs_problem`), is a spec error raised at validation
-    (campaign cell, ablation grid, beacon request), not an exception in a
-    worker after dispatch.  Two set operations per call, plus a
-    :class:`ProtocolParams` build when ``prime`` is given and one pass over
-    ``inputs``; the name sets and the primality test are computed once per
-    runner / modulus.
+    A missing or misspelt param, a ``prime`` that is not a prime above
+    ``n``, or a value its field refuses at ``n`` is a spec error raised at
+    validation (campaign cell, ablation grid, beacon request), never in a
+    worker.  The name sets and the primality test are cached per runner /
+    modulus.
     """
     required, accepted, _ = runner_signature(RUNNERS.get(protocol))
     if not required.issubset(params):
@@ -377,19 +437,12 @@ def runner_params_problem(
             f"runner {protocol!r} takes no params "
             f"{sorted(set(params) - accepted)}; accepted: {sorted(accepted)}"
         )
-    problem = _param_value_problem(params)
-    if problem is not None:
-        return f"runner {protocol!r}: {problem}"
     if "prime" in params:
         try:
             ProtocolParams.for_parties(n, prime=params["prime"])
         except ConfigurationError as exc:
             return f"runner {protocol!r} at n={n}: {exc}"
-    if "inputs" in params:
-        problem = _inputs_problem(protocol, params["inputs"], n)
-        if problem is not None:
-            return f"runner {protocol!r} at n={n}: {problem}"
-    return None
+    return RUNNERS.params_problem(protocol, RUNNERS.normalize(protocol, params), n)
 
 
 # ----------------------------------------------------------------------

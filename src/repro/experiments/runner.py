@@ -46,6 +46,8 @@ from repro.experiments.registry import (
     RUNNERS,
     build_behavior_factory,
     build_scheduler,
+    fault_problem,
+    resolve_scheduler,
     runner_params_problem,
     runner_signature,
 )
@@ -165,7 +167,7 @@ class CellExecutor:
             kwargs = RUNNERS.normalize(cell.protocol, cell.params)
             corruptions = {}
         for pid, spec in sorted(cell.adversary.items()):
-            corruptions[pid] = build_behavior_factory(spec)
+            corruptions[pid] = build_behavior_factory(spec, cell.n)
         t = max_faults(cell.n)
         if len(corruptions) > t:
             raise ExperimentError(
@@ -178,14 +180,13 @@ class CellExecutor:
         #: built once here so a bad param fails before any trial.
         self.scheduler_spec = None
         if cell.scheduler is not None:
-            # Imported lazily, like the scenario runtime above.
-            from repro.scenarios.schedulers import resolve_scheduler
-
             self.scheduler_spec = resolve_scheduler(cell.scheduler, cell.n)
             build_scheduler(self.scheduler_spec)
         # A cell its runner cannot be called with fails here, before any
         # trial is dispatched, like an unusable scheduler spec.
         problem = runner_params_problem(cell.protocol, kwargs, cell.n)
+        if problem is None and cell.fault is not None:
+            problem = fault_problem(cell.fault.to_dict())
         if problem is not None:
             raise ExperimentError(f"cell {cell.name!r}: {problem}")
         #: Which optional runner kwargs (director/session table) to forward.
@@ -288,21 +289,15 @@ def _resolve_policy(
     campaign: CampaignSpec, override: Optional[ExecutionPolicy]
 ) -> ExecutionPolicy:
     """Fold override -> campaign policy -> defaults into a concrete policy."""
-
-    def pick(attr: str, default: Any) -> Any:
-        for layer in (override, campaign.policy):
-            if layer is not None:
-                value = getattr(layer, attr)
-                if value is not None:
-                    return value
-        return default
-
-    resolved = ExecutionPolicy(
-        trial_timeout_s=pick("trial_timeout_s", None),
-        max_chunk_retries=pick("max_chunk_retries", DEFAULT_MAX_CHUNK_RETRIES),
-        fail_fast=pick("fail_fast", False),
-        backoff_base_s=pick("backoff_base_s", DEFAULT_BACKOFF_BASE_S),
+    settings: Dict[str, Any] = dict(
+        max_chunk_retries=DEFAULT_MAX_CHUNK_RETRIES,
+        fail_fast=False,
+        backoff_base_s=DEFAULT_BACKOFF_BASE_S,
     )
+    for layer in (campaign.policy, override):
+        if layer is not None:
+            settings.update(layer.to_dict())  # the fields it sets
+    resolved = ExecutionPolicy(**settings)
     resolved.validate()
     return resolved
 

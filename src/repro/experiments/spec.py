@@ -28,12 +28,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ExperimentError
+from repro.experiments import params as schema
 
 
 def canonical_json(data: Any) -> str:
@@ -49,72 +50,126 @@ def party_key(pid: Any) -> Any:
         return pid
 
 
-def is_int(value: Any) -> bool:
-    """True for an integer that is not a bool (``True`` is an int in Python)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _ints_as_int(value: Any) -> Any:
     """``value`` as a plain int when it is an integer, else unchanged."""
-    return int(value) if is_int(value) else value
+    return int(value) if schema.is_int(value) else value
 
 
-def trial_shape_problem(n: Any, seeds: Any) -> Optional[str]:
-    """Why ``n`` parties over ``seeds`` is no trial shape (or None).
+_SCALARS = frozenset({str, int, float, bool, type(None)})
 
-    The one check of a campaign cell's ``n`` / ``seeds`` and a beacon
-    request's ``n`` / ``seed`` (a one-seed list), so the two cannot disagree.
-    Each is an integer as written, never coerced: ``int()`` would read ``"4"``
-    and ``4.5`` as 4 parties and ``true`` as one.
+
+def _plain(value: Any) -> Any:
+    """``value`` as plain JSON data: nested specs as dicts, containers copied."""
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value.to_dict() if isinstance(value, JsonSpec) else value
+
+
+@lru_cache(maxsize=None)
+def _json_fields(cls: type) -> Tuple[Tuple[str, Any, bool], ...]:
+    """``(name, default, always)`` per field of a spec class, read once."""
+    return tuple(
+        (f.name, f.default if f.default_factory is MISSING else f.default_factory(),
+         f.name in cls.ALWAYS)  # type: ignore[attr-defined]
+        for f in fields(cls)
+    )
+
+
+class JsonSpec:
+    """The JSON form the spec dataclasses share, driven by their fields.
+
+    :meth:`to_dict` omits fields at their default (but those in
+    :attr:`ALWAYS`, which a document must therefore carry); :meth:`from_dict`
+    is the constructor (``__post_init__`` reads the :attr:`NESTED` specs), so
+    a missing or unknown key is an :attr:`ERROR` and no value is coerced:
+    ``validate`` checks them as written.
     """
-    if not is_int(n) or n < 1:
-        return f"n must be a positive integer, got {n!r}"
-    if not isinstance(seeds, list):
-        return f"seeds must be a list of integers, got {seeds!r}"
-    for seed in seeds:
-        if not is_int(seed):
-            return f"seed {seed!r} is not an integer"
-    return None
+
+    #: Fields written even at their default.
+    ALWAYS: Tuple[str, ...] = ()
+    #: What an error calls the document, and the error it raises.
+    NOUN = "spec"
+    ERROR: type = ExperimentError
+    #: Fields read as nested specs: a JSON object becomes the spec (anything
+    #: else is kept, for ``validate`` to refuse); ``[spec]`` is a list of them.
+    NESTED: Dict[str, Any] = {}
+
+    def __post_init__(self) -> None:
+        for name, spec in self.NESTED.items():
+            value = getattr(self, name)
+            if isinstance(spec, list):
+                (spec,) = spec
+                value = [v if isinstance(v, spec) else spec.from_dict(v) for v in value]
+                setattr(self, name, value)
+            elif isinstance(value, Mapping):
+                setattr(self, name, spec.from_dict(value))
+
+    def to_dict(self) -> Dict[str, Any]:
+        data: Dict[str, Any] = {}
+        for name, default, always in _json_fields(type(self)):
+            value = getattr(self, name)
+            if always or value != default:  # nothing equals MISSING
+                data[name] = _plain(value)
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> Any:
+        if cls.ALWAYS and isinstance(data, Mapping) and not set(cls.ALWAYS).issubset(data):
+            missing = sorted(set(cls.ALWAYS).difference(data))
+            raise cls.ERROR(f"malformed {cls.NOUN}: missing keys {missing}")
+        try:
+            return cls(**data)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise cls.ERROR(f"malformed {cls.NOUN}: {exc}") from exc
+
+    def to_json(self, indent: Optional[int] = 2) -> str:
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True) + "\n"
+
+    @classmethod
+    def from_json(cls, text: str) -> Any:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise cls.ERROR(f"{cls.NOUN} is not valid JSON: {exc}") from exc
+        return cls.from_dict(data)
+
+    def save(self, path: Union[str, Path]) -> None:
+        Path(path).write_text(self.to_json())
+
+    @classmethod
+    def load(cls, path: Union[str, Path]) -> Any:
+        return cls.from_json(Path(path).read_text())
 
 
 @dataclass
-class BehaviorSpec:
+class BehaviorSpec(JsonSpec):
     """A named adversarial behaviour plus its constructor parameters."""
 
     behavior: str
     params: Dict[str, Any] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"behavior": self.behavior}
-        if self.params:
-            data["params"] = dict(self.params)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BehaviorSpec":
-        return cls(behavior=str(data["behavior"]), params=dict(data.get("params", {})))
+    NOUN = "behavior spec"
+    #: The name's check; the params are the registry row's to check.
+    FIELDS = {"behavior": schema.Name()}
 
 
 @dataclass
-class SchedulerSpec:
+class SchedulerSpec(JsonSpec):
     """A named message scheduler plus its constructor parameters."""
 
     scheduler: str
     params: Dict[str, Any] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"scheduler": self.scheduler}
-        if self.params:
-            data["params"] = dict(self.params)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SchedulerSpec":
-        return cls(scheduler=str(data["scheduler"]), params=dict(data.get("params", {})))
+    NOUN = "scheduler spec"
+    FIELDS = {"scheduler": schema.Name()}
 
 
 @dataclass
-class FaultSpec:
+class FaultSpec(JsonSpec):
     """A named chaos fault plus its parameters, injected in the worker.
 
     The fault is resolved against :data:`repro.experiments.registry.FAULTS`
@@ -135,19 +190,12 @@ class FaultSpec:
     fault: str
     params: Dict[str, Any] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"fault": self.fault}
-        if self.params:
-            data["params"] = dict(self.params)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultSpec":
-        return cls(fault=str(data["fault"]), params=dict(data.get("params", {})))
+    NOUN = "fault spec"
+    FIELDS = {"fault": schema.Name()}
 
 
 @dataclass
-class ExecutionPolicy:
+class ExecutionPolicy(JsonSpec):
     """Fault-tolerance policy for campaign execution.
 
     Every field is optional; ``None`` means "inherit" -- a policy given to
@@ -174,44 +222,22 @@ class ExecutionPolicy:
     fail_fast: Optional[bool] = None
     backoff_base_s: Optional[float] = None
 
+    #: Each field's check (``None`` always means "inherit").
+    FIELDS = {
+        "trial_timeout_s": schema.Real(0, null=True),
+        "max_chunk_retries": schema.Int(0, null=True),
+        "fail_fast": schema.Bool(null=True),
+        "backoff_base_s": schema.Real(0, lo_closed=True, null=True),
+    }
+
     def validate(self) -> None:
-        if self.trial_timeout_s is not None and self.trial_timeout_s <= 0:
-            raise ExperimentError(
-                f"trial_timeout_s must be positive, got {self.trial_timeout_s}"
-            )
-        if self.max_chunk_retries is not None and self.max_chunk_retries < 0:
-            raise ExperimentError(
-                f"max_chunk_retries must be >= 0, got {self.max_chunk_retries}"
-            )
-        if self.backoff_base_s is not None and self.backoff_base_s < 0:
-            raise ExperimentError(
-                f"backoff_base_s must be >= 0, got {self.backoff_base_s}"
-            )
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {}
-        if self.trial_timeout_s is not None:
-            data["trial_timeout_s"] = self.trial_timeout_s
-        if self.max_chunk_retries is not None:
-            data["max_chunk_retries"] = self.max_chunk_retries
-        if self.fail_fast is not None:
-            data["fail_fast"] = bool(self.fail_fast)
-        if self.backoff_base_s is not None:
-            data["backoff_base_s"] = self.backoff_base_s
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionPolicy":
-        return cls(
-            trial_timeout_s=data.get("trial_timeout_s"),
-            max_chunk_retries=data.get("max_chunk_retries"),
-            fail_fast=data.get("fail_fast"),
-            backoff_base_s=data.get("backoff_base_s"),
-        )
+        problem = schema.problem(self.FIELDS, vars(self), None, "{}")
+        if problem is not None:
+            raise ExperimentError(f"policy: {problem}")
 
 
 @dataclass
-class ExperimentSpec:
+class ExperimentSpec(JsonSpec):
     """One cell of a campaign: a protocol configuration and its seeds.
 
     Attributes:
@@ -248,9 +274,26 @@ class ExperimentSpec:
             statistics.
     """
 
-    #: Runner arguments the spec supplies through dedicated fields; cells may
-    #: not also smuggle them in through ``params``.
-    RESERVED_PARAMS = frozenset({"n", "seed", "seeds", "scheduler", "corruptions"})
+    NOUN = "experiment cell"
+
+    #: Each field's check; the supervision overrides are the policy's own.
+    FIELDS = {
+        "name": schema.Name(),
+        "protocol": schema.Name(),
+        "n": schema.Int(1),
+        "seeds": schema.IntList(nonempty=True),
+        # Runner arguments the spec supplies through dedicated fields.
+        "params": schema.JsonObject(
+            reserved=("n", "seed", "seeds", "scheduler", "corruptions")
+        ),
+        "adversary": schema.PartyMap(schema.Nested(BehaviorSpec)),
+        "scheduler": schema.Nested(SchedulerSpec, null=True),
+        "scenario": schema.Name(null=True),
+        "invariants": schema.Bool(null=True),
+        "trial_timeout_s": ExecutionPolicy.FIELDS["trial_timeout_s"],
+        "max_chunk_retries": ExecutionPolicy.FIELDS["max_chunk_retries"],
+        "fault": schema.Nested(FaultSpec, null=True),
+    }
 
     #: Execution-plane keys: serialized with the cell (workers need them) but
     #: excluded from :meth:`spec_hash` -- they change how trials are
@@ -271,64 +314,30 @@ class ExperimentSpec:
     max_chunk_retries: Optional[int] = None
     fault: Optional[FaultSpec] = None
 
+    NESTED = {"scheduler": SchedulerSpec, "fault": FaultSpec}
+
     def __post_init__(self) -> None:
-        # Integers become plain ints and JSON object keys (always strings)
-        # party ids; anything else -- a string n or seed list, a float seed,
-        # a key that spells no integer -- is kept as given, for
-        # :meth:`validate` to refuse with the cell's name.
+        # Integers become plain ints and JSON object keys party ids; anything
+        # else is kept as given, for :meth:`validate` to refuse.
         self.n = _ints_as_int(self.n)
         if isinstance(self.seeds, Iterable) and not isinstance(self.seeds, (str, Mapping)):
             self.seeds = [_ints_as_int(seed) for seed in self.seeds]
-        self.adversary = {
-            party_key(pid): (
-                spec if isinstance(spec, BehaviorSpec) else BehaviorSpec.from_dict(spec)
-            )
-            for pid, spec in self.adversary.items()
-        }
-        if isinstance(self.scheduler, Mapping):
-            self.scheduler = SchedulerSpec.from_dict(self.scheduler)
-        if isinstance(self.fault, Mapping):
-            self.fault = FaultSpec.from_dict(self.fault)
+        if isinstance(self.adversary, Mapping):
+            self.adversary = {
+                party_key(pid): (
+                    BehaviorSpec.from_dict(spec) if isinstance(spec, Mapping) else spec
+                )
+                for pid, spec in self.adversary.items()
+            }
+        super().__post_init__()
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Check structural invariants; raise :class:`ExperimentError`."""
-        if not self.name:
-            raise ExperimentError("experiment cell needs a non-empty name")
-        if not self.protocol:
-            raise ExperimentError(f"cell {self.name!r}: missing protocol name")
-        problem = trial_shape_problem(self.n, self.seeds)
+        """Check each field as written (:attr:`FIELDS`); raise :class:`ExperimentError`."""
+        n = self.n if self.FIELDS["n"].accepts(self.n, None) else None
+        problem = schema.problem(self.FIELDS, vars(self), n, "{}")
         if problem is not None:
             raise ExperimentError(f"cell {self.name!r}: {problem}")
-        if not self.seeds:
-            raise ExperimentError(f"cell {self.name!r}: seed list is empty")
-        reserved = self.RESERVED_PARAMS.intersection(self.params)
-        if reserved:
-            raise ExperimentError(
-                f"cell {self.name!r}: params may not override "
-                f"{', '.join(sorted(reserved))} (use the dedicated spec fields)"
-            )
-        for pid in self.adversary:
-            if type(pid) is not int:
-                raise ExperimentError(
-                    f"cell {self.name!r}: adversary key {pid!r} is not a party id"
-                )
-            if not 0 <= pid < self.n:
-                raise ExperimentError(
-                    f"cell {self.name!r}: corrupted pid {pid} outside 0..{self.n - 1}"
-                )
-        if self.trial_timeout_s is not None and self.trial_timeout_s <= 0:
-            raise ExperimentError(
-                f"cell {self.name!r}: trial_timeout_s must be positive, "
-                f"got {self.trial_timeout_s}"
-            )
-        if self.max_chunk_retries is not None and self.max_chunk_retries < 0:
-            raise ExperimentError(
-                f"cell {self.name!r}: max_chunk_retries must be >= 0, "
-                f"got {self.max_chunk_retries}"
-            )
-        if self.fault is not None and not self.fault.fault:
-            raise ExperimentError(f"cell {self.name!r}: fault needs a non-empty name")
 
     @property
     def trials(self) -> int:
@@ -352,69 +361,16 @@ class ExperimentSpec:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "name": self.name,
-            "protocol": self.protocol,
-            "n": self.n,
-            "seeds": list(self.seeds),
-        }
-        if self.params:
-            data["params"] = dict(self.params)
-        if self.adversary:
-            data["adversary"] = {
-                str(pid): spec.to_dict() for pid, spec in sorted(self.adversary.items())
-            }
-        if self.scheduler is not None:
-            data["scheduler"] = self.scheduler.to_dict()
-        if self.scenario is not None:
-            data["scenario"] = self.scenario
-        if self.invariants is not None:
-            # Serialized only when forced: the default (None) must hash
-            # identically to pre-invariant specs so resume checks keep
-            # accepting persisted results.
-            data["invariants"] = bool(self.invariants)
-        if self.trial_timeout_s is not None:
-            data["trial_timeout_s"] = self.trial_timeout_s
-        if self.max_chunk_retries is not None:
-            data["max_chunk_retries"] = self.max_chunk_retries
-        if self.fault is not None:
-            data["fault"] = self.fault.to_dict()
+        # ``invariants`` at its default (None) is omitted, so it hashes as
+        # pre-invariant specs did and persisted results stay resumable.
+        data = super().to_dict()
+        if self.adversary and isinstance(self.adversary, Mapping):  # keys are strings
+            data["adversary"] = {str(pid): _plain(spec) for pid, spec in self.adversary.items()}
         return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
-        try:
-            return cls(
-                name=str(data["name"]),
-                protocol=str(data["protocol"]),
-                n=data["n"],
-                seeds=data["seeds"],
-                params=dict(data.get("params", {})),
-                adversary={
-                    pid: BehaviorSpec.from_dict(spec)
-                    for pid, spec in data.get("adversary", {}).items()
-                },
-                scheduler=(
-                    SchedulerSpec.from_dict(data["scheduler"])
-                    if data.get("scheduler") is not None
-                    else None
-                ),
-                scenario=data.get("scenario"),
-                invariants=data.get("invariants"),
-                trial_timeout_s=data.get("trial_timeout_s"),
-                max_chunk_retries=data.get("max_chunk_retries"),
-                fault=(
-                    FaultSpec.from_dict(data["fault"])
-                    if data.get("fault") is not None
-                    else None
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ExperimentError(f"malformed experiment cell: {exc}") from exc
 
 
 @dataclass
-class CampaignSpec:
+class CampaignSpec(JsonSpec):
     """A named, ordered collection of experiment cells.
 
     ``policy`` (optional) is the campaign's fault-tolerance
@@ -428,9 +384,9 @@ class CampaignSpec:
     cells: List[ExperimentSpec] = field(default_factory=list)
     policy: Optional[ExecutionPolicy] = None
 
-    def __post_init__(self) -> None:
-        if isinstance(self.policy, Mapping):
-            self.policy = ExecutionPolicy.from_dict(self.policy)
+    NOUN = "campaign"
+    ALWAYS = ("cells",)
+    NESTED = {"cells": [ExperimentSpec], "policy": ExecutionPolicy}
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
@@ -439,6 +395,8 @@ class CampaignSpec:
         if not self.cells:
             raise ExperimentError(f"campaign {self.name!r} has no cells")
         if self.policy is not None:
+            if not isinstance(self.policy, ExecutionPolicy):
+                raise ExperimentError(f"policy must be a JSON object or null, got {self.policy!r}")
             self.policy.validate()
         seen: set = set()
         for cell in self.cells:
@@ -463,46 +421,10 @@ class CampaignSpec:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "name": self.name,
-            "cells": [cell.to_dict() for cell in self.cells],
-        }
-        if self.policy is not None and self.policy.to_dict():
-            data["policy"] = self.policy.to_dict()
+        data = super().to_dict()
+        if not data.get("policy"):  # a policy that sets nothing is written as none
+            data.pop("policy", None)
         return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
-        try:
-            return cls(
-                name=str(data["name"]),
-                cells=[ExperimentSpec.from_dict(cell) for cell in data["cells"]],
-                policy=(
-                    ExecutionPolicy.from_dict(data["policy"])
-                    if data.get("policy") is not None
-                    else None
-                ),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ExperimentError(f"malformed campaign: {exc}") from exc
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ExperimentError(f"campaign is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
-
-    def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(self.to_json())
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "CampaignSpec":
-        return cls.from_json(Path(path).read_text())
 
     # ------------------------------------------------------------------
     @classmethod

@@ -440,10 +440,6 @@ class Process:
             )
 
     # ------------------------------------------------------------------
-    def root_protocols(self) -> List[Protocol]:
-        """All protocol instances whose session has length 1."""
-        return [p for s, p in self.protocols.items() if len(s) == 1]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         tag = "corrupted" if self.is_corrupted else "honest"
         return f"<Process {self.pid} ({tag}) protocols={len(self.protocols)}>"

@@ -25,10 +25,9 @@ A policy that tells messages apart is written once, in *fan-out form*
 fan-out shares, naming the receivers it matches.  A :class:`Filter` is the
 yes/no case.  The indexed queues ask the form once per fan-out; the
 per-message predicate the reference ``choose`` scans read is derived from
-it.  The validated primitives the named attacks are built from
-(:func:`starve_matching`, :func:`partition_then_heal`, :func:`targeting`,
-:func:`coalition_first`) live here too, below the campaign registry that
-names them.
+it.  The primitives the named attacks are built from
+(:func:`partition_then_heal`, :func:`targeting`, :func:`coalition_first`)
+live here too, below the campaign registry that names them.
 """
 
 from __future__ import annotations
@@ -325,9 +324,9 @@ def force_scan(scheduler: Scheduler) -> Scheduler:
 def delay_from_parties(
     parties: Iterable[int], max_delay_steps: Optional[int] = None
 ) -> DelayScheduler:
-    """Starve all messages *sent by* ``parties`` (see :func:`starve_matching`)."""
+    """Starve all messages *sent by* ``parties`` (see :class:`DelayScheduler`)."""
     blocked = frozenset(parties)
-    return starve_matching(
+    return DelayScheduler(
         Filter(lambda fanout, n: everyone(n) if fanout.sender in blocked else NOBODY),
         max_delay_steps,
     )
@@ -336,34 +335,22 @@ def delay_from_parties(
 def delay_to_parties(
     parties: Iterable[int], max_delay_steps: Optional[int] = None
 ) -> DelayScheduler:
-    """Starve all messages *sent to* ``parties`` (see :func:`starve_matching`)."""
+    """Starve all messages *sent to* ``parties`` (see :class:`DelayScheduler`)."""
     blocked = frozenset(parties)
-    return starve_matching(Filter(lambda fanout, n: blocked), max_delay_steps)
+    return DelayScheduler(Filter(lambda fanout, n: blocked), max_delay_steps)
 
 
 # ----------------------------------------------------------------------
-# Validated primitives of the named attacks (``repro.scenarios.schedulers``).
-# Parameters arrive from JSON, so each check raises :class:`ExperimentError`;
-# ``repro.experiments.registry.build_scheduler`` prefixes the name the spec
-# used.
-def check_step_budget(key: str, value: Any) -> None:
-    """Reject a step budget that is not a non-negative int (``bool`` included)."""
-    if type(value) is not int or value < 0:
-        raise ExperimentError(f"{key} must be a non-negative integer, got {value!r}")
-
-
+# Primitives of the named attacks (``repro.scenarios.schedulers``).  Their
+# params are checked, one by one, against their registry rows' fields; the
+# rule that spans two params raises :class:`ExperimentError`, which
+# ``repro.experiments.registry.build_scheduler`` prefixes with the name the
+# spec used.
 def check_disjoint(group_a: Iterable[int], group_b: Iterable[int]) -> None:
     """Reject two party groups that share a party."""
     overlap = set(group_a) & set(group_b)
     if overlap:
         raise ExperimentError(f"group_a and group_b share parties {sorted(overlap)}")
-
-
-def starve_matching(starved: Filter, max_delay_steps: Optional[int]) -> DelayScheduler:
-    """Delay what ``starved`` matches while anything else is pending (bounded)."""
-    if max_delay_steps is not None:
-        check_step_budget("max_delay_steps", max_delay_steps)
-    return DelayScheduler(starved, max_delay_steps=max_delay_steps)
 
 
 def partition_then_heal(
@@ -374,7 +361,6 @@ def partition_then_heal(
     The crossing traffic is starved while anything else is pending until
     step ``duration``; from then on every pending message is drawn alike.
     """
-    check_step_budget("duration", duration)
     group_a, group_b = list(group_a), list(group_b)
     check_disjoint(group_a, group_b)
     return DelayScheduler(crossing(group_a, group_b), max_delay_steps=duration)

@@ -15,7 +15,7 @@ echo it; ``n - t`` echoes (or ``t + 1`` readies) trigger a ``READY``;
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from typing import Any, Callable, Dict, Optional, Set
 
 from repro.net.message import SessionId
@@ -95,13 +95,3 @@ class ACast(Protocol):
     def _check_delivery(self, value: Any) -> None:
         if not self.finished and len(self._readies[value]) >= self.n - self.t:
             self.complete(value)
-
-
-def acast_counts(instance: ACast) -> Counter:
-    """Diagnostic helper: number of echo/ready supporters per value."""
-    counts: Counter = Counter()
-    for value, parties in instance._echoes.items():
-        counts[("echo", repr(value))] = len(parties)
-    for value, parties in instance._readies.items():
-        counts[("ready", repr(value))] = len(parties)
-    return counts

@@ -35,6 +35,7 @@ from repro.experiments.registry import (
     RUNNERS,
     build_behavior_factory,
     build_scheduler,
+    resolve_scheduler,
 )
 from repro.experiments.spec import BehaviorSpec
 from repro.net.message import SessionId
@@ -43,12 +44,12 @@ from repro.net.runtime import SimulationResult
 from repro.net.scheduler import Scheduler
 from repro.scenarios.predicates import match_session, resolve_parties
 from repro.scenarios.presets import ScalePreset, preset_for
-from repro.scenarios.schedulers import resolve_scheduler
 from repro.scenarios.spec import (
     CORRUPTING_TRANSITIONS,
     AdaptiveRule,
     FaultEvent,
     ScenarioSpec,
+    validate_tamper,
 )
 
 #: ``inputs`` shorthands expanded per ``n`` at run time.
@@ -311,7 +312,9 @@ class ScenarioDirector:
         key = (behavior.behavior, repr(sorted(behavior.params.items())))
         factory = self._behavior_factories.get(key)
         if factory is None:
-            factory = self._behavior_factories[key] = build_behavior_factory(behavior)
+            factory = self._behavior_factories[key] = build_behavior_factory(
+                behavior, self.n
+            )
         return factory
 
     def _silence(self, pid: int) -> None:
@@ -434,6 +437,13 @@ class ScenarioRuntime:
         if self.preset is not None and self.preset.prime > resolved_n:
             self.prime = self.preset.prime
         self._static = self._resolve_static()
+        for event in spec.timeline:
+            if event.tamper is not None:
+                validate_tamper(event.tamper, resolved_n)
+        #: The hostile scheduler's spec, checked and resolved against n once.
+        self._scheduler = (
+            None if spec.scheduler is None else resolve_scheduler(spec.scheduler, resolved_n)
+        )
 
     # ------------------------------------------------------------------
     def _resolve_static(self) -> Dict[int, Callable[..., Any]]:
@@ -441,7 +451,7 @@ class ScenarioRuntime:
         budget = self.spec.corruption.budget
         cap = self.t if budget is None else min(int(budget), self.t)
         for entry in self.spec.corruption.static:
-            factory = build_behavior_factory(entry.behavior)
+            factory = build_behavior_factory(entry.behavior, self.n)
             for pid in resolve_parties(entry.select, self.n):
                 corruptions[pid] = factory
         if len(corruptions) > cap:
@@ -458,10 +468,7 @@ class ScenarioRuntime:
 
     def build_scheduler(self) -> Optional[Scheduler]:
         """Instantiate the scenario's hostile scheduler (fresh per trial)."""
-        spec = self.spec.scheduler
-        if spec is None:
-            return None
-        return build_scheduler(resolve_scheduler(spec, self.n))
+        return build_scheduler(self._scheduler)
 
     def build_director(self) -> ScenarioDirector:
         """A fresh director for one trial (directors hold per-trial state)."""

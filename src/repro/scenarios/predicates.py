@@ -26,11 +26,12 @@ receivers it matches.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.config import max_faults
 from repro.errors import ExperimentError
-from repro.experiments.spec import is_int
+from repro.experiments import params as schema
+from repro.experiments.params import is_int
 from repro.net.message import SessionId
 from repro.net.queues import everyone
 from repro.net.scheduler import NOBODY, Filter
@@ -204,32 +205,21 @@ def validate_session_pattern(pattern: Any) -> None:
 # ----------------------------------------------------------------------
 # Message predicates (the hostile schedulers' targeting language).
 # ----------------------------------------------------------------------
-def _predicate_parts(
-    spec: Mapping[str, Any], parties: Callable[[PartySelector], Any]
-) -> tuple:
-    """``(senders, receivers, roots, kinds, session_pattern)`` of ``spec``.
-
-    ``parties`` resolves (or merely validates) a party selector; absent keys
-    come back as ``None``.
-    """
-    unknown = set(spec) - {"senders", "receivers", "roots", "kinds", "session"}
-    if unknown:
-        raise ExperimentError(
-            f"unknown message predicate keys: {', '.join(sorted(unknown))}"
-        )
-    senders = parties(spec["senders"]) if "senders" in spec else None
-    receivers = parties(spec["receivers"]) if "receivers" in spec else None
-    roots = frozenset(spec["roots"]) if "roots" in spec else None
-    kinds = frozenset(spec["kinds"]) if "kinds" in spec else None
-    session_pattern = list(spec["session"]) if "session" in spec else None
-    if session_pattern is not None:
-        validate_session_pattern(session_pattern)
-    return senders, receivers, roots, kinds, session_pattern
+#: The keys of a message predicate (all optional, conjunctive).
+PREDICATE_FIELDS = {
+    "senders": schema.PartySelector(),
+    "receivers": schema.PartySelector(),
+    "roots": schema.StrList(),
+    "kinds": schema.StrList(),
+    "session": schema.SessionPattern(),
+}
 
 
-def validate_message_predicate(spec: Mapping[str, Any]) -> None:
-    """Shape-check a message-predicate spec without a concrete ``n``."""
-    _predicate_parts(spec, validate_party_selector)
+def validate_message_predicate(spec: Mapping[str, Any], n: Optional[int] = None) -> None:
+    """Check a message-predicate spec at ``n`` (None: shape only)."""
+    problem = schema.problem(PREDICATE_FIELDS, spec, n, closed=True)
+    if problem is not None:
+        raise ExperimentError(f"message predicate: {problem}")
 
 
 def compile_message_predicate(spec: Mapping[str, Any], n: int) -> Filter:
@@ -241,9 +231,13 @@ def compile_message_predicate(spec: Mapping[str, Any], n: int) -> Filter:
     The filter reads the sender, root, kind and session once per fan-out and
     names the matching receivers; called on a Message it is the predicate.
     """
-    senders, receivers, roots, kinds, session_pattern = _predicate_parts(
-        spec, lambda selector: frozenset(resolve_parties(selector, n))
+    validate_message_predicate(spec, n)
+    parts = schema.resolve(PREDICATE_FIELDS, spec, n)
+    senders, receivers, roots, kinds = (
+        frozenset(parts[key]) if key in parts else None
+        for key in ("senders", "receivers", "roots", "kinds")
     )
+    session_pattern = parts.get("session")
 
     def matching(fanout: Any, size: int) -> frozenset:
         if senders is not None and fanout.sender not in senders:

@@ -11,10 +11,12 @@ onto an indexed queue) deliver at the random queue's speed: every filter
 here is a :class:`~repro.net.scheduler.Filter` (or, for a priority, a
 :class:`~repro.net.queues.FanoutForm`), asked once per fan-out.
 
-Every builder takes plain JSON-shaped parameters.  Party parameters are
-resolved against a concrete ``n`` by :func:`resolve_scheduler` --
-called by the scenario runtime and by a campaign cell's executor before the
-build -- so they take any party selector, and a string where a list goes is
+Every builder takes plain JSON-shaped parameters, declared as typed fields
+on its registry row (:mod:`repro.experiments.params`).  They are checked and
+resolved against a concrete ``n`` by
+:func:`~repro.experiments.registry.resolve_scheduler` -- called by the
+scenario runtime and by a campaign cell's executor before the build -- so a
+party parameter takes any party selector, and a string where a list goes is
 refused.  The builders register themselves in
 :data:`repro.experiments.registry.SCHEDULERS`, so campaigns can name them
 with or without a scenario.  So do the four legacy names (``isolate_party``,
@@ -28,61 +30,21 @@ import json
 import random
 from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ExperimentError
-from repro.experiments.registry import SCHEDULERS
-from repro.experiments.spec import SchedulerSpec, is_int
+from repro.experiments import params as schema
+from repro.experiments.registry import SCHEDULERS, STEP_BUDGET
 from repro.net.message import Message
 from repro.net.queues import ClassRankQueue, DeliveryQueue, FanoutForm, everyone
 from repro.net.scheduler import (
     NOBODY,
+    DelayScheduler,
     Filter,
     Scheduler,
     TargetedScheduler,
     coalition_first,
     partition_then_heal,
-    starve_matching,
     targeting,
 )
-from repro.scenarios.predicates import (
-    compile_message_predicate,
-    match_session,
-    resolve_parties,
-    validate_session_pattern,
-)
-
-#: Scheduler-parameter keys holding party selectors, resolved against ``n``
-#: before the builder runs.
-SELECTOR_PARAMS = ("victims", "group_a", "group_b", "coalition", "parties", "favoured")
-#: Scheduler-parameter keys holding a list of names (a string there would be
-#: read as its characters).
-LIST_PARAMS = ("roots", "kinds", "pattern")
-
-
-def resolve_scheduler(spec: SchedulerSpec, n: int) -> SchedulerSpec:
-    """``spec`` with its party-selector params resolved to explicit pid lists.
-
-    ``victim`` names one party and must be a pid in ``0..n-1``; a string
-    where a list of names goes is refused.  Raises
-    :class:`~repro.errors.ExperimentError` naming the scheduler and the param.
-    """
-
-    def refuse(key: str, problem: Any) -> ExperimentError:
-        return ExperimentError(f"scheduler {spec.scheduler!r}: param {key!r}: {problem}")
-
-    params = dict(spec.params)
-    for key in SELECTOR_PARAMS:
-        if key in params:
-            try:
-                params[key] = resolve_parties(params[key], n)
-            except ExperimentError as exc:
-                raise refuse(key, exc) from None
-    victim = params.get("victim")
-    if "victim" in params and not (is_int(victim) and 0 <= victim < n):
-        raise refuse("victim", f"must be one party id in 0..{n - 1}, got {victim!r}")
-    for key in LIST_PARAMS:
-        if isinstance(params.get(key), str):
-            raise refuse(key, f"must be a list, got {params[key]!r}")
-    return SchedulerSpec(spec.scheduler, params)
+from repro.scenarios.predicates import compile_message_predicate, match_session
 
 
 def targeted_delay(
@@ -99,9 +61,7 @@ def targeted_delay(
     starvation so the run remains a valid asynchronous execution even when
     the targeted traffic is all that keeps the protocol alive.
     """
-    return starve_matching(
-        targeting(victims or (), roots or (), kinds or ()), max_delay_steps
-    )
+    return DelayScheduler(targeting(victims or (), roots or (), kinds or ()), max_delay_steps)
 
 
 def session_starvation(
@@ -114,13 +74,12 @@ def session_starvation(
     reconstruction sessions) until everything else has drained or the delay
     budget expires.
     """
-    pattern = list(pattern)
-    validate_session_pattern(pattern)
+    pattern = list(pattern)  # checked by the row's SessionPattern field
 
     def receivers(fanout: Any, n: int) -> frozenset:
         return everyone(n) if match_session(pattern, fanout.session) is not None else NOBODY
 
-    return starve_matching(Filter(receivers), max_delay_steps)
+    return DelayScheduler(Filter(receivers), max_delay_steps)
 
 
 def rushing(coalition: Sequence[int]) -> Scheduler:
@@ -145,7 +104,7 @@ def message_filter_delay(
     against ``n`` (which must therefore be supplied explicitly in the params).
     """
     compiled = compile_message_predicate(predicate, n)
-    return starve_matching(compiled, max_delay_steps)
+    return DelayScheduler(compiled, max_delay_steps)
 
 
 class _PriorityRule:
@@ -342,26 +301,33 @@ def reactive() -> Scheduler:
     return ReactiveScheduler()
 
 
-SCHEDULERS.add("targeted_delay", targeted_delay)
-SCHEDULERS.add("reactive", reactive)
-SCHEDULERS.add("session_starvation", session_starvation)
-SCHEDULERS.add("partition_heal", partition_then_heal)
-SCHEDULERS.add("rushing", rushing)
-SCHEDULERS.add("message_filter_delay", message_filter_delay)
-
-# The legacy names: one row each over its target, under the alias's own
-# parameter names (``build_scheduler`` prefixes an error with the alias).
-SCHEDULERS.add(
-    "isolate_party",
-    lambda victim, max_delay_steps=None: targeted_delay(
-        victims=[victim], max_delay_steps=max_delay_steps
-    ),
-)
-SCHEDULERS.add(
-    "delay_protocol",
-    lambda root, max_delay_steps=None: targeted_delay(
-        roots=[root], max_delay_steps=max_delay_steps
-    ),
-)
-SCHEDULERS.add("favour_parties", lambda favoured: rushing(favoured))
-SCHEDULERS.add("split_brain", partition_then_heal)
+#: The two groups of a partition and how long it lasts.
+GROUPS = {"group_a": schema.PartySelector(), "group_b": schema.PartySelector(),
+          "duration": schema.Int(0)}
+#: The hostile family's rows, then the legacy names: one row each over its
+#: target, under the alias's own parameter names (``build_scheduler``
+#: prefixes an error with the alias).
+for _name, _builder, _fields in [
+    ("targeted_delay", targeted_delay, {
+        "victims": schema.PartySelector(null=True),
+        "roots": schema.StrList(null=True),
+        "kinds": schema.StrList(null=True),
+        "max_delay_steps": STEP_BUDGET,
+    }),
+    ("reactive", reactive, {}),
+    ("session_starvation", session_starvation,
+     {"pattern": schema.SessionPattern(), "max_delay_steps": STEP_BUDGET}),
+    ("partition_heal", partition_then_heal, GROUPS),
+    ("rushing", rushing, {"coalition": schema.PartySelector()}),
+    ("message_filter_delay", message_filter_delay,
+     {"predicate": schema.JsonObject(), "n": schema.Int(1), "max_delay_steps": STEP_BUDGET}),
+    ("isolate_party",
+     lambda victim, max_delay_steps=None: targeted_delay([victim], None, None, max_delay_steps),
+     {"victim": schema.Pid(), "max_delay_steps": STEP_BUDGET}),
+    ("delay_protocol",
+     lambda root, max_delay_steps=None: targeted_delay(None, [root], None, max_delay_steps),
+     {"root": schema.Name(), "max_delay_steps": STEP_BUDGET}),
+    ("favour_parties", lambda favoured: rushing(favoured), {"favoured": schema.PartySelector()}),
+    ("split_brain", partition_then_heal, GROUPS),
+]:
+    SCHEDULERS.add(_name, _builder, fields=_fields)

@@ -28,18 +28,13 @@ to JSON, ship to campaign workers, and diff cleanly in review::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import ExperimentError
-from repro.experiments.spec import BehaviorSpec, SchedulerSpec
-from repro.scenarios.predicates import (
-    validate_message_predicate,
-    validate_party_selector,
-    validate_session_pattern,
-)
+from repro.experiments import params as schema
+from repro.experiments.spec import BehaviorSpec, JsonSpec, SchedulerSpec
+from repro.scenarios.predicates import validate_message_predicate, validate_party_selector
 from repro.scenarios.presets import preset_for
 
 #: Valid adaptive-rule trigger events.
@@ -60,58 +55,62 @@ CORRUPTING_TRANSITIONS = ("crash", "equivocate", "tamper")
 #: Scheduler-action operations a reactive scheduler understands.
 SCHEDULER_ACTION_OPS = ("boost", "delay", "clear")
 
-#: Channel-matching keys of a tamper spec (all optional, conjunctive).
-TAMPER_MATCH_KEYS = frozenset({"kinds", "receivers", "session"})
+#: The fields of a tamper spec: channel matches (all optional, conjunctive)
+#: and payload mutations (at least one required).
+TAMPER_FIELDS = {
+    "kinds": schema.StrList(),
+    "receivers": schema.PartySelector(),
+    "session": schema.SessionPattern(),
+    "offset": schema.Int(nonzero=True),
+    "rewrite_kind": schema.Name(),
+    "drop_fraction": schema.Real(0, 1, hi_closed=True),
+}
 #: Payload-mutation keys of a tamper spec (at least one required).
 TAMPER_MUTATION_KEYS = frozenset({"offset", "rewrite_kind", "drop_fraction"})
+#: The fields of a boost / delay scheduler action (``clear`` takes only ``op``).
+ACTION_FIELDS = {
+    "op": schema.OneOf(SCHEDULER_ACTION_OPS),
+    "predicate": schema.JsonObject(),
+    "expires": schema.Int(1, null=True),
+}
+#: The fields of a timeline entry's phase trigger (``on``).
+TRIGGER_FIELDS = {
+    "event": schema.OneOf(("session_open", "complete")),
+    "pattern": schema.SessionPattern(),
+    "count": schema.Int(1),
+}
 
 
-def validate_tamper(tamper: Any) -> None:
-    """Shape-check a tamper spec; raise :class:`ExperimentError`.
+def _check(
+    what: str, table: schema.Fields, values: Mapping[str, Any], n: Optional[int] = None,
+    closed: bool = False, label: str = "{}",
+) -> None:
+    """Raise :class:`ExperimentError` for the first of ``values`` ``table`` refuses."""
+    problem = schema.problem(table, values, n, label, closed)
+    if problem is not None:
+        raise ExperimentError(f"{what}: {problem}")
 
-    A tamper spec selects outgoing channels (``kinds`` -- payload kind tags,
-    ``receivers`` -- a party selector, ``session`` -- a session pattern; all
-    optional, all must match) and applies at least one mutation: ``offset``
-    (add to every integer field element, mod the field prime),
-    ``rewrite_kind`` (replace the payload kind tag) or ``drop_fraction``
-    (deterministically drop that fraction of matched messages).
+
+def validate_tamper(tamper: Any, n: Optional[int] = None) -> None:
+    """Check a tamper spec at ``n`` (None: shape only); raise :class:`ExperimentError`.
+
+    A tamper spec selects outgoing channels (``kinds``, ``receivers``,
+    ``session``: all optional, all must match) and applies at least one
+    mutation: ``offset`` (added to every integer field element, mod the
+    field prime), ``rewrite_kind`` (the new payload kind tag) or
+    ``drop_fraction`` (of matched messages, dropped deterministically).
     """
-    if not isinstance(tamper, Mapping):
-        raise ExperimentError(f"tamper spec must be a mapping, got {tamper!r}")
-    unknown = set(tamper) - TAMPER_MATCH_KEYS - TAMPER_MUTATION_KEYS
-    if unknown:
-        raise ExperimentError(
-            f"unknown tamper keys: {', '.join(sorted(unknown))}"
-        )
+    _check("tamper spec", TAMPER_FIELDS, tamper, n, closed=True, label="param {!r}")
+    require_tamper_mutation(tamper)
+
+
+def require_tamper_mutation(tamper: Mapping[str, Any]) -> None:
+    """The one rule of a tamper spec that spans its fields: it mutates."""
     if not TAMPER_MUTATION_KEYS.intersection(tamper):
         raise ExperimentError(
             "tamper spec needs at least one mutation: "
             + ", ".join(sorted(TAMPER_MUTATION_KEYS))
         )
-    if "kinds" in tamper:
-        kinds = tamper["kinds"]
-        if not isinstance(kinds, (list, tuple)) or not all(
-            isinstance(kind, str) for kind in kinds
-        ):
-            raise ExperimentError("tamper kinds must be a list of strings")
-    if "receivers" in tamper:
-        validate_party_selector(tamper["receivers"])
-    if "session" in tamper:
-        validate_session_pattern(tamper["session"])
-    if "offset" in tamper:
-        offset = tamper["offset"]
-        if type(offset) is not int or offset == 0:
-            raise ExperimentError(f"tamper offset must be non-zero (an integer), got {offset!r}")
-    if "rewrite_kind" in tamper and (
-        not isinstance(tamper["rewrite_kind"], str) or not tamper["rewrite_kind"]
-    ):
-        raise ExperimentError("tamper rewrite_kind must be a non-empty string")
-    if "drop_fraction" in tamper:
-        fraction = tamper["drop_fraction"]
-        if type(fraction) not in (int, float) or not 0.0 < fraction <= 1.0:
-            raise ExperimentError(
-                f"tamper drop_fraction must be a number in (0, 1], got {fraction!r}"
-            )
 
 
 def validate_scheduler_actions(actions: Any, has_event_pid: bool) -> None:
@@ -130,24 +129,13 @@ def validate_scheduler_actions(actions: Any, has_event_pid: bool) -> None:
     for action in actions:
         if not isinstance(action, Mapping):
             raise ExperimentError(f"scheduler action must be a mapping, got {action!r}")
-        op = action.get("op")
-        if op not in SCHEDULER_ACTION_OPS:
-            raise ExperimentError(
-                f"scheduler action op must be one of {SCHEDULER_ACTION_OPS}, got {op!r}"
-            )
-        if op == "clear":
+        if action.get("op") == "clear":
             if set(action) - {"op"}:
                 raise ExperimentError('a "clear" scheduler action takes no other keys')
             continue
-        if set(action) - {"op", "predicate", "expires"}:
-            raise ExperimentError(
-                f"unknown scheduler action keys: "
-                f"{', '.join(sorted(set(action) - {'op', 'predicate', 'expires'}))}"
-            )
-        predicate = action.get("predicate")
-        if not isinstance(predicate, Mapping):
-            raise ExperimentError(f'a "{op}" scheduler action needs a predicate mapping')
-        probe = dict(predicate)
+        values = {"op": None, "predicate": None, **action}
+        _check("scheduler action", ACTION_FIELDS, values, closed=True)
+        probe = dict(action["predicate"])
         for key in ("senders", "receivers"):
             if probe.get(key) == "event":
                 if not has_event_pid:
@@ -157,13 +145,10 @@ def validate_scheduler_actions(actions: Any, has_event_pid: bool) -> None:
                     )
                 probe[key] = [0]
         validate_message_predicate(probe)
-        expires = action.get("expires")
-        if expires is not None and int(expires) < 1:
-            raise ExperimentError("scheduler action expires must be >= 1 when given")
 
 
 @dataclass
-class StaticCorruption:
+class StaticCorruption(JsonSpec):
     """A corruption applied before the run starts.
 
     Attributes:
@@ -174,25 +159,15 @@ class StaticCorruption:
     select: Any
     behavior: BehaviorSpec
 
-    def __post_init__(self) -> None:
-        if isinstance(self.behavior, Mapping):
-            self.behavior = BehaviorSpec.from_dict(self.behavior)
+    FIELDS = {"select": schema.PartySelector(), "behavior": schema.Nested(BehaviorSpec)}
+    NESTED = {"behavior": BehaviorSpec}
 
     def validate(self) -> None:
-        validate_party_selector(self.select)
-        if not self.behavior.behavior:
-            raise ExperimentError("static corruption needs a behavior name")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"select": self.select, "behavior": self.behavior.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StaticCorruption":
-        return cls(select=data["select"], behavior=BehaviorSpec.from_dict(data["behavior"]))
+        _check("static corruption", self.FIELDS, vars(self))
 
 
 @dataclass
-class AdaptiveRule:
+class AdaptiveRule(JsonSpec):
     """One trigger -> corruption rule of an adaptive adversary.
 
     Attributes:
@@ -223,86 +198,48 @@ class AdaptiveRule:
     max_firings: Optional[int] = None
     scheduler_actions: Optional[List[Dict[str, Any]]] = None
 
-    def __post_init__(self) -> None:
-        if isinstance(self.behavior, Mapping):
-            self.behavior = BehaviorSpec.from_dict(self.behavior)
+    FIELDS = {
+        "on": schema.OneOf(RULE_EVENTS),
+        "pattern": schema.SessionPattern(null=True),
+        "at_step": schema.Int(0, null=True),
+        "max_firings": schema.Int(1, null=True),
+        "behavior": schema.Nested(BehaviorSpec, null=True),
+    }
+    NESTED = {"behavior": BehaviorSpec}
 
     def validate(self) -> None:
-        if self.on not in RULE_EVENTS:
-            raise ExperimentError(
-                f"adaptive rule event must be one of {RULE_EVENTS}, got {self.on!r}"
-            )
+        _check("adaptive rule", self.FIELDS, vars(self))
         if self.behavior is None and not self.scheduler_actions:
             raise ExperimentError(
                 "adaptive rule needs a behavior and/or scheduler_actions"
             )
         if self.on == "step":
-            if self.at_step is None or int(self.at_step) < 0:
+            if self.at_step is None:
                 raise ExperimentError("step-triggered rules need a non-negative at_step")
             if self.behavior is not None and self.target in ("captured", "subject"):
                 raise ExperimentError(
                     "step-triggered rules have no event party; target must be a selector"
                 )
-        else:
-            if self.pattern is None:
-                raise ExperimentError(f"{self.on!r}-triggered rules need a session pattern")
-            validate_session_pattern(self.pattern)
-            if (
-                self.behavior is not None
-                and self.target == "captured"
-                and {"pid": True} not in self.pattern
-            ):
-                raise ExperimentError(
-                    'target "captured" needs a {"pid": true} component in the pattern'
-                )
+        elif self.pattern is None:
+            raise ExperimentError(f"{self.on!r}-triggered rules need a session pattern")
+        elif (
+            self.behavior is not None
+            and self.target == "captured"
+            and {"pid": True} not in self.pattern
+        ):
+            raise ExperimentError(
+                'target "captured" needs a {"pid": true} component in the pattern'
+            )
         if self.behavior is not None and self.target not in ("captured", "subject"):
             validate_party_selector(self.target)
-        if self.max_firings is not None and int(self.max_firings) < 1:
-            raise ExperimentError("max_firings must be >= 1 when given")
         if self.scheduler_actions is not None:
             validate_scheduler_actions(
                 self.scheduler_actions, has_event_pid=self.on != "step"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"on": self.on}
-        if self.behavior is not None:
-            data["behavior"] = self.behavior.to_dict()
-        if self.pattern is not None:
-            data["pattern"] = list(self.pattern)
-        if self.at_step is not None:
-            data["at_step"] = self.at_step
-        if self.target != "captured":
-            data["target"] = self.target
-        if self.max_firings is not None:
-            data["max_firings"] = self.max_firings
-        if self.scheduler_actions is not None:
-            data["scheduler_actions"] = [dict(action) for action in self.scheduler_actions]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AdaptiveRule":
-        return cls(
-            on=str(data["on"]),
-            behavior=(
-                BehaviorSpec.from_dict(data["behavior"])
-                if data.get("behavior") is not None
-                else None
-            ),
-            pattern=list(data["pattern"]) if data.get("pattern") is not None else None,
-            at_step=data.get("at_step"),
-            target=data.get("target", "captured"),
-            max_firings=data.get("max_firings"),
-            scheduler_actions=(
-                [dict(action) for action in data["scheduler_actions"]]
-                if data.get("scheduler_actions") is not None
-                else None
-            ),
-        )
-
 
 @dataclass
-class CorruptionPlan:
+class CorruptionPlan(JsonSpec):
     """The scenario's corruption strategy: static set + adaptive rules + budget.
 
     Attributes:
@@ -318,45 +255,19 @@ class CorruptionPlan:
     static: List[StaticCorruption] = field(default_factory=list)
     adaptive: List[AdaptiveRule] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
-        self.static = [
-            entry if isinstance(entry, StaticCorruption) else StaticCorruption.from_dict(entry)
-            for entry in self.static
-        ]
-        self.adaptive = [
-            rule if isinstance(rule, AdaptiveRule) else AdaptiveRule.from_dict(rule)
-            for rule in self.adaptive
-        ]
+    FIELDS = {"budget": schema.Int(0, null=True)}
+    NESTED = {"static": [StaticCorruption], "adaptive": [AdaptiveRule]}
 
     def validate(self) -> None:
-        if self.budget is not None and int(self.budget) < 0:
-            raise ExperimentError(f"corruption budget must be >= 0, got {self.budget}")
+        _check("corruption plan", self.FIELDS, vars(self))
         for entry in self.static:
             entry.validate()
         for rule in self.adaptive:
             rule.validate()
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {}
-        if self.budget is not None:
-            data["budget"] = self.budget
-        if self.static:
-            data["static"] = [entry.to_dict() for entry in self.static]
-        if self.adaptive:
-            data["adaptive"] = [rule.to_dict() for rule in self.adaptive]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CorruptionPlan":
-        return cls(
-            budget=data.get("budget"),
-            static=[StaticCorruption.from_dict(entry) for entry in data.get("static", [])],
-            adaptive=[AdaptiveRule.from_dict(rule) for rule in data.get("adaptive", [])],
-        )
-
 
 @dataclass
-class FaultEvent:
+class FaultEvent(JsonSpec):
     """One fault-timeline transition.
 
     Attributes:
@@ -392,32 +303,23 @@ class FaultEvent:
     tamper: Optional[Dict[str, Any]] = None
     scheduler_actions: Optional[List[Dict[str, Any]]] = None
 
+    FIELDS = {
+        "transition": schema.OneOf(TRANSITIONS),
+        "select": schema.PartySelector(),
+        "at_step": schema.Int(0, null=True),
+        "on": schema.JsonObject(null=True),
+        "offset": schema.Int(),
+    }
+
     def validate(self) -> None:
-        if self.transition not in TRANSITIONS:
-            raise ExperimentError(
-                f"timeline transition must be one of {TRANSITIONS}, got {self.transition!r}"
-            )
-        validate_party_selector(self.select)
+        _check("timeline event", self.FIELDS, vars(self))
         if (self.at_step is None) == (self.on is None):
             raise ExperimentError(
                 "timeline event needs exactly one trigger: at_step or on"
             )
-        if self.at_step is not None and int(self.at_step) < 0:
-            raise ExperimentError("timeline at_step must be non-negative")
         if self.on is not None:
-            event = self.on.get("event")
-            if event not in ("session_open", "complete"):
-                raise ExperimentError(
-                    f'timeline "on" event must be session_open or complete, got {event!r}'
-                )
-            validate_session_pattern(self.on.get("pattern"))
-            unknown = set(self.on) - {"event", "pattern", "count"}
-            if unknown:
-                raise ExperimentError(
-                    f'unknown timeline "on" keys: {", ".join(sorted(unknown))}'
-                )
-            if "count" in self.on and int(self.on["count"]) < 1:
-                raise ExperimentError('timeline "on" count must be >= 1 when given')
+            values = {"event": None, "pattern": None, **self.on}
+            _check('timeline "on"', TRIGGER_FIELDS, values, closed=True)
         if self.transition == "tamper":
             if self.tamper is None:
                 raise ExperimentError('a "tamper" transition needs a tamper spec')
@@ -436,39 +338,9 @@ class FaultEvent:
                 'a "reprioritize" transition needs scheduler_actions'
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"transition": self.transition, "select": self.select}
-        if self.at_step is not None:
-            data["at_step"] = self.at_step
-        if self.on is not None:
-            data["on"] = dict(self.on)
-        if self.offset != 1:
-            data["offset"] = self.offset
-        if self.tamper is not None:
-            data["tamper"] = dict(self.tamper)
-        if self.scheduler_actions is not None:
-            data["scheduler_actions"] = [dict(action) for action in self.scheduler_actions]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultEvent":
-        return cls(
-            transition=str(data["transition"]),
-            select=data["select"],
-            at_step=data.get("at_step"),
-            on=dict(data["on"]) if data.get("on") is not None else None,
-            offset=int(data.get("offset", 1)),
-            tamper=dict(data["tamper"]) if data.get("tamper") is not None else None,
-            scheduler_actions=(
-                [dict(action) for action in data["scheduler_actions"]]
-                if data.get("scheduler_actions") is not None
-                else None
-            ),
-        )
-
 
 @dataclass
-class ScenarioSpec:
+class ScenarioSpec(JsonSpec):
     """A complete, named adversarial scenario.
 
     Attributes:
@@ -494,23 +366,23 @@ class ScenarioSpec:
     timeline: List[FaultEvent] = field(default_factory=list)
     scheduler: Optional[SchedulerSpec] = None
 
-    def __post_init__(self) -> None:
-        if isinstance(self.corruption, Mapping):
-            self.corruption = CorruptionPlan.from_dict(self.corruption)
-        self.timeline = [
-            event if isinstance(event, FaultEvent) else FaultEvent.from_dict(event)
-            for event in self.timeline
-        ]
-        if isinstance(self.scheduler, Mapping):
-            self.scheduler = SchedulerSpec.from_dict(self.scheduler)
+    ALWAYS = ("protocol",)
+    NOUN = "scenario"
+    FIELDS = {
+        "name": schema.Name(),
+        "protocol": schema.Name(),
+        "params": schema.JsonObject(),
+        "scale": schema.Name(null=True),
+        "scheduler": schema.Nested(SchedulerSpec, null=True),
+    }
+    NESTED = {
+        "corruption": CorruptionPlan, "timeline": [FaultEvent], "scheduler": SchedulerSpec,
+    }
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Check structural invariants; raise :class:`ExperimentError`."""
-        if not self.name:
-            raise ExperimentError("scenario needs a non-empty name")
-        if not self.protocol:
-            raise ExperimentError(f"scenario {self.name!r}: missing protocol name")
+        _check(f"scenario {self.name!r}", self.FIELDS, vars(self))
         preset_for(self.scale)  # raises on unknown preset names
         self.corruption.validate()
         for event in self.timeline:
@@ -526,59 +398,3 @@ class ScenarioSpec:
                 f"scenario {self.name!r} declares scheduler_actions but names "
                 f'no scheduler; use the "reactive" scheduler'
             )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"name": self.name, "protocol": self.protocol}
-        if self.description:
-            data["description"] = self.description
-        if self.params:
-            data["params"] = dict(self.params)
-        if self.scale is not None:
-            data["scale"] = self.scale
-        corruption = self.corruption.to_dict()
-        if corruption:
-            data["corruption"] = corruption
-        if self.timeline:
-            data["timeline"] = [event.to_dict() for event in self.timeline]
-        if self.scheduler is not None:
-            data["scheduler"] = self.scheduler.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        try:
-            return cls(
-                name=str(data["name"]),
-                description=str(data.get("description", "")),
-                protocol=str(data.get("protocol", "weak_coin")),
-                params=dict(data.get("params", {})),
-                scale=data.get("scale"),
-                corruption=CorruptionPlan.from_dict(data.get("corruption", {})),
-                timeline=[FaultEvent.from_dict(event) for event in data.get("timeline", [])],
-                scheduler=(
-                    SchedulerSpec.from_dict(data["scheduler"])
-                    if data.get("scheduler") is not None
-                    else None
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ExperimentError(f"malformed scenario: {exc}") from exc
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ExperimentError(f"scenario is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
-
-    def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(self.to_json())
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "ScenarioSpec":
-        return cls.from_json(Path(path).read_text())

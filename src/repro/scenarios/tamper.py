@@ -11,11 +11,12 @@ tampering *is* a corruption (it spends budget and excludes the party from
 honest-output accounting), and every installation is logged to the
 director's audit trail and the trace.
 
-Tamper specs are validated by :func:`repro.scenarios.spec.validate_tamper`;
-the channel-matching half reuses the scenario predicate vocabulary.  All
-mutations are pure functions of the message stream (the drop fraction uses a
-Bresenham-style counter, never randomness), so tampered trials remain
-byte-identical per seed.
+Tamper specs are validated by :func:`repro.scenarios.spec.validate_tamper`,
+each value by its field in :data:`~repro.scenarios.spec.TAMPER_FIELDS` (the
+registry row walks the same closed table); the channel-matching half reuses
+the scenario predicate vocabulary.  All mutations are pure functions of the
+message stream (the drop fraction uses a Bresenham-style counter, never
+randomness), so tampered trials remain byte-identical per seed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 from repro.adversary.behaviors import Behavior
 from repro.net.message import SessionId
 from repro.scenarios.predicates import match_session, resolve_parties
-from repro.scenarios.spec import validate_tamper
+from repro.scenarios.spec import TAMPER_FIELDS, require_tamper_mutation
 
 
 def _offset_element(value: Any, offset: int, prime: int) -> Any:
@@ -65,7 +66,6 @@ class TamperBehavior(Behavior):
 
     def __init__(self, spec: Mapping[str, Any]) -> None:
         super().__init__()
-        validate_tamper(spec)
         self.spec: Dict[str, Any] = dict(spec)
         #: Messages that matched the channel filter.
         self.matched = 0
@@ -124,8 +124,11 @@ class TamperBehavior(Behavior):
 
 
 def tamper_behavior(**spec: Any) -> Callable[..., TamperBehavior]:
-    """Registry builder: ``BehaviorSpec("tamper", {...tamper spec...})``."""
-    validate_tamper(spec)
+    """Registry builder: ``BehaviorSpec("tamper", {...tamper spec...})``.
+
+    The row's closed :data:`TAMPER_FIELDS` table has checked each value.
+    """
+    require_tamper_mutation(spec)
 
     def build(_process: Any) -> TamperBehavior:
         return TamperBehavior(spec)
@@ -137,4 +140,4 @@ def tamper_behavior(**spec: Any) -> Callable[..., TamperBehavior]:
 # the same self-registration pattern as the hostile scheduler family.
 from repro.experiments.registry import BEHAVIORS  # noqa: E402
 
-BEHAVIORS.add("tamper", tamper_behavior)
+BEHAVIORS.add("tamper", tamper_behavior, fields=TAMPER_FIELDS, closed=True)

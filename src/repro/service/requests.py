@@ -20,11 +20,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Optional
 
 from repro.errors import ServiceError
-from repro.experiments.registry import FAULTS, RUNNERS, runner_params_problem
-from repro.experiments.spec import ExperimentSpec, canonical_json, trial_shape_problem
+from repro.experiments import params as schema
+from repro.experiments.registry import RUNNERS, fault_problem, runner_params_problem
+from repro.experiments.spec import ExperimentSpec, JsonSpec, canonical_json
 
 #: Convenience aliases accepted anywhere a protocol name is taken.
 PROTOCOL_ALIASES = {"coin": "coinflip"}
@@ -47,7 +48,7 @@ def resolve_protocol(name: str) -> str:
 
 
 @dataclass
-class BeaconRequest:
+class BeaconRequest(JsonSpec):
     """One protocol instance to run on the resident service.
 
     Attributes:
@@ -75,6 +76,19 @@ class BeaconRequest:
     fault: Optional[Dict[str, Any]] = None
     attempt: int = 0
 
+    NOUN = "beacon request"
+    ERROR = ServiceError
+    #: Each field's check; ``n`` is a campaign cell's, so the two agree.
+    FIELDS = {
+        "protocol": schema.Name(),
+        "n": ExperimentSpec.FIELDS["n"],
+        "seed": schema.Int(),
+        "params": ExperimentSpec.FIELDS["params"],
+        "request_id": schema.Name(),
+        "fault": schema.JsonObject(null=True),
+        "attempt": schema.Int(0),
+    }
+
     def __post_init__(self) -> None:
         self.protocol = PROTOCOL_ALIASES.get(self.protocol, self.protocol)
         if not self.request_id:
@@ -82,25 +96,20 @@ class BeaconRequest:
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Reject malformed requests before they reach a shard."""
-        resolve_protocol(self.protocol)
-        problem = trial_shape_problem(self.n, [self.seed])
+        """Reject malformed requests before they reach a shard.
+
+        Fields, runner params and fault params are checked as a cell's are.
+        """
+        problem = schema.problem(self.FIELDS, vars(self), None, "{}")
         if problem is not None:
             raise ServiceError(f"request {self.request_id}: {problem}")
-        reserved = ExperimentSpec.RESERVED_PARAMS.intersection(self.params)
-        if reserved:
-            raise ServiceError(
-                f"request {self.request_id}: params may not override "
-                f"{', '.join(sorted(reserved))}"
-            )
-        problem = runner_params_problem(self.protocol, self.params, self.n)
+        problem = runner_params_problem(resolve_protocol(self.protocol), self.params, self.n)
         if problem is not None:
             raise ServiceError(f"request {self.request_id}: {problem}")
-        if self.fault is not None and str(self.fault.get("fault")) not in FAULTS:
-            raise ServiceError(
-                f"request {self.request_id}: unknown fault "
-                f"{self.fault.get('fault')!r}; known: {', '.join(FAULTS.names())}"
-            )
+        if self.fault is not None:
+            problem = fault_problem(self.fault)
+            if problem is not None:
+                raise ServiceError(f"request {self.request_id}: {problem}")
 
     # ------------------------------------------------------------------
     def cell(self) -> ExperimentSpec:
@@ -140,40 +149,9 @@ class BeaconRequest:
         digest = hashlib.sha256(key.encode()).digest()
         return int.from_bytes(digest[:8], "big") % max(1, shards)
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "protocol": self.protocol,
-            "n": self.n,
-            "seed": self.seed,
-            "request_id": self.request_id,
-        }
-        if self.params:
-            data["params"] = dict(self.params)
-        if self.fault is not None:
-            data["fault"] = dict(self.fault)
-        if self.attempt:
-            data["attempt"] = self.attempt
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BeaconRequest":
-        try:
-            return cls(
-                protocol=str(data["protocol"]),
-                n=data["n"],
-                seed=data["seed"],
-                params=dict(data.get("params", {})),
-                request_id=str(data.get("request_id", "")),
-                fault=dict(data["fault"]) if data.get("fault") is not None else None,
-                attempt=int(data.get("attempt", 0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ServiceError(f"malformed beacon request: {exc}") from exc
-
 
 @dataclass
-class BeaconResponse:
+class BeaconResponse(JsonSpec):
     """Structured outcome of one request.
 
     ``status`` is one of:
@@ -205,6 +183,8 @@ class BeaconResponse:
     elapsed_ms: Optional[float] = None
     retry_after_s: Optional[float] = None
 
+    ALWAYS = ("attempts",)
+
     @property
     def ok(self) -> bool:
         return self.status == OK
@@ -212,19 +192,6 @@ class BeaconResponse:
     @property
     def shed(self) -> bool:
         return self.status == SHED
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "request_id": self.request_id,
-            "status": self.status,
-            "attempts": self.attempts,
-        }
-        for key in ("payload", "error", "message", "shard", "warm",
-                    "elapsed_ms", "retry_after_s"):
-            value = getattr(self, key)
-            if value is not None:
-                data[key] = value
-        return data
 
 
 # ----------------------------------------------------------------------

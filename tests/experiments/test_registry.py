@@ -120,16 +120,16 @@ class TestRunnerParams:
             ("weak_coin", {"sinks": [1]}, "'sinks' takes a Python object"),
             ("coinflip", {"coin_source": "oracle"}, "'coin_source' takes a Python object"),
             # Iteration and size params are non-bool ints in range.
-            ("coinflip", {"rounds": 0}, "'rounds' must be an integer >= 1"),
-            ("coinflip", {"rounds": None}, "'rounds' must be an integer >= 1"),
-            ("coinflip", {"rounds": "3"}, "'rounds' must be an integer >= 1"),
-            ("coinflip", {"rounds": True}, "'rounds' must be an integer >= 1"),
-            ("fba", {"inputs": {0: 1}, "coinflip_rounds": 0}, "'coinflip_rounds' must be"),
+            ("coinflip", {"rounds": 0}, "'rounds' must be a positive integer"),
+            ("coinflip", {"rounds": None}, "'rounds' must be a positive integer"),
+            ("coinflip", {"rounds": "3"}, "'rounds' must be a positive integer"),
+            ("coinflip", {"rounds": True}, "'rounds' must be a positive integer"),
+            ("fba", {"inputs": {0: 1}, "coinflip_rounds": 0}, "'coinflip_rounds' must be a positive integer"),
             ("fair_choice", {"m": "3"}, "'m' must be an integer >= 3"),
             ("fair_choice", {"m": 2}, "'m' must be an integer >= 3"),
-            ("coinflip", {"epsilon": "x"}, "'epsilon' must be a number in (0, 1/2)"),
-            ("coinflip", {"epsilon": 2}, "'epsilon' must be a number in (0, 1/2)"),
-            ("coinflip", {"epsilon": False}, "'epsilon' must be a number in (0, 1/2)"),
+            ("coinflip", {"epsilon": "x"}, "'epsilon' must be a number in (0, 0.5), got 'x'"),
+            ("coinflip", {"epsilon": 2}, "'epsilon' must be a number in (0, 0.5), got 2"),
+            ("coinflip", {"epsilon": False}, "'epsilon' must be a number in (0, 0.5), got False"),
         ],
     )
     def test_param_values_a_spec_cannot_run_are_named(self, protocol, params, named):

@@ -12,12 +12,13 @@ from repro.core import api
 from repro.core.results import TrialAggregate
 from repro.errors import ExperimentError
 from repro.experiments.cli import main
-from repro.experiments.registry import RUNNERS
+from repro.experiments.registry import FAULTS, RUNNERS, fault_problem, inject_fault
 from repro.experiments.runner import run_campaign, run_cell, run_seeds, run_trial
 from repro.experiments.spec import (
     BehaviorSpec,
     CampaignSpec,
     ExperimentSpec,
+    FaultSpec,
     SchedulerSpec,
 )
 from repro.experiments.store import ResultStore
@@ -82,17 +83,17 @@ class TestTrialAndCell:
             (
                 "targeted_delay",
                 {"victims": 5},
-                "'targeted_delay': param 'victims': .*resolves outside 0..3: 5",
+                "'targeted_delay': param 'victims' .*resolves outside 0..3: 5",
             ),
             (
                 "partition_heal",
                 {"group_a": [0], "group_b": [1], "duration": "x"},
-                "'partition_heal': duration .*'x'",
+                "'partition_heal': param 'duration' .*'x'",
             ),
             (
                 "partition_heal",
                 {"group_a": [0], "group_b": [1], "duration": True},
-                "'partition_heal': duration .*True",
+                "'partition_heal': param 'duration' .*True",
             ),
             (
                 "partition_heal",
@@ -102,17 +103,17 @@ class TestTrialAndCell:
             (
                 "targeted_delay",
                 {"victims": [0], "max_delay_steps": "soon"},
-                "'targeted_delay': max_delay_steps .*'soon'",
+                "'targeted_delay': param 'max_delay_steps' .*'soon'",
             ),
             (
                 "session_starvation",
                 {"pattern": ["...", "rec", "*"], "max_delay_steps": -1},
-                "'session_starvation': max_delay_steps .*-1",
+                "'session_starvation': param 'max_delay_steps' .*-1",
             ),
             (
                 "message_filter_delay",
                 {"predicate": {"kinds": ["READY"]}, "n": 4, "max_delay_steps": 2.5},
-                "'message_filter_delay': max_delay_steps .*2.5",
+                "'message_filter_delay': param 'max_delay_steps' .*2.5",
             ),
         ],
     )
@@ -135,32 +136,32 @@ class TestTrialAndCell:
             (
                 "split_brain",
                 {"group_a": [0], "group_b": [1], "duration": -5},
-                "'split_brain': duration .*-5",
+                "'split_brain': param 'duration' .*-5",
             ),
             (
                 "split_brain",
                 {"group_a": [0], "group_b": [1], "duration": "abc"},
-                "'split_brain': duration .*'abc'",
+                "'split_brain': param 'duration' .*'abc'",
             ),
             (
                 "isolate_party",
                 {"victim": 0, "max_delay_steps": "x"},
-                "'isolate_party': max_delay_steps .*'x'",
+                "'isolate_party': param 'max_delay_steps' .*'x'",
             ),
             (
                 "delay_protocol",
                 {"root": "acast", "max_delay_steps": -3},
-                "'delay_protocol': max_delay_steps .*-3",
+                "'delay_protocol': param 'max_delay_steps' .*-3",
             ),
             (
                 "delay_from_parties",
                 {"parties": [0], "max_delay_steps": "x"},
-                "'delay_from_parties': max_delay_steps .*'x'",
+                "'delay_from_parties': param 'max_delay_steps' .*'x'",
             ),
             (
                 "delay_from_parties",
                 {"parties": [0], "max_delay_steps": -5},
-                "'delay_from_parties': max_delay_steps .*-5",
+                "'delay_from_parties': param 'max_delay_steps' .*-5",
             ),
             (
                 "delay_from_parties",
@@ -170,7 +171,12 @@ class TestTrialAndCell:
             (
                 "delay_to_parties",
                 {"parties": [0], "max_delay_steps": True},
-                "'delay_to_parties': max_delay_steps .*True",
+                "'delay_to_parties': param 'max_delay_steps' .*True",
+            ),
+            (
+                "isolate_party",
+                "victim",
+                "'isolate_party': params must be a JSON object, got 'victim'",
             ),
         ],
     )
@@ -190,29 +196,29 @@ class TestTrialAndCell:
     @pytest.mark.parametrize(
         "scheduler, params, message",
         [
-            ("targeted_delay", {"victims": [99]}, r"'victims': .*\[99\] resolves outside 0..3"),
-            ("targeted_delay", {"victims": [True]}, "'victims': .*not an integer: True"),
-            ("targeted_delay", {"victims": [1.5]}, "'victims': .*not an integer: 1.5"),
-            ("targeted_delay", {"kinds": "READY"}, "'kinds': must be a list, got 'READY'"),
-            ("targeted_delay", {"roots": "svss"}, "'roots': must be a list, got 'svss'"),
-            ("delay_from_parties", {"parties": "ab"}, "'parties': invalid party selector 'ab'"),
-            ("delay_to_parties", {"parties": [4]}, "'parties': .*resolves outside 0..3: 4"),
-            ("rushing", {"coalition": "ab"}, "'coalition': invalid party selector 'ab'"),
-            ("favour_parties", {"favoured": "ab"}, "'favoured': invalid party selector 'ab'"),
+            ("targeted_delay", {"victims": [99]}, r"'victims' .*\[99\] resolves outside 0..3"),
+            ("targeted_delay", {"victims": [True]}, "'victims' .*not an integer: True"),
+            ("targeted_delay", {"victims": [1.5]}, "'victims' .*not an integer: 1.5"),
+            ("targeted_delay", {"kinds": "READY"}, "'kinds' must be a list of strings or null, got 'READY'"),
+            ("targeted_delay", {"roots": "svss"}, "'roots' must be a list of strings or null, got 'svss'"),
+            ("delay_from_parties", {"parties": "ab"}, "'parties' must be a party selector over 0..3: invalid party selector 'ab'"),
+            ("delay_to_parties", {"parties": [4]}, "'parties' .*resolves outside 0..3: 4"),
+            ("rushing", {"coalition": "ab"}, "'coalition' must be a party selector over 0..3: invalid party selector 'ab'"),
+            ("favour_parties", {"favoured": "ab"}, "'favoured' must be a party selector over 0..3: invalid party selector 'ab'"),
             (
                 "partition_heal",
                 {"group_a": "ab", "group_b": [2], "duration": 5},
-                "'group_a': invalid party selector 'ab'",
+                "'group_a' must be a party selector over 0..3: invalid party selector 'ab'",
             ),
             (
                 "split_brain",
                 {"group_a": [0], "group_b": {"pids": [9]}, "duration": 5},
-                "'group_b': .*resolves outside 0..3: 9",
+                "'group_b' .*resolves outside 0..3: 9",
             ),
-            ("session_starvation", {"pattern": "rec"}, "'pattern': must be a list, got 'rec'"),
-            ("isolate_party", {"victim": 4}, "'victim': must be one party id in 0..3, got 4"),
-            ("isolate_party", {"victim": "2"}, "'victim': must be one party id in 0..3, got '2'"),
-            ("isolate_party", {"victim": True}, "'victim': must be one party id in 0..3, got True"),
+            ("session_starvation", {"pattern": "rec"}, "'pattern' must be a session pattern: .*non-empty list, got 'rec'"),
+            ("isolate_party", {"victim": 4}, "'victim' must be one party id in 0..3, got 4"),
+            ("isolate_party", {"victim": "2"}, "'victim' must be one party id in 0..3, got '2'"),
+            ("isolate_party", {"victim": True}, "'victim' must be one party id in 0..3, got True"),
         ],
     )
     def test_scheduler_party_params_resolved_against_the_cell_n(
@@ -261,13 +267,13 @@ class TestTrialAndCell:
     @pytest.mark.parametrize(
         "params, message",
         [
-            ({"offset": "abc"}, "tamper offset .*'abc'"),
-            ({"offset": None}, "tamper offset .*None"),
-            ({"offset": [1]}, r"tamper offset .*\[1\]"),
-            ({"offset": 2.7}, r"tamper offset .*2\.7"),
-            ({"offset": True}, "tamper offset .*True"),
-            ({"drop_fraction": "x"}, "tamper drop_fraction .*'x'"),
-            ({"drop_fraction": None}, "tamper drop_fraction .*None"),
+            ({"offset": "abc"}, "'tamper': param 'offset' .*'abc'"),
+            ({"offset": None}, "'tamper': param 'offset' .*None"),
+            ({"offset": [1]}, r"'tamper': param 'offset' .*\[1\]"),
+            ({"offset": 2.7}, r"'tamper': param 'offset' .*2\.7"),
+            ({"offset": True}, "'tamper': param 'offset' .*True"),
+            ({"drop_fraction": "x"}, "'tamper': param 'drop_fraction' .*'x'"),
+            ({"drop_fraction": None}, "'tamper': param 'drop_fraction' .*None"),
         ],
     )
     def test_malformed_tamper_params_fail_at_validate(
@@ -281,13 +287,139 @@ class TestTrialAndCell:
         self._assert_refused_at_validate(cell, message, tmp_path, capsys)
 
     @pytest.mark.parametrize(
+        "fault, params, message",
+        [
+            ("raise", {"chunks": 3}, "'raise': param 'chunks' must be a list of non-negative integers or null, got 3"),
+            ("raise", {"chunks": [-1]}, r"'raise': param 'chunks' must be .*, got \[-1\]"),
+            ("raise", {"chunks": "0"}, "'raise': param 'chunks' .*, got '0'"),
+            ("sigkill", {"attempts": 5}, "'sigkill': param 'attempts' must be a list of non-negative integers or null, got 5"),
+            ("sigkill", {"attempts": [True]}, r"'sigkill': param 'attempts' .*, got \[True\]"),
+            ("hang", {"seconds": "x"}, "'hang': param 'seconds' must be a number >= 0, got 'x'"),
+            ("hang", {"seconds": -1}, "'hang': param 'seconds' must be a number >= 0, got -1"),
+            ("exit", {"code": "3"}, "'exit': param 'code' must be an integer, got '3'"),
+            ("exit", {"code": 1.5}, r"'exit': param 'code' must be an integer, got 1\.5"),
+            ("raise", {"message": 7}, "'raise': param 'message' must be a non-empty string, got 7"),
+            ("raise", {"mesage": "x"}, r"'raise': unknown keys \['mesage'\]; known: \['attempts', 'chunks', 'message'\]"),
+            ("sigkill", {"seconds": 1}, r"'sigkill': unknown keys \['seconds'\]; known: \['attempts', 'chunks'\]"),
+            ("gremlin", {}, "unknown fault 'gremlin'; known: exit, hang, raise, sigkill"),
+        ],
+    )
+    def test_fault_params_fail_at_validate(self, fault, params, message, tmp_path, capsys):
+        """A chaos fault's params are checked at validation, by its row's
+        fields, instead of quarantining the cell after every attempt hit a
+        ``TypeError`` in the worker's injection hook or fault callable; a
+        misspelt key is refused, not silently dropped."""
+        cell = _acast_cell(fault=FaultSpec(fault, params))
+        self._assert_refused_at_validate(cell, message, tmp_path, capsys)
+
+    def test_fault_params_in_range_are_accepted(self, tmp_path, capsys):
+        path = tmp_path / "ok.json"
+        cells = [
+            _acast_cell(f"c{index}", fault=FaultSpec(name, params))
+            for index, (name, params) in enumerate([
+                ("raise", {"chunks": [0, 2], "attempts": None, "message": "boom"}),
+                ("hang", {"seconds": 0.5, "attempts": [0, 1]}),
+                ("exit", {"code": 3, "chunks": None}),
+                ("sigkill", {}),
+            ])
+        ]
+        CampaignSpec(name="ok", cells=cells).save(path)
+        assert main(["validate", str(path)]) == 0
+
+    def test_a_fault_row_without_fields_is_checked_by_name(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """A downstream fault registered without fields takes the selectors
+        and the params its callable takes, and is refused any other name."""
+        for table in ("_entries", "_normalizers", "_fields", "_closed"):
+            monkeypatch.setattr(FAULTS, table, dict(getattr(FAULTS, table)))
+        fired = []
+
+        @FAULTS.register("flaky")
+        def flaky(rate, note="x"):
+            fired.append((rate, note))
+
+        spec = {"fault": "flaky", "params": {"chunks": [0], "rate": 0.5}}
+        assert FAULTS.fields("flaky") is None and fault_problem(spec) is None
+        inject_fault(spec, 0, 0)
+        assert fired == [(0.5, "x")]
+        for params, message in [
+            ({"rate": 1, "nte": "y"}, "fault 'flaky': takes no params ['nte']; accepted: ['note', 'rate']"),
+            ({}, "fault 'flaky': needs params ['rate']"),
+            ({"rate": 1, "chunks": 3}, "fault 'flaky': param 'chunks' must be a list of non-negative integers or null, got 3"),
+        ]:
+            cell = _acast_cell(fault=FaultSpec("flaky", params))
+            self._assert_refused_at_validate(cell, re.escape(message), tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"scheduler": "fifo"}, "scheduler must be a JSON object or null, got 'fifo'"),
+            ({"fault": "raise"}, "fault must be a JSON object or null, got 'raise'"),
+            (
+                {"scheduler": {"scheduler": ["x"]}},
+                r"scheduler spec: scheduler must be a non-empty string, got \['x'\]",
+            ),
+            (
+                {"adversary": {3: {"behavior": ["x"]}}},
+                r"adversary 3 spec: behavior must be a non-empty string, got \['x'\]",
+            ),
+            ({"adversary": {3: "crash"}}, "adversary 3 must be a JSON object, got 'crash'"),
+            ({"adversary": "crash"}, "adversary must be a JSON object, got 'crash'"),
+            ({"fault": {"fault": ""}}, "fault spec: fault must be a non-empty string, got ''"),
+        ],
+        ids=[
+            "scheduler-string", "fault-string", "scheduler-name-list", "behavior-name-list",
+            "behavior-string", "adversary-string", "fault-name-empty",
+        ],
+    )
+    def test_a_nested_spec_that_is_no_spec_fails_at_validate(
+        self, overrides, message, tmp_path, capsys
+    ):
+        """A cell's scheduler, fault and behaviours are fields too: a value
+        that is no JSON object, or a spec whose name is no string, is one
+        ``error: cell`` line, never an AttributeError or unhashable-name
+        traceback."""
+        self._assert_refused_at_validate(_acast_cell(**overrides), message, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
         "behavior, params, message",
         [
-            ("bad_share", {"offset": "x"}, "'bad_share': offset .*'x'"),
-            ("split_equivocator", {"offset": "x"}, "'split_equivocator': offset .*'x'"),
-            ("point_corrupting", {"offset": 1.5}, r"'point_corrupting': offset .*1\.5"),
-            ("withholding_dealer", {"victims": 7}, "'withholding_dealer': victims .*7"),
-            ("bad_share", {"victims": ["1"]}, r"'bad_share': victims .*\['1'\]"),
+            (
+                "withholding_dealer",
+                {"victims": [99]},
+                r"'withholding_dealer': param 'victims' must be a list of party ids in 0\.\.3, got \[99\]",
+            ),
+            (
+                "bad_share",
+                {"victims": [-1]},
+                r"'bad_share': param 'victims' must be a list of party ids in 0\.\.3 or null, got \[-1\]",
+            ),
+            (
+                "tamper",
+                {"offset": 1, "receivers": [99]},
+                r"'tamper': param 'receivers' .*\[99\] resolves outside 0\.\.3: 99",
+            ),
+        ],
+        ids=["withholding-victims-99", "bad-share-victims-negative", "tamper-receivers-99"],
+    )
+    def test_behavior_party_params_checked_against_the_cell_n(
+        self, behavior, params, message, tmp_path, capsys
+    ):
+        """A behaviour's party params are checked against the cell's ``n``,
+        as a scheduler's are: a victim outside the system is refused, never
+        an attack that silently targets nobody."""
+        cell = _acast_cell(adversary={3: BehaviorSpec(behavior, params)})
+        self._assert_refused_at_validate(cell, message, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "behavior, params, message",
+        [
+            ("bad_share", {"offset": "x"}, "'bad_share': param 'offset' .*'x'"),
+            ("split_equivocator", {"offset": "x"}, "'split_equivocator': param 'offset' .*'x'"),
+            ("point_corrupting", {"offset": 1.5}, r"'point_corrupting': param 'offset' .*1\.5"),
+            ("withholding_dealer", {"victims": 7}, "'withholding_dealer': param 'victims' .*7"),
+            ("bad_share", {"victims": ["1"]}, r"'bad_share': param 'victims' .*\['1'\]"),
             ("withholding_dealer", {}, "'withholding_dealer' cannot be built from params"),
         ],
     )
@@ -305,15 +437,15 @@ class TestTrialAndCell:
         [
             (
                 {3: BehaviorSpec("silent_after", {"active_deliveries": "3"})},
-                "'silent_after': active_deliveries .*'3'",
+                "'silent_after': param 'active_deliveries' .*'3'",
             ),
             (
                 {3: BehaviorSpec("silent_after", {"active_deliveries": -1})},
-                "'silent_after': active_deliveries .*-1",
+                "'silent_after': param 'active_deliveries' .*-1",
             ),
-            ({3: BehaviorSpec("replay", {"max_replays": "x"})}, "'replay': max_replays .*'x'"),
-            ({3: BehaviorSpec("random_noise", {"burst": "2"})}, "'random_noise': burst .*'2'"),
-            ({3: BehaviorSpec("random_noise", {"burst": -5})}, "'random_noise': burst .*-5"),
+            ({3: BehaviorSpec("replay", {"max_replays": "x"})}, "'replay': param 'max_replays' .*'x'"),
+            ({3: BehaviorSpec("random_noise", {"burst": "2"})}, "'random_noise': param 'burst' .*'2'"),
+            ({3: BehaviorSpec("random_noise", {"burst": -5})}, "'random_noise': param 'burst' .*-5"),
             (
                 {3: BehaviorSpec("equivocating")},
                 "'equivocating' cannot be built from params .*'value_for_low'",
@@ -323,11 +455,15 @@ class TestTrialAndCell:
                 "corrupts 2 parties at n=4, more than t=1",
             ),
             ({"x": BehaviorSpec("crash")}, "adversary key 'x' is not a party id"),
+            (
+                {3: BehaviorSpec("replay", "max_replays")},  # type: ignore[arg-type]
+                "'replay': params must be a JSON object, got 'max_replays'",
+            ),
         ],
         ids=[
             "silent_after-string", "silent_after-negative", "replay-string",
             "random_noise-string", "random_noise-negative", "equivocating-bare",
-            "over-budget", "non-integer-key",
+            "over-budget", "non-integer-key", "params-string",
         ],
     )
     def test_behavior_params_fail_at_validate(
@@ -353,7 +489,7 @@ class TestTrialAndCell:
         ]}))
         assert main(["validate", str(path)]) == 1
         first, second = capsys.readouterr().err.splitlines()
-        assert first == "error: cell 'keyed': adversary key 'x' is not a party id"
+        assert first == "error: cell 'keyed': adversary key 'x' is not a party id in 0..3"
         assert second.startswith("error: cell 'noisy': ")
 
     @pytest.mark.parametrize(
@@ -422,22 +558,22 @@ class TestTrialAndCell:
     @pytest.mark.parametrize(
         "cell, message",
         [
-            ({"protocol": "weak_coin", "n": 4, "seeds": "abc"}, "seeds must be a list of integers, got 'abc'"),
+            ({"protocol": "weak_coin", "n": 4, "seeds": "abc"}, "seeds must be a non-empty list of integers, got 'abc'"),
             ({"protocol": "aba", "n": 4, "seeds": [0], "params": {"inputs": "x"}},
-             "runner 'aba' at n=4: param 'inputs' must map party ids to inputs, got 'x'"),
+             "runner 'aba': param 'inputs' must map party ids to inputs, got 'x'"),
             ({"protocol": "weak_coin", "n": "4", "seeds": [0]}, "n must be a positive integer, got '4'"),
             ({"protocol": "weak_coin", "n": 4.5, "seeds": [0]}, r"n must be a positive integer, got 4\.5"),
             ({"protocol": "weak_coin", "n": True, "seeds": [0]}, "n must be a positive integer, got True"),
-            ({"protocol": "weak_coin", "n": 4, "seeds": [1.5]}, r"seed 1\.5 is not an integer"),
-            ({"protocol": "weak_coin", "n": 4, "seeds": [True]}, "seed True is not an integer"),
+            ({"protocol": "weak_coin", "n": 4, "seeds": [1.5]}, r"seeds must be a non-empty list of integers, got \[1\.5\]"),
+            ({"protocol": "weak_coin", "n": 4, "seeds": [True]}, r"seeds must be a non-empty list of integers, got \[True\]"),
             ({"protocol": "svss", "n": 4, "seeds": [0], "params": {"secret": 1.5}},
              r"runner 'svss': param 'secret' must be an integer, got 1\.5"),
             ({"protocol": "aba", "n": 4, "seeds": [0], "params": {"inputs": {"0": 2}}},
-             "runner 'aba' at n=4: the input of party 0 must be one of 0, 1, got 2"),
+             "runner 'aba': param 'inputs' must give party 0 one of 0, 1, got 2"),
             ({"protocol": "svss", "n": 4, "seeds": [0], "params": {"secret": "x"}},
              "runner 'svss': param 'secret' must be an integer, got 'x'"),
             ({"protocol": "fba", "n": 4, "seeds": [0], "params": {"inputs": {"0": 1}}},
-             r"runner 'fba' at n=4: param 'inputs' has no input for parties \[1, 2, 3\]"),
+             r"runner 'fba': param 'inputs' must give every party an input; no input for parties \[1, 2, 3\]"),
         ],
         ids=[
             "seeds-string", "aba-inputs-string", "n-string", "n-float", "n-bool",

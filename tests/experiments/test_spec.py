@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -88,13 +90,13 @@ class TestValidation:
     def test_empty_seeds_rejected(self):
         campaign = _campaign()
         campaign.cells[0].seeds = []
-        with pytest.raises(ExperimentError, match="seed list"):
+        with pytest.raises(ExperimentError, match=r"seeds must be a non-empty list of integers, got \[\]"):
             campaign.validate()
 
     def test_corrupted_pid_out_of_range_rejected(self):
         campaign = _campaign()
         campaign.cells[1].adversary[7] = BehaviorSpec("crash")
-        with pytest.raises(ExperimentError, match="pid 7"):
+        with pytest.raises(ExperimentError, match=r"adversary key 7 is not a party id in 0\.\.3"):
             campaign.validate()
 
     def test_reserved_params_rejected(self):
@@ -185,6 +187,88 @@ class TestExecutionPlane:
         campaign.cells[0].fault = FaultSpec("")
         with pytest.raises(ExperimentError, match="fault"):
             campaign.validate()
+
+
+class TestFieldsAsWritten:
+    """Every cell and policy field is checked as written, by its schema
+    field: a string, float or bool where another type goes is one
+    :class:`ExperimentError`, never a traceback at a comparison or a string
+    such as ``"false"`` read as true."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("trial_timeout_s", "5", "trial_timeout_s must be a number > 0 or null, got '5'"),
+            ("trial_timeout_s", 0, "trial_timeout_s must be a number > 0 or null, got 0"),
+            ("scenario", 5, "scenario must be a non-empty string or null, got 5"),
+            ("max_chunk_retries", 1.5, r"max_chunk_retries must be a non-negative integer or null, got 1\.5"),
+            ("max_chunk_retries", True, "max_chunk_retries must be a non-negative integer or null, got True"),
+            ("invariants", "no", "invariants must be true, false or null, got 'no'"),
+        ],
+    )
+    def test_a_wrong_typed_cell_field_is_refused(self, field, value, message):
+        campaign = _campaign()
+        setattr(campaign.cells[0], field, value)
+        with pytest.raises(ExperimentError, match=f"^cell 'plain': {message}$"):
+            campaign.validate()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("trial_timeout_s", "5", "trial_timeout_s must be a number > 0 or null, got '5'"),
+            ("backoff_base_s", "x", "backoff_base_s must be a number >= 0 or null, got 'x'"),
+            ("max_chunk_retries", 1.5, r"max_chunk_retries must be a non-negative integer or null, got 1\.5"),
+            ("max_chunk_retries", True, "max_chunk_retries must be a non-negative integer or null, got True"),
+            ("fail_fast", "false", "fail_fast must be true, false or null, got 'false'"),
+        ],
+    )
+    def test_a_wrong_typed_policy_field_is_refused(self, field, value, message):
+        policy = ExecutionPolicy.from_dict({field: value})
+        with pytest.raises(ExperimentError, match=f"^policy: {message}$"):
+            policy.validate()
+        with pytest.raises(ExperimentError, match=f"^policy: {message}$"):
+            CampaignSpec(name="c", cells=_campaign().cells, policy=policy).validate()
+
+    def test_the_cli_refuses_each_with_one_error_line(self, tmp_path, capsys):
+        """``validate`` prints one ``error: cell`` line per wrong-typed cell
+        field and exits 1; a wrong-typed policy is one ``error:`` line and
+        exit 2 -- never a traceback."""
+        from repro.experiments.cli import main
+
+        cells = [
+            dict(_campaign().cells[0].to_dict(), name=f"bad-{field}", **{field: value})
+            for field, value in [
+                ("trial_timeout_s", "5"), ("scenario", 5), ("max_chunk_retries", 1.5),
+                ("max_chunk_retries", True), ("invariants", "no"),
+            ]
+        ]
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps({"name": "bad", "cells": cells}))
+        assert main(["validate", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 5 and all(line.startswith("error: cell 'bad-") for line in lines)
+        path.write_text(json.dumps({
+            "name": "bad", "policy": {"fail_fast": "false"},
+            "cells": [_campaign().cells[0].to_dict()],
+        }))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: policy: fail_fast must be true, false or null, got 'false'"
+        ]
+
+
+    def test_a_policy_that_is_no_object_is_refused(self):
+        campaign = CampaignSpec.from_dict(
+            {"name": "c", "cells": [_campaign().cells[0].to_dict()], "policy": "x"}
+        )
+        with pytest.raises(ExperimentError, match="^policy must be a JSON object or null, got 'x'$"):
+            campaign.validate()
+
+    def test_cells_default_to_none_but_a_document_must_list_them(self):
+        assert CampaignSpec(name="c").cells == []
+        assert CampaignSpec(name="c").to_dict() == {"name": "c", "cells": []}
+        with pytest.raises(ExperimentError, match=r"missing keys \['cells'\]"):
+            CampaignSpec.from_dict({"name": "c"})
 
 
 class TestGrid:

@@ -211,11 +211,11 @@ class TestRobustnessSpec:
     def test_validate_tamper_rejects_bad_specs(self):
         with pytest.raises(ExperimentError, match="at least one mutation"):
             validate_tamper({"kinds": ["POINT"]})
-        with pytest.raises(ExperimentError, match="unknown tamper keys"):
+        with pytest.raises(ExperimentError, match=r"tamper spec: unknown keys \['bogus'\]"):
             validate_tamper({"offset": 1, "bogus": True})
         with pytest.raises(ExperimentError, match="drop_fraction"):
             validate_tamper({"drop_fraction": 1.5})
-        with pytest.raises(ExperimentError, match="offset must be non-zero"):
+        with pytest.raises(ExperimentError, match="'offset' must be a non-zero integer, got 0"):
             validate_tamper({"offset": 0})
         with pytest.raises(ExperimentError, match="rewrite_kind"):
             validate_tamper({"rewrite_kind": ""})

@@ -56,10 +56,10 @@ class TestBeaconRequest:
         [
             ("4", 1, "weak_coin", {}, "n must be a positive integer, got '4'"),
             (True, 1, "weak_coin", {}, "n must be a positive integer, got True"),
-            (4, 1.5, "weak_coin", {}, r"seed 1\.5 is not an integer"),
-            (4, True, "weak_coin", {}, "seed True is not an integer"),
+            (4, 1.5, "weak_coin", {}, r"seed must be an integer, got 1\.5"),
+            (4, True, "weak_coin", {}, "seed must be an integer, got True"),
             (4, 1, "aba", {"inputs": "x"}, "'inputs' must map party ids to inputs, got 'x'"),
-            (4, 1, "aba", {"inputs": {0: 2}}, "the input of party 0 must be one of 0, 1, got 2"),
+            (4, 1, "aba", {"inputs": {0: 2}}, "'inputs' must give party 0 one of 0, 1, got 2"),
             (4, 1, "svss", {"secret": "x"}, "'secret' must be an integer, got 'x'"),
             (4, 1, "fba", {"inputs": {"0": 1}}, r"no input for parties \[1, 2, 3\]"),
         ],
@@ -81,6 +81,62 @@ class TestBeaconRequest:
             protocol="weak_coin", n=4, seed=1, fault={"fault": "gremlin"}
         )
         with pytest.raises(ServiceError, match="unknown fault"):
+            request.validate()
+
+    @pytest.mark.parametrize(
+        "fault, named",
+        [
+            ({"fault": "sigkill", "params": {"attempts": 5}},
+             "fault 'sigkill': param 'attempts' must be a list of non-negative integers or null, got 5"),
+            ({"fault": "raise", "params": {"chunks": 3}},
+             "fault 'raise': param 'chunks' must be a list of non-negative integers or null, got 3"),
+            ({"fault": "hang", "params": {"seconds": "30"}},
+             "fault 'hang': param 'seconds' must be a number >= 0, got '30'"),
+            ({"fault": "exit", "params": {"code": True}},
+             "fault 'exit': param 'code' must be an integer, got True"),
+            ({"fault": "raise", "params": {"message": ["x"]}},
+             r"fault 'raise': param 'message' must be a non-empty string, got \['x'\]"),
+            ({"fault": "raise", "params": {"mesage": "x"}},
+             r"fault 'raise': unknown keys \['mesage'\]; known: \['attempts', 'chunks', 'message'\]"),
+            ({"fault": "raise", "params": "x"},
+             "fault 'raise': params must be a JSON object, got 'x'"),
+            ("sigkill", "fault must be a JSON object or null, got 'sigkill'"),
+        ],
+        ids=[
+            "attempts-int", "chunks-int", "hang-seconds-string", "exit-code-bool",
+            "raise-message-list", "misspelt-key", "params-string", "fault-string",
+        ],
+    )
+    def test_malformed_fault_params_rejected_at_submit(self, fault, named):
+        """A fault's params are checked by its row's fields when the request
+        is validated, so a shard never receives a fault its hook or callable
+        would raise a ``TypeError`` on."""
+        request = BeaconRequest(protocol="weak_coin", n=4, seed=1, fault=fault)
+        with pytest.raises(ServiceError, match=f"^request {request.request_id}: {named}$"):
+            request.validate()
+
+    def test_fault_params_in_range_are_accepted(self):
+        for fault in [
+            {"fault": "sigkill", "params": {"attempts": [0]}},
+            {"fault": "hang", "params": {"attempts": [0], "seconds": 30.0}},
+            {"fault": "raise", "params": {"chunks": None, "attempts": None, "message": "x"}},
+            {"fault": "exit"},
+        ]:
+            BeaconRequest(protocol="weak_coin", n=4, seed=1, fault=fault).validate()
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("protocol", 5, "protocol must be a non-empty string, got 5"),
+            ("params", "x", "params must be a JSON object, got 'x'"),
+            ("attempt", -1, "attempt must be a non-negative integer, got -1"),
+            ("request_id", 7, "request_id must be a non-empty string, got 7"),
+        ],
+    )
+    def test_wrong_typed_request_fields_are_rejected(self, field, value, named):
+        request = BeaconRequest(protocol="weak_coin", n=4, seed=1, request_id="r-1")
+        setattr(request, field, value)
+        with pytest.raises(ServiceError, match=f"^request {request.request_id}: {named}$"):
             request.validate()
 
     def test_request_ids_autogenerate_uniquely(self):

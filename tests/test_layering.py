@@ -132,9 +132,7 @@ def test_only_corrupt_and_reinitialize_set_a_behavior():
     """A party's behaviour is installed by ``Process.corrupt`` and dropped by
     ``Process.reinitialize``, and nothing swaps it in between: a behaviour
     that runs the honest protocol for a delivery hands it to the honest
-    route, so the party reads as corrupted throughout its own deliveries.
-    (Scenario specs' ``self.behavior`` fields are behaviour specs, not a
-    party's behaviour.)"""
+    route, so the party reads as corrupted throughout its own deliveries."""
     setters = set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text())
@@ -157,7 +155,6 @@ def test_only_corrupt_and_reinitialize_set_a_behavior():
         ("net/process.py", "self.behavior", "__init__"),
         ("net/process.py", "self.behavior", "corrupt"),
         ("net/process.py", "self.behavior", "reinitialize"),
-        ("scenarios/spec.py", "self.behavior", "__post_init__"),
     }
 
 
