@@ -22,6 +22,12 @@ Party evaluation points are fixed for the lifetime of a run (ids ``1..n``),
 so the Lagrange basis / reconstruction weights for a given ``(prime, xs)``
 pair are computed once and memoised; afterwards a reconstruction is a single
 dot product.
+
+numpy is optional and loaded late: importing this module never imports it.
+:func:`numpy_module` does, the first time an :class:`EvalPlan` would
+vectorise (``n >= _NUMPY_MIN_N`` and a prime the matmul or split mode fits),
+so a process that only ever runs below n = 7 -- a 4-party beacon shard, a
+small trial -- never carries it.
 """
 
 from __future__ import annotations
@@ -34,10 +40,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DecodingError, FieldError, InterpolationError
 
-try:  # Optional accelerator: exact int64 matmuls for the batched plane.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
+#: numpy once :func:`numpy_module` has looked for it: the module, or False
+#: when it is not importable; None until a plan first asks to vectorise.
+_np: Any = None
 
 #: Upper bound on memoised Lagrange bases.  Each entry is O(k^2) ints; runs
 #: use a handful of distinct share subsets, so this is far more than enough
@@ -538,8 +543,29 @@ _PLANE_ROW_CACHE_LIMIT = 65536
 #: and recovered rows -- which an honest trial never enters.  Full table:
 #: CHANGES.md, PR 22.  Re-measure whenever the plane's batch shapes change:
 #: this sat at 24, the crossover of one numpy call per *row*, long after
-#: dealing stopped making one.
+#: dealing stopped making one.  It is also when numpy is imported at all: a
+#: plan below it never calls :func:`numpy_module`.  A campaign builds its
+#: cells' plans before it forks its workers (``CellExecutor.warm``), so they
+#: inherit numpy and the plans; a beacon shard builds a plan on the first
+#: cold request of its shape, and so imports numpy there, once per shard.
 _NUMPY_MIN_N = 7
+
+
+def numpy_module() -> Any:
+    """numpy, imported on the first call; None when it is not importable.
+
+    The one place the kernels load numpy.  Tests ask it whether numpy is
+    importable, and force the scalar plane by patching it to return None.
+    """
+    global _np
+    if _np is None:
+        try:
+            import numpy
+        except ImportError:
+            _np = False
+        else:
+            _np = numpy
+    return _np or None
 
 
 class EvalPlan:
@@ -575,7 +601,7 @@ class EvalPlan:
         #: read by the metrics registry.  Plans are shared process-wide, so
         #: per-run numbers are deltas against a captured baseline.
         self.stats: Dict[str, int] = {"vector_calls": 0, "scalar_calls": 0}
-        if _np is None or n < _NUMPY_MIN_N:
+        if n < _NUMPY_MIN_N:
             self.mode = "scalar"
         elif (prime - 1) * (prime - 1) * n < 2**63:
             self.mode = "matmul"
@@ -583,15 +609,17 @@ class EvalPlan:
             self.mode = "split"
         else:
             self.mode = "scalar"
-        if self.mode != "scalar":
-            self._pow = _np.array(
-                [[pow(x, j, prime) for j in range(n)] for x in self.points],
-                dtype=_np.int64,
-            )
-            self._pow_t = self._pow.T.copy()
-        else:
+        np = numpy_module() if self.mode != "scalar" else None
+        if np is None:
+            self.mode = "scalar"
             self._pow = None
             self._pow_t = None
+        else:
+            self._pow = np.array(
+                [[pow(x, j, prime) for j in range(n)] for x in self.points],
+                dtype=np.int64,
+            )
+            self._pow_t = self._pow.T.copy()
         # signed[d] = (d mod prime)^-1 for d in [-n, n], d != 0 (negative d
         # indexes from the end): the single batch_inverse sweep behind every
         # subset-weight denominator.

@@ -38,8 +38,9 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.config import max_faults
+from repro.core.config import DEFAULT_PRIME, max_faults
 from repro.core.results import TrialAggregate
+from repro.crypto.kernels import get_eval_plan
 from repro.errors import ExperimentError
 from repro.experiments.registry import (
     PROCESS_FAULTS,
@@ -210,6 +211,19 @@ class CellExecutor:
             else cell.scenario is not None
         )
 
+    def warm(self) -> None:
+        """Build the evaluation plan this cell's trials will use, now.
+
+        It is the process-wide plan for the cell's ``n`` and the prime its
+        runner resolves: the cell's ``prime`` param, else its scenario
+        preset's, else the library default.  A campaign calls this in the
+        parent just before its workers fork, so each inherits the plan --
+        and numpy, when the plan vectorises -- instead of building it on its
+        first chunk.  ``__init__`` builds no plan: validating a cell stays
+        cheap whatever its ``n``.
+        """
+        get_eval_plan(self.kwargs.get("prime", DEFAULT_PRIME), self.cell.n)
+
     def _build_scheduler(self):
         if self.scheduler_spec is not None:
             return build_scheduler(self.scheduler_spec)
@@ -363,11 +377,12 @@ def run_campaign(
     """
     _check_chunk_trials(chunk_trials)
     campaign.validate()
+    executors: Dict[str, CellExecutor] = {}
     for cell in campaign.cells:
         # Fail fast on unknown registry/scenario names and unresolvable
         # selectors: building the executor performs every static resolution
         # a worker would, before any trial runs.
-        CellExecutor(cell)
+        executors[cell.name] = CellExecutor(cell)
         if workers <= 1 and cell.fault is not None and cell.fault.fault in PROCESS_FAULTS:
             raise ExperimentError(
                 f"cell {cell.name!r}: chaos fault {cell.fault.fault!r} would "
@@ -532,6 +547,12 @@ def run_campaign(
 
         try:
             if workers > 1 and tasks:
+                # Workers fork from here on: build the plans of the cells
+                # they will run first, so every worker, a replacement too,
+                # inherits them instead of building them (and importing
+                # numpy) itself.
+                for name in dict.fromkeys(task.cell_name for task in tasks):
+                    executors[name].warm()
                 supervisor = WorkerSupervisor(
                     min(workers, len(tasks)),
                     backoff_base_s=resolved.backoff_base_s,

@@ -7,7 +7,11 @@ Each shard is a long-lived worker of the beacon's
 request's :meth:`~repro.service.requests.BeaconRequest.warm_key` -- the
 per-(prime, n) evaluation plans, behaviour factories and interned session
 tables built once and reused for every subsequent request of the same shape.
-Request N+1 skips world-building entirely; only the seeded trial runs.
+Request N+1 skips world-building entirely; only the seeded trial runs.  The
+key includes the request's params, so the cache is a bounded LRU
+(:data:`EXECUTOR_CACHE_SIZE`): a stream of distinct secrets evicts the
+least recently served executor instead of growing the shard.  An evicted
+shape is simply cold again -- warm and cold answers are equal.
 
 The pool's worker loop owns the pipe and crash isolation: a request dict
 is answered ``("ok", (payload, warm, elapsed_ms))`` or ``("error", (name,
@@ -23,9 +27,13 @@ replace-and-retry machinery, never the result.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from typing import Any, Dict, Tuple
 
 from repro.service.requests import BeaconRequest, canonical_payload
+
+#: Warm executors one shard keeps; past it the least recently served goes.
+EXECUTOR_CACHE_SIZE = 64
 
 
 class ShardState:
@@ -33,9 +41,10 @@ class ShardState:
 
     def __init__(self, shard_id: int) -> None:
         self.shard_id = shard_id
-        self.executors: Dict[str, Any] = {}
+        self.executors: "OrderedDict[str, Any]" = OrderedDict()
         self.served = 0
         self.warm_hits = 0
+        self.evictions = 0
 
     def __call__(self, body: Dict[str, Any]) -> Tuple[Dict[str, Any], bool, float]:
         """Pool handler: one request dict -> ``(payload, warm, elapsed_ms)``."""
@@ -53,11 +62,16 @@ class ShardState:
 
         inject_fault(request.fault, 0, request.attempt)
         key = request.warm_key()
-        executor = self.executors.get(key)
+        executors = self.executors
+        executor = executors.get(key)
         warm = executor is not None
-        if executor is None:
-            executor = CellExecutor(request.cell())
-            self.executors[key] = executor
+        if warm:
+            executors.move_to_end(key)
+        else:
+            executor = executors[key] = CellExecutor(request.cell())
+            if len(executors) > EXECUTOR_CACHE_SIZE:
+                executors.popitem(last=False)
+                self.evictions += 1
         result = executor.run(request.seed)
         self.served += 1
         if warm:
@@ -70,4 +84,5 @@ class ShardState:
             "served": self.served,
             "warm_hits": self.warm_hits,
             "executors": len(self.executors),
+            "evictions": self.evictions,
         }

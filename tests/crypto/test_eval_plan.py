@@ -71,7 +71,7 @@ def dealer_matrices(plan):
 class TestPlanModes:
     def test_mode_selection(self, monkeypatch):
         vectorised = {MATMUL_PRIME: "matmul", SPLIT_PRIME: "split", SMALL_PRIME: "matmul"}
-        if kernels._np is not None:
+        if kernels.numpy_module() is not None:
             assert kernels.get_eval_plan(MATMUL_PRIME, 64).mode == "matmul"
             assert kernels.get_eval_plan(SPLIT_PRIME, 32).mode == "split"
             # The cutoff, on purpose (kernels._NUMPY_MIN_N): n=7 is the first
@@ -80,7 +80,7 @@ class TestPlanModes:
                 assert kernels.get_eval_plan(prime, 6).mode == "scalar"
                 assert kernels.get_eval_plan(prime, 7).mode == mode
         # Without numpy the scalar kernels are the only plane.
-        monkeypatch.setattr(kernels, "_np", None)
+        monkeypatch.setattr(kernels, "numpy_module", lambda: None)
         for prime in PRIMES:
             for n in (4, 7, 16, 64):
                 assert kernels.EvalPlan(prime, n).mode == "scalar"
@@ -332,11 +332,9 @@ class TestValidateRows:
 
 def _scalar_plan(prime, n):
     """The plain-int plan for ``(prime, n)``, as on a box without numpy."""
-    saved, kernels._np = kernels._np, None
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "numpy_module", lambda: None)
         return kernels.EvalPlan(prime, n)
-    finally:
-        kernels._np = saved
 
 
 @st.composite

@@ -15,6 +15,7 @@ from repro.service import (
     ServicePolicy,
     cold_payload,
 )
+from repro.service.shard import EXECUTOR_CACHE_SIZE, ShardState
 
 
 def make_service(**kwargs) -> BeaconService:
@@ -127,6 +128,27 @@ class TestAdmission:
                 BeaconRequest(protocol="weak_coin", n=4, seed=1), timeout_s=60
             )
         assert good.ok and good.attempts == 1
+
+
+class TestShardCache:
+    def test_distinct_params_keep_the_executor_cache_bounded(self):
+        """A stream of distinct secrets evicts the least recently served
+        executor: the cache never passes its bound, the hot shape stays warm,
+        and every answer equals its cold re-run."""
+        shard = ShardState(0)
+        hot = BeaconRequest(protocol="weak_coin", n=4, seed=3)
+        for secret in range(200):
+            request = BeaconRequest(protocol="svss", n=4, seed=secret,
+                                    params={"secret": secret})
+            payload, warm = shard.execute(request)
+            assert not warm
+            assert canonical_json(payload) == canonical_json(cold_payload(request))
+            assert len(shard.executors) <= EXECUTOR_CACHE_SIZE
+            assert shard.execute(hot)[1] == (secret > 0)
+        stats = shard.stats()
+        assert stats["executors"] == EXECUTOR_CACHE_SIZE
+        assert stats["evictions"] == 201 - EXECUTOR_CACHE_SIZE
+        assert stats["served"] == 400 and stats["warm_hits"] == 199
 
 
 class TestLifecycle:

@@ -42,10 +42,10 @@ def plane(request, monkeypatch):
     if mode == "auto":
         yield
         return
-    if kernels._np is None:
+    if kernels.numpy_module() is None:
         pytest.skip("numpy is not importable: auto already is the scalar plane")
     kernels.get_eval_plan.cache_clear()
-    monkeypatch.setattr(kernels, "_np", None)
+    monkeypatch.setattr(kernels, "numpy_module", lambda: None)
     assert kernels.get_eval_plan(2**31 - 1, 16).mode == "scalar"
     yield
     kernels.get_eval_plan.cache_clear()
