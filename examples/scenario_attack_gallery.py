@@ -34,9 +34,7 @@ def run_gallery(n: int, trials: int) -> None:
         spec = get_scenario(name)
         runtime = ScenarioRuntime(spec, n=n)
         runner = RUNNERS.get(spec.protocol)
-        baseline_kwargs = runtime.runner_kwargs()
-        if runtime.prime is not None:
-            baseline_kwargs["prime"] = runtime.prime
+        kwargs = runtime.runner_kwargs()  # preset prime folded in, checked
 
         corrupted, agreements, steps, honest_steps = [], 0, [], []
         for seed in range(trials):
@@ -47,15 +45,13 @@ def run_gallery(n: int, trials: int) -> None:
                 scheduler=runtime.build_scheduler(),
                 corruptions=runtime.static_corruptions() or None,
                 director=director,
-                **RUNNERS.normalize(spec.protocol, baseline_kwargs),
+                **kwargs,
             )
             corrupted.append(len(director.corrupted))
             agreements += not result.disagreement
             steps.append(result.steps)
             # The unattacked reference run for the same seed and protocol.
-            honest = runner(
-                n=n, seed=seed, **RUNNERS.normalize(spec.protocol, baseline_kwargs)
-            )
+            honest = runner(n=n, seed=seed, **kwargs)
             honest_steps.append(honest.steps)
         assert all(count <= t for count in corrupted), "budget violated!"
         print(

@@ -1,15 +1,20 @@
 """One-call runners for every protocol in the library.
 
 These functions are the public entry points used by the examples, tests and
-benchmarks.  Each builds a :class:`~repro.net.runtime.Simulation`, wires the
-requested protocol at every honest party, applies corruptions and the chosen
-scheduler, runs to completion and returns a
+benchmarks.  Each has the shape ``run_x(n, <its protocol params>, seed=0,
+[coin_source=None,] **world)``: it names only what its protocol takes, and
+hands the world of the run to :func:`_simulation`, whose keywords are the one
+declaration of it -- ``scheduler``, ``corruptions``, ``tracing``, ``prime``,
+``director``, ``session_table``, ``metering``, ``metrics`` and ``sinks``.  A
+keyword neither names is a ``TypeError``.  The runner wires its protocol at
+every honest party, runs to completion (within
+:attr:`~repro.net.runtime.Simulation.max_steps`) and returns a
 :class:`~repro.net.runtime.SimulationResult`.
 
 Example::
 
     from repro import api
-    result = api.run_coinflip(n=4, seed=1, rounds=4)
+    result = api.run_coinflip(n=4, seed=1, rounds=4, tracing=False)
     print(result.agreed_value)
 """
 
@@ -49,9 +54,9 @@ DEFAULT_COINFLIP_ROUNDS = 5
 def _simulation(
     n: int,
     seed: int,
-    scheduler: Optional[Scheduler],
-    corruptions: Corruptions,
-    max_steps: Optional[int] = None,
+    *,
+    scheduler: Optional[Scheduler] = None,
+    corruptions: Corruptions = None,
     tracing: bool = True,
     prime: Optional[int] = None,
     director: Optional[Any] = None,
@@ -60,6 +65,11 @@ def _simulation(
     metrics: Optional[Any] = None,
     sinks: Optional[Any] = None,
 ) -> Simulation:
+    """The world of one run: every keyword a runner does not name itself.
+
+    ``tracing=False`` runs the network with all trace hooks disabled -- the
+    Monte-Carlo campaign configuration, where only outputs are read.
+    """
     if prime is None:
         params = ProtocolParams.for_parties(n)
     else:
@@ -75,35 +85,16 @@ def _simulation(
         metrics=metrics,
         sinks=list(sinks) if sinks else None,
     )
-    if max_steps is not None:
-        sim.max_steps = max_steps
     for pid, factory in (corruptions or {}).items():
         sim.corrupt(pid, factory)
     return sim
 
 
 def run_acast(
-    n: int,
-    value: Any,
-    sender: int = 0,
-    seed: int = 0,
-    scheduler: Optional[Scheduler] = None,
-    corruptions: Corruptions = None,
-    tracing: bool = True,
-    prime: Optional[int] = None,
-    director: Optional[Any] = None,
-    session_table: Optional[Dict[Any, Any]] = None,
-    metering: bool = True,
-    metrics: Optional[Any] = None,
-    sinks: Optional[Any] = None,
+    n: int, value: Any, sender: int = 0, seed: int = 0, **world: Any
 ) -> SimulationResult:
     """Run one reliable broadcast of ``value`` from ``sender``."""
-    sim = _simulation(
-        n, seed, scheduler, corruptions, tracing=tracing, prime=prime,
-        director=director, session_table=session_table,
-        metering=metering, metrics=metrics, sinks=sinks,
-    )
-    return sim.run(
+    return _simulation(n, seed, **world).run(
         ("acast",),
         ACast.factory(sender),
         inputs={sender: {"value": value}},
@@ -142,31 +133,14 @@ def svss_harness_factory(dealer: int) -> Callable[[Process, SessionId], Protocol
 
 
 def run_svss(
-    n: int,
-    secret: int,
-    dealer: int = 0,
-    seed: int = 0,
-    scheduler: Optional[Scheduler] = None,
-    corruptions: Corruptions = None,
-    tracing: bool = True,
-    prime: Optional[int] = None,
-    director: Optional[Any] = None,
-    session_table: Optional[Dict[Any, Any]] = None,
-    metering: bool = True,
-    metrics: Optional[Any] = None,
-    sinks: Optional[Any] = None,
+    n: int, secret: int, dealer: int = 0, seed: int = 0, **world: Any
 ) -> SimulationResult:
     """Run SVSS-Share followed by SVSS-Rec and return the reconstructed values.
 
     The share and reconstruction phases are driven by a small wrapper protocol
     at every party, mirroring how CoinFlip uses SVSS.
     """
-    sim = _simulation(
-        n, seed, scheduler, corruptions, tracing=tracing, prime=prime,
-        director=director, session_table=session_table,
-        metering=metering, metrics=metrics, sinks=sinks,
-    )
-    return sim.run(
+    return _simulation(n, seed, **world).run(
         ("svss_harness",),
         svss_harness_factory(dealer),
         inputs={dealer: {"value": secret}},
@@ -177,27 +151,13 @@ def run_aba(
     n: int,
     inputs: Mapping[int, int],
     seed: int = 0,
-    scheduler: Optional[Scheduler] = None,
-    corruptions: Corruptions = None,
     coin_source: Optional[CoinSource] = None,
-    tracing: bool = True,
-    prime: Optional[int] = None,
-    director: Optional[Any] = None,
-    session_table: Optional[Dict[Any, Any]] = None,
-    metering: bool = True,
-    metrics: Optional[Any] = None,
-    sinks: Optional[Any] = None,
+    **world: Any,
 ) -> SimulationResult:
     """Run binary Byzantine agreement with the given per-party inputs."""
-    sim = _simulation(
-        n, seed, scheduler, corruptions, tracing=tracing, prime=prime,
-        director=director, session_table=session_table,
-        metering=metering, metrics=metrics, sinks=sinks,
-    )
-    source = coin_source or OracleCoinSource(seed)
-    return sim.run(
+    return _simulation(n, seed, **world).run(
         ("aba",),
-        BinaryAgreement.factory(source),
+        BinaryAgreement.factory(coin_source or OracleCoinSource(seed)),
         inputs={pid: {"value": value} for pid, value in inputs.items()},
     )
 
@@ -231,16 +191,8 @@ def run_common_subset(
     n: int,
     ready_parties: Iterable[int],
     seed: int = 0,
-    scheduler: Optional[Scheduler] = None,
-    corruptions: Corruptions = None,
     coin_source: Optional[CoinSource] = None,
-    tracing: bool = True,
-    prime: Optional[int] = None,
-    director: Optional[Any] = None,
-    session_table: Optional[Dict[Any, Any]] = None,
-    metering: bool = True,
-    metrics: Optional[Any] = None,
-    sinks: Optional[Any] = None,
+    **world: Any,
 ) -> SimulationResult:
     """Run CommonSubset where the predicate is immediately true for ``ready_parties``."""
     ready = set(ready_parties)
@@ -249,98 +201,47 @@ def run_common_subset(
     def factory(process: Process, session: SessionId) -> Protocol:
         return _PredicateDriver(process, session, ready, source)
 
-    sim = _simulation(
-        n, seed, scheduler, corruptions, tracing=tracing, prime=prime,
-        director=director, session_table=session_table,
-        metering=metering, metrics=metrics, sinks=sinks,
-    )
-    return sim.run(("common_subset_harness",), factory)
+    return _simulation(n, seed, **world).run(("common_subset_harness",), factory)
 
 
-def run_weak_coin(
-    n: int,
-    seed: int = 0,
-    scheduler: Optional[Scheduler] = None,
-    corruptions: Corruptions = None,
-    tracing: bool = True,
-    prime: Optional[int] = None,
-    director: Optional[Any] = None,
-    session_table: Optional[Dict[Any, Any]] = None,
-    metering: bool = True,
-    metrics: Optional[Any] = None,
-    sinks: Optional[Any] = None,
-) -> SimulationResult:
+def run_weak_coin(n: int, seed: int = 0, **world: Any) -> SimulationResult:
     """Run one weak common coin flip."""
-    sim = _simulation(
-        n, seed, scheduler, corruptions, tracing=tracing, prime=prime,
-        director=director, session_table=session_table,
-        metering=metering, metrics=metrics, sinks=sinks,
-    )
-    return sim.run(("weak_coin",), WeakCommonCoin.factory())
+    return _simulation(n, seed, **world).run(("weak_coin",), WeakCommonCoin.factory())
 
 
 def run_coinflip(
     n: int,
-    seed: int = 0,
     epsilon: float = 0.25,
     rounds: Optional[int] = DEFAULT_COINFLIP_ROUNDS,
-    scheduler: Optional[Scheduler] = None,
-    corruptions: Corruptions = None,
+    seed: int = 0,
     coin_source: Optional[CoinSource] = None,
-    max_steps: Optional[int] = None,
-    tracing: bool = True,
-    prime: Optional[int] = None,
-    director: Optional[Any] = None,
-    session_table: Optional[Dict[Any, Any]] = None,
-    metering: bool = True,
-    metrics: Optional[Any] = None,
-    sinks: Optional[Any] = None,
+    **world: Any,
 ) -> SimulationResult:
-    """Run the strong common coin (Algorithm 1) once.
-
-    ``tracing=False`` runs the network with all trace hooks disabled -- the
-    Monte-Carlo campaign configuration, where only outputs are read.
-    """
-    sim = _simulation(
-        n, seed, scheduler, corruptions, max_steps=max_steps, tracing=tracing,
-        prime=prime, director=director, session_table=session_table,
-        metering=metering, metrics=metrics, sinks=sinks,
-    )
-    source = coin_source or OracleCoinSource(seed)
-    return sim.run(
+    """Run the strong common coin (Algorithm 1) once."""
+    return _simulation(n, seed, **world).run(
         ("coinflip",),
-        CoinFlip.factory(epsilon=epsilon, rounds_override=rounds, coin_source=source),
+        CoinFlip.factory(
+            epsilon=epsilon,
+            rounds_override=rounds,
+            coin_source=coin_source or OracleCoinSource(seed),
+        ),
     )
 
 
 def run_fair_choice(
     n: int,
     m: int,
-    seed: int = 0,
     coinflip_rounds: int = 1,
-    scheduler: Optional[Scheduler] = None,
-    corruptions: Corruptions = None,
+    seed: int = 0,
     coin_source: Optional[CoinSource] = None,
-    max_steps: Optional[int] = None,
-    tracing: bool = True,
-    prime: Optional[int] = None,
-    director: Optional[Any] = None,
-    session_table: Optional[Dict[Any, Any]] = None,
-    metering: bool = True,
-    metrics: Optional[Any] = None,
-    sinks: Optional[Any] = None,
+    **world: Any,
 ) -> SimulationResult:
     """Run FairChoice (Algorithm 2) over ``m`` candidates."""
-    sim = _simulation(
-        n, seed, scheduler, corruptions, max_steps=max_steps, tracing=tracing,
-        prime=prime, director=director, session_table=session_table,
-        metering=metering, metrics=metrics, sinks=sinks,
-    )
-    source = coin_source or OracleCoinSource(seed)
-    return sim.run(
+    return _simulation(n, seed, **world).run(
         ("fair_choice",),
         FairChoice.factory(
-            coinflip_rounds_override=coinflip_rounds, coin_source=source
+            coinflip_rounds_override=coinflip_rounds,
+            coin_source=coin_source or OracleCoinSource(seed),
         ),
         common_input={"m": m},
     )
@@ -349,31 +250,17 @@ def run_fair_choice(
 def run_fba(
     n: int,
     inputs: Mapping[int, Any],
-    seed: int = 0,
     coinflip_rounds: int = 1,
-    scheduler: Optional[Scheduler] = None,
-    corruptions: Corruptions = None,
+    seed: int = 0,
     coin_source: Optional[CoinSource] = None,
-    max_steps: Optional[int] = None,
-    tracing: bool = True,
-    prime: Optional[int] = None,
-    director: Optional[Any] = None,
-    session_table: Optional[Dict[Any, Any]] = None,
-    metering: bool = True,
-    metrics: Optional[Any] = None,
-    sinks: Optional[Any] = None,
+    **world: Any,
 ) -> SimulationResult:
     """Run fair Byzantine agreement (Algorithm 3) with the given inputs."""
-    sim = _simulation(
-        n, seed, scheduler, corruptions, max_steps=max_steps, tracing=tracing,
-        prime=prime, director=director, session_table=session_table,
-        metering=metering, metrics=metrics, sinks=sinks,
-    )
-    source = coin_source or OracleCoinSource(seed)
-    return sim.run(
+    return _simulation(n, seed, **world).run(
         ("fba",),
         FairByzantineAgreement.factory(
-            coin_source=source, coinflip_rounds_override=coinflip_rounds
+            coin_source=coin_source or OracleCoinSource(seed),
+            coinflip_rounds_override=coinflip_rounds,
         ),
         inputs={pid: {"value": value} for pid, value in inputs.items()},
     )
@@ -390,10 +277,10 @@ def run_many(
 
     With ``workers > 1`` the seeds are fanned out across a process pool via
     :mod:`repro.experiments.runner`, ``chunk_trials`` seeds per task
-    (``None``: the runner's default; below 1, an
-    :class:`~repro.errors.ExperimentError`); every trial is still seeded
-    explicitly and chunk aggregates travel back as pickled objects, so the
-    result is identical to a sequential run.
+    (``None``: the runner's default; at any worker count, a size that is
+    not a positive int is an :class:`~repro.errors.ExperimentError`); every
+    trial is still seeded explicitly and chunk aggregates travel back as
+    pickled objects, so the result is identical to a sequential run.
     Parallel execution requires ``runner`` and all ``kwargs`` to be picklable
     (module-level functions and plain data are; lambdas and bound schedulers
     may not be).
@@ -403,7 +290,7 @@ def run_many(
         stats = run_many(run_coinflip, range(50), n=4, rounds=3, workers=4)
         print(stats.frequency(0), stats.frequency(1))
     """
-    if workers > 1:
+    if workers > 1 or chunk_trials is not None:
         from repro.experiments.runner import DEFAULT_CHUNK_TRIALS, run_seeds
 
         return run_seeds(

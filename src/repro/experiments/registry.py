@@ -20,12 +20,17 @@ validation.  Downstream code can extend any registry the same way::
     from repro.experiments.params import Int, Pid
 
     @RUNNERS.register("my_protocol", fields={"leader": Pid(), "rounds": Int(1)})
-    def run_my_protocol(n, leader, rounds=1, seed=0, scheduler=None, corruptions=None):
-        ...
+    def run_my_protocol(n, leader, rounds=1, seed=0, **world):
+        return api._simulation(n, seed, **world).run(("mine",), Mine.factory(leader, rounds))
 
-A row that declares no fields is still checked by param name: the names its
-builder cannot take are refused.  ``closed=True`` also refuses a name the
-table does not declare (the fault and ``tamper`` rows).
+A runner takes ``n``, ``seed`` and the world (``**world``: the keywords of
+:func:`repro.core.api._simulation`, among them the ``scheduler``,
+``corruptions``, ``director`` and ``session_table`` the executor passes every
+trial; a ``**kwargs`` runner is trusted to take them); one that does not is
+refused at validation.  A row that declares no fields is still checked by
+param name: the names its builder cannot take are refused.  ``closed=True``
+also refuses a name the table does not declare (the fault and ``tamper``
+rows).
 """
 
 from __future__ import annotations
@@ -172,7 +177,6 @@ RUNNER_FIELDS: Dict[str, schema.Field] = {
     "rounds": schema.Int(1),
     "coinflip_rounds": schema.Int(1),
     "m": schema.Int(3),
-    "max_steps": schema.Int(1, null=True),
     "prime": schema.Int(2),
     "tracing": schema.Bool(),
     "metering": schema.Bool(),
@@ -372,6 +376,8 @@ def signature_names(
 ) -> Optional[Tuple[frozenset, Optional[frozenset]]]:
     """``(required, accepted)`` keyword names (``accepted``: None for ``**kwargs``).
 
+    A ``**world`` parameter is read as exactly the keywords of
+    :func:`repro.core.api._simulation`, the one declaration of a run's world.
     None when ``target`` cannot be introspected (a C callable).
     """
     try:
@@ -384,35 +390,31 @@ def signature_names(
         if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
     }
     required = frozenset(name for name, needed in named.items() if needed)
-    if any(p.kind is p.VAR_KEYWORD for p in parameters):
+    rest = next((p.name for p in parameters if p.kind is p.VAR_KEYWORD), None)
+    if rest == "world":
+        return required, frozenset(named) | signature_names(api._simulation)[1]
+    if rest is not None:
         return required, None
     return required, frozenset(named)
 
 
 @lru_cache(maxsize=64)
-def runner_signature(
-    runner: Callable[..., Any],
-) -> Tuple[frozenset, Optional[frozenset], frozenset]:
-    """``(required, accepted, extras)`` keyword names of a registered runner.
+def runner_signature(runner: Callable[..., Any]) -> Tuple[frozenset, Optional[frozenset]]:
+    """``(required, accepted)`` keyword names a registered runner reads from ``params``.
 
     ``required`` are the names ``params`` must supply (no default, not
     supplied by the executor); ``accepted`` the names it may supply, ``None``
     when the runner takes ``**kwargs`` or cannot be introspected (a C
-    callable); ``extras`` which of ``director`` / ``session_table`` the
-    runner takes.  Registered runners are only required to take ``n`` /
-    ``seed`` / ``scheduler`` / ``corruptions``: the in-tree
-    :mod:`repro.core.api` runners take both extras, a downstream registry
-    entry may not, and must keep working without them.
+    callable).
     """
-    extras = frozenset({"director", "session_table"})
     names = signature_names(runner)
     if names is None:
-        return frozenset(), None, frozenset()
+        return frozenset(), None
     required, accepted = names
     required -= _EXECUTOR_SUPPLIED
     if accepted is None:
-        return required, None, extras
-    return required, accepted - _EXECUTOR_SUPPLIED, extras.intersection(accepted)
+        return required, None
+    return required, accepted - _EXECUTOR_SUPPLIED
 
 
 def runner_params_problem(
@@ -420,13 +422,21 @@ def runner_params_problem(
 ) -> Optional[str]:
     """Why ``RUNNERS[protocol]`` cannot be called with ``params`` at ``n`` (or None).
 
-    A missing or misspelt param, a ``prime`` that is not a prime above
-    ``n``, or a value its field refuses at ``n`` is a spec error raised at
-    validation (campaign cell, ablation grid, beacon request), never in a
-    worker.  The name sets and the primality test are cached per runner /
-    modulus.
+    A runner that does not take the executor's arguments (``n``, ``seed``
+    and the world), a missing or misspelt param, a ``prime`` that is not a
+    prime above ``n``, or a value its field refuses at ``n`` is a spec error
+    raised at validation (campaign cell, scenario trial, ablation grid,
+    beacon request), never in a worker.  The name sets and the primality
+    test are cached per runner / modulus.
     """
-    required, accepted, _ = runner_signature(RUNNERS.get(protocol))
+    runner = RUNNERS.get(protocol)
+    names = signature_names(runner)
+    if names is not None and names[1] is not None and not _EXECUTOR_SUPPLIED <= names[1]:
+        return (
+            f"runner {protocol!r} does not take "
+            f"{sorted(_EXECUTOR_SUPPLIED - names[1])}; a runner takes n, seed and **world"
+        )
+    required, accepted = runner_signature(runner)
     if not required.issubset(params):
         return (
             f"runner {protocol!r} needs params "

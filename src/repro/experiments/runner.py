@@ -50,7 +50,6 @@ from repro.experiments.registry import (
     fault_problem,
     resolve_scheduler,
     runner_params_problem,
-    runner_signature,
 )
 from repro.experiments.pool import retry_delay
 from repro.experiments.spec import CampaignSpec, ExecutionPolicy, ExperimentSpec
@@ -158,14 +157,15 @@ class CellExecutor:
             self.scenario_runtime = ScenarioRuntime(
                 get_scenario(cell.scenario), n=cell.n
             )
-            kwargs = RUNNERS.normalize(
-                cell.protocol, self.scenario_runtime.runner_kwargs(cell.params)
-            )
-            if self.scenario_runtime.prime is not None and "prime" not in kwargs:
-                kwargs["prime"] = self.scenario_runtime.prime
+            try:
+                kwargs = self.scenario_runtime.runner_kwargs(cell.params, cell.protocol)
+            except ExperimentError as exc:
+                raise ExperimentError(f"cell {cell.name!r}: {exc}") from None
+            problem = None
             corruptions = self.scenario_runtime.static_corruptions()
         else:
             kwargs = RUNNERS.normalize(cell.protocol, cell.params)
+            problem = runner_params_problem(cell.protocol, kwargs, cell.n)
             corruptions = {}
         for pid, spec in sorted(cell.adversary.items()):
             corruptions[pid] = build_behavior_factory(spec, cell.n)
@@ -185,22 +185,10 @@ class CellExecutor:
             build_scheduler(self.scheduler_spec)
         # A cell its runner cannot be called with fails here, before any
         # trial is dispatched, like an unusable scheduler spec.
-        problem = runner_params_problem(cell.protocol, kwargs, cell.n)
         if problem is None and cell.fault is not None:
             problem = fault_problem(cell.fault.to_dict())
         if problem is not None:
             raise ExperimentError(f"cell {cell.name!r}: {problem}")
-        #: Which optional runner kwargs (director/session table) to forward.
-        _, accepted, self._extras = runner_signature(self.runner)
-        if (
-            cell.scenario is not None
-            and accepted is not None  # a runner that cannot be read is trusted
-            and "director" not in self._extras
-        ):
-            raise ExperimentError(
-                f"cell {cell.name!r}: runner {cell.protocol!r} does not "
-                f"accept a scenario director; scenarios need a director-aware runner"
-            )
         #: Safety-invariant checking (repro.scenarios.invariants): the cell
         #: may force it either way; the default is on exactly for scenario
         #: cells, whose adversarial grids are where silent safety breaks
@@ -233,17 +221,15 @@ class CellExecutor:
 
     def run(self, seed: int) -> SimulationResult:
         """Run the trial for one seed (schedulers/directors built fresh)."""
-        call: Dict[str, Any] = dict(self.kwargs)
-        if "session_table" in self._extras:
-            call["session_table"] = self.session_table
-        if self.scenario_runtime is not None:
-            call["director"] = self.scenario_runtime.build_director()
+        runtime = self.scenario_runtime
         result = self.runner(
             n=self.cell.n,
             seed=seed,
             scheduler=self._build_scheduler(),
             corruptions=self.corruptions or None,
-            **call,
+            director=None if runtime is None else runtime.build_director(),
+            session_table=self.session_table,
+            **self.kwargs,
         )
         if self.check_invariants:
             # Imported lazily, like the scenario runtime above.

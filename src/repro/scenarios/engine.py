@@ -36,6 +36,7 @@ from repro.experiments.registry import (
     build_behavior_factory,
     build_scheduler,
     resolve_scheduler,
+    runner_params_problem,
 )
 from repro.experiments.spec import BehaviorSpec
 from repro.net.message import SessionId
@@ -479,13 +480,28 @@ class ScenarioRuntime:
             timeline=self.spec.timeline,
         )
 
-    def runner_kwargs(self, overrides: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
-        """Protocol-runner kwargs: spec params, input shorthands expanded."""
+    def runner_kwargs(
+        self, overrides: Optional[Mapping[str, Any]] = None, protocol: Optional[str] = None
+    ) -> Dict[str, Any]:
+        """One trial's kwargs for ``RUNNERS[protocol]`` (default: the spec's), checked at ``n``.
+
+        The spec's params with ``overrides`` merged over them, ``inputs``
+        shorthands expanded, the preset's prime folded in (unless set) and
+        the registry's normalizer applied.  Raises :class:`ExperimentError`
+        naming the first param the runner cannot be called with.
+        """
         kwargs = dict(self.spec.params)
         if overrides:
             kwargs.update(overrides)
         if "inputs" in kwargs:
             kwargs["inputs"] = expand_inputs(kwargs["inputs"], self.n)
+        if self.prime is not None:
+            kwargs.setdefault("prime", self.prime)
+        protocol = protocol or self.spec.protocol
+        kwargs = RUNNERS.normalize(protocol, kwargs)
+        problem = runner_params_problem(protocol, kwargs, self.n)
+        if problem is not None:
+            raise ExperimentError(problem)
         return kwargs
 
 
@@ -530,19 +546,15 @@ def run_scenario(
     runtime = ScenarioRuntime(scenario, n=n)
     runner_name = protocol or scenario.protocol
     runner = RUNNERS.get(runner_name)
-    kwargs = RUNNERS.normalize(runner_name, runtime.runner_kwargs(params))
-    call: Dict[str, Any] = dict(kwargs)
-    if runtime.prime is not None and "prime" not in call:
-        call["prime"] = runtime.prime
-    call.setdefault("tracing", tracing)
+    kwargs = runtime.runner_kwargs(params, runner_name)
+    kwargs.setdefault("tracing", tracing)
     if sinks:
-        call.setdefault("sinks", sinks)
-    corruptions = runtime.static_corruptions()
+        kwargs.setdefault("sinks", sinks)
     return runner(
         n=runtime.n,
         seed=seed,
         scheduler=runtime.build_scheduler(),
-        corruptions=corruptions or None,
+        corruptions=runtime.static_corruptions() or None,
         director=runtime.build_director(),
-        **call,
+        **kwargs,
     )

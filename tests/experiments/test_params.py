@@ -231,7 +231,7 @@ VALID = {
 
 def _runner_cases():
     for protocol in RUNNERS.names():
-        _, accepted, _ = runner_signature(RUNNERS.get(protocol))
+        _, accepted = runner_signature(RUNNERS.get(protocol))
         for name, field in RUNNERS.fields(protocol).items():
             if name in accepted:
                 yield ("runner", protocol, name, field)

@@ -83,12 +83,12 @@ class TestBuilders:
 
 class TestRunnerParams:
     def test_in_tree_runner_names_required_and_accepted(self):
-        required, accepted, extras = runner_signature(RUNNERS.get("fba"))
+        required, accepted = runner_signature(RUNNERS.get("fba"))
         assert required == {"inputs"}
+        # ``**world`` reads as the world's keywords, not as "anything".
         assert {"inputs", "coinflip_rounds", "tracing", "metering", "prime"} <= accepted
         # What the executor supplies is not the cell's to set.
         assert not accepted & {"n", "seed", "scheduler", "corruptions", "director"}
-        assert extras == {"director", "session_table"}
 
     def test_missing_and_misspelt_params_are_named(self):
         assert "needs params ['inputs']" in runner_params_problem("fba", {}, 4)
@@ -152,7 +152,15 @@ class TestRunnerParams:
         def downstream(n, payload, seed=0, **extra):
             return None
 
-        required, accepted, extras = runner_signature(downstream)
-        assert (required, accepted) == ({"payload"}, None)
-        assert extras == {"director", "session_table"}
-        assert runner_signature(dict) == (frozenset(), None, frozenset())
+        assert runner_signature(downstream) == ({"payload"}, None)
+        assert runner_signature(dict) == (frozenset(), None)
+
+    def test_a_runner_that_does_not_take_the_world_is_refused(self, monkeypatch):
+        def downstream(n, seed=0, scheduler=None, corruptions=None):
+            return None
+
+        monkeypatch.setitem(RUNNERS._entries, "downstream", downstream)
+        assert runner_params_problem("downstream", {}, 4) == (
+            "runner 'downstream' does not take ['director', 'session_table']; "
+            "a runner takes n, seed and **world"
+        )

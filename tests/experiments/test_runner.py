@@ -757,14 +757,17 @@ class TestChunkSize:
             assert not (tmp_path / "results.json").exists()
             assert not store.lock_path.exists()
 
-    @pytest.mark.parametrize("size", [0, -3])
-    @pytest.mark.parametrize("entry", ["campaign", "cell", "run_many"])
+    @pytest.mark.parametrize("size", [0, -3, "x"])
+    @pytest.mark.parametrize("entry", ["campaign", "cell", "run_many", "run_many_inline"])
     def test_a_chunk_size_below_one_is_refused(self, entry, size, tmp_path):
         run = {
             "campaign": lambda: self._campaign_with_store(tmp_path, size),
             "cell": lambda: run_cell(_acast_cell(), chunk_trials=size),
             "run_many": lambda: api.run_many(
                 api.run_weak_coin, range(4), n=4, workers=2, chunk_trials=size
+            ),
+            "run_many_inline": lambda: api.run_many(
+                api.run_weak_coin, range(4), n=4, workers=1, chunk_trials=size
             ),
         }[entry]
         with pytest.raises(ExperimentError, match="chunk_trials must be a positive integer"):

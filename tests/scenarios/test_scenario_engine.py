@@ -353,3 +353,21 @@ class TestRunScenario:
             "silence-heal", n=4, seed=0, protocol="coinflip", params={"rounds": 1}
         )
         assert len(result.outputs) == 4
+
+    @pytest.mark.parametrize(
+        "scenario, protocol, params, named",
+        [
+            ("coin-split-brain", "coinflip", {"rounds": 0}, "'rounds' must be a positive integer"),
+            ("coin-split-brain", None, {"tracing": "false"}, "'tracing' must be true or false"),
+            ("partition-heal", None, {"inputs": {0: 7}}, "'inputs' must give party 0 one of 0, 1"),
+            ("coin-split-brain", "coinflip", {"roundz": 1}, "takes no params ['roundz']"),
+            ("coin-split-brain", "fba", None, "needs params ['inputs']"),
+        ],
+    )
+    def test_params_are_checked_like_a_cell(self, scenario, protocol, params, named):
+        """A param a campaign cell refuses is refused here too, before the
+        trial: unchecked, these deadlocked, ran traced on a truthy string,
+        "agreed" on an input outside {0, 1}, or raised a bare TypeError."""
+        with pytest.raises(ExperimentError) as caught:
+            run_scenario(scenario, n=4, seed=0, protocol=protocol, params=params)
+        assert named in str(caught.value)

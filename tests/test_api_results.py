@@ -25,12 +25,6 @@ class TestRunners:
         instance = result.network.processes[0].protocol(("coinflip",))
         assert instance.rounds == api.DEFAULT_COINFLIP_ROUNDS
 
-    def test_max_steps_override(self):
-        from repro.errors import SimulationError
-
-        with pytest.raises(SimulationError):
-            api.run_coinflip(4, seed=0, rounds=2, max_steps=10)
-
     @pytest.mark.parametrize(
         "run",
         [

@@ -164,7 +164,9 @@ def test_run_surface():
     A new ``Simulation`` field, ``Network`` parameter or keyword shared by the
     ``api.run_*`` runners is one more configuration the goldens, the loop
     matrix and the ledger would have to cover: adding one is a deliberate
-    edit of this list, not a side effect.  How the engine queues a fan-out,
+    edit of this list, not a side effect.  The world is declared once, by
+    ``api._simulation``: every runner names only its protocol's params and
+    hands the rest on as ``**world``.  How the engine queues a fan-out,
     evaluates a row or schedules the collector is chosen from observable
     state and is nowhere on it.
     """
@@ -194,14 +196,8 @@ def test_run_surface():
         "metrics",
         "sinks",
     ]
-    runners = [
-        inspect.signature(runner).parameters
-        for name, runner in vars(api).items()
-        if name.startswith("run_") and name != "run_many"
-    ]
-    assert len(runners) == 8
-    common = [name for name in runners[0] if all(name in r for r in runners)]
-    assert common == [
+    world = list(inspect.signature(api._simulation).parameters)
+    assert world == [
         "n",
         "seed",
         "scheduler",
@@ -214,6 +210,19 @@ def test_run_surface():
         "metrics",
         "sinks",
     ]
+    runners = {
+        name: list(inspect.signature(runner).parameters.values())
+        for name, runner in vars(api).items()
+        if name.startswith("run_") and name != "run_many"
+    }
+    assert len(runners) == 8
+    for name, parameters in runners.items():
+        *named, rest = parameters
+        assert rest.kind is rest.VAR_KEYWORD and rest.name == "world", name
+        assert [p.name for p in named if p.name in world] == ["n", "seed"], name
+    source = inspect.getsource(api)
+    assert source.count("Simulation(") == 1
+    assert source.count("_simulation(") == 1 + len(runners)  # its def, one call each
 
 
 def test_one_starving_scheduler():
