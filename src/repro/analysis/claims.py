@@ -2,9 +2,10 @@
 
 Each claim is a falsifiable statement from the paper (or its standard
 asynchronous-BA prerequisites) evaluated against the aggregated statistics of
-a campaign: the CoinFlip bias bound, ``t < n/3`` corruption tolerance,
-agreement and validity of the agreement-guaranteeing protocols, the honest
-message-complexity envelope, and expected-constant-round termination.
+a campaign: the CoinFlip bias bound, FairChoice / FBA fair validity,
+``t < n/3`` corruption tolerance, agreement and validity of the
+agreement-guaranteeing protocols, the honest message-complexity envelope,
+and expected-constant-round termination.
 
 The evaluation is deliberately conservative about randomness: probabilistic
 claims fail only when the data *statistically refutes* them.  The coin-bias
@@ -24,7 +25,7 @@ which is what the CI smoke job enforces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.ablation import predicted_messages
 from repro.analysis.binomial import wilson_interval
@@ -200,6 +201,81 @@ def check_coin_bias(
     return ClaimResult(claim, statement, PASS, "; ".join(details), cells)
 
 
+def _honest_wins(cell: ExperimentSpec) -> Optional[Tuple[List[str], float]]:
+    """The outputs a fair-validity cell counts as honest wins, and their bound.
+
+    ``fair_choice`` (Theorem 4.3): the smallest majority subset
+    ``{0 .. m // 2}`` of ``{0 .. m - 1}``, at
+    :func:`~repro.analysis.fairness.paper_validity_lower_bound` of ``m``.
+    ``fba`` (Theorem 4.5): the honest parties' inputs, when they diverge, at
+    :func:`~repro.analysis.fairness.fba_fair_validity_bound`.  None for any
+    other cell, and for scenario cells, whose honest set is decided per
+    trial.
+    """
+    from repro.analysis.fairness import fba_fair_validity_bound, paper_validity_lower_bound
+    from repro.core.config import max_faults
+
+    if cell.scenario is not None:
+        return None
+    if cell.protocol == "fair_choice" and "m" in cell.params:
+        m = int(cell.params["m"])
+        return [repr(value) for value in range(m // 2 + 1)], paper_validity_lower_bound(m)
+    inputs = cell.params.get("inputs")
+    if cell.protocol == "fba" and isinstance(inputs, Mapping):
+        corrupted = {str(pid) for pid in cell.adversary}
+        honest = {
+            repr(value) for pid, value in inputs.items() if str(pid) not in corrupted
+        }
+        if len(honest) > 1:
+            return sorted(honest), fba_fair_validity_bound(cell.n, max_faults(cell.n))
+    return None
+
+
+def check_fair_validity(
+    campaign: CampaignSpec, results: Mapping[str, TrialAggregate]
+) -> ClaimResult:
+    """Theorems 4.3 / 4.5: an honest choice wins with probability above 1/2.
+
+    FairChoice(m) lands in the smallest majority subset, and FBA with
+    divergent honest inputs outputs an honest input, each with probability at
+    least the Appendix-E bound (:func:`_honest_wins`).  A trial in which
+    honest parties disagree counts as a loss.  Fails only when the 95% Wilson
+    upper bound on the honest-win frequency falls below the bound, as
+    :func:`check_coin_bias` does.
+    """
+    claim = "fair_validity"
+    statement = (
+        "FairChoice and FBA with divergent honest inputs pick an honest "
+        "choice with probability >= the Appendix-E bound"
+    )
+    cases = []
+    for cell, agg in _cells_with_results(campaign, results):
+        target = _honest_wins(cell)
+        if target is not None:
+            cases.append((cell, agg) + target)
+    if not cases:
+        return _skip(
+            claim, statement, "no fair_choice or divergent-input fba cells in campaign"
+        )
+    details = []
+    failures = []
+    for cell, agg, wins, bound in cases:
+        count = sum(agg.value_counts.get(value, 0) for value in wins)
+        _low, high = wilson_interval(count, agg.trials)
+        if high < bound:
+            failures.append(
+                f"{cell.name}: Pr[honest win] <= {high:.3f} (95% UCB, "
+                f"{count}/{agg.trials}) refutes bound {bound:.3f}"
+            )
+        details.append(
+            f"{cell.name}: {count}/{agg.trials} honest wins (bound {bound:.3f})"
+        )
+    cells = tuple(cell.name for cell, *_ in cases)
+    if failures:
+        return ClaimResult(claim, statement, FAIL, "; ".join(failures), cells)
+    return ClaimResult(claim, statement, PASS, "; ".join(details), cells)
+
+
 def check_corruption_tolerance(
     campaign: CampaignSpec, results: Mapping[str, TrialAggregate]
 ) -> ClaimResult:
@@ -365,20 +441,15 @@ def check_message_complexity(
 def check_termination(
     campaign: CampaignSpec, results: Mapping[str, TrialAggregate]
 ) -> ClaimResult:
-    """Termination: every protocol finishes within the generous step bound.
+    """Termination: every protocol finishes within the analytical envelope.
 
     Expected-constant-round termination means delivered-message counts stay
-    polynomial with a small constant.  Each delivery is one step, so where
-    the analytical message prediction is available the envelope is
-    ``DEFAULT_MESSAGE_SLACK`` times it; otherwise (and as a floor) the
-    harness uses the same ``120 * n**2`` envelope as the per-trial safety
-    invariants (:func:`repro.scenarios.invariants.default_step_bound`),
-    applied to the aggregate mean.
+    polynomial with a small constant.  The envelope is the per-trial
+    safety invariants' own (:func:`repro.scenarios.invariants.delivery_envelope`:
+    ``max(120 n**2, ceil(3 * predicted messages))``), applied to the
+    aggregate mean.
     """
-    import math
-
-    from repro.analysis.ablation import predicted_messages
-    from repro.scenarios.invariants import default_step_bound
+    from repro.scenarios.invariants import delivery_envelope
 
     claim = "termination"
     statement = "protocols terminate within the analytical delivery envelope"
@@ -388,10 +459,7 @@ def check_termination(
     details = []
     failures = []
     for cell, agg in pairs:
-        bound = default_step_bound(cell.n)
-        predicted = predicted_messages(cell.protocol, cell.n, cell.params)
-        if predicted is not None:
-            bound = max(bound, math.ceil(DEFAULT_MESSAGE_SLACK * predicted))
+        bound = delivery_envelope(cell.protocol, cell.n, cell.params)
         if agg.mean_steps > bound:
             failures.append(
                 f"{cell.name}: mean {agg.mean_steps:.0f} steps exceeds "
@@ -496,6 +564,7 @@ def avss_lower_bound_claim(rows: Mapping[str, Any]) -> ClaimResult:
 #: The shipped claim checks, in report order.
 CLAIM_CHECKS = (
     check_coin_bias,
+    check_fair_validity,
     check_corruption_tolerance,
     check_agreement,
     check_output_domain,

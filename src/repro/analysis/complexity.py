@@ -3,8 +3,9 @@
 The paper argues its strong coin needs on the order of ``n^4`` SVSS-backed
 flips, each of which costs ``O(n^2)`` messages, plus ``n`` BA instances per
 CommonSubset.  This module provides closed-form per-protocol message-count
-predictions (for honest, failure-free executions) that the E8 benchmark
-compares against measured counts from the simulator.
+predictions (for honest, failure-free executions) that
+``tests/analysis/test_complexity.py`` and the ``message_complexity`` claim
+compare against measured counts from the simulator.
 """
 
 from __future__ import annotations

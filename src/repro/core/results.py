@@ -295,7 +295,7 @@ class TrialAggregate:
         return hits / self.trials
 
     def summary(self) -> Dict[str, Any]:
-        """Headline metrics as a plain dictionary (for benchmark reporting)."""
+        """Headline metrics as a plain dictionary (a report's per-cell row)."""
         throughput = self.deliveries_per_s
         return {
             "trials": self.trials,

@@ -86,7 +86,7 @@ def run_experiment(trials: int = 400, seed: int = 0) -> Dict[str, LowerBoundRow]
 
 
 def format_report(rows: Sequence[LowerBoundRow]) -> str:
-    """Human-readable report used by the example script and the benchmark."""
+    """Human-readable report used by the example script."""
     lines = [
         "Lower-bound reproduction (Theorem 2.2, n=4, t=1)",
         "",

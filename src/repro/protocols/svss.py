@@ -62,11 +62,14 @@ Hot-path design (SVSS messages dominate every coin/agreement trial):
   exhaustive search in the genuinely ambiguous adversarial corner where no
   uniquely-best candidate exists.  All three paths return byte-identical
   results (``tests/test_golden_trials.py``, ``tests/protocols/test_svss.py``).
+  The search runs only within :data:`SEARCH_BUDGET` candidates; above it the
+  party waits for its next vouched point.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -75,6 +78,14 @@ from repro.errors import DecodingError
 from repro.net.message import SessionId
 from repro.net.process import Process
 from repro.net.protocol import Protocol
+
+#: Most ``(t+1)``-subsets the exhaustive row-recovery search may try:
+#: ``C(16, 6)``, the largest search a trial at ``n <= 16`` can ask for
+#: (``k <= 16`` vouched points, ``t = 5``), so every run at those sizes keeps
+#: its answer.  Above it the search is skipped and the party waits for its
+#: next vouched point: once every honest point is in and ``c <= t`` vouched
+#: points are corrupted, ``k >= t + 1 + 2c`` and path 2 decodes.
+SEARCH_BUDGET = math.comb(16, 6)
 
 
 def party_point(pid: int) -> int:
@@ -367,7 +378,9 @@ class SVSSShare(Protocol):
         3. the exhaustive subset search, kept verbatim for the ambiguous
            corner (more than ``e`` corrupted vouched points), with an early
            exit once a candidate's agreement ``a`` satisfies ``2a > k + t``
-           (the same uniqueness bound: no later subset can beat it).
+           (the same uniqueness bound: no later subset can beat it).  It runs
+           only when ``C(k, t+1) <= SEARCH_BUDGET``; otherwise the answer is
+           None and the caller retries on the next vouched point.
         """
         prime = self.params.prime
         t = self.t
@@ -402,7 +415,10 @@ class SVSSShare(Protocol):
             if candidate is not None and 2 * raw_agreement(candidate) > k + t:
                 return candidate
 
-        # Ambiguous corner: exhaustive search, as the seed implementation.
+        # Ambiguous corner: exhaustive search, as the seed implementation,
+        # where it is affordable; otherwise wait for more points.
+        if math.comb(k, t + 1) > SEARCH_BUDGET:
+            return None
         best_agreement = 0
         best: Optional[Tuple[int, ...]] = None
         for subset in itertools.combinations(range(k), t + 1):

@@ -33,6 +33,7 @@ from repro.scenarios.invariants import (
     check_result,
     check_scenario_result,
     default_step_bound,
+    delivery_envelope,
 )
 from repro.scenarios.library import (
     SCENARIOS,
@@ -78,6 +79,7 @@ __all__ = [
     "check_scenario_result",
     "compile_message_predicate",
     "default_step_bound",
+    "delivery_envelope",
     "get_preset",
     "get_scenario",
     "match_session",

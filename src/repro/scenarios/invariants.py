@@ -32,6 +32,7 @@ Entry points:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -50,12 +51,17 @@ AGREEMENT_PROTOCOLS = frozenset(
 #: Runners whose honest outputs must be bits.
 BINARY_OUTPUT_PROTOCOLS = frozenset({"weak_coin", "coinflip", "aba"})
 
-#: Default step-bound slack: ``DEFAULT_STEP_FACTOR * n**2`` deliveries is
-#: comfortably above every library scenario at its design sizes (the heaviest,
-#: ``flood-fenwick`` at n=32 under a 4000-step starvation scheduler, stays
-#: under half of it) while still catching runaway executions long before the
-#: network's own ``DEFAULT_MAX_STEPS`` safety valve.
+#: The floor of :func:`delivery_envelope`: ``DEFAULT_STEP_FACTOR * n**2``
+#: deliveries, for protocols without a message prediction.  Alone it is too
+#: tight for a weak coin at n >= 16 (library scenarios take up to 72% of it
+#: at n=32); the envelope keeps every library scenario at n <= 32 ten times
+#: under, while still catching runaway executions long before the network's
+#: own ``DEFAULT_MAX_STEPS`` safety valve.
 DEFAULT_STEP_FACTOR = 120
+
+#: Slack over the closed-form honest message prediction: expectations are
+#: over scheduler randomness and a run is a sample.
+DELIVERY_SLACK = 3.0
 
 
 @dataclass(frozen=True)
@@ -76,8 +82,29 @@ class InvariantViolation:
 
 
 def default_step_bound(n: int) -> int:
-    """The generous-but-finite delivery bound used when none is given."""
+    """The flat ``120 n**2`` floor of :func:`delivery_envelope`."""
     return DEFAULT_STEP_FACTOR * n * n
+
+
+def delivery_envelope(
+    protocol: str, n: int, params: Optional[Mapping[str, Any]] = None
+) -> int:
+    """The delivery bound of one trial: ``max(120 n**2, ceil(3 * predicted))``.
+
+    ``predicted`` is the honest-execution message count of
+    :func:`repro.analysis.ablation.predicted_messages` (each delivery is one
+    step); a protocol without a prediction gets the flat floor.  It is the
+    one envelope: :func:`check_result`'s step bound per trial and the
+    ``termination`` claim (:func:`repro.analysis.claims.check_termination`)
+    over a cell's mean.
+    """
+    from repro.analysis.ablation import predicted_messages
+
+    bound = default_step_bound(n)
+    predicted = predicted_messages(protocol, n, params or {})
+    if predicted is None:
+        return bound
+    return max(bound, math.ceil(DELIVERY_SLACK * predicted))
 
 
 def check_result(
@@ -101,7 +128,8 @@ def check_result(
         params: runner parameters (``secret``, ``inputs``, ``m``...) that
             sharpen the validity checks.
         step_bound: delivery cap for the termination-by-step-bound check
-            (default: :func:`default_step_bound`).
+            (default: :func:`delivery_envelope` of the protocol, ``n`` and
+            ``params``).
     """
     network = result.network
     if n is None:
@@ -138,7 +166,10 @@ def check_result(
         ))
 
     # -- step bound: the run finished within the declared budget. -----------
-    bound = default_step_bound(n) if step_bound is None else int(step_bound)
+    if step_bound is None:
+        bound = delivery_envelope(protocol, n, params)
+    else:
+        bound = int(step_bound)
     if result.steps > bound:
         violations.append(InvariantViolation(
             "step_bound",

@@ -94,6 +94,15 @@ class TestTailProbabilities:
             k = coinflip_iterations(epsilon, n)
             assert paper_tail_lower_bound(k, n) >= 0.5 - epsilon - 1e-9
 
+    def test_monte_carlo_agrees_with_the_exact_tail(self):
+        # k truncated to 512: a sampled binomial at the paper's k is too slow.
+        n, epsilon = 2, 0.25
+        k = min(coinflip_iterations(epsilon, n), 512)
+        threshold = k // 2 + n * n
+        exact = bias_bound_row(n, epsilon, k_override=k).exact_probability
+        assert monte_carlo_tail(k, threshold, samples=2000) == pytest.approx(exact, abs=0.05)
+        assert paper_tail_lower_bound(k, n) <= exact + 1e-9
+
     def test_central_band_bound_positive(self):
         assert central_band_bound(1000, 2) > 0
 
@@ -104,13 +113,20 @@ class TestRows:
         assert row.k == 64
         assert 0 <= row.exact_probability <= 1
 
-    def test_bias_bound_row_full_k_satisfies_claim(self):
-        row = bias_bound_row(2, 0.3)
+    @pytest.mark.parametrize(
+        "n,epsilon", [(2, 0.3), (2, 0.25), (2, 0.1), (3, 0.25), (3, 0.1)]
+    )
+    def test_bias_bound_row_full_k_satisfies_claim(self, n, epsilon):
+        """Appendix D at the paper's k: the exact tail and the closed-form
+        bound both clear 1/2 - eps."""
+        row = bias_bound_row(n, epsilon)
         assert row.satisfies_claim
+        assert row.paper_bound >= 0.5 - epsilon - 1e-9
 
-    def test_minimum_iterations_much_smaller_than_paper(self):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_minimum_iterations_much_smaller_than_paper(self, n):
         """The paper's constant is very conservative; the exact threshold is far lower."""
-        n, epsilon = 3, 0.25
+        epsilon = 0.25
         minimal = minimum_iterations_for_bias(n, epsilon)
         assert minimal < coinflip_iterations(epsilon, n)
 

@@ -13,6 +13,7 @@ from repro.analysis.claims import (
     avss_lower_bound_claim,
     check_agreement,
     check_coin_bias,
+    check_fair_validity,
     check_corruption_tolerance,
     check_message_complexity,
     check_message_lower_bound,
@@ -21,7 +22,9 @@ from repro.analysis.claims import (
     evaluate_claims,
 )
 from repro.core.results import TrialAggregate
+from repro.experiments.runner import run_campaign
 from repro.experiments.spec import CampaignSpec, ExperimentSpec
+from repro.scenarios.invariants import delivery_envelope
 
 
 def make_aggregate(
@@ -91,6 +94,61 @@ class TestCoinBias:
         campaign = campaign_of(scenario_cell)
         result = check_coin_bias(campaign, {"attack": make_aggregate(1, ones=1)})
         assert result.status == SKIP
+
+
+class TestFairValidity:
+    # At n=4 (t=1) and m=3 both theorems' bound is 0.534.
+    @staticmethod
+    def fair_choice(seeds):
+        return ExperimentSpec(
+            name="fc", protocol="fair_choice", n=4, seeds=list(range(seeds)),
+            params={"m": 3, "coinflip_rounds": 1},
+        )
+
+    @staticmethod
+    def fba(seeds, inputs=None, **fields):
+        inputs = inputs or {"0": "h0", "1": "h1", "2": "h2", "3": "x"}
+        adversary = {"3": {"behavior": "fba_value_injector", "params": {"value": "x"}}}
+        return ExperimentSpec(
+            name="fba", protocol="fba", n=4, seeds=list(range(seeds)),
+            params={"inputs": inputs}, adversary=adversary, **fields,
+        )
+
+    @staticmethod
+    def outcomes(trials, **wins):
+        agg = make_aggregate(trials)
+        agg.value_counts = Counter({repr(value): count for value, count in wins.items()})
+        return agg
+
+    def test_fair_choice_counts_the_smallest_majority_subset(self):
+        agg = make_aggregate(20, zeros=6, ones=8, extra_values={"2": 6})
+        result = check_fair_validity(campaign_of(self.fair_choice(20)), {"fc": agg})
+        assert result.status == PASS
+        assert "14/20 honest wins (bound 0.534)" in result.detail
+
+    def test_fair_choice_six_of_twenty_is_refuted(self):
+        # The old script floor (hits >= 20 // 3) passed this.
+        agg = make_aggregate(20, zeros=3, ones=3, extra_values={"2": 14})
+        result = check_fair_validity(campaign_of(self.fair_choice(20)), {"fc": agg})
+        assert result.status == FAIL
+        assert "6/20" in result.detail
+
+    def test_fba_counts_honest_inputs_only(self):
+        campaign = campaign_of(self.fba(16))
+        assert check_fair_validity(campaign, {"fba": self.outcomes(16, h0=5, x=11)}).status == PASS
+        assert check_fair_validity(campaign, {"fba": self.outcomes(16, h0=4, x=12)}).status == FAIL
+
+    def test_disagreeing_trials_count_as_losses(self):
+        agg = self.outcomes(16, h0=4)
+        agg.disagreements = 12
+        assert check_fair_validity(campaign_of(self.fba(16)), {"fba": agg}).status == FAIL
+
+    def test_unanimous_honest_inputs_and_scenario_cells_are_skipped(self):
+        unanimous = self.fba(16, inputs={"0": "h", "1": "h", "2": "h", "3": "x"})
+        scenario = self.fba(16, scenario="dealer-ambush")
+        for cell in (unanimous, scenario):
+            result = check_fair_validity(campaign_of(cell), {"fba": self.outcomes(16, x=16)})
+            assert result.status == SKIP
 
 
 class TestCorruptionTolerance:
@@ -203,6 +261,24 @@ class TestTermination:
         result = check_termination(campaign_of(coin_cell(rounds=2)), {"coin": agg})
         assert result.status == FAIL
 
+    def test_a_checked_fba_trial_is_held_to_the_same_envelope(self):
+        """The per-trial step bound is the claim's envelope, not 120 n**2: a
+        healthy FBA trial at n=4 takes 3 812 deliveries, over 1 920."""
+        cell = ExperimentSpec(
+            name="fba-checked",
+            protocol="fba",
+            n=4,
+            seeds=[100],
+            params={"inputs": {"0": "h0", "1": "h1", "2": "h2", "3": "x"}, "coinflip_rounds": 1},
+            adversary={"3": {"behavior": "fba_value_injector", "params": {"value": "x"}}},
+            invariants=True,
+        )
+        assert delivery_envelope("fba", 4, cell.params) == 12816
+        results = run_campaign(campaign_of(cell))
+        assert results["fba-checked"].total_steps == 3812
+        result = check_termination(campaign_of(cell), results)
+        assert (result.status, result.detail) == (PASS, "fba-checked: 3812/12816")
+
     def test_flat_envelope_applies_without_a_prediction(self):
         cell = ExperimentSpec(name="wc", protocol="nonesuch", n=4, seeds=[0])
         agg = make_aggregate(1, steps=5000)  # default_step_bound(4) = 1920
@@ -295,6 +371,7 @@ class TestEvaluateClaims:
         statuses = {result.claim: result.status for result in report.results}
         assert statuses == {
             "coin_bias": PASS,
+            "fair_validity": SKIP,
             "corruption_tolerance": SKIP,
             "agreement": SKIP,
             "output_domain": PASS,
@@ -325,6 +402,7 @@ class TestEvaluateClaims:
         assert payload["counts"][PASS] == 5
         assert [entry["claim"] for entry in payload["claims"]] == [
             "coin_bias",
+            "fair_validity",
             "corruption_tolerance",
             "agreement",
             "output_domain",

@@ -40,6 +40,10 @@ class TestClosedForms:
         """The paper-scale iteration count dwarfs any simulation-scale run."""
         assert coinflip_theoretical_messages(4, 0.25) > 1e6
         assert coinflip_theoretical_messages(7, 0.1) > 1e8
+        paper_scale = [
+            coinflip_theoretical_messages(n, eps) for n, eps in [(4, 0.25), (7, 0.25), (7, 0.1)]
+        ]
+        assert paper_scale == sorted(set(paper_scale))
 
     def test_fba_prediction_positive(self):
         assert fba_expected_messages(4, 1) > 0
@@ -64,6 +68,22 @@ class TestPredictionsAgainstSimulator:
         result = api.run_svss(4, 5, dealer=0, seed=0)
         predicted = svss_share_messages(4) + svss_rec_messages(4)
         assert result.trace.messages_sent <= 2 * predicted
+
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    def test_measured_counts_within_a_constant_of_predictions(self, n):
+        """Measured counts share the predictions' polynomial order."""
+        acast = api.run_acast(n, "x", sender=0, seed=0).trace.messages_sent
+        svss = api.run_svss(n, 5, dealer=0, seed=0).trace.messages_sent
+        coinflip = api.run_coinflip(n, seed=0, rounds=1).trace.messages_sent
+        assert acast <= 2 * acast_messages(n)
+        assert svss <= 3 * (svss_share_messages(n) + svss_rec_messages(n))
+        assert coinflip <= 4 * predictions_for(n, 1)["coinflip"]
+
+    def test_coinflip_growth_from_4_to_7_parties(self):
+        measured = [api.run_coinflip(n, seed=0, rounds=1).trace.messages_sent for n in (4, 7)]
+        ratio = measured[1] / measured[0]
+        predicted = coinflip_expected_messages(7, 1) / coinflip_expected_messages(4, 1)
+        assert 2 < ratio < 4 * predicted
 
     def test_coinflip_measured_within_factor_three(self):
         rounds = 2

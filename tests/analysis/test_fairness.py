@@ -55,10 +55,12 @@ class TestExactProbabilities:
 
 
 class TestRows:
-    def test_row_contents(self):
-        row = fairness_row(4)
-        assert row.m == 4
-        assert row.subset_size == 3
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 8])
+    def test_row_contents(self, m):
+        """Theorem 4.3 for the smallest majority subset of ``{0 .. m-1}``."""
+        row = fairness_row(m)
+        assert row.m == m
+        assert row.subset_size == m // 2 + 1
         assert row.satisfies_claim
         assert row.paper_bound > 0.5
         assert row.worst_case > 0.5

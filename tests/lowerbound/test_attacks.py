@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.analysis.claims import PASS, avss_lower_bound_claim
 from repro.lowerbound.attack import DealerSplitAttack, ReconstructionAttack
 from repro.lowerbound.experiment import (
     CORRECTNESS_FAILURE_THRESHOLD,
@@ -33,6 +34,10 @@ class TestDealerSplitAttack:
                 successes += 1
                 assert outcome.split_achieved
         assert successes > 0
+
+    def test_first_execution_is_applicable(self):
+        attack = DealerSplitAttack(masked_xor_avss())
+        assert attack.execute(random.Random(0)).applicable
 
     def test_statistics_fields(self):
         attack = DealerSplitAttack(masked_xor_avss())
@@ -66,6 +71,10 @@ class TestReconstructionAttack:
         stats = attack.success_statistics(trials=200, seed=6)
         assert stats["a_wrong_output_rate"] == 0.0
 
+    def test_first_execution_has_an_output(self):
+        attack = ReconstructionAttack(masked_xor_avss())
+        assert attack.execute(random.Random(1)).a_output is not None
+
     def test_honest_fallback_when_simulation_impossible(self):
         attack = ReconstructionAttack(echo_checked_avss())
         outcome = attack.execute(random.Random(7))
@@ -76,6 +85,18 @@ class TestExperiment:
     def test_rows_for_all_candidates(self):
         rows = run_experiment(trials=100, seed=8)
         assert set(rows) == {"masked-xor", "echo-checked"}
+
+    def test_theorem_holds_for_every_candidate(self):
+        """Theorem 2.2: secrecy and termination at n = 4t force a correctness
+        failure above the 1/3 budget; the echo-checked candidate gives up
+        secrecy instead."""
+        rows = run_experiment(trials=300, seed=0)
+        assert avss_lower_bound_claim(rows).status == PASS
+        assert all(row.consistent_with_theorem for row in rows.values())
+        masked = rows["masked-xor"]
+        assert masked.secrecy_holds and masked.correctness_violated
+        assert masked.claim2_wrong_output_rate > CORRECTNESS_FAILURE_THRESHOLD
+        assert not rows["echo-checked"].secrecy_holds
 
     def test_masked_xor_row_consistent_with_theorem(self):
         row = evaluate_candidate(masked_xor_avss(), trials=200, seed=9)

@@ -81,7 +81,25 @@ class TestAgreement:
         assert not result.disagreement
 
 
+#: The BA coin-source ablation: an ideal common coin, Ben-Or's local coin and
+#: the SVSS weak coin.  Safety does not depend on the coin; cost does.
+COIN_SOURCES = {
+    "oracle": lambda: OracleCoinSource(7),
+    "local": LocalCoinSource,
+    "svss-weak-coin": lambda: ProtocolCoinSource(WeakCommonCoin.factory),
+}
+
+
 class TestCoinSources:
+    @pytest.mark.parametrize("source", list(COIN_SOURCES))
+    def test_split_inputs_agree_under_every_coin(self, source):
+        for seed in range(10):
+            result = api.run_aba(
+                4, {0: 0, 1: 1, 2: 0, 3: 1}, seed=seed, coin_source=COIN_SOURCES[source]()
+            )
+            assert not result.disagreement
+            assert result.agreed_value in (0, 1)
+
     def test_local_coin_terminates(self):
         result = api.run_aba(
             4, {0: 0, 1: 1, 2: 0, 3: 1}, seed=2, coin_source=LocalCoinSource()

@@ -41,9 +41,10 @@ class TestValidity:
 
 
 class TestFaultTolerance:
-    def test_crashed_receiver_does_not_block(self):
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_crashed_receiver_does_not_block(self, seed):
         result = api.run_acast(
-            4, "v", sender=0, seed=2, corruptions={3: CrashBehavior.factory()}
+            4, "v", sender=0, seed=seed, corruptions={3: CrashBehavior.factory()}
         )
         assert set(result.outputs) == {0, 1, 2}
         assert result.agreed_value == "v"

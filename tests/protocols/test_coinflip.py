@@ -27,8 +27,9 @@ class TestAgreementAndTermination:
         result = api.run_coinflip(4, seed=9, rounds=1)
         assert result.agreed_value in (0, 1)
 
-    def test_larger_system(self):
-        result = api.run_coinflip(7, seed=1, rounds=2)
+    @pytest.mark.parametrize("rounds", [2, 3])
+    def test_larger_system(self, rounds):
+        result = api.run_coinflip(7, seed=1, rounds=rounds)
         assert not result.disagreement
         assert len(result.outputs) == 7
 

@@ -77,6 +77,14 @@ class TestAgreement:
 
 
 class TestFairValidity:
+    def test_divergent_inputs_against_an_injector_agree_on_an_input(self):
+        inputs = {0: "h0", 1: "h1", 2: "h2", 3: "evil"}
+        result = api.run_fba(
+            4, inputs, seed=0, corruptions={3: FBAValueInjector.factory("evil")}
+        )
+        assert not result.disagreement
+        assert result.agreed_value in set(inputs.values())
+
     def test_honest_values_win_reasonably_often(self):
         """Theorem 4.5: with divergent honest inputs the adversary's value wins
         at most about half the time.  We check a loose statistical bound."""

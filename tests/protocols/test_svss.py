@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +27,15 @@ from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.runtime import Simulation
 from repro.net.scheduler import FIFOScheduler
-from repro.protocols.svss import SVSSRec, SVSSShare, _validate_row_ints, party_point
+import repro
+from repro.protocols import svss
+from repro.protocols.svss import (
+    SEARCH_BUDGET,
+    SVSSRec,
+    SVSSShare,
+    _validate_row_ints,
+    party_point,
+)
 
 
 class TestHonestDealer:
@@ -146,17 +160,97 @@ class TestWithholdingDealer:
         values = {repr(v) for pid, v in result.outputs.items()}
         assert len(values) == 1
 
-    def test_recovered_flag_set(self):
+    @pytest.mark.parametrize("secret,seed", [(50, 3)] + [(99, seed) for seed in range(12)])
+    def test_recovered_flag_set(self, secret, seed):
+        """The withheld victim terminates through row recovery."""
         sim_result = api.run_svss(
             4,
-            50,
+            secret,
             dealer=0,
-            seed=3,
+            seed=seed,
             corruptions={0: WithholdingDealerBehavior.factory(victims=[2])},
         )
         network = sim_result.network
         share = network.processes[2].protocol(("svss_harness", "share"))
         assert share.output.recovered
+
+
+class TestSearchBudget:
+    """Row recovery's exhaustive search runs only within ``SEARCH_BUDGET``
+    candidates; above it a party waits for its next vouched point."""
+
+    @staticmethod
+    def _recover(n, errors, monkeypatch):
+        """Recover from ``n - t`` vouched points, ``errors`` of them off the
+        row: one more than Berlekamp-Welch tolerates, so only the search
+        could answer.  Returns the answer and the sizes of the searches
+        entered; each search is recorded, not run."""
+        network = Network(ProtocolParams.for_parties(n), seed=0)
+        params = network.params
+        share = network.processes[0].create_protocol(("share",), SVSSShare.factory(1))
+        rng = random.Random(n)
+        row = [rng.randrange(params.prime) for _ in range(params.t + 1)]
+        usable = {
+            pid: kernels.horner(params.prime, row, party_point(pid))
+            for pid in range(n - params.t)
+        }
+        for pid in range(errors):
+            usable[pid] = (usable[pid] + 1) % params.prime
+        searches = []
+
+        def recording(pool, r):
+            searches.append(math.comb(len(pool), r))
+            return iter(())
+
+        monkeypatch.setattr(svss.itertools, "combinations", recording)
+        return share._recover_from_points(usable), searches
+
+    def test_budget_is_the_largest_search_at_16_parties(self):
+        assert SEARCH_BUDGET == math.comb(16, 6) == 8008
+
+    def test_a_search_within_the_budget_is_entered(self, monkeypatch):
+        # n=7: k=5 vouched points, t=2, one error tolerated; two given.
+        _, searches = self._recover(7, 2, monkeypatch)
+        assert searches == [math.comb(5, 3)]
+
+    def test_no_search_above_the_budget_is_entered(self, monkeypatch):
+        # n=32: k=22, t=10, C(22, 11) = 705 432 candidates.
+        answer, searches = self._recover(32, 6, monkeypatch)
+        assert answer is None
+        assert searches == []
+
+    def test_a_32_party_tampered_trial_finishes(self):
+        """It ran past 45 s before the budget.  A subprocess with a timeout, so
+        a regression fails instead of hanging the suite."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        script = """
+            import itertools, math
+            from repro.protocols import svss
+            from repro.scenarios import check_scenario_result, get_scenario, run_scenario
+
+            searches = [0]
+            combinations = itertools.combinations
+
+            def recording(pool, r):
+                searches.append(math.comb(len(pool), r))
+                return combinations(pool, r)
+
+            svss.itertools.combinations = recording
+            result = run_scenario("tamper-on-share", n=32, seed=7, tracing=False)
+            assert not check_scenario_result(get_scenario("tamper-on-share"), result)
+            print(len(result.outputs), max(searches))
+        """
+        proc = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(script)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs, largest_search = map(int, proc.stdout.split())
+        assert outputs == 22
+        assert largest_search <= SEARCH_BUDGET
 
 
 class TestByzantineReconstruction:
@@ -463,6 +557,8 @@ class _PartyModel:
             row, agreement = candidate(sorted(self.probe_rng.sample(range(k), t + 1)))
             if 2 * agreement > k + t:
                 return row
+        if math.comb(k, t + 1) > SEARCH_BUDGET:
+            return None
         best, best_agreement = None, t
         for subset in itertools.combinations(range(k), t + 1):
             row, agreement = candidate(subset)

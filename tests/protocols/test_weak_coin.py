@@ -40,7 +40,7 @@ class TestWeakCoin:
 
         We only assert that the protocol never errors and that *some* outcome
         (agreement or disagreement) is produced for every seed; the measured
-        disagreement rate is reported by benchmark E2.
+        disagreement rate is the E2 cell of ``examples/campaigns/paper.json``.
         """
         outcomes = [api.run_weak_coin(4, seed=seed).disagreement for seed in range(8)]
         assert all(isinstance(outcome, bool) for outcome in outcomes)
