@@ -30,19 +30,15 @@ from __future__ import annotations
 import sys
 
 from repro.analysis.ablation import (
-    CONTRIBUTION_HEADER,
     OBSERVATION_FACTORS,
-    SWEEP_HEADER,
     build_ablation_campaign,
     build_attack_sweep,
     contribution_table,
-    format_contribution_rows,
-    format_sweep_rows,
-    render_table,
     scenario_factors,
     sweep_table,
 )
 from repro.analysis.claims import evaluate_claims
+from repro.experiments.report import render_claims, render_table, section_table
 from repro.experiments.runner import run_campaign
 from repro.experiments.spec import CampaignSpec
 from repro.scenarios import get_scenario
@@ -70,7 +66,7 @@ def run_study(ns, seeds_count) -> int:
     results = run_campaign(campaign, workers=2)
     factors = list(OBSERVATION_FACTORS) + list(scenario_factors())
     rows = contribution_table(results, factors)
-    print(render_table(CONTRIBUTION_HEADER, format_contribution_rows(rows)))
+    print(render_table(*section_table("contribution", rows)))
 
     # 2. Attack sweep: both scenarios across every requested scale.
     sweep = build_attack_sweep("factor-study-sweep", SWEEP_SCENARIOS, ns, seeds)
@@ -80,14 +76,14 @@ def run_study(ns, seeds_count) -> int:
     )
     sweep_results = run_campaign(sweep, workers=2)
     sweep_rows = sweep_table(sweep, sweep_results)
-    print(render_table(SWEEP_HEADER, format_sweep_rows(sweep_rows)))
+    print(render_table(*section_table("sweep", sweep_rows)))
 
     # 3. Machine-check the paper claims over everything that ran.
     combined = CampaignSpec(
         name="factor-study", cells=list(campaign.cells) + list(sweep.cells)
     )
     report = evaluate_claims(combined, {**results, **sweep_results})
-    print(report.render_text())
+    print(render_claims(report.to_dict(), "text"))
     return 0 if report.passed else 1
 
 

@@ -13,20 +13,14 @@ from typing import Any
 _EXPORTS = {
     "ablation": (
         "BASELINE_CELL",
-        "ContributionRow",
         "Factor",
         "OBSERVATION_FACTORS",
-        "SweepRow",
         "build_ablation_campaign",
         "build_attack_sweep",
         "cache_hit_rate",
         "contribution_table",
         "factorial_cells",
-        "format_contribution_rows",
-        "format_sweep_rows",
         "one_factor_out_cells",
-        "predicted_messages",
-        "render_table",
         "scenario_factors",
         "sweep_table",
     ),
@@ -48,15 +42,17 @@ _EXPORTS = {
         "acast_messages",
         "aba_expected_messages",
         "coinflip_expected_messages",
+        "coinflip_iteration_messages",
         "coinflip_theoretical_messages",
         "common_subset_expected_messages",
         "fair_choice_expected_messages",
         "fba_expected_messages",
-        "predictions_for",
+        "predicted_messages",
         "svss_rec_messages",
         "svss_share_messages",
     ),
     "claims": (
+        "Claim",
         "ClaimReport",
         "ClaimResult",
         "evaluate_claims",

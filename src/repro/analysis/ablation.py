@@ -19,18 +19,19 @@ module provides:
   fault-tolerant campaign runner (parallel, resumable, quarantine-aware for
   free) and therefore serialize, hash and resume like any other campaign;
 * :func:`contribution_table`, aggregating the resulting
-  :class:`~repro.core.results.TrialAggregate` per cell into per-factor rows
-  (sends-by-kind, crypto cache hit rates, a statistics-identity check against
-  the baseline for the arms that must not change them, and an advisory wall
-  time);
+  :class:`~repro.core.results.TrialAggregate` per cell into per-factor
+  plain-dict rows, the ones a report payload carries (sends-by-kind, crypto
+  cache hit rates, a statistics-identity check against the baseline for the
+  arms that must not change them, and an advisory wall time);
 * :func:`build_attack_sweep` / :func:`sweep_table`, reporting bias /
   disagreement probability / message complexity *as a function of the
   scenario* across ``n`` and seeds, with Wilson binomial confidence
   intervals (:func:`repro.analysis.binomial.wilson_interval`).
 
 The machine-checked paper-claims layer on top lives in
-:mod:`repro.analysis.claims`; the ``repro-experiments ablate`` CLI mode wires
-both together.
+:mod:`repro.analysis.claims`, the tables' text and markdown renderings in
+:mod:`repro.experiments.report`; the ``repro-experiments ablate`` CLI mode
+wires them together.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -50,16 +50,7 @@ from typing import (
 )
 
 from repro.analysis.binomial import wilson_interval
-from repro.analysis.complexity import (
-    acast_messages,
-    aba_expected_messages,
-    coinflip_expected_messages,
-    common_subset_expected_messages,
-    fair_choice_expected_messages,
-    fba_expected_messages,
-    svss_rec_messages,
-    svss_share_messages,
-)
+from repro.analysis.complexity import predicted_messages
 from repro.errors import ExperimentError
 
 if TYPE_CHECKING:  # heavy layers; imported lazily at runtime because
@@ -321,56 +312,13 @@ def cache_hit_rate(aggregate: TrialAggregate) -> Optional[float]:
     return hits / (hits + misses)
 
 
-@dataclass
-class ContributionRow:
-    """One row of the per-factor contribution table.
-
-    The ``baseline`` row carries the all-factors-on measurements; every
-    ``no-<factor>`` row reports the same columns for the ablated run plus the
-    relative wall-time delta (positive = removing the factor made trials
-    slower, i.e. the factor contributes that much) and, for
-    statistics-preserving factors, whether the deterministic statistics
-    stayed byte-identical to the baseline.
-    """
-
-    cell: str
-    factor: Optional[str]
-    description: str
-    trials: int
-    wall_s_per_trial: Optional[float]
-    deliveries_per_s: Optional[float]
-    wall_delta_pct: Optional[float]
-    mean_messages: float
-    mean_steps: float
-    sent_by_kind: Dict[str, int]
-    cache_hit_rate: Optional[float]
-    stats_expected_identical: bool
-    stats_identical: Optional[bool]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "cell": self.cell,
-            "factor": self.factor,
-            "description": self.description,
-            "trials": self.trials,
-            "wall_s_per_trial": self.wall_s_per_trial,
-            "deliveries_per_s": self.deliveries_per_s,
-            "wall_delta_pct": self.wall_delta_pct,
-            "mean_messages": self.mean_messages,
-            "mean_steps": self.mean_steps,
-            "sent_by_kind": dict(self.sent_by_kind),
-            "cache_hit_rate": self.cache_hit_rate,
-            "stats_expected_identical": self.stats_expected_identical,
-            "stats_identical": self.stats_identical,
-        }
-
-
 def _row_for(
     cell: str,
     factor: Optional[Factor],
     aggregate: TrialAggregate,
     baseline: Optional[TrialAggregate],
-) -> ContributionRow:
+) -> Dict[str, Any]:
+    """One contribution row (see :func:`contribution_table`)."""
     trials = aggregate.trials
     wall = aggregate.total_elapsed_s / trials if trials and aggregate.total_elapsed_s else None
     delta = None
@@ -385,32 +333,40 @@ def _row_for(
             delta = 100.0 * (wall - base_wall) / base_wall
         if factor.stats_preserving:
             identical = _stats_signature(aggregate) == _stats_signature(baseline)
-    return ContributionRow(
-        cell=cell,
-        factor=factor.name if factor else None,
-        description=factor.description if factor else "all factors on",
-        trials=trials,
-        wall_s_per_trial=wall,
-        deliveries_per_s=aggregate.deliveries_per_s,
-        wall_delta_pct=delta,
-        mean_messages=aggregate.mean_messages,
-        mean_steps=aggregate.mean_steps,
-        sent_by_kind=dict(aggregate.sent_by_kind),
-        cache_hit_rate=cache_hit_rate(aggregate),
-        stats_expected_identical=factor.stats_preserving if factor else True,
-        stats_identical=identical,
-    )
+    return {
+        "cell": cell,
+        "factor": factor.name if factor else None,
+        "description": factor.description if factor else "all factors on",
+        "trials": trials,
+        "wall_s_per_trial": wall,
+        "deliveries_per_s": aggregate.deliveries_per_s,
+        "wall_delta_pct": delta,
+        "mean_messages": aggregate.mean_messages,
+        "mean_steps": aggregate.mean_steps,
+        "sent_by_kind": dict(aggregate.sent_by_kind),
+        "cache_hit_rate": cache_hit_rate(aggregate),
+        "stats_expected_identical": factor.stats_preserving if factor else True,
+        "stats_identical": identical,
+    }
 
 
 def contribution_table(
     results: Mapping[str, TrialAggregate],
     factors: Sequence[Factor],
-) -> List[ContributionRow]:
+) -> List[Dict[str, Any]]:
     """Per-factor contribution rows from one-factor-out campaign results.
 
     ``results`` maps cell names to aggregates and must contain the
     :data:`BASELINE_CELL`; a factor whose ``no-<name>`` cell is missing
     (e.g. quarantined) is skipped rather than failing the whole table.
+
+    Each row is the plain dict a report payload carries: the ``baseline``
+    row holds the all-factors-on measurements; every ``no-<factor>`` row
+    reports the same columns for the ablated run plus the relative
+    wall-time delta (``wall_delta_pct``: positive = removing the factor made
+    trials slower) and, for statistics-preserving factors, whether the
+    deterministic statistics stayed byte-identical to the baseline
+    (``stats_identical``; None where identity is not expected).
     """
     if BASELINE_CELL not in results:
         raise ExperimentError(
@@ -426,41 +382,6 @@ def contribution_table(
             continue
         rows.append(_row_for(cell, factor, aggregate, baseline))
     return rows
-
-
-CONTRIBUTION_HEADER = (
-    "cell",
-    "trials",
-    "wall s/trial",
-    "deliveries/s",
-    "Δwall vs base",
-    "msgs/trial",
-    "cache hit",
-    "stats",
-)
-
-
-def format_contribution_rows(rows: Sequence[ContributionRow]) -> List[Tuple[str, ...]]:
-    """Human-readable cells for :data:`CONTRIBUTION_HEADER` (CLI/examples)."""
-    formatted = []
-    for row in rows:
-        if row.stats_identical is None:
-            stats = "-" if row.stats_expected_identical else "n/a"
-        else:
-            stats = "identical" if row.stats_identical else "DIVERGED"
-        formatted.append(
-            (
-                row.cell,
-                str(row.trials),
-                "-" if row.wall_s_per_trial is None else f"{row.wall_s_per_trial:.4f}",
-                "-" if row.deliveries_per_s is None else f"{row.deliveries_per_s:,.0f}".replace(",", "_"),
-                "-" if row.wall_delta_pct is None else f"{row.wall_delta_pct:+.1f}%",
-                f"{row.mean_messages:.1f}",
-                "-" if row.cache_hit_rate is None else f"{100.0 * row.cache_hit_rate:.1f}%",
-                stats,
-            )
-        )
-    return formatted
 
 
 # ----------------------------------------------------------------------
@@ -501,93 +422,19 @@ def build_attack_sweep(
     return campaign
 
 
-def predicted_messages(
-    protocol: str, n: int, params: Mapping[str, Any]
-) -> Optional[float]:
-    """Closed-form honest-execution message prediction for one cell (or None).
-
-    Wraps :mod:`repro.analysis.complexity` with the registry's protocol names
-    and each runner's iteration-count parameters; protocols without a
-    closed-form prediction (``weak_coin``'s single flip is modelled as one
-    CoinFlip iteration without the final BA) return a best-effort figure,
-    unknown protocols return None.
-    """
-    try:
-        if protocol == "acast":
-            return float(acast_messages(n))
-        if protocol == "svss":
-            return float(svss_share_messages(n) + svss_rec_messages(n))
-        if protocol == "aba":
-            return aba_expected_messages(n)
-        if protocol == "common_subset":
-            return common_subset_expected_messages(n)
-        if protocol == "coinflip":
-            rounds = int(params.get("rounds", 5))
-            return coinflip_expected_messages(n, rounds)
-        if protocol == "weak_coin":
-            t = (n - 1) // 3
-            return (
-                n * svss_share_messages(n)
-                + common_subset_expected_messages(n)
-                + (n - t) * svss_rec_messages(n)
-            )
-        if protocol == "fair_choice":
-            m = int(params["m"])
-            rounds = int(params.get("coinflip_rounds", 1))
-            return fair_choice_expected_messages(n, m, rounds)
-        if protocol == "fba":
-            rounds = int(params.get("coinflip_rounds", 1))
-            return fba_expected_messages(n, rounds)
-    except (KeyError, ValueError):
-        return None
-    return None
-
-
-@dataclass
-class SweepRow:
-    """One ``(scenario, n)`` point of an attack sweep.
-
-    ``bias`` is the empirical frequency of output ``1`` over all trials (for
-    binary-output protocols), with a Wilson interval; ``disagreement`` is the
-    honest-disagreement probability with its interval; ``message_ratio`` is
-    measured mean messages over the closed-form honest prediction -- the
-    attack's message-complexity amplification.
-    """
-
-    cell: str
-    scenario: str
-    n: int
-    trials: int
-    disagreement_rate: float
-    disagreement_ci: Tuple[float, float]
-    ones: int
-    bias: Optional[float]
-    bias_ci: Optional[Tuple[float, float]]
-    mean_messages: float
-    predicted_messages: Optional[float]
-    message_ratio: Optional[float]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "cell": self.cell,
-            "scenario": self.scenario,
-            "n": self.n,
-            "trials": self.trials,
-            "disagreement_rate": self.disagreement_rate,
-            "disagreement_ci": list(self.disagreement_ci),
-            "ones": self.ones,
-            "bias": self.bias,
-            "bias_ci": None if self.bias_ci is None else list(self.bias_ci),
-            "mean_messages": self.mean_messages,
-            "predicted_messages": self.predicted_messages,
-            "message_ratio": self.message_ratio,
-        }
-
-
 def sweep_table(
     campaign: CampaignSpec, results: Mapping[str, TrialAggregate]
-) -> List[SweepRow]:
-    """Sweep rows for every campaign cell present in ``results``."""
+) -> List[Dict[str, Any]]:
+    """Sweep rows for every campaign cell present in ``results``.
+
+    One plain-dict row per ``(scenario, n)`` point: ``bias`` is the
+    empirical frequency of output ``1`` over all trials (for binary-output
+    protocols; None otherwise), with its Wilson interval ``bias_ci``;
+    ``disagreement_rate`` is the honest-disagreement probability with its
+    interval; ``message_ratio`` is measured mean messages over the
+    closed-form honest prediction -- the attack's message-complexity
+    amplification.
+    """
     from repro.scenarios.invariants import BINARY_OUTPUT_PROTOCOLS
 
     rows = []
@@ -596,83 +443,26 @@ def sweep_table(
         if aggregate is None or aggregate.trials == 0:
             continue
         trials = aggregate.trials
-        scenario = cell.scenario or "-"
-        disagreement_ci = wilson_interval(aggregate.disagreements, trials)
         bias = bias_ci = None
         ones = aggregate.value_counts.get("1", 0)
         if cell.protocol in BINARY_OUTPUT_PROTOCOLS:
             bias = ones / trials
-            bias_ci = wilson_interval(ones, trials)
+            bias_ci = list(wilson_interval(ones, trials))
         predicted = predicted_messages(cell.protocol, cell.n, cell.params)
-        ratio = (
-            aggregate.mean_messages / predicted
-            if predicted
-            else None
-        )
         rows.append(
-            SweepRow(
-                cell=cell.name,
-                scenario=scenario,
-                n=cell.n,
-                trials=trials,
-                disagreement_rate=aggregate.disagreement_rate,
-                disagreement_ci=disagreement_ci,
-                ones=ones,
-                bias=bias,
-                bias_ci=bias_ci,
-                mean_messages=aggregate.mean_messages,
-                predicted_messages=predicted,
-                message_ratio=ratio,
-            )
+            {
+                "cell": cell.name,
+                "scenario": cell.scenario or "-",
+                "n": cell.n,
+                "trials": trials,
+                "disagreement_rate": aggregate.disagreement_rate,
+                "disagreement_ci": list(wilson_interval(aggregate.disagreements, trials)),
+                "ones": ones,
+                "bias": bias,
+                "bias_ci": bias_ci,
+                "mean_messages": aggregate.mean_messages,
+                "predicted_messages": predicted,
+                "message_ratio": aggregate.mean_messages / predicted if predicted else None,
+            }
         )
     return rows
-
-
-SWEEP_HEADER = (
-    "cell",
-    "n",
-    "trials",
-    "disagree",
-    "disagree 95% CI",
-    "Pr[coin=1]",
-    "bias 95% CI",
-    "msgs/trial",
-    "msg ratio",
-)
-
-
-def format_sweep_rows(rows: Sequence[SweepRow]) -> List[Tuple[str, ...]]:
-    """Human-readable cells for :data:`SWEEP_HEADER`."""
-
-    def ci(interval: Optional[Tuple[float, float]]) -> str:
-        if interval is None:
-            return "-"
-        return f"[{interval[0]:.3f}, {interval[1]:.3f}]"
-
-    return [
-        (
-            row.cell,
-            str(row.n),
-            str(row.trials),
-            f"{row.disagreement_rate:.3f}",
-            ci(row.disagreement_ci),
-            "-" if row.bias is None else f"{row.bias:.3f}",
-            ci(row.bias_ci),
-            f"{row.mean_messages:.1f}",
-            "-" if row.message_ratio is None else f"{row.message_ratio:.2f}x",
-        )
-        for row in rows
-    ]
-
-
-def render_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    """Fixed-width text table (the CLI's format, reusable from examples)."""
-    rows = [tuple(str(cell) for cell in row) for row in rows]
-    widths = [len(column) for column in header]
-    for row in rows:
-        widths = [max(width, len(cell)) for width, cell in zip(widths, row)]
-    lines = ["  ".join(name.ljust(width) for name, width in zip(header, widths))]
-    lines.append("-" * len(lines[0]))
-    for row in rows:
-        lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)))
-    return "\n".join(lines) + "\n"

@@ -3,15 +3,16 @@
 The paper argues its strong coin needs on the order of ``n^4`` SVSS-backed
 flips, each of which costs ``O(n^2)`` messages, plus ``n`` BA instances per
 CommonSubset.  This module provides closed-form per-protocol message-count
-predictions (for honest, failure-free executions) that
-``tests/analysis/test_complexity.py`` and the ``message_complexity`` claim
-compare against measured counts from the simulator.
+predictions (for honest, failure-free executions), and
+:func:`predicted_messages`, the one per-protocol table over them that the
+``message_complexity`` claim, the attack sweep and the delivery envelope of
+:mod:`repro.scenarios.invariants` compare measured counts against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Any, Mapping, Optional
 
 from repro.analysis.binomial import coinflip_iterations, fair_choice_bits
 
@@ -46,20 +47,22 @@ def common_subset_expected_messages(n: int, expected_rounds: float = 3.0) -> flo
     return n * aba_expected_messages(n, expected_rounds)
 
 
-def coinflip_expected_messages(
-    n: int, rounds: int, expected_ba_rounds: float = 3.0
-) -> float:
-    """Expected messages for CoinFlip with ``rounds`` iterations.
-
-    Each iteration: ``n`` SVSS-Share instances, one CommonSubset and at least
-    ``n - t`` SVSS-Rec instances; plus one final BA.
-    """
+def coinflip_iteration_messages(n: int, expected_ba_rounds: float = 3.0) -> float:
+    """One CoinFlip iteration (one weak-coin flip): ``n`` SVSS-Share
+    instances, one CommonSubset and at least ``n - t`` SVSS-Rec instances."""
     t = (n - 1) // 3
-    per_iteration = (
+    return (
         n * svss_share_messages(n)
         + common_subset_expected_messages(n, expected_ba_rounds)
         + (n - t) * svss_rec_messages(n)
     )
+
+
+def coinflip_expected_messages(
+    n: int, rounds: int, expected_ba_rounds: float = 3.0
+) -> float:
+    """Expected messages for CoinFlip with ``rounds`` iterations, plus one final BA."""
+    per_iteration = coinflip_iteration_messages(n, expected_ba_rounds)
     return rounds * per_iteration + aba_expected_messages(n, expected_ba_rounds)
 
 
@@ -107,14 +110,34 @@ class ComplexityRow:
         return self.measured / self.predicted
 
 
-def predictions_for(n: int, coinflip_rounds: int) -> Dict[str, float]:
-    """Closed-form predictions for every protocol at a given system size."""
-    return {
-        "acast": float(acast_messages(n)),
-        "svss_share": float(svss_share_messages(n)),
-        "svss_rec": float(svss_rec_messages(n)),
-        "aba": aba_expected_messages(n),
-        "common_subset": common_subset_expected_messages(n),
-        "coinflip": coinflip_expected_messages(n, coinflip_rounds),
-        "fba": fba_expected_messages(n, coinflip_rounds),
-    }
+def predicted_messages(
+    protocol: str, n: int, params: Mapping[str, Any]
+) -> Optional[float]:
+    """Closed-form honest-execution message prediction for one cell (or None).
+
+    Maps the registry's protocol names and each runner's iteration-count
+    parameters onto the formulas above; ``weak_coin``'s single flip is one
+    CoinFlip iteration without the final BA.  Unknown protocols, and a
+    ``fair_choice`` cell without ``m``, return None.
+    """
+    try:
+        if protocol == "acast":
+            return float(acast_messages(n))
+        if protocol == "svss":
+            return float(svss_share_messages(n) + svss_rec_messages(n))
+        if protocol == "aba":
+            return aba_expected_messages(n)
+        if protocol == "common_subset":
+            return common_subset_expected_messages(n)
+        if protocol == "coinflip":
+            return coinflip_expected_messages(n, int(params.get("rounds", 5)))
+        if protocol == "weak_coin":
+            return coinflip_iteration_messages(n)
+        if protocol == "fair_choice":
+            rounds = int(params.get("coinflip_rounds", 1))
+            return fair_choice_expected_messages(n, int(params["m"]), rounds)
+        if protocol == "fba":
+            return fba_expected_messages(n, int(params.get("coinflip_rounds", 1)))
+    except (KeyError, ValueError):
+        return None
+    return None

@@ -33,7 +33,6 @@ from repro.analysis.ablation import (
     build_ablation_campaign,
     build_attack_sweep,
     contribution_table,
-    render_table,
     scenario_factors,
     sweep_table,
 )
@@ -47,10 +46,10 @@ from repro.experiments.runner import (
     run_campaign,
 )
 from repro.experiments.report import (
-    SUMMARY_HEADER,
     build_report,
     render_report,
-    summary_rows as _summary_rows,
+    render_table,
+    section_table,
 )
 from repro.experiments.spec import CampaignSpec, ExecutionPolicy, FaultSpec
 from repro.experiments.store import ResultStore
@@ -168,7 +167,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"campaign {campaign.name!r}: {campaign.trials} trials, "
               f"{len(results)} cells -> {out_path}")
         summaries = {name: agg.summary() for name, agg in results.items()}
-        print(render_table(SUMMARY_HEADER, _summary_rows(summaries)), end="")
+        print(render_table(*section_table("cells", summaries)), end="")
         supervision = {
             name: value
             for name, value in metrics.counter_values().items()

@@ -224,8 +224,8 @@ def validate_jsonl(path: Any, max_problems: int = 20) -> Tuple[int, List[str]]:
 #                                  "p50": float|null, "p90": float|null,
 #                                  "p99": float|null, "max": float|null}}
 #       },
-#       "contribution": [...],         # (opt) ablation ContributionRow.to_dict()
-#       "sweep": [...],                # (opt) attack-sweep SweepRow.to_dict()
+#       "contribution": [...],         # (opt) ablation.contribution_table rows
+#       "sweep": [...],                # (opt) ablation.sweep_table rows
 #       "claims": {...},               # (opt) claims ClaimReport.to_dict()
 #       "failures": {"<cell>": {...}}  # (opt) quarantine records
 #     }

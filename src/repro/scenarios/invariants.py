@@ -92,13 +92,13 @@ def delivery_envelope(
     """The delivery bound of one trial: ``max(120 n**2, ceil(3 * predicted))``.
 
     ``predicted`` is the honest-execution message count of
-    :func:`repro.analysis.ablation.predicted_messages` (each delivery is one
+    :func:`repro.analysis.complexity.predicted_messages` (each delivery is one
     step); a protocol without a prediction gets the flat floor.  It is the
     one envelope: :func:`check_result`'s step bound per trial and the
-    ``termination`` claim (:func:`repro.analysis.claims.check_termination`)
+    ``termination`` claim (:data:`repro.analysis.claims.CLAIMS`)
     over a cell's mean.
     """
-    from repro.analysis.ablation import predicted_messages
+    from repro.analysis.complexity import predicted_messages
 
     bound = default_step_bound(n)
     predicted = predicted_messages(protocol, n, params or {})

@@ -14,17 +14,14 @@ from repro.analysis.ablation import (
     cache_hit_rate,
     contribution_table,
     factorial_cells,
-    format_contribution_rows,
-    format_sweep_rows,
     one_factor_out_cells,
-    predicted_messages,
-    render_table,
     scenario_factors,
     sweep_table,
 )
-from repro.analysis.complexity import coinflip_expected_messages
+from repro.analysis.complexity import coinflip_expected_messages, predicted_messages
 from repro.core.results import TrialAggregate
 from repro.errors import ExperimentError
+from repro.experiments.report import render_table, section_table
 from repro.experiments.runner import run_campaign
 from repro.experiments.spec import CampaignSpec, ExperimentSpec
 
@@ -174,21 +171,21 @@ class TestCampaignExecution:
 
     def test_contribution_table_flags_stats_identity(self, results):
         rows = contribution_table(results, [TRACE_A, PARAM_C])
-        by_cell = {row.cell: row for row in rows}
-        assert by_cell[BASELINE_CELL].factor is None
-        assert by_cell["no-trace_a"].stats_identical is True
+        by_cell = {row["cell"]: row for row in rows}
+        assert by_cell[BASELINE_CELL]["factor"] is None
+        assert by_cell["no-trace_a"]["stats_identical"] is True
         # Metering off drops the message stats, so identity is not expected
         # (and not evaluated).
-        assert by_cell["no-param_c"].stats_identical is None
-        assert not by_cell["no-param_c"].stats_expected_identical
+        assert by_cell["no-param_c"]["stats_identical"] is None
+        assert not by_cell["no-param_c"]["stats_expected_identical"]
 
     def test_contribution_table_reports_cache_hits_and_throughput(self, results):
         rows = contribution_table(results, [TRACE_A])
         for row in rows:
-            assert row.trials == 4
-            assert row.deliveries_per_s is None or row.deliveries_per_s > 0
-        assert rows[0].cache_hit_rate is not None
-        assert 0.0 <= rows[0].cache_hit_rate <= 1.0
+            assert row["trials"] == 4
+            assert row["deliveries_per_s"] is None or row["deliveries_per_s"] > 0
+        assert rows[0]["cache_hit_rate"] is not None
+        assert 0.0 <= rows[0]["cache_hit_rate"] <= 1.0
 
     def test_contribution_table_requires_baseline(self, results):
         partial = {k: v for k, v in results.items() if k != BASELINE_CELL}
@@ -197,11 +194,11 @@ class TestCampaignExecution:
 
     def test_contribution_table_skips_missing_cells(self, results):
         rows = contribution_table(results, [TRACE_A, ABSENT_B])
-        assert [row.cell for row in rows] == [BASELINE_CELL, "no-trace_a"]
+        assert [row["cell"] for row in rows] == [BASELINE_CELL, "no-trace_a"]
 
     def test_render_helpers_are_total(self, results):
         rows = contribution_table(results, [TRACE_A, PARAM_C])
-        formatted = format_contribution_rows(rows)
+        _, formatted = section_table("contribution", rows)
         text = render_table(("a",) * len(formatted[0]), formatted)
         assert text.endswith("\n")
         assert BASELINE_CELL in text
@@ -234,13 +231,13 @@ class TestAttackSweep:
         rows = sweep_table(campaign, {"dealer-ambush|n=4": agg})
         assert len(rows) == 1
         row = rows[0]
-        assert row.n == 4 and row.trials == 4
-        assert row.disagreement_rate == 0.25
-        low, high = row.disagreement_ci
+        assert row["n"] == 4 and row["trials"] == 4
+        assert row["disagreement_rate"] == 0.25
+        low, high = row["disagreement_ci"]
         assert 0.0 <= low < 0.25 < high <= 1.0
-        assert row.bias == 0.75 and row.bias_ci is not None
-        assert row.message_ratio is not None and row.message_ratio > 0
-        formatted = format_sweep_rows(rows)
+        assert row["bias"] == 0.75 and row["bias_ci"] is not None
+        assert row["message_ratio"] is not None and row["message_ratio"] > 0
+        _, formatted = section_table("sweep", rows)
         assert formatted[0][0] == "dealer-ambush|n=4"
 
     def test_sweep_table_skips_absent_cells(self):

@@ -11,17 +11,10 @@ from repro.analysis.claims import (
     ClaimReport,
     ClaimResult,
     avss_lower_bound_claim,
-    check_agreement,
-    check_coin_bias,
-    check_fair_validity,
-    check_corruption_tolerance,
-    check_message_complexity,
-    check_message_lower_bound,
-    check_output_domain,
-    check_termination,
     evaluate_claims,
 )
 from repro.core.results import TrialAggregate
+from repro.experiments.report import render_claims
 from repro.experiments.runner import run_campaign
 from repro.experiments.spec import CampaignSpec, ExperimentSpec
 from repro.scenarios.invariants import delivery_envelope
@@ -53,6 +46,12 @@ def campaign_of(*cells: ExperimentSpec) -> CampaignSpec:
     return CampaignSpec(name="claims-test", cells=list(cells))
 
 
+def check(name, campaign, results) -> ClaimResult:
+    """The verdict of the claim row ``name`` of :data:`CLAIMS`."""
+    (result,) = [r for r in evaluate_claims(campaign, results).results if r.claim == name]
+    return result
+
+
 def coin_cell(name="coin", n=4, seeds=10, **params) -> ExperimentSpec:
     return ExperimentSpec(
         name=name, protocol="coinflip", n=n, seeds=list(range(seeds)), params=params
@@ -62,7 +61,7 @@ def coin_cell(name="coin", n=4, seeds=10, **params) -> ExperimentSpec:
 class TestCoinBias:
     def test_balanced_honest_coin_passes(self):
         campaign = campaign_of(coin_cell())
-        result = check_coin_bias(campaign, {"coin": make_aggregate(10, ones=5, zeros=5)})
+        result = check("coin_bias", campaign, {"coin": make_aggregate(10, ones=5, zeros=5)})
         assert result.status == PASS
         assert result.cells == ("coin",)
 
@@ -70,13 +69,13 @@ class TestCoinBias:
         # 10/10 on one side cannot statistically refute Pr >= 0.25 at 95%:
         # the Wilson upper bound for 0/10 is ~0.28.
         campaign = campaign_of(coin_cell())
-        result = check_coin_bias(campaign, {"coin": make_aggregate(10, ones=10)})
+        result = check("coin_bias", campaign, {"coin": make_aggregate(10, ones=10)})
         assert result.status == PASS
 
     def test_rigged_coin_fails(self):
         # 20/20 on one side: the other bit's 95% UCB is ~0.16 < 0.25.
         campaign = campaign_of(coin_cell(seeds=20))
-        result = check_coin_bias(campaign, {"coin": make_aggregate(20, ones=20)})
+        result = check("coin_bias", campaign, {"coin": make_aggregate(20, ones=20)})
         assert result.status == FAIL
         assert "refutes bound" in result.detail
 
@@ -84,7 +83,7 @@ class TestCoinBias:
         # With a looser epsilon = 0.45 the bound is 0.05, which 20 one-sided
         # trials cannot refute.
         campaign = campaign_of(coin_cell(seeds=20, epsilon=0.45))
-        result = check_coin_bias(campaign, {"coin": make_aggregate(20, ones=20)})
+        result = check("coin_bias", campaign, {"coin": make_aggregate(20, ones=20)})
         assert result.status == PASS
 
     def test_adversarial_and_foreign_cells_are_skipped(self):
@@ -92,7 +91,7 @@ class TestCoinBias:
             name="attack", protocol="coinflip", n=4, seeds=[0], scenario="dealer-ambush"
         )
         campaign = campaign_of(scenario_cell)
-        result = check_coin_bias(campaign, {"attack": make_aggregate(1, ones=1)})
+        result = check("coin_bias", campaign, {"attack": make_aggregate(1, ones=1)})
         assert result.status == SKIP
 
 
@@ -122,32 +121,32 @@ class TestFairValidity:
 
     def test_fair_choice_counts_the_smallest_majority_subset(self):
         agg = make_aggregate(20, zeros=6, ones=8, extra_values={"2": 6})
-        result = check_fair_validity(campaign_of(self.fair_choice(20)), {"fc": agg})
+        result = check("fair_validity", campaign_of(self.fair_choice(20)), {"fc": agg})
         assert result.status == PASS
         assert "14/20 honest wins (bound 0.534)" in result.detail
 
     def test_fair_choice_six_of_twenty_is_refuted(self):
         # The old script floor (hits >= 20 // 3) passed this.
         agg = make_aggregate(20, zeros=3, ones=3, extra_values={"2": 14})
-        result = check_fair_validity(campaign_of(self.fair_choice(20)), {"fc": agg})
+        result = check("fair_validity", campaign_of(self.fair_choice(20)), {"fc": agg})
         assert result.status == FAIL
         assert "6/20" in result.detail
 
     def test_fba_counts_honest_inputs_only(self):
         campaign = campaign_of(self.fba(16))
-        assert check_fair_validity(campaign, {"fba": self.outcomes(16, h0=5, x=11)}).status == PASS
-        assert check_fair_validity(campaign, {"fba": self.outcomes(16, h0=4, x=12)}).status == FAIL
+        assert check("fair_validity", campaign, {"fba": self.outcomes(16, h0=5, x=11)}).status == PASS
+        assert check("fair_validity", campaign, {"fba": self.outcomes(16, h0=4, x=12)}).status == FAIL
 
     def test_disagreeing_trials_count_as_losses(self):
         agg = self.outcomes(16, h0=4)
         agg.disagreements = 12
-        assert check_fair_validity(campaign_of(self.fba(16)), {"fba": agg}).status == FAIL
+        assert check("fair_validity", campaign_of(self.fba(16)), {"fba": agg}).status == FAIL
 
     def test_unanimous_honest_inputs_and_scenario_cells_are_skipped(self):
         unanimous = self.fba(16, inputs={"0": "h", "1": "h", "2": "h", "3": "x"})
         scenario = self.fba(16, scenario="dealer-ambush")
         for cell in (unanimous, scenario):
-            result = check_fair_validity(campaign_of(cell), {"fba": self.outcomes(16, x=16)})
+            result = check("fair_validity", campaign_of(cell), {"fba": self.outcomes(16, x=16)})
             assert result.status == SKIP
 
 
@@ -157,7 +156,7 @@ class TestCorruptionTolerance:
             name="attack", protocol="weak_coin", n=4, seeds=[0, 1], scenario="x"
         )
         agg = make_aggregate(2, director_actions={"corrupt": 2})
-        result = check_corruption_tolerance(campaign_of(cell), {"attack": agg})
+        result = check("corruption_tolerance", campaign_of(cell), {"attack": agg})
         assert result.status == PASS
 
     def test_director_overrun_fails(self):
@@ -165,7 +164,7 @@ class TestCorruptionTolerance:
             name="attack", protocol="weak_coin", n=4, seeds=[0, 1], scenario="x"
         )
         agg = make_aggregate(2, director_actions={"corrupt": 3})  # t=1, trials=2
-        result = check_corruption_tolerance(campaign_of(cell), {"attack": agg})
+        result = check("corruption_tolerance", campaign_of(cell), {"attack": agg})
         assert result.status == FAIL
 
     def test_static_adversary_overrun_fails(self):
@@ -177,36 +176,56 @@ class TestCorruptionTolerance:
             # Two static corruptions exceed t = 1 for n = 4.
             adversary={0: {"behavior": "silent"}, 1: {"behavior": "silent"}},
         )
-        result = check_corruption_tolerance(
-            campaign_of(cell), {"attack": make_aggregate(1)}
+        result = check(
+            "corruption_tolerance", campaign_of(cell), {"attack": make_aggregate(1)}
         )
         assert result.status == FAIL
 
     def test_honest_campaign_skips(self):
         campaign = campaign_of(coin_cell())
-        result = check_corruption_tolerance(campaign, {"coin": make_aggregate(10)})
+        result = check("corruption_tolerance", campaign, {"coin": make_aggregate(10)})
         assert result.status == SKIP
+
+    def test_a_static_crash_counts_once_per_trial(self):
+        cell = ExperimentSpec(
+            name="crash", protocol="coinflip", n=4, seeds=list(range(24)),
+            adversary={3: {"behavior": "crash"}},
+        )
+        result = check("corruption_tolerance", campaign_of(cell), {"crash": make_aggregate(24)})
+        assert (result.status, result.detail) == (PASS, "crash: corruptions=24 <= t*trials=24")
+
+    def test_a_scenario_static_plan_counts_with_the_director(self):
+        # rushing-coalition corrupts party 3 before every trial; one more
+        # director corruption over 4 trials at t = 1 overruns the budget.
+        cell = ExperimentSpec(
+            name="rush", protocol="weak_coin", n=4, seeds=[0, 1, 2, 3],
+            scenario="rushing-coalition",
+        )
+        within = check("corruption_tolerance", campaign_of(cell), {"rush": make_aggregate(4)})
+        assert (within.status, within.detail) == (PASS, "rush: corruptions=4 <= t*trials=4")
+        over = make_aggregate(4, director_actions={"corrupt": 1})
+        assert check("corruption_tolerance", campaign_of(cell), {"rush": over}).status == FAIL
 
 
 class TestAgreement:
     def test_zero_disagreements_pass(self):
         cell = ExperimentSpec(name="aba", protocol="aba", n=4, seeds=[0, 1])
-        result = check_agreement(
-            campaign_of(cell), {"aba": make_aggregate(2, ones=2)}
+        result = check(
+            "agreement", campaign_of(cell), {"aba": make_aggregate(2, ones=2)}
         )
         assert result.status == PASS
 
     def test_disagreement_fails(self):
         cell = ExperimentSpec(name="aba", protocol="aba", n=4, seeds=[0, 1])
-        result = check_agreement(
-            campaign_of(cell), {"aba": make_aggregate(2, ones=1, disagreements=1)}
+        result = check(
+            "agreement", campaign_of(cell), {"aba": make_aggregate(2, ones=1, disagreements=1)}
         )
         assert result.status == FAIL
 
     def test_weak_coin_is_exempt(self):
         cell = ExperimentSpec(name="wc", protocol="weak_coin", n=4, seeds=[0])
-        result = check_agreement(
-            campaign_of(cell), {"wc": make_aggregate(1, disagreements=1)}
+        result = check(
+            "agreement", campaign_of(cell), {"wc": make_aggregate(1, disagreements=1)}
         )
         assert result.status == SKIP
 
@@ -214,15 +233,15 @@ class TestAgreement:
 class TestOutputDomain:
     def test_bits_pass(self):
         cell = coin_cell()
-        result = check_output_domain(
-            campaign_of(cell), {"coin": make_aggregate(10, ones=4, zeros=6)}
+        result = check(
+            "output_domain", campaign_of(cell), {"coin": make_aggregate(10, ones=4, zeros=6)}
         )
         assert result.status == PASS
 
     def test_stray_value_fails(self):
         cell = coin_cell()
         agg = make_aggregate(10, ones=9, extra_values={"2": 1})
-        result = check_output_domain(campaign_of(cell), {"coin": agg})
+        result = check("output_domain", campaign_of(cell), {"coin": agg})
         assert result.status == FAIL
         assert "'2'" in result.detail
 
@@ -231,20 +250,20 @@ class TestMessageComplexity:
     def test_within_envelope_passes(self):
         cell = coin_cell(rounds=2)
         agg = make_aggregate(10, ones=5, zeros=5, messages=10 * 1300)
-        result = check_message_complexity(campaign_of(cell), {"coin": agg})
+        result = check("message_complexity", campaign_of(cell), {"coin": agg})
         assert result.status == PASS
 
     def test_blowup_fails(self):
         cell = coin_cell(rounds=2)
         agg = make_aggregate(10, ones=5, zeros=5, messages=10 * 100000)
-        result = check_message_complexity(campaign_of(cell), {"coin": agg})
+        result = check("message_complexity", campaign_of(cell), {"coin": agg})
         assert result.status == FAIL
         assert "x the predicted" in result.detail
 
     def test_meterless_cells_are_skipped(self):
         cell = coin_cell(rounds=2)
         agg = make_aggregate(10, ones=5, zeros=5, messages=0)
-        result = check_message_complexity(campaign_of(cell), {"coin": agg})
+        result = check("message_complexity", campaign_of(cell), {"coin": agg})
         assert result.status == SKIP
 
 
@@ -253,12 +272,12 @@ class TestTermination:
     # 3 * 1360) = 4080 delivered messages per trial.
     def test_within_bound_passes(self):
         agg = make_aggregate(10, ones=5, zeros=5, steps=10 * 1000)
-        result = check_termination(campaign_of(coin_cell(rounds=2)), {"coin": agg})
+        result = check("termination", campaign_of(coin_cell(rounds=2)), {"coin": agg})
         assert result.status == PASS
 
     def test_runaway_fails(self):
         agg = make_aggregate(10, ones=5, zeros=5, steps=10 * 5000)
-        result = check_termination(campaign_of(coin_cell(rounds=2)), {"coin": agg})
+        result = check("termination", campaign_of(coin_cell(rounds=2)), {"coin": agg})
         assert result.status == FAIL
 
     def test_a_checked_fba_trial_is_held_to_the_same_envelope(self):
@@ -276,13 +295,13 @@ class TestTermination:
         assert delivery_envelope("fba", 4, cell.params) == 12816
         results = run_campaign(campaign_of(cell))
         assert results["fba-checked"].total_steps == 3812
-        result = check_termination(campaign_of(cell), results)
+        result = check("termination", campaign_of(cell), results)
         assert (result.status, result.detail) == (PASS, "fba-checked: 3812/12816")
 
     def test_flat_envelope_applies_without_a_prediction(self):
         cell = ExperimentSpec(name="wc", protocol="nonesuch", n=4, seeds=[0])
         agg = make_aggregate(1, steps=5000)  # default_step_bound(4) = 1920
-        result = check_termination(campaign_of(cell), {"wc": agg})
+        result = check("termination", campaign_of(cell), {"wc": agg})
         assert result.status == FAIL
 
 
@@ -291,7 +310,7 @@ class TestMessageLowerBound:
         # n=4 -> t=1 -> floor n-t=3; 10 trials x 1300 msgs is far above.
         campaign = campaign_of(coin_cell(rounds=2))
         agg = make_aggregate(10, ones=5, zeros=5, messages=13000)
-        result = check_message_lower_bound(campaign, {"coin": agg})
+        result = check("message_lower_bound", campaign, {"coin": agg})
         assert result.status == PASS
         assert "n-t=3" in result.detail
 
@@ -300,14 +319,14 @@ class TestMessageLowerBound:
         # run can be this cheap; the accounting must be broken.
         campaign = campaign_of(coin_cell(rounds=2))
         agg = make_aggregate(10, ones=5, zeros=5, messages=10)
-        result = check_message_lower_bound(campaign, {"coin": agg})
+        result = check("message_lower_bound", campaign, {"coin": agg})
         assert result.status == FAIL
         assert "below the n-t=3 lower bound" in result.detail
 
     def test_skips_without_message_stats(self):
         campaign = campaign_of(coin_cell(rounds=2))
         agg = make_aggregate(10, ones=5, zeros=5, messages=0)
-        result = check_message_lower_bound(campaign, {"coin": agg})
+        result = check("message_lower_bound", campaign, {"coin": agg})
         assert result.status == SKIP
 
     def test_skips_adversarial_cells(self):
@@ -315,7 +334,7 @@ class TestMessageLowerBound:
             name="attack", protocol="coinflip", n=4, seeds=[0], scenario="x"
         )
         agg = make_aggregate(1, ones=1, messages=100)
-        result = check_message_lower_bound(campaign_of(cell), {"attack": agg})
+        result = check("message_lower_bound", campaign_of(cell), {"attack": agg})
         assert result.status == SKIP
 
 
@@ -391,10 +410,10 @@ class TestEvaluateClaims:
         campaign = campaign_of(coin_cell(rounds=2))
         agg = make_aggregate(10, ones=5, zeros=5, messages=13000, steps=12000)
         report = evaluate_claims(campaign, {"coin": agg})
-        text = report.render_text()
+        text = render_claims(report.to_dict(), "text")
         assert "[PASS] coin_bias" in text
         assert text.endswith("skipped\n")
-        markdown = report.render_markdown()
+        markdown = render_claims(report.to_dict(), "markdown")
         assert markdown.startswith("### Claims:")
         assert "| pass | `coin_bias` |" in markdown
         payload = report.to_dict()

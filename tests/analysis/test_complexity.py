@@ -12,7 +12,7 @@ from repro.analysis.complexity import (
     coinflip_theoretical_messages,
     common_subset_expected_messages,
     fba_expected_messages,
-    predictions_for,
+    predicted_messages,
     svss_rec_messages,
     svss_share_messages,
 )
@@ -49,10 +49,11 @@ class TestClosedForms:
         assert fba_expected_messages(4, 1) > 0
 
     def test_predictions_dict_keys(self):
-        predictions = predictions_for(4, 2)
-        assert {"acast", "svss_share", "aba", "common_subset", "coinflip", "fba"} <= set(
-            predictions
-        )
+        predictions = {
+            protocol: predicted_messages(protocol, 4, {"rounds": 2, "coinflip_rounds": 2})
+            for protocol in ("acast", "svss", "aba", "common_subset", "coinflip", "fba")
+        }
+        assert None not in predictions.values()
 
     def test_complexity_row_ratio(self):
         row = ComplexityRow(protocol="acast", n=4, predicted=100.0, measured=50.0)
@@ -77,7 +78,7 @@ class TestPredictionsAgainstSimulator:
         coinflip = api.run_coinflip(n, seed=0, rounds=1).trace.messages_sent
         assert acast <= 2 * acast_messages(n)
         assert svss <= 3 * (svss_share_messages(n) + svss_rec_messages(n))
-        assert coinflip <= 4 * predictions_for(n, 1)["coinflip"]
+        assert coinflip <= 4 * predicted_messages("coinflip", n, {"rounds": 1})
 
     def test_coinflip_growth_from_4_to_7_parties(self):
         measured = [api.run_coinflip(n, seed=0, rounds=1).trace.messages_sent for n in (4, 7)]

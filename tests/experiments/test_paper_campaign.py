@@ -35,7 +35,7 @@ def test_every_claim_passes(paper):
     campaign, results = paper
     assert set(results) == {cell.name for cell in campaign.cells}
     report = evaluate_claims(campaign, results)
-    assert report.passed, report.render_text()
+    assert report.passed, report.to_dict()
     # Every claim has a cell to judge: a skip here means a cell went missing.
     assert {result.claim: result.status for result in report.results} == {
         result.claim: PASS for result in report.results

@@ -12,8 +12,6 @@ from repro.experiments.report import (
     build_report,
     histogram_summaries,
     render_report,
-    render_report_markdown,
-    render_report_text,
 )
 from repro.experiments.runner import run_campaign
 from repro.experiments.store import ResultStore
@@ -71,11 +69,11 @@ class TestBuildReport:
         payload = build_report(
             campaign.name, results, claims=evaluate_claims(campaign, results)
         )
-        text = render_report_text(payload)
+        text = render_report(payload, "text")
         assert "campaign: report-test" in text
         assert "histogram percentiles" in text
         assert "claims:" in text
-        markdown = render_report_markdown(payload)
+        markdown = render_report(payload, "markdown")
         assert markdown.startswith("## Campaign `report-test`")
         assert "### Histogram percentiles" in markdown
         assert "### Claims" in markdown

@@ -1,0 +1,31 @@
+"""Byte-identical renderings of one fixed report payload.
+
+``golden/report.json`` is a synthetic payload with every section a report
+can carry: cell summaries (one from a store that predates the optional
+columns), histograms with and without samples, contribution rows whose
+stats column reads ``-`` / ``identical`` / ``DIVERGED`` / ``n/a``, sweep
+rows with and without a bias, claims that pass, fail and skip, and
+quarantined cells.  ``report.txt`` and ``report.md`` are its text and
+markdown renderings; the JSON rendering is the file itself.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.experiments.report import render_report
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("fmt, name", [
+    ("json", "report.json"),
+    ("text", "report.txt"),
+    ("markdown", "report.md"),
+])
+def test_rendering_matches_golden(fmt, name):
+    payload = json.loads((GOLDEN / "report.json").read_text())
+    assert render_report(payload, fmt) == (GOLDEN / name).read_text()

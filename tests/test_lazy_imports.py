@@ -83,6 +83,27 @@ def test_the_protocols_do_not_load_the_analysis_reports():
     assert "repro.analysis.binomial" in out
 
 
+def test_an_invariant_checked_trial_does_not_load_the_ablation_harness():
+    """The delivery envelope needs the message prediction, which lives in
+    ``analysis.complexity``, beside the formulas it wraps."""
+    out = _run_clean(
+        """
+        import sys
+
+        from repro.experiments.runner import CellExecutor
+        from repro.experiments.spec import ExperimentSpec
+
+        cell = ExperimentSpec("ambush", "weak_coin", 4, [3], scenario="dealer-ambush")
+        executor = CellExecutor(cell)
+        assert executor.check_invariants
+        executor.run(3)
+        print(sorted(name for name in sys.modules if name.startswith("repro.analysis")))
+        """
+    )
+    assert "repro.analysis.complexity" in out
+    assert "repro.analysis.ablation" not in out and "repro.analysis.claims" not in out
+
+
 def test_every_analysis_export_is_importable_from_the_package():
     import repro.analysis as analysis
 
