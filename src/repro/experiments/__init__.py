@@ -21,9 +21,7 @@ from repro.experiments.runner import (
     CampaignInterrupted,
     CampaignProgress,
     run_campaign,
-    run_cell,
     run_seeds,
-    run_trial,
 )
 from repro.experiments.spec import (
     BehaviorSpec,
@@ -54,7 +52,5 @@ __all__ = [
     "SchedulerSpec",
     "WorkerSupervisor",
     "run_campaign",
-    "run_cell",
     "run_seeds",
-    "run_trial",
 ]

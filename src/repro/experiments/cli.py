@@ -5,7 +5,7 @@ Usage (also installed as the ``repro-experiments`` console script)::
     python -m repro.experiments run campaign.json --workers 4
     python -m repro.experiments report campaign.results.json
     python -m repro.experiments validate campaign.json
-    python -m repro.experiments ablate --rounds 3 --json ablation.json
+    python -m repro.experiments ablate --rounds 3 --format json > ablation.json
 
 ``run`` executes (or resumes) a campaign and persists per-cell aggregates to
 the ``--out`` JSON file; cells already present in the file with a matching
@@ -17,7 +17,8 @@ removes one cell first (the next ``run`` recomputes exactly that cell).
 ``ablate`` expands the factor registry of :mod:`repro.analysis.ablation`
 into a one-factor-out (or factorial) campaign, prints the per-factor
 contribution table and the claims report, and exits non-zero when a claim
-fails -- the CI claims gate.
+fails -- the CI claims gate.  Progress lines go to stderr, so stdout holds
+only the report.
 """
 
 from __future__ import annotations
@@ -54,13 +55,6 @@ from repro.experiments.report import (
 from repro.experiments.spec import CampaignSpec, ExecutionPolicy, FaultSpec
 from repro.experiments.store import ResultStore
 
-REPORT_FORMATS = ("text", "markdown", "json")
-
-
-def _default_out(campaign_path: Path) -> Path:
-    return campaign_path.with_name(campaign_path.stem + ".results.json")
-
-
 # ----------------------------------------------------------------------
 def _parse_int_list(text: Optional[str]) -> Optional[List[int]]:
     """``"0,2,5"`` -> ``[0, 2, 5]``; ``None``/``"all"`` -> ``None`` (no filter)."""
@@ -70,16 +64,6 @@ def _parse_int_list(text: Optional[str]) -> Optional[List[int]]:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise ExperimentError(f"expected a comma-separated int list: {exc}") from None
-
-
-def _cli_policy(args: argparse.Namespace) -> Optional[ExecutionPolicy]:
-    """Execution-policy override from CLI flags (None when no flag given)."""
-    policy = ExecutionPolicy(
-        trial_timeout_s=args.trial_timeout,
-        max_chunk_retries=args.max_chunk_retries,
-        fail_fast=True if args.fail_fast else None,
-    )
-    return policy if policy.to_dict() else None
 
 
 def _chunk_trials(text: str) -> int:
@@ -108,21 +92,39 @@ def _progress_printer(quiet: bool) -> Optional[Callable[[CampaignProgress], None
         print(
             f"[{event.completed}/{event.total}] {event.cell}: "
             f"{state} {event.cell_completed}/{event.cell_trials} trials",
+            file=sys.stderr,
             flush=True,
         )
 
     return report_progress
 
 
-def _print_failures(failures: Dict[str, Dict[str, Any]]) -> None:
-    print("\nquarantined cells:", file=sys.stderr)
-    for name, record in sorted(failures.items()):
+def _finish(failures: Dict[str, Dict[str, Any]], quarantined_status: int,
+            claims: Optional[Any] = None) -> int:
+    """The exit status of ``run`` / ``report`` / ``ablate``, its reasons on stderr.
+
+    A quarantined cell beats a refuted claim: its records are listed and
+    the verb's ``quarantined_status`` returned; a refuted claim is 1.
+    """
+    if failures:
+        print("\nquarantined cells:", file=sys.stderr)
+        for name, record in sorted(failures.items()):
+            print(
+                f"  {name}: chunk {record.get('chunk_index')} "
+                f"{record.get('kind')} after {record.get('attempts')} attempt(s): "
+                f"{record.get('error')}: {record.get('message')}",
+                file=sys.stderr,
+            )
         print(
-            f"  {name}: chunk {record.get('chunk_index')} "
-            f"{record.get('kind')} after {record.get('attempts')} attempt(s): "
-            f"{record.get('error')}: {record.get('message')}",
+            f"error: {len(failures)} cell(s) quarantined; the healthy cells "
+            f"completed -- re-run to retry the quarantined ones",
             file=sys.stderr,
         )
+        return quarantined_status
+    if claims is not None and not claims.passed:
+        print("error: paper claims refuted by the results", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -130,9 +132,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     campaign_path = Path(args.campaign)
     campaign = CampaignSpec.load(campaign_path)
-    out_path = Path(args.out) if args.out else _default_out(campaign_path)
-    if args.fresh and out_path.exists():
-        out_path.unlink()
+    out_path = Path(args.out or campaign_path.with_name(f"{campaign_path.stem}.results.json"))
+    if args.fresh:
+        out_path.unlink(missing_ok=True)
     store = ResultStore.open(out_path, recover_corrupt=args.recover_corrupt)
     if store.recovered_from is not None:
         print(
@@ -159,11 +161,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         store=store,
         progress=_progress_printer(args.quiet),
         chunk_trials=args.chunk_trials,
-        policy=_cli_policy(args),
+        # A flag left out is None, which inherits the campaign's policy.
+        policy=ExecutionPolicy(
+            trial_timeout_s=args.trial_timeout,
+            max_chunk_retries=args.max_chunk_retries,
+            fail_fast=args.fail_fast or None,
+        ),
         metrics=metrics,
     )
     if not args.quiet:
-        print()
+        print(file=sys.stderr)
         print(f"campaign {campaign.name!r}: {campaign.trials} trials, "
               f"{len(results)} cells -> {out_path}")
         summaries = {name: agg.summary() for name, agg in results.items()}
@@ -178,16 +185,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"{name.split('.', 1)[1]}: {value}"
                 for name, value in sorted(supervision.items())
             ))
-    failures = store.failures()
-    if failures:
-        _print_failures(failures)
-        print(
-            f"error: {len(failures)} cell(s) quarantined; healthy cells "
-            f"completed and were saved -- re-run to retry the quarantined ones",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+    return _finish(store.failures(), 3)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -222,13 +220,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print("\nin progress (checkpointed chunks): " + ", ".join(
                 f"{name}: {count} chunk(s)" for name, count in sorted(partial.items())
             ))
-    if failures:
-        _print_failures(failures)
-        return 1
-    if claims_report is not None and not claims_report.passed:
-        print("error: paper claims refuted by the results", file=sys.stderr)
-        return 1
-    return 0
+    return _finish(failures, 1, claims_report)
 
 
 def _select_factors(names: Optional[str], scenario: Optional[str]) -> List[Any]:
@@ -261,9 +253,9 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     two observation factors); ``--biased`` replaces the seed list with one
     seed repeated, a deliberately rigged coin that the bias claim must
     refute -- the smoke test that the claims gate actually fails.  Exit
-    status: 0 all claims hold, 1 a claim failed, 3 cells quarantined (a
-    quarantined baseline leaves no contribution table; the rest of the
-    report and the quarantine records are still printed).
+    status: 0 all claims hold, 1 a claim failed, 3 cells quarantined, arms
+    or ``--sweep`` cells alike (a quarantined baseline leaves no contribution
+    table; the rest of the report and the quarantine records are printed).
     """
     from repro.analysis.claims import evaluate_claims
 
@@ -276,10 +268,10 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         # below 1/2 - 0.25 (fewer trials cannot statistically refute the
         # bound, by design of the claim).
         seeds = [args.seed_base] * max(16, 2 * seeds_count)
-        factor_arg: Optional[str] = args.factors or ""
     else:
         seeds = list(range(args.seed_base, args.seed_base + seeds_count))
-        factor_arg = args.factors
+    # "" selects no factor: the baseline alone, a biased run's default.
+    factor_arg = (args.factors or "") if args.biased else args.factors
     protocol = args.protocol
     base_params: Dict[str, Any] = {}
     if args.scenario is not None:
@@ -288,10 +280,8 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         protocol = get_scenario(args.scenario).protocol
     if protocol == "coinflip":
         base_params["rounds"] = args.rounds
-    factors = (
-        [] if factor_arg == "" else _select_factors(factor_arg, args.scenario)
-    )
-    campaign = build_ablation_campaign(
+    factors = [] if factor_arg == "" else _select_factors(factor_arg, args.scenario)
+    arms = build_ablation_campaign(
         name=f"ablation-{args.scenario or protocol}-n{n}",
         protocol=protocol,
         n=n,
@@ -302,73 +292,46 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         scenario=args.scenario,
     )
 
-    store = None
-    if args.out:
-        store = ResultStore.open(Path(args.out))
-
-    report_progress = _progress_printer(args.quiet)
-    failures: Dict[str, Any] = {}
-    results = run_campaign(
-        campaign,
-        workers=args.workers,
-        store=store,
-        progress=report_progress,
-        chunk_trials=args.chunk_trials,
-        failures=failures,
-    )
-    contribution = (
-        contribution_table(results, factors)
-        if factors and BASELINE_CELL in results
-        else None
-    )
-
-    sweep_rows = None
+    # The --sweep cells join the arms: one run, one pool, one store, and one
+    # quarantine list that the exit status reads.
+    sweep = None
     if args.sweep:
-        sweep_campaign = build_attack_sweep(
-            name=f"{campaign.name}-sweep",
+        sweep = build_attack_sweep(
+            name=f"{arms.name}-sweep",
             scenarios=[name.strip() for name in args.sweep.split(",") if name.strip()],
             ns=_parse_int_list(args.sweep_ns) or [n],
             seeds=list(range(args.seed_base, args.seed_base + seeds_count)),
         )
-        sweep_results = run_campaign(
-            sweep_campaign,
-            workers=args.workers,
-            progress=report_progress,
-            chunk_trials=args.chunk_trials,
-        )
-        sweep_rows = sweep_table(sweep_campaign, sweep_results)
-        claims_campaign = CampaignSpec(
-            name=campaign.name, cells=campaign.cells + sweep_campaign.cells
-        )
-        claims_results = dict(results)
-        claims_results.update(sweep_results)
-    else:
-        claims_campaign, claims_results = campaign, results
-
-    claims_report = evaluate_claims(claims_campaign, claims_results)
+    campaign = CampaignSpec(
+        name=arms.name, cells=arms.cells + (sweep.cells if sweep else [])
+    )
+    failures: Dict[str, Any] = {}
+    results = run_campaign(
+        campaign,
+        workers=args.workers,
+        store=ResultStore.open(Path(args.out)) if args.out else None,
+        progress=_progress_printer(args.quiet),
+        chunk_trials=args.chunk_trials,
+        failures=failures,
+    )
+    records = {name: failure.to_record() for name, failure in failures.items()}
+    claims_report = evaluate_claims(campaign, results)
     payload = build_report(
         campaign.name,
-        claims_results,
-        contribution=contribution,
-        sweep=sweep_rows,
+        results,
+        contribution=(
+            contribution_table(results, factors)
+            if factors and BASELINE_CELL in results
+            else None
+        ),
+        sweep=sweep_table(sweep, results) if sweep else None,
         claims=claims_report,
-        failures={name: failure.to_record() for name, failure in failures.items()}
-        or None,
+        failures=records or None,
     )
-    if args.json:
-        Path(args.json).write_text(render_report(payload, "json"))
-        if not args.quiet:
-            print(f"report JSON -> {args.json}")
     if not args.quiet:
-        print()
+        print(file=sys.stderr)
     print(render_report(payload, args.format), end="")
-    if failures:
-        _print_failures({name: f.to_record() for name, f in failures.items()})
-        return 3
-    if not claims_report.passed:
-        print("error: paper claims refuted by the results", file=sys.stderr)
-        return 1
-    return 0
+    return _finish(records, 3, claims_report)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -417,22 +380,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         Path(args.metrics_json).write_text(_json.dumps(dump, indent=2) + "\n")
         if not args.quiet:
             print(f"metrics JSON -> {args.metrics_json}")
-    failed = False
+    errors = []
     if report.divergent:
-        print(
-            f"error: {len(report.divergent)} response(s) diverged from the "
-            f"cold rerun oracle -- a correctness failure",
-            file=sys.stderr,
+        errors.append(
+            f"{len(report.divergent)} response(s) diverged from the "
+            f"cold rerun oracle -- a correctness failure"
         )
-        failed = True
     if report.availability < args.min_availability:
-        print(
-            f"error: availability {report.availability:.4f} below the "
-            f"--min-availability floor {args.min_availability:g}",
-            file=sys.stderr,
+        errors.append(
+            f"availability {report.availability:.4f} below the "
+            f"--min-availability floor {args.min_availability:g}"
         )
-        failed = True
-    return 1 if failed else 0
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
+    return 1 if errors else 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -442,7 +403,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     duplicate cell names) run once every cell has passed.
     """
     campaign = CampaignSpec.load(Path(args.campaign))
-    problems: List[str] = []
+    refused = 0
     for cell in campaign.cells:
         try:
             # The cell's own fields, registry and scenario names
@@ -451,12 +412,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             CellExecutor(cell)
         except ExperimentError as exc:
             message = str(exc)
-            if not message.startswith("cell "):
-                message = f"cell {cell.name!r}: {message}"
-            problems.append(message)
-    if problems:
-        for line in problems:
-            print(f"error: {line}", file=sys.stderr)
+            prefix = "" if message.startswith("cell ") else f"cell {cell.name!r}: "
+            print(f"error: {prefix}{message}", file=sys.stderr)
+            refused += 1
+    if refused:
         return 1
     campaign.validate()
     print(
@@ -524,6 +483,8 @@ def _check_scenarios(args: argparse.Namespace) -> int:
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:
     """List, validate, inspect or smoke-run the named scenario library."""
+    from repro.obs.sinks import JsonlSink
+    from repro.obs.timeline import TimelineBuilder
     from repro.scenarios.engine import ScenarioRuntime, run_scenario
     from repro.scenarios.library import get_scenario, scenario_names
 
@@ -533,25 +494,26 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
     if args.check:
         if args.smoke or args.no_tracing or args.trace_jsonl or args.timeline:
-            print(
-                "error: --check runs its own trace-free trials; it only "
-                "combines with --run/--n/--seed/--check-seeds",
-                file=sys.stderr,
+            raise ExperimentError(
+                "--check runs its own trace-free trials; it only "
+                "combines with --run/--n/--seed/--check-seeds"
             )
-            return 2
         return _check_scenarios(args)
 
-    wants_sinks = bool(args.trace_jsonl or args.timeline)
-    if wants_sinks and not (args.run or args.smoke):
-        print("error: --trace-jsonl/--timeline require --run or --smoke",
-              file=sys.stderr)
-        return 2
-    if wants_sinks and args.no_tracing:
-        print("error: --trace-jsonl/--timeline need tracing; drop --no-tracing",
-              file=sys.stderr)
-        return 2
+    if (args.trace_jsonl or args.timeline) and not (args.run or args.smoke):
+        raise ExperimentError("--trace-jsonl/--timeline require --run or --smoke")
+    if (args.trace_jsonl or args.timeline) and args.no_tracing:
+        raise ExperimentError("--trace-jsonl/--timeline need tracing; drop --no-tracing")
 
     names = [args.run] if args.run else scenario_names()
+
+    def output(text: str, name: str) -> Path:
+        # One file per scenario when smoking the whole library.
+        path = Path(text)
+        if len(names) > 1:
+            path = path.with_name(f"{path.stem}.{name}{path.suffix}")
+        return path
+
     if args.run or args.smoke:
         failed = 0
         for name in names:
@@ -559,23 +521,9 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             # The runtime owns n-resolution (explicit --n beats the scale
             # preset beats the smoke default); report the n it resolved.
             n = ScenarioRuntime(spec, n=args.n).n
-            sinks: List[Any] = []
-            jsonl_sink = None
-            timeline = None
-            if args.trace_jsonl:
-                from repro.obs.sinks import JsonlSink
-
-                # One file per scenario when smoking the whole library.
-                path = Path(args.trace_jsonl)
-                if len(names) > 1:
-                    path = path.with_name(f"{path.stem}.{name}{path.suffix}")
-                jsonl_sink = JsonlSink(path)
-                sinks.append(jsonl_sink)
-            if args.timeline:
-                from repro.obs.timeline import TimelineBuilder
-
-                timeline = TimelineBuilder()
-                sinks.append(timeline)
+            jsonl_sink = JsonlSink(output(args.trace_jsonl, name)) if args.trace_jsonl else None
+            timeline = TimelineBuilder() if args.timeline else None
+            sinks = [sink for sink in (jsonl_sink, timeline) if sink is not None]
             try:
                 result = run_scenario(
                     spec,
@@ -600,21 +548,11 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             if jsonl_sink is not None:
                 print(f"  trace: {jsonl_sink.path} ({jsonl_sink.events_written} events)")
             if timeline is not None:
-                out = Path(args.timeline)
-                if len(names) > 1:
-                    out = out.with_name(f"{out.stem}.{name}{out.suffix}")
-                if args.timeline_format == "chrome":
-                    import json as _json
-
-                    out.write_text(
-                        _json.dumps(timeline.to_chrome_json(), indent=2, sort_keys=True)
-                        + "\n"
-                    )
-                else:
-                    # render_text() is newline-terminated and byte-identical
-                    # to an offline `python -m repro.obs timeline` rebuild.
-                    out.write_text(timeline.render_text())
-                print(f"  timeline: {out} ({args.timeline_format})")
+                # render_text() is newline-terminated and byte-identical to an
+                # offline `python -m repro.obs timeline` rebuild.
+                out = output(args.timeline, name)
+                out.write_text(timeline.render_text())
+                print(f"  timeline: {out}")
         return 1 if failed else 0
 
     rows = []
@@ -651,24 +589,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = sub.add_parser("run", help="run (or resume) a campaign")
-    run_parser.add_argument("campaign", help="path to a campaign JSON spec")
-    run_parser.add_argument(
-        "--out", help="results JSON path (default: <campaign>.results.json)"
+    # The flags several verbs share, each declared once.
+    campaign_arg = argparse.ArgumentParser(add_help=False)
+    campaign_arg.add_argument("campaign", help="path to a campaign JSON spec")
+    execution = argparse.ArgumentParser(add_help=False)
+    execution.add_argument(
+        "--out", metavar="PATH", default=None,
+        help="results JSON; cells already in it resume instead of re-running "
+             "(run's default: <campaign>.results.json)",
     )
-    run_parser.add_argument(
+    execution.add_argument(
         "--workers", type=int, default=1, help="worker processes (default: 1)"
     )
-    run_parser.add_argument(
-        "--chunk-trials",
-        type=_chunk_trials,
-        default=DEFAULT_CHUNK_TRIALS,
+    execution.add_argument(
+        "--chunk-trials", type=_chunk_trials, default=DEFAULT_CHUNK_TRIALS,
         help=f"seeds per dispatched chunk (default: {DEFAULT_CHUNK_TRIALS})",
+    )
+    execution.add_argument(
+        "--quiet", action="store_true", help="suppress the progress lines on stderr"
+    )
+    report_format = argparse.ArgumentParser(add_help=False)
+    report_format.add_argument(
+        "--format", choices=("text", "markdown", "json"), default="text",
+        help="report format on stdout (default: text; json follows the schema "
+             "in repro.obs.schema and validates with validate_report)",
+    )
+
+    run_parser = sub.add_parser(
+        "run", parents=[campaign_arg, execution], help="run (or resume) a campaign"
     )
     run_parser.add_argument(
         "--fresh", action="store_true", help="discard existing results instead of resuming"
     )
-    run_parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     run_parser.add_argument(
         "--trial-timeout", type=float, default=None, metavar="S",
         help="per-trial wall-clock budget; a chunk past timeout x chunk-size "
@@ -705,15 +657,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.set_defaults(handler=_cmd_run)
 
-    report_parser = sub.add_parser("report", help="summarise a results file")
+    report_parser = sub.add_parser(
+        "report", parents=[report_format], help="summarise a results file"
+    )
     report_parser.add_argument("results", help="path to a results JSON file")
     report_parser.add_argument(
         "--drop", metavar="CELL", help="delete one cell's result (forces recompute)"
-    )
-    report_parser.add_argument(
-        "--format", choices=REPORT_FORMATS, default="text",
-        help="output format (default: text; json follows the schema in "
-             "repro.obs.schema and validates with validate_report)",
     )
     report_parser.add_argument(
         "--campaign", metavar="SPEC", default=None,
@@ -725,6 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ablate_parser = sub.add_parser(
         "ablate",
+        parents=[execution, report_format],
         help="run a factor-ablation campaign, print the per-factor "
              "contribution table and machine-check the paper claims",
     )
@@ -770,33 +720,12 @@ def build_parser() -> argparse.ArgumentParser:
     ablate_parser.add_argument(
         "--sweep", metavar="SCEN,SCEN", default=None,
         help="also sweep these scenarios across --sweep-ns and the seed "
-             "range, reporting bias/disagreement/message ratios with 95%% CIs",
+             "range, in the same run as the arms, reporting "
+             "bias/disagreement/message ratios with 95%% CIs",
     )
     ablate_parser.add_argument(
         "--sweep-ns", metavar="N,N", default=None,
         help="party counts for --sweep (default: the ablation --n)",
-    )
-    ablate_parser.add_argument(
-        "--workers", type=int, default=1, help="worker processes (default: 1)"
-    )
-    ablate_parser.add_argument(
-        "--chunk-trials", type=_chunk_trials, default=DEFAULT_CHUNK_TRIALS,
-        help=f"seeds per dispatched chunk (default: {DEFAULT_CHUNK_TRIALS})",
-    )
-    ablate_parser.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="persist per-cell aggregates to this results JSON (resumable)",
-    )
-    ablate_parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the structured report JSON here (schema: repro.obs.schema)",
-    )
-    ablate_parser.add_argument(
-        "--format", choices=REPORT_FORMATS, default="text",
-        help="stdout format (default: text)",
-    )
-    ablate_parser.add_argument(
-        "--quiet", action="store_true", help="suppress progress output"
     )
     ablate_parser.set_defaults(handler=_cmd_ablate)
 
@@ -866,9 +795,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.set_defaults(handler=_cmd_serve)
 
     validate_parser = sub.add_parser(
-        "validate", help="check a campaign spec without running it"
+        "validate", parents=[campaign_arg],
+        help="check a campaign spec without running it",
     )
-    validate_parser.add_argument("campaign", help="path to a campaign JSON spec")
     validate_parser.set_defaults(handler=_cmd_validate)
 
     scenarios_parser = sub.add_parser(
@@ -912,12 +841,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenarios_parser.add_argument(
         "--timeline", metavar="PATH",
-        help="write a per-session timeline of the trial to PATH",
-    )
-    scenarios_parser.add_argument(
-        "--timeline-format", choices=("text", "chrome"), default="text",
-        help="timeline output format: human-readable text or Chrome "
-             "tracing JSON for chrome://tracing (default: text)",
+        help="write a per-session text timeline of the trial to PATH "
+             "(`python -m repro.obs timeline TRACE --format chrome` renders "
+             "a --trace-jsonl file for chrome://tracing)",
     )
     scenarios_parser.set_defaults(handler=_cmd_scenarios)
 
@@ -929,10 +855,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except (ExperimentError, ServiceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ExperimentError, ServiceError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CampaignInterrupted as exc:

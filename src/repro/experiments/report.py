@@ -233,13 +233,13 @@ def render_table(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
 
 
 def _markdown_table(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """GitHub-markdown table."""
+    """GitHub-markdown table; a ``|`` inside a cell (a sweep cell's name) is escaped."""
     lines = [
         "| " + " | ".join(header) + " |",
         "| " + " | ".join("---" for _ in header) + " |",
     ]
     for row in rows:
-        lines.append("| " + " | ".join(str(cell) for cell in row) + " |")
+        lines.append("| " + " | ".join(str(cell).replace("|", "\\|") for cell in row) + " |")
     return "\n".join(lines) + "\n"
 
 

@@ -118,10 +118,10 @@ def _check_chunk_trials(chunk_trials: Any) -> None:
 class CellExecutor:
     """One cell's trials with all per-trial setup amortised across a chunk.
 
-    ``run_trial`` used to resolve registry names, build behaviour factories
-    and (for scenarios) re-validate the whole spec *per seed*; for the short
-    trials the campaign layer exists to mass-produce, that setup rivals the
-    simulation itself.  An executor does it once per chunk:
+    Resolving registry names, building behaviour factories and (for
+    scenarios) re-validating the whole spec *per seed* would rival the
+    simulation itself for the short trials the campaign layer exists to
+    mass-produce.  An executor does it once per chunk:
 
     * runner lookup, parameter normalisation and behaviour factories are
       resolved in ``__init__`` and reused for every seed;
@@ -244,43 +244,21 @@ class CellExecutor:
         return result
 
 
-def run_trial(cell: ExperimentSpec, seed: int) -> SimulationResult:
-    """Run one trial of ``cell``: resolve registry names, build, simulate.
-
-    One-shot convenience wrapper; loops should build a :class:`CellExecutor`
-    once and call :meth:`CellExecutor.run` per seed.
-    """
-    return CellExecutor(cell).run(seed)
-
-
-def _run_cell_chunk(task: Tuple[int, Dict[str, Any], List[int]]) -> Tuple[int, Dict[str, Any]]:
-    """Run one chunk of one cell's seeds (the chunk-execution primitive).
+def _run_cell_chunk(cell_dict: Dict[str, Any], seeds: Sequence[int]) -> Dict[str, Any]:
+    """Run one chunk of one cell's seeds; return its aggregate's transport dict.
 
     Takes and returns plain picklable data (the cell as a dict, the aggregate
-    as a dict) so it works under both fork and spawn start methods.  The
-    sequential path calls this exact function inline, which is what makes
-    parallel and sequential campaigns bit-identical by construction.  Chaos
-    faults are injected one level up (``supervisor.execute_chunk``), never
-    here, so ``run_cell`` and direct callers stay fault-free.
+    as a dict), so a chunk travels to a worker under fork or spawn.  Both
+    the inline and the pooled path reach it through
+    ``supervisor.execute_chunk``, which is what makes parallel and sequential
+    campaigns bit-identical by construction; chaos faults fire there, before
+    this runs.
     """
-    index, cell_dict, seeds = task
     executor = CellExecutor(ExperimentSpec.from_dict(cell_dict))
     aggregate = TrialAggregate()
     for seed in seeds:
         aggregate.add(executor.run(seed))
-    return index, aggregate.to_transport_dict()
-
-
-def run_cell(cell: ExperimentSpec, chunk_trials: int = DEFAULT_CHUNK_TRIALS) -> TrialAggregate:
-    """Run every trial of one cell sequentially and return its aggregate."""
-    _check_chunk_trials(chunk_trials)
-    cell.validate()
-    merged = TrialAggregate.empty()
-    cell_dict = cell.to_dict()
-    for index, chunk in enumerate(_chunks(cell.seeds, chunk_trials)):
-        _, chunk_dict = _run_cell_chunk((index, cell_dict, chunk))
-        merged = merged.merge(TrialAggregate.from_transport_dict(chunk_dict))
-    return merged
+    return aggregate.to_transport_dict()
 
 
 # ----------------------------------------------------------------------

@@ -25,8 +25,7 @@ Store schema v2 adds two sections next to ``cells``:
   (resuming their healthy chunks from ``partial``) and a success clears the
   record.
 
-Version 1 stores are migrated in memory on load (the two new sections start
-empty) and rewritten as v2 on the next :meth:`~ResultStore.save`.
+A store of any other version, v1 included, is refused on load.
 
 Resume protocol (used by :func:`repro.experiments.runner.run_campaign`):
 
@@ -166,23 +165,12 @@ class ResultStore:
             self._data = self._fresh()
             return
         version = data.get("version")
-        if version == 1:
-            data = self._migrate_v1(data)
-        elif version != STORE_VERSION:
+        if version != STORE_VERSION:
             raise ExperimentError(
                 f"{self.path}: unsupported store version {version!r} "
                 f"(expected {STORE_VERSION})"
             )
         self._data = data
-
-    @staticmethod
-    def _migrate_v1(data: Dict[str, Any]) -> Dict[str, Any]:
-        """v1 -> v2: cells carry over; chunk/failure sections start empty."""
-        upgraded = dict(data)
-        upgraded["version"] = STORE_VERSION
-        upgraded.setdefault("partial", {})
-        upgraded.setdefault("failures", {})
-        return upgraded
 
     def save(self) -> None:
         """Atomically write the store (write temp file, then rename).

@@ -126,8 +126,7 @@ def execute_chunk(task: ChunkTask) -> Any:
 
         fault = task.cell_dict.get("fault")
         inject_fault(fault, task.chunk_index, task.attempt)
-        _, payload = _run_cell_chunk((task.chunk_index, task.cell_dict, task.seeds))
-        return payload
+        return _run_cell_chunk(task.cell_dict, task.seeds)
     aggregate = TrialAggregate()
     for seed in task.seeds:
         aggregate.add(task.callable_runner(seed=seed, **task.runner_kwargs))

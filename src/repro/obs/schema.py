@@ -198,9 +198,9 @@ def validate_jsonl(path: Any, max_problems: int = 20) -> Tuple[int, List[str]]:
 # ----------------------------------------------------------------------
 # Structured campaign reports
 #
-# ``repro-experiments report --format json`` and ``ablate --json`` emit one
-# JSON object per campaign with this shape (top-level keys marked (opt) are
-# present only when the corresponding analysis ran):
+# ``repro-experiments report --format json`` and ``ablate --format json``
+# emit one JSON object per campaign with this shape (top-level keys marked
+# (opt) are present only when the corresponding analysis ran):
 #
 #     {
 #       "report_version": 1,

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ServiceError
+from repro.experiments import params as schema
 from repro.experiments.backoff import DEFAULT_BACKOFF_BASE_S
 from repro.experiments.pool import POLL_INTERVAL_S, WorkerPool
 from repro.obs.metrics import MetricsRegistry, summarize_histogram
@@ -90,13 +91,23 @@ class ServicePolicy:
     drain_timeout_s: float = 30.0
     shed_retry_after_s: float = 0.05
 
+    #: Each field's check: counts are ints, delays are positive seconds.
+    FIELDS = {
+        "shards": schema.Int(1),
+        "queue_depth": schema.Int(1),
+        "request_timeout_s": schema.Real(0, null=True),
+        "max_retries": schema.Int(0),
+        "backoff_base_s": schema.Real(0, lo_closed=True),
+        "heartbeat_interval_s": schema.Real(0),
+        "heartbeat_timeout_s": schema.Real(0),
+        "drain_timeout_s": schema.Real(0),
+        "shed_retry_after_s": schema.Real(0),
+    }
+
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ServiceError(f"policy needs >= 1 shard, got {self.shards}")
-        if self.queue_depth < 1:
-            raise ServiceError(f"queue_depth must be >= 1, got {self.queue_depth}")
-        if self.max_retries < 0:
-            raise ServiceError(f"max_retries must be >= 0, got {self.max_retries}")
+        problem = schema.problem(self.FIELDS, vars(self), None, "{}")
+        if problem is not None:
+            raise ServiceError(f"policy: {problem}")
 
 
 @dataclass

@@ -156,25 +156,25 @@ class TestReportCli:
 
 class TestAblateCli:
     def test_quick_shape_honest_run_passes(self, tmp_path, capsys):
-        json_path = tmp_path / "ablation.json"
-        code = main(
-            [
-                "ablate",
-                "--n", "4",
-                "--seeds", "3",
-                "--rounds", "1",
-                "--factors", "trace_free,metering",
-                "--quiet",
-                "--json", str(json_path),
-            ]
-        )
+        args = [
+            "ablate",
+            "--n", "4",
+            "--seeds", "3",
+            "--rounds", "1",
+            "--factors", "trace_free,metering",
+            "--quiet",
+            "--out", str(tmp_path / "ablation.results.json"),
+        ]
+        code = main(args + ["--format", "json"])
         assert code == 0
-        payload = json.loads(json_path.read_text())
+        payload = json.loads(capsys.readouterr().out)
         assert validate_report(payload) == []
         assert set(payload["cells"]) == {"baseline", "no-trace_free", "no-metering"}
         contribution = {row["cell"]: row for row in payload["contribution"]}
         assert contribution["no-trace_free"]["stats_identical"] is True
         assert payload["claims"]["passed"] is True
+        # The text report of the same run: every cell resumes from --out.
+        assert main(args) == 0
         out = capsys.readouterr().out
         assert "per-factor contribution" in out
 
@@ -204,10 +204,10 @@ class TestAblateCli:
             "--out", str(out_path),
         ]
         assert main(args) == 0
-        first = capsys.readouterr().out
+        first = capsys.readouterr().err
         assert "ran 2/2 trials" in first
         assert main(args) == 0
-        second = capsys.readouterr().out
+        second = capsys.readouterr().err
         assert "resumed 2/2" in second
 
     def test_quarantined_baseline_is_reported_not_hidden(self, capsys):
@@ -234,3 +234,56 @@ class TestAblateCli:
         assert "claims: ablation-restart-storm-n16" in captured.out
         assert "per-factor contribution" not in captured.out
         assert "no-scenario_timeline" in captured.out
+
+    def test_a_quarantined_sweep_cell_is_reported_not_hidden(self, capsys):
+        """The sweep runs in the arms' campaign, so its quarantined cell is
+        listed and exits 3 like a quarantined arm -- not an empty sweep
+        table under a passing verdict."""
+        code = main(
+            [
+                "ablate",
+                "--n", "16",
+                "--seeds", "1",
+                "--seed-base", "1045604035",
+                "--rounds", "1",
+                "--factors", "",
+                "--sweep", "restart-storm",
+                "--quiet",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "restart-storm|n=16: chunk 0 exception" in captured.err
+        assert "network is quiescent" in captured.err
+
+    def test_json_stdout_parses_with_progress_on(self, capsys):
+        """Progress goes to stderr, so ``--format json`` stdout is the
+        payload alone, ``--quiet`` or not."""
+        code = main(
+            ["ablate", "--n", "4", "--seeds", "2", "--rounds", "1",
+             "--factors", "trace_free", "--format", "json"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        payload = json.loads(captured.out)
+        assert validate_report(payload) == []
+        assert "[2/4] baseline: ran 2/2 trials" in captured.err
+
+    def test_the_store_holds_the_sweep_cells(self, tmp_path, capsys):
+        out_path = tmp_path / "ablation.results.json"
+        args = [
+            "ablate",
+            "--scenario", "dealer-ambush",
+            "--n", "4",
+            "--seeds", "2",
+            "--factors", "trace_free",
+            "--sweep", "dealer-ambush",
+            "--out", str(out_path),
+        ]
+        assert main(args) == 0
+        assert set(ResultStore.open(out_path).cell_names()) == {
+            "baseline", "no-trace_free", "dealer-ambush|n=4",
+        }
+        capsys.readouterr()
+        assert main(args) == 0
+        assert "[6/6] dealer-ambush|n=4: resumed 2/2" in capsys.readouterr().err

@@ -12,6 +12,7 @@ markdown renderings; the JSON rendering is the file itself.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,19 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_rendering_matches_golden(fmt, name):
     payload = json.loads((GOLDEN / "report.json").read_text())
     assert render_report(payload, fmt) == (GOLDEN / name).read_text()
+
+
+def test_every_markdown_row_has_as_many_cells_as_its_header():
+    """A ``|`` inside a cell (every sweep cell is ``<scenario>|n=<n>``) is
+    escaped, so no row of a markdown table has more columns than its header."""
+    tables, table = [], []
+    for line in (GOLDEN / "report.md").read_text().splitlines() + [""]:
+        if line.startswith("|"):
+            table.append(re.split(r"(?<!\\)\|", line)[1:-1])
+        elif table:
+            tables.append(table)
+            table = []
+    assert len(tables) >= 5
+    for header, *rows in tables:
+        for row in rows:
+            assert len(row) == len(header), row

@@ -13,7 +13,7 @@ from repro.core.results import TrialAggregate
 from repro.errors import ExperimentError
 from repro.experiments.cli import main
 from repro.experiments.registry import FAULTS, RUNNERS, fault_problem, inject_fault
-from repro.experiments.runner import run_campaign, run_cell, run_seeds, run_trial
+from repro.experiments.runner import CellExecutor, run_campaign, run_seeds
 from repro.experiments.spec import (
     BehaviorSpec,
     CampaignSpec,
@@ -54,21 +54,21 @@ def _campaign() -> CampaignSpec:
 
 
 class TestTrialAndCell:
-    def test_run_trial_resolves_registry_names(self):
-        result = run_trial(_acast_cell(), seed=0)
+    def test_executor_resolves_registry_names(self):
+        result = CellExecutor(_acast_cell()).run(0)
         assert result.agreed_value == "v"
 
-    def test_run_trial_applies_corruptions(self):
-        result = run_trial(_acast_cell(adversary={3: BehaviorSpec("crash")}), seed=0)
+    def test_executor_applies_corruptions(self):
+        result = CellExecutor(_acast_cell(adversary={3: BehaviorSpec("crash")})).run(0)
         assert 3 not in result.outputs
 
-    def test_run_cell_matches_trial_by_trial_execution(self):
+    def test_campaign_matches_trial_by_trial_execution(self):
         cell = _acast_cell(seeds=range(5))
-        stats = run_cell(cell, chunk_trials=2)
+        stats = run_campaign(CampaignSpec(name="one", cells=[cell]), chunk_trials=2)
         expected = TrialAggregate()
         for seed in cell.seeds:
-            expected.add(run_trial(cell, seed))
-        assert stats.to_dict() == expected.to_dict()
+            expected.add(CellExecutor(cell).run(seed))
+        assert stats["acast"].to_dict() == expected.to_dict()
 
     def test_unknown_protocol_fails_before_running(self):
         campaign = CampaignSpec(name="bad", cells=[_acast_cell(protocol="nope")])
@@ -248,7 +248,7 @@ class TestTrialAndCell:
                 name="svss", protocol="svss", n=4, seeds=[1], scheduler=spec,
                 params={"secret": 5},
             )
-            return run_trial(cell, 1).network.step_count
+            return CellExecutor(cell).run(1).network.step_count
 
         assert steps(selector) == steps([3]) != steps(None)
 
@@ -611,7 +611,7 @@ class TestTrialAndCell:
             name="free-form", protocol="downstream", n=4, seeds=[0],
             params={"roundz": 1, "anything": {"goes": True}},
         )
-        assert run_trial(cell, 0).agreed_value == "v"
+        assert CellExecutor(cell).run(0).agreed_value == "v"
         (params,) = seen
         assert params["roundz"] == 1 and params["anything"] == {"goes": True}
 
@@ -758,11 +758,10 @@ class TestChunkSize:
             assert not store.lock_path.exists()
 
     @pytest.mark.parametrize("size", [0, -3, "x"])
-    @pytest.mark.parametrize("entry", ["campaign", "cell", "run_many", "run_many_inline"])
+    @pytest.mark.parametrize("entry", ["campaign", "run_many", "run_many_inline"])
     def test_a_chunk_size_below_one_is_refused(self, entry, size, tmp_path):
         run = {
             "campaign": lambda: self._campaign_with_store(tmp_path, size),
-            "cell": lambda: run_cell(_acast_cell(), chunk_trials=size),
             "run_many": lambda: api.run_many(
                 api.run_weak_coin, range(4), n=4, workers=2, chunk_trials=size
             ),

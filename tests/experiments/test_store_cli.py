@@ -104,9 +104,9 @@ class TestCli:
         assert main(["run", str(campaign_path), "--out", out]) == 0
         capsys.readouterr()
         assert main(["run", str(campaign_path), "--out", out]) == 0
-        assert "resumed 2/2" in capsys.readouterr().out
+        assert "resumed 2/2" in capsys.readouterr().err
         assert main(["run", str(campaign_path), "--out", out, "--fresh"]) == 0
-        assert "ran 2/2" in capsys.readouterr().out
+        assert "ran 2/2" in capsys.readouterr().err
 
     def test_report_and_drop(self, campaign_path, capsys):
         out = str(campaign_path.parent / "out.json")

@@ -8,8 +8,8 @@ import pytest
 
 from repro.core.results import TrialAggregate
 from repro.errors import ExperimentError
-from repro.experiments.runner import _run_cell_chunk, run_cell
-from repro.experiments.spec import ExperimentSpec
+from repro.experiments.runner import _run_cell_chunk, run_campaign
+from repro.experiments.spec import CampaignSpec, ExperimentSpec
 from repro.experiments.store import STORE_VERSION, ResultStore
 
 
@@ -31,32 +31,25 @@ def _aggregate() -> TrialAggregate:
     return aggregate
 
 
-class TestMigration:
-    def test_v1_store_loads_and_rewrites_as_v2(self, tmp_path):
+class TestVersion:
+    def test_a_v1_store_is_refused(self, tmp_path):
+        """v1 has no upgrade path: its file is refused, not rewritten."""
         path = tmp_path / "old.json"
-        aggregate = _aggregate()
         v1 = {
             "version": 1,
             "campaign": "legacy",
             "cells": {
                 "bcast": {
                     "spec_hash": "abcd",
-                    "aggregate": aggregate.to_dict(),
+                    "aggregate": _aggregate().to_dict(),
                     "elapsed_s": 1.5,
                 }
             },
         }
         path.write_text(json.dumps(v1))
-
-        store = ResultStore.open(path)
-        assert store.campaign == "legacy"
-        assert store.has_cell("bcast", "abcd")
-        assert store.get("bcast").to_dict() == aggregate.to_dict()
-        assert store.partial_cells() == {}
-        assert store.failures() == {}
-
-        store.save()
-        assert json.loads(path.read_text())["version"] == STORE_VERSION
+        with pytest.raises(ExperimentError, match="unsupported store version 1"):
+            ResultStore.open(path)
+        assert json.loads(path.read_text()) == v1
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "future.json"
@@ -205,7 +198,9 @@ class TestMergeDeterminism:
         """Checkpoints landing in any order (retries, slow workers) merge --
         sorted by chunk index -- to the exact sequential aggregate."""
         cell = _cell(seeds=range(5))
-        expected = run_cell(cell, chunk_trials=2).to_dict()
+        expected = run_campaign(
+            CampaignSpec(name="merge", cells=[cell]), chunk_trials=2
+        )["bcast"].to_dict()
 
         cell_dict = cell.to_dict()
         seed_chunks = [[0, 1], [2, 3], [4]]
@@ -213,7 +208,7 @@ class TestMergeDeterminism:
         store = ResultStore.open(path)
         # Land the chunks out of order, as a chaotic parallel run would.
         for index in (2, 0, 1):
-            _, transport = _run_cell_chunk((index, cell_dict, seed_chunks[index]))
+            transport = _run_cell_chunk(cell_dict, seed_chunks[index])
             store.put_chunk("bcast", cell.spec_hash(), index, seed_chunks[index], transport)
         store.save()
 

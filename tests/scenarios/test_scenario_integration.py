@@ -9,7 +9,7 @@ import pytest
 from repro.core.config import max_faults
 from repro.errors import ExperimentError
 from repro.experiments.cli import main as cli_main
-from repro.experiments.runner import CellExecutor, run_campaign, run_trial
+from repro.experiments.runner import CellExecutor, run_campaign
 from repro.experiments.spec import BehaviorSpec, CampaignSpec, ExperimentSpec
 from repro.scenarios.engine import run_scenario
 from repro.scenarios.library import scenario_names
@@ -54,12 +54,12 @@ class TestCampaignIntegration:
             name: agg.to_dict() for name, agg in parallel.items()
         }
 
-    def test_executor_matches_one_shot_run_trial(self):
+    def test_executor_matches_a_fresh_executor_per_trial(self):
         cell = _cell(seeds=[0, 1, 2, 3])
         executor = CellExecutor(cell)
         for seed in cell.seeds:
             batched = executor.run(seed)
-            one_shot = run_trial(cell, seed)
+            one_shot = CellExecutor(cell).run(seed)
             assert batched.outputs == one_shot.outputs
             assert batched.steps == one_shot.steps
             assert batched.trace.messages_sent == one_shot.trace.messages_sent

@@ -184,3 +184,26 @@ class TestLifecycle:
             ServicePolicy(queue_depth=0)
         with pytest.raises(ServiceError):
             ServicePolicy(max_retries=-1)
+        # Every field is checked as written, by the one schema.
+        for field, value in [
+            ("request_timeout_s", -1), ("request_timeout_s", 0),
+            ("heartbeat_interval_s", 0), ("heartbeat_timeout_s", -5.0),
+            ("drain_timeout_s", 0), ("shed_retry_after_s", -0.05),
+            ("backoff_base_s", -0.01), ("heartbeat_interval_s", "2"),
+            ("shards", True), ("queue_depth", 1.5), ("max_retries", False),
+        ]:
+            with pytest.raises(ServiceError, match=f"policy: {field} must be"):
+                ServicePolicy(**{field: value})
+        assert ServicePolicy(shards=2, queue_depth=64).queue_depth == 64
+        assert ServicePolicy(backoff_base_s=0, request_timeout_s=None).backoff_base_s == 0
+
+    def test_serve_refuses_a_negative_timeout_before_starting(self, capsys):
+        from repro.experiments.cli import main
+
+        code = main(["serve", "--requests", "4", "--shards", "1",
+                     "--timeout", "-1", "--quiet"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: policy: request_timeout_s must be")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert no_leaked_children()
