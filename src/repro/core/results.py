@@ -63,7 +63,9 @@ class TrialAggregate:
     total_shun_events: int = 0
     total_dropped: int = 0
     #: Scenario-director action counts (corrupt/silence/recover/...), summed
-    #: over the trials that ran under a director.
+    #: over the trials that ran under a director.  A party counts one
+    #: ``corrupt`` a trial: the director logs it again when it re-corrupts a
+    #: party it restarted, and its budget charges that party once.
     director_actions: Counter = field(default_factory=Counter)
     #: Structured-metrics counter totals from trials run with a registry.
     #: Includes the per-network crypto-plane cache deltas folded in under
@@ -102,7 +104,12 @@ class TrialAggregate:
         self.total_elapsed_s += getattr(result, "elapsed_s", 0.0)
         director = result.network.director
         if director is not None:
-            for _step, action, _pid, _detail in getattr(director, "actions", ()):
+            corrupted = set()
+            for _step, action, pid, _detail in getattr(director, "actions", ()):
+                if action == "corrupt":
+                    if pid in corrupted:
+                        continue
+                    corrupted.add(pid)
                 self.director_actions[action] += 1
         if result.metrics is not None:
             self.metric_counters.update(result.metrics.get("counters", {}))

@@ -13,11 +13,11 @@ JSON.  The three registries here resolve those names:
   ``delay_protocol``, ``favour_parties``, ``split_brain``) as alias rows
   over their targets.
 
-Every row declares its params as typed fields (:mod:`repro.experiments.params`)
+Every row declares its params as typed fields (:mod:`repro.schema`)
 when it is registered, and they are checked against the cell's ``n`` at
 validation.  Downstream code can extend any registry the same way::
 
-    from repro.experiments.params import Int, Pid
+    from repro.schema import Int, Pid
 
     @RUNNERS.register("my_protocol", fields={"leader": Pid(), "rounds": Int(1)})
     def run_my_protocol(n, leader, rounds=1, seed=0, **world):
@@ -42,11 +42,11 @@ import time
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro import schema
 from repro.adversary import attacks, behaviors
 from repro.core import api
 from repro.core.config import ProtocolParams
 from repro.errors import ConfigurationError, ExperimentError, FaultInjectionError
-from repro.experiments import params as schema
 from repro.experiments.spec import BehaviorSpec, SchedulerSpec, party_key
 from repro.net import scheduler as net_scheduler
 
@@ -172,7 +172,7 @@ RUNNER_FIELDS: Dict[str, schema.Field] = {
     "sender": schema.Pid(),
     "dealer": schema.Pid(),
     "secret": schema.Int(),
-    "ready_parties": schema.PidList(),
+    "ready_parties": schema.ListOf(schema.Pid()),
     "epsilon": schema.Real(0, 0.5),
     "rounds": schema.Int(1),
     "coinflip_rounds": schema.Int(1),
@@ -215,14 +215,15 @@ for _name, _builder, _fields in [
     ("random_noise", behaviors.RandomNoiseBehavior, {"burst": schema.Int(0)}),
     ("equivocating", behaviors.EquivocatingBehavior,
      {"value_for_low": schema.Value(), "value_for_high": schema.Value()}),
-    ("withholding_dealer", attacks.WithholdingDealerBehavior, {"victims": schema.PidList()}),
+    ("withholding_dealer", attacks.WithholdingDealerBehavior,
+     {"victims": schema.ListOf(schema.Pid())}),
     ("bad_share", attacks.BadShareBehavior,
-     {"victims": schema.PidList(null=True), "offset": schema.Int()}),
+     {"victims": schema.ListOf(schema.Pid(), null=True), "offset": schema.Int()}),
     ("point_corrupting", attacks.PointCorruptingBehavior, {"offset": schema.Int()}),
     ("deterministic_value_dealer", attacks.DeterministicValueDealer, {"value": schema.Int(0, 1)}),
     ("fba_value_injector", attacks.FBAValueInjector, {"value": schema.Value()}),
     ("split_equivocator", attacks.SplitBrainEquivocator,
-     {"offset": schema.Int(), "kinds": schema.StrList(null=True)}),
+     {"offset": schema.Int(), "kinds": schema.ListOf(schema.Str(), null=True)}),
 ]:
     BEHAVIORS.add(_name, _builder.factory, fields=_fields)
 
@@ -264,7 +265,7 @@ def _fault_sigkill() -> None:
 
 #: When a fault fires: the chunk indices and dispatch attempts it hits
 #: (consumed by :func:`inject_fault`, never passed to the fault itself).
-FAULT_SELECTORS = dict.fromkeys(("chunks", "attempts"), schema.IntList(0, null=True))
+FAULT_SELECTORS = dict.fromkeys(("chunks", "attempts"), schema.ListOf(schema.Int(0), null=True))
 
 # No builder refuses a misspelt fault param before the fault fires: closed.
 for _name, _fault, _fields in [

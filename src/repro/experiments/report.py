@@ -1,7 +1,7 @@
 """Structured campaign reports: one canonical payload, three renderings.
 
 The CLI's ``report`` and ``ablate`` commands both build the same JSON-shaped
-payload (schema documented and validated in :mod:`repro.obs.schema`) and then
+payload (declared as :data:`repro.obs.schema.REPORT`) and then
 render it as fixed-width text, GitHub markdown, or raw JSON.  Keeping the
 payload canonical means CI can validate one artifact, the claims gate reads
 the same numbers humans see, and the renderings cannot drift apart: text and
@@ -69,7 +69,7 @@ def build_report(
     claims: Optional[Any] = None,
     failures: Optional[Mapping[str, Mapping[str, Any]]] = None,
 ) -> Dict[str, Any]:
-    """Assemble the canonical report payload (see :mod:`repro.obs.schema`).
+    """Assemble the canonical report payload (:data:`repro.obs.schema.REPORT`).
 
     ``contribution`` / ``sweep`` are the plain-dict rows of
     :func:`~repro.analysis.ablation.contribution_table` /

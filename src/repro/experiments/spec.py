@@ -33,8 +33,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro import schema
 from repro.errors import ExperimentError
-from repro.experiments import params as schema
 
 
 def canonical_json(data: Any) -> str:
@@ -281,7 +281,7 @@ class ExperimentSpec(JsonSpec):
         "name": schema.Name(),
         "protocol": schema.Name(),
         "n": schema.Int(1),
-        "seeds": schema.IntList(nonempty=True),
+        "seeds": schema.ListOf(schema.Int(), nonempty=True),
         # Runner arguments the spec supplies through dedicated fields.
         "params": schema.JsonObject(
             reserved=("n", "seed", "seeds", "scheduler", "corruptions")

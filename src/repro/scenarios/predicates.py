@@ -28,13 +28,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+from repro import schema
 from repro.core.config import max_faults
 from repro.errors import ExperimentError
-from repro.experiments import params as schema
-from repro.experiments.params import is_int
 from repro.net.message import SessionId
 from repro.net.queues import everyone
 from repro.net.scheduler import NOBODY, Filter
+from repro.schema import is_int
 
 #: A party selector: an int, an explicit pid list, or a keyword mapping.
 PartySelector = Any
@@ -209,8 +209,8 @@ def validate_session_pattern(pattern: Any) -> None:
 PREDICATE_FIELDS = {
     "senders": schema.PartySelector(),
     "receivers": schema.PartySelector(),
-    "roots": schema.StrList(),
-    "kinds": schema.StrList(),
+    "roots": schema.ListOf(schema.Str()),
+    "kinds": schema.ListOf(schema.Str()),
     "session": schema.SessionPattern(),
 }
 

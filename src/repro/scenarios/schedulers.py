@@ -12,7 +12,7 @@ here is a :class:`~repro.net.scheduler.Filter` (or, for a priority, a
 :class:`~repro.net.queues.FanoutForm`), asked once per fan-out.
 
 Every builder takes plain JSON-shaped parameters, declared as typed fields
-on its registry row (:mod:`repro.experiments.params`).  They are checked and
+on its registry row (:mod:`repro.schema`).  They are checked and
 resolved against a concrete ``n`` by
 :func:`~repro.experiments.registry.resolve_scheduler` -- called by the
 scenario runtime and by a campaign cell's executor before the build -- so a
@@ -30,7 +30,7 @@ import json
 import random
 from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
-from repro.experiments import params as schema
+from repro import schema
 from repro.experiments.registry import SCHEDULERS, STEP_BUDGET
 from repro.net.message import Message
 from repro.net.queues import ClassRankQueue, DeliveryQueue, FanoutForm, everyone
@@ -310,8 +310,8 @@ GROUPS = {"group_a": schema.PartySelector(), "group_b": schema.PartySelector(),
 for _name, _builder, _fields in [
     ("targeted_delay", targeted_delay, {
         "victims": schema.PartySelector(null=True),
-        "roots": schema.StrList(null=True),
-        "kinds": schema.StrList(null=True),
+        "roots": schema.ListOf(schema.Str(), null=True),
+        "kinds": schema.ListOf(schema.Str(), null=True),
         "max_delay_steps": STEP_BUDGET,
     }),
     ("reactive", reactive, {}),

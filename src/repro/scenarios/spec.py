@@ -31,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
+from repro import schema
 from repro.errors import ExperimentError
-from repro.experiments import params as schema
 from repro.experiments.spec import BehaviorSpec, JsonSpec, SchedulerSpec
 from repro.scenarios.predicates import validate_message_predicate, validate_party_selector
 from repro.scenarios.presets import preset_for
@@ -58,7 +58,7 @@ SCHEDULER_ACTION_OPS = ("boost", "delay", "clear")
 #: The fields of a tamper spec: channel matches (all optional, conjunctive)
 #: and payload mutations (at least one required).
 TAMPER_FIELDS = {
-    "kinds": schema.StrList(),
+    "kinds": schema.ListOf(schema.Str()),
     "receivers": schema.PartySelector(),
     "session": schema.SessionPattern(),
     "offset": schema.Int(nonzero=True),

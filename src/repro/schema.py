@@ -1,23 +1,28 @@
-"""One parameter schema for every outside input.
+"""One schema for every outside input and every emitted payload.
 
 Campaign cells, policies, beacon requests, scenario and tamper specs and the
-params of the four registries arrive as plain JSON.  Each param is declared
-once, as a typed :class:`Field` in a table such as
+params of the four registries arrive as plain JSON; trace events, campaign
+reports and beacon metrics dumps leave as JSON (their tables are in
+:mod:`repro.obs.schema`).  Each key is declared once, as a typed
+:class:`Field` in a table such as
 ``{"victims": PartySelector(null=True), "max_delay_steps": Int(0, null=True)}``,
-and one walker, :func:`problem`, names the first value its field refuses
-(``param 'burst' must be a non-negative integer, got '2'``); the caller
-prefixes its row and cell.  Values are checked as written: ``True`` and
-``1.5`` are not integers, ``"false"`` is not a boolean.  Rules that span
-params (disjoint groups, a prime above ``n``, the corruption budget) stay
-with their callers.  ``n`` is the run's party count, or None where none is
-known yet (a scenario's timeline): party ids are then only shape-checked.
+and one walker, :func:`problems`, names every value its field refuses
+(``param 'burst' must be a non-negative integer, got '2'``) and every
+``required`` key that is absent; :func:`problem` names the first.  The
+caller prefixes its row and cell.  A nested refusal is named by its path
+(``cells['c'].trials must be ...``).  Values are checked as written:
+``True`` and ``1.5`` are not integers, ``"false"`` is not a boolean.  Rules
+that span keys (disjoint groups, a prime above ``n``, the corruption budget,
+request conservation) stay with their callers.  ``n`` is the run's party
+count, or None where none is known (a scenario's timeline, an emitted
+payload): party ids are then only shape-checked.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import ExperimentError
 
@@ -41,8 +46,19 @@ def _pids(n: Optional[int]) -> str:
     return "party ids" if n is None else f"party ids in 0..{n - 1}"
 
 
+def _nested(why: str) -> bool:
+    """Whether a refusal is named by a path inside the value (``[0].status ...``)."""
+    return why[:1] in ".["
+
+
+def _at(path: str, why: str) -> str:
+    """``why`` said of ``path``; a nested refusal continues the path."""
+    return path + why if _nested(why) else f"{path} {why}"
+
+
 class Field:
-    """The check of one param; ``null=True`` also accepts None (JSON null).
+    """The check of one key; ``null=True`` also accepts None (JSON null),
+    and ``required=True`` refuses a table that lacks the key.
 
     A subclass says what it :meth:`accepts` and how it reads in a message
     (:attr:`noun`, or :meth:`describe` when that depends on ``n``), or
@@ -52,8 +68,8 @@ class Field:
     #: What an accepted value is, as a message reads it.
     noun = ""
 
-    def __init__(self, null: bool = False) -> None:
-        self.null = null
+    def __init__(self, null: bool = False, required: bool = False) -> None:
+        self.null, self.required = null, required
 
     def problem(self, value: Any, n: Optional[int]) -> Optional[str]:
         """Why ``value`` is refused at ``n``, as a ``must ...`` clause (or None)."""
@@ -61,9 +77,15 @@ class Field:
             return None
         return self.check(value, n)
 
+    def problems(self, value: Any, n: Optional[int]) -> Sequence[str]:
+        """Every reason ``value`` is refused (a :class:`Compound` has several)."""
+        why = self.problem(value, n)
+        return () if why is None else (why,)
+
     def check(self, value: Any, n: Optional[int]) -> Optional[str]:
-        if self.accepts(value, n):
-            return None
+        return None if self.accepts(value, n) else self.refusal(value, n)
+
+    def refusal(self, value: Any, n: Optional[int]) -> str:
         return f"must be {self.describe(n)}{' or null' if self.null else ''}, got {value!r}"
 
     def accepts(self, value: Any, n: Optional[int]) -> bool:
@@ -71,6 +93,10 @@ class Field:
 
     def describe(self, n: Optional[int]) -> str:
         return self.noun
+
+    def plural(self, n: Optional[int]) -> str:
+        """:meth:`describe` as the items of a list read (``strings``)."""
+        return self.describe(n).split(" ", 1)[1] + "s"
 
     def resolve(self, value: Any, n: int) -> Any:
         """The value the builder receives (a party selector's pid list)."""
@@ -81,8 +107,8 @@ class Int(Field):
     """An integer in ``lo..hi`` (either bound optional; ``nonzero`` refuses 0)."""
 
     def __init__(self, lo: Optional[int] = None, hi: Optional[int] = None,
-                 nonzero: bool = False, null: bool = False) -> None:
-        super().__init__(null)
+                 nonzero: bool = False, **flags: bool) -> None:
+        super().__init__(**flags)
         self.lo, self.hi, self.nonzero = lo, hi, nonzero
 
     def accepts(self, value: Any, n: Optional[int]) -> bool:
@@ -101,13 +127,16 @@ class Int(Field):
         named = {0: "a non-negative integer", 1: "a positive integer"}
         return named.get(self.lo, f"an integer >= {self.lo}")
 
+    def plural(self, n: Optional[int]) -> str:
+        return self.describe(n).split(" ", 1)[1].replace("integer", "integers", 1)
+
 
 class Real(Field):
     """A number (int or float, never a bool) in an interval, open unless closed."""
 
     def __init__(self, lo: float = 0, hi: float = math.inf, lo_closed: bool = False,
-                 hi_closed: bool = False, null: bool = False) -> None:
-        super().__init__(null)
+                 hi_closed: bool = False, **flags: bool) -> None:
+        super().__init__(**flags)
         self.lo, self.hi = lo, hi
         self.lo_closed, self.hi_closed = lo_closed, hi_closed and hi != math.inf
 
@@ -134,6 +163,15 @@ class Bool(Field):
         return "true, false" if self.null else "true or false"
 
 
+class Str(Field):
+    """A string."""
+
+    noun = "a string"
+
+    def accepts(self, value: Any, n: Optional[int]) -> bool:
+        return isinstance(value, str)
+
+
 class Name(Field):
     """A non-empty string."""
 
@@ -153,14 +191,14 @@ class Value(Field):
 
 
 class OneOf(Field):
-    """One of a fixed set of values (a trigger event, a transition name)."""
+    """One of a fixed set of values (a trigger event, a version tag), of its type."""
 
-    def __init__(self, choices: Sequence[Any], null: bool = False) -> None:
-        super().__init__(null)
+    def __init__(self, choices: Sequence[Any], **flags: bool) -> None:
+        super().__init__(**flags)
         self.choices = tuple(choices)
 
     def accepts(self, value: Any, n: Optional[int]) -> bool:
-        return isinstance(value, str) and value in self.choices
+        return any(type(value) is type(choice) and value == choice for choice in self.choices)
 
     def describe(self, n: Optional[int]) -> str:
         return "one of " + ", ".join(map(repr, self.choices))
@@ -171,8 +209,8 @@ class JsonObject(Field):
 
     noun = "a JSON object"
 
-    def __init__(self, reserved: Sequence[str] = (), null: bool = False) -> None:
-        super().__init__(null)
+    def __init__(self, reserved: Sequence[str] = (), **flags: bool) -> None:
+        super().__init__(**flags)
         self.reserved = frozenset(reserved)
 
     def check(self, value: Any, n: Optional[int]) -> Optional[str]:
@@ -192,35 +230,6 @@ class PyObject(Field):
         return "takes a Python object and cannot be set from a spec"
 
 
-class StrList(Field):
-    """A list of strings (a bare string would be read as its characters)."""
-
-    noun = "a list of strings"
-
-    def accepts(self, value: Any, n: Optional[int]) -> bool:
-        return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
-
-
-class IntList(Field):
-    """A list of integers ``>= lo``; ``nonempty`` refuses ``[]``."""
-
-    def __init__(self, lo: Optional[int] = None, nonempty: bool = False,
-                 null: bool = False) -> None:
-        super().__init__(null)
-        self.item, self.nonempty = Int(lo), nonempty
-
-    def accepts(self, value: Any, n: Optional[int]) -> bool:
-        return (
-            isinstance(value, (list, tuple))
-            and (bool(value) or not self.nonempty)
-            and all(self.item.accepts(item, n) for item in value)
-        )
-
-    def describe(self, n: Optional[int]) -> str:
-        items = self.item.describe(n).split(" ", 1)[1]  # "a non-negative integer"
-        return f"a {'non-empty ' if self.nonempty else ''}list of {items}s"
-
-
 class Pid(Field):
     """One party id in ``0..n-1``."""
 
@@ -230,15 +239,8 @@ class Pid(Field):
     def describe(self, n: Optional[int]) -> str:
         return "a non-negative party id" if n is None else f"one party id in 0..{n - 1}"
 
-
-class PidList(Field):
-    """A list of party ids in ``0..n-1``."""
-
-    def accepts(self, value: Any, n: Optional[int]) -> bool:
-        return isinstance(value, (list, tuple)) and all(_is_pid(pid, n) for pid in value)
-
-    def describe(self, n: Optional[int]) -> str:
-        return f"a list of {_pids(n)}"
+    def plural(self, n: Optional[int]) -> str:
+        return _pids(n)
 
 
 class PartySelector(Field):
@@ -313,13 +315,15 @@ class InputMap(Field):
 class Nested(Field):
     """A nested spec: an instance of ``spec`` whose own ``spec.FIELDS`` pass."""
 
+    noun = "a JSON object"
+
     def __init__(self, spec: type, null: bool = False) -> None:
         super().__init__(null)
         self.spec = spec
 
     def check(self, value: Any, n: Optional[int]) -> Optional[str]:
         if not isinstance(value, self.spec):
-            return f"must be a JSON object{' or null' if self.null else ''}, got {value!r}"
+            return self.refusal(value, n)
         why = problem(self.spec.FIELDS, vars(value), n, "{}")
         return None if why is None else f"spec: {why}"
 
@@ -343,31 +347,115 @@ class PartyMap(Field):
         return None
 
 
+class Compound(Field):
+    """A field that walks what it holds: each refusal inside is its own
+    problem, named by its path."""
+
+    def check(self, value: Any, n: Optional[int]) -> Optional[str]:
+        return next(self.walk(value, n), None)
+
+    def problems(self, value: Any, n: Optional[int]) -> Sequence[str]:
+        return () if value is None and self.null else list(self.walk(value, n))
+
+    def walk(self, value: Any, n: Optional[int]) -> Iterator[str]:
+        raise NotImplementedError
+
+
+class ListOf(Compound):
+    """A list whose every item ``item`` accepts; ``nonempty`` refuses ``[]``.
+
+    A refused scalar item refuses the list as a whole (``must be a list of
+    strings, got ['a', 5]``); a refusal inside an item's own table is named
+    by the item's index (``[0].status must be ...``).
+    """
+
+    def __init__(self, item: Field, nonempty: bool = False, **flags: bool) -> None:
+        super().__init__(**flags)
+        self.item, self.nonempty = item, nonempty
+
+    def describe(self, n: Optional[int]) -> str:
+        return f"a {'non-empty ' if self.nonempty else ''}list of {self.item.plural(n)}"
+
+    def walk(self, value: Any, n: Optional[int]) -> Iterator[str]:
+        if not isinstance(value, (list, tuple)) or (self.nonempty and not value):
+            yield self.refusal(value, n)
+            return
+        for index, item in enumerate(value):
+            for why in self.item.problems(item, n):
+                if not _nested(why):
+                    yield self.refusal(value, n)
+                    return
+                yield f"[{index}]{why}"
+
+
+class Map(Compound):
+    """A JSON object whose every value ``item`` accepts (keyed by a cell, a counter)."""
+
+    noun = "a JSON object"
+
+    def __init__(self, item: Field, **flags: bool) -> None:
+        super().__init__(**flags)
+        self.item = item
+
+    def walk(self, value: Any, n: Optional[int]) -> Iterator[str]:
+        if not _is_object(value):
+            yield self.refusal(value, n)
+            return
+        for key, item in value.items():
+            for why in self.item.problems(item, n):
+                yield _at(f"[{key!r}]", why)
+
+
+class Object(Compound):
+    """A JSON object checked against a table; keys the table does not declare pass."""
+
+    noun = "a JSON object"
+
+    def __init__(self, fields: "Fields", **flags: bool) -> None:
+        super().__init__(**flags)
+        self.fields = fields
+
+    def walk(self, value: Any, n: Optional[int]) -> Iterator[str]:
+        if not _is_object(value):
+            yield self.refusal(value, n)
+            return
+        yield from problems(self.fields, value, n, ".{}")
+
+
 #: A params table: param name -> its field.
 Fields = Mapping[str, Field]
 
 
-def problem(fields: Optional[Fields], params: Mapping[str, Any], n: Optional[int],
-            label: str = "param {!r}", closed: bool = False) -> Optional[str]:
-    """The first value in ``params`` its field refuses, as ``<label> must ...`` (or None).
+def problems(fields: Optional[Fields], params: Mapping[str, Any], n: Optional[int],
+             label: str = "param {!r}", closed: bool = False) -> Iterator[str]:
+    """Each value in ``params`` its field refuses, as ``<label> must ...``.
 
-    Fields are walked in declaration order, so which problem is named does
-    not depend on a JSON object's key order.  A name the table does not
-    declare is refused when ``closed``, and otherwise left to the caller (a
-    builder's signature): a row that declares no fields is checked by name.
+    Fields are walked in declaration order, so the order of the problems
+    does not depend on a JSON object's key order; an absent ``required``
+    field is ``<label> is missing``.  A name the table does not declare is
+    refused when ``closed``, and otherwise left to the caller (a builder's
+    signature): a row that declares no fields is checked by name.
     """
     if not _is_object(params):
-        return f"params must be a JSON object, got {params!r}"
+        yield f"params must be a JSON object, got {params!r}"
+        return
     fields = fields or {}
     unknown = sorted(set(params) - set(fields)) if closed else ()
     if unknown:
-        return f"unknown keys {unknown}; known: {sorted(fields)}"
+        yield f"unknown keys {unknown}; known: {sorted(fields)}"
+        return
     for name, field in fields.items():
         if name in params:
-            why = field.problem(params[name], n)
-            if why is not None:
-                return f"{label.format(name)} {why}"
-    return None
+            for why in field.problems(params[name], n):
+                yield _at(label.format(name), why)
+        elif field.required:
+            yield f"{label.format(name)} is missing"
+
+
+def problem(fields: Optional[Fields], params: Mapping[str, Any], n: Optional[int],
+            label: str = "param {!r}", closed: bool = False) -> Optional[str]:
+    """The first of :func:`problems` (or None)."""
+    return next(problems(fields, params, n, label, closed), None)
 
 
 def resolve(fields: Optional[Fields], params: Mapping[str, Any], n: int) -> Dict[str, Any]:

@@ -39,8 +39,8 @@ deaths is byte-identical to a cold one-shot run (asserted end-to-end by
 
 All counters and latency histograms live on a
 :class:`~repro.obs.metrics.MetricsRegistry` under ``service.*`` and are
-exported by :meth:`metrics_dump` (schema checked by
-:func:`repro.obs.schema.validate_service_metrics`).
+exported by :meth:`metrics_dump` (declared as
+:data:`repro.obs.schema.SERVICE_METRICS`).
 """
 
 from __future__ import annotations
@@ -48,27 +48,28 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
+from repro import schema
 from repro.errors import ServiceError
-from repro.experiments import params as schema
 from repro.experiments.backoff import DEFAULT_BACKOFF_BASE_S
 from repro.experiments.pool import POLL_INTERVAL_S, WorkerPool
 from repro.obs.metrics import MetricsRegistry, summarize_histogram
+from repro.obs.schema import SERVICE_COUNTERS, SERVICE_METRICS_SCHEMA
 from repro.service.requests import ERROR, OK, SHED, BeaconRequest, BeaconResponse
 from repro.service.shard import ShardState
 
+#: The dump's counters by short name: ``COUNTER.ok`` is ``"service.ok"``.
+COUNTER = SimpleNamespace(**{name.split(".", 1)[1]: name for name in SERVICE_COUNTERS})
 #: The pool's counters, under their service names.
 _COUNTERS = {
-    "retries": "service.retries",
-    "timeouts": "service.timeouts",
-    "restarts": "service.shard_restarts",
+    "retries": COUNTER.retries,
+    "timeouts": COUNTER.timeouts,
+    "restarts": COUNTER.shard_restarts,
 }
 #: Latency histogram bucket bounds (milliseconds).
 LATENCY_BUCKETS_MS: Tuple[int, ...] = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500)
-
-#: Schema tag stamped on every metrics dump.
-METRICS_SCHEMA = "repro.service.metrics/v1"
 
 
 @dataclass(frozen=True)
@@ -193,10 +194,10 @@ class BeaconService:
         if not self._started or self._closed:
             raise ServiceError("service is not running (call start())")
         request.validate()
-        self._inc("service.requests")
+        self._inc(COUNTER.requests)
         depth = len(self._queue) + self._pool.busy()
         if depth >= self.policy.shards * self.policy.queue_depth:
-            self._inc("service.shed")
+            self._inc(COUNTER.shed)
             return BeaconResponse(
                 request_id=request.request_id,
                 status=SHED,
@@ -219,9 +220,9 @@ class BeaconService:
     def _finish_ok(self, pending: _Pending, payload: Dict[str, Any],
                    warm: bool, exec_ms: float) -> None:
         elapsed_ms = (time.monotonic() - pending.accepted_at) * 1000.0
-        self._inc("service.ok")
+        self._inc(COUNTER.ok)
         if warm:
-            self._inc("service.warm_hits")
+            self._inc(COUNTER.warm_hits)
         # latency_ms is acceptance-to-answer (queueing, retries and all);
         # exec_ms is the shard-measured pure execution time of the final,
         # successful attempt.  The gap between the two is the queue.
@@ -246,7 +247,7 @@ class BeaconService:
 
     def _finish_error(self, pending: _Pending, kind: str, error: str,
                       message: str) -> None:
-        self._inc("service.errors")
+        self._inc(COUNTER.errors)
         self._respond(BeaconResponse(
             request_id=pending.request.request_id,
             status=ERROR,
@@ -304,7 +305,7 @@ class BeaconService:
             queue.popleft()
             pending.slot = shard.index
             if shard.index != home:
-                self._inc("service.spills")
+                self._inc(COUNTER.spills)
 
         # Wait for replies, waking for the nearest heartbeat timeout too.
         timeout = self.policy.heartbeat_timeout_s
@@ -344,11 +345,11 @@ class BeaconService:
                 continue
             if shard.ping_at is not None:
                 if now - shard.ping_at > timeout:
-                    self._inc("service.heartbeat_failures")
+                    self._inc(COUNTER.heartbeat_failures)
                     pool.replace(shard)
             elif now - shard.seen_at >= self.policy.heartbeat_interval_s:
                 if not pool.ping(shard):
-                    self._inc("service.heartbeat_failures")
+                    self._inc(COUNTER.heartbeat_failures)
 
         return len(self._responses)
 
@@ -432,22 +433,14 @@ class BeaconService:
             "service.exec_ms", LATENCY_BUCKETS_MS
         ).to_dict()
         dump: Dict[str, Any] = {
-            "schema": METRICS_SCHEMA,
+            "schema": SERVICE_METRICS_SCHEMA,
             "policy": {
                 "shards": self.policy.shards,
                 "queue_depth": self.policy.queue_depth,
                 "request_timeout_s": self.policy.request_timeout_s,
                 "max_retries": self.policy.max_retries,
             },
-            "counters": {
-                name: counters.get(name, 0)
-                for name in (
-                    "service.requests", "service.ok", "service.errors",
-                    "service.shed", "service.retries", "service.timeouts",
-                    "service.shard_restarts", "service.heartbeat_failures",
-                    "service.warm_hits", "service.spills",
-                )
-            },
+            "counters": {name: counters.get(name, 0) for name in SERVICE_COUNTERS},
             "latency_ms": {**latency, "summary": summarize_histogram(latency)},
             "exec_ms": {**exec_hist, "summary": summarize_histogram(exec_hist)},
             "pending": self.pending_count,
@@ -455,7 +448,7 @@ class BeaconService:
         if self._started_at is not None:
             uptime = time.monotonic() - self._started_at
             dump["uptime_s"] = round(uptime, 3)
-            ok = counters.get("service.ok", 0)
+            ok = counters.get(COUNTER.ok, 0)
             dump["requests_per_s"] = round(ok / uptime, 3) if uptime > 0 else None
         return dump
 

@@ -22,8 +22,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from repro import schema
 from repro.errors import ServiceError
-from repro.experiments import params as schema
 from repro.experiments.registry import RUNNERS, fault_problem, runner_params_problem
 from repro.experiments.spec import ExperimentSpec, JsonSpec, canonical_json
 

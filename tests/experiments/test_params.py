@@ -1,6 +1,7 @@
-"""The parameter schema: every declared field of every registry row and of
-every campaign / policy / request spec refuses its near misses with one
-structured error, and builds from every value it accepts.
+"""The one schema: every declared field of every registry row and of every
+campaign / policy / request spec refuses its near misses with one
+structured error, and builds from every value it accepts; every declared
+field of an emitted payload refuses its near misses by its path.
 
 The strategies live here, not in ``src/``: each field type maps to a
 strategy of values it accepts and one of near misses -- a wrong type, a bool
@@ -20,8 +21,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import schema
 from repro.errors import ExperimentError, ServiceError
-from repro.experiments import params as schema
 from repro.experiments.registry import (
     BEHAVIORS,
     FAULT_SELECTORS,
@@ -37,6 +38,17 @@ from repro.experiments.spec import (
     ExperimentSpec,
     FaultSpec,
     SchedulerSpec,
+)
+from repro.obs.schema import (
+    ENVELOPE,
+    EVENTS,
+    REPORT,
+    SERVICE_COUNTERS,
+    SERVICE_METRICS,
+    SERVICE_METRICS_SCHEMA,
+    validate_event,
+    validate_report,
+    validate_service_metrics,
 )
 from repro.service.requests import BeaconRequest
 
@@ -67,16 +79,19 @@ def _valid(field: schema.Field, n: int) -> st.SearchStrategy:
     if isinstance(field, schema.Name):
         return _text
     if isinstance(field, schema.Value):
-        return _json_scalar
-    if isinstance(field, schema.StrList):
-        return st.lists(st.text(max_size=4), max_size=3)
-    if isinstance(field, schema.IntList):
-        lo = -50 if field.item.lo is None else field.item.lo
-        return st.lists(st.integers(lo, lo + 50), min_size=int(field.nonempty), max_size=4)
+        return st.one_of(_json_scalar, st.none()) if field.null else _json_scalar
+    if isinstance(field, schema.Str):
+        return st.text(max_size=4)
+    if isinstance(field, schema.OneOf):
+        return st.sampled_from(field.choices)
+    if isinstance(field, schema.ListOf):
+        return st.lists(_valid(field.item, n), min_size=int(field.nonempty), max_size=3)
+    if isinstance(field, schema.Map):
+        return st.dictionaries(_text, _valid(field.item, n), max_size=2)
+    if isinstance(field, schema.Object):
+        return _object(field.fields, n)
     if isinstance(field, schema.Pid):
         return st.integers(0, n - 1)
-    if isinstance(field, schema.PidList):
-        return st.lists(st.integers(0, n - 1), max_size=n)
     if isinstance(field, schema.PartySelector):
         return st.one_of(
             st.integers(0, n - 1),
@@ -104,15 +119,26 @@ def _valid(field: schema.Field, n: int) -> st.SearchStrategy:
     raise AssertionError(f"no valid strategy for {field!r}")
 
 
-_LIST_FIELDS = (
-    schema.StrList, schema.IntList, schema.PidList, schema.PartySelector, schema.SessionPattern,
-)
+def _object(fields: schema.Fields, n: int) -> st.SearchStrategy:
+    """A table's valid objects: every required key, any optional ones."""
+    return st.fixed_dictionaries(
+        {name: _valid(field, n) for name, field in fields.items() if field.required},
+        optional={name: _valid(field, n) for name, field in fields.items() if not field.required},
+    )
+
+
+_LIST_FIELDS = (schema.ListOf, schema.PartySelector, schema.SessionPattern)
+_OBJECT_FIELDS = (schema.JsonObject, schema.InputMap, schema.Map, schema.Object)
 
 
 def _near_misses(field: schema.Field, n: int) -> st.SearchStrategy:
+    return st.sampled_from(_misses(field, n))
+
+
+def _misses(field: schema.Field, n: int) -> list:
     """Values one step outside ``field``: each must be refused."""
     misses = []
-    if not isinstance(field, (schema.JsonObject, schema.InputMap, schema.Value)):
+    if not isinstance(field, _OBJECT_FIELDS + (schema.Value,)):
         misses.append({"x": 1})
     if not isinstance(field, _LIST_FIELDS + (schema.Value,)):
         misses.append([1])
@@ -136,19 +162,25 @@ def _near_misses(field: schema.Field, n: int) -> st.SearchStrategy:
     elif isinstance(field, schema.Name):
         misses += ["", 5, True, ["x"]]
     elif isinstance(field, schema.Value):
-        misses = [None]
-    elif isinstance(field, schema.StrList):
-        misses += ["READY", 5, [1], ["a", True]]
-    elif isinstance(field, schema.IntList):
-        misses += ["0", 3, [1.5], [True], ["1"]]
-        if field.item.lo is not None:
-            misses.append([field.item.lo - 1])
+        misses = [] if field.null else [None]
+    elif isinstance(field, schema.Str):
+        misses += [5, True, ["x"]]
+    elif isinstance(field, schema.OneOf):
+        misses += ["~", True, 1.5, -1]
+        misses += [c.upper() if isinstance(c, str) else float(c) for c in field.choices]
+    elif isinstance(field, schema.ListOf):
+        # A string would be read as its characters.
+        misses += ["READY", 5] + [[miss] for miss in _misses(field.item, n)]
         if field.nonempty:
             misses.append([])
+    elif isinstance(field, schema.Map):
+        misses += ["x", 5] + [{"k": miss} for miss in _misses(field.item, n)]
+    elif isinstance(field, schema.Object):
+        misses += ["x", 5]
+        if any(inner.required for inner in field.fields.values()):
+            misses.append({})
     elif isinstance(field, schema.Pid):
-        misses += [n, -1, True, "0", 1.5, [0]]
-    elif isinstance(field, schema.PidList):
-        misses += [[n], [-1], "0", 0, [True], [1.5], ["1"]]
+        misses += [-1, True, "0", 1.5, [0]] + ([] if n is None else [n])
     elif isinstance(field, schema.PartySelector):
         misses += [
             [n], [-1], n, "ab", True, [True], [1.5], {"half": "mid"}, {"bogus": 1},
@@ -175,7 +207,7 @@ def _near_misses(field: schema.Field, n: int) -> st.SearchStrategy:
         misses += [{0: "crash"}, {0: field.item.spec(["x"])}, {0: field.item.spec("")}]
     else:
         raise AssertionError(f"no near misses for {field!r}")
-    return st.sampled_from(misses)
+    return misses
 
 
 # ----------------------------------------------------------------------
@@ -376,8 +408,140 @@ def test_the_walker_names_the_first_refused_field_in_declaration_order():
 
 
 def test_party_selectors_resolve_against_n():
-    fields = {"victims": schema.PartySelector(), "kinds": schema.StrList()}
+    fields = {"victims": schema.PartySelector(), "kinds": schema.ListOf(schema.Str())}
     params = {"victims": {"last_faulty": True}, "kinds": ["READY"]}
     assert schema.resolve(fields, params, 7) == {"victims": [5, 6], "kinds": ["READY"]}
     assert schema.problem(fields, {"victims": [6]}, None) is None
     assert "resolves outside 0..3" in schema.problem(fields, {"victims": [6]}, 4)
+
+
+# ----------------------------------------------------------------------
+# What the system emits: every declared field of a trace event, a campaign
+# report and a metrics dump refuses its near misses wherever it sits, and
+# every valid draw passes.  Emitted payloads know no ``n``, so a party id is
+# only shape-checked.
+def _event(kind):
+    return {**ENVELOPE, "kind": schema.OneOf((kind,), required=True), **EVENTS[kind][0]}
+
+
+PAYLOADS = {
+    **{f"event-{kind}": (_event(kind), validate_event) for kind in sorted(EVENTS)},
+    "report": (REPORT, validate_report),
+    "metrics": (SERVICE_METRICS, validate_service_metrics),
+}
+
+
+def _paths(fields, path=()):
+    """``(path, field)`` for every declared field, into nested tables; ``[]``
+    steps into a map's values or a list's items."""
+    for name, field in fields.items():
+        here = path + (name,)
+        yield here, field
+        while isinstance(field, (schema.Map, schema.ListOf)):
+            field, here = field.item, here + ("[]",)
+        if isinstance(field, schema.Object):
+            yield from _paths(field.fields, here)
+
+
+def _holding(field, path, miss):
+    """The smallest valid value of ``field`` with ``miss`` at ``path``."""
+    if not path:
+        return st.just(miss)
+    head, rest = path[0], path[1:]
+    if head == "[]":
+        inner = _holding(field.item, rest, miss)
+        return inner.map(lambda value: {"k": value} if isinstance(field, schema.Map) else [value])
+    required = {
+        name: _valid(other, N) for name, other in field.fields.items()
+        if other.required and name != head
+    }
+    inner = _holding(field.fields[head], rest, miss)
+    return st.builds(
+        lambda base, value: {**base, head: value}, st.fixed_dictionaries(required), inner
+    )
+
+
+def _where(table, path):
+    """How a problem at ``path`` is named, up to the first list (a list of
+    scalars reads as a whole)."""
+    field, where = schema.Object(table), ""
+    for part in path:
+        if part != "[]":
+            field, where = field.fields[part], f"{where}.{part}" if where else part
+        elif isinstance(field, schema.ListOf):
+            break
+        else:
+            field, where = field.item, f"{where}['k']"
+    return where
+
+
+def _conserved(dump):
+    """The drawn dump with its requests accounted for (a cross-field rule)."""
+    counters = dump["counters"]
+    counters["service.requests"] = sum(
+        counters[name] for name in ("service.ok", "service.errors", "service.shed")
+    ) + dump["pending"]
+    return dump
+
+
+OUTPUT_CASES = [
+    (payload, path, field)
+    for payload, (table, _) in PAYLOADS.items()
+    for path, field in _paths(table)
+    if _misses(field, None)
+]
+
+
+@pytest.mark.parametrize(
+    "payload, path, field", OUTPUT_CASES,
+    ids=[f"{payload}-{'.'.join(path).replace('[]', '*')}" for payload, path, _ in OUTPUT_CASES],
+)
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_emitted_near_miss_is_refused_where_it_sits(payload, path, field, data):
+    table, validate = PAYLOADS[payload]
+    miss = data.draw(_near_misses(field, None), label="miss")
+    value = data.draw(_holding(schema.Object(table), path, miss), label=payload)
+    problems = validate(value)
+    where = _where(table, path)
+    assert problems and all(problem.startswith(where) for problem in problems), problems
+
+
+@pytest.mark.parametrize("payload", sorted(PAYLOADS))
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_valid_emitted_draw_passes(payload, data):
+    table, validate = PAYLOADS[payload]
+    value = data.draw(_object(table, N), label=payload)
+    if payload == "metrics":
+        _conserved(value)
+    assert validate(value) == []
+
+
+def test_a_dump_that_loses_a_request_is_refused():
+    dump = {
+        "schema": SERVICE_METRICS_SCHEMA,
+        "counters": dict.fromkeys(SERVICE_COUNTERS, 0),
+        "latency_ms": {"count": 0, "summary": {"count": 0}},
+        "pending": 1,
+    }
+    assert validate_service_metrics(_conserved(dict(dump))) == []
+    dump["counters"] = dict(dump["counters"], **{"service.ok": 1})
+    assert validate_service_metrics(dump) == [
+        "request conservation violated: requests=1 but ok+errors+shed+pending=2"
+    ]
+
+
+def test_a_table_names_every_problem_by_its_path():
+    fields = {
+        "a": schema.Int(0, required=True),
+        "b": schema.Map(schema.Object({"c": schema.Bool()})),
+    }
+    assert list(schema.problems(fields, {"b": {"x": {"c": 1}, "y": 2}}, None, "{}")) == [
+        "a is missing",
+        "b['x'].c must be true or false, got 1",
+        "b['y'] must be a JSON object, got 2",
+    ]
+    assert schema.problem(fields, {"a": -1, "b": 5}, None, "{}") == (
+        "a must be a non-negative integer, got -1"
+    )

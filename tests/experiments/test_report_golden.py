@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.report import render_report
+from repro.obs.schema import validate_report
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -30,6 +31,10 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_rendering_matches_golden(fmt, name):
     payload = json.loads((GOLDEN / "report.json").read_text())
     assert render_report(payload, fmt) == (GOLDEN / name).read_text()
+
+
+def test_the_golden_payload_validates():
+    assert validate_report(json.loads((GOLDEN / "report.json").read_text())) == []
 
 
 def test_every_markdown_row_has_as_many_cells_as_its_header():

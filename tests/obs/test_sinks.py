@@ -9,9 +9,10 @@ import pytest
 from repro.core import api
 from repro.net.queues import FanoutEntry
 from repro.net.tracing import DEFAULT_EVENT_CAPACITY, Trace, TraceEvent
-from repro.obs.schema import event_to_jsonable, validate_event, validate_jsonl
+from repro.obs.schema import EVENT_KINDS, event_to_jsonable, validate_event, validate_jsonl
 from repro.obs.sinks import JsonlSink, RingBufferSink, TraceSink
 from repro.obs.timeline import TimelineBuilder
+from repro.scenarios import run_scenario
 
 
 # ----------------------------------------------------------------------
@@ -272,3 +273,15 @@ def test_validate_jsonl_reports_bad_lines(tmp_path):
     count, problems = validate_jsonl(path)
     assert count == 3
     assert len(problems) == 2
+
+
+def test_a_trace_of_every_event_kind_validates(tmp_path):
+    """restart-storm at n=7 emits every kind but ``note``, which is appended."""
+    path = tmp_path / "trace.jsonl"
+    result = run_scenario("restart-storm", n=7, seed=0, sinks=[JsonlSink(path)])
+    note = TraceEvent(result.steps, "note", None, {"restarts": {1, 2}})
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(event_to_jsonable(note), sort_keys=True) + "\n")
+    lines = path.read_text().splitlines()
+    assert {json.loads(line)["kind"] for line in lines} == EVENT_KINDS
+    assert validate_jsonl(path) == (len(lines), [])

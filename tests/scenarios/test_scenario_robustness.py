@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro.core.results import aggregate
 from repro.errors import ExperimentError
 from repro.experiments.spec import BehaviorSpec, ExperimentSpec, SchedulerSpec
 from repro.net.message import Message
@@ -269,6 +270,15 @@ class TestRestartSemantics:
         assert not self._actions(result, "budget-exhausted")
         pid = restarts[0][2]
         assert sum(1 for entry in corrupts if entry[2] == pid) == 2
+
+    def test_the_aggregate_counts_a_recorrupted_party_once(self):
+        # restart-storm at n=7 (t=2) logs four ``corrupt`` actions for its
+        # two parties; the corruption_tolerance claim reads the aggregate,
+        # so a double count there would refute honest data.
+        result = run_scenario("restart-storm", n=7, seed=0, tracing=False)
+        parties = {entry[2] for entry in self._actions(result, "corrupt")}
+        assert len(self._actions(result, "corrupt")) > len(parties) == 2
+        assert aggregate([result]).director_actions["corrupt"] == len(parties)
 
     def test_recover_skipped_is_audited(self):
         spec = ScenarioSpec(

@@ -83,6 +83,22 @@ def test_the_protocols_do_not_load_the_analysis_reports():
     assert "repro.analysis.binomial" in out
 
 
+def test_the_observability_plane_does_not_load_the_campaign_runner():
+    """``repro.obs`` checks what it emits against the one schema
+    (``repro.schema``), which sits below the experiments package."""
+    out = _run_clean(
+        """
+        import sys
+
+        import repro.obs
+
+        print(sorted(name for name in sys.modules if name.startswith("repro.experiments")))
+        print("multiprocessing" in sys.modules)
+        """
+    )
+    assert out.splitlines() == ["[]", "False"]
+
+
 def test_an_invariant_checked_trial_does_not_load_the_ablation_harness():
     """The delivery envelope needs the message prediction, which lives in
     ``analysis.complexity``, beside the formulas it wraps."""
