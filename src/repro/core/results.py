@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.net.runtime import SimulationResult
+from repro.schema import jsonable
 
 
 def _merge_histograms(
@@ -23,25 +24,6 @@ def _merge_histograms(
     from repro.obs.metrics import merge_histogram_dicts
 
     return merge_histogram_dicts(target, incoming)
-
-
-def _jsonable(value: Any) -> Any:
-    """Best-effort conversion of an output value to JSON-compatible types.
-
-    Primitive values pass through unchanged; containers are converted
-    recursively (dictionary keys become strings, as JSON requires); anything
-    else falls back to ``repr``, which is also how :class:`TrialAggregate`
-    keys its value counts.
-    """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted((_jsonable(item) for item in value), key=repr)
-    return repr(value)
 
 
 @dataclass
@@ -179,7 +161,7 @@ class TrialAggregate:
         return cls()
 
     def to_dict(self) -> Dict[str, Any]:
-        """Full JSON-compatible representation (lossless up to :func:`_jsonable`).
+        """Full JSON-compatible representation (lossless up to :func:`~repro.schema.jsonable`).
 
         Unlike :meth:`summary` this keeps the raw totals and per-trial
         outputs, so aggregates can be persisted, shipped across process
@@ -200,7 +182,7 @@ class TrialAggregate:
             "metric_histograms": {
                 name: dict(hist) for name, hist in self.metric_histograms.items()
             },
-            "outputs": [_jsonable(output) for output in self.outputs],
+            "outputs": [jsonable(output) for output in self.outputs],
         }
 
     @classmethod

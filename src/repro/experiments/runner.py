@@ -32,11 +32,13 @@ under it, :mod:`repro.experiments.pool`):
 
 from __future__ import annotations
 
+import gc
 import time
 import traceback
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.config import DEFAULT_PRIME, max_faults
 from repro.core.results import TrialAggregate
@@ -243,6 +245,31 @@ class CellExecutor:
             )
         return result
 
+    @contextmanager
+    def trial(self, seed: int) -> Iterator[SimulationResult]:
+        """:meth:`run` for an owner that reads the result, then lets it go.
+
+        The cyclic collector stays paused from the world's build, through
+        the owner's read of the result in the ``with`` body, to the
+        :meth:`~repro.net.runtime.SimulationResult.release` that ends it:
+        reference counting then frees the world at once, and the collector
+        neither scans it live nor has to find it dead.  Nothing may keep the
+        result, or any party or protocol instance of it, past the block.
+        A host that runs with the collector off is left that way.
+        """
+        pause = gc.isenabled()
+        if pause:
+            gc.disable()
+        try:
+            result = self.run(seed)
+            try:
+                yield result
+            finally:
+                result.release()
+        finally:
+            if pause:
+                gc.enable()
+
 
 def _run_cell_chunk(cell_dict: Dict[str, Any], seeds: Sequence[int]) -> Dict[str, Any]:
     """Run one chunk of one cell's seeds; return its aggregate's transport dict.
@@ -257,7 +284,8 @@ def _run_cell_chunk(cell_dict: Dict[str, Any], seeds: Sequence[int]) -> Dict[str
     executor = CellExecutor(ExperimentSpec.from_dict(cell_dict))
     aggregate = TrialAggregate()
     for seed in seeds:
-        aggregate.add(executor.run(seed))
+        with executor.trial(seed) as result:
+            aggregate.add(result)
     return aggregate.to_transport_dict()
 
 

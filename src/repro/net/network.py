@@ -160,12 +160,7 @@ class Network:
                 self._obs_on_complete = metrics.on_complete
             self._obs_sample_every = getattr(metrics, "queue_depth_every", 0)
         self.processes: List[Process] = [
-            Process(
-                pid,
-                params,
-                self,
-                random.Random(self.master_rng.getrandbits(64)),
-            )
+            Process(pid, params, self, self.master_rng.getrandbits(64))
             for pid in range(params.n)
         ]
 
@@ -531,6 +526,22 @@ class Network:
             return _earliest(sample_at, director_at)
 
         return (first + 1 if until is not None else _earliest(sample_at, director_at)), on_wake
+
+    def release(self) -> None:
+        """Break the reference cycles of this finished world; it cannot run again.
+
+        Each party breaks its own (:meth:`Process.release`) and a director
+        is detached (its ``detach()``, when it has one, mirrors ``attach``).
+        The trace and the director stay readable, so a released run's
+        message counts and audit log are those of the live one.  With no
+        cycle left, reference counting frees the world when its last
+        reference goes -- the cyclic collector never has to find it.
+        """
+        for process in self.processes:
+            process.release()
+        detach = getattr(self.director, "detach", None)
+        if detach is not None:
+            detach()
 
     def message_stats(self) -> Optional[Dict[str, object]]:
         """Headline message counts, read off the trace.

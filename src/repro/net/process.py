@@ -34,7 +34,8 @@ class Process:
         "pid",
         "params",
         "network",
-        "rng",
+        "_rng_seed",
+        "_rng",
         "protocols",
         "_protocols_get",
         "_pending",
@@ -47,6 +48,7 @@ class Process:
         "_mutated_kinds",
         "send_fanout",
         "ever_corrupted",
+        "_retired",
     )
 
     def __init__(
@@ -54,12 +56,15 @@ class Process:
         pid: int,
         params: ProtocolParams,
         network: "Network",
-        rng: random.Random,
+        rng_seed: int,
     ) -> None:
         self.pid = pid
         self.params = params
         self.network = network
-        self.rng = rng
+        #: Seed of this party's private random source, which is built on its
+        #: first draw (:attr:`rng`): most parties of a trial never draw.
+        self._rng_seed = rng_seed
+        self._rng: Optional[random.Random] = None
         self.protocols: Dict[SessionId, Protocol] = {}
         #: Bound ``protocols.get``, cached for the per-delivery routing lookup.
         self._protocols_get = self.protocols.get
@@ -88,8 +93,19 @@ class Process:
         #: honest-output accounting, even after a scenario ``restart``
         #: returns it to running honest code (restart refunds nothing).
         self.ever_corrupted = False
+        #: Protocol tables a restart discarded (see :meth:`reinitialize`),
+        #: kept so that :meth:`release` unlinks those trees too.
+        self._retired: tuple = ()
         # Also binds ``send_fanout``.
         self.set_outgoing_mutator(None)
+
+    @property
+    def rng(self) -> random.Random:
+        """This party's private random source, seeded on its first draw."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self._rng_seed)
+        return rng
 
     # ------------------------------------------------------------------
     # The outgoing mutator.
@@ -182,6 +198,8 @@ class Process:
         (the shun floor too): the party comes back
         indistinguishable from a freshly constructed honest process (its RNG
         stream continues -- a restarted party does not rewind randomness).
+        The discarded tree is kept aside, unreachable by routing, for
+        :meth:`release`.
         ``ever_corrupted`` stays set: the adversary paid for this party and a
         restart refunds nothing, so completions and outputs remain excluded
         from the honest accounting.
@@ -189,12 +207,32 @@ class Process:
         self.behavior = None
         self.deliver_hook = None
         self.set_outgoing_mutator(None)
+        self._retired += (self.protocols,)
         self.protocols = {}
         self._protocols_get = self.protocols.get
         self._pending = {}
         self._shunned_from = {}
         self._shun_floor = 0
         self._creation_counter = 0
+
+    def release(self) -> None:
+        """Break this party's reference cycles; it cannot run again.
+
+        :meth:`reinitialize` drops the behaviour, its hook and the mutator
+        and retires the protocol tree; every retired tree's instances are
+        then unhooked from their parents (the only edge back up a tree) and
+        the party lets go of its network.  Nothing the party owns then sits
+        on a cycle, so reference counting frees it with the last reference
+        to its world.  Idempotent.
+        """
+        if self.network is None:
+            return
+        self.reinitialize()
+        for table in self._retired:
+            for instance in table.values():
+                instance.parent = None
+        self._retired = ()
+        self.network = self.send_fanout = None
 
     # ------------------------------------------------------------------
     # Protocol management.

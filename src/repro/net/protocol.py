@@ -58,7 +58,6 @@ class Protocol:
         "params",
         "n",
         "t",
-        "rng",
     )
 
     def __init__(self, process: "Process", session: SessionId) -> None:
@@ -82,10 +81,10 @@ class Protocol:
         #: Monotone creation index assigned by the process; used by the
         #: shunning bookkeeping ("ignore messages in *future* interactions").
         self.birth_index: int = -1
-        # Convenience accessors, cached as plain attributes: the process, its
-        # parameters and its rng object are fixed for the protocol's lifetime,
-        # and message handlers read n/t/pid on every delivery -- a property
-        # (two attribute hops + a call) per read is pure overhead.
+        # Convenience accessors, cached as plain attributes: the process and
+        # its parameters are fixed for the protocol's lifetime, and message
+        # handlers read n/t/pid on every delivery -- a property (two
+        # attribute hops + a call) per read is pure overhead.
         #: This party's identifier.
         self.pid: int = process.pid
         #: Protocol parameters (n, t, field prime).
@@ -94,8 +93,15 @@ class Protocol:
         self.n: int = process.params.n
         #: Corruption bound.
         self.t: int = process.params.t
-        #: This party's private random source.
-        self.rng: random.Random = process.rng
+
+    @property
+    def rng(self) -> random.Random:
+        """This party's private random source (:attr:`Process.rng`).
+
+        Read through, not cached: a party's source is seeded on its first
+        draw, and most protocol instances never draw.
+        """
+        return self.process.rng
 
     # ------------------------------------------------------------------
     # Lifecycle.

@@ -91,6 +91,19 @@ class SimulationResult:
         """True when two honest parties output different values."""
         return len(self._distinct_outputs) > 1
 
+    def release(self) -> None:
+        """Free this run's world now, not at the cyclic collector's next pass.
+
+        Breaks the world's reference cycles (:meth:`Network.release`): the
+        network and its parties, each party and its protocol tree, a
+        corrupted party and its behaviour, a director and its network.
+        Reference counting then frees the world when the result goes.  The
+        outputs, steps, metrics, message counts and director log read the
+        same afterwards; the parties and their protocol instances are gone,
+        and the network cannot run again.  Idempotent.
+        """
+        self.network.release()
+
     @property
     def trace(self):
         """The network trace (message counts, shun events, completions)."""

@@ -13,8 +13,8 @@
 
 The tables are open: a key they do not declare passes.  Sessions serialise
 as lists (JSON has no tuples); every event value passes through
-:func:`_jsonable`, which falls back to ``repr`` for anything JSON cannot
-carry, so writing never fails mid-run.
+:func:`repro.schema.jsonable`, which falls back to ``repr`` for anything JSON
+cannot carry, so writing never fails mid-run.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from repro.schema import (
     Real,
     Str,
     Value,
+    jsonable,
 )
 
 # ----------------------------------------------------------------------
@@ -87,19 +88,6 @@ ENVELOPE: Fields = {
 }
 
 
-def _jsonable(value: Any) -> Any:
-    """Best-effort conversion to a JSON-compatible value (repr fallback)."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(repr(item) for item in value)
-    if isinstance(value, dict):
-        return {str(key): _jsonable(val) for key, val in value.items()}
-    return repr(value)
-
-
 def event_to_jsonable(event: TraceEvent) -> Dict[str, Any]:
     """Convert one trace event to its JSON-object (dict) form.
 
@@ -107,7 +95,7 @@ def event_to_jsonable(event: TraceEvent) -> Dict[str, Any]:
     """
     fields, values = EVENTS.get(event.kind, EVENTS["note"])
     data: Dict[str, Any] = {"step": event.step, "kind": event.kind, "party": event.party}
-    data.update(zip(fields, map(_jsonable, values(event.detail))))
+    data.update(zip(fields, map(jsonable, values(event.detail))))
     return data
 
 

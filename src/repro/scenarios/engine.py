@@ -161,6 +161,10 @@ class ScenarioDirector:
                 f"over its budget of {self.budget}"
             )
 
+    def detach(self) -> None:
+        """Unbind from a finished network (:meth:`Network.release`); the log stays."""
+        self.network = None
+
     # ------------------------------------------------------------------
     # Network observation hooks.
     # ------------------------------------------------------------------

@@ -465,3 +465,25 @@ def resolve(fields: Optional[Fields], params: Mapping[str, Any], n: int) -> Dict
         name: fields[name].resolve(value, n) if name in fields else value
         for name, value in params.items()
     }
+
+
+def jsonable(value: Any) -> Any:
+    """``value`` as JSON can carry it: the one serialiser of emitted values.
+
+    Primitives pass through; a list or tuple becomes a list and a dict an
+    object with string keys, converted item by item; a set or frozenset
+    becomes a list of its converted items, sorted by ``repr`` so that equal
+    sets always read alike; anything else is its ``repr``.  Trace events
+    (:mod:`repro.obs.schema`) and stored aggregates
+    (:mod:`repro.core.results`) both write through it, so one output reads
+    the same in both.
+    """
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [jsonable(item) for item in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted((jsonable(item) for item in value), key=repr)
+    if isinstance(value, dict):
+        return {str(key): jsonable(item) for key, item in value.items()}
+    return repr(value)

@@ -72,11 +72,12 @@ class ShardState:
             if len(executors) > EXECUTOR_CACHE_SIZE:
                 executors.popitem(last=False)
                 self.evictions += 1
-        result = executor.run(request.seed)
+        with executor.trial(request.seed) as result:
+            payload = canonical_payload(result)
         self.served += 1
         if warm:
             self.warm_hits += 1
-        return canonical_payload(result), warm
+        return payload, warm
 
     def stats(self) -> Dict[str, Any]:
         return {

@@ -285,3 +285,27 @@ def test_a_trace_of_every_event_kind_validates(tmp_path):
     lines = path.read_text().splitlines()
     assert {json.loads(line)["kind"] for line in lines} == EVENT_KINDS
     assert validate_jsonl(path) == (len(lines), [])
+
+
+def test_a_set_output_reads_the_same_in_the_trace_and_the_store(tmp_path):
+    """One serialiser: a CommonSubset's frozenset in a JSONL ``complete``
+    event and in a stored aggregate."""
+    from repro.core.results import TrialAggregate
+    from repro.experiments.store import ResultStore
+
+    path = tmp_path / "trace.jsonl"
+    result = api.run_common_subset(4, [0, 1, 2], seed=0, sinks=[JsonlSink(path)])
+    assert isinstance(result.agreed_value, frozenset)
+    events = [json.loads(line) for line in path.read_text().splitlines()]
+    traced = [
+        event["value"] for event in events
+        if event["kind"] == "complete" and event["session"] == ["common_subset_harness"]
+    ]
+    aggregate = TrialAggregate()
+    aggregate.add(result)
+    store = ResultStore(tmp_path / "store.json")
+    store.put("cell", "hash", aggregate)
+    store.save()
+    stored = ResultStore.open(tmp_path / "store.json").get("cell").to_dict()["outputs"]
+    assert traced == [sorted(result.agreed_value)] * 4
+    assert stored == [traced[0]]
